@@ -1,23 +1,22 @@
 // Command loadgen generates production-load traces and summarizes recorded
 // ones. Generation goes through the workload scenario subsystem: pick a
-// library scenario (-scenario), a scenario spec file (-spec), or a legacy
-// single-generator alias (-kind), and loadgen writes the versioned trace
-// format (JSON header + one sample per line) that predict.LoadSpec{Kind:
-// "trace"} replays bit-identically. -replay summarizes an existing trace
-// (either format): distribution stats, modal structure, and the scenario
-// scorecard (burst count, tail index, diurnal period).
+// library scenario (-scenario) or a scenario spec file (-spec), and loadgen
+// writes the versioned trace format (JSON header + one sample per line)
+// that predict.LoadSpec{Kind: "trace"} replays bit-identically. -replay
+// summarizes an existing trace: distribution stats, modal structure, and
+// the scenario scorecard (burst count, tail index, diurnal period). With
+// none of -list, -scenario, -spec or -replay, loadgen prints its usage and
+// exits 2.
 //
 // Usage:
 //
 //	loadgen -list
 //	loadgen -scenario flash-crowd -machine 1 -duration 3600 -o crowd.trace
 //	loadgen -spec myscenario.json -seed 7 -o custom.trace
-//	loadgen -kind bursty -duration 3600 -o trace.out
 //	loadgen -replay crowd.trace
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -26,13 +25,11 @@ import (
 	"prodpred/internal/modal"
 	"prodpred/internal/stats"
 	"prodpred/internal/stochastic"
-	"prodpred/internal/timeseries"
 	"prodpred/internal/workload"
 )
 
 func main() {
 	var (
-		kind     = flag.String("kind", "", "legacy generator alias: center | trimodal | bursty | light | ethernet | sessions (default bursty when no -scenario/-spec)")
 		scenario = flag.String("scenario", "", "workload-library scenario to generate from (see -list)")
 		specPath = flag.String("spec", "", "scenario spec JSON file to generate from")
 		machine  = flag.Int("machine", 0, "scenario machine entry to generate")
@@ -41,7 +38,7 @@ func main() {
 		dt       = flag.Float64("dt", 0, "sampling interval (s); 0 = the process's native tick")
 		seed     = flag.Int64("seed", 1, "random seed")
 		out      = flag.String("o", "", "output trace path (default stdout)")
-		replay   = flag.String("replay", "", "replay and summarize an existing trace (versioned or legacy CSV)")
+		replay   = flag.String("replay", "", "replay and summarize an existing trace")
 	)
 	flag.Parse()
 
@@ -54,8 +51,11 @@ func main() {
 		}
 	case *replay != "":
 		err = summarize(*replay)
+	case *scenario != "" || *specPath != "":
+		err = generate(*scenario, *specPath, *machine, *duration, *dt, *seed, *out)
 	default:
-		err = generate(*scenario, *specPath, *kind, *machine, *duration, *dt, *seed, *out)
+		flag.Usage()
+		os.Exit(2)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "loadgen:", err)
@@ -63,61 +63,25 @@ func main() {
 	}
 }
 
-// legacyScenario wraps one of the historical -kind generators in a
-// single-machine scenario spec, so the legacy aliases flow through the
-// same spec path (and trace format) as everything else.
-func legacyScenario(kind string) (*workload.ScenarioSpec, error) {
-	var comp workload.ComponentSpec
-	switch kind {
-	case "center":
-		comp = workload.ComponentSpec{Kind: "preset", Preset: "platform1-center"}
-	case "trimodal":
-		comp = workload.ComponentSpec{Kind: "preset", Preset: "platform1-trimodal"}
-	case "bursty":
-		comp = workload.ComponentSpec{Kind: "preset", Preset: "platform2-bursty"}
-	case "light":
-		comp = workload.ComponentSpec{Kind: "preset", Preset: "light"}
-	case "ethernet":
-		comp = workload.ComponentSpec{Kind: "preset", Preset: "ethernet-contention"}
-	case "sessions":
-		comp = workload.ComponentSpec{Kind: "user-sessions", Lambda: 0.1, Mu: 0.05}
-	default:
-		return nil, fmt.Errorf("unknown generator %q", kind)
-	}
-	sc := &workload.ScenarioSpec{
-		Version:  workload.SpecVersion,
-		Name:     "legacy-" + kind,
-		DT:       1,
-		Machines: []workload.ComponentSpec{comp},
-	}
-	return sc, sc.Validate()
-}
-
-// resolveScenario picks the scenario source: an explicit spec file, a
-// library name, or a legacy -kind alias (defaulting to bursty).
-func resolveScenario(scenario, specPath, kind string) (*workload.ScenarioSpec, error) {
-	switch {
-	case specPath != "":
+// resolveScenario picks the scenario source: an explicit spec file, else a
+// library name.
+func resolveScenario(scenario, specPath string) (*workload.ScenarioSpec, error) {
+	if specPath != "" {
 		data, err := os.ReadFile(specPath)
 		if err != nil {
 			return nil, err
 		}
 		return workload.ParseScenario(data)
-	case scenario != "":
-		sc, ok := workload.Lookup(scenario)
-		if !ok {
-			return nil, fmt.Errorf("unknown scenario %q (have %v)", scenario, workload.Names())
-		}
-		return sc, nil
-	case kind != "":
-		return legacyScenario(kind)
-	default:
-		return legacyScenario("bursty")
 	}
+	sc, ok := workload.Lookup(scenario)
+	if !ok {
+		return nil, fmt.Errorf("unknown scenario %q (have %v)", scenario, workload.Names())
+	}
+	return sc, nil
 }
 
-func generate(scenario, specPath, kind string, machine int, duration, dt float64, seed int64, out string) error {
-	sc, err := resolveScenario(scenario, specPath, kind)
+func generate(scenario, specPath string, machine int, duration, dt float64, seed int64, out string) error {
+	sc, err := resolveScenario(scenario, specPath)
 	if err != nil {
 		return err
 	}
@@ -158,39 +122,19 @@ func generate(scenario, specPath, kind string, machine int, duration, dt float64
 	return nil
 }
 
-// readAny loads either trace format: the versioned header+samples file or
-// the legacy "time,value" CSV.
-func readAny(path string) (vals []float64, dt float64, origin string, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, 0, "", err
-	}
-	if workload.IsTrace(data) {
-		h, vals, err := workload.ReadTrace(bytes.NewReader(data))
-		if err != nil {
-			return nil, 0, "", err
-		}
-		origin := h.Scenario
-		if origin == "" {
-			origin = "unlabeled trace"
-		}
-		return vals, h.DT, fmt.Sprintf("%s (seed %d, machine %d, hash %s)", origin, h.Seed, h.Machine, h.SpecHash), nil
-	}
-	s, err := timeseries.ReadCSV(bytes.NewReader(data))
-	if err != nil {
-		return nil, 0, "", err
-	}
-	dt = 1.0
-	if s.Len() > 1 {
-		dt = s.At(1).T - s.At(0).T
-	}
-	return s.Values(), dt, "legacy CSV", nil
-}
-
 func summarize(path string) error {
-	xs, dt, origin, err := readAny(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return err
+	}
+	h, xs, err := workload.ReadTrace(f)
+	f.Close()
+	if err != nil {
+		return err
+	}
+	origin := h.Scenario
+	if origin == "" {
+		origin = "unlabeled trace"
 	}
 	sum, err := stats.Summarize(xs)
 	if err != nil {
@@ -200,12 +144,12 @@ func summarize(path string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s: %d samples, %s\n", path, len(xs), origin)
+	fmt.Printf("%s: %d samples, %s (seed %d, machine %d, hash %s)\n", path, len(xs), origin, h.Seed, h.Machine, h.SpecHash)
 	fmt.Printf("  mean %.4f  std %.4f  min %.4f  median %.4f  max %.4f  skew %.2f\n",
 		sum.Mean, sum.StdDev, sum.Min, sum.Median, sum.Max, sum.Skewness)
 	fmt.Printf("  stochastic value: %s\n", sv)
 
-	card := workload.NewScorecard(xs, dt)
+	card := workload.NewScorecard(xs, h.DT)
 	fmt.Printf("  scorecard: %d bursts below mean-2sigma", card.BurstCount)
 	if card.TailIndex > 0 {
 		fmt.Printf(", tail index %.2f (Hill; smaller = heavier)", card.TailIndex)

@@ -15,7 +15,6 @@
 //
 //	loadtest -duration 5 -workers 8 -observe 0.8 -advance 0.1
 //	loadtest -url http://localhost:8080 -duration 30
-//	loadtest -duration 2 -bench-out BENCH_$(date +%F).json
 //	loadtest -duration 3 -batch 16          # drive POST /predict/batch
 //	loadtest -duration 3 -no-cache          # A/B the tick cache off
 //	loadtest -platforms 1000 -kill-restore  # multi-tenant fleet mode
@@ -70,7 +69,6 @@ func main() {
 	flag.Float64Var(&cfg.AdvanceFrac, "advance", 0.1, "fraction of loops issuing a /advance clock step")
 	flag.IntVar(&cfg.Batch, "batch", 0, "requests per POST /predict/batch call (0 = use POST /predict)")
 	flag.BoolVar(&cfg.NoCache, "no-cache", false, "disable the tick-scoped forecast cache on the in-process platforms")
-	flag.StringVar(&cfg.BenchOut, "bench-out", "", "JSON file to merge a \"serving\" entry into (BENCH_<date>.json style)")
 	flag.IntVar(&cfg.Platforms, "platforms", 0, "host a fleet of N lazily-instantiated tenant specs instead of the two paper platforms")
 	flag.BoolVar(&cfg.KillRestore, "kill-restore", false, "snapshot, kill, and restore the in-process server mid-run")
 	flag.StringVar(&cfg.Scenario, "scenario", "", "drive the in-process platforms with this workload-library scenario instead of the paper load models")
@@ -83,13 +81,6 @@ func main() {
 		os.Exit(1)
 	}
 	res.print(os.Stdout)
-	if cfg.BenchOut != "" {
-		if err := mergeBenchEntry(cfg.BenchOut, res); err != nil {
-			fmt.Fprintln(os.Stderr, "loadtest: bench-out:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("loadtest: merged serving entry into %s\n", cfg.BenchOut)
-	}
 }
 
 // config is the full knob set of one load-test run.
@@ -105,7 +96,6 @@ type config struct {
 	AdvanceFrac float64
 	Batch       int
 	NoCache     bool
-	BenchOut    string
 	Platforms   int     // fleet size (0 = the two paper platforms)
 	KillRestore bool    // snapshot/kill/restore the in-process server mid-run
 	Scenario    string  // workload-library scenario for the in-process platforms
@@ -328,21 +318,21 @@ func run(cfg config) (result, error) {
 // inProcess builds the daemon's serving stack in this process: both
 // simulated platforms on a shared metrics registry behind api.NewHandler,
 // or — with cfg.Platforms > 0 — a fleet of that many declarative tenant
-// specs, registered cold so instantiation cost lands on first request.
+// specs. Every platform is a spec registered cold, so instantiation cost
+// lands on its first request.
 func inProcess(cfg config) (*httptest.Server, error) {
-	metrics := obs.NewRegistry()
-	reg := predict.NewRegistryWith(predict.RegistryOptions{Metrics: metrics})
-	if cfg.Scenario != "" {
-		if cfg.Platforms > 0 {
-			return nil, fmt.Errorf("-scenario and -platforms are mutually exclusive")
-		}
+	var specs []predict.PlatformSpec
+	switch {
+	case cfg.Scenario != "" && cfg.Platforms > 0:
+		return nil, fmt.Errorf("-scenario and -platforms are mutually exclusive")
+	case cfg.Scenario != "":
 		if _, ok := workload.Lookup(cfg.Scenario); !ok {
 			return nil, fmt.Errorf("unknown scenario %q (have %v)", cfg.Scenario, workload.Names())
 		}
 		// Keep the paper platform names so the worker routing is unchanged;
 		// only the load driving them comes from the scenario library.
 		for i, id := range []int{1, 2} {
-			spec := predict.PlatformSpec{
+			specs = append(specs, predict.PlatformSpec{
 				Name: fmt.Sprintf("platform%d", id),
 				Machines: []predict.MachineSpec{
 					{Name: "m0", Kind: "sparc5"},
@@ -350,42 +340,29 @@ func inProcess(cfg config) (*httptest.Server, error) {
 					{Name: "m2", Kind: "ultra"},
 					{Name: "m3", Kind: "ultra"},
 				},
-				CPU:              []predict.LoadSpec{{Kind: "scenario", Scenario: cfg.Scenario}},
-				Net:              &predict.LoadSpec{Kind: "ethernet-contention"},
-				Seed:             cfg.Seed + int64(i)*1013,
-				Warmup:           cfg.Warmup,
-				DisableTickCache: cfg.NoCache,
-			}
-			if err := reg.RegisterSpec(spec); err != nil {
+				CPU:    []predict.LoadSpec{{Kind: "scenario", Scenario: cfg.Scenario}},
+				Net:    &predict.LoadSpec{Kind: "ethernet-contention"},
+				Seed:   cfg.Seed + int64(i)*1013,
+				Warmup: cfg.Warmup,
+			})
+		}
+	case cfg.Platforms > 0:
+		specs = predict.FleetSpecs(cfg.Platforms, cfg.Seed)
+	default:
+		for _, id := range []int{1, 2} {
+			spec, err := predict.SimulatedSpec(id, cfg.Seed)
+			if err != nil {
 				return nil, err
 			}
+			spec.Warmup = cfg.Warmup
+			specs = append(specs, spec)
 		}
-		return httptest.NewServer(api.NewHandler(reg, api.Options{Metrics: metrics})), nil
 	}
-	if cfg.Platforms > 0 {
-		for _, spec := range predict.FleetSpecs(cfg.Platforms, cfg.Seed) {
-			spec.DisableTickCache = cfg.NoCache
-			if err := reg.RegisterSpec(spec); err != nil {
-				return nil, err
-			}
-		}
-		return httptest.NewServer(api.NewHandler(reg, api.Options{Metrics: metrics})), nil
-	}
-	for _, id := range []int{1, 2} {
-		c, err := predict.SimulatedConfig(id, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		c.Metrics = metrics
-		c.DisableTickCache = cfg.NoCache
-		svc, err := predict.NewService(c)
-		if err != nil {
-			return nil, err
-		}
-		if err := svc.AdvanceTo(cfg.Warmup); err != nil {
-			return nil, err
-		}
-		if err := reg.Register(svc); err != nil {
+	metrics := obs.NewRegistry()
+	reg := predict.NewRegistryWith(predict.RegistryOptions{Metrics: metrics})
+	for _, spec := range specs {
+		spec.DisableTickCache = cfg.NoCache
+		if err := reg.RegisterSpec(spec); err != nil {
 			return nil, err
 		}
 	}
@@ -554,44 +531,3 @@ func (r result) print(w io.Writer) {
 		fmt.Fprintf(w, "scheduler: %d jobs submitted via /schedule\n", r.SchedJobs)
 	}
 }
-
-// mergeBenchEntry inserts/replaces a "serving" object (or "serving_batch"
-// when the run drove POST /predict/batch) in a BENCH_<date> style JSON
-// file, preserving the benchmark entries bench.sh wrote.
-func mergeBenchEntry(path string, r result) error {
-	doc := map[string]any{}
-	if raw, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(raw, &doc); err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	serving := map[string]any{
-		"workers":        r.Workers,
-		"duration_s":     r.Duration,
-		"throughput_rps": round2(r.Throughput),
-	}
-	for op, s := range r.Ops {
-		serving[op+"_p50_ms"] = round2(s.P50MS)
-		serving[op+"_p95_ms"] = round2(s.P95MS)
-	}
-	key := "serving"
-	switch {
-	case r.Platforms > 0:
-		key = "serving_fleet"
-		serving["platforms"] = r.Platforms
-		serving["kill_restores"] = r.Restores
-	case r.Batch > 1:
-		key = "serving_batch"
-		serving["batch"] = r.Batch
-	}
-	doc[key] = serving
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
-}
-
-func round2(x float64) float64 { return float64(int(x*100+0.5)) / 100 }

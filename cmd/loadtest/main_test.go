@@ -1,8 +1,6 @@
 package main
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -45,43 +43,6 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := run(config{Workers: 1, Duration: 0}); err == nil {
 		t.Error("duration=0 accepted")
-	}
-}
-
-// TestMergeBenchEntry: the serving entry lands next to existing bench
-// content without clobbering it, and overwrites a previous serving entry.
-func TestMergeBenchEntry(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_test.json")
-	if err := os.WriteFile(path, []byte(`{"date":"2026-08-06","ns_per_op":{"BenchmarkX":1.5}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	r := result{
-		Workers: 4, Duration: 2, Throughput: 123.456,
-		Ops: map[string]opStats{"predict": {P50MS: 1.234, P95MS: 5.678}},
-	}
-	if err := mergeBenchEntry(path, r); err != nil {
-		t.Fatal(err)
-	}
-	if err := mergeBenchEntry(path, r); err != nil { // idempotent re-merge
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := string(raw)
-	for _, want := range []string{`"BenchmarkX"`, `"serving"`, `"predict_p50_ms": 1.23`, `"throughput_rps": 123.46`} {
-		if !strings.Contains(text, want) {
-			t.Errorf("merged file missing %s:\n%s", want, text)
-		}
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatal(err)
-	}
-	// A fresh path (no existing bench file) also works.
-	fresh := filepath.Join(t.TempDir(), "new.json")
-	if err := mergeBenchEntry(fresh, r); err != nil {
-		t.Fatal(err)
 	}
 }
 

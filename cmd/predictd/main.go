@@ -64,7 +64,6 @@ import (
 	"time"
 
 	"prodpred/internal/api"
-	"prodpred/internal/faults"
 	"prodpred/internal/fleetsched"
 	"prodpred/internal/load"
 	"prodpred/internal/obs"
@@ -113,34 +112,9 @@ type faultFlags struct {
 	outageStart, outageEnd float64
 }
 
-// injector builds the deterministic fault injector the flags describe, or
-// nil when no fault class is enabled.
-func (f faultFlags) injector(seed int64, machines int) (*faults.Injector, error) {
-	sched := faults.Schedule{
-		DropProb:      f.drop,
-		TransientProb: f.transient,
-		SpikeProb:     f.spike,
-	}
-	hasOutage := f.outageEnd > f.outageStart
-	if f.drop == 0 && f.transient == 0 && f.spike == 0 && !hasOutage {
-		return nil, nil
-	}
-	in := faults.NewInjector(seed)
-	for m := 0; m < machines; m++ {
-		s := sched
-		if m == 0 && hasOutage {
-			s.Outages = []faults.Window{{Start: f.outageStart, End: f.outageEnd}}
-		}
-		if err := in.Set(m, s); err != nil {
-			return nil, err
-		}
-	}
-	return in, nil
-}
-
 // specs translates the flags into the declarative per-machine fault
-// schedules a PlatformSpec carries — the same shape injector builds, so a
-// spec-hosted platform serves bit-identical values to a config-hosted one.
+// schedules a PlatformSpec carries (nil when no fault class is enabled):
+// the same schedule on every machine, plus the outage window on machine 0.
 func (f faultFlags) specs(machines int) []predict.FaultSpec {
 	hasOutage := f.outageEnd > f.outageStart
 	if f.drop == 0 && f.transient == 0 && f.spike == 0 && !hasOutage {

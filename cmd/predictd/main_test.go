@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"prodpred/internal/api"
 	"prodpred/internal/obs"
 	"prodpred/internal/predict"
 )
@@ -32,7 +33,7 @@ func newTestServer(t *testing.T, seed int64) (*httptest.Server, *predict.Registr
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(newServer(reg, metrics))
+	ts := httptest.NewServer(api.NewHandler(reg, api.Options{Metrics: metrics}))
 	t.Cleanup(ts.Close)
 	return ts, reg
 }
@@ -62,13 +63,13 @@ func decode[T any](t *testing.T, resp *http.Response) T {
 
 func TestPredictEndpoint(t *testing.T) {
 	ts, _ := newTestServer(t, 4)
-	resp := postJSON(t, ts.URL+"/predict", predictRequest{
+	resp := postJSON(t, ts.URL+"/predict", api.PredictRequest{
 		Platform: "platform2", N: 120, Iterations: 6,
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status=%d", resp.StatusCode)
 	}
-	pr := decode[predictResponse](t, resp)
+	pr := decode[api.PredictResponse](t, resp)
 	if pr.Platform != "platform2" {
 		t.Errorf("platform=%q", pr.Platform)
 	}
@@ -110,13 +111,13 @@ func TestPredictEndpoint(t *testing.T) {
 
 func TestPredictEndpointOptions(t *testing.T) {
 	ts, _ := newTestServer(t, 4)
-	for _, body := range []predictRequest{
+	for _, body := range []api.PredictRequest{
 		{Platform: "platform1", N: 80, Iterations: 4, Strategy: "conservative"},
 		{Platform: "platform2", N: 80, Iterations: 4, Strategy: "balanced", MaxStrategy: "probabilistic", IterationRel: "unrelated"},
 		{Platform: "platform2", N: 80, Iterations: 4, Strategy: "optimistic", MaxStrategy: "magnitude", Advance: 30},
 	} {
 		resp := postJSON(t, ts.URL+"/predict", body)
-		pr := decode[predictResponse](t, resp)
+		pr := decode[api.PredictResponse](t, resp)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%+v: status=%d", body, resp.StatusCode)
 		}
@@ -137,14 +138,14 @@ func TestPredictEndpointErrors(t *testing.T) {
 		t.Errorf("bad JSON status=%d", resp.StatusCode)
 	}
 	cases := []struct {
-		body predictRequest
+		body api.PredictRequest
 		want int
 	}{
-		{predictRequest{Platform: "atlantis", N: 80, Iterations: 4}, http.StatusNotFound},
-		{predictRequest{Platform: "platform2", N: 2, Iterations: 4}, http.StatusBadRequest},
-		{predictRequest{Platform: "platform2", N: 80, Iterations: 0}, http.StatusBadRequest},
-		{predictRequest{Platform: "platform2", N: 80, Iterations: 4, Strategy: "vibes"}, http.StatusBadRequest},
-		{predictRequest{N: 80, Iterations: 4}, http.StatusNotFound}, // ambiguous: two platforms hosted
+		{api.PredictRequest{Platform: "atlantis", N: 80, Iterations: 4}, http.StatusNotFound},
+		{api.PredictRequest{Platform: "platform2", N: 2, Iterations: 4}, http.StatusBadRequest},
+		{api.PredictRequest{Platform: "platform2", N: 80, Iterations: 0}, http.StatusBadRequest},
+		{api.PredictRequest{Platform: "platform2", N: 80, Iterations: 4, Strategy: "vibes"}, http.StatusBadRequest},
+		{api.PredictRequest{N: 80, Iterations: 4}, http.StatusNotFound}, // ambiguous: two platforms hosted
 	}
 	for _, c := range cases {
 		resp := postJSON(t, ts.URL+"/predict", c.body)
@@ -164,7 +165,7 @@ func TestHealthzReportsFaultClasses(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status=%d", resp.StatusCode)
 	}
-	h := decode[healthResponse](t, resp)
+	h := decode[api.HealthResponse](t, resp)
 	if h.Status != "ok" && h.Status != "degraded" {
 		t.Errorf("status=%q", h.Status)
 	}
@@ -200,7 +201,7 @@ func TestReportAndAdvanceEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := decode[reportResponse](t, resp)
+	rep := decode[api.ReportResponse](t, resp)
 	if rep.Platform != "platform1" || rep.Time != 600 || len(rep.Loads) != 4 {
 		t.Errorf("report=%+v", rep)
 	}
@@ -209,7 +210,7 @@ func TestReportAndAdvanceEndpoints(t *testing.T) {
 			t.Errorf("machine %d report mean=%g", l.Machine, l.Mean)
 		}
 	}
-	adv := postJSON(t, ts.URL+"/advance", advanceRequest{Platform: "platform1", Seconds: 60})
+	adv := postJSON(t, ts.URL+"/advance", api.AdvanceRequest{Platform: "platform1", Seconds: 60})
 	times := decode[map[string]float64](t, adv)
 	if times["platform1"] != 660 {
 		t.Errorf("advance result=%v", times)
@@ -219,10 +220,10 @@ func TestReportAndAdvanceEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep2 := decode[reportResponse](t, resp2); rep2.Time != 600 {
+	if rep2 := decode[api.ReportResponse](t, resp2); rep2.Time != 600 {
 		t.Errorf("platform2 time=%g, want 600", rep2.Time)
 	}
-	bad := postJSON(t, ts.URL+"/advance", advanceRequest{Platform: "platform1", Seconds: -5})
+	bad := postJSON(t, ts.URL+"/advance", api.AdvanceRequest{Platform: "platform1", Seconds: -5})
 	bad.Body.Close()
 	if bad.StatusCode != http.StatusBadRequest {
 		t.Errorf("negative advance status=%d", bad.StatusCode)
@@ -235,9 +236,9 @@ func TestReportAndAdvanceEndpoints(t *testing.T) {
 func TestServingDeterminism(t *testing.T) {
 	ts1, _ := newTestServer(t, 7)
 	ts2, _ := newTestServer(t, 7)
-	body := predictRequest{Platform: "platform2", N: 100, Iterations: 5}
-	p1 := decode[predictResponse](t, postJSON(t, ts1.URL+"/predict", body))
-	p2 := decode[predictResponse](t, postJSON(t, ts2.URL+"/predict", body))
+	body := api.PredictRequest{Platform: "platform2", N: 100, Iterations: 5}
+	p1 := decode[api.PredictResponse](t, postJSON(t, ts1.URL+"/predict", body))
+	p2 := decode[api.PredictResponse](t, postJSON(t, ts2.URL+"/predict", body))
 	if p1.Mean != p2.Mean || p1.Spread != p2.Spread {
 		t.Errorf("same-seed daemons diverged: %g±%g vs %g±%g",
 			p1.Mean, p1.Spread, p2.Mean, p2.Spread)
@@ -248,15 +249,13 @@ func TestServingDeterminism(t *testing.T) {
 }
 
 func TestFaultFlagInjector(t *testing.T) {
-	in, err := faultFlags{}.injector(1, 4)
-	if err != nil || in != nil {
-		t.Errorf("no flags should build no injector: %v, %v", in, err)
+	if fs := (faultFlags{}).specs(4); fs != nil {
+		t.Errorf("no flags should declare no faults: %v", fs)
 	}
-	in, err = faultFlags{drop: 0.5}.injector(1, 4)
-	if err != nil || in == nil {
-		t.Errorf("drop flag should build an injector: %v", err)
+	if fs := (faultFlags{drop: 0.5}).specs(4); len(fs) != 4 || fs[3].Drop != 0.5 {
+		t.Errorf("drop flag should declare a schedule per machine: %v", fs)
 	}
-	if _, err = (faultFlags{drop: 1.5}).injector(1, 4); err == nil {
+	if _, err := buildRegistry(1, 0, faultFlags{drop: 1.5}, nil); err == nil {
 		t.Error("out-of-range probability should fail")
 	}
 }
@@ -267,7 +266,7 @@ func TestFaultFlagInjector(t *testing.T) {
 // /report.
 func TestObserveAndAccuracyEndpoints(t *testing.T) {
 	ts, _ := newTestServer(t, 4)
-	pr := decode[predictResponse](t, postJSON(t, ts.URL+"/predict", predictRequest{
+	pr := decode[api.PredictResponse](t, postJSON(t, ts.URL+"/predict", api.PredictRequest{
 		Platform: "platform1", N: 100, Iterations: 5,
 	}))
 	if pr.ID == 0 {
@@ -278,13 +277,13 @@ func TestObserveAndAccuracyEndpoints(t *testing.T) {
 			pr.CalibrationScale, pr.RawSpread, pr.Spread)
 	}
 
-	resp := postJSON(t, ts.URL+"/observe", observeRequest{
+	resp := postJSON(t, ts.URL+"/observe", api.ObserveRequest{
 		Platform: "platform1", ID: pr.ID, Actual: pr.Mean,
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("observe status=%d", resp.StatusCode)
 	}
-	or := decode[observeResponse](t, resp)
+	or := decode[api.ObserveResponse](t, resp)
 	if or.Platform != "platform1" || or.Accuracy.Observed != 1 || or.Accuracy.RawCapture != 1 {
 		t.Errorf("observe response=%+v", or)
 	}
@@ -293,7 +292,7 @@ func TestObserveAndAccuracyEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc := decode[accuracyResponse](t, resp2)
+	acc := decode[api.AccuracyResponse](t, resp2)
 	if len(acc.Platforms) != 2 {
 		t.Fatalf("accuracy platforms=%d", len(acc.Platforms))
 	}
@@ -314,7 +313,7 @@ func TestObserveAndAccuracyEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if one := decode[accuracyResponse](t, resp3); len(one.Platforms) != 1 || one.Platforms[0].Platform != "platform1" {
+	if one := decode[api.AccuracyResponse](t, resp3); len(one.Platforms) != 1 || one.Platforms[0].Platform != "platform1" {
 		t.Errorf("filtered accuracy=%+v", one)
 	}
 
@@ -323,7 +322,7 @@ func TestObserveAndAccuracyEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := decode[reportResponse](t, resp4)
+	rep := decode[api.ReportResponse](t, resp4)
 	if rep.Calibration.Observed != 1 || rep.Outstanding != 0 {
 		t.Errorf("report calibration=%+v outstanding=%d", rep.Calibration, rep.Outstanding)
 	}
@@ -336,17 +335,17 @@ func TestObserveAndAccuracyEndpoints(t *testing.T) {
 
 func TestObserveEndpointErrors(t *testing.T) {
 	ts, _ := newTestServer(t, 4)
-	pr := decode[predictResponse](t, postJSON(t, ts.URL+"/predict", predictRequest{
+	pr := decode[api.PredictResponse](t, postJSON(t, ts.URL+"/predict", api.PredictRequest{
 		Platform: "platform1", N: 100, Iterations: 5,
 	}))
 	cases := []struct {
 		name string
-		body observeRequest
+		body api.ObserveRequest
 		want int
 	}{
-		{"unknown platform", observeRequest{Platform: "atlantis", ID: pr.ID, Actual: 1}, http.StatusNotFound},
-		{"never-issued id", observeRequest{Platform: "platform1", ID: 999, Actual: 1}, http.StatusBadRequest},
-		{"non-positive actual", observeRequest{Platform: "platform1", ID: pr.ID, Actual: 0}, http.StatusBadRequest},
+		{"unknown platform", api.ObserveRequest{Platform: "atlantis", ID: pr.ID, Actual: 1}, http.StatusNotFound},
+		{"never-issued id", api.ObserveRequest{Platform: "platform1", ID: 999, Actual: 1}, http.StatusBadRequest},
+		{"non-positive actual", api.ObserveRequest{Platform: "platform1", ID: pr.ID, Actual: 0}, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		resp := postJSON(t, ts.URL+"/observe", c.body)
@@ -364,9 +363,9 @@ func TestObserveEndpointErrors(t *testing.T) {
 		t.Errorf("bad JSON status=%d", resp.StatusCode)
 	}
 	// First observe consumes the id; a second must fail.
-	ok := postJSON(t, ts.URL+"/observe", observeRequest{Platform: "platform1", ID: pr.ID, Actual: pr.Mean})
+	ok := postJSON(t, ts.URL+"/observe", api.ObserveRequest{Platform: "platform1", ID: pr.ID, Actual: pr.Mean})
 	ok.Body.Close()
-	dup := postJSON(t, ts.URL+"/observe", observeRequest{Platform: "platform1", ID: pr.ID, Actual: pr.Mean})
+	dup := postJSON(t, ts.URL+"/observe", api.ObserveRequest{Platform: "platform1", ID: pr.ID, Actual: pr.Mean})
 	dup.Body.Close()
 	if ok.StatusCode != http.StatusOK || dup.StatusCode != http.StatusBadRequest {
 		t.Errorf("observe=%d re-observe=%d", ok.StatusCode, dup.StatusCode)
@@ -378,7 +377,7 @@ func TestObserveEndpointErrors(t *testing.T) {
 // HTTP families, in parseable exposition form.
 func TestMetricsEndpoint(t *testing.T) {
 	ts, _ := newTestServer(t, 4)
-	pr := postJSON(t, ts.URL+"/predict", predictRequest{Platform: "platform2", N: 80, Iterations: 4})
+	pr := postJSON(t, ts.URL+"/predict", api.PredictRequest{Platform: "platform2", N: 80, Iterations: 4})
 	pr.Body.Close()
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -417,7 +416,7 @@ func TestGracefulShutdown(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan error, 1)
-	go func() { done <- serve(ctx, reg, ln, 5, newServer(reg, nil)) }()
+	go func() { done <- serve(ctx, reg, ln, 5, api.NewHandler(reg, api.Options{})) }()
 	url := "http://" + ln.Addr().String()
 
 	resp, err := http.Get(url + "/healthz")

@@ -1,22 +1,17 @@
-// Hand-rolled JSON codec for the serving hot paths (POST /predict,
-// /predict/batch, /observe): append-style encoders writing straight from
-// the domain objects into pooled buffers, and a minimal non-reflective
-// parser for the small request payloads. Everything else (reports, health,
-// accuracy listings) stays on reflection-based encoding/json — those
-// routes are cold and stdlib is the clearer choice there.
+// Hand-rolled JSON encoders for the serving hot paths (POST /predict,
+// /predict/batch, /observe): append-style, writing straight from the
+// domain objects into pooled buffers. Everything else — every request body
+// (decodeBody in server.go) and the cold responses (reports, health,
+// accuracy listings) — is encoding/json.
 //
 // The encoders emit exactly the wire shape of the PredictResponse /
 // ObserveResponse / BatchPredictResponse structs (same keys, same
 // omitempty behavior, nil slices as null), so clients decoding with
-// encoding/json see no difference. The parser handles the flat objects the
-// hot requests actually are; any construct it does not support (escape
-// sequences, nesting in unknown fields it cannot skip, syntax errors)
-// makes it return an error and the handler falls back to encoding/json,
-// so correctness never depends on the fast path.
+// encoding/json see no difference; the wire.go structs stay the reference
+// the codec tests hold them to.
 package api
 
 import (
-	"fmt"
 	"math"
 	"strconv"
 	"sync"
@@ -46,9 +41,6 @@ func (pb *poolBuf) release() {
 		bufPool.Put(pb)
 	}
 }
-
-// ---------------------------------------------------------------------------
-// Encoding
 
 // appendString appends a JSON string literal, escaping quotes, backslashes,
 // and control characters (the platform names and error messages this layer
@@ -346,532 +338,4 @@ func appendErrorObj(b []byte, msg string) []byte {
 	b = append(b, `{"error":`...)
 	b = appendString(b, msg)
 	return append(b, '}')
-}
-
-// ---------------------------------------------------------------------------
-// Decoding
-
-// errFallback tells the handler to re-parse with encoding/json: the payload
-// uses something the fast parser does not support, or is malformed (stdlib
-// then produces the user-visible error).
-var errFallback = fmt.Errorf("api: fast JSON parser fallback")
-
-// parser is a minimal JSON reader over a complete request body. Its
-// acceptance contract is one-sided strictness: every body the fast path
-// accepts must decode to exactly what encoding/json produces, and every
-// construct where the two could diverge (escapes, non-ASCII or control
-// bytes in strings, lax number forms, deep nesting, duplicate keys with
-// merge semantics) forces errFallback instead. FuzzCodecParsers holds the
-// parsers to that contract.
-type parser struct {
-	data []byte
-	pos  int
-	// scratch backs the ASCII case-folding of object keys, so matching a
-	// case-variant key (which encoding/json accepts) does not allocate.
-	scratch [48]byte
-}
-
-func (p *parser) skipWS() {
-	for p.pos < len(p.data) {
-		switch p.data[p.pos] {
-		case ' ', '\t', '\n', '\r':
-			p.pos++
-		default:
-			return
-		}
-	}
-}
-
-func (p *parser) expect(c byte) error {
-	p.skipWS()
-	if p.pos >= len(p.data) || p.data[p.pos] != c {
-		return errFallback
-	}
-	p.pos++
-	return nil
-}
-
-// peek returns the next non-space byte without consuming it (0 at EOF).
-func (p *parser) peek() byte {
-	p.skipWS()
-	if p.pos >= len(p.data) {
-		return 0
-	}
-	return p.data[p.pos]
-}
-
-// rawString reads a string literal without escape support, returning the
-// raw bytes between the quotes. A backslash, a control byte (stdlib syntax
-// error), or a non-ASCII byte (stdlib replaces invalid UTF-8 rather than
-// erroring, so byte-for-byte agreement needs real decoding) forces the
-// stdlib fallback.
-func (p *parser) rawString() ([]byte, error) {
-	if err := p.expect('"'); err != nil {
-		return nil, err
-	}
-	start := p.pos
-	for p.pos < len(p.data) {
-		switch c := p.data[p.pos]; {
-		case c == '\\':
-			return nil, errFallback
-		case c == '"':
-			s := p.data[start:p.pos]
-			p.pos++
-			return s, nil
-		case c < 0x20 || c >= 0x80:
-			return nil, errFallback
-		default:
-			p.pos++
-		}
-	}
-	return nil, errFallback
-}
-
-// boundary reports whether the value ending at the current position sits on
-// a legal JSON token boundary (EOF, whitespace, or a structural byte).
-func (p *parser) boundary() bool {
-	if p.pos >= len(p.data) {
-		return true
-	}
-	switch p.data[p.pos] {
-	case ',', '}', ']', ':', ' ', '\t', '\n', '\r':
-		return true
-	}
-	return false
-}
-
-// scanNumber consumes one number token in the exact JSON grammar — no
-// leading '+', no leading zeros, no bare '.', digits required after '.' and
-// the exponent sign. strconv.ParseFloat is laxer on all of those, so the
-// grammar is checked here rather than delegated.
-func (p *parser) scanNumber() ([]byte, error) {
-	p.skipWS()
-	start := p.pos
-	if p.pos < len(p.data) && p.data[p.pos] == '-' {
-		p.pos++
-	}
-	switch {
-	case p.pos >= len(p.data):
-		return nil, errFallback
-	case p.data[p.pos] == '0':
-		p.pos++
-	case p.data[p.pos] >= '1' && p.data[p.pos] <= '9':
-		for p.pos < len(p.data) && p.data[p.pos] >= '0' && p.data[p.pos] <= '9' {
-			p.pos++
-		}
-	default:
-		return nil, errFallback
-	}
-	if p.pos < len(p.data) && p.data[p.pos] == '.' {
-		p.pos++
-		digits := p.pos
-		for p.pos < len(p.data) && p.data[p.pos] >= '0' && p.data[p.pos] <= '9' {
-			p.pos++
-		}
-		if p.pos == digits {
-			return nil, errFallback
-		}
-	}
-	if p.pos < len(p.data) && (p.data[p.pos] == 'e' || p.data[p.pos] == 'E') {
-		p.pos++
-		if p.pos < len(p.data) && (p.data[p.pos] == '+' || p.data[p.pos] == '-') {
-			p.pos++
-		}
-		digits := p.pos
-		for p.pos < len(p.data) && p.data[p.pos] >= '0' && p.data[p.pos] <= '9' {
-			p.pos++
-		}
-		if p.pos == digits {
-			return nil, errFallback
-		}
-	}
-	if !p.boundary() {
-		return nil, errFallback
-	}
-	return p.data[start:p.pos], nil
-}
-
-// number reads a JSON number as float64.
-func (p *parser) number() (float64, error) {
-	tok, err := p.scanNumber()
-	if err != nil {
-		return 0, err
-	}
-	v, err := strconv.ParseFloat(string(tok), 64)
-	if err != nil {
-		return 0, errFallback
-	}
-	return v, nil
-}
-
-// integer reads a JSON number in plain integer syntax. Exponent or
-// fraction forms (1e2, 3.0) force the fallback — encoding/json rejects
-// them for int fields, and the fast path must never accept what stdlib
-// would refuse.
-func (p *parser) integer() (int64, error) {
-	tok, err := p.scanNumber()
-	if err != nil {
-		return 0, err
-	}
-	for _, c := range tok {
-		if c == '.' || c == 'e' || c == 'E' {
-			return 0, errFallback
-		}
-	}
-	v, err := strconv.ParseInt(string(tok), 10, 64)
-	if err != nil {
-		return 0, errFallback
-	}
-	return v, nil
-}
-
-// literal consumes one exact keyword token (true/false/null).
-func (p *parser) literal(lit string) error {
-	p.skipWS()
-	if len(p.data)-p.pos < len(lit) || string(p.data[p.pos:p.pos+len(lit)]) != lit {
-		return errFallback
-	}
-	p.pos += len(lit)
-	if !p.boundary() {
-		return errFallback
-	}
-	return nil
-}
-
-// floats reads a JSON array of numbers with stdlib decode semantics: null
-// yields nil, [] yields an empty non-nil slice.
-func (p *parser) floats() ([]float64, error) {
-	if p.peek() == 'n' {
-		if err := p.literal("null"); err != nil {
-			return nil, err
-		}
-		return nil, nil
-	}
-	if err := p.expect('['); err != nil {
-		return nil, err
-	}
-	out := []float64{}
-	if p.peek() == ']' {
-		p.pos++
-		return out, nil
-	}
-	for {
-		v, err := p.number()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-		switch p.peek() {
-		case ',':
-			p.pos++
-		case ']':
-			p.pos++
-			return out, nil
-		default:
-			return nil, errFallback
-		}
-	}
-}
-
-// maxSkipDepth bounds nesting inside skipped unknown values. Deeper bodies
-// fall back to encoding/json (which allows far deeper nesting before its
-// own limit), keeping fast-accept a subset of stdlib-accept without an
-// unbounded recursion here.
-const maxSkipDepth = 32
-
-// skipValue consumes one value of any type (for unknown keys), validating
-// the full JSON grammar as it goes — the fast path must never accept a
-// body whose unknown corners stdlib would reject.
-func (p *parser) skipValue() error { return p.skipValueDepth(0) }
-
-func (p *parser) skipValueDepth(depth int) error {
-	if depth > maxSkipDepth {
-		return errFallback
-	}
-	switch p.peek() {
-	case '"':
-		_, err := p.rawString()
-		return err
-	case 't':
-		return p.literal("true")
-	case 'f':
-		return p.literal("false")
-	case 'n':
-		return p.literal("null")
-	case '{':
-		p.pos++
-		if p.peek() == '}' {
-			p.pos++
-			return nil
-		}
-		for {
-			if _, err := p.rawString(); err != nil {
-				return err
-			}
-			if err := p.expect(':'); err != nil {
-				return err
-			}
-			if err := p.skipValueDepth(depth + 1); err != nil {
-				return err
-			}
-			switch p.peek() {
-			case ',':
-				p.pos++
-			case '}':
-				p.pos++
-				return nil
-			default:
-				return errFallback
-			}
-		}
-	case '[':
-		p.pos++
-		if p.peek() == ']' {
-			p.pos++
-			return nil
-		}
-		for {
-			if err := p.skipValueDepth(depth + 1); err != nil {
-				return err
-			}
-			switch p.peek() {
-			case ',':
-				p.pos++
-			case ']':
-				p.pos++
-				return nil
-			default:
-				return errFallback
-			}
-		}
-	case 0:
-		return errFallback
-	default:
-		_, err := p.scanNumber()
-		return err
-	}
-}
-
-// foldKey lowercases an ASCII key into the parser's scratch buffer:
-// encoding/json matches object keys to field names case-insensitively, so
-// the field switches below match on the folded form. Keys are ASCII by
-// construction (rawString falls back on anything else), which makes ASCII
-// folding equivalent to stdlib's unicode fold. Oversized keys can't name a
-// known field and pass through unfolded to the default (skip) arm.
-func (p *parser) foldKey(key []byte) []byte {
-	if len(key) > len(p.scratch) {
-		return key
-	}
-	b := p.scratch[:len(key)]
-	for i, c := range key {
-		if c >= 'A' && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		b[i] = c
-	}
-	return b
-}
-
-// object walks one JSON object, calling field for every key (ASCII
-// case-folded, matching stdlib's case-insensitive field matching). field
-// returns an error to abort (usually errFallback); unknown keys are
-// skipped. Duplicate keys overwrite like stdlib, except where a field's
-// stdlib decode merges into the prior value — those fields guard
-// themselves.
-func (p *parser) object(field func(key []byte) error) error {
-	if err := p.expect('{'); err != nil {
-		return err
-	}
-	if p.peek() == '}' {
-		p.pos++
-		return nil
-	}
-	for {
-		key, err := p.rawString()
-		if err != nil {
-			return err
-		}
-		if err := p.expect(':'); err != nil {
-			return err
-		}
-		if err := field(p.foldKey(key)); err != nil {
-			return err
-		}
-		switch p.peek() {
-		case ',':
-			p.pos++
-		case '}':
-			p.pos++
-			return nil
-		default:
-			return errFallback
-		}
-	}
-}
-
-// end verifies nothing but whitespace remains.
-func (p *parser) end() error {
-	p.skipWS()
-	if p.pos != len(p.data) {
-		return errFallback
-	}
-	return nil
-}
-
-// predictRequestFields parses one PredictRequest object body in place.
-func (p *parser) predictRequestFields(pr *PredictRequest) error {
-	return p.object(func(key []byte) error {
-		switch string(key) {
-		case "platform":
-			s, err := p.rawString()
-			if err != nil {
-				return err
-			}
-			pr.Platform = string(s)
-		case "n":
-			v, err := p.integer()
-			if err != nil {
-				return err
-			}
-			pr.N = int(v)
-		case "iterations":
-			v, err := p.integer()
-			if err != nil {
-				return err
-			}
-			pr.Iterations = int(v)
-		case "strategy":
-			s, err := p.rawString()
-			if err != nil {
-				return err
-			}
-			pr.Strategy = string(s)
-		case "max_strategy":
-			s, err := p.rawString()
-			if err != nil {
-				return err
-			}
-			pr.MaxStrategy = string(s)
-		case "iteration_rel":
-			s, err := p.rawString()
-			if err != nil {
-				return err
-			}
-			pr.IterationRel = string(s)
-		case "advance":
-			v, err := p.number()
-			if err != nil {
-				return err
-			}
-			pr.Advance = v
-		case "level":
-			v, err := p.number()
-			if err != nil {
-				return err
-			}
-			pr.Level = v
-		case "levels":
-			vs, err := p.floats()
-			if err != nil {
-				return err
-			}
-			pr.Levels = vs
-		default:
-			return p.skipValue()
-		}
-		return nil
-	})
-}
-
-// parsePredictRequest is the fast path for the POST /predict body.
-func parsePredictRequest(data []byte) (PredictRequest, error) {
-	var pr PredictRequest
-	p := parser{data: data}
-	if err := p.predictRequestFields(&pr); err != nil {
-		return pr, err
-	}
-	return pr, p.end()
-}
-
-// parseObserveRequest is the fast path for the POST /observe body.
-func parseObserveRequest(data []byte) (ObserveRequest, error) {
-	var or ObserveRequest
-	p := parser{data: data}
-	err := p.object(func(key []byte) error {
-		switch string(key) {
-		case "platform":
-			s, err := p.rawString()
-			if err != nil {
-				return err
-			}
-			or.Platform = string(s)
-		case "id":
-			v, err := p.integer()
-			if err != nil || v < 0 {
-				return errFallback
-			}
-			or.ID = uint64(v)
-		case "actual":
-			v, err := p.number()
-			if err != nil {
-				return err
-			}
-			or.Actual = v
-		default:
-			return p.skipValue()
-		}
-		return nil
-	})
-	if err != nil {
-		return or, err
-	}
-	return or, p.end()
-}
-
-// parseBatchRequest is the fast path for the POST /predict/batch body:
-// {"requests":[{...},{...}]}.
-func parseBatchRequest(data []byte) ([]PredictRequest, error) {
-	var reqs []PredictRequest
-	p := parser{data: data}
-	err := p.object(func(key []byte) error {
-		if string(key) != "requests" {
-			return p.skipValue()
-		}
-		if reqs != nil {
-			// Duplicate key: stdlib would merge the second array into the
-			// items already decoded, element by element — not worth mirroring.
-			return errFallback
-		}
-		if p.peek() == 'n' {
-			return p.literal("null") // leaves reqs nil, like stdlib
-		}
-		if err := p.expect('['); err != nil {
-			return err
-		}
-		reqs = []PredictRequest{} // "[]" decodes empty, not nil, like stdlib
-		if p.peek() == ']' {
-			p.pos++
-			return nil
-		}
-		for {
-			var pr PredictRequest
-			if err := p.predictRequestFields(&pr); err != nil {
-				return err
-			}
-			reqs = append(reqs, pr)
-			switch p.peek() {
-			case ',':
-				p.pos++
-			case ']':
-				p.pos++
-				return nil
-			default:
-				return errFallback
-			}
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return reqs, p.end()
 }

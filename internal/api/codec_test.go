@@ -123,116 +123,9 @@ func TestAppendErrorObjMatchesStdlib(t *testing.T) {
 	}
 }
 
-// TestParsePredictRequestMatchesStdlib: every body the fast parser accepts
-// must decode exactly as encoding/json does; bodies it cannot handle must
-// return an error so the handler falls back (never silently mis-parse).
-func TestParsePredictRequestMatchesStdlib(t *testing.T) {
-	accept := []string{
-		`{"platform":"platform1","n":200,"iterations":5}`,
-		`{"platform":"p2","n":80,"iterations":4,"strategy":"conservative","max_strategy":"magnitude","iteration_rel":"unrelated","advance":2.5}`,
-		` { "n" : 10 , "unknown" : {"nested":[1,2,{"x":"y"}]} , "iterations" : 1 } `,
-		`{"platform":"p","n":100,"iterations":5,"advance":-3.5e-1}`,
-		`{}`,
-		`{"n":120,"iterations":6,"level":0.9}`,
-		`{"n":120,"iterations":6,"levels":[0.5,0.9,0.95]}`,
-		`{"n":120,"iterations":6,"levels":[]}`,
-		`{"n":120,"iterations":6,"levels":null}`,
-		`{"N":120,"Iterations":6,"LEVEL":0.8}`, // stdlib matches fields case-insensitively
-		`{"unknown":true,"other":false,"gone":null,"n":5,"iterations":1}`,
-	}
-	for _, body := range accept {
-		got, err := parsePredictRequest([]byte(body))
-		if err != nil {
-			t.Errorf("fast parser rejected %s: %v", body, err)
-			continue
-		}
-		var want PredictRequest
-		if err := json.Unmarshal([]byte(body), &want); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("parse diverged for %s:\nfast:   %+v\nstdlib: %+v", body, got, want)
-		}
-	}
-	fallback := []string{
-		`{"platform":"esc\"aped","n":1}`, // escape sequences
-		`{"n":1e2}`,                      // exponent form: stdlib rejects for int fields
-		`{"n":1} trailing`,
-		`{"n":}`,
-		`[1,2]`,
-		`{"n":1,}`,
-		``,
-		`{"n":01}`,                // leading zero: stdlib syntax error
-		`{"advance":+5}`,          // leading plus: stdlib syntax error
-		`{"advance":1.}`,          // bare trailing dot: stdlib syntax error
-		`{"advance":.5}`,          // bare leading dot: stdlib syntax error
-		`{"unknown":truely}`,      // malformed keyword in a skipped value
-		`{"unknown":}`,            // missing skipped value
-		"{\"platform\":\"a\nb\"}", // raw control byte in string: stdlib syntax error
-		`{"levels":[0.5,]}`,
-	}
-	for _, body := range fallback {
-		if _, err := parsePredictRequest([]byte(body)); err == nil {
-			t.Errorf("fast parser accepted unsupported body %q", body)
-		}
-	}
-}
-
-// TestParseObserveRequestMatchesStdlib mirrors the predict-request test for
-// the observe path.
-func TestParseObserveRequestMatchesStdlib(t *testing.T) {
-	for _, body := range []string{
-		`{"platform":"platform1","id":17,"actual":0.42}`,
-		`{"id":1,"actual":3}`,
-	} {
-		got, err := parseObserveRequest([]byte(body))
-		if err != nil {
-			t.Fatalf("fast parser rejected %s: %v", body, err)
-		}
-		var want ObserveRequest
-		if err := json.Unmarshal([]byte(body), &want); err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Errorf("parse diverged for %s: %+v vs %+v", body, got, want)
-		}
-	}
-}
-
-// TestParseBatchRequestMatchesStdlib: the batch wrapper parses item lists
-// exactly as stdlib, and falls back on anything else.
-func TestParseBatchRequestMatchesStdlib(t *testing.T) {
-	accept := []string{
-		`{"requests":[{"platform":"platform1","n":10,"iterations":2},{"platform":"platform2","n":20,"iterations":3,"strategy":"optimistic"}]}`,
-		`{"requests":[]}`,
-		`{"requests":null}`,
-		`{}`,
-	}
-	for _, body := range accept {
-		got, err := parseBatchRequest([]byte(body))
-		if err != nil {
-			t.Errorf("fast parser rejected %s: %v", body, err)
-			continue
-		}
-		var want BatchPredictRequest
-		if err := json.Unmarshal([]byte(body), &want); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want.Requests) {
-			t.Errorf("parse diverged for %s:\nfast:   %+v\nstdlib: %+v", body, got, want.Requests)
-		}
-	}
-	for _, body := range []string{`{"requests":[{"platform":"a\"b"}]}`, `{"requests":[1]}`, `{"requests":[{}],"x"}`} {
-		if _, err := parseBatchRequest([]byte(body)); err == nil {
-			t.Errorf("fast parser accepted unsupported body %q", body)
-		}
-	}
-}
-
 // TestCodecFewerAllocs is the allocation claim itself: encoding a
 // prediction through the pooled codec must allocate strictly less than the
-// reflection path, and parsing a predict request must not allocate beyond
-// its field strings.
+// reflection path.
 func TestCodecFewerAllocs(t *testing.T) {
 	svc := codecService(t, 11)
 	p, err := svc.Predict(predict.Request{N: 120, Iterations: 6})

@@ -1,0 +1,78 @@
+package api
+
+import (
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"strings"
+	"testing"
+)
+
+// post sends one body to a handler in-process.
+func post(h http.Handler, route, body string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", route, strings.NewReader(body)))
+	return rec
+}
+
+// TestPostBodyLimits: every body-reading route shares decodeBody's two
+// refusals — a body over maxBodyBytes, and bytes after the JSON value —
+// and accepts a body of exactly maxBodyBytes.
+func TestPostBodyLimits(t *testing.T) {
+	h := oneTenantHandler(t)
+	// Routes run in postRoutes order, so /observe's id 1 is the prediction
+	// the first /predict call issued.
+	valid := map[string]string{
+		"/predict":       `{"platform":"platform1","n":120,"iterations":6}`,
+		"/predict/batch": `{"requests":[{"platform":"platform1","n":120,"iterations":6}]}`,
+		"/observe":       `{"platform":"platform1","id":1,"actual":3}`,
+		"/advance":       `{"platform":"platform1","seconds":1}`,
+		"/schedule":      `{"jobs":[{"n":120,"iterations":4}]}`,
+	}
+	for _, route := range postRoutes {
+		body := valid[route]
+		atLimit := body + strings.Repeat(" ", maxBodyBytes-len(body))
+		if rec := post(h, route, atLimit); rec.Code != http.StatusOK {
+			t.Errorf("POST %s, body of exactly %d bytes: status %d: %s", route, maxBodyBytes, rec.Code, rec.Body)
+		}
+		if rec := post(h, route, atLimit+" "); rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "request body exceeds") {
+			t.Errorf("POST %s, body of %d bytes: status %d, want 400 (exceeds): %s", route, maxBodyBytes+1, rec.Code, rec.Body)
+		}
+		if rec := post(h, route, body+" trailing"); rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "bad request body") {
+			t.Errorf("POST %s, garbage after the value: status %d, want 400 (bad request body): %s", route, rec.Code, rec.Body)
+		}
+	}
+}
+
+// TestDecodeBodyStdlibSemantics pins what the request path does with the
+// inputs the retired hand parser could not take itself: they decode as
+// encoding/json decodes them, quirks included.
+func TestDecodeBodyStdlibSemantics(t *testing.T) {
+	cases := []struct {
+		name, body string
+		into, want any
+	}{
+		{"escaped string", `{"platform":"a\"bé","n":10,"iterations":1}`,
+			&PredictRequest{}, &PredictRequest{Platform: "a\"bé", N: 10, Iterations: 1}},
+		{"case-variant keys", `{"Platform":"platform1","N":120,"ITERATIONS":6,"LEVEL":0.8}`,
+			&PredictRequest{}, &PredictRequest{Platform: "platform1", N: 120, Iterations: 6, Level: 0.8}},
+		{"nested unknown field", `{"n":10,"unknown":{"nested":[1,2,{"x":"y\\"}]},"iterations":1}`,
+			&PredictRequest{}, &PredictRequest{N: 10, Iterations: 1}},
+		{"observe, escaped", `{"platform":"p\t1","id":17,"actual":0.42}`,
+			&ObserveRequest{}, &ObserveRequest{Platform: "p\t1", ID: 17, Actual: 0.42}},
+		// A repeated array key decodes into the items already there,
+		// element by element, and truncates to the later length.
+		{"duplicate requests key", `{"requests":[{"platform":"platform1","n":10,"iterations":2},{"n":5}],"requests":[{"n":20}]}`,
+			&BatchPredictRequest{}, &BatchPredictRequest{Requests: []PredictRequest{{Platform: "platform1", N: 20, Iterations: 2}}}},
+		{"null requests", `{"requests":null}`, &BatchPredictRequest{}, &BatchPredictRequest{}},
+		{"empty requests", `{"requests":[]}`, &BatchPredictRequest{}, &BatchPredictRequest{Requests: []PredictRequest{}}},
+	}
+	for _, c := range cases {
+		r := httptest.NewRequest("POST", "/", strings.NewReader(c.body))
+		if err := decodeBody(r, c.into); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		} else if !reflect.DeepEqual(c.into, c.want) {
+			t.Errorf("%s: decoded %+v, want %+v", c.name, c.into, c.want)
+		}
+	}
+}

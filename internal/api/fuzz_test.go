@@ -2,20 +2,44 @@ package api
 
 import (
 	"encoding/json"
-	"reflect"
+	"net/http"
+	"regexp"
 	"testing"
+
+	"prodpred/internal/predict"
 )
 
-// FuzzCodecParsers holds the fast request parsers to their one-sided
-// strictness contract: on any input each parser either returns an error
-// (the handler falls back to encoding/json, which owns correctness) or
-// accepts — and then stdlib must accept the same body and decode it to
-// exactly the same value. A body the fast path accepts but stdlib rejects,
-// or decodes differently, is a serving-path bug: the daemon would answer a
-// request it should 400, or mis-read a field.
-func FuzzCodecParsers(f *testing.F) {
+// postRoutes are the five routes that read a request body.
+var postRoutes = []string{"/predict", "/predict/batch", "/observe", "/advance", "/schedule"}
+
+// oneTenantHandler serves "platform1" alone, instantiated on first touch.
+func oneTenantHandler(tb testing.TB) http.Handler {
+	tb.Helper()
+	spec, err := predict.SimulatedSpec(1, 5)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	spec.Warmup = 120
+	reg := predict.NewRegistry()
+	if err := reg.RegisterSpec(spec); err != nil {
+		tb.Fatal(err)
+	}
+	return NewHandler(reg, Options{})
+}
+
+// heavyWork matches any number of 1000 or more (four digits in a row, or an
+// exponent), and some harmless ones. The daemon does not bound n,
+// iterations or a clock advance, so such a body is slow in proportion to
+// the work it requests; the fuzzer is after what the bytes do to the
+// decoder, not that.
+var heavyWork = regexp.MustCompile(`[0-9]{4}|[0-9][eE][+0-9]`)
+
+// FuzzPostBodies throws arbitrary bytes at every body-reading route of a
+// real handler over a one-tenant registry. Whatever the bytes, the daemon
+// must not panic, must answer 200, 400 or 404, and must answer in JSON.
+func FuzzPostBodies(f *testing.F) {
 	seeds := []string{
-		// predict bodies, accepted and fallback-forcing
+		// predict bodies, well-formed and malformed
 		`{"platform":"platform1","n":200,"iterations":5}`,
 		`{"platform":"p2","n":80,"iterations":4,"strategy":"conservative","max_strategy":"magnitude","iteration_rel":"unrelated","advance":2.5}`,
 		` { "n" : 10 , "unknown" : {"nested":[1,2,{"x":"y"}]} , "iterations" : 1 } `,
@@ -47,32 +71,20 @@ func FuzzCodecParsers(f *testing.F) {
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
+	handler := oneTenantHandler(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if got, err := parsePredictRequest(data); err == nil {
-			var want PredictRequest
-			if uerr := json.Unmarshal(data, &want); uerr != nil {
-				t.Fatalf("fast predict parser accepted a body stdlib rejects (%v): %q", uerr, data)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("predict parse diverged for %q:\nfast:   %+v\nstdlib: %+v", data, got, want)
-			}
+		if heavyWork.Match(data) {
+			return
 		}
-		if got, err := parseObserveRequest(data); err == nil {
-			var want ObserveRequest
-			if uerr := json.Unmarshal(data, &want); uerr != nil {
-				t.Fatalf("fast observe parser accepted a body stdlib rejects (%v): %q", uerr, data)
+		for _, route := range postRoutes {
+			rec := post(handler, route, string(data))
+			switch rec.Code {
+			case http.StatusOK, http.StatusBadRequest, http.StatusNotFound:
+			default:
+				t.Fatalf("POST %s %q: status %d\n%s", route, data, rec.Code, rec.Body)
 			}
-			if got != want {
-				t.Fatalf("observe parse diverged for %q:\nfast:   %+v\nstdlib: %+v", data, got, want)
-			}
-		}
-		if got, err := parseBatchRequest(data); err == nil {
-			var want BatchPredictRequest
-			if uerr := json.Unmarshal(data, &want); uerr != nil {
-				t.Fatalf("fast batch parser accepted a body stdlib rejects (%v): %q", uerr, data)
-			}
-			if !reflect.DeepEqual(got, want.Requests) {
-				t.Fatalf("batch parse diverged for %q:\nfast:   %+v\nstdlib: %+v", data, got, want.Requests)
+			if !json.Valid(rec.Body.Bytes()) {
+				t.Fatalf("POST %s %q: response is not JSON: %s", route, data, rec.Body)
 			}
 		}
 	})

@@ -2,7 +2,6 @@ package api
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
@@ -14,9 +13,9 @@ import (
 	"prodpred/internal/predict"
 )
 
-// recordedExchange is one request/response pair captured against the code
-// that wrote testdata/snapshot_v1.snap, before the v2 snapshot format and
-// the distribution payload existed.
+// recordedExchange is one request/response pair captured at PR 7 against
+// the build that wrote the golden image in its original v1 format, before
+// the v2 snapshot format and the distribution payload existed.
 type recordedExchange struct {
 	Method string `json:"method"`
 	Path   string `json:"path"`
@@ -25,19 +24,24 @@ type recordedExchange struct {
 	Resp   string `json:"resp"`
 }
 
-// restoreV1 reads the golden v1 snapshot into a registry — exactly what
+// goldenSnapshot is that image, converted to v2 once by the last build that
+// read v1 (ReadSnapshot then WriteSnapshot, nothing else): the state the
+// recorded exchanges were served from.
+const goldenSnapshot = "../predict/testdata/snapshot_v2.snap"
+
+// restoreGolden reads the golden snapshot into a registry — exactly what
 // `predictd -restore` does at startup.
-func restoreV1(t *testing.T) *predict.Registry {
+func restoreGolden(t *testing.T) (*predict.Registry, []byte) {
 	t.Helper()
-	raw, err := os.ReadFile("../predict/testdata/snapshot_v1.snap")
+	raw, err := os.ReadFile(goldenSnapshot)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg, err := predict.ReadSnapshot(bytes.NewReader(raw), predict.RegistryOptions{})
 	if err != nil {
-		t.Fatalf("v1 snapshot no longer restores: %v", err)
+		t.Fatalf("golden snapshot no longer restores: %v", err)
 	}
-	return reg
+	return reg, raw
 }
 
 // subsetEqual requires every leaf recorded in want to appear, with the
@@ -83,13 +87,13 @@ func subsetEqual(path string, want, got any) error {
 	}
 }
 
-// TestV1SnapshotServesIdentically is the migration guarantee: a snapshot
-// written by the v1 code restores into today's registry and serves
+// TestGoldenSnapshotServesIdentically pins served numbers across releases:
+// the golden snapshot restores into today's registry and serves
 // byte-identical legacy fields on the exact request sequence recorded
-// against the old build — IDs, means, spreads, calibration state, all of
+// against the PR 7 build — IDs, means, spreads, calibration state, all of
 // it. New fields (forecaster tags, dist payloads, quantile calibration
 // state) may appear on top; nothing recorded may change.
-func TestV1SnapshotServesIdentically(t *testing.T) {
+func TestGoldenSnapshotServesIdentically(t *testing.T) {
 	raw, err := os.ReadFile("../predict/testdata/snapshot_v1_responses.json")
 	if err != nil {
 		t.Fatal(err)
@@ -101,15 +105,10 @@ func TestV1SnapshotServesIdentically(t *testing.T) {
 	if len(exchanges) == 0 {
 		t.Fatal("empty fixture")
 	}
-	handler := NewHandler(restoreV1(t), Options{})
+	reg, _ := restoreGolden(t)
+	handler := NewHandler(reg, Options{})
 	for i, ex := range exchanges {
-		var body *strings.Reader
-		if ex.Body != "" {
-			body = strings.NewReader(ex.Body)
-		} else {
-			body = strings.NewReader("")
-		}
-		req := httptest.NewRequest(ex.Method, ex.Path, body)
+		req := httptest.NewRequest(ex.Method, ex.Path, strings.NewReader(ex.Body))
 		rec := httptest.NewRecorder()
 		handler.ServeHTTP(rec, req)
 		if rec.Code != ex.Status {
@@ -124,50 +123,34 @@ func TestV1SnapshotServesIdentically(t *testing.T) {
 			t.Fatalf("exchange %d: response is not JSON: %v\n%s", i, err, rec.Body.String())
 		}
 		if err := subsetEqual("resp", want, got); err != nil {
-			t.Errorf("exchange %d (%s %s) diverged from the v1 recording: %v",
+			t.Errorf("exchange %d (%s %s) diverged from the recording: %v",
 				i, ex.Method, ex.Path, err)
 		}
 	}
 }
 
-// TestV1SnapshotMigratesToV2: restoring a v1 snapshot and re-snapshotting
-// IS the migration — the rewrite comes out in the v2 format, and the v2
-// image is a fixed point (read + rewrite is byte-identical).
-func TestV1SnapshotMigratesToV2(t *testing.T) {
-	reg := restoreV1(t)
-	var v2 bytes.Buffer
-	if err := reg.WriteSnapshot(&v2); err != nil {
-		t.Fatal(err)
-	}
-	b := v2.Bytes()
-	if len(b) < 10 || string(b[:6]) != "PPSNAP" {
-		t.Fatalf("bad snapshot header % x", b[:10])
-	}
-	if ver := binary.LittleEndian.Uint32(b[6:10]); ver != 2 {
-		t.Fatalf("re-snapshot of a restored v1 image has version %d, want 2", ver)
-	}
-	reg2, err := predict.ReadSnapshot(bytes.NewReader(b), predict.RegistryOptions{})
-	if err != nil {
-		t.Fatalf("migrated v2 snapshot does not restore: %v", err)
-	}
+// TestGoldenSnapshotIsFixedPoint: restoring the golden image and
+// re-snapshotting reproduces it byte for byte, so the committed file is
+// exactly what today's WriteSnapshot emits for that state.
+func TestGoldenSnapshotIsFixedPoint(t *testing.T) {
+	reg, raw := restoreGolden(t)
 	var again bytes.Buffer
-	if err := reg2.WriteSnapshot(&again); err != nil {
+	if err := reg.WriteSnapshot(&again); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(b, again.Bytes()) {
-		t.Fatal("v2 snapshot is not a fixed point: restore + rewrite changed bytes")
+	if !bytes.Equal(raw, again.Bytes()) {
+		t.Fatal("golden snapshot is not a fixed point: restore + rewrite changed bytes")
 	}
 }
 
-// TestV1RestoreServesQuantileLevels: a restored v1 fleet answers ?level=
-// requests immediately — with identity quantile calibration (no v1
-// evidence), so the calibrated grid equals the raw grid.
-func TestV1RestoreServesQuantileLevels(t *testing.T) {
-	handler := NewHandler(restoreV1(t), Options{})
-	req := httptest.NewRequest("POST", "/predict?level=0.9&levels=0.5,0.95",
-		strings.NewReader(`{"platform":"platform2","n":120,"iterations":6}`))
-	rec := httptest.NewRecorder()
-	handler.ServeHTTP(rec, req)
+// TestGoldenRestoreServesQuantileLevels: the golden fleet carries no
+// quantile outcomes (its state predates them), so it answers ?level=
+// requests with identity quantile calibration — the calibrated grid equals
+// the raw grid.
+func TestGoldenRestoreServesQuantileLevels(t *testing.T) {
+	reg, _ := restoreGolden(t)
+	handler := NewHandler(reg, Options{})
+	rec := post(handler, "/predict?level=0.9&levels=0.5,0.95", `{"platform":"platform2","n":120,"iterations":6}`)
 	if rec.Code != 200 {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -176,7 +159,7 @@ func TestV1RestoreServesQuantileLevels(t *testing.T) {
 		t.Fatal(err)
 	}
 	if resp.Dist == nil {
-		t.Fatal("restored v1 service served no dist payload")
+		t.Fatal("restored service served no dist payload")
 	}
 	if len(resp.Dist.Intervals) != 3 {
 		t.Fatalf("asked for 3 interval levels, got %d", len(resp.Dist.Intervals))
@@ -190,7 +173,7 @@ func TestV1RestoreServesQuantileLevels(t *testing.T) {
 		t.Fatalf("interval levels out of order: %v", got)
 	}
 	if !reflect.DeepEqual(resp.Dist.Raw, resp.Dist.Calibrated) {
-		t.Fatalf("v1 restore should serve identity quantile calibration:\nraw: %v\ncal: %v", resp.Dist.Raw, resp.Dist.Calibrated)
+		t.Fatalf("golden restore should serve identity quantile calibration:\nraw: %v\ncal: %v", resp.Dist.Raw, resp.Dist.Calibrated)
 	}
 	for i := 1; i < len(resp.Dist.Calibrated); i++ {
 		if resp.Dist.Calibrated[i] < resp.Dist.Calibrated[i-1] {

@@ -149,7 +149,7 @@ func platformFrom(r *http.Request) string {
 	if r.Method == http.MethodGet || r.Body == nil {
 		return ""
 	}
-	peeked, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	peeked, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
 	if err != nil {
 		return ""
 	}
@@ -192,6 +192,22 @@ func queryLevels(q url.Values) ([]float64, error) {
 	return out, nil
 }
 
+// decodeBody is the one way a request body enters the daemon: the whole
+// body read into a pooled buffer (at most maxBodyBytes), then decoded into
+// v by encoding/json, which refuses trailing bytes after the value.
+func decodeBody(r *http.Request, v any) error {
+	in := getBuf()
+	defer in.release()
+	err := readBody(r, in)
+	if err == nil {
+		err = json.Unmarshal(in.b, v)
+	}
+	if err != nil {
+		return fmt.Errorf("bad request body: %w", err)
+	}
+	return nil
+}
+
 // readBody reads the whole request body into pb, growing as needed.
 func readBody(r *http.Request, pb *poolBuf) error {
 	for {
@@ -220,21 +236,10 @@ func writeRaw(w http.ResponseWriter, status int, body []byte) {
 }
 
 func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	in := getBuf()
-	defer in.release()
-	if err := readBody(r, in); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	var pr PredictRequest
+	if err := decodeBody(r, &pr); err != nil {
+		httpError(w, http.StatusBadRequest, err)
 		return
-	}
-	pr, perr := parsePredictRequest(in.b)
-	if perr != nil {
-		// Fast parser bailed — let encoding/json either handle the exotic
-		// payload or produce the user-visible syntax error.
-		pr = PredictRequest{}
-		if err := json.Unmarshal(in.b, &pr); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-			return
-		}
 	}
 	req, err := pr.ToRequest()
 	if err != nil {
@@ -276,21 +281,12 @@ func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 // fails only on a malformed envelope, an empty batch, or one above
 // MaxBatchSize.
 func (s *server) handleBatchPredict(w http.ResponseWriter, r *http.Request) {
-	in := getBuf()
-	defer in.release()
-	if err := readBody(r, in); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	var br BatchPredictRequest
+	if err := decodeBody(r, &br); err != nil {
+		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	items, perr := parseBatchRequest(in.b)
-	if perr != nil {
-		var br BatchPredictRequest
-		if err := json.Unmarshal(in.b, &br); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-			return
-		}
-		items = br.Requests
-	}
+	items := br.Requests
 	if len(items) == 0 {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("empty batch"))
 		return
@@ -387,19 +383,10 @@ func (s *server) handleReport(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleObserve(w http.ResponseWriter, r *http.Request) {
-	in := getBuf()
-	defer in.release()
-	if err := readBody(r, in); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	var or ObserveRequest
+	if err := decodeBody(r, &or); err != nil {
+		httpError(w, http.StatusBadRequest, err)
 		return
-	}
-	or, perr := parseObserveRequest(in.b)
-	if perr != nil {
-		or = ObserveRequest{}
-		if err := json.Unmarshal(in.b, &or); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-			return
-		}
 	}
 	svc, err := s.reg.Lookup(or.Platform)
 	if err != nil {
@@ -470,8 +457,8 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	var ar AdvanceRequest
-	if err := json.NewDecoder(r.Body).Decode(&ar); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if err := decodeBody(r, &ar); err != nil {
+		httpError(w, http.StatusBadRequest, err)
 		return
 	}
 	if ar.Seconds <= 0 {
@@ -522,8 +509,8 @@ func (s *server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // counted, not queued.
 func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	var sr ScheduleRequest
-	if err := json.NewDecoder(r.Body).Decode(&sr); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if err := decodeBody(r, &sr); err != nil {
+		httpError(w, http.StatusBadRequest, err)
 		return
 	}
 	if len(sr.Jobs) == 0 {

@@ -1,52 +1,17 @@
 package predict
 
-import (
-	"fmt"
-
-	"prodpred/internal/cluster"
-	"prodpred/internal/load"
-)
-
 // SimulatedConfig builds the Config for one of the paper's evaluation
 // platforms under its calibrated production load: Platform 1 with the
 // center-mode load on the Sparc-2s and light load elsewhere (§3.1), or
 // Platform 2 with the 4-modal bursty load on every machine (§3.2). Both
-// run long-tailed ethernet contention on the shared link. This is the
-// platform builder cmd/sorpredict and cmd/predictd share.
+// run long-tailed ethernet contention on the shared link. It is
+// SimulatedSpec materialized — the one description of the two platforms —
+// for callers (cmd/sorpredict, cmd/loadtest, tests) that want a Config to
+// adjust before building the service.
 func SimulatedConfig(platform int, seed int64) (Config, error) {
-	var plat *cluster.Platform
-	var cpu []load.Process
-	switch platform {
-	case 1:
-		plat = cluster.Platform1()
-		for i := 0; i < plat.Size(); i++ {
-			var p load.Process
-			var err error
-			if i < 2 { // the Sparc-2s carry the center-mode load
-				p, err = load.Platform1CenterMode(seed + int64(i))
-			} else {
-				p, err = load.LightLoad(seed + int64(i))
-			}
-			if err != nil {
-				return Config{}, err
-			}
-			cpu = append(cpu, p)
-		}
-	case 2:
-		plat = cluster.Platform2()
-		for i := 0; i < plat.Size(); i++ {
-			p, err := load.Platform2FourModeBursty(seed + int64(i)*17)
-			if err != nil {
-				return Config{}, err
-			}
-			cpu = append(cpu, p)
-		}
-	default:
-		return Config{}, fmt.Errorf("predict: unknown platform %d (want 1 or 2)", platform)
-	}
-	net, err := load.EthernetContention(seed + 999)
+	spec, err := SimulatedSpec(platform, seed)
 	if err != nil {
 		return Config{}, err
 	}
-	return Config{Platform: plat, CPU: cpu, Net: net}, nil
+	return spec.Config()
 }

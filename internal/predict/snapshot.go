@@ -30,21 +30,14 @@ import (
 // never stopped: same predictions, same IDs, same calibration, asserted
 // by TestSnapshotRestoreBitIdentical.
 //
-// Version history. v2 added the distribution-valued prediction state:
-// per-monitor forecaster-tournament sections (scores, win counts, the
-// empirical forecaster's residual window, the mixture forecaster's cached
-// fit), per-window-rec quantile nonconformity scores and realized
-// quantiles in the tracker, and the raw quantile grid per ledger entry.
-// ReadSnapshot still accepts v1 images: the v2-only state decodes
-// zero-valued, which resets every tournament to its incumbent and leaves
-// quantile calibration at identity until fresh outcomes accumulate —
-// exactly the cold-start behavior of a new tournament. WriteSnapshot
-// always emits the current version, so restoring a v1 image and
-// re-snapshotting migrates it to v2.
+// The format version is 2 (v2 added the distribution-valued prediction
+// state: per-monitor forecaster-tournament sections, per-window-rec
+// quantile nonconformity scores in the tracker, the raw quantile grid per
+// ledger entry). It is the only version ReadSnapshot accepts; any other is
+// refused with "unsupported snapshot version".
 const (
-	snapshotMagic     = "PPSNAP"
-	snapshotVersion   = 2
-	snapshotVersionV1 = 1
+	snapshotMagic   = "PPSNAP"
+	snapshotVersion = 2
 )
 
 // snapEnc builds the snapshot image with append-only little-endian
@@ -85,7 +78,6 @@ func (e *snapEnc) f64s(v []float64) {
 type snapDec struct {
 	b   []byte
 	off int
-	ver uint32 // snapshot format version being decoded
 	err error
 }
 
@@ -228,11 +220,8 @@ func ReadSnapshot(rd io.Reader, opts RegistryOptions) (*Registry, error) {
 	if got := string(d.take(len(snapshotMagic))); d.err == nil && got != snapshotMagic {
 		return nil, fmt.Errorf("predict: bad snapshot magic %q", got)
 	}
-	if v := d.u32(); d.err == nil {
-		if v != snapshotVersion && v != snapshotVersionV1 {
-			return nil, fmt.Errorf("predict: unsupported snapshot version %d (want %d or %d)", v, snapshotVersionV1, snapshotVersion)
-		}
-		d.ver = v
+	if v := d.u32(); d.err == nil && v != snapshotVersion {
+		return nil, fmt.Errorf("predict: unsupported snapshot version %d (want %d)", v, snapshotVersion)
 	}
 	reg := NewRegistryWith(opts)
 	n := d.count(1)
@@ -412,9 +401,7 @@ func (s *Service) importFrom(d *snapDec) error {
 		ip.raw.Spread = d.f64()
 		ip.calibrated.Mean = d.f64()
 		ip.calibrated.Spread = d.f64()
-		if d.ver >= 2 {
-			ip.rawQ = d.f64s()
-		}
+		ip.rawQ = d.f64s()
 		s.issued[id] = ip
 		s.issuedOrder = append(s.issuedOrder, id)
 	}
@@ -503,33 +490,29 @@ func decodeMonitorState(d *snapDec) nws.MonitorState {
 		st.MixSqErr[i] = d.f64()
 		st.MixN[i] = int(d.i64())
 	}
-	if d.ver >= 2 {
-		ts := &st.Tournament
-		nTour := d.count(24)
-		if nTour > 0 {
-			ts.Loss = make([]float64, nTour)
-			ts.Weight = make([]float64, nTour)
-			ts.Wins = make([]int64, nTour)
-			for i := 0; i < nTour; i++ {
-				ts.Loss[i] = d.f64()
-				ts.Weight[i] = d.f64()
-				ts.Wins[i] = d.i64()
-			}
-		}
-		ts.Residuals = d.f64s()
-		ts.FitObs = int(d.i64())
-		nModes := d.count(24)
-		if nModes > 0 {
-			ts.FitModes = make([]nws.Component, nModes)
-			for i := 0; i < nModes; i++ {
-				ts.FitModes[i].Weight = d.f64()
-				ts.FitModes[i].Mean = d.f64()
-				ts.FitModes[i].Sigma = d.f64()
-			}
+	ts := &st.Tournament
+	nTour := d.count(24)
+	if nTour > 0 {
+		ts.Loss = make([]float64, nTour)
+		ts.Weight = make([]float64, nTour)
+		ts.Wins = make([]int64, nTour)
+		for i := 0; i < nTour; i++ {
+			ts.Loss[i] = d.f64()
+			ts.Weight[i] = d.f64()
+			ts.Wins[i] = d.i64()
 		}
 	}
-	// On a v1 image the tournament stays zero-valued: import resets it to
-	// the incumbent, the documented v1 -> v2 migration semantics.
+	ts.Residuals = d.f64s()
+	ts.FitObs = int(d.i64())
+	nModes := d.count(24)
+	if nModes > 0 {
+		ts.FitModes = make([]nws.Component, nModes)
+		for i := 0; i < nModes; i++ {
+			ts.FitModes[i].Weight = d.f64()
+			ts.FitModes[i].Mean = d.f64()
+			ts.FitModes[i].Sigma = d.f64()
+		}
+	}
 	return st
 }
 
@@ -594,13 +577,11 @@ func decodeTrackerState(d *snapDec) calib.State {
 		r.CalIn = d.boolean()
 		r.Armed = d.boolean()
 		r.Excluded = d.boolean()
-		if d.ver >= 2 {
-			r.Qok = d.boolean()
-			r.QsLo = d.f64s()
-			r.QsHi = d.f64s()
-			r.QRel = d.f64()
-			r.Pit = d.f64()
-		}
+		r.Qok = d.boolean()
+		r.QsLo = d.f64s()
+		r.QsHi = d.f64s()
+		r.QRel = d.f64()
+		r.Pit = d.f64()
 	}
 	nDrifts := d.count(8 + 8 + 4 + 8)
 	st.Drifts = make([]calib.DriftEvent, nDrifts)

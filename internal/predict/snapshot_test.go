@@ -241,6 +241,10 @@ func TestReadSnapshotRejectsCorrupt(t *testing.T) {
 	if _, err := predict.ReadSnapshot(bytes.NewReader(mangled), predict.RegistryOptions{}); err == nil {
 		t.Error("wrong version accepted")
 	}
+	// The retired v1 format is refused by its header alone.
+	if _, err := predict.ReadSnapshot(strings.NewReader("PPSNAP\x01\x00\x00\x00"), predict.RegistryOptions{}); err == nil || !strings.Contains(err.Error(), "unsupported snapshot version 1") {
+		t.Errorf("v1 header: want unsupported-version error, got %v", err)
+	}
 	if _, err := predict.ReadSnapshot(bytes.NewReader(append(append([]byte(nil), full...), 0xAA)), predict.RegistryOptions{}); err == nil {
 		t.Error("trailing bytes accepted")
 	}

@@ -495,9 +495,8 @@ func ParseSpecs(r io.Reader) ([]PlatformSpec, error) {
 }
 
 // SimulatedSpec returns the declarative spec for one of the paper's
-// evaluation platforms — the spec-form twin of SimulatedConfig, wiring the
-// same presets with the same derived seeds, so a service built from
-// SimulatedSpec is bit-identical to one built from SimulatedConfig.
+// evaluation platforms (see SimulatedConfig, which materializes it): the
+// §3.1 / §3.2 machines, load presets and derived seeds.
 func SimulatedSpec(platform int, seed int64) (PlatformSpec, error) {
 	switch platform {
 	case 1:

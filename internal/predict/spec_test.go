@@ -10,47 +10,6 @@ import (
 	"prodpred/internal/predict"
 )
 
-// TestSimulatedSpecMatchesSimulatedConfig asserts the declarative spec
-// path is a bit-identical twin of the hand-built config path for both
-// paper platforms — the property that lets predictd switch to specs (and
-// snapshots embed them) without changing a single served value.
-func TestSimulatedSpecMatchesSimulatedConfig(t *testing.T) {
-	for _, platform := range []int{1, 2} {
-		cfg, err := predict.SimulatedConfig(platform, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fromCfg, err := predict.NewService(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec, err := predict.SimulatedSpec(platform, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec.Warmup = 600
-		fromSpec, err := predict.NewServiceFromSpec(&spec, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := fromCfg.AdvanceTo(600); err != nil {
-			t.Fatal(err)
-		}
-		req := baseRequest()
-		a, err := fromCfg.Predict(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := fromSpec.Predict(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("platform %d: spec-built prediction diverges from config-built:\n%+v\nvs\n%+v", platform, a, b)
-		}
-	}
-}
-
 func TestSpecValidation(t *testing.T) {
 	valid := func() predict.PlatformSpec {
 		return predict.PlatformSpec{

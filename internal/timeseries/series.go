@@ -1,6 +1,6 @@
 // Package timeseries provides timestamped measurement series: append-only
 // series, bounded ring-buffer histories (the storage behind the NWS
-// sensors), sliding windows, resampling, and CSV interchange.
+// sensors), sliding windows, and resampling.
 //
 // Time is virtual simulation time in float64 seconds, matching the
 // discrete-event clock in internal/simenv; nothing here touches wall-clock
@@ -8,13 +8,10 @@
 package timeseries
 
 import (
-	"encoding/csv"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"sort"
-	"strconv"
 )
 
 // Point is one timestamped measurement.
@@ -141,58 +138,6 @@ func (s *Series) Resample(t0, t1, dt float64) (*Series, error) {
 		}
 	}
 	return out, nil
-}
-
-// WriteCSV writes "time,value" rows (with a header) to w.
-func (s *Series) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"time", "value"}); err != nil {
-		return err
-	}
-	for _, p := range s.pts {
-		rec := []string{
-			strconv.FormatFloat(p.T, 'g', -1, 64),
-			strconv.FormatFloat(p.V, 'g', -1, 64),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadCSV reads a series written by WriteCSV.
-func ReadCSV(r io.Reader) (*Series, error) {
-	cr := csv.NewReader(r)
-	recs, err := cr.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	if len(recs) == 0 {
-		return nil, errors.New("timeseries: empty CSV")
-	}
-	s := NewSeries(len(recs) - 1)
-	for i, rec := range recs {
-		if i == 0 {
-			continue // header
-		}
-		if len(rec) != 2 {
-			return nil, fmt.Errorf("timeseries: row %d has %d fields", i, len(rec))
-		}
-		t, err := strconv.ParseFloat(rec[0], 64)
-		if err != nil {
-			return nil, fmt.Errorf("timeseries: row %d time: %w", i, err)
-		}
-		v, err := strconv.ParseFloat(rec[1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("timeseries: row %d value: %w", i, err)
-		}
-		if err := s.Append(t, v); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
 }
 
 // Ring is a bounded measurement history that discards the oldest point when

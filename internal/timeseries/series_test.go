@@ -1,9 +1,7 @@
 package timeseries
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -120,41 +118,6 @@ func TestResample(t *testing.T) {
 	}
 	if r2.Len() != 1 || r2.At(0).T != 0 {
 		t.Errorf("leading ticks not skipped: len=%d", r2.Len())
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	s, _ := FromSlices([]float64{0, 1.5, 2.25}, []float64{0.1, -3, 42})
-	var buf bytes.Buffer
-	if err := s.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != s.Len() {
-		t.Fatalf("len=%d want %d", back.Len(), s.Len())
-	}
-	for i := 0; i < s.Len(); i++ {
-		if back.At(i) != s.At(i) {
-			t.Errorf("point %d: %+v vs %+v", i, back.At(i), s.At(i))
-		}
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	if _, err := ReadCSV(strings.NewReader("")); err == nil {
-		t.Error("empty input should fail")
-	}
-	if _, err := ReadCSV(strings.NewReader("time,value\nx,1\n")); err == nil {
-		t.Error("bad time should fail")
-	}
-	if _, err := ReadCSV(strings.NewReader("time,value\n1,y\n")); err == nil {
-		t.Error("bad value should fail")
-	}
-	if _, err := ReadCSV(strings.NewReader("time,value\n2,1\n1,1\n")); err == nil {
-		t.Error("unordered rows should fail")
 	}
 }
 

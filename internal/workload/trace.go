@@ -51,21 +51,6 @@ func (h *TraceHeader) validate() error {
 	return nil
 }
 
-// IsTrace reports whether data looks like a versioned trace file (as
-// opposed to the legacy "time,value" CSV): the first line parses as a
-// header object.
-func IsTrace(data []byte) bool {
-	line := data
-	if i := strings.IndexByte(string(data), '\n'); i >= 0 {
-		line = data[:i]
-	}
-	var h TraceHeader
-	if err := json.Unmarshal(line, &h); err != nil {
-		return false
-	}
-	return h.Format == TraceFormat
-}
-
 // WriteTrace streams a trace to w: the JSON header line, then one sample
 // per line formatted with FormatFloat(.., 'g', -1, 64) so every float64
 // round-trips bit-exactly. len(vals) must equal h.Samples.

@@ -20,9 +20,6 @@ func TestTraceRoundTripBitIdentical(t *testing.T) {
 	if err := WriteTrace(&buf, h, vals); err != nil {
 		t.Fatal(err)
 	}
-	if !IsTrace(buf.Bytes()) {
-		t.Fatal("IsTrace rejects a freshly written trace")
-	}
 	h2, vals2, err := ReadTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
@@ -66,12 +63,6 @@ func TestReadTraceRejects(t *testing.T) {
 		if _, _, err := ReadTrace(strings.NewReader(data)); err == nil {
 			t.Errorf("%s: expected error, got none", name)
 		}
-	}
-}
-
-func TestIsTraceRejectsCSV(t *testing.T) {
-	if IsTrace([]byte("time,value\n0,0.5\n")) {
-		t.Fatal("IsTrace accepted legacy CSV")
 	}
 }
 

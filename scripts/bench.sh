@@ -35,9 +35,3 @@ go test -run '^$' -bench . -benchmem -count "$count" "$@" . | tee "$raw"
 } >"$out"
 
 echo "bench.sh: wrote $out"
-
-# Serving throughput: drive the in-process daemon through cmd/loadtest and
-# merge a "serving" entry (single POST /predict) and a "serving_batch"
-# entry (POST /predict/batch) into the same dated file.
-go run ./cmd/loadtest -duration 3 -workers 8 -bench-out "$out"
-go run ./cmd/loadtest -duration 3 -workers 8 -batch 32 -bench-out "$out"

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# check.sh — the repo gate: formatting, vet, the race-clean test suite, and
-# a one-iteration bench smoke. The SOR worker pool, the sharded Monte Carlo
-# engine, and the predict.Service prediction core are concurrent by design,
-# so -race is not optional here.
+# check.sh — the repo gate, and all of what CI runs: formatting, vet, the
+# race-clean test suite, a one-iteration bench smoke, the serving smokes, a
+# short fuzz of the request decoder, and the bench/ module's vet + tests.
+# The SOR worker pool, the sharded Monte Carlo engine, and the
+# predict.Service prediction core are concurrent by design, so -race is not
+# optional here.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -55,9 +57,15 @@ rm -f "$tmptrace"
 go test -run 'TestFleetSchedQuantileWins$' -count=1 ./internal/experiments
 go test -run 'TestRunSchedSmoke' -count=1 ./cmd/loadtest
 
-# Fuzz smoke: a few seconds of coverage-guided input on the hand-rolled
-# JSON request parser — it must never diverge from the stdlib fallback.
-go test -run '^$' -fuzz FuzzCodecParsers -fuzztime 5s ./internal/api
+# Fuzz smoke: a few seconds of coverage-guided bytes into every
+# body-reading route of the real handler — never a panic, always a JSON
+# answer with status 200, 400 or 404.
+go test -run '^$' -fuzz FuzzPostBodies -fuzztime 5s ./internal/api
+
+# The benchmark harness is its own module (bench/go.mod, replace prodpred
+# => ../), so ./... above does not see it: vet and test it here, or an
+# internal/ API change breaks bench/adapter.go silently.
+(cd bench && go vet ./... && go test ./...)
 
 # Snapshot round-trip smoke over the real daemon binary: serve, snapshot,
 # kill, restore — the restored daemon must answer byte-identically to the
@@ -67,4 +75,4 @@ scripts/snapshot_smoke.sh
 # Coverage summary for the online-calibration layer (report-only, no gate).
 go test -cover ./internal/calib ./internal/predict | awk '{print "check.sh: coverage:", $0}'
 
-echo "check.sh: gofmt, vet, race-enabled tests, bench smoke, and loadtest smoke all clean"
+echo "check.sh: gofmt, vet, race-enabled tests, bench and serving smokes, POST-body fuzz, snapshot round trip, and the bench/ module all clean"
