@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"prodpred/internal/experiments"
+	"prodpred/internal/modal"
 	"prodpred/internal/sor"
 	"prodpred/internal/stochastic"
 )
@@ -305,4 +306,119 @@ func BenchmarkValueSample(b *testing.B) {
 		sink = v.Sample(rng)
 	}
 	_ = sink
+}
+
+// --- Serving-tick micro-benchmarks -----------------------------------------
+//
+// What one virtual tick and one cache miss of predictd are made of, on the
+// bursty four-mode platform 2.
+
+func burstyEnv(b *testing.B) *Env {
+	b.Helper()
+	plat := Platform2()
+	cpu := make([]LoadProcess, plat.Size())
+	for m := range cpu {
+		p, err := BurstyLoad(int64(m + 1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		cpu[m] = p
+	}
+	net, err := EthernetContentionLoad(9)
+	if err != nil {
+		b.Fatal(err)
+	}
+	env, err := NewEnv(plat, cpu, net)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return env
+}
+
+// BenchmarkMonitorSample times one sensor period of a monitor whose
+// 512-sample ring is full: the sample, the battery's postmortem and, on a
+// CPU monitor, the distribution tournament's round. The mixture competitor
+// refits on every 16th round, so ns/op is the amortised cost only once b.N
+// spans many refit cycles (the default benchtime does; -benchtime 1x does
+// not).
+func BenchmarkMonitorSample(b *testing.B) {
+	env := burstyEnv(b)
+	cpu, err := NewCPUMonitor(env, 0, 5, 512)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bw, err := NewBandwidthMonitor(env, 0, 1, 8000, 5, 512)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		mon  *Monitor
+	}{{"cpu", cpu}, {"bandwidth", bw}} {
+		// The framework calls the function again for every b.N it tries:
+		// the monitor's clock carries on from where the last call left it.
+		at := 5.0 * 600
+		if err := c.mon.RunUntil(at); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				at += 5
+				if err := c.mon.RunUntil(at); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkFitBIC64 times one refit of the mixture competitor: the
+// BIC-selected EM fit (k = 1..4) of a 64-sample bursty window, through the
+// package-level call so the figure is comparable across commits (the
+// monitor's own refits reuse one workspace and allocate less).
+func BenchmarkFitBIC64(b *testing.B) {
+	p, err := BurstyLoad(3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	window := make([]float64, 64)
+	for i := range window {
+		window[i] = p.At(5 * float64(i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := modal.FitBIC(window, 4); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDistGrid times one distribution-valued prediction that misses
+// the tick cache (a pinned partition bypasses it): the per-machine reports,
+// the structural model, and the 64-draw Latin-hypercube quantile grid.
+func BenchmarkDistGrid(b *testing.B) {
+	cfg, err := SimulatedPredictConfig(2, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	svc, err := NewPredictionService(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := svc.Advance(600); err != nil {
+		b.Fatal(err)
+	}
+	req := PredictRequest{N: 1000, Iterations: 20, Distribution: true}
+	if req.Partition, err = svc.Partition(req); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := svc.Predict(req); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -100,6 +100,7 @@ type config struct {
 	KillRestore bool    // snapshot/kill/restore the in-process server mid-run
 	Scenario    string  // workload-library scenario for the in-process platforms
 	SchedFrac   float64 // fraction of loops also issuing a POST /schedule
+	Level       float64 // central interval asked of every prediction (0 = none; tests only, no flag)
 }
 
 // opStats summarizes one operation's latency sample: the stochastic
@@ -372,7 +373,7 @@ func inProcess(cfg config) (*httptest.Server, error) {
 func doPredict(client *http.Client, target, platform string, cfg config) (api.PredictResponse, float64, error) {
 	var pr api.PredictResponse
 	ms, err := timedPost(client, target+"/predict",
-		api.PredictRequest{Platform: platform, N: cfg.N, Iterations: cfg.Iterations}, &pr)
+		api.PredictRequest{Platform: platform, N: cfg.N, Iterations: cfg.Iterations, Level: cfg.Level}, &pr)
 	return pr, ms, err
 }
 
@@ -383,7 +384,7 @@ func doPredict(client *http.Client, target, platform string, cfg config) (api.Pr
 func doBatch(client *http.Client, target, platform string, cfg config) (api.PredictResponse, float64, error) {
 	req := api.BatchPredictRequest{Requests: make([]api.PredictRequest, cfg.Batch)}
 	for i := range req.Requests {
-		req.Requests[i] = api.PredictRequest{Platform: platform, N: cfg.N, Iterations: cfg.Iterations}
+		req.Requests[i] = api.PredictRequest{Platform: platform, N: cfg.N, Iterations: cfg.Iterations, Level: cfg.Level}
 	}
 	var br api.BatchPredictResponse
 	ms, err := timedPost(client, target+"/predict/batch", req, &br)

@@ -44,6 +44,45 @@ func TestPostBodyLimits(t *testing.T) {
 	}
 }
 
+// TestWorkCeilings: what one small body can ask for is bounded — a clock
+// step by MaxAdvanceSeconds, a job shape by predict.MaxGridSize and
+// predict.MaxIterations, a scheduled job's simulated work by
+// fleetsched.MaxJobWork — and a refusal is a 400 that names the limit. The
+// values at the limits are served.
+func TestWorkCeilings(t *testing.T) {
+	h := oneTenantHandler(t)
+	cases := []struct {
+		route, body string
+		status      int
+		want        string // substring of the response
+	}{
+		{"/predict", `{"n":120,"iterations":6,"advance":3600}`, 200, `"time":3720,`},
+		{"/predict", `{"n":120,"iterations":6,"advance":1e9}`, 400, "advance 1e+09 exceeds limit 3600"},
+		{"/advance", `{"seconds":3600}`, 200, `"platform1":7320`},
+		{"/advance", `{"seconds":3600.001}`, 400, "seconds 3600.001 exceeds limit 3600"},
+		{"/advance", `{"seconds":1e9}`, 400, "exceeds limit 3600"},
+		{"/advance", `{"seconds":0}`, 400, "seconds must be positive"},
+		{"/predict", `{"n":16384,"iterations":16777216}`, 200, `"id"`},
+		{"/predict", `{"n":16385,"iterations":6}`, 400, "grid size 16385 exceeds limit 16384"},
+		{"/predict", `{"n":120,"iterations":16777217}`, 400, "iterations 16777217 exceeds limit 16777216"},
+		{"/predict", `{"n":9223372036854775807,"iterations":9223372036854775807}`, 400, "exceeds limit"},
+		{"/predict/batch", `{"requests":[{"n":120,"iterations":6},{"n":16385,"iterations":6},{"n":120,"iterations":16777217}]}`, 200,
+			`exceeds limit 16384"},{"error":"predict: iterations 16777217 exceeds limit 16777216"}`},
+		{"/schedule", `{"jobs":[{"n":16384,"iterations":4096},{"n":1024,"iterations":1048576}]}`, 200, `"placements"`},
+		{"/schedule", `{"jobs":[{"n":120,"iterations":6},{"n":16385,"iterations":6}]}`, 400, "job 1: predict: grid size 16385 exceeds limit 16384"},
+		{"/schedule", `{"jobs":[{"n":120,"iterations":16777217}]}`, 400, "job 0: predict: iterations 16777217 exceeds limit 16777216"},
+		{"/schedule", `{"jobs":[{"n":16384,"iterations":4097}]}`, 400, "are 1099780063232 element updates, exceeds limit 1099511627776"},
+		// No refusal moved the clock.
+		{"/predict", `{"n":120,"iterations":6}`, 200, `"time":7320,`},
+	}
+	for _, c := range cases {
+		rec := post(h, c.route, c.body)
+		if rec.Code != c.status || !strings.Contains(rec.Body.String(), c.want) {
+			t.Errorf("POST %s %s: status %d, want %d with %q: %s", c.route, c.body, rec.Code, c.status, c.want, rec.Body)
+		}
+	}
+}
+
 // TestDecodeBodyStdlibSemantics pins what the request path does with the
 // inputs the retired hand parser could not take itself: they decode as
 // encoding/json decodes them, quirks included.

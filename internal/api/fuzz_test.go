@@ -3,7 +3,6 @@ package api
 import (
 	"encoding/json"
 	"net/http"
-	"regexp"
 	"testing"
 
 	"prodpred/internal/predict"
@@ -26,13 +25,6 @@ func oneTenantHandler(tb testing.TB) http.Handler {
 	}
 	return NewHandler(reg, Options{})
 }
-
-// heavyWork matches any number of 1000 or more (four digits in a row, or an
-// exponent), and some harmless ones. The daemon does not bound n,
-// iterations or a clock advance, so such a body is slow in proportion to
-// the work it requests; the fuzzer is after what the bytes do to the
-// decoder, not that.
-var heavyWork = regexp.MustCompile(`[0-9]{4}|[0-9][eE][+0-9]`)
 
 // FuzzPostBodies throws arbitrary bytes at every body-reading route of a
 // real handler over a one-tenant registry. Whatever the bytes, the daemon
@@ -67,15 +59,17 @@ func FuzzPostBodies(f *testing.F) {
 		`{"requests":null}`,
 		`{"requests":[1]}`,
 		`{"requests":[{"n":1}],"requests":[{}]}`,
+		// more work than one body may ask for, and the most it may
+		`{"seconds":1e9}`,
+		`{"n":1000000000,"iterations":1000000000,"advance":1e9}`,
+		`{"n":16384,"iterations":16777216,"advance":3600}`,
+		`{"jobs":[{"n":16384,"iterations":4096},{"n":99999,"iterations":1}]}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
 	handler := oneTenantHandler(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if heavyWork.Match(data) {
-			return
-		}
 		for _, route := range postRoutes {
 			rec := post(handler, route, string(data))
 			switch rec.Code {

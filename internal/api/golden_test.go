@@ -29,17 +29,28 @@ type recordedExchange struct {
 // recorded exchanges were served from.
 const goldenSnapshot = "../predict/testdata/snapshot_v2.snap"
 
+// olderSnapshot is the golden image as it was committed until bandwidth
+// monitors lost their distribution tournament: the same state, with a
+// tournament section per bandwidth monitor, which deployed images of that
+// era carry and today's restore drops.
+const olderSnapshot = "../predict/testdata/snapshot_v2_pr16.snap"
+
 // restoreGolden reads the golden snapshot into a registry — exactly what
 // `predictd -restore` does at startup.
 func restoreGolden(t *testing.T) (*predict.Registry, []byte) {
 	t.Helper()
-	raw, err := os.ReadFile(goldenSnapshot)
+	return restoreImage(t, goldenSnapshot)
+}
+
+func restoreImage(t *testing.T, path string) (*predict.Registry, []byte) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg, err := predict.ReadSnapshot(bytes.NewReader(raw), predict.RegistryOptions{})
 	if err != nil {
-		t.Fatalf("golden snapshot no longer restores: %v", err)
+		t.Fatalf("%s no longer restores: %v", path, err)
 	}
 	return reg, raw
 }
@@ -94,6 +105,13 @@ func subsetEqual(path string, want, got any) error {
 // it. New fields (forecaster tags, dist payloads, quantile calibration
 // state) may appear on top; nothing recorded may change.
 func TestGoldenSnapshotServesIdentically(t *testing.T) {
+	reg, _ := restoreGolden(t)
+	serveRecording(t, reg)
+}
+
+// serveRecording replays the PR 7 recording against a restored registry.
+func serveRecording(t *testing.T, reg *predict.Registry) {
+	t.Helper()
 	raw, err := os.ReadFile("../predict/testdata/snapshot_v1_responses.json")
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +123,6 @@ func TestGoldenSnapshotServesIdentically(t *testing.T) {
 	if len(exchanges) == 0 {
 		t.Fatal("empty fixture")
 	}
-	reg, _ := restoreGolden(t)
 	handler := NewHandler(reg, Options{})
 	for i, ex := range exchanges {
 		req := httptest.NewRequest(ex.Method, ex.Path, strings.NewReader(ex.Body))
@@ -141,6 +158,29 @@ func TestGoldenSnapshotIsFixedPoint(t *testing.T) {
 	if !bytes.Equal(raw, again.Bytes()) {
 		t.Fatal("golden snapshot is not a fixed point: restore + rewrite changed bytes")
 	}
+}
+
+// TestOlderSnapshotStillRestores: an image written before bandwidth
+// monitors lost their tournament restores, re-snapshots to exactly today's
+// golden image (the sections are dropped, nothing else moves), and serves
+// the recording.
+func TestOlderSnapshotStillRestores(t *testing.T) {
+	reg, older := restoreImage(t, olderSnapshot)
+	golden, err := os.ReadFile(goldenSnapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(older) <= len(golden) {
+		t.Fatalf("the older image (%d bytes) should carry sections the golden one (%d bytes) lacks", len(older), len(golden))
+	}
+	var again bytes.Buffer
+	if err := reg.WriteSnapshot(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), golden) {
+		t.Fatal("restoring the older image and re-snapshotting does not give the golden image")
+	}
+	serveRecording(t, reg)
 }
 
 // TestGoldenRestoreServesQuantileLevels: the golden fleet carries no

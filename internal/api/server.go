@@ -258,6 +258,10 @@ func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if pr.Advance > 0 {
+		if err := checkAdvance("advance", pr.Advance); err != nil {
+			httpError(w, http.StatusBadRequest, err)
+			return
+		}
 		if err := svc.Advance(pr.Advance); err != nil {
 			httpError(w, http.StatusBadRequest, err)
 			return
@@ -461,8 +465,8 @@ func (s *server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	if ar.Seconds <= 0 {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("seconds must be positive, got %g", ar.Seconds))
+	if err := checkAdvance("seconds", ar.Seconds); err != nil {
+		httpError(w, http.StatusBadRequest, err)
 		return
 	}
 	services := s.reg.Services()

@@ -337,6 +337,25 @@ type HealthResponse struct {
 	Platforms []HealthPlatform `json:"platforms"`
 }
 
+// MaxAdvanceSeconds bounds one manual clock step — POST /advance, or the
+// advance field of POST /predict. A step holds the tenant's clock lock
+// exclusively while every monitor catches up, so an unbounded one stalls
+// the tenant for as long as the caller likes; 3600 virtual seconds is 720
+// sensor periods, more than the 512-sample history keeps. Step again to go
+// further.
+const MaxAdvanceSeconds = 3600
+
+// checkAdvance validates a requested clock step.
+func checkAdvance(field string, seconds float64) error {
+	if !(seconds > 0) {
+		return fmt.Errorf("%s must be positive, got %g", field, seconds)
+	}
+	if seconds > MaxAdvanceSeconds {
+		return fmt.Errorf("%s %g exceeds limit %d", field, seconds, MaxAdvanceSeconds)
+	}
+	return nil
+}
+
 // AdvanceRequest is the POST /advance payload: a manual virtual-clock step
 // for one platform (or all, when Platform is empty).
 type AdvanceRequest struct {

@@ -131,6 +131,15 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// MaxJobWork bounds the element updates (N²·Iterations) one submitted job
+// may stand for. A prediction costs the same whatever the shape, but a
+// placed job is executed against the simulator segment by segment of its
+// machines' load, which takes time in proportion to the job's length: 2^40
+// updates are weeks of virtual time on the catalog machines and tens of
+// milliseconds to simulate, and a body of a few bytes must not be able to
+// ask for minutes.
+const MaxJobWork = 1 << 40
+
 // JobSpec describes one SOR job to place: the problem shape plus an
 // optional completion deadline in absolute virtual seconds (0 = none).
 type JobSpec struct {
@@ -341,8 +350,8 @@ func (s *Scheduler) Submit(jobs []JobSpec) ([]Placement, error) {
 // a broken spec — are skipped and recorded rather than failing the round.
 // A job no tenant can score is dropped and counted in Status.Unplaced.
 // The call returns one Placement per placed job, in submission order.
-// It is an error to submit a malformed job (N < 3, Iterations < 1) or an
-// unknown policy.
+// It is an error to submit a malformed job (one predict.CheckJobShape
+// refuses, or one above MaxJobWork) or an unknown policy.
 func (s *Scheduler) SubmitWith(jobs []JobSpec, policy Policy, quantile float64) ([]Placement, error) {
 	if policy == "" {
 		policy = s.cfg.Policy
@@ -357,11 +366,12 @@ func (s *Scheduler) SubmitWith(jobs []JobSpec, policy Policy, quantile float64) 
 		return nil, fmt.Errorf("fleetsched: quantile %g outside (0,1)", quantile)
 	}
 	for i, js := range jobs {
-		if js.N < 3 {
-			return nil, fmt.Errorf("fleetsched: job %d: grid size %d too small (need N >= 3)", i, js.N)
+		if err := predict.CheckJobShape(js.N, js.Iterations); err != nil {
+			return nil, fmt.Errorf("fleetsched: job %d: %w", i, err)
 		}
-		if js.Iterations < 1 {
-			return nil, fmt.Errorf("fleetsched: job %d: iterations %d must be positive", i, js.Iterations)
+		if work := js.N * js.N * js.Iterations; work > MaxJobWork {
+			return nil, fmt.Errorf("fleetsched: job %d: %d iterations of a %d x %d grid are %d element updates, exceeds limit %d",
+				i, js.Iterations, js.N, js.N, work, MaxJobWork)
 		}
 	}
 	start := time.Now()

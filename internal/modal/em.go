@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"prodpred/internal/dist"
 	"prodpred/internal/stats"
@@ -115,121 +116,61 @@ const (
 	minSamples = 8
 )
 
+// fitter is the scratch one EM fit works in. The zero value is ready to use;
+// not safe for concurrent use.
+type fitter struct {
+	sorted []float64 // ascending copy of the sample, for the quantile seeding
+	resp   []float64 // n×k responsibilities, sample i at [i*k, (i+1)*k)
+	assign []int     // k-means cluster of each sample
+	kbuf   []float64 // the per-component vectors, emVectors slices of k
+}
+
+// emVectors is how many per-component vectors one fit needs: means, sigmas,
+// weights, their two logs, and the M-step's three accumulators (which the
+// k-means seeding borrows).
+const emVectors = 8
+
+// fitters recycles the scratch between fits, so a caller that refits
+// periodically (the nws mixture forecaster, once per monitor every few
+// samples) allocates only the models it gets back, and the process holds as
+// many workspaces as fits run at once rather than one per caller.
+var fitters = sync.Pool{New: func() any { return new(fitter) }}
+
 // FitEM fits a k-component Gaussian mixture to xs by expectation-
 // maximization, initialized with 1-D k-means (which is deterministic given
 // the quantile seeding used here). It returns an error for k < 1 or when
 // the sample is too small or degenerate.
 func FitEM(xs []float64, k int) (*MixtureModel, error) {
-	if k < 1 {
-		return nil, errors.New("modal: k must be >= 1")
-	}
-	if len(xs) < minSamples || len(xs) < 2*k {
-		return nil, fmt.Errorf("modal: need at least %d samples for k=%d", max(minSamples, 2*k), k)
-	}
-	lo, _ := stats.Min(xs)
-	hi, _ := stats.Max(xs)
-	if hi == lo {
-		return nil, errors.New("modal: degenerate sample")
-	}
-
-	means, sigmas, weights := kmeansInit(xs, k)
-	n := len(xs)
-	resp := make([][]float64, n)
-	for i := range resp {
-		resp[i] = make([]float64, k)
-	}
-	logW := make([]float64, k)
-	logS := make([]float64, k)
-	halfLog2Pi := 0.5 * math.Log(2*math.Pi)
-
-	prevLL := math.Inf(-1)
-	var ll float64
-	iters := 0
-	converged := false
-	for iters = 1; iters <= emMaxIter; iters++ {
-		// E-step with log-sum-exp for numeric safety. The parameters are
-		// fixed within the step, so their logs hoist out of the n×k inner
-		// loop; the expression keeps logNormalPDF's exact operation order,
-		// so the fit is bit-identical to the unhoisted form.
-		for j := 0; j < k; j++ {
-			logW[j] = math.Log(weights[j])
-			logS[j] = math.Log(sigmas[j])
-		}
-		ll = 0
-		for i, x := range xs {
-			maxLog := math.Inf(-1)
-			for j := 0; j < k; j++ {
-				z := (x - means[j]) / sigmas[j]
-				resp[i][j] = logW[j] + (-0.5*z*z - logS[j] - halfLog2Pi)
-				if resp[i][j] > maxLog {
-					maxLog = resp[i][j]
-				}
-			}
-			var sum float64
-			for j := 0; j < k; j++ {
-				resp[i][j] = math.Exp(resp[i][j] - maxLog)
-				sum += resp[i][j]
-			}
-			for j := 0; j < k; j++ {
-				resp[i][j] /= sum
-			}
-			ll += maxLog + math.Log(sum)
-		}
-		// M-step.
-		for j := 0; j < k; j++ {
-			var nj, mu float64
-			for i, x := range xs {
-				nj += resp[i][j]
-				mu += resp[i][j] * x
-			}
-			if nj < minWeight*float64(n) {
-				// Collapsed component: re-seed it at the sample point with
-				// the worst likelihood to escape the degenerate optimum.
-				means[j] = reseedPoint(xs, means, sigmas, weights)
-				sigmas[j] = (hi - lo) / float64(4*k)
-				weights[j] = 1.0 / float64(n)
-				continue
-			}
-			mu /= nj
-			var v float64
-			for i, x := range xs {
-				d := x - mu
-				v += resp[i][j] * d * d
-			}
-			v /= nj
-			means[j] = mu
-			sigmas[j] = math.Sqrt(v)
-			if sigmas[j] < minSigma {
-				sigmas[j] = minSigma
-			}
-			weights[j] = nj / float64(n)
-		}
-		normalize(weights)
-		if math.Abs(ll-prevLL) < emTol*(1+math.Abs(ll)) {
-			converged = true
-			break
-		}
-		prevLL = ll
-	}
-
-	mm := &MixtureModel{LogLikelihood: ll, Iterations: iters, Converged: converged}
-	for j := 0; j < k; j++ {
-		mm.Modes = append(mm.Modes, Mode{Mean: means[j], Sigma: sigmas[j], Weight: weights[j]})
-	}
-	sort.Slice(mm.Modes, func(a, b int) bool { return mm.Modes[a].Mean < mm.Modes[b].Mean })
-	return mm, nil
+	f := fitters.Get().(*fitter)
+	defer fitters.Put(f)
+	return f.fitEM(xs, k)
 }
 
 // FitBIC fits mixtures with k = 1..kMax and returns the one minimizing BIC.
 func FitBIC(xs []float64, kMax int) (*MixtureModel, error) {
+	f := fitters.Get().(*fitter)
+	defer fitters.Put(f)
+	return f.fitBIC(xs, kMax)
+}
+
+func (f *fitter) fitEM(xs []float64, k int) (*MixtureModel, error) {
+	f.sorted = append(f.sorted[:0], xs...)
+	sort.Float64s(f.sorted)
+	return f.fit(xs, k)
+}
+
+// fitBIC sorts the sample once for all kMax fits.
+func (f *fitter) fitBIC(xs []float64, kMax int) (*MixtureModel, error) {
 	if kMax < 1 {
 		return nil, errors.New("modal: kMax must be >= 1")
 	}
+	f.sorted = append(f.sorted[:0], xs...)
+	sort.Float64s(f.sorted)
 	var best *MixtureModel
 	bestBIC := math.Inf(1)
 	var firstErr error
 	for k := 1; k <= kMax; k++ {
-		mm, err := FitEM(xs, k)
+		mm, err := f.fit(xs, k)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -246,17 +187,164 @@ func FitBIC(xs []float64, kMax int) (*MixtureModel, error) {
 	return best, nil
 }
 
-// kmeansInit seeds EM with 1-D k-means initialized at evenly spaced sample
-// quantiles (deterministic).
-func kmeansInit(xs []float64, k int) (means, sigmas, weights []float64) {
-	means = make([]float64, k)
-	for j := 0; j < k; j++ {
-		q := (float64(j) + 0.5) / float64(k)
-		means[j], _ = stats.Quantile(xs, q)
+// fit is the EM kernel; f.sorted holds xs in ascending order.
+//
+// Its floating-point results are pinned bit for bit by
+// TestFitEMMatchesReference against the plain textbook loop, so every
+// rearrangement here keeps each value's operands and each accumulator's
+// summation order: responsibilities sit in one flat n×k block; the M-step
+// sums run sample-outer/component-inner, which leaves every per-component
+// accumulator adding its terms in sample order; divisions stay divisions;
+// and the calls the E-step skips are the ones whose result is exact by
+// definition — exp(0) = 1 for the component that attains the row maximum,
+// log(1) = 0 and x/1 = x for a row no other component contributes to.
+func (f *fitter) fit(xs []float64, k int) (*MixtureModel, error) {
+	if k < 1 {
+		return nil, errors.New("modal: k must be >= 1")
 	}
-	assign := make([]int, len(xs))
+	if len(xs) < minSamples || len(xs) < 2*k {
+		return nil, fmt.Errorf("modal: need at least %d samples for k=%d", max(minSamples, 2*k), k)
+	}
+	lo, _ := stats.Min(xs)
+	hi, _ := stats.Max(xs)
+	if hi == lo {
+		return nil, errors.New("modal: degenerate sample")
+	}
+
+	n := len(xs)
+	if cap(f.kbuf) < emVectors*k {
+		f.kbuf = make([]float64, emVectors*k)
+	}
+	vec := func(i int) []float64 { return f.kbuf[i*k : (i+1)*k : (i+1)*k] }
+	means, sigmas, weights := vec(0), vec(1), vec(2)
+	logW, logS := vec(3), vec(4)
+	nj, mu, vr := vec(5), vec(6), vec(7)
+	f.kmeansInit(xs, lo, hi, means, sigmas, weights, nj, mu)
+	if cap(f.resp) < n*k {
+		f.resp = make([]float64, n*k)
+	}
+	resp := f.resp[:n*k]
+	halfLog2Pi := 0.5 * math.Log(2*math.Pi)
+	collapsed := minWeight * float64(n)
+
+	prevLL := math.Inf(-1)
+	var ll float64
+	iters := 0
+	converged := false
+	for iters = 1; iters <= emMaxIter; iters++ {
+		// E-step with log-sum-exp for numeric safety. The parameters are
+		// fixed within the step, so their logs hoist out of the n×k inner
+		// loop; the expression keeps logNormalPDF's exact operation order.
+		for j := 0; j < k; j++ {
+			logW[j] = math.Log(weights[j])
+			logS[j] = math.Log(sigmas[j])
+		}
+		ll = 0
+		for i, x := range xs {
+			r := resp[i*k : (i+1)*k : (i+1)*k]
+			maxLog := math.Inf(-1)
+			for j := range r {
+				z := (x - means[j]) / sigmas[j]
+				r[j] = logW[j] + (-0.5*z*z - logS[j] - halfLog2Pi)
+				if r[j] > maxLog {
+					maxLog = r[j]
+				}
+			}
+			var sum float64
+			for j, v := range r {
+				// v-maxLog is exactly 0 for the maximum itself (and NaN, not
+				// 0, when every term is -Inf), and exp(0) is exactly 1.
+				e := 1.0
+				if d := v - maxLog; d != 0 {
+					e = math.Exp(d)
+				}
+				r[j] = e
+				sum += e
+			}
+			logSum := 0.0
+			if sum != 1 {
+				for j := range r {
+					r[j] /= sum
+				}
+				logSum = math.Log(sum)
+			}
+			ll += maxLog + logSum
+		}
+		// M-step, in three sweeps over the samples' rows instead of two per
+		// component: weights and means, then variances around the new means,
+		// then the parameter update in component order.
+		for j := 0; j < k; j++ {
+			nj[j], mu[j], vr[j] = 0, 0, 0
+		}
+		for i, x := range xs {
+			for j, rj := range resp[i*k : (i+1)*k : (i+1)*k] {
+				nj[j] += rj
+				mu[j] += rj * x
+			}
+		}
+		for j := 0; j < k; j++ {
+			mu[j] /= nj[j]
+		}
+		for i, x := range xs {
+			for j, rj := range resp[i*k : (i+1)*k : (i+1)*k] {
+				d := x - mu[j]
+				vr[j] += rj * d * d
+			}
+		}
+		for j := 0; j < k; j++ {
+			if nj[j] < collapsed {
+				// Collapsed component: re-seed it at the sample point with
+				// the worst likelihood to escape the degenerate optimum. The
+				// density it is judged against is the partially updated one:
+				// components before j already carry this step's parameters.
+				means[j] = reseedPoint(xs, means, sigmas, weights)
+				sigmas[j] = (hi - lo) / float64(4*k)
+				weights[j] = 1.0 / float64(n)
+				continue
+			}
+			means[j] = mu[j]
+			sigmas[j] = math.Sqrt(vr[j] / nj[j])
+			if sigmas[j] < minSigma {
+				sigmas[j] = minSigma
+			}
+			weights[j] = nj[j] / float64(n)
+		}
+		normalize(weights)
+		if math.Abs(ll-prevLL) < emTol*(1+math.Abs(ll)) {
+			converged = true
+			break
+		}
+		prevLL = ll
+	}
+
+	mm := &MixtureModel{LogLikelihood: ll, Iterations: iters, Converged: converged, Modes: make([]Mode, k)}
+	for j := 0; j < k; j++ {
+		mm.Modes[j] = Mode{Mean: means[j], Sigma: sigmas[j], Weight: weights[j]}
+	}
+	sort.Slice(mm.Modes, func(a, b int) bool { return mm.Modes[a].Mean < mm.Modes[b].Mean })
+	return mm, nil
+}
+
+// kmeansInit seeds EM with 1-D k-means initialized at evenly spaced sample
+// quantiles (deterministic), writing the seed into means, sigmas and
+// weights; sums and counts are k-vectors of scratch.
+func (f *fitter) kmeansInit(xs []float64, lo, hi float64, means, sigmas, weights, sums, counts []float64) {
+	k := len(means)
+	for j := 0; j < k; j++ {
+		means[j] = stats.QuantileSorted(f.sorted, (float64(j)+0.5)/float64(k))
+	}
+	if cap(f.assign) < len(xs) {
+		f.assign = make([]int, len(xs))
+	}
+	assign := f.assign[:len(xs)]
+	for i := range assign {
+		assign[i] = 0
+	}
 	for iter := 0; iter < 50; iter++ {
 		changed := false
+		for j := 0; j < k; j++ {
+			sums[j], counts[j] = 0, 0
+		}
 		for i, x := range xs {
 			best, bestD := 0, math.Inf(1)
 			for j, m := range means {
@@ -269,12 +357,8 @@ func kmeansInit(xs []float64, k int) (means, sigmas, weights []float64) {
 				assign[i] = best
 				changed = true
 			}
-		}
-		sums := make([]float64, k)
-		counts := make([]float64, k)
-		for i, x := range xs {
-			sums[assign[i]] += x
-			counts[assign[i]]++
+			sums[best] += x
+			counts[best]++
 		}
 		for j := 0; j < k; j++ {
 			if counts[j] > 0 {
@@ -285,23 +369,20 @@ func kmeansInit(xs []float64, k int) (means, sigmas, weights []float64) {
 			break
 		}
 	}
-	sigmas = make([]float64, k)
-	weights = make([]float64, k)
-	lo, _ := stats.Min(xs)
-	hi, _ := stats.Max(xs)
 	fallback := (hi - lo) / float64(4*k)
 	if fallback < minSigma {
 		fallback = minSigma
 	}
 	for j := 0; j < k; j++ {
-		var ss, cnt float64
-		for i, x := range xs {
-			if assign[i] == j {
-				d := x - means[j]
-				ss += d * d
-				cnt++
-			}
-		}
+		sums[j], counts[j] = 0, 0
+	}
+	for i, x := range xs {
+		d := x - means[assign[i]]
+		sums[assign[i]] += d * d
+		counts[assign[i]]++
+	}
+	for j := 0; j < k; j++ {
+		ss, cnt := sums[j], counts[j]
 		if cnt > 1 && ss > 0 {
 			sigmas[j] = math.Sqrt(ss / cnt)
 		} else {
@@ -313,7 +394,6 @@ func kmeansInit(xs []float64, k int) (means, sigmas, weights []float64) {
 		weights[j] = (cnt + 1) / float64(len(xs)+k) // Laplace smoothing
 	}
 	normalize(weights)
-	return means, sigmas, weights
 }
 
 // reseedPoint returns the sample value with the lowest mixture density,

@@ -37,52 +37,57 @@ type Component struct {
 }
 
 // DistForecaster predicts the *distribution* of the next measurement, not
-// just a point: it returns a quantile function over the current history.
+// just a point. Two of the three competitors are built around the shared
+// Mix's point forecast, so every method is handed it (nil while the mix
+// cannot predict) instead of re-running the battery for it.
 // Implementations are scored against realized measurements by the
 // Tournament, which picks the winner per series. Not safe for concurrent
 // use — callers serialize exactly as for Mix.
 type DistForecaster interface {
 	Name() string
 	// Observe absorbs a realized measurement postmortem. hist is the
-	// history *before* actual, oldest first, mirroring Mix.Update.
-	Observe(hist []float64, actual float64)
-	// QuantileFn returns the current predictive quantile function, valid
-	// for p in (0,1). ok is false while the history is too short.
-	QuantileFn(hist []float64) (func(p float64) float64, bool)
+	// history *before* actual, oldest first, mirroring Mix.Update, and point
+	// the mix's forecast from it.
+	Observe(hist []float64, point *Forecast, actual float64)
+	// Quantiles writes the current predictive quantiles at probabilities ps
+	// (each in (0,1)) into out, which is as long as ps. It reports false,
+	// leaving out unspecified, while the forecaster cannot predict.
+	Quantiles(point *Forecast, ps, out []float64) bool
 	// Components summarizes the current predictive distribution as a
 	// Gaussian mixture (a single component for normal forecasters). nil
 	// while the forecaster cannot predict.
-	Components(hist []float64) []Component
+	Components(point *Forecast) []Component
 }
 
 // normalDist is the incumbent: the NWS mixture-of-experts point forecast
 // with its postmortem RMSE read as a normal distribution — exactly the
 // X ± 2σ summary the rest of the system used before distributions.
-type normalDist struct{ t *Tournament }
+type normalDist struct{}
 
 // NormalForecasterName tags the NWS mixture-of-experts competitor.
 const NormalForecasterName = "nws-normal"
 
-func (f *normalDist) Name() string { return NormalForecasterName }
+func (normalDist) Name() string { return NormalForecasterName }
 
 // Observe is a no-op: the shared Mix is scored by Monitor.RunUntil.
-func (f *normalDist) Observe(hist []float64, actual float64) {}
+func (normalDist) Observe([]float64, *Forecast, float64) {}
 
-func (f *normalDist) QuantileFn(hist []float64) (func(p float64) float64, bool) {
-	fc, ok := f.t.pointForecast(hist)
-	if !ok {
-		return nil, false
+func (normalDist) Quantiles(point *Forecast, ps, out []float64) bool {
+	if point == nil {
+		return false
 	}
-	n := dist.Normal{Mu: fc.Value, Sigma: math.Max(fc.RMSE, minConservativeRMSE)}
-	return n.Quantile, true
+	n := dist.Normal{Mu: point.Value, Sigma: math.Max(point.RMSE, minConservativeRMSE)}
+	for i, p := range ps {
+		out[i] = n.Quantile(p)
+	}
+	return true
 }
 
-func (f *normalDist) Components(hist []float64) []Component {
-	fc, ok := f.t.pointForecast(hist)
-	if !ok {
+func (normalDist) Components(point *Forecast) []Component {
+	if point == nil {
 		return nil
 	}
-	return []Component{{Weight: 1, Mean: fc.Value, Sigma: math.Max(fc.RMSE, minConservativeRMSE)}}
+	return []Component{{Weight: 1, Mean: point.Value, Sigma: math.Max(point.RMSE, minConservativeRMSE)}}
 }
 
 // Empirical-quantile competitor policy knobs.
@@ -106,22 +111,20 @@ const EmpiricalForecasterName = "empirical-q"
 // asymmetric tails (jumps), exactly the shape a symmetric normal cannot
 // represent.
 type empiricalDist struct {
-	t         *Tournament
 	residuals []float64 // FIFO window of point-forecast residuals
 	scratch   []float64 // reused sort buffer
 }
 
 func (f *empiricalDist) Name() string { return EmpiricalForecasterName }
 
-func (f *empiricalDist) Observe(hist []float64, actual float64) {
-	fc, ok := f.t.pointForecast(hist)
-	if !ok {
+func (f *empiricalDist) Observe(hist []float64, point *Forecast, actual float64) {
+	if point == nil {
 		return
 	}
 	if len(f.residuals) >= empiricalWindow {
 		f.residuals = f.residuals[:copy(f.residuals, f.residuals[1:])]
 	}
-	f.residuals = append(f.residuals, actual-fc.Value)
+	f.residuals = append(f.residuals, actual-point.Value)
 }
 
 // sortedResiduals returns the ascending residual window; ok is false on
@@ -135,33 +138,27 @@ func (f *empiricalDist) sortedResiduals() ([]float64, bool) {
 	return f.scratch, true
 }
 
-func (f *empiricalDist) QuantileFn(hist []float64) (func(p float64) float64, bool) {
+func (f *empiricalDist) Quantiles(point *Forecast, ps, out []float64) bool {
 	rs, ok := f.sortedResiduals()
-	if !ok {
-		return nil, false
+	if !ok || point == nil {
+		return false
 	}
-	fc, ok := f.t.pointForecast(hist)
-	if !ok {
-		return nil, false
+	for i, p := range ps {
+		out[i] = point.Value + sortedQuantile(rs, p)
 	}
-	v := fc.Value
-	return func(p float64) float64 { return v + sortedQuantile(rs, p) }, true
+	return true
 }
 
-func (f *empiricalDist) Components(hist []float64) []Component {
+func (f *empiricalDist) Components(point *Forecast) []Component {
 	rs, ok := f.sortedResiduals()
-	if !ok {
-		return nil
-	}
-	fc, ok := f.t.pointForecast(hist)
-	if !ok {
+	if !ok || point == nil {
 		return nil
 	}
 	rv, err := stochastic.FromSample(rs)
 	if err != nil {
 		return nil
 	}
-	return []Component{{Weight: 1, Mean: fc.Value + rv.Mean, Sigma: math.Max(rv.Sigma(), minConservativeRMSE)}}
+	return []Component{{Weight: 1, Mean: point.Value + rv.Mean, Sigma: math.Max(rv.Sigma(), minConservativeRMSE)}}
 }
 
 // sortedQuantile interpolates quantile p from an ascending sample.
@@ -216,16 +213,15 @@ type mixtureDist struct {
 
 func (f *mixtureDist) Name() string { return MixtureForecasterName }
 
-func (f *mixtureDist) Observe(hist []float64, actual float64) {
+func (f *mixtureDist) Observe(hist []float64, point *Forecast, actual float64) {
 	f.obs++
 	if f.obs%mixtureRefitEvery != 0 || len(hist)+1 < mixtureMinHist {
 		return
 	}
-	f.scratch = append(f.scratch[:0], hist...)
-	f.scratch = append(f.scratch, actual)
-	if len(f.scratch) > mixtureWindow {
-		f.scratch = f.scratch[len(f.scratch)-mixtureWindow:]
+	if len(hist) >= mixtureWindow {
+		hist = hist[len(hist)-(mixtureWindow-1):]
 	}
+	f.scratch = append(append(f.scratch[:0], hist...), actual)
 	mm, err := modal.FitBIC(f.scratch, mixtureKMax)
 	if err != nil {
 		return // degenerate window; keep the previous fit
@@ -268,15 +264,17 @@ func componentsMixture(modes []Component) (*dist.Mixture, error) {
 	return dist.NewMixture(comps, ws)
 }
 
-func (f *mixtureDist) QuantileFn(hist []float64) (func(p float64) float64, bool) {
+func (f *mixtureDist) Quantiles(_ *Forecast, ps, out []float64) bool {
 	if f.modes == nil {
-		return nil, false
+		return false
 	}
-	grid := f.qgrid
-	return func(p float64) float64 { return gridQuantile(grid, p) }, true
+	for i, p := range ps {
+		out[i] = gridQuantile(f.qgrid, p)
+	}
+	return true
 }
 
-func (f *mixtureDist) Components(hist []float64) []Component { return f.modes }
+func (f *mixtureDist) Components(*Forecast) []Component { return f.modes }
 
 // GridQuantile interpolates a quantile function tabulated on DistLevels at
 // probability p, extrapolating flat beyond the grid ends — the one-call
@@ -334,13 +332,7 @@ type Tournament struct {
 	loss        []float64 // decayed cumulative pinball loss
 	weight      []float64 // decayed round count (the loss normalizer)
 	wins        []int64   // rounds each competitor led after scoring
-
-	// Per-round point-forecast cache: Update computes the shared mix
-	// forecast once and every competitor reads it, instead of each
-	// rerunning the 10-forecaster battery over the full history.
-	inRound   bool
-	roundFc   Forecast
-	roundFcOK bool
+	scoreQ      []float64 // a competitor's quantiles at tournamentScoreLevels
 }
 
 // NewTournament builds the standard three-way tournament over a shared
@@ -348,23 +340,12 @@ type Tournament struct {
 // forecaster, and the EM Gaussian-mixture forecaster.
 func NewTournament(mix *Mix) *Tournament {
 	t := &Tournament{mix: mix}
-	t.forecasters = []DistForecaster{&normalDist{t: t}, &empiricalDist{t: t}, &mixtureDist{}}
+	t.forecasters = []DistForecaster{normalDist{}, &empiricalDist{}, &mixtureDist{}}
 	t.loss = make([]float64, len(t.forecasters))
 	t.weight = make([]float64, len(t.forecasters))
 	t.wins = make([]int64, len(t.forecasters))
+	t.scoreQ = make([]float64, len(tournamentScoreLevels))
 	return t
-}
-
-// pointForecast returns the shared mix forecast for hist, served from the
-// per-round cache inside Update and computed fresh outside it (the
-// serving path, which runs at most once per tick per series thanks to
-// the tick cache upstream).
-func (t *Tournament) pointForecast(hist []float64) (Forecast, bool) {
-	if t.inRound {
-		return t.roundFc, t.roundFcOK
-	}
-	fc, err := t.mix.Forecast(hist)
-	return fc, err == nil
 }
 
 // DistForecasterNames lists the competitor tags of the standard
@@ -383,29 +364,36 @@ func pinball(p, q, y float64) float64 {
 	return (1 - p) * (q - y)
 }
 
-// Update runs one postmortem round: every competitor's current quantile
-// function is scored against the realized measurement, decayed losses are
+// Update runs one postmortem round: every competitor's current predictive
+// quantiles are scored against the realized measurement, decayed losses are
 // updated, and each competitor absorbs the measurement. Call with the
 // history *before* actual, exactly like Mix.Update, and before the
 // monitor's shared Mix absorbs the round.
 func (t *Tournament) Update(hist []float64, actual float64) {
-	fc, err := t.mix.Forecast(hist)
-	t.roundFc, t.roundFcOK, t.inRound = fc, err == nil, true
-	defer func() { t.inRound = false }()
+	var point *Forecast
+	if fc, err := t.mix.Forecast(hist); err == nil {
+		point = &fc
+	}
+	t.update(hist, point, actual)
+}
+
+// update is the round itself, given the shared mix's forecast from hist
+// (nil when it has none).
+func (t *Tournament) update(hist []float64, point *Forecast, actual float64) {
 	for i, f := range t.forecasters {
 		t.loss[i] *= tournamentDecay
 		t.weight[i] *= tournamentDecay
-		if qf, ok := f.QuantileFn(hist); ok {
+		if f.Quantiles(point, tournamentScoreLevels, t.scoreQ) {
 			var sum float64
-			for _, p := range tournamentScoreLevels {
-				sum += pinball(p, qf(p), actual)
+			for k, p := range tournamentScoreLevels {
+				sum += pinball(p, t.scoreQ[k], actual)
 			}
 			t.loss[i] += sum / float64(len(tournamentScoreLevels))
 			t.weight[i]++
 		}
 	}
 	for _, f := range t.forecasters {
-		f.Observe(hist, actual)
+		f.Observe(hist, point, actual)
 	}
 	t.wins[t.leader()]++
 }
@@ -498,8 +486,8 @@ func (t *Tournament) ExportState() TournamentState {
 }
 
 // ImportState replaces the tournament's dynamic state with st. Zero-value
-// state (a v1 snapshot) resets the tournament: the incumbent serves until
-// new rounds score the competitors.
+// state resets the tournament: the incumbent serves until new rounds score
+// the competitors.
 func (t *Tournament) ImportState(st TournamentState) error {
 	n := len(t.forecasters)
 	if len(st.Loss) == 0 && len(st.Weight) == 0 && len(st.Wins) == 0 {

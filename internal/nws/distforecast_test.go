@@ -66,15 +66,18 @@ func TestTournamentQuantilesMonotoneAndCalibratedShape(t *testing.T) {
 		mix.Update(series[:i], series[i])
 	}
 	winner, name := tour.Winner()
-	qf, ok := winner.QuantileFn(series)
-	if !ok {
+	point, err := mix.Forecast(series)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := make([]float64, len(DistLevels))
+	if !winner.Quantiles(&point, DistLevels, qs) {
 		t.Fatalf("winner %q cannot predict", name)
 	}
 	prev := math.Inf(-1)
-	for _, p := range DistLevels {
-		q := qf(p)
+	for i, q := range qs {
 		if q < prev {
-			t.Fatalf("quantile curve not monotone at p=%g: %g < %g", p, q, prev)
+			t.Fatalf("quantile curve not monotone at p=%g: %g < %g", DistLevels[i], q, prev)
 		}
 		prev = q
 	}
@@ -86,11 +89,11 @@ func TestTournamentQuantilesMonotoneAndCalibratedShape(t *testing.T) {
 			mf = f
 		}
 	}
-	mqf, ok := mf.QuantileFn(series)
-	if !ok {
+	band := make([]float64, 2)
+	if !mf.Quantiles(&point, []float64{0.025, 0.975}, band) {
 		t.Fatal("mixture competitor cannot predict after 300 rounds")
 	}
-	if lo, hi := mqf(0.025), mqf(0.975); lo > 0.2 || hi < 0.8 {
+	if lo, hi := band[0], band[1]; lo > 0.2 || hi < 0.8 {
 		t.Fatalf("mixture 95%% band [%g, %g] misses the mode range", lo, hi)
 	}
 }

@@ -3,7 +3,6 @@ package nws
 import (
 	"math"
 
-	"prodpred/internal/stats"
 	"prodpred/internal/stochastic"
 )
 
@@ -44,30 +43,31 @@ func (m *Monitor) RobustDistReport(t float64, prior stochastic.Value) LoadDist {
 	if m.ring.Len() == 0 {
 		return normalLoadDist(prior.Mean, math.Max(prior.Sigma(), minConservativeRMSE), PriorForecasterName)
 	}
-	hist := m.ring.Values()
 	if m.stale <= staleLimit {
-		winner, name := m.tour.Winner()
-		if qf, ok := winner.QuantileFn(hist); ok {
-			return m.widenedDist(qf, winner.Components(hist), name)
+		// Without a tournament the incumbent is the only competitor.
+		var winner DistForecaster = normalDist{}
+		if m.tour != nil {
+			winner, _ = m.tour.Winner()
+		}
+		point, _ := m.forecast()
+		qs := make([]float64, len(DistLevels))
+		if winner.Quantiles(point, DistLevels, qs) {
+			return m.widenedDist(qs, winner.Components(point), winner.Name())
 		}
 	}
-	mean, std := stats.MeanStd(hist)
-	sigma := math.Max(std, 0.1*math.Abs(mean))
-	if sigma < minConservativeRMSE {
-		sigma = minConservativeRMSE
-	}
+	mean, sigma := m.runningMean()
 	return normalLoadDist(mean, sigma*m.widenFactor(), FallbackForecasterName)
 }
 
-// widenedDist evaluates qf on the DistLevels grid, widens it around the
-// median by the staleness degradation factor, and enforces monotonicity.
-func (m *Monitor) widenedDist(qf func(p float64) float64, comps []Component, name string) LoadDist {
-	qs := make([]float64, len(DistLevels))
-	for i, p := range DistLevels {
-		qs[i] = qf(p)
-	}
+// medianLevel indexes the median in DistLevels.
+var medianLevel = DistLevelIndex(0.5)
+
+// widenedDist takes a competitor's quantiles on the DistLevels grid, widens
+// them in place around the median by the staleness degradation factor, and
+// enforces monotonicity.
+func (m *Monitor) widenedDist(qs []float64, comps []Component, name string) LoadDist {
 	if w := m.widenFactor(); w != 1 {
-		med := qf(0.5)
+		med := qs[medianLevel]
 		for i := range qs {
 			qs[i] = med + w*(qs[i]-med)
 		}

@@ -88,7 +88,9 @@ func (f WindowMedian) Predict(hist []float64) (float64, bool) {
 	if f.W <= 0 || len(hist) < f.W {
 		return 0, false
 	}
-	w := append([]float64(nil), hist[len(hist)-f.W:]...)
+	// Battery windows fit the stack buffer; a wider one spills to the heap.
+	var buf [32]float64
+	w := append(buf[:0], hist[len(hist)-f.W:]...)
 	sort.Float64s(w)
 	n := len(w)
 	if n%2 == 1 {
@@ -149,10 +151,40 @@ func (f Forecast) Stochastic() stochastic.Value {
 // Mix is the mixture-of-experts selector: it scores every forecaster by
 // cumulative squared postmortem error and forecasts with the current best.
 // Not safe for concurrent use.
+//
+// Everything a Mix does with a history starts from one pass of the battery
+// over it (sweep); the postmortem and the forecast are both read off that
+// pass. Update and Forecast sweep the history they are given; a Monitor
+// sweeps each state of its ring once and reuses the pass for both.
 type Mix struct {
 	forecasters []Forecaster
+	names       []string // Name() of each, taken once: most format theirs
 	sqErr       []float64
 	n           []int
+
+	// RunningMean and every ExpSmoothing walk the whole history; the sweep
+	// advances them together in one pass over it. fused marks their battery
+	// positions, means and smooth list them.
+	fused  []bool
+	means  []int
+	smooth []smoother
+
+	scratch sweep // what the exported hist-taking methods sweep into
+	sweeps  int   // battery passes run so far
+}
+
+// smoother is one ExpSmoothing chain of the shared pass.
+type smoother struct {
+	idx         int     // battery position
+	alpha, rest float64 // gain and 1-gain
+	s           float64
+}
+
+// sweep is the battery's output on one history: each forecaster's
+// prediction, and whether it could make one.
+type sweep struct {
+	val []float64
+	ok  []bool
 }
 
 // NewMix builds a Mix over the given forecasters (DefaultBattery() if nil).
@@ -160,10 +192,70 @@ func NewMix(fs []Forecaster) *Mix {
 	if len(fs) == 0 {
 		fs = DefaultBattery()
 	}
-	return &Mix{
+	m := &Mix{
 		forecasters: fs,
+		names:       make([]string, len(fs)),
 		sqErr:       make([]float64, len(fs)),
 		n:           make([]int, len(fs)),
+		fused:       make([]bool, len(fs)),
+	}
+	for i, f := range fs {
+		m.names[i] = f.Name()
+		switch f := f.(type) {
+		case RunningMean:
+			m.means = append(m.means, i)
+			m.fused[i] = true
+		case ExpSmoothing:
+			if f.Alpha > 0 && f.Alpha <= 1 {
+				m.smooth = append(m.smooth, smoother{idx: i, alpha: f.Alpha, rest: 1 - f.Alpha})
+				m.fused[i] = true
+			}
+		}
+	}
+	m.scratch = m.newSweep()
+	return m
+}
+
+func (m *Mix) newSweep() sweep {
+	return sweep{val: make([]float64, len(m.forecasters)), ok: make([]bool, len(m.forecasters))}
+}
+
+// sweep runs the battery over hist into out. Each prediction is exactly what
+// the forecaster's own Predict returns; the fused ones only share the loop.
+func (m *Mix) sweep(hist []float64, out *sweep) {
+	m.sweeps++
+	for i, f := range m.forecasters {
+		if !m.fused[i] {
+			out.val[i], out.ok[i] = f.Predict(hist)
+		}
+	}
+	if len(hist) == 0 {
+		for i, fused := range m.fused {
+			if fused {
+				out.val[i], out.ok[i] = 0, false
+			}
+		}
+		return
+	}
+	// 0 + hist[0], not hist[0]: RunningMean starts its sum at +0, and the
+	// two differ for a history that opens with -0.
+	var sum float64
+	sum += hist[0]
+	for c := range m.smooth {
+		m.smooth[c].s = hist[0]
+	}
+	for _, x := range hist[1:] {
+		sum += x
+		for c := range m.smooth {
+			sm := &m.smooth[c]
+			sm.s = sm.alpha*x + sm.rest*sm.s
+		}
+	}
+	for _, i := range m.means {
+		out.val[i], out.ok[i] = sum/float64(len(hist)), true
+	}
+	for _, sm := range m.smooth {
+		out.val[sm.idx], out.ok[sm.idx] = sm.s, true
 	}
 }
 
@@ -171,9 +263,15 @@ func NewMix(fs []Forecaster) *Mix {
 // hist, and its squared error against the actual next measurement is
 // accumulated.
 func (m *Mix) Update(hist []float64, actual float64) {
-	for i, f := range m.forecasters {
-		v, ok := f.Predict(hist)
-		if !ok {
+	m.sweep(hist, &m.scratch)
+	m.score(&m.scratch, actual)
+}
+
+// score accumulates the squared errors of a sweep's predictions against the
+// measurement that followed its history.
+func (m *Mix) score(s *sweep, actual float64) {
+	for i, v := range s.val {
+		if !s.ok[i] {
 			continue
 		}
 		d := v - actual
@@ -187,12 +285,17 @@ func (m *Mix) Update(hist []float64, actual float64) {
 // battery order, preferring scored ones). It fails when no forecaster can
 // predict from the history.
 func (m *Mix) Forecast(hist []float64) (Forecast, error) {
+	m.sweep(hist, &m.scratch)
+	return m.pick(&m.scratch, hist)
+}
+
+// pick chooses the forecast among a sweep's predictions of hist.
+func (m *Mix) pick(s *sweep, hist []float64) (Forecast, error) {
 	bestIdx := -1
 	bestRMSE := math.Inf(1)
 	bestVal := 0.0
-	for i, f := range m.forecasters {
-		v, ok := f.Predict(hist)
-		if !ok {
+	for i, v := range s.val {
+		if !s.ok[i] {
 			continue
 		}
 		rmse := math.Inf(1)
@@ -224,19 +327,19 @@ func (m *Mix) Forecast(hist []float64) (Forecast, error) {
 			bestRMSE = minConservativeRMSE
 		}
 	}
-	return Forecast{Value: bestVal, RMSE: bestRMSE, Best: m.forecasters[bestIdx].Name()}, nil
+	return Forecast{Value: bestVal, RMSE: bestRMSE, Best: m.names[bestIdx]}, nil
 }
 
 // RMSEs reports each forecaster's name and current postmortem RMSE (NaN
 // when unscored), for diagnostics and the forecaster ablation.
 func (m *Mix) RMSEs() map[string]float64 {
 	out := make(map[string]float64, len(m.forecasters))
-	for i, f := range m.forecasters {
+	for i, name := range m.names {
 		if m.n[i] == 0 {
-			out[f.Name()] = math.NaN()
+			out[name] = math.NaN()
 			continue
 		}
-		out[f.Name()] = math.Sqrt(m.sqErr[i] / float64(m.n[i]))
+		out[name] = math.Sqrt(m.sqErr[i] / float64(m.n[i]))
 	}
 	return out
 }

@@ -89,7 +89,7 @@ func (h *HostMonitor) Sample() (float64, error) {
 	if avail > 1 {
 		avail = 1
 	}
-	if hist := h.ring.Values(); len(hist) > 0 {
+	if hist := h.ring.View(); len(hist) > 0 {
 		h.mix.Update(hist, avail)
 	}
 	h.ring.Push(float64(time.Now().UnixNano())/1e9, avail)
@@ -108,5 +108,5 @@ func (h *HostMonitor) Forecast() (Forecast, error) {
 	if h.ring.Len() == 0 {
 		return Forecast{}, errors.New("nws: no measurements yet")
 	}
-	return h.mix.Forecast(h.ring.Values())
+	return h.mix.Forecast(h.ring.View())
 }

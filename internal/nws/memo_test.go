@@ -1,0 +1,420 @@
+package nws
+
+import (
+	"errors"
+	"math"
+	"reflect"
+	"testing"
+
+	"prodpred/internal/dist"
+	"prodpred/internal/stats"
+	"prodpred/internal/stochastic"
+)
+
+// hash01 is a deterministic uniform in [0,1) keyed by an integer
+// (SplitMix64's finalizer), so the test sensors are pure functions of time.
+func hash01(k uint64) float64 {
+	k += 0x9e3779b97f4a7c15
+	k = (k ^ (k >> 30)) * 0xbf58476d1ce4e5b9
+	k = (k ^ (k >> 27)) * 0x94d049bb133111eb
+	k ^= k >> 31
+	return float64(k>>11) / (1 << 53)
+}
+
+var errFlaky = errors.New("flaky probe")
+
+// roughSensor is a regime-switching, noisy availability with every fault
+// class the monitor knows: isolated drops, transients that recover on a
+// retry and transients that never do, short outages, and two outages longer
+// than staleLimit — one of them from the very first tick, so the history
+// starts empty.
+func roughSensor(t float64) (float64, error) {
+	tick := uint64(math.Floor(t / 5))
+	onTick := t == 5*float64(tick)
+	switch {
+	case tick < 12 || (tick >= 900 && tick < 915):
+		return 0, ErrOutage
+	case tick%97 >= 90:
+		return 0, ErrOutage
+	case hash01(tick*7+1) < 0.05:
+		return 0, ErrSampleDropped
+	case hash01(tick*7+2) < 0.04:
+		// Transient on the tick itself; a third of them also fail every
+		// retry inside the period.
+		if onTick || hash01(tick*7+3) < 0.33 {
+			return 0, Transient(errFlaky)
+		}
+	}
+	modes := []float64{0.22, 0.48, 0.71, 0.93}
+	dwell := uint64(23)
+	if tick >= 1200 && tick < 2000 {
+		dwell = 1 // jumps every sample: the point forecasts chase, the mixture fits
+	}
+	regime := modes[int(hash01(tick/dwell*7+4)*4)]
+	v := regime + 0.04*(hash01(tick*7+5)-0.5)
+	if hash01(tick*7+6) < 0.03 {
+		v = 1 / float64(1+int(hash01(tick*7+7)*3)) // an exact point mass
+	}
+	return v, nil
+}
+
+// recomputed is the monitor as it worked before the memo: every postmortem
+// and every report runs the public, history-taking Mix and Tournament
+// methods on a fresh History() copy. A tournament-less Monitor supplies the
+// sampling (retries, gap counters, staleness, ring); its own mix is ignored.
+type recomputed struct {
+	feed *Monitor
+	mix  *Mix
+	tour *Tournament
+}
+
+func newRecomputed(t *testing.T, sensor Sensor, period float64, histSize int) *recomputed {
+	t.Helper()
+	feed, err := newMonitor(sensor, period, histSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mix := NewMix(nil)
+	return &recomputed{feed: feed, mix: mix, tour: NewTournament(mix)}
+}
+
+// tick takes the one sample due at time t.
+func (r *recomputed) tick(t float64) {
+	hist := r.feed.History()
+	recorded := r.feed.Gaps().Recorded()
+	_ = r.feed.RunUntil(t)
+	if r.feed.Gaps().Recorded() == recorded || len(hist) == 0 {
+		return
+	}
+	last, _ := r.feed.Last()
+	r.tour.Update(hist, last.V)
+	r.mix.Update(hist, last.V)
+}
+
+func (r *recomputed) state() MonitorState {
+	st := r.feed.ExportState()
+	st.MixSqErr = append([]float64(nil), r.mix.sqErr...)
+	st.MixN = append([]int(nil), r.mix.n...)
+	st.Tournament = r.tour.ExportState()
+	return st
+}
+
+func (r *recomputed) fallback() (mean, sigma float64) {
+	mean, std := stats.MeanStd(r.feed.History())
+	sigma = math.Max(std, 0.1*math.Abs(mean))
+	if sigma < minConservativeRMSE {
+		sigma = minConservativeRMSE
+	}
+	return mean, sigma * r.feed.DegradationFactor()
+}
+
+func (r *recomputed) robustReport(prior stochastic.Value) stochastic.Value {
+	if r.feed.Len() == 0 {
+		return prior
+	}
+	if r.feed.Staleness() <= staleLimit {
+		if f, err := r.mix.Forecast(r.feed.History()); err == nil {
+			if r.feed.Staleness() > 0 && f.RMSE < minConservativeRMSE {
+				f.RMSE = minConservativeRMSE
+			}
+			f.RMSE *= r.feed.DegradationFactor()
+			return f.Stochastic()
+		}
+	}
+	return stochastic.FromMeanSigma(r.fallback())
+}
+
+func (r *recomputed) robustDistReport(prior stochastic.Value) LoadDist {
+	if r.feed.Len() == 0 {
+		return normalLoadDist(prior.Mean, math.Max(prior.Sigma(), minConservativeRMSE), PriorForecasterName)
+	}
+	if r.feed.Staleness() <= staleLimit {
+		var point *Forecast
+		if f, err := r.mix.Forecast(r.feed.History()); err == nil {
+			point = &f
+		}
+		winner, name := r.tour.Winner()
+		qs, med := make([]float64, len(DistLevels)), make([]float64, 1)
+		if winner.Quantiles(point, DistLevels, qs) && winner.Quantiles(point, []float64{0.5}, med) {
+			comps := winner.Components(point)
+			if w := r.feed.DegradationFactor(); w != 1 {
+				for i := range qs {
+					qs[i] = med[0] + w*(qs[i]-med[0])
+				}
+				widened := make([]Component, len(comps))
+				for i, c := range comps {
+					widened[i] = Component{Weight: c.Weight, Mean: c.Mean, Sigma: c.Sigma * w}
+				}
+				comps = widened
+			}
+			monotonize(qs)
+			return LoadDist{Quantiles: qs, Components: comps, Forecaster: name}
+		}
+	}
+	mean, sigma := r.fallback()
+	return normalLoadDist(mean, sigma, FallbackForecasterName)
+}
+
+// sameBits reports whether two values are deeply equal with floats compared
+// by bit pattern (reflect.DeepEqual calls NaN unequal to itself and -0
+// equal to +0).
+func sameBits(a, b reflect.Value) bool {
+	if a.Kind() != b.Kind() {
+		return false
+	}
+	switch a.Kind() {
+	case reflect.Float64:
+		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	case reflect.Slice:
+		if a.Len() != b.Len() {
+			return false
+		}
+		for i := 0; i < a.Len(); i++ {
+			if !sameBits(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if !sameBits(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	default:
+		return reflect.DeepEqual(a.Interface(), b.Interface())
+	}
+}
+
+func mustSameBits(t *testing.T, what string, tick int, got, want any) {
+	t.Helper()
+	if !sameBits(reflect.ValueOf(got), reflect.ValueOf(want)) {
+		t.Fatalf("tick %d: %s diverged\nmemoised:   %+v\nrecomputed: %+v", tick, what, got, want)
+	}
+}
+
+// TestMonitorMemoMatchesRecompute: the memoised monitor is bit-identical to
+// one that recomputes everything through the exported history-taking
+// methods — state, X ± a report and distribution report at every tick of a
+// faulty stream — and it sweeps the battery exactly once per recorded
+// sample however often it is read.
+func TestMonitorMemoMatchesRecompute(t *testing.T) {
+	const period, ticks = 5.0, 2600
+	prior := stochastic.New(0.5, 0.5)
+	for _, histSize := range []int{48, 100} { // below and above the mixture window
+		m, err := NewSensorMonitor(roughSensor, period, histSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := newRecomputed(t, roughSensor, period, histSize)
+		winners := map[string]int{}
+		for k := 0; k < ticks; k++ {
+			at := period * float64(k)
+			ref.tick(at)
+			// Reads repeat within a tick on the serving path (one per
+			// cache miss); the memo must hand every one the same answer.
+			for read := 0; read < 1+k%3; read++ {
+				mustSameBits(t, "RobustReport", k, m.RobustReport(at, prior), ref.robustReport(prior))
+				mustSameBits(t, "RobustDistReport", k, m.RobustDistReport(at, prior), ref.robustDistReport(prior))
+			}
+			mustSameBits(t, "ExportState", k, m.ExportState(), ref.state())
+			// Every ring state is swept once: by its first read, or — when
+			// staleness keeps the reads off the mix — by the postmortem of
+			// the sample after it.
+			lag := m.Gaps().Recorded() - m.mix.sweeps
+			if lag < 0 || lag > 1 || (lag == 1 && m.Staleness() <= staleLimit) {
+				t.Fatalf("tick %d: %d battery sweeps for %d recorded samples at staleness %g",
+					k, m.mix.sweeps, m.Gaps().Recorded(), m.Staleness())
+			}
+			winners[m.RobustDistReport(at, prior).Forecaster]++
+		}
+		g := m.Gaps()
+		if g.Recorded() < 2000 || g.Dropped == 0 || g.Outage == 0 || g.Recovered == 0 || g.TransientLost == 0 {
+			t.Fatalf("history %d: the stream did not exercise every fault class: %+v", histSize, g)
+		}
+		for _, name := range []string{PriorForecasterName, FallbackForecasterName, NormalForecasterName, EmpiricalForecasterName, MixtureForecasterName} {
+			if winners[name] == 0 {
+				t.Errorf("history %d: no tick was served by %q: %v", histSize, name, winners)
+			}
+		}
+	}
+}
+
+// TestSweepMatchesPredict: the fused pass is only a loop shared between
+// RunningMean and the ExpSmoothing chains — every slot of a sweep is, to the
+// bit, what that forecaster's own Predict returns on the same history.
+func TestSweepMatchesPredict(t *testing.T) {
+	long := make([]float64, 1500)
+	for i := range long {
+		long[i], _ = roughSensor(5 * float64(1000+i)) // failed ticks read 0
+	}
+	huge := make([]float64, 40)
+	for i := range huge {
+		huge[i] = math.MaxFloat64 * (0.5 + 0.5*hash01(uint64(i))) // the running sum overflows
+	}
+	negZero := math.Copysign(0, -1)
+	hists := []struct {
+		name string
+		hist []float64
+	}{
+		{"empty", nil},
+		{"one", []float64{0.37}},
+		{"empty after one", []float64{}}, // the slots of "one" must not survive
+		{"one -0", []float64{negZero}},
+		{"opens with -0", []float64{negZero, negZero, 0.25, 0.5}},
+		{"all -0", []float64{negZero, negZero, negZero}},
+		{"short", long[:4]},
+		{"one window", long[:30]},
+		{"ring", long[:512]},
+		{"long", long},
+		{"short after long", long[:2]}, // too short again for the windows
+		{"NaN inside", []float64{0.2, 0.4, math.NaN(), 0.6, 0.8, 0.3}},
+		{"NaN first", []float64{math.NaN(), 0.4, 0.6}},
+		{"+Inf inside", []float64{0.2, math.Inf(1), 0.6, 0.1}},
+		{"both Inf", []float64{0.2, math.Inf(1), math.Inf(-1), 0.1}},
+		{"overflowing", huge},
+		{"denormal", []float64{5e-324, 1e-310, 5e-324, 0, 2e-320}},
+		{"constant", []float64{0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5}},
+		{"negative", []float64{-1.5, -0.25, -3, -0.125}},
+		{"alternating", []float64{1, -1, 1, -1, 1, -1, 1, -1, 1, -1, 1}},
+		{"large and tiny", []float64{1e300, 1e-300, -1e300, 1e-300}},
+	}
+	batteries := map[string][]Forecaster{
+		"default": DefaultBattery(),
+		// Gains outside (0,1] are left to Predict, which refuses them; 1 and
+		// the smallest positive gain are inside and ride the shared pass. A
+		// forecaster listed twice gets the same answer in both slots.
+		"odd gains": {
+			ExpSmoothing{Alpha: 0}, ExpSmoothing{Alpha: -0.3}, ExpSmoothing{Alpha: 1.5},
+			ExpSmoothing{Alpha: math.NaN()}, ExpSmoothing{Alpha: math.Inf(1)},
+			ExpSmoothing{Alpha: 1}, ExpSmoothing{Alpha: 5e-324}, ExpSmoothing{Alpha: 0.3},
+			RunningMean{}, LastValue{}, RunningMean{}, ExpSmoothing{Alpha: 0.3},
+			WindowMean{W: 3}, WindowMedian{W: 4},
+		},
+		"nothing fused": {LastValue{}, WindowMean{W: 2}},
+	}
+	for bname, battery := range batteries {
+		mix := NewMix(battery)
+		out := mix.newSweep()
+		// One sweep struct through every history, in order: a slot left over
+		// from the previous history would show up as a mismatch.
+		for _, h := range hists {
+			mix.sweep(h.hist, &out)
+			for i, f := range battery {
+				val, ok := f.Predict(h.hist)
+				if out.ok[i] != ok || math.Float64bits(out.val[i]) != math.Float64bits(val) {
+					t.Errorf("battery %q, history %q, slot %d (%s): sweep (%v, %v), Predict (%v, %v)",
+						bname, h.name, i, f.Name(), out.val[i], out.ok[i], val, ok)
+				}
+			}
+		}
+	}
+}
+
+// Unread, a monitor sweeps each ring state when the next sample's
+// postmortem needs it: one sweep per recorded sample, less the newest.
+func TestMonitorSweepsOncePerSampleUnread(t *testing.T) {
+	m, err := NewSensorMonitor(roughSensor, 5, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = m.RunUntil(5 * 999)
+	if got, want := m.mix.sweeps, m.Gaps().Recorded()-1; got != want {
+		t.Fatalf("%d battery sweeps for %d recorded samples", got, want+1)
+	}
+}
+
+func TestBandwidthMonitorHasNoTournament(t *testing.T) {
+	env := platform1Env(t, 3)
+	bw, err := NewBandwidthMonitor(env, 0, 1, 8000, 5, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpu, err := NewCPUMonitor(env, 0, 5, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bw.Tournament() != nil || cpu.Tournament() == nil {
+		t.Fatalf("tournaments: bandwidth %v, cpu %v", bw.Tournament(), cpu.Tournament())
+	}
+	_ = bw.RunUntil(1000)
+	_ = cpu.RunUntil(1000)
+	if st := bw.ExportState(); !reflect.DeepEqual(st.Tournament, TournamentState{}) {
+		t.Fatalf("bandwidth monitor exports a tournament section: %+v", st.Tournament)
+	}
+
+	// The distribution report is the incumbent normal read off the point
+	// forecast, not a panic.
+	prior := stochastic.New(1e6, 1e6)
+	f, err := bw.Forecast()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ld := bw.RobustDistReport(1000, prior)
+	n := dist.Normal{Mu: f.Value, Sigma: math.Max(f.RMSE, minConservativeRMSE)}
+	want := LoadDist{Forecaster: NormalForecasterName, Components: []Component{{Weight: 1, Mean: n.Mu, Sigma: n.Sigma}}}
+	for _, p := range DistLevels {
+		want.Quantiles = append(want.Quantiles, n.Quantile(p))
+	}
+	monotonize(want.Quantiles)
+	mustSameBits(t, "bandwidth RobustDistReport", 200, ld, want)
+	if got := bw.RobustReport(1000, prior); got != f.Stochastic() {
+		t.Fatalf("RobustReport %+v, forecast %+v", got, f.Stochastic())
+	}
+
+	// An image written before bandwidth monitors lost their tournament
+	// carries a section for them: it is accepted and dropped.
+	old := bw.ExportState()
+	old.Tournament = cpu.ExportState().Tournament
+	if len(old.Tournament.Loss) == 0 || old.Tournament.FitObs == 0 {
+		t.Fatalf("the CPU monitor's tournament state is empty: %+v", old.Tournament)
+	}
+	restored, err := NewBandwidthMonitor(env, 0, 1, 8000, 5, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.ImportState(old); err != nil {
+		t.Fatalf("importing an older image's bandwidth state: %v", err)
+	}
+	mustSameBits(t, "restored state", 200, restored.ExportState(), bw.ExportState())
+	mustSameBits(t, "restored report", 200, restored.RobustDistReport(1200, prior), bw.RobustDistReport(1200, prior))
+}
+
+// A recorded sample between two mixture refits allocates nothing: the ring
+// is read in place, the battery sweeps into the monitor's memo, and the
+// tournament scores into its own scratch.
+func TestMonitorSampleDoesNotAllocate(t *testing.T) {
+	clean := func(t float64) (float64, error) {
+		return 0.5 + 0.3*math.Sin(t/40) + 0.05*hash01(uint64(t)), nil
+	}
+	m, err := NewSensorMonitor(clean, 5, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fit *mixtureDist
+	for _, f := range m.tour.forecasters {
+		if mf, ok := f.(*mixtureDist); ok {
+			fit = mf
+		}
+	}
+	// Fill the ring several times over, then stop right after a refit:
+	// AllocsPerRun's warm-up call and its runs all fall before the next.
+	at := 5.0 * 600
+	_ = m.RunUntil(at)
+	for fit.obs%mixtureRefitEvery != 0 {
+		at += 5
+		_ = m.RunUntil(at)
+	}
+	prior := stochastic.New(0.5, 0.5)
+	allocs := testing.AllocsPerRun(mixtureRefitEvery-2, func() {
+		at += 5
+		_ = m.RobustReport(at, prior)
+	})
+	if allocs != 0 {
+		t.Errorf("a non-refit sample with an X ± a read allocates %v times", allocs)
+	}
+	if fit.obs%mixtureRefitEvery != mixtureRefitEvery-1 {
+		t.Fatalf("measured %d rounds past a refit, want %d", fit.obs%mixtureRefitEvery, mixtureRefitEvery-1)
+	}
+}

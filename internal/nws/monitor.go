@@ -77,13 +77,24 @@ type Monitor struct {
 	period  float64
 	ring    *timeseries.Ring
 	mix     *Mix
-	tour    *Tournament
+	tour    *Tournament // nil on a monitor that is only ever read as X ± a
 	nextT   float64
 	started bool
 
 	stats  GapStats
 	curGap int     // consecutive missed samples in the current gap
 	stale  float64 // effective staleness in periods (rises on miss, decays on success)
+
+	// The memo: what has already been derived from the current state. The
+	// battery's pass over the ring and the mix forecast read off it are a
+	// function of the ring and the mix scores, which only a recorded sample
+	// (or ImportState) changes; they serve every report of this ring and
+	// then the next sample's postmortems, so each ring state is swept once.
+	// Staleness is applied to the forecast on the way out, never stored.
+	swept    bool
+	preds    sweep
+	point    Forecast
+	pointErr error
 }
 
 // NewCPUMonitor returns a monitor of machine m's CPU availability in env.
@@ -97,17 +108,32 @@ func NewCPUMonitor(env *simenv.Env, m int, period float64, histSize int) (*Monit
 
 // NewBandwidthMonitor returns a monitor of achieved bandwidth (bytes/s)
 // between machines i and j in env, probing with probeBytes messages.
+//
+// It carries no distribution tournament: bandwidth is consumed as X ± a
+// only (the structural model takes the mix forecast, and the quantile grid
+// draws bandwidth from that normal), so nothing would read one.
+// Tournament() is nil and RobustDistReport serves the incumbent normal.
 func NewBandwidthMonitor(env *simenv.Env, i, j int, probeBytes, period float64, histSize int) (*Monitor, error) {
 	s, err := BandwidthSensor(env, i, j, probeBytes)
 	if err != nil {
 		return nil, err
 	}
-	return NewSensorMonitor(s, period, histSize)
+	return newMonitor(s, period, histSize)
 }
 
 // NewSensorMonitor returns a monitor over an arbitrary sensor — the
 // constructor fault-injection wrappers and custom sensors use.
 func NewSensorMonitor(sensor Sensor, period float64, histSize int) (*Monitor, error) {
+	m, err := newMonitor(sensor, period, histSize)
+	if err != nil {
+		return nil, err
+	}
+	m.tour = NewTournament(m.mix)
+	return m, nil
+}
+
+// newMonitor builds a monitor without a tournament.
+func newMonitor(sensor Sensor, period float64, histSize int) (*Monitor, error) {
 	if sensor == nil {
 		return nil, errors.New("nws: nil sensor")
 	}
@@ -119,7 +145,7 @@ func NewSensorMonitor(sensor Sensor, period float64, histSize int) (*Monitor, er
 		return nil, err
 	}
 	mix := NewMix(nil)
-	return &Monitor{measure: sensor, period: period, ring: ring, mix: mix, tour: NewTournament(mix)}, nil
+	return &Monitor{measure: sensor, period: period, ring: ring, mix: mix, preds: mix.newSweep()}, nil
 }
 
 // Period returns the sensor period in seconds.
@@ -140,20 +166,41 @@ func (m *Monitor) RunUntil(t float64) error {
 		if err != nil {
 			m.recordMiss(err)
 		} else {
-			if hist := m.ring.Values(); len(hist) > 0 {
+			if hist := m.ring.View(); len(hist) > 0 {
 				// Score the distribution tournament against the same
 				// postmortem round before the shared mix absorbs it, so
 				// every competitor is judged on the pre-update state.
-				m.tour.Update(hist, v)
-				m.mix.Update(hist, v)
+				point, _ := m.forecast()
+				if m.tour != nil {
+					m.tour.update(hist, point, v)
+				}
+				m.mix.score(&m.preds, v)
 			}
 			m.ring.Push(m.nextT, v)
+			m.swept = false
 			m.curGap = 0
 			m.stale = math.Max(0, m.stale-1)
 		}
 		m.nextT += m.period
 	}
 	return nil
+}
+
+// forecast returns the mix forecast from the current ring, sweeping the
+// battery over it if this ring state has not been swept yet. The ring must
+// not be empty. The pointer is into the memo, valid until the next sample;
+// it is nil when the mix has no forecast, which is what err then says.
+func (m *Monitor) forecast() (*Forecast, error) {
+	if !m.swept {
+		hist := m.ring.View()
+		m.mix.sweep(hist, &m.preds)
+		m.point, m.pointErr = m.mix.pick(&m.preds, hist)
+		m.swept = true
+	}
+	if m.pointErr != nil {
+		return nil, m.pointErr
+	}
+	return &m.point, nil
 }
 
 // sample reads the sensor at tick time t, retrying transient errors with
@@ -222,7 +269,7 @@ func (m *Monitor) widenFactor() float64 { return m.DegradationFactor() }
 // Len returns the number of stored measurements.
 func (m *Monitor) Len() int { return m.ring.Len() }
 
-// History returns the stored measurement values, oldest first.
+// History returns a copy of the stored measurement values, oldest first.
 func (m *Monitor) History() []float64 { return m.ring.Values() }
 
 // Last returns the most recent measurement; ok is false before the first
@@ -236,10 +283,11 @@ func (m *Monitor) Forecast() (Forecast, error) {
 	if m.ring.Len() == 0 {
 		return Forecast{}, errors.New("nws: no measurements yet")
 	}
-	f, err := m.mix.Forecast(m.ring.Values())
+	point, err := m.forecast()
 	if err != nil {
-		return f, err
+		return Forecast{}, err
 	}
+	f := *point
 	if m.stale > 0 && f.RMSE < minConservativeRMSE {
 		// A perfectly-scoring forecaster earns a zero RMSE, but staleness
 		// must still widen the interval — floor it so the degradation
@@ -283,18 +331,26 @@ func (m *Monitor) RobustReport(t float64, prior stochastic.Value) stochastic.Val
 			return f.Stochastic()
 		}
 	}
-	hist := m.ring.Values()
-	mean, std := stats.MeanStd(hist)
-	sigma := math.Max(std, 0.1*math.Abs(mean))
-	if sigma < minConservativeRMSE {
-		sigma = minConservativeRMSE
-	}
+	mean, sigma := m.runningMean()
 	return stochastic.FromMeanSigma(mean, sigma*m.widenFactor())
 }
 
-// Mix exposes the forecaster mix for diagnostics.
+// runningMean is the fallback report of a history the mix is not trusted
+// on: its mean, with a conservative sigma before staleness widening.
+func (m *Monitor) runningMean() (mean, sigma float64) {
+	mean, std := stats.MeanStd(m.ring.View())
+	sigma = math.Max(std, 0.1*math.Abs(mean))
+	if sigma < minConservativeRMSE {
+		sigma = minConservativeRMSE
+	}
+	return mean, sigma
+}
+
+// Mix exposes the forecaster mix for diagnostics. The monitor's memo
+// assumes only RunUntil and ImportState change the mix's scores.
 func (m *Monitor) Mix() *Mix { return m.mix }
 
 // Tournament exposes the distribution-forecaster tournament for
-// diagnostics and snapshots.
+// diagnostics and snapshots; nil on a monitor built without one
+// (NewBandwidthMonitor).
 func (m *Monitor) Tournament() *Tournament { return m.tour }

@@ -33,9 +33,11 @@ type MonitorState struct {
 	// parallel to the battery order.
 	MixSqErr []float64
 	MixN     []int
-	// Tournament is the distribution-forecaster tournament's state
-	// (snapshot v2; zero-valued when restoring a v1 image, which resets
-	// the tournament to the incumbent).
+	// Tournament is the distribution-forecaster tournament's state; zero on
+	// a monitor without one. Importing a zero state into a tournament resets
+	// it to the incumbent, and a monitor without a tournament drops whatever
+	// it is handed — images written before bandwidth monitors lost theirs
+	// carry one.
 	Tournament TournamentState
 }
 
@@ -51,7 +53,9 @@ func (m *Monitor) ExportState() MonitorState {
 		MixSqErr: append([]float64(nil), m.mix.sqErr...),
 		MixN:     append([]int(nil), m.mix.n...),
 	}
-	st.Tournament = m.tour.ExportState()
+	if m.tour != nil {
+		st.Tournament = m.tour.ExportState()
+	}
 	n := m.ring.Len()
 	st.Times = make([]float64, n)
 	st.Values = make([]float64, n)
@@ -79,8 +83,10 @@ func (m *Monitor) ImportState(st MonitorState) error {
 		return fmt.Errorf("nws: state mix size %d/%d does not match battery of %d",
 			len(st.MixSqErr), len(st.MixN), len(m.mix.forecasters))
 	}
-	if err := m.tour.ImportState(st.Tournament); err != nil {
-		return err
+	if m.tour != nil {
+		if err := m.tour.ImportState(st.Tournament); err != nil {
+			return err
+		}
 	}
 	ring, err := timeseries.NewRing(m.ring.Cap())
 	if err != nil {
@@ -90,6 +96,7 @@ func (m *Monitor) ImportState(st MonitorState) error {
 		ring.Push(st.Times[i], st.Values[i])
 	}
 	m.ring = ring
+	m.swept = false
 	copy(m.mix.sqErr, st.MixSqErr)
 	copy(m.mix.n, st.MixN)
 	m.nextT = st.NextT

@@ -376,12 +376,40 @@ func (s *Service) checkPlatform(name string) error {
 	return nil
 }
 
-func validateRequest(req Request) error {
-	if req.N < 3 {
-		return fmt.Errorf("predict: grid size %d too small (need N >= 3)", req.N)
+// Ceilings on the job shape a request may name. A prediction costs the
+// same whatever the shape, so these only keep the arithmetic downstream
+// safe and the per-grid-size state bounded: at the ceilings the element
+// count N²·Iterations is 2^52, exact in an int and in a float64; the grid
+// alone is 2 GiB, eight times the memory of the largest catalog machine;
+// and a tenant holds at most MaxGridSize bandwidth monitors (one per probe
+// size). Whoever does work in proportion to the shape bounds that work
+// itself (fleetsched.MaxJobWork).
+const (
+	MaxGridSize   = 1 << 14
+	MaxIterations = 1 << 24
+)
+
+// CheckJobShape validates the grid size and iteration count of an SOR job,
+// wherever one is named: a prediction request or a scheduled job.
+func CheckJobShape(n, iterations int) error {
+	if n < 3 {
+		return fmt.Errorf("predict: grid size %d too small (need N >= 3)", n)
 	}
-	if req.Iterations <= 0 {
-		return fmt.Errorf("predict: iterations must be positive, got %d", req.Iterations)
+	if n > MaxGridSize {
+		return fmt.Errorf("predict: grid size %d exceeds limit %d", n, MaxGridSize)
+	}
+	if iterations <= 0 {
+		return fmt.Errorf("predict: iterations must be positive, got %d", iterations)
+	}
+	if iterations > MaxIterations {
+		return fmt.Errorf("predict: iterations %d exceeds limit %d", iterations, MaxIterations)
+	}
+	return nil
+}
+
+func validateRequest(req Request) error {
+	if err := CheckJobShape(req.N, req.Iterations); err != nil {
+		return err
 	}
 	for _, l := range req.Levels {
 		if !(l > 0 && l < 1) {
@@ -735,19 +763,29 @@ func buildDistUniforms(dims int) [][]float64 {
 // actually coincide. A model that rejects any draw degrades the whole
 // grid to the raw value's normal quantiles.
 func (s *Service) computeDistGrid(model *structural.SORConfig, dists []nws.LoadDist, bwFrac stochastic.Value, raw stochastic.Value) []float64 {
+	// The expression tree, the parameter names and the parameter map are the
+	// same for every draw: build them once and only re-point the map.
+	tree, err := model.Build()
+	if err != nil {
+		return normalDistGrid(raw)
+	}
+	loadNames := make([]string, len(dists))
+	for m := range dists {
+		loadNames[m] = structural.LoadParam(m)
+	}
+	params := structural.Params{structural.BWAvailParam: stochastic.Point(1)}
 	times := make([]float64, len(s.distU))
 	bwDim := len(dists)
 	for i, u := range s.distU {
-		params := structural.Params{structural.BWAvailParam: stochastic.Point(1)}
 		if s.netMon {
 			bw := bwFrac.Quantile(u[bwDim])
 			params[structural.BWAvailParam] = stochastic.Point(math.Max(bw, minAvailPoint))
 		}
 		for m := range dists {
 			q := nws.GridQuantile(dists[m].Quantiles, u[m])
-			params[structural.LoadParam(m)] = stochastic.Point(math.Max(q, minAvailPoint))
+			params[loadNames[m]] = stochastic.Point(math.Max(q, minAvailPoint))
 		}
-		v, err := model.Predict(params)
+		v, err := tree.Eval(params)
 		if err != nil {
 			return normalDistGrid(raw)
 		}
@@ -756,11 +794,7 @@ func (s *Service) computeDistGrid(model *structural.SORConfig, dists []nws.LoadD
 	sort.Float64s(times)
 	grid := make([]float64, len(nws.DistLevels))
 	for i, p := range nws.DistLevels {
-		q, err := stats.Quantile(times, p)
-		if err != nil {
-			return normalDistGrid(raw)
-		}
-		grid[i] = q
+		grid[i] = stats.QuantileSorted(times, p)
 	}
 	monotonizeGrid(grid)
 	return grid

@@ -383,6 +383,8 @@ func (s *Service) importFrom(d *snapDec) error {
 			if err != nil {
 				return err
 			}
+			// Bandwidth monitors carry no tournament: the section an older
+			// image holds for one is decoded above and dropped here.
 			if err := mon.ImportState(st); err != nil {
 				return err
 			}

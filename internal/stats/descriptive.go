@@ -132,17 +132,24 @@ func Quantile(xs []float64, q float64) (float64, error) {
 	}
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
+	return QuantileSorted(s, q), nil
+}
+
+// QuantileSorted is Quantile on a sample the caller has already sorted
+// ascending (as sort.Float64s orders it) and checked: s must be non-empty
+// and q in [0,1]. It neither copies nor sorts.
+func QuantileSorted(s []float64, q float64) float64 {
 	if len(s) == 1 {
-		return s[0], nil
+		return s[0]
 	}
 	h := q * float64(len(s)-1)
 	lo := int(math.Floor(h))
 	hi := int(math.Ceil(h))
 	if lo == hi {
-		return s[lo], nil
+		return s[lo]
 	}
 	frac := h - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac, nil
+	return s[lo]*(1-frac) + s[hi]*frac
 }
 
 // Skewness returns the adjusted Fisher-Pearson sample skewness (g1 with the

@@ -142,40 +142,57 @@ func (s *Series) Resample(t0, t1, dt float64) (*Series, error) {
 
 // Ring is a bounded measurement history that discards the oldest point when
 // full — the storage discipline of an NWS sensor.
+//
+// Times and values live in two parallel buffers a little longer than the
+// ring, and the stored points are always one contiguous window of them: a
+// push writes behind the window, and when the window reaches the end of the
+// buffers it is moved back to the front (one copy every ringSlack pushes).
+// That is what lets View hand out the values without copying them.
 type Ring struct {
-	buf   []Point
-	start int
-	n     int
+	size   int
+	ts, vs []float64 // points are ts/vs[start : start+n]
+	start  int
+	n      int
 }
+
+// ringSlack is how many pushes a full ring of the given size absorbs between
+// two moves of its window.
+func ringSlack(size int) int { return size/8 + 1 }
 
 // NewRing returns a ring holding at most size points; size must be positive.
 func NewRing(size int) (*Ring, error) {
 	if size <= 0 {
 		return nil, errors.New("timeseries: ring size must be positive")
 	}
-	return &Ring{buf: make([]Point, size)}, nil
+	buf := make([]float64, 2*(size+ringSlack(size)))
+	return &Ring{size: size, ts: buf[:len(buf)/2], vs: buf[len(buf)/2:]}, nil
 }
 
 // Push appends a measurement, evicting the oldest if the ring is full.
 func (r *Ring) Push(t, v float64) {
-	idx := (r.start + r.n) % len(r.buf)
-	r.buf[idx] = Point{T: t, V: v}
-	if r.n < len(r.buf) {
-		r.n++
-	} else {
-		r.start = (r.start + 1) % len(r.buf)
+	if r.n == r.size {
+		r.start++
+		r.n--
 	}
+	end := r.start + r.n
+	if end == len(r.vs) {
+		copy(r.ts, r.ts[r.start:end])
+		copy(r.vs, r.vs[r.start:end])
+		r.start, end = 0, r.n
+	}
+	r.ts[end], r.vs[end] = t, v
+	r.n++
 }
 
 // Len returns the number of stored points.
 func (r *Ring) Len() int { return r.n }
 
 // Cap returns the ring capacity.
-func (r *Ring) Cap() int { return len(r.buf) }
+func (r *Ring) Cap() int { return r.size }
 
 // At returns the i-th stored point, oldest first.
 func (r *Ring) At(i int) Point {
-	return r.buf[(r.start+i)%len(r.buf)]
+	return Point{T: r.ts[r.start+i], V: r.vs[r.start+i]}
 }
 
 // Last returns the most recent point; ok is false when empty.
@@ -186,17 +203,20 @@ func (r *Ring) Last() (Point, bool) {
 	return r.At(r.n - 1), true
 }
 
-// Values returns the stored values oldest-first.
-func (r *Ring) Values() []float64 {
-	out := make([]float64, r.n)
-	for i := 0; i < r.n; i++ {
-		out[i] = r.At(i).V
-	}
-	return out
+// View returns the stored values oldest-first without copying them. The
+// slice aliases the ring's storage: it is valid until the next Push and
+// must not be modified.
+func (r *Ring) View() []float64 {
+	return r.vs[r.start : r.start+r.n : r.start+r.n]
 }
 
-// Tail returns the most recent k values oldest-first (all values when
-// k >= Len).
+// Values returns a copy of the stored values oldest-first.
+func (r *Ring) Values() []float64 {
+	return append(make([]float64, 0, r.n), r.View()...)
+}
+
+// Tail returns a copy of the most recent k values oldest-first (all values
+// when k >= Len).
 func (r *Ring) Tail(k int) []float64 {
 	if k > r.n {
 		k = r.n
@@ -204,9 +224,5 @@ func (r *Ring) Tail(k int) []float64 {
 	if k < 0 {
 		k = 0
 	}
-	out := make([]float64, k)
-	for i := 0; i < k; i++ {
-		out[i] = r.At(r.n - k + i).V
-	}
-	return out
+	return append(make([]float64, 0, k), r.View()[r.n-k:]...)
 }

@@ -212,6 +212,31 @@ func TestRingRetentionProperty(t *testing.T) {
 	}
 }
 
+// View must stay one contiguous, ordered window of the stored values across
+// evictions and window moves, and Values/Tail must stay copies of it.
+func TestRingViewIsTheStoredWindow(t *testing.T) {
+	for _, size := range []int{1, 2, 7, 8, 64} {
+		r, _ := NewRing(size)
+		for i := 0; i < 5*(size+ringSlack(size)); i++ {
+			r.Push(float64(i), float64(10*i))
+			view := r.View()
+			if len(view) != r.Len() || cap(view) != len(view) {
+				t.Fatalf("size %d push %d: view len %d cap %d, ring len %d", size, i, len(view), cap(view), r.Len())
+			}
+			for k, v := range view {
+				if p := r.At(k); p.V != v || p.T != float64(i-len(view)+1+k) || v != 10*p.T {
+					t.Fatalf("size %d push %d: view[%d]=%g, At=%+v", size, i, k, v, p)
+				}
+			}
+			vals := r.Values()
+			vals[0] = -1
+			if tail := r.Tail(1); r.View()[0] == -1 || tail[0] != float64(10*i) {
+				t.Fatalf("size %d push %d: Values aliases the ring or Tail=%v", size, i, tail)
+			}
+		}
+	}
+}
+
 func TestResampleNoDriftOnLongRanges(t *testing.T) {
 	// Regression: t += dt accumulation dropped the final sample on long
 	// ranges with non-representable steps (e.g. [0,3000] at dt=0.3).

@@ -219,6 +219,8 @@ func NewCPUMonitor(env *Env, m int, period float64, histSize int) (*Monitor, err
 }
 
 // NewBandwidthMonitor monitors achieved bandwidth between machines i and j.
+// Bandwidth is consumed as X ± a only, so unlike a CPU monitor it runs no
+// distribution tournament (Tournament() is nil).
 func NewBandwidthMonitor(env *Env, i, j int, probeBytes, period float64, histSize int) (*Monitor, error) {
 	return nws.NewBandwidthMonitor(env, i, j, probeBytes, period, histSize)
 }
