@@ -237,40 +237,13 @@ type Snapshot struct {
 	LastTime float64
 }
 
-// rec is one windowed outcome in reduced form.
-type rec struct {
-	id       uint64
-	time     float64
-	z        float64 // standardized signed residual (actual-mean)/σ_raw
-	score    float64 // nonconformity |actual-mean|/halfwidth_raw
-	signed   float64 // signed relative error (actual-mean)/actual
-	abs      float64 // |signed|
-	rawW     float64 // raw interval full width
-	calW     float64 // calibrated interval full width
-	rawIn    bool
-	calIn    bool
-	armed    bool // true once this rec counted toward drift detection
-	excluded bool // true when the raw prediction had no usable spread
-
-	// Distribution-valued fields, populated only when the outcome carried a
-	// raw quantile grid with positive offsets at every level (qok). The
-	// side offsets and the actual are stored relative to the predictive
-	// median so the calibrator can re-score them under any candidate
-	// recentering shift.
-	qok  bool
-	qsLo []float64 // per-IntervalLevels (median - lo_L) / median
-	qsHi []float64 // per-IntervalLevels (hi_L - median) / median
-	qrel float64   // actual / median
-	pit  float64   // realized quantile of actual under the raw grid
-}
-
 // Tracker is the per-platform online accuracy tracker, interval
 // calibrator, and regime-drift detector. Safe for concurrent use.
 type Tracker struct {
 	mu  sync.Mutex
 	cfg Config
 
-	window []rec
+	window []WindowRec
 	drifts []DriftEvent
 
 	observed int
@@ -343,23 +316,23 @@ func (t *Tracker) Observe(o Outcome) (DriftEvent, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 
-	r := rec{id: o.ID, time: o.Time}
-	r.rawIn = o.Raw.Contains(o.Actual)
-	r.calIn = o.Calibrated.Contains(o.Actual)
-	r.rawW = 2 * o.Raw.Spread
-	r.calW = 2 * o.Calibrated.Spread
+	r := WindowRec{ID: o.ID, Time: o.Time}
+	r.RawIn = o.Raw.Contains(o.Actual)
+	r.CalIn = o.Calibrated.Contains(o.Actual)
+	r.RawW = 2 * o.Raw.Spread
+	r.CalW = 2 * o.Calibrated.Spread
 	if o.Actual != 0 {
-		r.signed = (o.Actual - o.Raw.Mean) / math.Abs(o.Actual)
-		r.abs = math.Abs(r.signed)
+		r.Signed = (o.Actual - o.Raw.Mean) / math.Abs(o.Actual)
+		r.Abs = math.Abs(r.Signed)
 	}
 	if o.Raw.Spread > 0 {
-		r.score = math.Abs(o.Actual-o.Raw.Mean) / o.Raw.Spread
-		r.z = (o.Actual - o.Raw.Mean) / o.Raw.Sigma()
+		r.Score = math.Abs(o.Actual-o.Raw.Mean) / o.Raw.Spread
+		r.Z = (o.Actual - o.Raw.Mean) / o.Raw.Sigma()
 	} else {
 		// A point prediction carries no interval to calibrate; keep it for
 		// the capture statistics but exclude it from score quantiles and
 		// residual standardization.
-		r.excluded = true
+		r.Excluded = true
 	}
 	if len(o.RawQuantiles) == len(QuantileGridLevels) {
 		quantileRec(&r, o)
@@ -368,10 +341,10 @@ func (t *Tracker) Observe(o Outcome) (DriftEvent, bool) {
 	t.observed++
 	t.sinceReset++
 	t.lastTime = o.Time
-	if r.rawIn {
+	if r.RawIn {
 		t.cumRawIn++
 	}
-	if r.calIn {
+	if r.CalIn {
 		t.cumCalIn++
 	}
 	t.window = append(t.window, r)
@@ -395,8 +368,8 @@ func (t *Tracker) Observe(o Outcome) (DriftEvent, bool) {
 func (t *Tracker) rescaleLocked() {
 	scores := make([]float64, 0, len(t.window))
 	for _, r := range t.regimeWindowLocked() {
-		if !r.excluded {
-			scores = append(scores, r.score)
+		if !r.Excluded {
+			scores = append(scores, r.Score)
 		}
 	}
 	n := len(scores)
@@ -420,7 +393,7 @@ func (t *Tracker) rescaleLocked() {
 
 // regimeWindowLocked returns the suffix of the window belonging to the
 // current regime (the sinceReset most recent outcomes).
-func (t *Tracker) regimeWindowLocked() []rec {
+func (t *Tracker) regimeWindowLocked() []WindowRec {
 	if t.sinceReset >= len(t.window) {
 		return t.window
 	}
@@ -475,20 +448,20 @@ func (t *Tracker) Snapshot() Snapshot {
 	}
 	var rawIn, calIn int
 	for _, r := range t.window {
-		if r.rawIn {
+		if r.RawIn {
 			rawIn++
 		}
-		if r.calIn {
+		if r.CalIn {
 			calIn++
 		}
-		if r.qok {
-			s.MeanPIT += r.pit
+		if r.Qok {
+			s.MeanPIT += r.Pit
 			s.PITCount++
 		}
-		s.MeanSignedRelErr += r.signed
-		s.MeanAbsRelErr += r.abs
-		s.MeanRawWidth += r.rawW
-		s.MeanCalibratedWidth += r.calW
+		s.MeanSignedRelErr += r.Signed
+		s.MeanAbsRelErr += r.Abs
+		s.MeanRawWidth += r.RawW
+		s.MeanCalibratedWidth += r.CalW
 	}
 	if s.PITCount > 0 {
 		s.MeanPIT /= float64(s.PITCount)

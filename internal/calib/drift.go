@@ -22,28 +22,28 @@ const (
 // residual baseline of MinObserved outcomes accumulates for the current
 // regime, so the detector measures drift *within* a regime rather than the
 // transient of its own warmup.
-func (t *Tracker) detectLocked(r *rec) (DriftEvent, bool) {
-	if r.excluded {
+func (t *Tracker) detectLocked(r *WindowRec) (DriftEvent, bool) {
+	if r.Excluded {
 		return DriftEvent{}, false
 	}
 	// Phase 1: accumulate the regime's residual baseline.
 	if t.baseN < t.cfg.MinObserved {
 		t.baseN++
-		t.baseSum += r.z
-		r.armed = false
+		t.baseSum += r.Z
+		r.Armed = false
 		return DriftEvent{}, false
 	}
-	r.armed = true
+	r.Armed = true
 	base := t.baseSum / float64(t.baseN)
 
 	// Phase 2: two-sided CUSUM on the baseline-centered residual, in σ
 	// units of the raw interval. Slack k absorbs ordinary wander; a
 	// sustained shift accumulates toward the decision limit h.
-	d := r.z - base
+	d := r.Z - base
 	t.cusumPos = math.Max(0, t.cusumPos+d-t.cfg.CUSUMSlack)
 	t.cusumNeg = math.Max(0, t.cusumNeg-d-t.cfg.CUSUMSlack)
 	if stat := math.Max(t.cusumPos, t.cusumNeg); stat > t.cfg.CUSUMLimit {
-		return DriftEvent{Time: r.time, Seq: t.observed, Reason: ReasonCUSUM, Stat: stat}, true
+		return DriftEvent{Time: r.Time, Seq: t.observed, Reason: ReasonCUSUM, Stat: stat}, true
 	}
 
 	// Phase 3: periodic mode-count check. A regime whose residuals were
@@ -56,8 +56,8 @@ func (t *Tracker) detectLocked(r *rec) (DriftEvent, bool) {
 	t.sinceCheck = 0
 	zs := make([]float64, 0, len(t.window))
 	for _, w := range t.regimeWindowLocked() {
-		if !w.excluded {
-			zs = append(zs, w.z)
+		if !w.Excluded {
+			zs = append(zs, w.Z)
 		}
 	}
 	if len(zs) < 2*t.cfg.MinObserved {
@@ -73,7 +73,7 @@ func (t *Tracker) detectLocked(r *rec) (DriftEvent, bool) {
 		return DriftEvent{}, false
 	}
 	if t.baseModes == 1 && k >= 2 {
-		return DriftEvent{Time: r.time, Seq: t.observed, Reason: ReasonModeCount, Stat: float64(k)}, true
+		return DriftEvent{Time: r.Time, Seq: t.observed, Reason: ReasonModeCount, Stat: float64(k)}, true
 	}
 	return DriftEvent{}, false
 }

@@ -69,12 +69,12 @@ func buildGridLevels() []float64 {
 	return g
 }
 
-// quantileRec fills the rec's median-relative calibration ingredients and
+// quantileRec fills r's median-relative calibration ingredients and
 // realized quantile from a distribution-valued outcome. A grid with a
 // non-positive median or a degenerate (non-positive-width) side at any
 // level is left out of quantile calibration entirely — there is no offset
 // to rescale.
-func quantileRec(r *rec, o Outcome) {
+func quantileRec(r *WindowRec, o Outcome) {
 	n := len(IntervalLevels)
 	med := o.RawQuantiles[n]
 	if !(med > 0) {
@@ -85,15 +85,15 @@ func quantileRec(r *rec, o Outcome) {
 			return
 		}
 	}
-	r.qok = true
-	r.qsLo = make([]float64, n)
-	r.qsHi = make([]float64, n)
+	r.Qok = true
+	r.QsLo = make([]float64, n)
+	r.QsHi = make([]float64, n)
 	for i := range IntervalLevels {
-		r.qsLo[i] = (med - o.RawQuantiles[n-1-i]) / med
-		r.qsHi[i] = (o.RawQuantiles[n+1+i] - med) / med
+		r.QsLo[i] = (med - o.RawQuantiles[n-1-i]) / med
+		r.QsHi[i] = (o.RawQuantiles[n+1+i] - med) / med
 	}
-	r.qrel = o.Actual / med
-	r.pit = gridPIT(o.RawQuantiles, o.Actual)
+	r.QRel = o.Actual / med
+	r.Pit = gridPIT(o.RawQuantiles, o.Actual)
 }
 
 // gridPIT inverts the raw quantile grid at actual: the realized quantile,
@@ -145,8 +145,8 @@ func (t *Tracker) rescaleQuantilesLocked() {
 	}
 	resid := make([]float64, 0, len(t.window))
 	for i := range t.window {
-		if t.window[i].qok {
-			resid = append(resid, t.window[i].qrel-1)
+		if t.window[i].Qok {
+			resid = append(resid, t.window[i].QRel-1)
 		}
 	}
 	if len(resid) >= t.cfg.MinObserved {
@@ -156,9 +156,9 @@ func (t *Tracker) rescaleQuantilesLocked() {
 	}
 
 	regime := t.regimeWindowLocked()
-	qrecs := make([]rec, 0, len(regime))
+	qrecs := make([]WindowRec, 0, len(regime))
 	for _, r := range regime {
-		if r.qok {
+		if r.Qok {
 			qrecs = append(qrecs, r)
 		}
 	}
@@ -171,9 +171,9 @@ func (t *Tracker) rescaleQuantilesLocked() {
 			scores = scores[:0]
 			for _, r := range qrecs {
 				if side == 0 {
-					scores = append(scores, ((1+t.qShift)-r.qrel)/r.qsLo[i])
+					scores = append(scores, ((1+t.qShift)-r.QRel)/r.QsLo[i])
 				} else {
-					scores = append(scores, (r.qrel-(1+t.qShift))/r.qsHi[i])
+					scores = append(scores, (r.QRel-(1+t.qShift))/r.QsHi[i])
 				}
 			}
 			m := len(scores)

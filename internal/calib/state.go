@@ -2,30 +2,32 @@ package calib
 
 import "fmt"
 
-// WindowRec is one windowed outcome in exported form — the portable mirror
-// of the private rec.
+// WindowRec is one windowed outcome in reduced form: what the tracker's
+// rolling window holds and what State carries across a snapshot.
 type WindowRec struct {
 	ID       uint64
 	Time     float64
-	Z        float64
-	Score    float64
-	Signed   float64
-	Abs      float64
-	RawW     float64
-	CalW     float64
+	Z        float64 // standardized signed residual (actual-mean)/σ_raw
+	Score    float64 // nonconformity |actual-mean|/halfwidth_raw
+	Signed   float64 // signed relative error (actual-mean)/actual
+	Abs      float64 // |Signed|
+	RawW     float64 // raw interval full width
+	CalW     float64 // calibrated interval full width
 	RawIn    bool
 	CalIn    bool
-	Armed    bool
-	Excluded bool
-	// Distribution-valued fields (snapshot v2; zero-valued when restoring
-	// a v1 image, which leaves the rec out of quantile calibration). QsLo
-	// and QsHi are the side offsets of the raw grid as fractions of its
-	// median; QRel is actual/median.
+	Armed    bool // true once this outcome counted toward drift detection
+	Excluded bool // true when the raw prediction had no usable spread
+
+	// Distribution-valued fields, populated only when the outcome carried a
+	// raw quantile grid with positive offsets at every level (Qok). The
+	// side offsets and the actual are stored relative to the predictive
+	// median so the calibrator can re-score them under any candidate
+	// recentering shift.
 	Qok  bool
-	QsLo []float64
-	QsHi []float64
-	QRel float64
-	Pit  float64
+	QsLo []float64 // per-IntervalLevels (median - lo_L) / median
+	QsHi []float64 // per-IntervalLevels (hi_L - median) / median
+	QRel float64   // actual / median
+	Pit  float64   // realized quantile of actual under the raw grid
 }
 
 // State is the complete dynamic state of a Tracker in portable form, for
@@ -53,6 +55,14 @@ type State struct {
 	BaseModes  int
 }
 
+// clone returns r with its own copies of the side-offset slices, so a State
+// and the tracker it came from (or went into) never share storage.
+func (r WindowRec) clone() WindowRec {
+	r.QsLo = append([]float64(nil), r.QsLo...)
+	r.QsHi = append([]float64(nil), r.QsHi...)
+	return r
+}
+
 // ExportState returns a consistent copy of the tracker's full dynamic
 // state.
 func (t *Tracker) ExportState() State {
@@ -75,16 +85,7 @@ func (t *Tracker) ExportState() State {
 		BaseModes:  t.baseModes,
 	}
 	for i, r := range t.window {
-		st.Window[i] = WindowRec{
-			ID: r.id, Time: r.time, Z: r.z, Score: r.score,
-			Signed: r.signed, Abs: r.abs, RawW: r.rawW, CalW: r.calW,
-			RawIn: r.rawIn, CalIn: r.calIn, Armed: r.armed, Excluded: r.excluded,
-			Qok:  r.qok,
-			QsLo: append([]float64(nil), r.qsLo...),
-			QsHi: append([]float64(nil), r.qsHi...),
-			QRel: r.qrel,
-			Pit:  r.pit,
-		}
+		st.Window[i] = r.clone()
 	}
 	return st
 }
@@ -101,19 +102,10 @@ func (t *Tracker) ImportState(st State) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.window = make([]rec, len(st.Window))
+	t.window = make([]WindowRec, len(st.Window))
 	for i, r := range st.Window {
-		qok := r.Qok && len(r.QsLo) == len(IntervalLevels) && len(r.QsHi) == len(IntervalLevels)
-		t.window[i] = rec{
-			id: r.ID, time: r.Time, z: r.Z, score: r.Score,
-			signed: r.Signed, abs: r.Abs, rawW: r.RawW, calW: r.CalW,
-			rawIn: r.RawIn, calIn: r.CalIn, armed: r.Armed, excluded: r.Excluded,
-			qok:  qok,
-			qsLo: append([]float64(nil), r.QsLo...),
-			qsHi: append([]float64(nil), r.QsHi...),
-			qrel: r.QRel,
-			pit:  r.Pit,
-		}
+		t.window[i] = r.clone()
+		t.window[i].Qok = r.Qok && len(r.QsLo) == len(IntervalLevels) && len(r.QsHi) == len(IntervalLevels)
 	}
 	t.drifts = append([]DriftEvent(nil), st.Drifts...)
 	t.observed = st.Observed

@@ -69,11 +69,11 @@ func (l Link) Validate() error {
 	return nil
 }
 
-// Platform is a set of machines with a full link matrix.
+// Platform is a set of machines on one shared link.
 type Platform struct {
 	Name     string
 	Machines []Machine
-	links    [][]Link
+	link     Link
 }
 
 // NewPlatform builds a platform where every machine pair is connected by
@@ -95,92 +95,7 @@ func NewPlatform(name string, machines []Machine, shared Link) (*Platform, error
 		}
 		seen[m.Name] = true
 	}
-	p := &Platform{Name: name, Machines: append([]Machine(nil), machines...)}
-	n := len(machines)
-	p.links = make([][]Link, n)
-	for i := range p.links {
-		p.links[i] = make([]Link, n)
-		for j := range p.links[i] {
-			if i != j {
-				p.links[i][j] = shared
-			}
-		}
-	}
-	return p, nil
-}
-
-// NewPlatformWithLinks builds a platform with an explicit link matrix.
-// links must be a square matrix matching the machine count; diagonal
-// entries are ignored, all others must validate. Asymmetric matrices are
-// allowed (e.g. asymmetric routes), though the presets here are symmetric.
-func NewPlatformWithLinks(name string, machines []Machine, links [][]Link) (*Platform, error) {
-	if len(machines) == 0 {
-		return nil, errors.New("cluster: platform needs machines")
-	}
-	n := len(machines)
-	if len(links) != n {
-		return nil, fmt.Errorf("cluster: link matrix has %d rows for %d machines", len(links), n)
-	}
-	seen := map[string]bool{}
-	for _, m := range machines {
-		if err := m.Validate(); err != nil {
-			return nil, err
-		}
-		if seen[m.Name] {
-			return nil, fmt.Errorf("cluster: duplicate machine name %q", m.Name)
-		}
-		seen[m.Name] = true
-	}
-	p := &Platform{Name: name, Machines: append([]Machine(nil), machines...)}
-	p.links = make([][]Link, n)
-	for i := range links {
-		if len(links[i]) != n {
-			return nil, fmt.Errorf("cluster: link matrix row %d has %d entries for %d machines", i, len(links[i]), n)
-		}
-		p.links[i] = make([]Link, n)
-		for j := range links[i] {
-			if i == j {
-				continue
-			}
-			if err := links[i][j].Validate(); err != nil {
-				return nil, fmt.Errorf("cluster: link (%d,%d): %w", i, j, err)
-			}
-			p.links[i][j] = links[i][j]
-		}
-	}
-	return p, nil
-}
-
-// TwoClusterPlatform returns a metacomputing-style topology: two LANs of
-// two machines each on fast local ethernet, bridged by a much slower
-// wide-area link — the setting where decomposition decisions across the
-// bridge dominate performance.
-func TwoClusterPlatform() *Platform {
-	machines := []Machine{
-		Sparc10("site-a-1"), Sparc10("site-a-2"),
-		Sparc10("site-b-1"), Sparc10("site-b-2"),
-	}
-	lan := Ethernet10Mbit()
-	wan := Link{DedBW: 1.25e5, Latency: 30e-3} // 1 Mbit/s, 30 ms
-	links := make([][]Link, len(machines))
-	for i := range links {
-		links[i] = make([]Link, len(machines))
-		for j := range links[i] {
-			if i == j {
-				continue
-			}
-			if (i < 2) == (j < 2) {
-				links[i][j] = lan
-			} else {
-				links[i][j] = wan
-			}
-		}
-	}
-	p, err := NewPlatformWithLinks("two-cluster", machines, links)
-	if err != nil {
-		panic(err) // static configuration; cannot fail
-	}
-	return p
+	return &Platform{Name: name, Machines: append([]Machine(nil), machines...), link: shared}, nil
 }
 
 // Size returns the number of machines.
@@ -197,7 +112,7 @@ func (p *Platform) Link(i, j int) (Link, error) {
 	if i == j {
 		return Link{}, errors.New("cluster: no self link")
 	}
-	return p.links[i][j], nil
+	return p.link, nil
 }
 
 // MachineIndex returns the index of the machine with the given name.

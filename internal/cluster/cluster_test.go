@@ -129,71 +129,6 @@ func TestTwoMachineExample(t *testing.T) {
 	}
 }
 
-func TestNewPlatformWithLinksValidation(t *testing.T) {
-	ms := []Machine{Sparc2("a"), Sparc2("b")}
-	good := [][]Link{
-		{{}, Ethernet10Mbit()},
-		{Ethernet10Mbit(), {}},
-	}
-	p, err := NewPlatformWithLinks("p", ms, good)
-	if err != nil {
-		t.Fatalf("valid matrix failed: %v", err)
-	}
-	l, err := p.Link(0, 1)
-	if err != nil || l.DedBW != 1.25e6 {
-		t.Errorf("link=%+v err=%v", l, err)
-	}
-	if _, err := NewPlatformWithLinks("p", nil, nil); err == nil {
-		t.Error("no machines should fail")
-	}
-	if _, err := NewPlatformWithLinks("p", ms, good[:1]); err == nil {
-		t.Error("row count mismatch should fail")
-	}
-	ragged := [][]Link{{{}}, {Ethernet10Mbit(), {}}}
-	if _, err := NewPlatformWithLinks("p", ms, ragged); err == nil {
-		t.Error("ragged matrix should fail")
-	}
-	badLink := [][]Link{
-		{{}, {}}, // invalid off-diagonal link
-		{Ethernet10Mbit(), {}},
-	}
-	if _, err := NewPlatformWithLinks("p", ms, badLink); err == nil {
-		t.Error("invalid off-diagonal link should fail")
-	}
-	if _, err := NewPlatformWithLinks("p", []Machine{Sparc2("a"), Sparc2("a")}, good); err == nil {
-		t.Error("duplicate names should fail")
-	}
-	if _, err := NewPlatformWithLinks("p", []Machine{{Name: "x"}, Sparc2("b")}, good); err == nil {
-		t.Error("invalid machine should fail")
-	}
-}
-
-func TestTwoClusterPlatform(t *testing.T) {
-	p := TwoClusterPlatform()
-	if p.Size() != 4 {
-		t.Fatalf("size=%d", p.Size())
-	}
-	lan, err := p.Link(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wan, err := p.Link(1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wan.DedBW >= lan.DedBW {
-		t.Errorf("WAN bw %g should be below LAN %g", wan.DedBW, lan.DedBW)
-	}
-	if wan.Latency <= lan.Latency {
-		t.Errorf("WAN latency %g should exceed LAN %g", wan.Latency, lan.Latency)
-	}
-	// Symmetric.
-	back, _ := p.Link(2, 1)
-	if back != wan {
-		t.Error("bridge link should be symmetric")
-	}
-}
-
 func TestPlatform2FasterInAggregate(t *testing.T) {
 	sum := func(p *Platform) float64 {
 		var s float64

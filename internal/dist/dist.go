@@ -1,7 +1,6 @@
 // Package dist provides the continuous distribution families the
 // reproduction needs: Normal (the paper's workhorse summary), LogNormal and
-// Pareto (long-tailed system data, §2.1.1), Exponential and Uniform
-// (workload generation), truncated normals (CPU availability is confined to
+// Pareto (long-tailed system data, §2.1.1), truncated normals (CPU availability is confined to
 // [0,1]), and finite mixtures (multi-modal load, §2.1.2).
 //
 // Every distribution exposes PDF, CDF, Quantile, moments, and seeded
@@ -32,9 +31,6 @@ type Distribution interface {
 	// Sample draws one variate using rng.
 	Sample(rng *rand.Rand) float64
 }
-
-// StdDev returns the standard deviation of d.
-func StdDev(d Distribution) float64 { return math.Sqrt(d.Variance()) }
 
 // SampleN draws n variates from d using rng.
 func SampleN(d Distribution, rng *rand.Rand, n int) []float64 {
@@ -172,106 +168,6 @@ func (l LogNormal) Variance() float64 {
 // Sample implements Distribution.
 func (l LogNormal) Sample(rng *rand.Rand) float64 {
 	return math.Exp(l.MuLog + l.SigmaLog*rng.NormFloat64())
-}
-
-// Exponential is the exponential distribution with the given Rate > 0.
-type Exponential struct {
-	Rate float64
-}
-
-// NewExponential constructs an Exponential, validating rate > 0.
-func NewExponential(rate float64) (Exponential, error) {
-	if !(rate > 0) || math.IsInf(rate, 0) {
-		return Exponential{}, fmt.Errorf("dist: invalid exponential rate %g", rate)
-	}
-	return Exponential{Rate: rate}, nil
-}
-
-// PDF implements Distribution.
-func (e Exponential) PDF(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	return e.Rate * math.Exp(-e.Rate*x)
-}
-
-// CDF implements Distribution.
-func (e Exponential) CDF(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	return 1 - math.Exp(-e.Rate*x)
-}
-
-// Quantile implements Distribution.
-func (e Exponential) Quantile(p float64) float64 {
-	if p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return math.Inf(1)
-	}
-	return -math.Log(1-p) / e.Rate
-}
-
-// Mean implements Distribution.
-func (e Exponential) Mean() float64 { return 1 / e.Rate }
-
-// Variance implements Distribution.
-func (e Exponential) Variance() float64 { return 1 / (e.Rate * e.Rate) }
-
-// Sample implements Distribution.
-func (e Exponential) Sample(rng *rand.Rand) float64 {
-	return rng.ExpFloat64() / e.Rate
-}
-
-// Uniform is the continuous uniform distribution on [Lo, Hi].
-type Uniform struct {
-	Lo, Hi float64
-}
-
-// NewUniform constructs a Uniform, validating hi > lo.
-func NewUniform(lo, hi float64) (Uniform, error) {
-	if !(hi > lo) {
-		return Uniform{}, fmt.Errorf("dist: invalid uniform range [%g,%g]", lo, hi)
-	}
-	return Uniform{Lo: lo, Hi: hi}, nil
-}
-
-// PDF implements Distribution.
-func (u Uniform) PDF(x float64) float64 {
-	if x < u.Lo || x > u.Hi {
-		return 0
-	}
-	return 1 / (u.Hi - u.Lo)
-}
-
-// CDF implements Distribution.
-func (u Uniform) CDF(x float64) float64 {
-	switch {
-	case x < u.Lo:
-		return 0
-	case x > u.Hi:
-		return 1
-	}
-	return (x - u.Lo) / (u.Hi - u.Lo)
-}
-
-// Quantile implements Distribution.
-func (u Uniform) Quantile(p float64) float64 { return u.Lo + p*(u.Hi-u.Lo) }
-
-// Mean implements Distribution.
-func (u Uniform) Mean() float64 { return (u.Lo + u.Hi) / 2 }
-
-// Variance implements Distribution.
-func (u Uniform) Variance() float64 {
-	w := u.Hi - u.Lo
-	return w * w / 12
-}
-
-// Sample implements Distribution.
-func (u Uniform) Sample(rng *rand.Rand) float64 {
-	return u.Lo + rng.Float64()*(u.Hi-u.Lo)
 }
 
 // Pareto is the Pareto (type I) distribution with scale Xm > 0 and shape

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // Mixture is a finite mixture of component distributions with non-negative
@@ -49,10 +48,6 @@ func NewMixture(components []Distribution, weights []float64) (*Mixture, error) 
 // Components returns the component distributions. Callers must not modify
 // the returned slice.
 func (m *Mixture) Components() []Distribution { return m.components }
-
-// Weights returns the normalized weights. Callers must not modify the
-// returned slice.
-func (m *Mixture) Weights() []float64 { return m.weights }
 
 // K returns the number of components.
 func (m *Mixture) K() int { return len(m.components) }
@@ -157,29 +152,4 @@ func (m *Mixture) PickComponent(rng *rand.Rand) int {
 		}
 	}
 	return len(m.weights) - 1 // round-off guard
-}
-
-// SortedByMean returns a copy of the mixture with components ordered by
-// ascending mean, convenient for labeling modes the way the paper does
-// ("the center mode").
-func (m *Mixture) SortedByMean() *Mixture {
-	idx := make([]int, m.K())
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		return m.components[idx[a]].Mean() < m.components[idx[b]].Mean()
-	})
-	comps := make([]Distribution, m.K())
-	ws := make([]float64, m.K())
-	for i, j := range idx {
-		comps[i] = m.components[j]
-		ws[i] = m.weights[j]
-	}
-	out, err := NewMixture(comps, ws)
-	if err != nil {
-		// Cannot happen: inputs came from a valid mixture.
-		panic(err)
-	}
-	return out
 }

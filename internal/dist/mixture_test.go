@@ -60,7 +60,7 @@ func TestMixtureWeightNormalization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := m.Weights()
+	w := m.weights
 	if !almostEqual(w[0], 0.25, 1e-12) || !almostEqual(w[1], 0.75, 1e-12) {
 		t.Errorf("weights=%v", w)
 	}
@@ -122,27 +122,6 @@ func TestMixtureQuantileMonotone(t *testing.T) {
 	// Edge p values are clamped, not NaN.
 	if math.IsNaN(m.Quantile(0)) || math.IsNaN(m.Quantile(1)) {
 		t.Error("edge quantiles NaN")
-	}
-}
-
-func TestMixtureSortedByMean(t *testing.T) {
-	m, err := NewMixture(
-		[]Distribution{Normal{Mu: 0.94, Sigma: 0.02}, Normal{Mu: 0.33, Sigma: 0.03}},
-		[]float64{0.6, 0.4},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := m.SortedByMean()
-	if s.Components()[0].Mean() != 0.33 || s.Components()[1].Mean() != 0.94 {
-		t.Errorf("not sorted: %g %g", s.Components()[0].Mean(), s.Components()[1].Mean())
-	}
-	if !almostEqual(s.Weights()[0], 0.4, 1e-12) {
-		t.Errorf("weight did not follow component: %v", s.Weights())
-	}
-	// Original untouched.
-	if m.Components()[0].Mean() != 0.94 {
-		t.Error("SortedByMean mutated the receiver")
 	}
 }
 

@@ -37,12 +37,6 @@ func NewTruncatedNormal(mu, sigma, lo, hi float64) (TruncatedNormal, error) {
 	return TruncatedNormal{base: base, lo: lo, hi: hi, cdfLo: cdfLo, cdfHi: cdfHi}, nil
 }
 
-// Base returns the untruncated normal.
-func (t TruncatedNormal) Base() Normal { return t.base }
-
-// Bounds returns the truncation interval.
-func (t TruncatedNormal) Bounds() (lo, hi float64) { return t.lo, t.hi }
-
 func (t TruncatedNormal) mass() float64 { return t.cdfHi - t.cdfLo }
 
 // PDF implements Distribution.

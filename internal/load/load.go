@@ -151,10 +151,6 @@ type ModeSpec struct {
 type MarkovModal struct {
 	c     *cache
 	modes []ModeSpec
-	// trace of mode indices, parallel to the cache, for tests and for
-	// occupancy ground truth.
-	mu        sync.Mutex
-	modeTrace []int
 }
 
 // NewMarkovModal constructs a bursty modal process. switchProb is the
@@ -216,9 +212,6 @@ func NewMarkovModal(modes []ModeSpec, weights []float64, switchProb, phi, dt flo
 			prev = math.NaN()
 		}
 		m := modes[cur]
-		mm.mu.Lock()
-		mm.modeTrace = append(mm.modeTrace, cur)
-		mm.mu.Unlock()
 		if math.IsNaN(prev) {
 			return clamp01(m.Mean + m.Sigma*rng.NormFloat64())
 		}
@@ -234,19 +227,6 @@ func (m *MarkovModal) At(t float64) float64 { return m.c.at(t) }
 
 // Interval implements Process.
 func (m *MarkovModal) Interval() float64 { return m.c.dt }
-
-// ModeAt returns the index of the mode in force at time t (forcing
-// generation up to t).
-func (m *MarkovModal) ModeAt(t float64) int {
-	m.c.at(t)
-	idx := int(math.Max(t, 0) / m.c.dt)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if idx >= len(m.modeTrace) {
-		idx = len(m.modeTrace) - 1
-	}
-	return m.modeTrace[idx]
-}
 
 // Modes returns the mode specifications.
 func (m *MarkovModal) Modes() []ModeSpec { return m.modes }
@@ -409,9 +389,6 @@ func (s *Switch) At(t float64) float64 {
 
 // Interval implements Process: the finer of the two component ticks.
 func (s *Switch) Interval() float64 { return s.dt }
-
-// SwitchTime returns the regime-change instant.
-func (s *Switch) SwitchTime() float64 { return s.at }
 
 // Record samples the process every dt from t0 to t1 and returns the series,
 // the shape consumed by histogram figures and by modal fitting.

@@ -99,9 +99,6 @@ func (h *HostMonitor) Sample() (float64, error) {
 // Len returns the number of stored measurements.
 func (h *HostMonitor) Len() int { return h.ring.Len() }
 
-// History returns the stored availability values, oldest first.
-func (h *HostMonitor) History() []float64 { return h.ring.Values() }
-
 // Forecast reports the NWS prediction of the host's availability from the
 // measurements taken so far.
 func (h *HostMonitor) Forecast() (Forecast, error) {

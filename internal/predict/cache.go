@@ -23,10 +23,10 @@ import (
 // the clock read lock for the whole lookup-or-compute, and the swap happens
 // only while no reader is inside.
 //
-// Per-request state (ledger ID, calibration multiplier, accuracy snapshot)
-// is deliberately not cached: each hit still issues a fresh ID and applies
-// the calibrator's current scale, so the Observe feedback loop behaves
-// exactly as it does on the uncached path.
+// Per-request state (ledger ID, calibration multiplier) is deliberately
+// not cached: each hit still issues a fresh ID and applies the calibrator's
+// current scale, so the Observe feedback loop behaves exactly as it does on
+// the uncached path.
 type tickCache struct {
 	mu      sync.RWMutex
 	gen     uint64

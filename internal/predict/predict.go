@@ -35,7 +35,6 @@
 package predict
 
 import (
-	"prodpred/internal/calib"
 	"prodpred/internal/nws"
 	"prodpred/internal/sched"
 	"prodpred/internal/sor"
@@ -196,8 +195,6 @@ type Prediction struct {
 	// CalibrationScale is the half-width multiplier Value was produced
 	// with (Value.Spread = CalibrationScale × Raw.Spread).
 	CalibrationScale float64
-	// Calibration is the platform's online accuracy state at issue time.
-	Calibration calib.Snapshot
 	// Partition is the strip decomposition the model was evaluated
 	// against (the pinned one, or the one chosen from current loads).
 	Partition *sor.Partition

@@ -11,18 +11,13 @@ import (
 	"prodpred/internal/obs"
 )
 
-// DefaultRegistryShards is how many independently locked shards platform
-// names are consistent-hashed across when RegistryOptions.Shards is zero.
-const DefaultRegistryShards = 32
-
-// ringVNodes is the number of virtual nodes each shard contributes to the
-// hash ring; more vnodes spread tenants more evenly across shards.
-const ringVNodes = 64
+// registryShards is how many independently locked shards platform names
+// are spread across. The count never changes while a registry lives and
+// shard assignment is never serialised, so a plain hash modulo does the job.
+const registryShards = 32
 
 // RegistryOptions tunes a fleet registry.
 type RegistryOptions struct {
-	// Shards is the number of lock shards (DefaultRegistryShards when 0).
-	Shards int
 	// Metrics, when non-nil, instruments every lazily instantiated service
 	// (eagerly Register()ed services carry whatever their Config chose).
 	Metrics *obs.Registry
@@ -30,15 +25,14 @@ type RegistryOptions struct {
 
 // Registry routes requests to the Service owning the named platform — the
 // multi-tenant front a serving daemon puts before its fleet. Platform
-// names are consistent-hashed across independently locked shards, so
+// names are hashed across independently locked shards, so
 // Lookup and PredictBatch on thousands of tenants never contend on one
 // registry-wide mutex. Platforms register either as live services
 // (Register) or as declarative specs (RegisterSpec) that instantiate
 // lazily — build, warm up, publish — on the first request that names
 // them. Safe for concurrent use.
 type Registry struct {
-	shards  []registryShard
-	ring    []ringPoint
+	shards  [registryShards]registryShard
 	metrics *obs.Registry
 
 	// countMu guards the registration count and the sole-platform name the
@@ -71,52 +65,20 @@ type platformEntry struct {
 	err   error
 }
 
-// ringPoint is one virtual node on the consistent-hash ring.
-type ringPoint struct {
-	hash  uint64
-	shard uint32
-}
-
 // NewRegistry returns an empty registry with default options.
 func NewRegistry() *Registry {
 	return NewRegistryWith(RegistryOptions{})
 }
 
-// NewRegistryWith returns an empty registry with the given shard count and
+// NewRegistryWith returns an empty registry with the given
 // instrumentation.
 func NewRegistryWith(opts RegistryOptions) *Registry {
-	n := opts.Shards
-	if n <= 0 {
-		n = DefaultRegistryShards
-	}
-	r := &Registry{
-		shards:  make([]registryShard, n),
-		ring:    buildRing(n),
-		metrics: opts.Metrics,
-	}
+	r := &Registry{metrics: opts.Metrics}
 	for i := range r.shards {
 		r.shards[i].services = make(map[string]*Service)
 		r.shards[i].entries = make(map[string]*platformEntry)
 	}
 	return r
-}
-
-// buildRing hashes ringVNodes virtual nodes per shard onto a sorted ring.
-func buildRing(shards int) []ringPoint {
-	ring := make([]ringPoint, 0, shards*ringVNodes)
-	var key [16]byte
-	for s := 0; s < shards; s++ {
-		for v := 0; v < ringVNodes; v++ {
-			n := copy(key[:], "shard")
-			key[n] = byte(s)
-			key[n+1] = byte(s >> 8)
-			key[n+2] = byte(v)
-			key[n+3] = byte(v >> 8)
-			ring = append(ring, ringPoint{hash: fnv64a(string(key[:n+4])), shard: uint32(s)})
-		}
-	}
-	sort.Slice(ring, func(i, j int) bool { return ring[i].hash < ring[j].hash })
-	return ring
 }
 
 // fnv64a is an inline FNV-1a so the per-request hash allocates nothing.
@@ -133,15 +95,10 @@ func fnv64a(s string) uint64 {
 	return h
 }
 
-// shardFor maps a platform name to its shard: the first ring point at or
-// clockwise after the name's hash.
+// shardFor maps a platform name to its shard: FNV-1a modulo the shard
+// count.
 func (r *Registry) shardFor(name string) *registryShard {
-	h := fnv64a(name)
-	i := sort.Search(len(r.ring), func(i int) bool { return r.ring[i].hash >= h })
-	if i == len(r.ring) {
-		i = 0
-	}
-	return &r.shards[r.ring[i].shard]
+	return &r.shards[fnv64a(name)%registryShards]
 }
 
 // registered records a new registration for the empty-name resolution

@@ -153,33 +153,6 @@ func TestRegistryDuplicateRegistration(t *testing.T) {
 	}
 }
 
-// TestRegistryShardedRouting exercises routing across many tenants and
-// shard counts: every registered name must resolve to its own service.
-func TestRegistryShardedRouting(t *testing.T) {
-	for _, shards := range []int{1, 4, 32} {
-		reg := predict.NewRegistryWith(predict.RegistryOptions{Shards: shards})
-		specs := predict.FleetSpecs(64, 7)
-		for _, spec := range specs {
-			spec.Warmup = 0
-			if err := reg.RegisterSpec(spec); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, spec := range specs {
-			svc, err := reg.Lookup(spec.Name)
-			if err != nil {
-				t.Fatalf("shards=%d: %v", shards, err)
-			}
-			if svc.Name() != spec.Name {
-				t.Fatalf("shards=%d: lookup %q routed to %q", shards, spec.Name, svc.Name())
-			}
-		}
-		if got := len(reg.Names()); got != 64 {
-			t.Fatalf("shards=%d: Names lists %d, want 64", shards, got)
-		}
-	}
-}
-
 // TestRegistryRetire asserts retiring a tenant removes it from lookup and
 // the roster with the bounded miss error, keeps already-held services
 // usable, and re-derives the empty-name sole-platform resolution.

@@ -622,7 +622,7 @@ func (s *Service) PredictBatch(reqs []Request) ([]Prediction, []error) {
 
 // predictShared resolves one request under the shared clock lock: validate,
 // fetch-or-compute the tick-scoped pipeline core, then apply the
-// per-request overlay (calibration, ledger ID, accuracy snapshot).
+// per-request overlay (calibration, ledger ID).
 func (s *Service) predictShared(req Request) (Prediction, error) {
 	if err := s.checkPlatform(req.Platform); err != nil {
 		return Prediction{}, err
@@ -844,8 +844,8 @@ func dominantForecaster(dists []nws.LoadDist) string {
 // finishPrediction applies the per-request overlay to a (possibly shared)
 // pipeline core: the calibrator's current multiplier, the per-level
 // quantile calibration of the distribution grid (and any requested
-// intervals), a fresh ledger ID, and the accuracy snapshot at issue time.
-// The overlay runs identically on cached and uncached cores.
+// intervals), and a fresh ledger ID. The overlay runs identically on cached
+// and uncached cores.
 //
 // The distribution grid resolves lazily here: only requests that ask
 // (Distribution set, or any interval levels) trigger the Monte Carlo
@@ -896,7 +896,6 @@ func (s *Service) finishPrediction(core *predictionCore, req Request) Prediction
 		Value:            cal,
 		Raw:              core.raw,
 		CalibrationScale: scale,
-		Calibration:      s.tracker.Snapshot(),
 		Partition:        core.partition,
 		Time:             core.time,
 		Loads:            core.loads,
@@ -981,8 +980,9 @@ func (s *Service) Observe(id uint64, actual float64) (calib.Snapshot, error) {
 		Actual:       actual,
 		RawQuantiles: ip.rawQ,
 	})
-	s.metrics.recordObserve(s.tracker.Scale(), outstanding, drifted)
-	return s.tracker.Snapshot(), nil
+	snap := s.tracker.Snapshot()
+	s.metrics.recordObserve(snap.Scale, outstanding, drifted)
+	return snap, nil
 }
 
 // Accuracy returns the platform's online accuracy and calibration state.

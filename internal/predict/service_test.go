@@ -1,6 +1,8 @@
 package predict_test
 
 import (
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -429,9 +431,74 @@ func TestObserveCalibratesIntervals(t *testing.T) {
 	if pred.Value.Mean != pred.Raw.Mean {
 		t.Error("calibration must not move the mean")
 	}
-	if pred.Calibration.Scale != pred.CalibrationScale {
-		t.Errorf("diagnostics scale %g != applied scale %g",
-			pred.Calibration.Scale, pred.CalibrationScale)
+	if got := svc.Accuracy().Scale; got != pred.CalibrationScale {
+		t.Errorf("diagnostics scale %g != applied scale %g", got, pred.CalibrationScale)
+	}
+}
+
+// TestPredictHitAllocIndependentOfDriftLog: what a cached Predict allocates
+// must not depend on how much history the platform's tracker has logged.
+// The drift log is append-only, so anything on the hit path that copies it
+// makes a hit cost more the longer the daemon has been up.
+func TestPredictHitAllocIndependentOfDriftLog(t *testing.T) {
+	const wantDrifts, hits = 200, 1000
+	req := baseRequest()
+	quiet := burstyService(t, 13, 300, nil)
+	drifted := burstyService(t, 13, 300, nil)
+
+	// Feed drifted wrong actuals in alternating regimes — dead centre for a
+	// baseline's worth of outcomes, then ten sigma out, and back — so the
+	// CUSUM fires at every flip. quiet gets as many dead-centre outcomes,
+	// which leaves the two ledgers in the same state and its log empty.
+	drifts, observes := 0, 0
+	for high := false; drifts < wantDrifts; observes++ {
+		if observes > 100*wantDrifts {
+			t.Fatalf("only %d drift events after %d observes", drifts, observes)
+		}
+		pred, err := drifted.Predict(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		actual := pred.Raw.Mean
+		if high {
+			actual += 5 * pred.Raw.Spread
+		}
+		snap, err := drifted.Observe(pred.ID, actual)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drifts = len(snap.Drifts)
+		if snap.SinceReset == calib.DefaultMinObserved {
+			high = !high
+		}
+	}
+	for i := 0; i < observes; i++ {
+		pred, err := quiet.Predict(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := quiet.Observe(pred.ID, pred.Raw.Mean); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(quiet.Accuracy().Drifts); n != 0 {
+		t.Fatalf("dead-centre outcomes logged %d drift events", n)
+	}
+
+	perHit := func(svc *predict.Service) float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < hits; i++ {
+			if _, err := svc.Predict(req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / hits
+	}
+	q, d := perHit(quiet), perHit(drifted)
+	if math.Abs(d-q) > 0.05*q {
+		t.Errorf("a cached Predict allocates %.0f B with %d drift events logged, %.0f B with none", d, drifts, q)
 	}
 }
 

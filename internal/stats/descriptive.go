@@ -105,16 +105,6 @@ func Max(xs []float64) (float64, error) {
 	return m, nil
 }
 
-// Range returns max-min of xs, or an error if xs is empty.
-func Range(xs []float64) (float64, error) {
-	lo, err := Min(xs)
-	if err != nil {
-		return 0, err
-	}
-	hi, _ := Max(xs)
-	return hi - lo, nil
-}
-
 // Median returns the median of xs (average of the two central order
 // statistics for even n). It returns an error for an empty sample.
 func Median(xs []float64) (float64, error) {
@@ -260,41 +250,4 @@ func Coverage(xs []float64, lo, hi float64) float64 {
 func CoverageSigma(xs []float64, k float64) float64 {
 	m, s := MeanStd(xs)
 	return Coverage(xs, m-k*s, m+k*s)
-}
-
-// WeightedMean returns the mean of xs weighted by ws. The weights must be
-// non-negative and not all zero, and len(ws) must equal len(xs).
-func WeightedMean(xs, ws []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if len(xs) != len(ws) {
-		return 0, errors.New("stats: weight length mismatch")
-	}
-	var num, den float64
-	for i, x := range xs {
-		if ws[i] < 0 {
-			return 0, errors.New("stats: negative weight")
-		}
-		num += ws[i] * x
-		den += ws[i]
-	}
-	if den == 0 {
-		return 0, errors.New("stats: zero total weight")
-	}
-	return num / den, nil
-}
-
-// Standardize returns (xs - mean)/std elementwise. If the sample standard
-// deviation is zero it returns a zero slice of the same length.
-func Standardize(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	m, s := MeanStd(xs)
-	if s == 0 {
-		return out
-	}
-	for i, x := range xs {
-		out[i] = (x - m) / s
-	}
-	return out
 }

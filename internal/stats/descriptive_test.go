@@ -79,18 +79,11 @@ func TestMinMaxRange(t *testing.T) {
 	if err != nil || hi != 6 {
 		t.Errorf("Max=%g,%v want 6", hi, err)
 	}
-	r, err := Range(xs)
-	if err != nil || r != 15 {
-		t.Errorf("Range=%g,%v want 15", r, err)
-	}
 	if _, err := Min(nil); err != ErrEmpty {
 		t.Errorf("Min(nil) err=%v want ErrEmpty", err)
 	}
 	if _, err := Max(nil); err != ErrEmpty {
 		t.Errorf("Max(nil) err=%v want ErrEmpty", err)
-	}
-	if _, err := Range(nil); err != ErrEmpty {
-		t.Errorf("Range(nil) err=%v want ErrEmpty", err)
 	}
 }
 
@@ -242,42 +235,6 @@ func TestCoverageSigmaNormal(t *testing.T) {
 	}
 }
 
-func TestWeightedMean(t *testing.T) {
-	got, err := WeightedMean([]float64{1, 2, 3}, []float64{1, 1, 2})
-	if err != nil || !almostEqual(got, 2.25, 1e-12) {
-		t.Errorf("WeightedMean=%g,%v want 2.25", got, err)
-	}
-	if _, err := WeightedMean(nil, nil); err != ErrEmpty {
-		t.Errorf("empty err=%v", err)
-	}
-	if _, err := WeightedMean([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("length mismatch should error")
-	}
-	if _, err := WeightedMean([]float64{1}, []float64{-1}); err == nil {
-		t.Error("negative weight should error")
-	}
-	if _, err := WeightedMean([]float64{1, 2}, []float64{0, 0}); err == nil {
-		t.Error("zero total weight should error")
-	}
-}
-
-func TestStandardize(t *testing.T) {
-	xs := []float64{2, 4, 6}
-	z := Standardize(xs)
-	if !almostEqual(Mean(z), 0, 1e-12) {
-		t.Errorf("standardized mean=%g", Mean(z))
-	}
-	if !almostEqual(StdDev(z), 1, 1e-12) {
-		t.Errorf("standardized std=%g", StdDev(z))
-	}
-	z2 := Standardize([]float64{3, 3, 3})
-	for _, v := range z2 {
-		if v != 0 {
-			t.Errorf("degenerate standardize=%v", z2)
-		}
-	}
-}
-
 // Property: mean lies within [min, max] and variance is non-negative.
 func TestMeanVarianceProperties(t *testing.T) {
 	f := func(raw []float64) bool {
@@ -299,32 +256,6 @@ func TestMeanVarianceProperties(t *testing.T) {
 		return Variance(xs) >= 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: standardizing is shift/scale invariant in the right way.
-func TestStandardizeProperty(t *testing.T) {
-	f := func(shift float64, scaleRaw float64) bool {
-		if math.IsNaN(shift) || math.IsInf(shift, 0) || math.Abs(shift) > 1e6 {
-			return true
-		}
-		scale := 1 + math.Abs(math.Mod(scaleRaw, 5))
-		xs := []float64{1, 2, 4, 8, 16}
-		ys := make([]float64, len(xs))
-		for i, x := range xs {
-			ys[i] = x*scale + shift
-		}
-		zx := Standardize(xs)
-		zy := Standardize(ys)
-		for i := range zx {
-			if !almostEqual(zx[i], zy[i], 1e-6) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }

@@ -29,9 +29,6 @@ func (e *ECDF) At(x float64) float64 {
 	return float64(i) / float64(len(e.sorted))
 }
 
-// N returns the number of observations.
-func (e *ECDF) N() int { return len(e.sorted) }
-
 // Quantile returns the q-th empirical quantile (type-7 interpolation).
 func (e *ECDF) Quantile(q float64) (float64, error) {
 	// The sample is already sorted; reuse the package Quantile on it. It

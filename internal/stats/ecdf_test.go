@@ -26,9 +26,6 @@ func TestECDFAt(t *testing.T) {
 			t.Errorf("At(%g)=%g want %g", c.x, got, c.want)
 		}
 	}
-	if e.N() != 4 {
-		t.Errorf("N=%d", e.N())
-	}
 }
 
 func TestECDFTies(t *testing.T) {

@@ -10,7 +10,7 @@ import (
 type GOFResult struct {
 	Statistic float64
 	PValue    float64
-	DF        int // degrees of freedom for chi-square; 0 otherwise
+	DF        int // degrees of freedom of a chi-square statistic; 0 otherwise
 }
 
 // Reject reports whether the null hypothesis is rejected at significance
@@ -46,64 +46,6 @@ func KolmogorovSmirnov(xs []float64, cdf func(float64) float64) (GOFResult, erro
 	return GOFResult{Statistic: d, PValue: KolmogorovSurvival(lambda)}, nil
 }
 
-// ChiSquareGOF runs Pearson's chi-square goodness-of-fit test of the sample
-// histogram h against a hypothesized CDF. Bins with expected count < 5 are
-// merged with their right neighbor (and the trailing remainder with the last
-// kept bin), the standard remedy for sparse tails. fittedParams is the
-// number of distribution parameters estimated from the same data (2 for a
-// fitted normal); it reduces the degrees of freedom.
-func ChiSquareGOF(h *Histogram, cdf func(float64) float64, fittedParams int) (GOFResult, error) {
-	if h.N == 0 {
-		return GOFResult{}, ErrEmpty
-	}
-	type bin struct{ obs, exp float64 }
-	var bins []bin
-	total := float64(h.N)
-	for i := range h.Counts {
-		lo, hi := h.BinEdges(i)
-		pLo, pHi := cdf(lo), cdf(hi)
-		if i == 0 {
-			pLo = 0 // fold the left tail into the first bin
-		}
-		if i == len(h.Counts)-1 {
-			pHi = 1 // fold the right tail into the last bin
-		}
-		bins = append(bins, bin{obs: float64(h.Counts[i]), exp: total * (pHi - pLo)})
-	}
-	// Merge sparse bins rightward.
-	var merged []bin
-	var acc bin
-	for _, b := range bins {
-		acc.obs += b.obs
-		acc.exp += b.exp
-		if acc.exp >= 5 {
-			merged = append(merged, acc)
-			acc = bin{}
-		}
-	}
-	if acc.exp > 0 || acc.obs > 0 {
-		if len(merged) == 0 {
-			merged = append(merged, acc)
-		} else {
-			merged[len(merged)-1].obs += acc.obs
-			merged[len(merged)-1].exp += acc.exp
-		}
-	}
-	df := len(merged) - 1 - fittedParams
-	if df < 1 {
-		return GOFResult{}, errors.New("stats: too few usable bins for chi-square test")
-	}
-	stat := 0.0
-	for _, b := range merged {
-		if b.exp <= 0 {
-			continue
-		}
-		d := b.obs - b.exp
-		stat += d * d / b.exp
-	}
-	return GOFResult{Statistic: stat, PValue: ChiSquareSurvival(stat, df), DF: df}, nil
-}
-
 // JarqueBera runs the Jarque-Bera normality test on xs: the statistic
 // n/6*(S^2 + K^2/4) is asymptotically chi-square with 2 degrees of freedom
 // under normality (S = skewness, K = excess kurtosis).
@@ -116,30 +58,4 @@ func JarqueBera(xs []float64) (GOFResult, error) {
 	k := ExcessKurtosis(xs)
 	stat := float64(n) / 6 * (s*s + k*k/4)
 	return GOFResult{Statistic: stat, PValue: ChiSquareSurvival(stat, 2), DF: 2}, nil
-}
-
-// Autocorrelation returns the sample autocorrelation of xs at the given
-// lags. Lags outside [1, n-2] yield NaN. NWS-style forecasters use this to
-// decide whether recent history is informative.
-func Autocorrelation(xs []float64, lags []int) []float64 {
-	out := make([]float64, len(lags))
-	n := len(xs)
-	m := Mean(xs)
-	var denom float64
-	for _, x := range xs {
-		d := x - m
-		denom += d * d
-	}
-	for i, lag := range lags {
-		if lag < 1 || lag >= n-1 || denom == 0 {
-			out[i] = math.NaN()
-			continue
-		}
-		var num float64
-		for t := 0; t+lag < n; t++ {
-			num += (xs[t] - m) * (xs[t+lag] - m)
-		}
-		out[i] = num / denom
-	}
-	return out
 }

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -74,72 +73,6 @@ func TestKSStatisticBounds(t *testing.T) {
 	}
 }
 
-func TestChiSquareGOFAcceptsTrueDistribution(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	xs := make([]float64, 2000)
-	for i := range xs {
-		xs[i] = 10 + 3*rng.NormFloat64()
-	}
-	h, _ := NewHistogram(xs, 0, 20, 20)
-	res, err := ChiSquareGOF(h, normalCDFWith(10, 3), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Reject(0.005) {
-		t.Errorf("chi-square rejected true distribution: stat=%g p=%g df=%d",
-			res.Statistic, res.PValue, res.DF)
-	}
-}
-
-func TestChiSquareGOFRejectsWrongDistribution(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	xs := make([]float64, 2000)
-	for i := range xs {
-		xs[i] = rng.ExpFloat64() * 3
-	}
-	h, _ := NewHistogram(xs, 0, 20, 20)
-	res, err := ChiSquareGOF(h, normalCDFWith(3, 3), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Reject(0.01) {
-		t.Errorf("chi-square failed to reject: stat=%g p=%g", res.Statistic, res.PValue)
-	}
-}
-
-func TestChiSquareGOFErrors(t *testing.T) {
-	empty := &Histogram{Lo: 0, Hi: 1, Counts: []int{0, 0}, N: 0}
-	if _, err := ChiSquareGOF(empty, normalCDFWith(0, 1), 0); err != ErrEmpty {
-		t.Errorf("empty err=%v", err)
-	}
-	// A single usable bin leaves no degrees of freedom.
-	tiny := &Histogram{Lo: 0, Hi: 1, Counts: []int{6}, N: 6}
-	if _, err := ChiSquareGOF(tiny, normalCDFWith(0.5, 0.2), 0); err == nil {
-		t.Error("df<1 should error")
-	}
-}
-
-func TestChiSquareGOFSparseBinMerging(t *testing.T) {
-	// Heavily skewed histogram: most bins sparse; merging must still give a
-	// valid df >= 1 result.
-	rng := rand.New(rand.NewSource(23))
-	xs := make([]float64, 300)
-	for i := range xs {
-		xs[i] = 8 + 0.5*rng.NormFloat64()
-	}
-	h, _ := NewHistogram(xs, 0, 16, 64) // mostly empty bins
-	res, err := ChiSquareGOF(h, normalCDFWith(8, 0.5), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.DF < 1 {
-		t.Errorf("df=%d", res.DF)
-	}
-	if res.Reject(0.005) {
-		t.Errorf("rejected true dist after merging: p=%g", res.PValue)
-	}
-}
-
 func TestJarqueBera(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	normal := make([]float64, 1000)
@@ -166,39 +99,6 @@ func TestJarqueBera(t *testing.T) {
 	}
 	if _, err := JarqueBera([]float64{1, 2, 3}); err == nil {
 		t.Error("JB on tiny sample should error")
-	}
-}
-
-func TestAutocorrelation(t *testing.T) {
-	// A strongly autocorrelated AR(1) series.
-	rng := rand.New(rand.NewSource(41))
-	n := 2000
-	xs := make([]float64, n)
-	for i := 1; i < n; i++ {
-		xs[i] = 0.9*xs[i-1] + rng.NormFloat64()
-	}
-	ac := Autocorrelation(xs, []int{1, 5, 0, n})
-	if ac[0] < 0.8 {
-		t.Errorf("lag-1 autocorr=%g want >0.8", ac[0])
-	}
-	if ac[1] < 0.4 {
-		t.Errorf("lag-5 autocorr=%g want >0.4", ac[1])
-	}
-	if !math.IsNaN(ac[2]) || !math.IsNaN(ac[3]) {
-		t.Errorf("invalid lags should be NaN: %v", ac)
-	}
-	// White noise should have near-zero lag-1 autocorrelation.
-	for i := range xs {
-		xs[i] = rng.NormFloat64()
-	}
-	ac = Autocorrelation(xs, []int{1})
-	if math.Abs(ac[0]) > 0.1 {
-		t.Errorf("white-noise lag-1 autocorr=%g", ac[0])
-	}
-	// Constant series: zero denominator -> NaN.
-	ac = Autocorrelation([]float64{2, 2, 2, 2, 2}, []int{1})
-	if !math.IsNaN(ac[0]) {
-		t.Errorf("constant series autocorr=%g want NaN", ac[0])
 	}
 }
 

@@ -94,77 +94,13 @@ func widthToBins(lo, hi, w float64) int {
 	return int(math.Ceil((hi - lo) / w))
 }
 
-// Bins returns the number of bins.
-func (h *Histogram) Bins() int { return len(h.Counts) }
-
 // BinWidth returns the width of each bin.
 func (h *Histogram) BinWidth() float64 { return (h.Hi - h.Lo) / float64(len(h.Counts)) }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	return h.Lo + (float64(i)+0.5)*h.BinWidth()
-}
 
 // BinEdges returns the low and high edge of bin i.
 func (h *Histogram) BinEdges(i int) (lo, hi float64) {
 	w := h.BinWidth()
 	return h.Lo + float64(i)*w, h.Lo + float64(i+1)*w
-}
-
-// Density returns the probability-density estimate for bin i, i.e.
-// count / (N * width), so that the histogram integrates to 1.
-func (h *Histogram) Density(i int) float64 {
-	if h.N == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / (float64(h.N) * h.BinWidth())
-}
-
-// Fraction returns the fraction of observations in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.N == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.N)
-}
-
-// Densities returns the per-bin density estimates.
-func (h *Histogram) Densities() []float64 {
-	out := make([]float64, len(h.Counts))
-	for i := range h.Counts {
-		out[i] = h.Density(i)
-	}
-	return out
-}
-
-// Peaks returns the indices of local maxima of the histogram counts that are
-// at least minFrac of the total sample, in ascending bin order. A bin is a
-// local maximum if its count is >= both neighbors (plateaus report their
-// leftmost bin). This is the first-pass mode detector used on load
-// histograms like the paper's Figures 5 and 10.
-func (h *Histogram) Peaks(minFrac float64) []int {
-	var peaks []int
-	c := h.Counts
-	for i := range c {
-		if h.Fraction(i) < minFrac || c[i] == 0 {
-			continue
-		}
-		left := i == 0 || c[i-1] < c[i]
-		// Walk right over any plateau.
-		j := i
-		for j+1 < len(c) && c[j+1] == c[i] {
-			j++
-		}
-		right := j == len(c)-1 || c[j+1] < c[i]
-		// Leftmost bin of a plateau only.
-		if i > 0 && c[i-1] == c[i] {
-			continue
-		}
-		if left && right {
-			peaks = append(peaks, i)
-		}
-	}
-	return peaks
 }
 
 // Render draws the histogram as ASCII art, one row per bin, scaled to width

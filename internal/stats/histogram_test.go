@@ -14,8 +14,8 @@ func TestNewHistogramBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Bins() != 4 || h.N != 5 {
-		t.Fatalf("bins=%d n=%d", h.Bins(), h.N)
+	if len(h.Counts) != 4 || h.N != 5 {
+		t.Fatalf("bins=%d n=%d", len(h.Counts), h.N)
 	}
 	want := []int{2, 1, 0, 2}
 	for i, w := range want {
@@ -29,9 +29,6 @@ func TestNewHistogramBasics(t *testing.T) {
 	lo, hi := h.BinEdges(1)
 	if lo != 0.25 || hi != 0.5 {
 		t.Errorf("BinEdges(1)=%g,%g", lo, hi)
-	}
-	if got := h.BinCenter(0); got != 0.125 {
-		t.Errorf("BinCenter(0)=%g", got)
 	}
 }
 
@@ -68,29 +65,6 @@ func TestHistogramMaxValueCounted(t *testing.T) {
 	}
 }
 
-func TestHistogramDensityIntegratesToOne(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	xs := make([]float64, 1000)
-	for i := range xs {
-		xs[i] = rng.Float64() * 10
-	}
-	h, _ := NewHistogram(xs, 0, 10, 17)
-	sum := 0.0
-	for i := range h.Counts {
-		sum += h.Density(i) * h.BinWidth()
-	}
-	if !almostEqual(sum, 1, 1e-9) {
-		t.Errorf("density integral=%g", sum)
-	}
-	fsum := 0.0
-	for i := range h.Counts {
-		fsum += h.Fraction(i)
-	}
-	if !almostEqual(fsum, 1, 1e-9) {
-		t.Errorf("fraction sum=%g", fsum)
-	}
-}
-
 func TestHistogramAutoRules(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	xs := make([]float64, 500)
@@ -102,8 +76,8 @@ func TestHistogramAutoRules(t *testing.T) {
 		if err != nil {
 			t.Fatalf("rule %d: %v", rule, err)
 		}
-		if h.Bins() < 2 || h.Bins() > 200 {
-			t.Errorf("rule %d produced %d bins", rule, h.Bins())
+		if bins := len(h.Counts); bins < 2 || bins > 200 {
+			t.Errorf("rule %d produced %d bins", rule, bins)
 		}
 		if h.N != len(xs) {
 			t.Errorf("rule %d binned %d of %d", rule, h.N, len(xs))
@@ -117,39 +91,8 @@ func TestHistogramAutoRules(t *testing.T) {
 	}
 	// Degenerate single-value sample gets one bin.
 	h, err := NewHistogramAuto([]float64{7, 7, 7}, Scott)
-	if err != nil || h.Bins() != 1 || h.N != 3 {
+	if err != nil || len(h.Counts) != 1 || h.N != 3 {
 		t.Errorf("degenerate: %+v err=%v", h, err)
-	}
-}
-
-func TestHistogramPeaks(t *testing.T) {
-	// Bimodal: peaks at bins 1 and 4.
-	h := &Histogram{Lo: 0, Hi: 6, Counts: []int{1, 10, 2, 1, 8, 2}, N: 24}
-	peaks := h.Peaks(0.05)
-	if len(peaks) != 2 || peaks[0] != 1 || peaks[1] != 4 {
-		t.Errorf("peaks=%v want [1 4]", peaks)
-	}
-	// minFrac filters the minor peak out.
-	peaks = h.Peaks(0.40)
-	if len(peaks) != 1 || peaks[0] != 1 {
-		t.Errorf("filtered peaks=%v want [1]", peaks)
-	}
-	// A plateau reports its leftmost bin once.
-	h2 := &Histogram{Lo: 0, Hi: 4, Counts: []int{1, 5, 5, 1}, N: 12}
-	peaks = h2.Peaks(0)
-	if len(peaks) != 1 || peaks[0] != 1 {
-		t.Errorf("plateau peaks=%v want [1]", peaks)
-	}
-	// Monotone increasing: single peak at the end.
-	h3 := &Histogram{Lo: 0, Hi: 3, Counts: []int{1, 2, 3}, N: 6}
-	peaks = h3.Peaks(0)
-	if len(peaks) != 1 || peaks[0] != 2 {
-		t.Errorf("monotone peaks=%v want [2]", peaks)
-	}
-	// All-zero bins: no peaks.
-	h4 := &Histogram{Lo: 0, Hi: 3, Counts: []int{0, 0, 0}, N: 0}
-	if peaks := h4.Peaks(0); len(peaks) != 0 {
-		t.Errorf("zero-histogram peaks=%v", peaks)
 	}
 }
 

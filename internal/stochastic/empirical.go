@@ -134,43 +134,6 @@ func (e *Empirical) Div(o *Empirical, rng *rand.Rand, n int) (*Empirical, error)
 	})
 }
 
-// MaxEmpirical returns the empirical distribution of max(X1, ..., Xk) for
-// independent draws — the ground truth behind the Probabilistic Max
-// strategy.
-func MaxEmpirical(rng *rand.Rand, n int, es ...*Empirical) (*Empirical, error) {
-	if len(es) == 0 {
-		return nil, errEmptyGroup
-	}
-	if n < 2 {
-		return nil, errors.New("stochastic: resample size must be >= 2")
-	}
-	out := make([]float64, n)
-	for i := range out {
-		m := es[0].Draw(rng)
-		for _, e := range es[1:] {
-			if v := e.Draw(rng); v > m {
-				m = v
-			}
-		}
-		out[i] = m
-	}
-	return NewEmpirical(out)
-}
-
-// FromValue materializes a normal stochastic value as an empirical sample
-// of size n — the bridge in the other direction, used to mix the two
-// representations in one computation.
-func FromValue(v Value, rng *rand.Rand, n int) (*Empirical, error) {
-	if n < 2 {
-		return nil, errors.New("stochastic: sample size must be >= 2")
-	}
-	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = v.Sample(rng)
-	}
-	return NewEmpirical(xs)
-}
-
 // String renders the empirical value as its normal summary plus sample
 // size.
 func (e *Empirical) String() string {

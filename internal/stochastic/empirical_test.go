@@ -152,56 +152,6 @@ func TestEmpiricalCombineValidation(t *testing.T) {
 	if _, err := a.Add(a, rng, 1); err == nil {
 		t.Error("n<2 should fail")
 	}
-	if _, err := MaxEmpirical(rng, 100); err == nil {
-		t.Error("empty max should fail")
-	}
-	if _, err := MaxEmpirical(rng, 1, a); err == nil {
-		t.Error("n<2 max should fail")
-	}
-}
-
-func TestMaxEmpiricalMatchesClark(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	A := New(4, 0.5)
-	B := New(3, 2)
-	C := New(3, 1)
-	ea, err := FromValue(A, rng, 20000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eb, _ := FromValue(B, rng, 20000)
-	ec, _ := FromValue(C, rng, 20000)
-	truth, err := MaxEmpirical(rng, 200000, ea, eb, ec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clark, err := Max(Probabilistic, A, B, C)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(truth.Mean()-clark.Mean) > 0.05 {
-		t.Errorf("empirical max mean %g vs Clark %g", truth.Mean(), clark.Mean)
-	}
-}
-
-func TestFromValue(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	e, err := FromValue(New(5, 1), rng, 20000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(e.Mean(), 5, 0.02) || !almostEqual(e.Sigma(), 0.5, 0.02) {
-		t.Errorf("FromValue: mean=%g sigma=%g", e.Mean(), e.Sigma())
-	}
-	if _, err := FromValue(New(5, 1), rng, 1); err == nil {
-		t.Error("n<2 should fail")
-	}
-	// Point values materialize as a constant sample... which NewEmpirical
-	// accepts (sigma 0).
-	p, err := FromValue(Point(3), rng, 10)
-	if err != nil || p.Sigma() != 0 {
-		t.Errorf("point FromValue sigma=%g err=%v", p.Sigma(), err)
-	}
 }
 
 func TestEmpiricalString(t *testing.T) {

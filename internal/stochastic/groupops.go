@@ -130,27 +130,3 @@ func clarkMax(a, b Value) Value {
 	}
 	return Value{Mean: mean, Spread: 2 * math.Sqrt(variance)}
 }
-
-// MaxIndex returns the index of the element Max(strategy, vs...) would
-// select, for the selecting strategies (LargestMean, LargestMagnitude).
-// Probabilistic does not select an input; requesting it is an error.
-func MaxIndex(strategy MaxStrategy, vs []Value) (int, error) {
-	if len(vs) == 0 {
-		return 0, errEmptyGroup
-	}
-	key := func(v Value) float64 { return v.Mean }
-	switch strategy {
-	case LargestMean:
-	case LargestMagnitude:
-		key = func(v Value) float64 { return v.Hi() }
-	default:
-		return 0, errors.New("stochastic: strategy does not select an input")
-	}
-	best := 0
-	for i, v := range vs[1:] {
-		if key(v) > key(vs[best]) {
-			best = i + 1
-		}
-	}
-	return best, nil
-}

@@ -164,25 +164,6 @@ func TestClarkMaxTwoNormalsExactMean(t *testing.T) {
 	}
 }
 
-func TestMaxIndex(t *testing.T) {
-	a, b, c := paperMaxExample()
-	vs := []Value{a, b, c}
-	i, err := MaxIndex(LargestMean, vs)
-	if err != nil || i != 0 {
-		t.Errorf("LargestMean index=%d err=%v", i, err)
-	}
-	i, err = MaxIndex(LargestMagnitude, vs)
-	if err != nil || i != 1 {
-		t.Errorf("LargestMagnitude index=%d err=%v", i, err)
-	}
-	if _, err := MaxIndex(Probabilistic, vs); err == nil {
-		t.Error("Probabilistic MaxIndex should fail")
-	}
-	if _, err := MaxIndex(LargestMean, nil); err == nil {
-		t.Error("empty MaxIndex should fail")
-	}
-}
-
 func TestProbabilisticMaxDominatesInputs(t *testing.T) {
 	// E[max(X1..Xn)] >= max E[Xi]; spread stays finite and non-negative.
 	rng := rand.New(rand.NewSource(74))

@@ -26,12 +26,6 @@ func (k RelationKind) String() string {
 	return "unrelated"
 }
 
-// DefaultRelationThreshold is the |Spearman rho| above which paired
-// measurement histories are judged related. 0.35 flags the latency/
-// bandwidth-style couplings the paper describes while leaving white-noise
-// pairs (|rho| ~ 1/sqrt(n)) unrelated for reasonable history sizes.
-const DefaultRelationThreshold = 0.35
-
 // DetectRelation judges relatedness from paired measurement histories
 // (e.g. simultaneous latency and bandwidth sensor readings) using rank
 // correlation, which catches monotone couplings regardless of shape. The
@@ -53,30 +47,4 @@ func DetectRelation(xs, ys []float64, threshold float64) (RelationKind, float64,
 		return RelatedKind, rho, nil
 	}
 	return UnrelatedKind, rho, nil
-}
-
-// AddAuto adds two stochastic values using the rule selected by their
-// paired measurement histories: the conservative related rule when the
-// histories are coupled, the RSS unrelated rule otherwise.
-func AddAuto(v, w Value, histV, histW []float64) (Value, RelationKind, error) {
-	kind, _, err := DetectRelation(histV, histW, DefaultRelationThreshold)
-	if err != nil {
-		return Value{}, kind, err
-	}
-	if kind == RelatedKind {
-		return v.AddRelated(w), kind, nil
-	}
-	return v.AddUnrelated(w), kind, nil
-}
-
-// MulAuto multiplies two stochastic values with the auto-detected rule.
-func MulAuto(v, w Value, histV, histW []float64) (Value, RelationKind, error) {
-	kind, _, err := DetectRelation(histV, histW, DefaultRelationThreshold)
-	if err != nil {
-		return Value{}, kind, err
-	}
-	if kind == RelatedKind {
-		return v.MulRelated(w), kind, nil
-	}
-	return v.MulUnrelated(w), kind, nil
 }

@@ -21,7 +21,7 @@ func coupledHistories(rng *rand.Rand, n int) (lat, bw []float64) {
 func TestDetectRelationCoupled(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	lat, bw := coupledHistories(rng, 300)
-	kind, rho, err := DetectRelation(lat, bw, DefaultRelationThreshold)
+	kind, rho, err := DetectRelation(lat, bw, 0.35)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestDetectRelationIndependent(t *testing.T) {
 		a[i] = rng.NormFloat64()
 		b[i] = rng.NormFloat64()
 	}
-	kind, rho, err := DetectRelation(a, b, DefaultRelationThreshold)
+	kind, rho, err := DetectRelation(a, b, 0.35)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,66 +67,6 @@ func TestDetectRelationValidation(t *testing.T) {
 	constant := []float64{1, 1, 1, 1, 1, 1, 1, 1}
 	if _, _, err := DetectRelation(constant, ok, 0.5); err == nil {
 		t.Error("constant history should fail")
-	}
-}
-
-func TestAddAutoPicksRule(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	v := New(3, 1)
-	w := New(4, 2)
-	lat, bw := coupledHistories(rng, 200)
-	got, kind, err := AddAuto(v, w, lat, bw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kind != RelatedKind || got != v.AddRelated(w) {
-		t.Errorf("coupled AddAuto=%v kind=%v", got, kind)
-	}
-	a := make([]float64, 200)
-	b := make([]float64, 200)
-	for i := range a {
-		a[i] = rng.NormFloat64()
-		b[i] = rng.NormFloat64()
-	}
-	got, kind, err = AddAuto(v, w, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kind != UnrelatedKind || !got.ApproxEqual(v.AddUnrelated(w), 1e-12) {
-		t.Errorf("independent AddAuto=%v kind=%v", got, kind)
-	}
-	if _, _, err := AddAuto(v, w, a[:2], b[:2]); err == nil {
-		t.Error("short histories should fail")
-	}
-}
-
-func TestMulAutoPicksRule(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	v := New(3, 1)
-	w := New(4, 2)
-	lat, bw := coupledHistories(rng, 200)
-	got, kind, err := MulAuto(v, w, lat, bw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kind != RelatedKind || got != v.MulRelated(w) {
-		t.Errorf("coupled MulAuto=%v kind=%v", got, kind)
-	}
-	a := make([]float64, 200)
-	b := make([]float64, 200)
-	for i := range a {
-		a[i] = rng.NormFloat64()
-		b[i] = rng.NormFloat64()
-	}
-	got, kind, err = MulAuto(v, w, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kind != UnrelatedKind || !got.ApproxEqual(v.MulUnrelated(w), 1e-12) {
-		t.Errorf("independent MulAuto=%v kind=%v", got, kind)
-	}
-	if _, _, err := MulAuto(v, w, a[:2], b[:2]); err == nil {
-		t.Error("short histories should fail")
 	}
 }
 

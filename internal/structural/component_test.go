@@ -227,33 +227,6 @@ func TestRepeatValidation(t *testing.T) {
 	}
 }
 
-func TestOpCountComp(t *testing.T) {
-	// Calibrated identically to a benchmark-based component, the op-count
-	// form gives the same prediction (§2.2.1 offers them as equivalents).
-	c, err := OpCountComp(1e6, 10, 5e6, "load") // 10 ops/elt at 5M ops/s == 0.5M elts/s
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := Params{"load": stochastic.New(0.5, 0.05)}
-	v, err := c.Eval(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bench := Div{Rel: Unrelated, A: PointConst(1e6 / 0.5e6), B: Param("load")}
-	want, err := bench.Eval(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !v.ApproxEqual(want, 1e-9) {
-		t.Errorf("op-count %v != benchmark %v", v, want)
-	}
-	for _, bad := range [][3]float64{{-1, 1, 1}, {1, 0, 1}, {1, 1, 0}} {
-		if _, err := OpCountComp(bad[0], bad[1], bad[2], "load"); err == nil {
-			t.Errorf("OpCountComp(%v) should fail", bad)
-		}
-	}
-}
-
 func TestStringRendering(t *testing.T) {
 	m := Scale{K: 3, C: Sum{Rel: Related, Terms: []Component{
 		Param("a"),

@@ -89,25 +89,6 @@ func (c *SORConfig) CompComponent(p int) Component {
 	}
 }
 
-// OpCountComp returns the operation-count computation component of §2.2.1
-// (the paper's Comp_p1 form): NumElt * Op(p, Elt) / CPU_p, divided by the
-// stochastic load parameter. numElts is the element count for the phase,
-// opsPerElt the operations per element, opsPerSec the machine's dedicated
-// operation rate, and loadParam the availability parameter name. It is the
-// alternative to the benchmark-based CompComponent; with consistent
-// calibration (opsPerElt/opsPerSec == 1/ElemRate) the two agree exactly.
-func OpCountComp(numElts, opsPerElt, opsPerSec float64, loadParam string) (Component, error) {
-	if !(numElts >= 0) || !(opsPerElt > 0) || !(opsPerSec > 0) {
-		return nil, fmt.Errorf("structural: invalid op-count parameters (%g, %g, %g)",
-			numElts, opsPerElt, opsPerSec)
-	}
-	return Div{
-		Rel: Unrelated,
-		A:   PointConst(numElts * opsPerElt / opsPerSec),
-		B:   Param(loadParam),
-	}, nil
-}
-
 // PtToPtComponent returns the point-to-point communication model of
 // §2.2.1 for one ghost row from strip x to strip y:
 //

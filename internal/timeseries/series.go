@@ -1,6 +1,6 @@
 // Package timeseries provides timestamped measurement series: append-only
-// series, bounded ring-buffer histories (the storage behind the NWS
-// sensors), sliding windows, and resampling.
+// series and bounded ring-buffer histories (the storage behind the NWS
+// sensors).
 //
 // Time is virtual simulation time in float64 seconds, matching the
 // discrete-event clock in internal/simenv; nothing here touches wall-clock
@@ -10,7 +10,6 @@ package timeseries
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -81,15 +80,6 @@ func (s *Series) Times() []float64 {
 	return out
 }
 
-// Span returns the first and last timestamps; ok is false for an empty
-// series.
-func (s *Series) Span() (t0, t1 float64, ok bool) {
-	if len(s.pts) == 0 {
-		return 0, 0, false
-	}
-	return s.pts[0].T, s.pts[len(s.pts)-1].T, true
-}
-
 // Window returns the values with timestamps in the half-open interval
 // [from, to).
 func (s *Series) Window(from, to float64) []float64 {
@@ -110,34 +100,6 @@ func (s *Series) ValueAt(t float64) (v float64, ok bool) {
 		return 0, false
 	}
 	return s.pts[i-1].V, true
-}
-
-// Resample returns the series sampled every dt from t0 to t1 inclusive
-// using last-observation-carried-forward, the convention for load signals
-// reported at fixed sensor intervals.
-func (s *Series) Resample(t0, t1, dt float64) (*Series, error) {
-	if dt <= 0 {
-		return nil, errors.New("timeseries: non-positive resample step")
-	}
-	if t1 < t0 {
-		return nil, errors.New("timeseries: resample range reversed")
-	}
-	// Iterate on an integer step index: accumulating t += dt drifts for
-	// non-representable steps like 0.1 and can skip or duplicate the final
-	// sample on long ranges.
-	n := int(math.Floor((t1-t0)/dt + 1e-9))
-	out := NewSeries(n + 1)
-	for i := 0; i <= n; i++ {
-		t := t0 + float64(i)*dt
-		v, ok := s.ValueAt(t)
-		if !ok {
-			continue
-		}
-		if err := out.Append(t, v); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // Ring is a bounded measurement history that discards the oldest point when
@@ -213,16 +175,4 @@ func (r *Ring) View() []float64 {
 // Values returns a copy of the stored values oldest-first.
 func (r *Ring) Values() []float64 {
 	return append(make([]float64, 0, r.n), r.View()...)
-}
-
-// Tail returns a copy of the most recent k values oldest-first (all values
-// when k >= Len).
-func (r *Ring) Tail(k int) []float64 {
-	if k > r.n {
-		k = r.n
-	}
-	if k < 0 {
-		k = 0
-	}
-	return append(make([]float64, 0, k), r.View()[r.n-k:]...)
 }

@@ -1,7 +1,6 @@
 package timeseries
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -24,13 +23,6 @@ func TestSeriesAppendAndAccessors(t *testing.T) {
 	}
 	if ts := s.Times(); ts[4] != 4 {
 		t.Errorf("Times=%v", ts)
-	}
-	t0, t1, ok := s.Span()
-	if !ok || t0 != 0 || t1 != 4 {
-		t.Errorf("Span=%g,%g,%v", t0, t1, ok)
-	}
-	if _, _, ok := NewSeries(0).Span(); ok {
-		t.Error("empty span should be !ok")
 	}
 }
 
@@ -89,38 +81,6 @@ func TestValueAt(t *testing.T) {
 	}
 }
 
-func TestResample(t *testing.T) {
-	s, _ := FromSlices([]float64{0, 10}, []float64{1, 2})
-	r, err := s.Resample(0, 20, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantT := []float64{0, 5, 10, 15, 20}
-	wantV := []float64{1, 1, 2, 2, 2}
-	if r.Len() != len(wantT) {
-		t.Fatalf("resampled len=%d", r.Len())
-	}
-	for i := range wantT {
-		if p := r.At(i); p.T != wantT[i] || p.V != wantV[i] {
-			t.Errorf("point %d = %+v want {%g %g}", i, p, wantT[i], wantV[i])
-		}
-	}
-	if _, err := s.Resample(0, 1, 0); err == nil {
-		t.Error("dt=0 should fail")
-	}
-	if _, err := s.Resample(5, 1, 1); err == nil {
-		t.Error("reversed range should fail")
-	}
-	// Resampling starting before the first observation skips leading ticks.
-	r2, err := s.Resample(-10, 0, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.Len() != 1 || r2.At(0).T != 0 {
-		t.Errorf("leading ticks not skipped: len=%d", r2.Len())
-	}
-}
-
 func TestRingBasics(t *testing.T) {
 	r, err := NewRing(3)
 	if err != nil {
@@ -151,23 +111,6 @@ func TestRingBasics(t *testing.T) {
 	}
 	if p := r.At(0); p.T != 2 {
 		t.Errorf("oldest=%+v", p)
-	}
-}
-
-func TestRingTail(t *testing.T) {
-	r, _ := NewRing(5)
-	for i := 1; i <= 7; i++ {
-		r.Push(float64(i), float64(i))
-	}
-	got := r.Tail(3)
-	if len(got) != 3 || got[0] != 5 || got[2] != 7 {
-		t.Errorf("Tail(3)=%v", got)
-	}
-	if got := r.Tail(100); len(got) != 5 {
-		t.Errorf("Tail(100)=%v", got)
-	}
-	if got := r.Tail(-1); len(got) != 0 {
-		t.Errorf("Tail(-1)=%v", got)
 	}
 }
 
@@ -213,7 +156,7 @@ func TestRingRetentionProperty(t *testing.T) {
 }
 
 // View must stay one contiguous, ordered window of the stored values across
-// evictions and window moves, and Values/Tail must stay copies of it.
+// evictions and window moves, and Values must stay a copy of it.
 func TestRingViewIsTheStoredWindow(t *testing.T) {
 	for _, size := range []int{1, 2, 7, 8, 64} {
 		r, _ := NewRing(size)
@@ -230,33 +173,9 @@ func TestRingViewIsTheStoredWindow(t *testing.T) {
 			}
 			vals := r.Values()
 			vals[0] = -1
-			if tail := r.Tail(1); r.View()[0] == -1 || tail[0] != float64(10*i) {
-				t.Fatalf("size %d push %d: Values aliases the ring or Tail=%v", size, i, tail)
+			if r.View()[0] == -1 {
+				t.Fatalf("size %d push %d: Values aliases the ring", size, i)
 			}
 		}
-	}
-}
-
-func TestResampleNoDriftOnLongRanges(t *testing.T) {
-	// Regression: t += dt accumulation dropped the final sample on long
-	// ranges with non-representable steps (e.g. [0,3000] at dt=0.3).
-	s, _ := FromSlices([]float64{0}, []float64{1})
-	r, err := s.Resample(0, 3000, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Len() != 10001 {
-		t.Errorf("resampled len=%d want 10001", r.Len())
-	}
-	r, err = s.Resample(100, 400, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Len() != 3001 {
-		t.Errorf("resampled len=%d want 3001", r.Len())
-	}
-	last := r.At(r.Len() - 1).T
-	if math.Abs(last-400) > 1e-9 {
-		t.Errorf("last sample T=%.15g want ~400", last)
 	}
 }

@@ -175,14 +175,11 @@ func quietMachine(phase float64) ComponentSpec {
 	}
 }
 
-// Lookup returns the named library scenario (a deep copy, so callers can
-// mutate freely) and whether it exists.
+// Lookup returns the named library scenario and whether it exists. The
+// spec is the library's own, shared by every caller: read-only.
 func Lookup(name string) (*ScenarioSpec, bool) {
 	sc, ok := library[name]
-	if !ok {
-		return nil, false
-	}
-	return sc.Clone(), true
+	return sc, ok
 }
 
 // Names lists the library scenarios in sorted order.

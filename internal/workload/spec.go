@@ -174,24 +174,6 @@ func (sc *ScenarioSpec) NetProcess(seed int64) (load.Process, error) {
 	return sc.Net.build(sc.tick(), seed)
 }
 
-// Clone returns a deep copy of the spec.
-func (sc *ScenarioSpec) Clone() *ScenarioSpec {
-	if sc == nil {
-		return nil
-	}
-	b, err := json.Marshal(sc)
-	if err != nil {
-		cp := *sc
-		return &cp
-	}
-	var cp ScenarioSpec
-	if err := json.Unmarshal(b, &cp); err != nil {
-		cp2 := *sc
-		return &cp2
-	}
-	return &cp
-}
-
 // childSeed derives child i's seed from the parent's: a splitmix-style odd
 // multiplier keeps sibling streams decorrelated while staying a pure
 // function of (parent seed, child index).

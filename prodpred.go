@@ -147,7 +147,7 @@ type (
 	Machine = cluster.Machine
 	// Link is a network channel with dedicated bandwidth and latency.
 	Link = cluster.Link
-	// Platform is a set of machines with a link matrix.
+	// Platform is a set of machines on one shared link.
 	Platform = cluster.Platform
 	// Env simulates a production environment in virtual time.
 	Env = simenv.Env
