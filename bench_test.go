@@ -271,7 +271,10 @@ func BenchmarkMCMoments(b *testing.B) {
 	}
 }
 
-func BenchmarkStructuralSORPredict(b *testing.B) {
+// benchSORConfig is the capacity-balanced N=1000 run on Platform 1 both
+// structural-model benchmarks evaluate.
+func benchSORConfig(b *testing.B) *SORConfig {
+	b.Helper()
 	plat := Platform1()
 	weights := make([]float64, plat.Size())
 	machines := make([]Machine, plat.Size())
@@ -284,10 +287,14 @@ func BenchmarkStructuralSORPredict(b *testing.B) {
 		b.Fatal(err)
 	}
 	link, _ := plat.Link(0, 1)
-	cfg := &SORConfig{
+	return &SORConfig{
 		N: 1000, Iterations: 20, Partition: part, Machines: machines,
 		Link: link, MaxStrategy: LargestMean,
 	}
+}
+
+func BenchmarkStructuralSORPredict(b *testing.B) {
+	cfg := benchSORConfig(b)
 	params := cfg.DedicatedParams()
 	params[LoadParam(0)] = NewValue(0.48, 0.05)
 	b.ResetTimer()
@@ -296,6 +303,27 @@ func BenchmarkStructuralSORPredict(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSORPointEval times the same model at one point draw through the
+// point evaluator — the unit cost of the distribution grid, which
+// BenchmarkStructuralSORPredict's tree walk was before it.
+func BenchmarkSORPointEval(b *testing.B) {
+	cfg := benchSORConfig(b)
+	eval, err := cfg.PointEvaluator()
+	if err != nil {
+		b.Fatal(err)
+	}
+	loads := []float64{0.48, 1, 1, 1}
+	var sink float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if sink, err = eval.Time(loads, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	_ = sink
 }
 
 func BenchmarkValueSample(b *testing.B) {

@@ -1,11 +1,15 @@
 package api
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
+
+	"prodpred/internal/predict"
 )
 
 // post sends one body to a handler in-process.
@@ -47,8 +51,10 @@ func TestPostBodyLimits(t *testing.T) {
 // TestWorkCeilings: what one small body can ask for is bounded — a clock
 // step by MaxAdvanceSeconds, a job shape by predict.MaxGridSize and
 // predict.MaxIterations, a scheduled job's simulated work by
-// fleetsched.MaxJobWork — and a refusal is a 400 that names the limit. The
-// values at the limits are served.
+// fleetsched.MaxJobWork, the bandwidth monitors a platform keeps by
+// predict.MaxProbeSizes — and a refusal is a 400 that names the limit. The
+// values at the limits are served, and so is a shape the full tick cache
+// has no room for.
 func TestWorkCeilings(t *testing.T) {
 	h := oneTenantHandler(t)
 	cases := []struct {
@@ -80,6 +86,41 @@ func TestWorkCeilings(t *testing.T) {
 		if rec.Code != c.status || !strings.Contains(rec.Body.String(), c.want) {
 			t.Errorf("POST %s %s: status %d, want %d with %q: %s", c.route, c.body, rec.Code, c.status, c.want, rec.Body)
 		}
+	}
+
+	// Every distinct grid size is a bandwidth probe size the platform then
+	// monitors for good: the 65th is refused, the 64 stay served.
+	h = oneTenantHandler(t)
+	predictBody := func(n, iterations int) string {
+		return fmt.Sprintf(`{"n":%d,"iterations":%d,"levels":[0.9]}`, n, iterations)
+	}
+	for n := 100; n < 100+predict.MaxProbeSizes; n++ {
+		if rec := post(h, "/predict", predictBody(n, 6)); rec.Code != http.StatusOK {
+			t.Fatalf("grid size %d, probe size %d of %d: status %d: %s", n, n-99, predict.MaxProbeSizes, rec.Code, rec.Body)
+		}
+	}
+	refused := "needs one more bandwidth probe size, exceeds limit 64 per platform"
+	if rec := post(h, "/predict", predictBody(99, 6)); rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), refused) {
+		t.Errorf("a 65th probe size: status %d, want 400 with %q: %s", rec.Code, refused, rec.Body)
+	}
+	if rec := post(h, "/predict/batch", `{"requests":[{"n":130,"iterations":9},{"n":98,"iterations":9}]}`); rec.Code != http.StatusOK ||
+		!strings.Contains(rec.Body.String(), `"id"`) || !strings.Contains(rec.Body.String(), refused) {
+		t.Errorf("a batch with a monitored and a 65th probe size: status %d: %s", rec.Code, rec.Body)
+	}
+
+	// One tick memoizes 4096 shapes. Shapes past that are computed per call
+	// and answer what a daemon with an empty cache answers.
+	const shapes = 4200
+	var last *httptest.ResponseRecorder
+	for i := 1; i <= shapes; i++ {
+		if last = post(h, "/predict", predictBody(100, i)); last.Code != http.StatusOK {
+			t.Fatalf("shape %d of one tick: status %d: %s", i, last.Code, last.Body)
+		}
+	}
+	id := regexp.MustCompile(`"id":\d+,`)
+	fresh := post(oneTenantHandler(t), "/predict", predictBody(100, shapes))
+	if got, want := id.ReplaceAllString(last.Body.String(), ""), id.ReplaceAllString(fresh.Body.String(), ""); got != want || !strings.Contains(got, `"intervals"`) {
+		t.Errorf("shape %d of one tick answered\n%s\na fresh daemon answers\n%s", shapes, got, want)
 	}
 }
 

@@ -112,7 +112,14 @@ const EmpiricalForecasterName = "empirical-q"
 // represent.
 type empiricalDist struct {
 	residuals []float64 // FIFO window of point-forecast residuals
-	scratch   []float64 // reused sort buffer
+	// sorted is the window in ascending order, valid while isSorted: a
+	// report reads it twice (Quantiles, then Components) and a tick's
+	// postmortem once more, so it is kept until the window changes — in
+	// Observe and in Tournament.ImportState, the two events that also drop
+	// the monitor's sweep memo.
+	sorted   []float64
+	isSorted bool
+	sorts    int // sorts performed, for the memo test
 }
 
 func (f *empiricalDist) Name() string { return EmpiricalForecasterName }
@@ -125,17 +132,23 @@ func (f *empiricalDist) Observe(hist []float64, point *Forecast, actual float64)
 		f.residuals = f.residuals[:copy(f.residuals, f.residuals[1:])]
 	}
 	f.residuals = append(f.residuals, actual-point.Value)
+	f.isSorted = false
 }
 
-// sortedResiduals returns the ascending residual window; ok is false on
-// insufficient postmortem data.
+// sortedResiduals returns the ascending residual window, sorting it on the
+// first call after the window changed; ok is false on insufficient
+// postmortem data. Callers must not modify the slice.
 func (f *empiricalDist) sortedResiduals() ([]float64, bool) {
 	if len(f.residuals) < empiricalMinResiduals {
 		return nil, false
 	}
-	f.scratch = append(f.scratch[:0], f.residuals...)
-	sort.Float64s(f.scratch)
-	return f.scratch, true
+	if !f.isSorted {
+		f.sorted = append(f.sorted[:0], f.residuals...)
+		sort.Float64s(f.sorted)
+		f.isSorted = true
+		f.sorts++
+	}
+	return f.sorted, true
 }
 
 func (f *empiricalDist) Quantiles(point *Forecast, ps, out []float64) bool {
@@ -284,21 +297,41 @@ func GridQuantile(grid []float64, p float64) float64 { return gridQuantile(grid,
 
 // gridQuantile interpolates a quantile function tabulated on DistLevels,
 // extrapolating flat beyond the grid ends.
-func gridQuantile(grid []float64, p float64) float64 {
+func gridQuantile(grid []float64, p float64) float64 { return LocateLevel(p).Read(grid) }
+
+// GridPos is where a probability falls on DistLevels: everything
+// GridQuantile works out from p alone. A caller that reads many grids at
+// one fixed p locates it once and Reads each grid; the result is
+// GridQuantile's by construction.
+type GridPos struct {
+	lo   int     // the level read, or the lower end of the segment interpolated
+	frac float64 // 0 on a level or beyond the ends; else in (0,1) along lo → lo+1
+}
+
+// LocateLevel finds p on DistLevels.
+func LocateLevel(p float64) GridPos {
 	ls := DistLevels
 	if p <= ls[0] {
-		return grid[0]
+		return GridPos{lo: 0}
 	}
 	last := len(ls) - 1
 	if p >= ls[last] {
-		return grid[last]
+		return GridPos{lo: last}
 	}
 	i := sort.SearchFloat64s(ls, p)
 	if ls[i] == p {
-		return grid[i]
+		return GridPos{lo: i}
 	}
-	frac := (p - ls[i-1]) / (ls[i] - ls[i-1])
-	return grid[i-1] + frac*(grid[i]-grid[i-1])
+	return GridPos{lo: i - 1, frac: (p - ls[i-1]) / (ls[i] - ls[i-1])}
+}
+
+// Read interpolates a quantile function tabulated on DistLevels at the
+// located probability.
+func (g GridPos) Read(grid []float64) float64 {
+	if g.frac == 0 {
+		return grid[g.lo]
+	}
+	return grid[g.lo] + g.frac*(grid[g.lo+1]-grid[g.lo])
 }
 
 // Tournament policy knobs.
@@ -517,6 +550,7 @@ func (t *Tournament) ImportState(st TournamentState) error {
 				rs = rs[len(rs)-empiricalWindow:]
 			}
 			ff.residuals = append(ff.residuals[:0], rs...)
+			ff.isSorted = false
 		}
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 
 	"prodpred/internal/dist"
@@ -58,15 +59,31 @@ func roughSensor(t float64) (float64, error) {
 	return v, nil
 }
 
-// recomputed is the monitor as it worked before the memo: every postmortem
+// recomputed is the monitor as it worked before the memos: every postmortem
 // and every report runs the public, history-taking Mix and Tournament
-// methods on a fresh History() copy. A tournament-less Monitor supplies the
-// sampling (retries, gap counters, staleness, ring); its own mix is ignored.
+// methods on a fresh History() copy, and the empirical competitor sorts its
+// residual window again for every call. A tournament-less Monitor supplies
+// the sampling (retries, gap counters, staleness, ring); its own mix is
+// ignored.
 type recomputed struct {
 	feed *Monitor
 	mix  *Mix
 	tour *Tournament
 }
+
+// empirical returns a tournament's empirical residual-quantile competitor.
+func empirical(t *Tournament) *empiricalDist {
+	for _, f := range t.forecasters {
+		if e, ok := f.(*empiricalDist); ok {
+			return e
+		}
+	}
+	return nil
+}
+
+// resort drops the empirical competitor's sorted window, so that its next
+// call sorts from the residuals.
+func (r *recomputed) resort() { empirical(r.tour).isSorted = false }
 
 func newRecomputed(t *testing.T, sensor Sensor, period float64, histSize int) *recomputed {
 	t.Helper()
@@ -87,6 +104,7 @@ func (r *recomputed) tick(t float64) {
 		return
 	}
 	last, _ := r.feed.Last()
+	r.resort()
 	r.tour.Update(hist, last.V)
 	r.mix.Update(hist, last.V)
 }
@@ -135,7 +153,12 @@ func (r *recomputed) robustDistReport(prior stochastic.Value) LoadDist {
 		}
 		winner, name := r.tour.Winner()
 		qs, med := make([]float64, len(DistLevels)), make([]float64, 1)
-		if winner.Quantiles(point, DistLevels, qs) && winner.Quantiles(point, []float64{0.5}, med) {
+		quantiles := func(ps, out []float64) bool {
+			r.resort()
+			return winner.Quantiles(point, ps, out)
+		}
+		if quantiles(DistLevels, qs) && quantiles([]float64{0.5}, med) {
+			r.resort()
 			comps := winner.Components(point)
 			if w := r.feed.DegradationFactor(); w != 1 {
 				for i := range qs {
@@ -197,8 +220,10 @@ func mustSameBits(t *testing.T, what string, tick int, got, want any) {
 // TestMonitorMemoMatchesRecompute: the memoised monitor is bit-identical to
 // one that recomputes everything through the exported history-taking
 // methods — state, X ± a report and distribution report at every tick of a
-// faulty stream — and it sweeps the battery exactly once per recorded
-// sample however often it is read.
+// faulty stream, across an ExportState/ImportState hand-over to a monitor
+// whose memos hold another stream's state — and it sweeps the battery and
+// sorts the residual window once per recorded sample however often it is
+// read.
 func TestMonitorMemoMatchesRecompute(t *testing.T) {
 	const period, ticks = 5.0, 2600
 	prior := stochastic.New(0.5, 0.5)
@@ -209,8 +234,23 @@ func TestMonitorMemoMatchesRecompute(t *testing.T) {
 		}
 		ref := newRecomputed(t, roughSensor, period, histSize)
 		winners := map[string]int{}
+		// Counted over every monitor that stands in for m.
+		sorts, sweeps := 0, 0
 		for k := 0; k < ticks; k++ {
 			at := period * float64(k)
+			if k == ticks/2 || k == ticks/2+7 {
+				// Hand the state over mid-run, to a monitor that has lived
+				// through a different stretch of the stream and has both
+				// memos warm: ImportState must drop them.
+				sorts += empirical(m.tour).sorts
+				sweeps += m.mix.sweeps
+				if m.swept {
+					sweeps-- // the receiver sweeps this ring state again
+				}
+				m = handOver(t, m, period, histSize, prior)
+				sorts -= empirical(m.tour).sorts
+				sweeps -= m.mix.sweeps
+			}
 			ref.tick(at)
 			// Reads repeat within a tick on the serving path (one per
 			// cache miss); the memo must hand every one the same answer.
@@ -222,20 +262,131 @@ func TestMonitorMemoMatchesRecompute(t *testing.T) {
 			// Every ring state is swept once: by its first read, or — when
 			// staleness keeps the reads off the mix — by the postmortem of
 			// the sample after it.
-			lag := m.Gaps().Recorded() - m.mix.sweeps
+			lag := m.Gaps().Recorded() - (sweeps + m.mix.sweeps)
 			if lag < 0 || lag > 1 || (lag == 1 && m.Staleness() <= staleLimit) {
 				t.Fatalf("tick %d: %d battery sweeps for %d recorded samples at staleness %g",
-					k, m.mix.sweeps, m.Gaps().Recorded(), m.Staleness())
+					k, sweeps+m.mix.sweeps, m.Gaps().Recorded(), m.Staleness())
 			}
 			winners[m.RobustDistReport(at, prior).Forecaster]++
 		}
 		g := m.Gaps()
+		// A window is sorted when something first reads it, never again; the
+		// reference sorts for every call.
+		sorts += empirical(m.tour).sorts
+		if resorts := empirical(ref.tour).sorts; sorts > g.Recorded() || resorts < 3*sorts {
+			t.Errorf("history %d: %d residual sorts for %d recorded samples (the reference: %d)", histSize, sorts, g.Recorded(), resorts)
+		}
 		if g.Recorded() < 2000 || g.Dropped == 0 || g.Outage == 0 || g.Recovered == 0 || g.TransientLost == 0 {
 			t.Fatalf("history %d: the stream did not exercise every fault class: %+v", histSize, g)
 		}
 		for _, name := range []string{PriorForecasterName, FallbackForecasterName, NormalForecasterName, EmpiricalForecasterName, MixtureForecasterName} {
 			if winners[name] == 0 {
 				t.Errorf("history %d: no tick was served by %q: %v", histSize, name, winners)
+			}
+		}
+	}
+}
+
+// handOver returns a monitor built like m that first ran 300 ticks of the
+// stream on its own, was read (both memos warm, on another window), and
+// then imported m's state.
+func handOver(t *testing.T, m *Monitor, period float64, histSize int, prior stochastic.Value) *Monitor {
+	t.Helper()
+	next, err := NewSensorMonitor(roughSensor, period, histSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = next.RobustDistReport(period*300, prior)
+	if _, ok := empirical(next.tour).sortedResiduals(); !ok || !next.swept {
+		t.Fatal("the receiving monitor's memos are cold")
+	}
+	if err := next.ImportState(m.ExportState()); err != nil {
+		t.Fatal(err)
+	}
+	return next
+}
+
+// TestEmpiricalSortsOncePerWindow: two reads between two samples share one
+// sort, a sample in between costs one more, and what is read is what a
+// forecaster that has never memoised anything reads.
+func TestEmpiricalSortsOncePerWindow(t *testing.T) {
+	point := &Forecast{Value: 0.5}
+	f := &empiricalDist{}
+	for i := 0; i < empiricalWindow+9; i++ {
+		f.Observe(nil, point, hash01(uint64(i)))
+	}
+	read := func(f *empiricalDist) ([]float64, []Component) {
+		qs := make([]float64, len(DistLevels))
+		if !f.Quantiles(point, DistLevels, qs) {
+			t.Fatal("no quantiles from a full window")
+		}
+		return qs, f.Components(point)
+	}
+	for round := 1; round <= 3; round++ {
+		qs, comps := read(f)
+		again, _ := read(f)
+		if f.sorts != round {
+			t.Fatalf("round %d: %d sorts after two reads of one window", round, f.sorts)
+		}
+		fresh := &empiricalDist{residuals: append([]float64(nil), f.residuals...)}
+		wantQs, wantComps := read(fresh)
+		mustSameBits(t, "second read", round, again, qs)
+		mustSameBits(t, "quantiles", round, qs, wantQs)
+		mustSameBits(t, "components", round, comps, wantComps)
+		f.Observe(nil, point, 0.1*float64(round))
+	}
+}
+
+// TestLocateLevelReadsAsGridQuantile: reading a grid at a located level is
+// the interpolation gridQuantile did before the search and the read were
+// split, kept here as it was — on levels, between them, beyond the ends, and
+// over grids with ties, signed zeros and non-finite entries.
+func TestLocateLevelReadsAsGridQuantile(t *testing.T) {
+	reference := func(grid []float64, p float64) float64 {
+		ls := DistLevels
+		if p <= ls[0] {
+			return grid[0]
+		}
+		last := len(ls) - 1
+		if p >= ls[last] {
+			return grid[last]
+		}
+		i := sort.SearchFloat64s(ls, p)
+		if ls[i] == p {
+			return grid[i]
+		}
+		frac := (p - ls[i-1]) / (ls[i] - ls[i-1])
+		return grid[i-1] + frac*(grid[i]-grid[i-1])
+	}
+	ps := append([]float64{0, 1, -0.5, 1.5, 0.0249999, 0.9750001, math.Nextafter(0.5, 0), math.Nextafter(0.5, 1)}, DistLevels...)
+	for i := 0; i < 400; i++ {
+		ps = append(ps, hash01(uint64(i)))
+	}
+	negZero := math.Copysign(0, -1)
+	grids := [][]float64{
+		{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9},
+		{0.3, 0.3, 0.3, 0.3, 0.3, 0.3, 0.3, 0.3, 0.3},
+		{negZero, negZero, negZero, 0, 0, 0.25, 0.25, 1, 1},
+		{math.Inf(-1), -1, -1, 0, 0.5, 0.5, 2, math.Inf(1), math.Inf(1)},
+		{0.1, 0.2, math.NaN(), 0.4, 0.5, 0.6, 0.7, 0.8, 0.9},
+		{1e-320, 1e-310, 1e-300, 1e-200, 1, 1e200, 1e300, 1e308, math.MaxFloat64},
+	}
+	for g := 0; g < 200; g++ {
+		grid := make([]float64, len(DistLevels))
+		v := hash01(uint64(7*g)) - 0.3
+		for i := range grid {
+			if hash01(uint64(g*64+i)) > 0.25 { // a quarter of the steps are ties
+				v += 0.3 * hash01(uint64(g*64+32+i))
+			}
+			grid[i] = v
+		}
+		grids = append(grids, grid)
+	}
+	for _, grid := range grids {
+		for _, p := range ps {
+			got, want := LocateLevel(p).Read(grid), reference(grid, p)
+			if math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(GridQuantile(grid, p)) != math.Float64bits(want) {
+				t.Fatalf("grid %v at p=%v: located read %v, GridQuantile %v, reference %v", grid, p, got, GridQuantile(grid, p), want)
 			}
 		}
 	}

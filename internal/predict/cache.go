@@ -27,6 +27,10 @@ import (
 // not cached: each hit still issues a fresh ID and applies the calibrator's
 // current scale, so the Observe feedback loop behaves exactly as it does on
 // the uncached path.
+//
+// The map is bounded: a generation holds at most maxTickCacheEntries shapes
+// and serves any further shape uncached, so a service whose clock nobody
+// moves cannot be grown without limit by distinct request shapes.
 type tickCache struct {
 	mu      sync.RWMutex
 	gen     uint64
@@ -147,9 +151,12 @@ func (c *tickCache) generation() uint64 {
 	return c.gen
 }
 
+// maxTickCacheEntries bounds the shapes one generation memoizes.
+const maxTickCacheEntries = 4096
+
 // entry returns the live entry for key, creating an empty one on first
-// touch. The double-checked read keeps the common hit path on the shared
-// read lock.
+// touch — or nil when the key is new and the generation is full. The
+// double-checked read keeps the common hit path on the shared read lock.
 func (c *tickCache) entry(key cacheKey) *cacheEntry {
 	c.mu.RLock()
 	e := c.entries[key]
@@ -158,7 +165,7 @@ func (c *tickCache) entry(key cacheKey) *cacheEntry {
 		return e
 	}
 	c.mu.Lock()
-	if e = c.entries[key]; e == nil {
+	if e = c.entries[key]; e == nil && len(c.entries) < maxTickCacheEntries {
 		e = &cacheEntry{gen: c.gen}
 		c.entries[key] = e
 	}

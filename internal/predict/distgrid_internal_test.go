@@ -1,0 +1,288 @@
+package predict
+
+import (
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"prodpred/internal/nws"
+	"prodpred/internal/stats"
+	"prodpred/internal/stochastic"
+	"prodpred/internal/structural"
+)
+
+func sameFloats(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// randomQuantileGrid draws a nondecreasing DistLevels grid around the
+// availability range, a third of its steps ties, some of it below the
+// minAvailPoint floor.
+func randomQuantileGrid(rng *rand.Rand) []float64 {
+	grid := make([]float64, len(nws.DistLevels))
+	v := 1.6*rng.Float64() - 0.4
+	for i := range grid {
+		if rng.Intn(3) > 0 {
+			v += 0.2 * rng.Float64()
+		}
+		grid[i] = v
+	}
+	return grid
+}
+
+// TestDistDesignMatchesUniforms: the tabulated design is the uniform matrix
+// read the long way — for every (draw, machine) the located read is
+// nws.GridQuantile at that uniform, and for every draw the bandwidth
+// fraction is Value.Quantile at its uniform, bit for bit, before and after
+// the availability floor.
+func TestDistDesignMatchesUniforms(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, machines := range []int{3, 4, 8} {
+		u := buildDistUniforms(machines + 1)
+		d := buildDistDesign(machines)
+		if len(d.bwZ) != distSamples || len(d.cells) != distSamples*machines {
+			t.Fatalf("%d machines: %d z-scores, %d cells", machines, len(d.bwZ), len(d.cells))
+		}
+		dists := make([]nws.LoadDist, machines)
+		loads := make([]float64, machines)
+		for trial := 0; trial < 1000; trial++ {
+			for m := range dists {
+				dists[m].Quantiles = randomQuantileGrid(rng)
+			}
+			for i := range u {
+				d.loads(i, dists, loads)
+				for m, grid := range dists {
+					want := nws.GridQuantile(grid.Quantiles, u[i][m])
+					if got := d.cells[i*machines+m].Read(grid.Quantiles); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%d machines, draw %d, machine %d, grid %v: tabled read %v, GridQuantile %v", machines, i, m, grid.Quantiles, got, want)
+					}
+					if want = math.Max(want, minAvailPoint); math.Float64bits(loads[m]) != math.Float64bits(want) {
+						t.Fatalf("%d machines, draw %d, machine %d: floored load %v, want %v", machines, i, m, loads[m], want)
+					}
+				}
+			}
+		}
+		fracs := []stochastic.Value{
+			stochastic.Point(1), stochastic.Point(0.37), stochastic.Point(0.001),
+			stochastic.New(0.6, 0.3), stochastic.New(0.5, 4),
+			stochastic.New(0.01, 0.25), // what bwReport re-floors a collapsed forecast to
+		}
+		for i := 0; i < 200; i++ {
+			fracs = append(fracs, stochastic.New(1.2*rng.Float64(), rng.Float64()))
+		}
+		for _, frac := range fracs {
+			for i := range u {
+				want := math.Max(frac.Quantile(u[i][machines]), minAvailPoint)
+				if got := d.bandwidth(i, frac); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%d machines, draw %d, fraction %v: tabled draw %v, Quantile %v", machines, i, frac, got, want)
+				}
+			}
+		}
+	}
+}
+
+// treeDistGrid is computeDistGrid as it was before the point evaluator and
+// the design tables: the expression tree evaluated at every draw, each draw
+// inverted from the uniform matrix on the spot. It is the reference the
+// served grid is held to.
+func treeDistGrid(s *Service, model *structural.SORConfig, dists []nws.LoadDist, bwFrac, raw stochastic.Value) []float64 {
+	tree, err := model.Build()
+	if err != nil {
+		return normalDistGrid(raw)
+	}
+	u := buildDistUniforms(len(dists) + 1)
+	params := structural.Params{structural.BWAvailParam: stochastic.Point(1)}
+	times := make([]float64, len(u))
+	bwDim := len(dists)
+	for i, row := range u {
+		if s.netMon {
+			bw := bwFrac.Quantile(row[bwDim])
+			params[structural.BWAvailParam] = stochastic.Point(math.Max(bw, minAvailPoint))
+		}
+		for m := range dists {
+			q := nws.GridQuantile(dists[m].Quantiles, row[m])
+			params[structural.LoadParam(m)] = stochastic.Point(math.Max(q, minAvailPoint))
+		}
+		v, err := tree.Eval(params)
+		if err != nil {
+			return normalDistGrid(raw)
+		}
+		times[i] = v.Mean
+	}
+	sort.Float64s(times)
+	grid := make([]float64, len(nws.DistLevels))
+	for i, p := range nws.DistLevels {
+		grid[i] = stats.QuantileSorted(times, p)
+	}
+	monotonizeGrid(grid)
+	return grid
+}
+
+// TestDistGridMatchesTree: over a mixed fleet (three- and four-machine
+// tenants, steady, bursty and scenario loads, monitored and dedicated
+// networks), cold and warm, for every Max strategy and both iteration
+// relations, the grid the service computes is the tree-evaluated grid bit
+// for bit — and a model the tree refuses degrades both the same way.
+func TestDistGridMatchesTree(t *testing.T) {
+	specs := FleetSpecs(9, 23)
+	dedicated := specs[4]
+	dedicated.Name, dedicated.Net = "dedicated-net", nil
+	specs = append(specs, dedicated)
+	shapes := []Request{
+		{N: 400, Iterations: 10},
+		{N: 1600, Iterations: 80, TimeBalanced: true},
+		{N: 37, Iterations: 3},
+	}
+	grids := 0
+	for _, spec := range specs {
+		spec := spec
+		spec.Warmup = 0
+		svc, err := NewServiceFromSpec(&spec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, until := range []float64{0, 35, 600, 1805} {
+			if err := svc.AdvanceTo(until); err != nil {
+				t.Fatal(err)
+			}
+			for _, shape := range shapes {
+				for _, strategy := range []stochastic.MaxStrategy{stochastic.LargestMean, stochastic.LargestMagnitude, stochastic.Probabilistic} {
+					for _, rel := range []structural.Relation{structural.Related, structural.Unrelated} {
+						req := shape
+						req.MaxStrategy, req.IterationRel = strategy, rel
+						core, err := svc.computeCore(req)
+						if err != nil {
+							t.Fatalf("%s at %g, %+v: %v", spec.Name, until, req, err)
+						}
+						got := svc.computeDistGrid(core.distModel, core.distDists, core.bandwidth, core.raw)
+						want := treeDistGrid(svc, core.distModel, core.distDists, core.bandwidth, core.raw)
+						if !sameFloats(got, want) {
+							t.Fatalf("%s at %g, %+v:\ngrid %v\ntree %v", spec.Name, until, req, got, want)
+						}
+						if sameFloats(got, normalDistGrid(core.raw)) {
+							t.Fatalf("%s at %g, %+v: the grid degraded to the normal one", spec.Name, until, req)
+						}
+						grids++
+
+						broken := *core.distModel
+						broken.Iterations = 0
+						if got := svc.computeDistGrid(&broken, core.distDists, core.bandwidth, core.raw); !sameFloats(got, normalDistGrid(core.raw)) {
+							t.Fatalf("%s: a refused model served %v, want the raw value's normal grid", spec.Name, got)
+						}
+					}
+				}
+			}
+		}
+	}
+	if grids != len(specs)*4*len(shapes)*6 {
+		t.Fatalf("compared %d grids", grids)
+	}
+}
+
+// TestDistGridDoesNotAllocatePerDraw: a distribution-valued cache miss on
+// platform 2 stays under 160 allocations (1450 when every draw walked the
+// tree), and the grid's share of them — the evaluator, the draw and time
+// buffers, the grid — is a handful however many draws there are.
+func TestDistGridDoesNotAllocatePerDraw(t *testing.T) {
+	cfg, err := SimulatedConfig(2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := NewService(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Advance(600); err != nil {
+		t.Fatal(err)
+	}
+	req := Request{N: 1000, Iterations: 20, Distribution: true}
+	if req.Partition, err = svc.Partition(req); err != nil { // pinned: every Predict is a miss
+		t.Fatal(err)
+	}
+	miss := testing.AllocsPerRun(50, func() {
+		if _, err := svc.Predict(req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if miss > 160 {
+		t.Errorf("a distribution-valued miss allocates %v times, want <= 160", miss)
+	}
+	core, err := svc.computeCore(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := testing.AllocsPerRun(50, func() {
+		_ = svc.computeDistGrid(core.distModel, core.distDists, core.bandwidth, core.raw)
+	})
+	if grid > 8 || grid >= distSamples/4 {
+		t.Errorf("one grid of %d draws allocates %v times, want a handful", distSamples, grid)
+	}
+}
+
+// TestTickCacheIsBounded: one generation memoizes maxTickCacheEntries
+// shapes; the next distinct shape is computed and served without an entry,
+// with the bytes a cached service gives it, and the next tick starts over.
+func TestTickCacheIsBounded(t *testing.T) {
+	build := func() *Service {
+		cfg, err := SimulatedConfig(1, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc, err := NewService(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := svc.Advance(300); err != nil {
+			t.Fatal(err)
+		}
+		return svc
+	}
+	full, fresh := build(), build()
+	for i := 1; i <= maxTickCacheEntries; i++ {
+		if _, err := full.Predict(Request{N: 120, Iterations: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := len(full.cache.entries); got != maxTickCacheEntries {
+		t.Fatalf("%d entries after %d shapes", got, maxTickCacheEntries)
+	}
+	over := Request{N: 120, Iterations: maxTickCacheEntries + 1, Levels: []float64{0.9}}
+	want, err := fresh.Predict(over)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ask := 0; ask < 2; ask++ {
+		got, err := full.Predict(over)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Value != want.Value || got.Raw != want.Raw || !sameFloats(got.Dist.Calibrated, want.Dist.Calibrated) || got.Dist.Intervals[0] != want.Dist.Intervals[0] {
+			t.Fatalf("uncached %+v, cached %+v", got, want)
+		}
+	}
+	if got := len(full.cache.entries); got != maxTickCacheEntries {
+		t.Fatalf("%d entries after a shape past the bound", got)
+	}
+	// A memoized shape still hits, and a tick empties the generation.
+	if e := full.cache.entry(keyFor(Request{N: 120, Iterations: 7})); e == nil || !e.done {
+		t.Fatal("a memoized shape lost its entry")
+	}
+	if err := full.Advance(5); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := full.Predict(over); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(full.cache.entries); got != 1 {
+		t.Fatalf("%d entries after the first shape of a new tick", got)
+	}
+}

@@ -128,11 +128,12 @@ type Service struct {
 	// one pipeline evaluation.
 	cache *tickCache
 
-	// distU is the fixed Latin-hypercube sample matrix the distribution
-	// transform evaluates the structural model over — one column per
-	// machine plus one for the bandwidth fraction. Fixed at construction
-	// so predictions stay a pure function of monitor state.
-	distU [][]float64
+	// design is the fixed Latin-hypercube sample the distribution transform
+	// evaluates the structural model over — one column per machine plus one
+	// for the bandwidth fraction — tabulated in the form the grid reads it.
+	// Fixed at construction so predictions stay a pure function of monitor
+	// state.
+	design distDesign
 
 	// Online accuracy state: the per-platform tracker plus the ledger of
 	// issued-but-unobserved predictions the Observe path resolves against.
@@ -201,7 +202,7 @@ func NewService(cfg Config) (*Service, error) {
 		tracker:  tracker,
 		issued:   make(map[uint64]issuedPrediction),
 		metrics:  newServiceMetrics(cfg.Metrics, cfg.Platform.Name),
-		distU:    buildDistUniforms(p + 1),
+		design:   buildDistDesign(p),
 	}
 	if !cfg.DisableTickCache {
 		s.cache = newTickCache()
@@ -378,15 +379,21 @@ func (s *Service) checkPlatform(name string) error {
 
 // Ceilings on the job shape a request may name. A prediction costs the
 // same whatever the shape, so these only keep the arithmetic downstream
-// safe and the per-grid-size state bounded: at the ceilings the element
-// count N²·Iterations is 2^52, exact in an int and in a float64; the grid
-// alone is 2 GiB, eight times the memory of the largest catalog machine;
-// and a tenant holds at most MaxGridSize bandwidth monitors (one per probe
-// size). Whoever does work in proportion to the shape bounds that work
-// itself (fleetsched.MaxJobWork).
+// safe and the per-shape state bounded: at the ceilings the element count
+// N²·Iterations is 2^52, exact in an int and in a float64, and the grid
+// alone is 2 GiB, eight times the memory of the largest catalog machine.
+// Whoever does work in proportion to the shape bounds that work itself
+// (fleetsched.MaxJobWork).
+//
+// MaxProbeSizes bounds the state a grid size leaves behind: every distinct
+// N on a monitored network gets its own bandwidth monitor (the probe is one
+// ghost row), a full ring that every later Advance catches up. A platform
+// keeps at most MaxProbeSizes of them and refuses the request that would
+// need one more; a restored snapshot keeps whatever its image holds.
 const (
 	MaxGridSize   = 1 << 14
 	MaxIterations = 1 << 24
+	MaxProbeSizes = 64
 )
 
 // CheckJobShape validates the grid size and iteration count of an SOR job,
@@ -537,6 +544,11 @@ func (s *Service) bwReport(n int) (stochastic.Value, nws.GapStats, error) {
 	if sh == nil {
 		s.bwMu.Lock()
 		if sh = s.bw[probeBytes]; sh == nil {
+			if len(s.bw) >= MaxProbeSizes {
+				s.bwMu.Unlock()
+				return stochastic.Value{}, nws.GapStats{}, fmt.Errorf(
+					"predict: grid size %d needs one more bandwidth probe size, exceeds limit %d per platform", n, MaxProbeSizes)
+			}
 			sh = &monitorShard{}
 			s.bw[probeBytes] = sh
 		}
@@ -639,13 +651,17 @@ func (s *Service) predictShared(req Request) (Prediction, error) {
 
 // resolveCore returns the pipeline result for req — from the tick cache
 // when possible, computing (and memoizing) it on first touch. Uncacheable
-// requests (pinned Partition or LoadOverride) always run the pipeline.
+// requests (pinned Partition or LoadOverride) always run the pipeline, and
+// so does a shape the full cache has no entry for.
 func (s *Service) resolveCore(req Request) (*predictionCore, error) {
-	if s.cache == nil || !cacheable(req) {
+	var e *cacheEntry
+	if s.cache != nil && cacheable(req) {
+		e = s.cache.entry(keyFor(req))
+	}
+	if e == nil {
 		s.metrics.recordCacheMiss()
 		return s.computeCore(req)
 	}
-	e := s.cache.entry(keyFor(req))
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.done {
@@ -749,6 +765,52 @@ func buildDistUniforms(dims int) [][]float64 {
 	return u
 }
 
+// distDesign is the sample matrix of buildDistUniforms with everything that
+// depends only on the uniforms worked out once: a draw reads a machine's
+// load off its forecast's DistLevels grid at a located position, and the
+// bandwidth fraction off its normal at a tabulated z-score.
+type distDesign struct {
+	machines int
+	// cells[i*machines+m] is where draw i reads machine m's quantile grid.
+	cells []nws.GridPos
+	// bwZ[i] is the standard normal quantile of draw i's bandwidth uniform.
+	bwZ []float64
+}
+
+func buildDistDesign(machines int) distDesign {
+	u := buildDistUniforms(machines + 1)
+	d := distDesign{
+		machines: machines,
+		cells:    make([]nws.GridPos, 0, len(u)*machines),
+		bwZ:      make([]float64, len(u)),
+	}
+	for i, row := range u {
+		for _, p := range row[:machines] {
+			d.cells = append(d.cells, nws.LocateLevel(p))
+		}
+		d.bwZ[i] = stats.NormalQuantile(row[machines])
+	}
+	return d
+}
+
+// loads fills out with draw i's availability of every machine: what
+// nws.GridQuantile(dists[m].Quantiles, u[i][m]) returns, floored.
+func (d *distDesign) loads(i int, dists []nws.LoadDist, out []float64) {
+	for m, c := range d.cells[i*d.machines : (i+1)*d.machines] {
+		out[m] = math.Max(c.Read(dists[m].Quantiles), minAvailPoint)
+	}
+}
+
+// bandwidth returns draw i's bandwidth fraction: what
+// bwFrac.Quantile(u[i][machines]) returns, floored.
+func (d *distDesign) bandwidth(i int, bwFrac stochastic.Value) float64 {
+	bw := bwFrac.Mean
+	if !bwFrac.IsPoint() {
+		bw = bwFrac.Mean + bwFrac.Sigma()*d.bwZ[i]
+	}
+	return math.Max(bw, minAvailPoint)
+}
+
 // computeDistGrid produces the raw execution-time quantile grid by an
 // independence Monte Carlo transform of the per-machine load
 // distributions: each Latin-hypercube row draws every machine's
@@ -762,34 +824,26 @@ func buildDistUniforms(dims int) [][]float64 {
 // execution-time distribution proportional to how likely slow draws
 // actually coincide. A model that rejects any draw degrades the whole
 // grid to the raw value's normal quantiles.
+//
+// Every draw is a point value, so the model is evaluated by its point
+// evaluator (structural.SORPoint), which returns the expression tree's
+// mean without building or walking the tree.
 func (s *Service) computeDistGrid(model *structural.SORConfig, dists []nws.LoadDist, bwFrac stochastic.Value, raw stochastic.Value) []float64 {
-	// The expression tree, the parameter names and the parameter map are the
-	// same for every draw: build them once and only re-point the map.
-	tree, err := model.Build()
+	eval, err := model.PointEvaluator()
 	if err != nil {
 		return normalDistGrid(raw)
 	}
-	loadNames := make([]string, len(dists))
-	for m := range dists {
-		loadNames[m] = structural.LoadParam(m)
-	}
-	params := structural.Params{structural.BWAvailParam: stochastic.Point(1)}
-	times := make([]float64, len(s.distU))
-	bwDim := len(dists)
-	for i, u := range s.distU {
+	times := make([]float64, len(s.design.bwZ))
+	loads := make([]float64, len(dists))
+	bw := 1.0
+	for i := range times {
 		if s.netMon {
-			bw := bwFrac.Quantile(u[bwDim])
-			params[structural.BWAvailParam] = stochastic.Point(math.Max(bw, minAvailPoint))
+			bw = s.design.bandwidth(i, bwFrac)
 		}
-		for m := range dists {
-			q := nws.GridQuantile(dists[m].Quantiles, u[m])
-			params[loadNames[m]] = stochastic.Point(math.Max(q, minAvailPoint))
-		}
-		v, err := tree.Eval(params)
-		if err != nil {
+		s.design.loads(i, dists, loads)
+		if times[i], err = eval.Time(loads, bw); err != nil {
 			return normalDistGrid(raw)
 		}
-		times[i] = v.Mean
 	}
 	sort.Float64s(times)
 	grid := make([]float64, len(nws.DistLevels))

@@ -161,7 +161,7 @@ func (d Div) Eval(p Params) (stochastic.Value, error) {
 		return stochastic.Value{}, err
 	}
 	if b.Mean == 0 {
-		return stochastic.Value{}, fmt.Errorf("structural: division by zero-mean %s", d.B.String())
+		return stochastic.Value{}, errZeroDivisor(d.B.String())
 	}
 	if d.Rel == Related {
 		return a.DivRelated(b), nil
@@ -201,7 +201,7 @@ type MaxOver struct {
 // Eval implements Component.
 func (m MaxOver) Eval(p Params) (stochastic.Value, error) {
 	if len(m.Terms) == 0 {
-		return stochastic.Value{}, errors.New("structural: empty max")
+		return stochastic.Value{}, errEmptyMax
 	}
 	vals := make([]stochastic.Value, len(m.Terms))
 	for i, t := range m.Terms {

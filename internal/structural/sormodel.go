@@ -3,14 +3,17 @@ package structural
 import (
 	"errors"
 	"fmt"
+	"strconv"
 
 	"prodpred/internal/cluster"
 	"prodpred/internal/sor"
 	"prodpred/internal/stochastic"
 )
 
-// LoadParam returns the parameter name of processor p's CPU availability.
-func LoadParam(p int) string { return fmt.Sprintf("load[%d]", p) }
+// LoadParam returns the parameter name of processor p's CPU availability,
+// "load[p]". It runs per machine on every cache miss, so it is built without
+// fmt.
+func LoadParam(p int) string { return "load[" + strconv.Itoa(p) + "]" }
 
 // BWAvailParam is the parameter name of the network-availability fraction.
 const BWAvailParam = "bwavail"

@@ -1,6 +1,7 @@
 package structural
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -293,5 +294,20 @@ func TestMaxStrategyAffectsPrediction(t *testing.T) {
 	}
 	if vMean == vMag {
 		t.Error("strategies should produce different predictions here")
+	}
+}
+
+// TestLoadParamNames holds the fmt-free LoadParam to the Sprintf form it
+// replaced.
+func TestLoadParamNames(t *testing.T) {
+	for _, p := range []int{-1, -1024, math.MinInt64, math.MaxInt64} {
+		if got, want := LoadParam(p), fmt.Sprintf("load[%d]", p); got != want {
+			t.Errorf("LoadParam(%d) = %q, want %q", p, got, want)
+		}
+	}
+	for p := 0; p < 1024; p++ {
+		if got, want := LoadParam(p), fmt.Sprintf("load[%d]", p); got != want {
+			t.Fatalf("LoadParam(%d) = %q, want %q", p, got, want)
+		}
 	}
 }

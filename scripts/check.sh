@@ -2,8 +2,9 @@
 # check.sh — the repo gate, and all of what CI runs: formatting, vet, the
 # race-clean test suite (every smoke and acceptance test is in it, once), a
 # one-iteration bench smoke, the loadgen CLI round trip, a short fuzz of the
-# request decoder, the bench/ module's vet + tests, and the snapshot drill
-# over the real daemon binary.
+# request decoder and of the point evaluator against the model tree, the
+# bench/ module's vet + tests, and the snapshot drill over the real daemon
+# binary.
 # The SOR worker pool, the sharded Monte Carlo engine, and the
 # predict.Service prediction core are concurrent by design, so -race is not
 # optional here.
@@ -34,6 +35,9 @@ rm -f "$tmptrace"
 # body-reading route of the real handler — never a panic, always a JSON
 # answer with status 200, 400 or 404.
 go test -run '^$' -fuzz FuzzPostBodies -fuzztime 5s ./internal/api
+# And of configs and availability bit patterns into the SOR point evaluator:
+# whatever they are, it returns the expression tree's mean or its error.
+go test -run '^$' -fuzz FuzzSORPointMatchesTree -fuzztime 5s ./internal/structural
 
 # The benchmark harness is its own module (bench/go.mod, replace prodpred
 # => ../), so ./... above does not see it: vet and test it here, or an
@@ -48,4 +52,4 @@ scripts/snapshot_smoke.sh
 # Coverage summary for the online-calibration layer (report-only, no gate).
 go test -cover ./internal/calib ./internal/predict | awk '{print "check.sh: coverage:", $0}'
 
-echo "check.sh: gofmt, vet, race-enabled tests, bench smoke, loadgen round trip, POST-body fuzz, the bench/ module, and the snapshot round trip all clean"
+echo "check.sh: gofmt, vet, race-enabled tests, bench smoke, loadgen round trip, POST-body and point-evaluator fuzz, the bench/ module, and the snapshot round trip all clean"
