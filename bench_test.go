@@ -11,9 +11,11 @@ import (
 	"math/rand"
 	"testing"
 
+	"prodpred/internal/calib"
 	"prodpred/internal/experiments"
 	"prodpred/internal/modal"
 	"prodpred/internal/sor"
+	"prodpred/internal/stats"
 	"prodpred/internal/stochastic"
 )
 
@@ -406,7 +408,19 @@ func BenchmarkMonitorSample(b *testing.B) {
 // package-level call so the figure is comparable across commits (the
 // monitor's own refits reuse one workspace and allocate less).
 func BenchmarkFitBIC64(b *testing.B) {
-	p, err := BurstyLoad(3)
+	benchFitBIC64(b, BurstyLoad)
+}
+
+// BenchmarkFitBIC64Unimodal is the same refit on a single-mode window, where
+// k = 1 wins: the mixtures with more components are over-fitted, which is
+// where EM crawls, so this is the dear case and the bursty window the cheap
+// one.
+func BenchmarkFitBIC64Unimodal(b *testing.B) {
+	benchFitBIC64(b, CenterModeLoad)
+}
+
+func benchFitBIC64(b *testing.B, load func(seed int64) (LoadProcess, error)) {
+	p, err := load(3)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -420,6 +434,41 @@ func BenchmarkFitBIC64(b *testing.B) {
 		if _, err := modal.FitBIC(window, 4); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkTrackerObserveQuantiles times one outcome with a quantile grid
+// into a tracker whose window is full: the record, the drift detectors (a
+// mode-count check every 16th) and the ten conformal quantiles.
+func BenchmarkTrackerObserveQuantiles(b *testing.B) {
+	tr, err := NewAccuracyTracker(CalibrationConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	// A centered predictive distribution: nothing drifts, every level has
+	// scores on both sides.
+	raw := stochastic.FromMeanSigma(100, 5)
+	grid := make([]float64, len(calib.QuantileGridLevels))
+	for j, p := range calib.QuantileGridLevels {
+		grid[j] = 100 + 5*stats.NormalQuantile(p)
+	}
+	rng := rand.New(rand.NewSource(1))
+	outcomes := make([]CalibrationOutcome, 256)
+	for i := range outcomes {
+		outcomes[i] = CalibrationOutcome{Raw: raw, Calibrated: raw, Actual: 100 + 5*rng.NormFloat64(), RawQuantiles: grid}
+	}
+	observe := func(i int) {
+		o := outcomes[i%len(outcomes)]
+		o.ID, o.Time = uint64(i+1), float64(i+1)
+		tr.Observe(o)
+	}
+	for i := 0; i < len(outcomes); i++ {
+		observe(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		observe(len(outcomes) + i)
 	}
 }
 

@@ -35,6 +35,7 @@ package calib
 import (
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 
 	"prodpred/internal/stats"
@@ -265,6 +266,11 @@ type Tracker struct {
 	cusumNeg   float64
 	sinceCheck int
 	baseModes  int // mode count at regime start (0 = not yet fitted)
+
+	// scratch is the one sample buffer of an Observe: each of its quantiles
+	// fills it, sorts it in place and reads the sorted sample, and the
+	// mode-count check fits it. Nothing in it outlives the call.
+	scratch []float64
 }
 
 // New returns a Tracker under cfg (zero-value fields take defaults).
@@ -366,12 +372,14 @@ func (t *Tracker) Observe(o Outcome) (DriftEvent, bool) {
 // rescaleLocked recomputes the conformal multiplier from the nonconformity
 // scores of the current regime (the post-reset portion of the window).
 func (t *Tracker) rescaleLocked() {
-	scores := make([]float64, 0, len(t.window))
-	for _, r := range t.regimeWindowLocked() {
-		if !r.Excluded {
-			scores = append(scores, r.Score)
+	scores := t.scratch[:0]
+	regime := t.regimeWindowLocked()
+	for i := range regime {
+		if !regime[i].Excluded {
+			scores = append(scores, regime[i].Score)
 		}
 	}
+	t.scratch = scores
 	n := len(scores)
 	if n < t.cfg.MinObserved {
 		t.scale = 1
@@ -383,12 +391,14 @@ func (t *Tracker) rescaleLocked() {
 	if level > 1 {
 		level = 1
 	}
-	q, err := stats.Quantile(scores, level)
-	if err != nil {
-		t.scale = 1
-		return
-	}
-	t.scale = math.Min(math.Max(q, t.cfg.ScaleFloor), t.cfg.ScaleCeil)
+	t.scale = math.Min(math.Max(quantileInPlace(scores, level), t.cfg.ScaleFloor), t.cfg.ScaleCeil)
+}
+
+// quantileInPlace is stats.Quantile without its copy: it sorts xs, which must
+// be non-empty, and reads level q in [0,1] off it.
+func quantileInPlace(xs []float64, q float64) float64 {
+	sort.Float64s(xs)
+	return stats.QuantileSorted(xs, q)
 }
 
 // regimeWindowLocked returns the suffix of the window belonging to the

@@ -54,12 +54,14 @@ func (t *Tracker) detectLocked(r *WindowRec) (DriftEvent, bool) {
 		return DriftEvent{}, false
 	}
 	t.sinceCheck = 0
-	zs := make([]float64, 0, len(t.window))
-	for _, w := range t.regimeWindowLocked() {
-		if !w.Excluded {
-			zs = append(zs, w.Z)
+	zs := t.scratch[:0]
+	regime := t.regimeWindowLocked()
+	for i := range regime {
+		if !regime[i].Excluded {
+			zs = append(zs, regime[i].Z)
 		}
 	}
+	t.scratch = zs
 	if len(zs) < 2*t.cfg.MinObserved {
 		return DriftEvent{}, false
 	}

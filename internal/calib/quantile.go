@@ -42,11 +42,7 @@
 // windowed mean PIT near 0.5 indicates a centered predictive distribution.
 package calib
 
-import (
-	"math"
-
-	"prodpred/internal/stats"
-)
+import "math"
 
 // IntervalLevels are the central interval levels the quantile calibrator
 // maintains two-sided multipliers for, ascending.
@@ -143,48 +139,47 @@ func (t *Tracker) rescaleQuantilesLocked() {
 	for i := 0; i < n; i++ {
 		t.qLo[i], t.qHi[i] = 1, 1
 	}
-	resid := make([]float64, 0, len(t.window))
+	resid := t.scratch[:0]
 	for i := range t.window {
 		if t.window[i].Qok {
 			resid = append(resid, t.window[i].QRel-1)
 		}
 	}
+	t.scratch = resid
 	if len(resid) >= t.cfg.MinObserved {
-		if shift, err := stats.Quantile(resid, 0.5); err == nil {
-			t.qShift = math.Min(math.Max(shift, -qShiftLimit), qShiftLimit)
-		}
+		shift := quantileInPlace(resid, 0.5)
+		t.qShift = math.Min(math.Max(shift, -qShiftLimit), qShiftLimit)
 	}
 
 	regime := t.regimeWindowLocked()
-	qrecs := make([]WindowRec, 0, len(regime))
-	for _, r := range regime {
-		if r.Qok {
-			qrecs = append(qrecs, r)
+	m := 0
+	for i := range regime {
+		if regime[i].Qok {
+			m++
 		}
 	}
-	if len(qrecs) < t.cfg.MinObserved {
+	if m < t.cfg.MinObserved {
 		return
 	}
-	scores := make([]float64, 0, len(qrecs))
 	for side := 0; side < 2; side++ {
 		for i, L := range IntervalLevels {
-			scores = scores[:0]
-			for _, r := range qrecs {
+			scores := t.scratch[:0]
+			for j := range regime {
+				r := &regime[j]
+				if !r.Qok {
+					continue
+				}
 				if side == 0 {
 					scores = append(scores, ((1+t.qShift)-r.QRel)/r.QsLo[i])
 				} else {
 					scores = append(scores, (r.QRel-(1+t.qShift))/r.QsHi[i])
 				}
 			}
-			m := len(scores)
 			level := math.Ceil(float64(m+1)*(1+L)/2) / float64(m)
 			if level > 1 {
 				level = 1
 			}
-			q, err := stats.Quantile(scores, level)
-			if err != nil {
-				continue
-			}
+			q := quantileInPlace(scores, level)
 			q = math.Min(math.Max(q, t.cfg.QScaleFloor), t.cfg.QScaleCeil)
 			if side == 0 {
 				t.qLo[i] = q

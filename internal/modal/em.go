@@ -109,11 +109,12 @@ func logNormalPDF(x, mu, sigma float64) float64 {
 }
 
 const (
-	emMaxIter  = 500
-	emTol      = 1e-8
-	minSigma   = 1e-6 // variance floor keeps components from collapsing
-	minWeight  = 1e-8
-	minSamples = 8
+	emMaxIter   = 500
+	raceMinIter = 10 // first iteration at which a fit may be abandoned (errAbandoned)
+	emTol       = 1e-8
+	minSigma    = 1e-6 // variance floor keeps components from collapsing
+	minWeight   = 1e-8
+	minSamples  = 8
 )
 
 // fitter is the scratch one EM fit works in. The zero value is ready to use;
@@ -146,7 +147,11 @@ func FitEM(xs []float64, k int) (*MixtureModel, error) {
 	return f.fitEM(xs, k)
 }
 
-// FitBIC fits mixtures with k = 1..kMax and returns the one minimizing BIC.
+// FitBIC fits mixtures with k = 1..kMax and returns the one minimizing BIC
+// among those that finish: the candidates are raced, in ascending k, and one
+// is abandoned (see errAbandoned) once it can no longer take the lead from
+// the best so far. The result is always bit for bit what FitEM returns for
+// its k.
 func FitBIC(xs []float64, kMax int) (*MixtureModel, error) {
 	f := fitters.Get().(*fitter)
 	defer fitters.Put(f)
@@ -156,10 +161,22 @@ func FitBIC(xs []float64, kMax int) (*MixtureModel, error) {
 func (f *fitter) fitEM(xs []float64, k int) (*MixtureModel, error) {
 	f.sorted = append(f.sorted[:0], xs...)
 	sort.Float64s(f.sorted)
-	return f.fit(xs, k)
+	return f.fit(xs, k, math.Inf(-1))
 }
 
-// fitBIC sorts the sample once for all kMax fits.
+// errAbandoned is fit's answer for a candidate it stopped early: at some
+// iteration from raceMinIter on (before it the climb out of the k-means seed
+// is too irregular to extrapolate), gaining on every iteration it was still
+// allowed as much log-likelihood as it had just gained, it would not have
+// reached need. EM's gains shrink as it converges, so the straight line is
+// generous; what it misses is a late S-shaped climb.
+var errAbandoned = errors.New("modal: candidate abandoned")
+
+// fitBIC sorts the sample once for all kMax fits, and tells each what it has
+// to reach: a k-component fit takes the lead only with a BIC below the best
+// so far, that is with a log-likelihood above ((3k-1)·ln n - bestBIC)/2.
+// Nothing leads before the first fit that succeeds, so that one always runs
+// to the end.
 func (f *fitter) fitBIC(xs []float64, kMax int) (*MixtureModel, error) {
 	if kMax < 1 {
 		return nil, errors.New("modal: kMax must be >= 1")
@@ -169,9 +186,12 @@ func (f *fitter) fitBIC(xs []float64, kMax int) (*MixtureModel, error) {
 	var best *MixtureModel
 	bestBIC := math.Inf(1)
 	var firstErr error
+	logN := math.Log(float64(len(xs)))
 	for k := 1; k <= kMax; k++ {
-		mm, err := f.fit(xs, k)
+		mm, err := f.fit(xs, k, (float64(3*k-1)*logN-bestBIC)/2)
 		if err != nil {
+			// errAbandoned may land here too: a candidate is abandoned only
+			// against an incumbent, and with best set firstErr is not read.
 			if firstErr == nil {
 				firstErr = err
 			}
@@ -187,7 +207,9 @@ func (f *fitter) fitBIC(xs []float64, kMax int) (*MixtureModel, error) {
 	return best, nil
 }
 
-// fit is the EM kernel; f.sorted holds xs in ascending order.
+// fit is the EM kernel; f.sorted holds xs in ascending order. A fit that can
+// no longer reach the log-likelihood need returns errAbandoned; -Inf asks for
+// the fit whatever it reaches.
 //
 // Its floating-point results are pinned bit for bit by
 // TestFitEMMatchesReference against the plain textbook loop, so every
@@ -198,7 +220,7 @@ func (f *fitter) fitBIC(xs []float64, kMax int) (*MixtureModel, error) {
 // and the calls the E-step skips are the ones whose result is exact by
 // definition — exp(0) = 1 for the component that attains the row maximum,
 // log(1) = 0 and x/1 = x for a row no other component contributes to.
-func (f *fitter) fit(xs []float64, k int) (*MixtureModel, error) {
+func (f *fitter) fit(xs []float64, k int, need float64) (*MixtureModel, error) {
 	if k < 1 {
 		return nil, errors.New("modal: k must be >= 1")
 	}
@@ -313,6 +335,9 @@ func (f *fitter) fit(xs []float64, k int) (*MixtureModel, error) {
 		if math.Abs(ll-prevLL) < emTol*(1+math.Abs(ll)) {
 			converged = true
 			break
+		}
+		if iters >= raceMinIter && ll >= prevLL && ll+(ll-prevLL)*float64(emMaxIter-iters) < need {
+			return nil, errAbandoned
 		}
 		prevLL = ll
 	}

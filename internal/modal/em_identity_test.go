@@ -28,6 +28,14 @@ func harvest(p load.Process, samples, stride int) [][]float64 {
 	return out
 }
 
+// liftedBursty is bench/spec.go's burstyLoad: platform2-bursty with its modes
+// lifted off the floor.
+func liftedBursty(seed int64) (*load.MarkovModal, error) {
+	return load.NewMarkovModal(
+		[]load.ModeSpec{{Mean: 0.25, Sigma: 0.03}, {Mean: 0.45, Sigma: 0.04}, {Mean: 0.68, Sigma: 0.04}, {Mean: 0.90, Sigma: 0.03}},
+		[]float64{0.2, 0.3, 0.3, 0.2}, 0.08, 0.7, 1.0, seed)
+}
+
 // identityCorpus is what the rewritten kernel is held to: windows of every
 // load the serving stack and the benchmark fit mixtures to, and the edges of
 // the algorithm.
@@ -49,11 +57,7 @@ func identityCorpus(t *testing.T) map[string][][]float64 {
 		t.Fatal(err)
 	}
 	corpus["platform2-bursty"] = harvest(bursty, 1200, 16)
-	// bench/spec.go's burstyLoad: platform2-bursty with its modes lifted off
-	// the floor.
-	lifted, err := load.NewMarkovModal(
-		[]load.ModeSpec{{Mean: 0.25, Sigma: 0.03}, {Mean: 0.45, Sigma: 0.04}, {Mean: 0.68, Sigma: 0.04}, {Mean: 0.90, Sigma: 0.03}},
-		[]float64{0.2, 0.3, 0.3, 0.2}, 0.08, 0.7, 1.0, 11)
+	lifted, err := liftedBursty(11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +131,8 @@ func sameError(a, b error) bool {
 // TestFitEMMatchesReference holds the rewritten EM kernel to the plain loop
 // it replaced, bit for bit, on every corpus window and every k the BIC
 // selection tries — through fresh scratch and through scratch reused across
-// all of them, which is what the pool hands a periodic caller.
+// all of them, which is what the pool hands a periodic caller — and the BIC
+// selection to the reference's race of the same candidates.
 func TestFitEMMatchesReference(t *testing.T) {
 	// The two calls the kernel skips must be exact where it skips them.
 	if math.Exp(0) != 1 || math.Log(1) != 0 {
@@ -162,7 +167,7 @@ func TestFitEMMatchesReference(t *testing.T) {
 				}
 			}
 			want, wantErr := refFitBIC(w, 4)
-			for how, fit := range map[string]func([]float64, int) (*MixtureModel, error){"reused": reused.fitBIC, "pooled": FitBIC} {
+			for how, fit := range map[string]func([]float64, int) (*MixtureModel, error){"fresh": new(fitter).fitBIC, "reused": reused.fitBIC, "pooled": FitBIC} {
 				got, err := fit(w, 4)
 				if !sameError(err, wantErr) {
 					t.Fatalf("%s[%d] FitBIC %s: error %v, reference %v", name, wi, how, err, wantErr)

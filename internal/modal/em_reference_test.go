@@ -11,17 +11,30 @@ import (
 
 // The EM fit as it stood before the kernel was rewritten for speed, kept
 // verbatim (names prefixed ref) as the oracle TestFitEMMatchesReference
-// compares the live FitEM against bit for bit. The one addition is the
-// refReseeds counter, so the test can tell that its collapse cases do
-// collapse.
+// compares the live FitEM and FitBIC against bit for bit. The additions are
+// the refReseeds counter, so the test can tell that its collapse cases do
+// collapse, and the race FitBIC runs its candidates through, which is defined
+// here the way the fit is: refFit takes the log-likelihood a candidate has to
+// reach and carries the one abandonment line. refFitBIC passes it; refFitEM
+// and refFitBICExhaustive — the selection as it stood before the race, which
+// TestFitBICRaceAgainstExhaustive measures agreement against — ask for the
+// fit whatever it reaches.
 
 var refReseeds int
+
+var errRefAbandoned = errors.New("reference: candidate abandoned")
 
 // FitEM fits a k-component Gaussian mixture to xs by expectation-
 // maximization, initialized with 1-D k-means (which is deterministic given
 // the quantile seeding used here). It returns an error for k < 1 or when
 // the sample is too small or degenerate.
 func refFitEM(xs []float64, k int) (*MixtureModel, error) {
+	return refFit(xs, k, math.Inf(-1))
+}
+
+// refFit is refFitEM unless the fit can no longer reach the log-likelihood
+// need, when it is errRefAbandoned.
+func refFit(xs []float64, k int, need float64) (*MixtureModel, error) {
 	if k < 1 {
 		return nil, errors.New("modal: k must be >= 1")
 	}
@@ -111,6 +124,9 @@ func refFitEM(xs []float64, k int) (*MixtureModel, error) {
 			converged = true
 			break
 		}
+		if iters >= raceMinIter && ll >= prevLL && ll+(ll-prevLL)*float64(emMaxIter-iters) < need {
+			return nil, errRefAbandoned
+		}
 		prevLL = ll
 	}
 
@@ -122,8 +138,42 @@ func refFitEM(xs []float64, k int) (*MixtureModel, error) {
 	return mm, nil
 }
 
-// FitBIC fits mixtures with k = 1..kMax and returns the one minimizing BIC.
+// FitBIC fits mixtures with k = 1..kMax and returns the one minimizing BIC
+// among the candidates that finish: candidate k is abandoned once, gaining on
+// every remaining iteration what it just gained, it would still end with a
+// BIC no better than the best so far.
 func refFitBIC(xs []float64, kMax int) (*MixtureModel, error) {
+	if kMax < 1 {
+		return nil, errors.New("modal: kMax must be >= 1")
+	}
+	var best *MixtureModel
+	bestBIC := math.Inf(1)
+	var firstErr error
+	for k := 1; k <= kMax; k++ {
+		need := (float64(3*k-1)*math.Log(float64(len(xs))) - bestBIC) / 2
+		mm, err := refFit(xs, k, need)
+		if err == errRefAbandoned {
+			continue
+		}
+		if err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
+			continue
+		}
+		if b := mm.BIC(len(xs)); b < bestBIC {
+			best, bestBIC = mm, b
+		}
+	}
+	if best == nil {
+		return nil, firstErr
+	}
+	return best, nil
+}
+
+// refFitBICExhaustive runs every candidate to the end and returns the one
+// minimizing BIC.
+func refFitBICExhaustive(xs []float64, kMax int) (*MixtureModel, error) {
 	if kMax < 1 {
 		return nil, errors.New("modal: kMax must be >= 1")
 	}

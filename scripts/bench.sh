@@ -11,7 +11,14 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 count="${COUNT:-3}"
-out="BENCH_$(date +%Y-%m-%d).json"
+# A day's second record does not replace its first: BENCH_<date>.2.json.
+day=$(date +%Y-%m-%d)
+out="BENCH_$day.json"
+n=1
+while [ -e "$out" ]; do
+    n=$((n + 1))
+    out="BENCH_$day.$n.json"
+done
 raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT
 
@@ -19,7 +26,7 @@ go test -run '^$' -bench . -benchmem -count "$count" "$@" . | tee "$raw"
 
 {
     printf '{\n'
-    printf '  "date": "%s",\n' "$(date +%Y-%m-%d)"
+    printf '  "date": "%s",\n' "$day"
     printf '  "go": "%s",\n' "$(go env GOVERSION)"
     printf '  "count": %s,\n' "$count"
     printf '  "ns_per_op": {\n'

@@ -14,11 +14,15 @@
 # of the machine falls on both. Then:
 #   - `bench compare` of the two runs.jsonl: medians, bounds, verdicts;
 #   - per pair, which side read better on each timing metric;
-#   - one `--epochs 2` run per side at seed 1: the response digests must be
-#     equal for a change that claims to leave served bytes alone.
+#   - per pair, how far capture95 and relwidth95 moved at the same seed, and
+#     the mean over the pairs: what a change that moves served bytes on
+#     purpose has to show instead of a digest;
+#   - one `--epochs 2` run per side at seed 1: whether the response digests
+#     are identical, which a change that claims to leave served bytes alone
+#     needs them to be.
 # Nothing is written outside .bench_build/ (git-ignored). Exit status 1
-# when the digests differ or a run fails; the verdict on the numbers is the
-# reader's.
+# only when a run fails; the verdict on the digests, like the one on the
+# numbers, is the reader's.
 set -euo pipefail
 
 if [ $# -lt 2 ] || [ $# -gt 3 ]; then
@@ -89,6 +93,20 @@ for metric in cpu_us_per_pred pred_per_s setup_s predict_p50_ms observe_p50_ms a
 done
 
 echo
+echo "=== quality per pair: change minus ref at the same seed, in the metric's own unit"
+printf '  %4s  %10s %10s %10s    %10s %10s %10s\n' pair capture95 change diff relwidth95 change diff
+for k in $(seq 1 "$pairs"); do
+    echo "$k" \
+        "$(value "$pair/out-ref/runs.jsonl" "$k" capture95)" "$(value "$pair/out-change/runs.jsonl" "$k" capture95)" \
+        "$(value "$pair/out-ref/runs.jsonl" "$k" relwidth95)" "$(value "$pair/out-change/runs.jsonl" "$k" relwidth95)"
+done | awk 'function abs(x) { return x < 0 ? -x : x }
+    { c = $3 - $2; w = $5 - $4; cs += c; ws += w; ca += abs(c); wa += abs(w); n++
+      printf "  %4d  %10.4f %10.4f %+10.4f    %10.4f %10.4f %+10.4f\n", $1, $2, $3, c, $4, $5, w }
+    END { if (n) {
+      printf "  %-28s %+10.4f    %21s %+10.4f\n", "mean diff", cs / n, "", ws / n
+      printf "  %-28s %10.4f    %21s %10.4f\n", "mean |diff|", ca / n, "", wa / n } }'
+
+echo
 echo "=== served bytes: --seed 1 --epochs 2 digests"
 digest_of() {
     run "$1" --seed 1 --epochs 2 --trace 0 | awk '$1 == "digest" { print $2 }'
@@ -97,8 +115,12 @@ digest_ref=$(digest_of ref)
 digest_change=$(digest_of change)
 echo "  ref    $digest_ref"
 echo "  change $digest_change"
-if [ -z "$digest_ref" ] || [ "$digest_ref" != "$digest_change" ]; then
-    echo "benchpair: DIGESTS DIFFER — the change alters served bytes" >&2
+if [ -z "$digest_ref" ] || [ -z "$digest_change" ]; then
+    echo "benchpair: a digest run printed no digest" >&2
     exit 1
 fi
-echo "  identical"
+if [ "$digest_ref" = "$digest_change" ]; then
+    echo "  identical"
+else
+    echo "  DIFFERENT — the change alters served bytes"
+fi
