@@ -328,6 +328,28 @@ func BenchmarkSORPointEval(b *testing.B) {
 	_ = sink
 }
 
+// BenchmarkSORValueEval times the same model at the same stochastic
+// parameters as BenchmarkStructuralSORPredict through the value evaluator —
+// what a cache miss that is the first of its grid size pays for the model
+// since the serving path stopped building the tree.
+func BenchmarkSORValueEval(b *testing.B) {
+	cfg := benchSORConfig(b)
+	eval, err := cfg.PointEvaluator()
+	if err != nil {
+		b.Fatal(err)
+	}
+	loads := []Value{NewValue(0.48, 0.05), Point(1), Point(1), Point(1)}
+	var sink Value
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if sink, err = eval.PhaseValue(loads, Point(1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	_ = sink
+}
+
 func BenchmarkValueSample(b *testing.B) {
 	v := stochastic.New(12, 1.2)
 	rng := rand.New(rand.NewSource(1))
@@ -498,4 +520,86 @@ func BenchmarkDistGrid(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// warmTick is BenchmarkDistGrid's platform with the tick cache in play: the
+// clock has just moved — by less than a sensor period, so no monitor took a
+// sample — and one distribution-valued shape of grid size 1000 has been
+// asked since. Benchmarks of misses on a warm tick call it again whenever
+// they have used the tick up.
+func warmTick(b *testing.B, svc *PredictionService) {
+	b.Helper()
+	if err := svc.Advance(1e-3); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := svc.Predict(PredictRequest{N: 1000, Iterations: 20, Distribution: true}); err != nil {
+		b.Fatal(err)
+	}
+}
+
+func warmTickService(b *testing.B, sizes int) *PredictionService {
+	b.Helper()
+	cfg, err := SimulatedPredictConfig(2, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	svc, err := NewPredictionService(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := svc.Advance(600); err != nil {
+		b.Fatal(err)
+	}
+	for n := 1000; n < 1000+sizes; n++ { // every grid size's bandwidth monitor exists
+		if _, err := svc.Predict(PredictRequest{N: n, Iterations: 20}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	warmTick(b, svc)
+	return svc
+}
+
+// benchWarmTickMisses times Predict of request(i) for i in [0, perTick) on
+// a warm tick, starting a new tick, untimed, whenever those are used up.
+func benchWarmTickMisses(b *testing.B, svc *PredictionService, perTick int, request func(i int) PredictRequest) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%perTick == 0 && i > 0 {
+			b.StopTimer()
+			warmTick(b, svc)
+			b.StartTimer()
+		}
+		if _, err := svc.Predict(request(i % perTick)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPredictMissWarmTick times a scalar cache miss on a tick that has
+// been asked before: another iteration count of a grid size already asked
+// (the shape level alone), and the first shape of another grid size (the
+// size level: partition, bandwidth report, model — not the monitors).
+func BenchmarkPredictMissWarmTick(b *testing.B) {
+	b.Run("iterations", func(b *testing.B) {
+		benchWarmTickMisses(b, warmTickService(b, 1), 2048, func(i int) PredictRequest {
+			return PredictRequest{N: 1000, Iterations: 100 + i}
+		})
+	})
+	b.Run("size", func(b *testing.B) {
+		const sizes = 32
+		benchWarmTickMisses(b, warmTickService(b, sizes+1), sizes, func(i int) PredictRequest {
+			return PredictRequest{N: 1001 + i, Iterations: 20}
+		})
+	})
+}
+
+// BenchmarkPredictLevelsMissSharedDraws times a distribution-valued miss of
+// another iteration count on a grid size whose 64 draws the tick already
+// has: BenchmarkDistGrid without the monitors, the model and the draws.
+func BenchmarkPredictLevelsMissSharedDraws(b *testing.B) {
+	levels := []float64{0.5, 0.95}
+	benchWarmTickMisses(b, warmTickService(b, 1), 2048, func(i int) PredictRequest {
+		return PredictRequest{N: 1000, Iterations: 100 + i, Levels: levels}
+	})
 }

@@ -122,6 +122,12 @@ func TestWorkCeilings(t *testing.T) {
 	if got, want := id.ReplaceAllString(last.Body.String(), ""), id.ReplaceAllString(fresh.Body.String(), ""); got != want || !strings.Contains(got, `"intervals"`) {
 		t.Errorf("shape %d of one tick answered\n%s\na fresh daemon answers\n%s", shapes, got, want)
 	}
+	// So is a shape of another grid size: with no room for the shape there
+	// is none for its size either.
+	last, fresh = post(h, "/predict", predictBody(130, 9)), post(oneTenantHandler(t), "/predict", predictBody(130, 9))
+	if got, want := id.ReplaceAllString(last.Body.String(), ""), id.ReplaceAllString(fresh.Body.String(), ""); last.Code != http.StatusOK || got != want {
+		t.Errorf("another grid size on a full tick answered %d\n%s\na fresh daemon answers\n%s", last.Code, got, want)
+	}
 }
 
 // TestDecodeBodyStdlibSemantics pins what the request path does with the

@@ -86,6 +86,7 @@ type Options struct {
 type server struct {
 	reg   *predict.Registry
 	sched *fleetsched.Scheduler
+	loads loadsMemo
 }
 
 // NewHandler builds the daemon's HTTP handler over reg: every Routes entry
@@ -274,7 +275,7 @@ func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	out := getBuf()
 	defer out.release()
-	out.b = appendPrediction(out.b, svc.Name(), &pred)
+	out.b = appendPrediction(out.b, svc.Name(), &pred, &s.loads)
 	writeRaw(w, http.StatusOK, out.b)
 }
 
@@ -351,7 +352,7 @@ func (s *server) handleBatchPredict(w http.ResponseWriter, r *http.Request) {
 		if svc, err := s.reg.Lookup(name); err == nil {
 			name = svc.Name()
 		}
-		out.b = appendPrediction(out.b, name, predFor[i])
+		out.b = appendPrediction(out.b, name, predFor[i], &s.loads)
 	}
 	out.b = append(out.b, `],"errors":`...)
 	out.b = strconv.AppendInt(out.b, int64(errCount), 10)

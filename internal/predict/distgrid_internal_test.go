@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"prodpred/internal/nws"
+	"prodpred/internal/sor"
 	"prodpred/internal/stats"
 	"prodpred/internal/stochastic"
 	"prodpred/internal/structural"
@@ -90,10 +91,11 @@ func TestDistDesignMatchesUniforms(t *testing.T) {
 	}
 }
 
-// treeDistGrid is computeDistGrid as it was before the point evaluator and
-// the design tables: the expression tree evaluated at every draw, each draw
-// inverted from the uniform matrix on the spot. It is the reference the
-// served grid is held to.
+// treeDistGrid is the distribution transform as it was before the point
+// evaluator, the design tables and the shared phase draws: the expression
+// tree evaluated at every draw, each draw inverted from the uniform matrix
+// on the spot, the run's own times sorted. It is the reference the served
+// grid is held to.
 func treeDistGrid(s *Service, model *structural.SORConfig, dists []nws.LoadDist, bwFrac, raw stochastic.Value) []float64 {
 	tree, err := model.Build()
 	if err != nil {
@@ -131,7 +133,7 @@ func treeDistGrid(s *Service, model *structural.SORConfig, dists []nws.LoadDist,
 // tenants, steady, bursty and scenario loads, monitored and dedicated
 // networks), cold and warm, for every Max strategy and both iteration
 // relations, the grid the service computes is the tree-evaluated grid bit
-// for bit — and a model the tree refuses degrades both the same way.
+// for bit — and a model that refuses a draw degrades it to the normal one.
 func TestDistGridMatchesTree(t *testing.T) {
 	specs := FleetSpecs(9, 23)
 	dedicated := specs[4]
@@ -159,12 +161,13 @@ func TestDistGridMatchesTree(t *testing.T) {
 					for _, rel := range []structural.Relation{structural.Related, structural.Unrelated} {
 						req := shape
 						req.MaxStrategy, req.IterationRel = strategy, rel
-						core, err := svc.computeCore(req)
+						core, err := svc.computeCore(req, &sizeFrame{tick: &tickFrame{}})
 						if err != nil {
 							t.Fatalf("%s at %g, %+v: %v", spec.Name, until, req, err)
 						}
-						got := svc.computeDistGrid(core.distModel, core.distDists, core.bandwidth, core.raw)
-						want := treeDistGrid(svc, core.distModel, core.distDists, core.bandwidth, core.raw)
+						model, dists, bandwidth := svc.sorModel(req, core.size.partition), core.size.tick.dists, core.size.bandwidth
+						got := core.dist(svc)
+						want := treeDistGrid(svc, model, dists, bandwidth, core.raw)
 						if !sameFloats(got, want) {
 							t.Fatalf("%s at %g, %+v:\ngrid %v\ntree %v", spec.Name, until, req, got, want)
 						}
@@ -173,10 +176,13 @@ func TestDistGridMatchesTree(t *testing.T) {
 						}
 						grids++
 
-						broken := *core.distModel
-						broken.Iterations = 0
-						if got := svc.computeDistGrid(&broken, core.distDists, core.bandwidth, core.raw); !sameFloats(got, normalDistGrid(core.raw)) {
-							t.Fatalf("%s: a refused model served %v, want the raw value's normal grid", spec.Name, got)
+						// The served path builds its evaluator once, for the
+						// scalar value too, so a config it refuses never
+						// reaches the grid; what degrades the grid is a
+						// refused draw — here by an evaluator of one strip
+						// fewer than the platform has machines.
+						if got := distGrid(svc.drawPhases(refusingEvaluator(t, model), dists, bandwidth), core.k, core.raw); !sameFloats(got, normalDistGrid(core.raw)) {
+							t.Fatalf("%s: refused draws served %v, want the raw value's normal grid", spec.Name, got)
 						}
 					}
 				}
@@ -186,6 +192,23 @@ func TestDistGridMatchesTree(t *testing.T) {
 	if grids != len(specs)*4*len(shapes)*6 {
 		t.Fatalf("compared %d grids", grids)
 	}
+}
+
+// refusingEvaluator is model's evaluator with its last strip folded into the
+// one before: it refuses any draw of the platform's machines.
+func refusingEvaluator(t *testing.T, model *structural.SORConfig) *structural.SORPoint {
+	t.Helper()
+	short := *model
+	rows := append([]int(nil), model.Partition.Rows...)
+	last := len(rows) - 1
+	rows[last-1] += rows[last]
+	short.Partition = &sor.Partition{N: model.N, Rows: rows[:last]}
+	short.Machines, short.MachineIdx = model.Machines[:last], model.MachineIdx[:last]
+	eval, err := short.PointEvaluator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eval
 }
 
 // TestDistGridDoesNotAllocatePerDraw: a distribution-valued cache miss on
@@ -216,12 +239,12 @@ func TestDistGridDoesNotAllocatePerDraw(t *testing.T) {
 	if miss > 160 {
 		t.Errorf("a distribution-valued miss allocates %v times, want <= 160", miss)
 	}
-	core, err := svc.computeCore(req)
+	core, err := svc.computeCore(req, &sizeFrame{tick: &tickFrame{}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	grid := testing.AllocsPerRun(50, func() {
-		_ = svc.computeDistGrid(core.distModel, core.distDists, core.bandwidth, core.raw)
+		_ = distGrid(svc.drawPhases(core.size.eval, core.size.tick.dists, core.size.bandwidth), core.k, core.raw)
 	})
 	if grid > 8 || grid >= distSamples/4 {
 		t.Errorf("one grid of %d draws allocates %v times, want a handful", distSamples, grid)
@@ -229,7 +252,9 @@ func TestDistGridDoesNotAllocatePerDraw(t *testing.T) {
 }
 
 // TestTickCacheIsBounded: one generation memoizes maxTickCacheEntries
-// shapes; the next distinct shape is computed and served without an entry,
+// shapes; the next distinct shape is computed and served without an entry —
+// over the frame of its grid size if that has been asked, and otherwise
+// without one: the size table grows only under the shapes the bound counts —
 // with the bytes a cached service gives it, and the next tick starts over.
 func TestTickCacheIsBounded(t *testing.T) {
 	build := func() *Service {
@@ -252,7 +277,7 @@ func TestTickCacheIsBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := len(full.cache.entries); got != maxTickCacheEntries {
+	if got := full.cache.shapes; got != maxTickCacheEntries {
 		t.Fatalf("%d entries after %d shapes", got, maxTickCacheEntries)
 	}
 	over := Request{N: 120, Iterations: maxTickCacheEntries + 1, Levels: []float64{0.9}}
@@ -269,11 +294,19 @@ func TestTickCacheIsBounded(t *testing.T) {
 			t.Fatalf("uncached %+v, cached %+v", got, want)
 		}
 	}
-	if got := len(full.cache.entries); got != maxTickCacheEntries {
-		t.Fatalf("%d entries after a shape past the bound", got)
+	// It ran on the frame its 4096 predecessors share: the draws it asked
+	// for, first of them all, are there.
+	if sz, e := full.cache.entry(keysFor(over)); e != nil || sz == nil || sz.draws == nil {
+		t.Fatalf("a shape past the bound: entry %v, size frame %+v", e, sz)
+	}
+	if _, err := full.Predict(Request{N: 121, Iterations: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if got, sizes := full.cache.shapes, len(full.cache.tick.sizes); got != maxTickCacheEntries || sizes != 1 {
+		t.Fatalf("%d entries under %d sizes after shapes past the bound", got, sizes)
 	}
 	// A memoized shape still hits, and a tick empties the generation.
-	if e := full.cache.entry(keyFor(Request{N: 120, Iterations: 7})); e == nil || !e.done {
+	if _, e := full.cache.entry(keysFor(Request{N: 120, Iterations: 7})); e == nil || !e.done {
 		t.Fatal("a memoized shape lost its entry")
 	}
 	if err := full.Advance(5); err != nil {
@@ -282,7 +315,7 @@ func TestTickCacheIsBounded(t *testing.T) {
 	if _, err := full.Predict(over); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(full.cache.entries); got != 1 {
-		t.Fatalf("%d entries after the first shape of a new tick", got)
+	if got, sizes := full.cache.shapes, len(full.cache.tick.sizes); got != 1 || sizes != 1 {
+		t.Fatalf("%d entries under %d sizes after the first shape of a new tick", got, sizes)
 	}
 }

@@ -37,8 +37,22 @@ var BatchSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 // Stage label values of MetricStageDuration, in pipeline order: catch the
 // monitors up (monitor_read), read their robust stochastic reports
 // (forecast), choose the partition (schedule), evaluate the structural
-// model (model_eval), and the whole Predict call end to end (predict).
+// model (model_eval), run the distribution transform's draws (dist_grid),
+// and the whole Predict call end to end (predict).
 var Stages = []string{"monitor_read", "forecast", "schedule", "model_eval", "dist_grid", "predict"}
+
+// stage indexes Stages.
+type stage int
+
+const (
+	stageMonitorRead stage = iota
+	stageForecast
+	stageSchedule
+	stageModelEval
+	stageDistGrid
+	stagePredict
+	numStages
+)
 
 // serviceMetrics holds one platform's pre-resolved metric series. A nil
 // *serviceMetrics (no registry configured) makes every record call a cheap
@@ -56,7 +70,7 @@ type serviceMetrics struct {
 	scale        *obs.Gauge
 	outstanding  *obs.Gauge
 	vtime        *obs.Gauge
-	stages       map[string]*obs.Histogram
+	stages       [numStages]*obs.Histogram
 
 	// Tournament-win counters, pre-resolved per known forecaster tag.
 	// winsVec stays behind for tags outside the standard set; the map is
@@ -103,13 +117,12 @@ func newServiceMetrics(reg *obs.Registry, platform string) *serviceMetrics {
 			"Issued predictions awaiting an Observe call, by platform.", "platform").With(platform),
 		vtime: reg.NewGaugeVec(MetricVirtualTime,
 			"Current virtual-clock time in virtual seconds, by platform.", "platform").With(platform),
-		stages: make(map[string]*obs.Histogram, len(Stages)),
 	}
 	hv := reg.NewHistogramVec(MetricStageDuration,
 		"Wall-clock pipeline stage latency in seconds, by platform and stage.",
 		nil, "platform", "stage")
-	for _, stage := range Stages {
-		m.stages[stage] = hv.With(platform, stage)
+	for st, label := range Stages {
+		m.stages[st] = hv.With(platform, label)
 	}
 	m.platform = platform
 	m.winsVec = reg.NewCounterVec(MetricTournamentWins,
@@ -158,14 +171,26 @@ func (m *serviceMetrics) recordQuantileRequest() {
 	}
 }
 
-// stageTimer returns a stop function recording the wall-clock duration of
-// one pipeline stage. On a nil receiver it avoids even the clock read.
-func (m *serviceMetrics) stageTimer(stage string) func() {
+// stopwatch times one pipeline stage; the zero stopwatch records nothing.
+type stopwatch struct {
+	h     *obs.Histogram
+	start time.Time
+}
+
+// startStage starts the wall-clock timing of one pipeline stage. On a nil
+// receiver it avoids even the clock read.
+func (m *serviceMetrics) startStage(st stage) stopwatch {
 	if m == nil {
-		return func() {}
+		return stopwatch{}
 	}
-	start := time.Now()
-	return func() { m.stages[stage].Observe(time.Since(start).Seconds()) }
+	return stopwatch{h: m.stages[st], start: time.Now()}
+}
+
+// stop records the time since startStage.
+func (w stopwatch) stop() {
+	if w.h != nil {
+		w.h.Observe(time.Since(w.start).Seconds())
+	}
 }
 
 func (m *serviceMetrics) recordError() {

@@ -96,8 +96,9 @@ type monitorShard struct {
 // all requests between two advances see one frozen monitor state. Under the
 // shared clock lock, per-monitor shard locks serialize access to individual
 // (non-thread-safe) monitors, and ledgerMu guards the Observe ledger. Lock
-// order: clockMu > cache entry > shard > ledgerMu; the calibration tracker
-// carries its own internal lock and is never held across another.
+// order: clockMu > cache entry > size frame > tick frame > shard >
+// ledgerMu; the calibration tracker carries its own internal lock and is
+// never held across another.
 type Service struct {
 	name     string
 	plat     *cluster.Platform
@@ -124,8 +125,9 @@ type Service struct {
 	bw   map[float64]*monitorShard // keyed by probe size (bytes)
 
 	// cache is the tick-scoped forecast cache (nil when disabled): all
-	// Predicts between two Advance calls that share a request shape share
-	// one pipeline evaluation.
+	// Predicts between two Advance calls share one read of the monitors,
+	// those of one grid size one partition and model evaluation, and those
+	// of one request shape one pipeline result.
 	cache *tickCache
 
 	// design is the fixed Latin-hypercube sample the distribution transform
@@ -437,20 +439,19 @@ func validateRequest(req Request) error {
 // normally a no-op, since Advance already did) and forecast (producing the
 // stochastic load reports).
 func (s *Service) readLoads(override func(int, *nws.Monitor) (stochastic.Value, error)) ([]stochastic.Value, []MachineReport, []nws.LoadDist, error) {
-	stopRead := s.metrics.stageTimer("monitor_read")
+	read := s.metrics.startStage(stageMonitorRead)
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		err := sh.mon.RunUntil(s.now)
 		sh.mu.Unlock()
 		if err != nil {
-			stopRead()
+			read.stop()
 			return nil, nil, nil, err
 		}
 	}
-	stopRead()
-	stopForecast := s.metrics.stageTimer("forecast")
-	defer stopForecast()
+	read.stop()
+	defer s.metrics.startStage(stageForecast).stop()
 	loads := make([]stochastic.Value, len(s.shards))
 	reports := make([]MachineReport, len(s.shards))
 	dists := make([]nws.LoadDist, len(s.shards))
@@ -500,8 +501,21 @@ func overrideLoadDist(v stochastic.Value) nws.LoadDist {
 	}
 }
 
+// resolveTick fills the tick level of a frame — readLoads, once — and
+// returns the error it memoizes. Callers hold the shared clock lock.
+func (s *Service) resolveTick(tick *tickFrame, override func(int, *nws.Monitor) (stochastic.Value, error)) error {
+	tick.mu.Lock()
+	defer tick.mu.Unlock()
+	if !tick.done {
+		tick.loads, tick.reports, tick.dists, tick.err = s.readLoads(override)
+		tick.tag = dominantForecaster(tick.dists)
+		tick.done = true
+	}
+	return tick.err
+}
+
 func (s *Service) choosePartition(req Request, loads []stochastic.Value) (*sor.Partition, error) {
-	defer s.metrics.stageTimer("schedule")()
+	defer s.metrics.startStage(stageSchedule).stop()
 	if req.TimeBalanced {
 		return sched.TimeBalancedPartition(req.N, s.machines, loads, s.link, timeBalanceRefinements)
 	}
@@ -521,11 +535,16 @@ func (s *Service) Partition(req Request) (*sor.Partition, error) {
 	if err := validateRequest(req); err != nil {
 		return nil, err
 	}
-	loads, _, _, err := s.readLoads(req.LoadOverride)
-	if err != nil {
+	// The reports are the tick's: shared with every Predict of this tick
+	// unless the request brings its own loads.
+	tick := &tickFrame{}
+	if s.cache != nil && req.LoadOverride == nil {
+		tick = s.cache.frame()
+	}
+	if err := s.resolveTick(tick, req.LoadOverride); err != nil {
 		return nil, err
 	}
-	return s.choosePartition(req, loads)
+	return s.choosePartition(req, tick.loads)
 }
 
 // bwReport returns the bandwidth fraction forecast for n's ghost-row-sized
@@ -591,15 +610,15 @@ func (s *Service) bwReport(n int) (stochastic.Value, nws.GapStats, error) {
 // once and served from the tick cache (each hit still issues a fresh ledger
 // ID and applies the current calibration multiplier). When the service
 // carries a metrics registry, the call records per-stage wall-clock
-// latencies (monitor_read -> forecast -> schedule -> model_eval on cache
-// misses, plus the whole call as stage "predict") and the per-platform
-// counters/gauges.
+// latencies (monitor_read -> forecast once per tick, schedule -> model_eval
+// once per grid size and tick, plus the whole call as stage "predict") and
+// the per-platform counters/gauges.
 func (s *Service) Predict(req Request) (Prediction, error) {
 	s.clockMu.RLock()
 	defer s.clockMu.RUnlock()
-	stop := s.metrics.stageTimer("predict")
+	call := s.metrics.startStage(stagePredict)
 	p, err := s.predictShared(req)
-	stop()
+	call.stop()
 	if err != nil {
 		s.metrics.recordError()
 		return Prediction{}, err
@@ -619,9 +638,9 @@ func (s *Service) PredictBatch(reqs []Request) ([]Prediction, []error) {
 	defer s.clockMu.RUnlock()
 	s.metrics.recordBatch(len(reqs))
 	for i, req := range reqs {
-		stop := s.metrics.stageTimer("predict")
+		call := s.metrics.startStage(stagePredict)
 		p, err := s.predictShared(req)
-		stop()
+		call.stop()
 		if err != nil {
 			s.metrics.recordError()
 			errs[i] = err
@@ -651,16 +670,24 @@ func (s *Service) predictShared(req Request) (Prediction, error) {
 
 // resolveCore returns the pipeline result for req — from the tick cache
 // when possible, computing (and memoizing) it on first touch. Uncacheable
-// requests (pinned Partition or LoadOverride) always run the pipeline, and
-// so does a shape the full cache has no entry for.
+// requests (pinned Partition or LoadOverride) always run the pipeline, over
+// a frame of their own that nothing else reads. A shape the full cache has
+// no entry for is computed on every call: over its size's frame when the
+// tick has one, over a frame of its own otherwise.
 func (s *Service) resolveCore(req Request) (*predictionCore, error) {
-	var e *cacheEntry
+	var (
+		sz *sizeFrame
+		e  *cacheEntry
+	)
 	if s.cache != nil && cacheable(req) {
-		e = s.cache.entry(keyFor(req))
+		sz, e = s.cache.entry(keysFor(req))
 	}
 	if e == nil {
+		if sz == nil {
+			sz = &sizeFrame{tick: &tickFrame{}}
+		}
 		s.metrics.recordCacheMiss()
-		return s.computeCore(req)
+		return s.computeCore(req, sz)
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -669,44 +696,78 @@ func (s *Service) resolveCore(req Request) (*predictionCore, error) {
 		return e.core, e.err
 	}
 	s.metrics.recordCacheMiss()
-	e.core, e.err = s.computeCore(req)
+	e.core, e.err = s.computeCore(req, sz)
 	e.done = true
 	return e.core, e.err
 }
 
-// computeCore runs the full monitor -> forecast -> schedule -> model
-// pipeline once at the current tick. Callers hold the shared clock lock.
-func (s *Service) computeCore(req Request) (*predictionCore, error) {
-	loads, reports, dists, err := s.readLoads(req.LoadOverride)
-	if err != nil {
+// computeCore runs the monitor -> forecast -> schedule -> model pipeline at
+// the current tick for one request shape, over the frame it is handed: the
+// cache's, where whatever an earlier shape of this tick or grid size worked
+// out is found done, or a fresh one, where everything runs. The shape's own
+// share is Repeat's arithmetic on the size's per-phase-pair value. Callers
+// hold the shared clock lock.
+func (s *Service) computeCore(req Request, sz *sizeFrame) (*predictionCore, error) {
+	if err := s.resolveSize(sz, req); err != nil {
 		return nil, err
 	}
-	part := req.Partition
-	if part == nil {
-		if part, err = s.choosePartition(req, loads); err != nil {
-			return nil, err
+	k := structural.PhasePairs(req.Iterations)
+	return &predictionCore{
+		size: sz,
+		raw:  structural.Repeat{K: k, Rel: req.IterationRel}.Of(sz.phase),
+		k:    k,
+	}, nil
+}
+
+// resolveSize fills the size level of a frame, once, and returns the error
+// it memoizes.
+func (s *Service) resolveSize(sz *sizeFrame, req Request) error {
+	sz.mu.Lock()
+	defer sz.mu.Unlock()
+	if !sz.done {
+		sz.err = s.computeSize(sz, req)
+		sz.done = true
+	}
+	return sz.err
+}
+
+// computeSize works out what a request shape owes to its grid size and
+// strategies alone: the partition (chosen from the tick's load reports, or
+// pinned), the bandwidth forecast, and the model's value for one phase pair.
+func (s *Service) computeSize(sz *sizeFrame, req Request) error {
+	tick := sz.tick
+	err := s.resolveTick(tick, req.LoadOverride)
+	if err != nil {
+		return err
+	}
+	sz.partition = req.Partition
+	if sz.partition == nil {
+		if sz.partition, err = s.choosePartition(req, tick.loads); err != nil {
+			return err
 		}
 	}
-	params := structural.Params{structural.BWAvailParam: stochastic.Point(1)}
-	bwFrac := stochastic.Point(1)
-	var bwGaps nws.GapStats
+	sz.bandwidth = stochastic.Point(1)
 	if s.netMon {
 		// Production network: the NWS bandwidth monitor's forecast of
 		// achieved bytes/s, expressed as a fraction of the dedicated link
 		// rate. Same fallback chain as the CPU monitors; the prior claims
 		// half the dedicated rate ± the full range.
-		frac, gaps, err := s.bwReport(req.N)
-		if err != nil {
-			return nil, err
+		if sz.bandwidth, sz.bwGaps, err = s.bwReport(req.N); err != nil {
+			return err
 		}
-		params[structural.BWAvailParam] = frac
-		bwFrac = frac
-		bwGaps = gaps
 	}
-	for i, l := range loads {
-		params[structural.LoadParam(i)] = l
+	defer s.metrics.startStage(stageModelEval).stop()
+	if sz.eval, err = s.sorModel(req, sz.partition).PointEvaluator(); err != nil {
+		return err
 	}
-	model := &structural.SORConfig{
+	sz.phase, err = sz.eval.PhaseValue(tick.loads, sz.bandwidth)
+	return err
+}
+
+// sorModel is the structural model of req's job on this platform under the
+// given decomposition.
+func (s *Service) sorModel(req Request, part *sor.Partition) *structural.SORConfig {
+	return &structural.SORConfig{
 		N:            req.N,
 		Iterations:   req.Iterations,
 		Partition:    part,
@@ -716,23 +777,6 @@ func (s *Service) computeCore(req Request) (*predictionCore, error) {
 		MaxStrategy:  req.MaxStrategy,
 		IterationRel: req.IterationRel,
 	}
-	stopEval := s.metrics.stageTimer("model_eval")
-	v, err := model.Predict(params)
-	stopEval()
-	if err != nil {
-		return nil, err
-	}
-	return &predictionCore{
-		raw:       v,
-		distModel: model,
-		distDists: dists,
-		distTag:   dominantForecaster(dists),
-		partition: part,
-		loads:     reports,
-		bandwidth: bwFrac,
-		bwGaps:    bwGaps,
-		time:      s.now,
-	}, nil
 }
 
 // minAvailPoint floors the point availabilities the quantile transform
@@ -741,9 +785,9 @@ func (s *Service) computeCore(req Request) (*predictionCore, error) {
 const minAvailPoint = 0.01
 
 // distSamples is how many joint load draws the distribution transform
-// evaluates the structural model at. The grid resolves lazily — the first
-// distribution-requesting prediction per (shape, tick) pays for it, the
-// tick cache shares the result, and legacy requests never trigger it.
+// evaluates the structural model at. The draws resolve lazily — the first
+// distribution-requesting prediction per (grid size, tick) pays for them,
+// the tick cache shares them, and legacy requests never trigger them.
 const distSamples = 64
 
 // buildDistUniforms tabulates a fixed Latin-hypercube sample matrix:
@@ -811,44 +855,69 @@ func (d *distDesign) bandwidth(i int, bwFrac stochastic.Value) float64 {
 	return math.Max(bw, minAvailPoint)
 }
 
-// computeDistGrid produces the raw execution-time quantile grid by an
+// phaseDraws resolves a size frame's sorted phase draws on first demand.
+// Safe for concurrent callers: the pass runs at most once per frame even
+// under a request storm. Callers hold the service's clock read lock.
+func (s *Service) phaseDraws(sz *sizeFrame) []float64 {
+	sz.drawsOnce.Do(func() {
+		defer s.metrics.startStage(stageDistGrid).stop()
+		sz.draws = s.drawPhases(sz.eval, sz.tick.dists, sz.bandwidth)
+	})
+	return sz.draws
+}
+
+// drawPhases is the sampling half of the distribution transform, an
 // independence Monte Carlo transform of the per-machine load
 // distributions: each Latin-hypercube row draws every machine's
 // availability (and the bandwidth fraction) independently from its own
-// forecast distribution by inverse CDF, the structural model maps the
-// joint draw to an execution time, and the grid is the empirical
-// DistLevels quantiles of the sampled times. Unlike a comonotone
-// transform — which pins all machines to the same bad quantile at once
-// and so prices an everyone-bursts-together event at the probability of
-// one machine bursting — the joint sampling keeps the tail of the
-// execution-time distribution proportional to how likely slow draws
-// actually coincide. A model that rejects any draw degrades the whole
-// grid to the raw value's normal quantiles.
+// forecast distribution by inverse CDF, and the structural model maps the
+// joint draw to the time of one phase pair. Unlike a comonotone transform —
+// which pins all machines to the same bad quantile at once and so prices an
+// everyone-bursts-together event at the probability of one machine
+// bursting — the joint sampling keeps the tail of the execution-time
+// distribution proportional to how likely slow draws actually coincide.
+// The draws come back sorted; a model that rejects any draw returns nil.
 //
 // Every draw is a point value, so the model is evaluated by its point
 // evaluator (structural.SORPoint), which returns the expression tree's
 // mean without building or walking the tree.
-func (s *Service) computeDistGrid(model *structural.SORConfig, dists []nws.LoadDist, bwFrac stochastic.Value, raw stochastic.Value) []float64 {
-	eval, err := model.PointEvaluator()
-	if err != nil {
-		return normalDistGrid(raw)
-	}
-	times := make([]float64, len(s.design.bwZ))
+func (s *Service) drawPhases(eval *structural.SORPoint, dists []nws.LoadDist, bwFrac stochastic.Value) []float64 {
+	phases := make([]float64, distSamples)
 	loads := make([]float64, len(dists))
 	bw := 1.0
-	for i := range times {
+	var err error
+	for i := range phases {
 		if s.netMon {
 			bw = s.design.bandwidth(i, bwFrac)
 		}
 		s.design.loads(i, dists, loads)
-		if times[i], err = eval.Time(loads, bw); err != nil {
-			return normalDistGrid(raw)
+		if phases[i], err = eval.Phase(loads, bw); err != nil {
+			return nil
 		}
 	}
-	sort.Float64s(times)
+	sort.Float64s(phases)
+	return phases
+}
+
+// distGrid is the reading half of the distribution transform: the raw
+// execution-time quantile grid of a run of k phase pairs, the empirical
+// DistLevels quantiles of k times each sorted phase draw. Multiplying by a
+// positive k and rounding are both monotone, so the scaled draws are the
+// sorted execution times of that run — what sorting SORPoint.Time over the
+// same draws gives, NaNs first either way — and one pass of draws serves
+// every iteration count. Without draws the grid degrades to the raw value's
+// normal quantiles.
+func distGrid(draws []float64, k float64, raw stochastic.Value) []float64 {
+	if draws == nil {
+		return normalDistGrid(raw)
+	}
+	var times [distSamples]float64
+	for i, d := range draws {
+		times[i] = k * d
+	}
 	grid := make([]float64, len(nws.DistLevels))
 	for i, p := range nws.DistLevels {
-		grid[i] = stats.QuantileSorted(times, p)
+		grid[i] = stats.QuantileSorted(times[:], p)
 	}
 	monotonizeGrid(grid)
 	return grid
@@ -903,7 +972,7 @@ func dominantForecaster(dists []nws.LoadDist) string {
 //
 // The distribution grid resolves lazily here: only requests that ask
 // (Distribution set, or any interval levels) trigger the Monte Carlo
-// transform, and the core memoizes it for the rest of the tick. Outcomes
+// transform, and the frame memoizes it for the rest of the tick. Outcomes
 // of predictions that never asked carry no grid, so quantile calibration
 // learns exclusively from distribution-valued traffic.
 func (s *Service) finishPrediction(core *predictionCore, req Request) Prediction {
@@ -924,7 +993,7 @@ func (s *Service) finishPrediction(core *predictionCore, req Request) Prediction
 			Levels:     nws.DistLevels,
 			Raw:        distRaw,
 			Calibrated: calQ,
-			Forecaster: core.distTag,
+			Forecaster: core.size.tick.tag,
 		}
 		if len(levels) > 0 {
 			dist.Intervals = make([]Interval, len(levels))
@@ -950,11 +1019,11 @@ func (s *Service) finishPrediction(core *predictionCore, req Request) Prediction
 		Value:            cal,
 		Raw:              core.raw,
 		CalibrationScale: scale,
-		Partition:        core.partition,
-		Time:             core.time,
-		Loads:            core.loads,
-		Bandwidth:        core.bandwidth,
-		BWGaps:           core.bwGaps,
+		Partition:        core.size.partition,
+		Time:             s.now,
+		Loads:            core.size.tick.reports,
+		Bandwidth:        core.size.bandwidth,
+		BWGaps:           core.size.bwGaps,
 		Dist:             dist,
 	}
 }

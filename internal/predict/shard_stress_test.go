@@ -1,13 +1,19 @@
 package predict_test
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
+	"prodpred/internal/obs"
 	"prodpred/internal/predict"
+	"prodpred/internal/sched"
 	"prodpred/internal/stochastic"
+	"prodpred/internal/structural"
 )
 
 // shardService builds the stress platform with the tick cache on or off —
@@ -188,5 +194,306 @@ func TestCachedMatchesUncached(t *testing.T) {
 		if cached[i] != uncached[i] {
 			t.Fatalf("step %d diverged:\ncached:   %s\nuncached: %s", i, cached[i], uncached[i])
 		}
+	}
+}
+
+// frameArchetypes are the platforms the randomised cached-vs-uncached
+// sequences run on, spec-built so a sequence can pass through a snapshot:
+// the bursty paper platform under sensor faults, a steady tenant on a
+// dedicated (unmonitored) network, and a workload-scenario tenant.
+func frameArchetypes(t *testing.T, seed int64) []predict.PlatformSpec {
+	t.Helper()
+	faulty, err := predict.SimulatedSpec(2, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulty.Warmup, faulty.History, faulty.FaultSeed = 120, 256, seed+7
+	faulty.Faults = []predict.FaultSpec{
+		{Machine: 0, Drop: 0.2, Transient: 0.05, Outages: []predict.OutageSpec{{Start: 150, End: 260}}},
+		{Machine: 2, Drop: 0.1},
+	}
+	fleet := predict.FleetSpecs(3, seed)
+	dedicated, scenario := fleet[0], fleet[2]
+	dedicated.Name, dedicated.Net = "dedicated-net", nil
+	return []predict.PlatformSpec{faulty, dedicated, scenario}
+}
+
+// randomShape draws a request from a pool built to collide: two grid sizes,
+// so most shapes of a tick share a size frame and differ in what the shape
+// level or the size key holds.
+func randomShape(rng *rand.Rand, name string) predict.Request {
+	req := predict.Request{
+		Platform:     name,
+		N:            []int{120, 200}[rng.Intn(2)],
+		Iterations:   []int{3, 6, 11, 40}[rng.Intn(4)],
+		IterationRel: structural.Relation(rng.Intn(2)),
+		MaxStrategy:  stochastic.MaxStrategy(rng.Intn(3)),
+		Strategy:     []sched.Strategy{sched.MeanBalanced, sched.MeanBalanced, sched.Conservative, sched.Optimistic}[rng.Intn(4)],
+		TimeBalanced: rng.Intn(5) == 0,
+	}
+	switch rng.Intn(3) {
+	case 1:
+		req.Levels = []float64{0.5, 0.95}[:1+rng.Intn(2)]
+	case 2:
+		req.Distribution = true
+	}
+	return req
+}
+
+// renderPrediction is TestCachedMatchesUncached's comparison form: every
+// field by %#v, the partition by its contents.
+func renderPrediction(p predict.Prediction, err error) string {
+	if err != nil {
+		return "error: " + err.Error()
+	}
+	part := "<nil>"
+	if p.Partition != nil {
+		part = fmt.Sprintf("%#v", *p.Partition)
+	}
+	p.Partition = nil
+	return fmt.Sprintf("%#v|%s", p, part)
+}
+
+// runFrameSequence drives one platform through a seeded sequence of
+// predictions (scalar, with levels, distribution-valued), batches, observes,
+// clock movements (a zero advance keeps the tick, a positive one drops it)
+// and, at a random step, a snapshot and restore — and returns everything it
+// was answered.
+func runFrameSequence(t *testing.T, spec predict.PlatformSpec, seed int64, noCache bool) []string {
+	t.Helper()
+	spec.DisableTickCache = noCache
+	reg := predict.NewRegistry()
+	if err := reg.RegisterSpec(spec); err != nil {
+		t.Fatal(err)
+	}
+	const steps = 48
+	rng := rand.New(rand.NewSource(seed))
+	restoreAt := rng.Intn(steps)
+	var (
+		got     []string
+		pending []predict.Prediction
+	)
+	answered := func(p predict.Prediction, err error) {
+		got = append(got, renderPrediction(p, err))
+		if err == nil {
+			pending = append(pending, p)
+		}
+	}
+	for step := 0; step < steps; step++ {
+		svc, err := reg.Lookup(spec.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if step == restoreAt {
+			var img bytes.Buffer
+			if err := reg.WriteSnapshot(&img); err != nil {
+				t.Fatal(err)
+			}
+			if reg, err = predict.ReadSnapshot(&img, predict.RegistryOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		switch op := rng.Intn(10); {
+		case op < 5:
+			answered(svc.Predict(randomShape(rng, spec.Name)))
+		case op == 5:
+			reqs := make([]predict.Request, 2+rng.Intn(5))
+			for i := range reqs {
+				reqs[i] = randomShape(rng, spec.Name)
+			}
+			preds, errs := reg.PredictBatch(reqs)
+			for i := range preds {
+				answered(preds[i], errs[i])
+			}
+		case op == 6 || op == 7:
+			if len(pending) == 0 {
+				continue
+			}
+			k := rng.Intn(len(pending))
+			p := pending[k]
+			pending = append(pending[:k], pending[k+1:]...)
+			snap, err := svc.Observe(p.ID, p.Raw.Mean*(0.85+0.3*rng.Float64()))
+			got = append(got, fmt.Sprintf("%#v %v", snap, err))
+		case op == 8:
+			if err := svc.Advance(0); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			if err := svc.Advance(3 + 40*rng.Float64()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	svc, err := reg.Lookup(spec.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(got, fmt.Sprintf("%#v", svc.Accuracy()))
+}
+
+// TestFrameMatchesNoFrameRandomised is TestCachedMatchesUncached over
+// seeded operation sequences instead of one fixed loop: on three platform
+// archetypes and twenty seeds each, a service that shares a tick's frames
+// and one that computes every request on a frame of its own answer every
+// prediction, error and observe identically — shapes that share a grid size
+// and differ in iteration count, relation, Max strategy or partitioning
+// strategy included, across zero and positive advances and a restore.
+func TestFrameMatchesNoFrameRandomised(t *testing.T) {
+	const seeds = 20
+	answers := 0
+	for seed := int64(1); seed <= seeds; seed++ {
+		for _, spec := range frameArchetypes(t, 300+seed) {
+			cached := runFrameSequence(t, spec, seed, false)
+			uncached := runFrameSequence(t, spec, seed, true)
+			if len(cached) != len(uncached) {
+				t.Fatalf("%s seed %d: run lengths diverged: %d vs %d", spec.Name, seed, len(cached), len(uncached))
+			}
+			for i := range cached {
+				if cached[i] != uncached[i] {
+					t.Fatalf("%s seed %d, answer %d diverged:\ncached:   %s\nuncached: %s", spec.Name, seed, i, cached[i], uncached[i])
+				}
+			}
+			answers += len(cached)
+		}
+	}
+	if answers < seeds*3*30 {
+		t.Fatalf("only %d answers compared", answers)
+	}
+}
+
+// stageCount reads how often a pipeline stage has been timed on a platform.
+func stageCount(reg *obs.Registry, platform, stage string) uint64 {
+	return reg.NewHistogramVec(predict.MetricStageDuration, "", nil, "platform", "stage").With(platform, stage).Snapshot().Count
+}
+
+func counterValue(reg *obs.Registry, name, platform string) int64 {
+	return reg.NewCounterVec(name, "", "platform").With(platform).Value()
+}
+
+// TestFrameStorm: eight goroutines ask eight shapes of one grid size on a
+// fresh tick, all at once, all distribution-valued. The monitors are read
+// once, the partition chosen and the model evaluated once, the draws run
+// once, every shape is computed once — and everyone is answered what a
+// service without a cache answers. Then a tick whose size level fails (the
+// 65th bandwidth probe size) fails every shape of that size with one text.
+func TestFrameStorm(t *testing.T) {
+	metrics := obs.NewRegistry()
+	build := func(metrics *obs.Registry) *predict.Service {
+		cfg, err := predict.SimulatedConfig(1, 61)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Metrics, cfg.DisableTickCache = metrics, metrics == nil
+		svc, err := predict.NewService(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := svc.AdvanceTo(100); err != nil {
+			t.Fatal(err)
+		}
+		return svc
+	}
+	svc, plain := build(metrics), build(nil)
+	name := svc.Name()
+	// The bandwidth monitor of the storm's grid size exists before the
+	// storm, so the counted tick is an ordinary one.
+	if _, err := svc.Predict(predict.Request{N: 160, Iterations: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*predict.Service{svc, plain} {
+		if err := s.AdvanceTo(130); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := map[string]uint64{}
+	for _, stage := range predict.Stages {
+		before[stage] = stageCount(metrics, name, stage)
+	}
+	missesBefore := counterValue(metrics, predict.MetricCacheMisses, name)
+	hitsBefore := counterValue(metrics, predict.MetricCacheHits, name)
+
+	const workers = 8
+	var (
+		wg    sync.WaitGroup
+		start = make(chan struct{})
+		got   [workers]predict.Prediction
+	)
+	shape := func(w int) predict.Request {
+		return predict.Request{N: 160, Iterations: 5 + w/2, IterationRel: structural.Relation(w % 2), Levels: []float64{0.9}}
+	}
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			p, err := svc.Predict(shape(w))
+			if err != nil {
+				t.Errorf("worker %d: %v", w, err)
+			}
+			got[w] = p
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	for stage, want := range map[string]uint64{"monitor_read": 1, "forecast": 1, "schedule": 1, "model_eval": 1, "dist_grid": 1, "predict": workers} {
+		if n := stageCount(metrics, name, stage) - before[stage]; n != want {
+			t.Errorf("stage %s ran %d times in the storm, want %d", stage, n, want)
+		}
+	}
+	if n := counterValue(metrics, predict.MetricCacheMisses, name) - missesBefore; n != workers {
+		t.Errorf("%d misses for %d shapes", n, workers)
+	}
+	if n := counterValue(metrics, predict.MetricCacheHits, name) - hitsBefore; n != 0 {
+		t.Errorf("%d hits among first touches", n)
+	}
+	for w := range got {
+		want, err := plain.Predict(shape(w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[w].ID, want.ID = 0, 0
+		if g, w2 := renderPrediction(got[w], nil), renderPrediction(want, nil); g != w2 {
+			t.Errorf("worker %d:\nstorm:    %s\nuncached: %s", w, g, w2)
+		}
+	}
+
+	// Fill the platform's probe sizes, then ask shapes of one more size on a
+	// fresh tick: the size level's refusal is every shape's answer.
+	for n := 200; n < 200+predict.MaxProbeSizes-1; n++ { // 160 is the first
+		if _, err := svc.Predict(predict.Request{N: n, Iterations: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := svc.Advance(10); err != nil {
+		t.Fatal(err)
+	}
+	schedulesBefore := stageCount(metrics, name, "schedule")
+	var texts [workers]string
+	start = make(chan struct{})
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			req := shape(w)
+			req.N = 99
+			_, err := svc.Predict(req)
+			if err == nil {
+				t.Errorf("worker %d: a 65th probe size was served", w)
+				return
+			}
+			texts[w] = err.Error()
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	for w := range texts {
+		if texts[w] != texts[0] || !strings.Contains(texts[w], "needs one more bandwidth probe size") {
+			t.Errorf("worker %d refused with %q, worker 0 with %q", w, texts[w], texts[0])
+		}
+	}
+	if n := stageCount(metrics, name, "schedule") - schedulesBefore; n != 1 {
+		t.Errorf("the refused size was worked out %d times, want 1", n)
 	}
 }

@@ -244,10 +244,16 @@ func (r Repeat) Eval(p Params) (stochastic.Value, error) {
 	if err != nil {
 		return stochastic.Value{}, err
 	}
+	return r.Of(v), nil
+}
+
+// Of combines K copies of a component whose value is already known: Eval
+// past the evaluation of C.
+func (r Repeat) Of(v stochastic.Value) stochastic.Value {
 	if r.Rel == Related {
-		return v.MulPoint(r.K), nil
+		return v.MulPoint(r.K)
 	}
-	return stochastic.Value{Mean: v.Mean * r.K, Spread: v.Spread * math.Sqrt(r.K)}, nil
+	return stochastic.Value{Mean: v.Mean * r.K, Spread: v.Spread * math.Sqrt(r.K)}
 }
 
 // String implements Component.

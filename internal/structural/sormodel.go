@@ -162,9 +162,12 @@ func (c *SORConfig) Build() (Component, error) {
 		MaxOver{Strategy: c.MaxStrategy, Terms: comps},
 		MaxOver{Strategy: c.MaxStrategy, Terms: comms},
 	}}
-	// Red + Black per iteration = 2 phase pairs; NumIts iterations.
-	return Repeat{K: 2 * float64(c.Iterations), Rel: c.IterationRel, C: perPhasePair}, nil
+	return Repeat{K: PhasePairs(c.Iterations), Rel: c.IterationRel, C: perPhasePair}, nil
 }
+
+// PhasePairs is how many times an SOR run of the given iteration count
+// repeats the per-phase-pair value: red and black each iteration.
+func PhasePairs(iterations int) float64 { return 2 * float64(iterations) }
 
 // Predict builds the model and evaluates it against params, returning the
 // stochastic execution-time prediction.

@@ -8,15 +8,22 @@ import (
 	"prodpred/internal/stochastic"
 )
 
-// SORPoint evaluates an SORConfig's model at point parameters — every load
-// and the bandwidth fraction a stochastic.Point, the degenerate stochastic
-// value of the paper's footnote 1 — and returns the mean Build().Eval()
-// returns for them, bit for bit, without the tree: no parameter map, no
-// interface dispatch, no allocation per evaluation. The expression tree
-// stays the definition of the model; TestSORPointMatchesTree and
-// FuzzSORPointMatchesTree hold this evaluator to it.
+// SORPoint is an SORConfig's model compiled for evaluation without the
+// tree: no parameter map, no interface dispatch, no allocation per
+// evaluation. The expression tree stays the definition of the model and the
+// oracle both evaluations are held to.
 //
-// Bit-identity is a matter of performing the tree's float operations on the
+// PhaseValue evaluates one phase pair, MaxComp + MaxComm, at stochastic
+// parameters by calling the tree's stochastic operations in the tree's
+// order (TestSORValueMatchesTree, FuzzSORValueMatchesTree); Repeat.Of turns
+// it into the run's value, so a caller predicting several iteration counts
+// of one decomposition evaluates the model once.
+//
+// Phase and Time evaluate at point parameters — every load and the
+// bandwidth fraction a stochastic.Point, the degenerate stochastic value of
+// the paper's footnote 1 — and return the mean the tree returns for them,
+// bit for bit (TestSORPointMatchesTree, FuzzSORPointMatchesTree). There
+// bit-identity is a matter of performing the tree's float operations on the
 // mean, in the tree's order:
 //
 //   - a Div is Point(c).MulUnrelated(Point(x).Recip()): c·(1/x), a multiply
@@ -31,7 +38,8 @@ import (
 //     MulUnrelated's |mean|·0 is NaN (x² underflows, or the mean is not
 //     finite), and a NaN spread decides LargestMagnitude and Probabilistic
 //     the way it does in stochastic.Max — so it is carried, as 0 or NaN;
-//   - Repeat multiplies the mean by 2·NumIts under either IterationRel.
+//   - Repeat multiplies the mean by 2·NumIts under either IterationRel, so
+//     Time is that count times Phase, which does not depend on it.
 //
 // A SORPoint is immutable after construction and safe for concurrent use.
 type SORPoint struct {
@@ -72,7 +80,7 @@ func (c *SORConfig) PointEvaluator() (*SORPoint, error) {
 		strips:   make([]pointStrip, p),
 		xfer:     c.Partition.GhostRowBytes() / c.Link.DedBW,
 		latency:  c.Link.Latency,
-		k:        2 * float64(c.Iterations),
+		k:        PhasePairs(c.Iterations),
 		strategy: c.MaxStrategy,
 	}
 	for i := range e.strips {
@@ -96,6 +104,17 @@ func (c *SORConfig) PointEvaluator() (*SORPoint, error) {
 // network-availability fraction. It fails where the tree does, on a zero
 // divisor, with the tree's error.
 func (e *SORPoint) Time(loads []float64, bw float64) (float64, error) {
+	phase, err := e.Phase(loads, bw)
+	if err != nil {
+		return 0, err
+	}
+	return e.k * phase, nil
+}
+
+// Phase returns the time of one phase pair, MaxComp + MaxComm, at the given
+// point availabilities: Time without its 2·NumIts, and the same whatever
+// the config's iteration count.
+func (e *SORPoint) Phase(loads []float64, bw float64) (float64, error) {
 	if len(loads) != len(e.strips) {
 		return 0, fmt.Errorf("structural: %d loads for %d strips", len(loads), len(e.strips))
 	}
@@ -128,7 +147,54 @@ func (e *SORPoint) Time(loads []float64, bw float64) (float64, error) {
 		}
 		comm.foldMax(e.strategy, p == 0, sum)
 	}
-	return e.k * ((0 + comp.mean) + comm.mean), nil
+	return (0 + comp.mean) + comm.mean, nil
+}
+
+// PhaseValue returns the stochastic value of one phase pair at the given
+// stochastic availabilities — what the Sum under Build's Repeat evaluates
+// to, with the tree's errors in the tree's order: a zero-mean load by strip
+// before the Max over them, then a zero-mean bandwidth fraction if any
+// transfer crosses machines.
+func (e *SORPoint) PhaseValue(loads []stochastic.Value, bw stochastic.Value) (stochastic.Value, error) {
+	if len(loads) != len(e.strips) {
+		return stochastic.Value{}, fmt.Errorf("structural: %d loads for %d strips", len(loads), len(e.strips))
+	}
+	var buf [16]stochastic.Value // a platform's strips, without a heap slice
+	vals := buf[:0]
+	for p := range e.strips {
+		if loads[p].Mean == 0 {
+			return stochastic.Value{}, errZeroDivisor(LoadParam(p))
+		}
+		vals = append(vals, stochastic.Point(e.strips[p].comp).DivUnrelated(loads[p]))
+	}
+	maxComp, err := stochastic.Max(e.strategy, vals...)
+	if err != nil {
+		return stochastic.Value{}, err
+	}
+	// One transfer that crosses machines, the same for every strip.
+	var t stochastic.Value
+	if e.charged {
+		if bw.Mean == 0 {
+			return stochastic.Value{}, errZeroDivisor(BWAvailParam)
+		}
+		t = stochastic.SumRelated(stochastic.Point(e.xfer).DivUnrelated(bw), stochastic.Point(e.latency))
+	}
+	vals = vals[:0]
+	for p := range e.strips {
+		s := &e.strips[p]
+		var terms [4]stochastic.Value // a transfer within one machine is PointConst(0)
+		for i := 0; i < s.terms; i++ {
+			if s.charged[i] {
+				terms[i] = t
+			}
+		}
+		vals = append(vals, stochastic.SumRelated(terms[:s.terms]...))
+	}
+	maxComm, err := stochastic.Max(e.strategy, vals...)
+	if err != nil {
+		return stochastic.Value{}, err
+	}
+	return stochastic.SumRelated(maxComp, maxComm), nil
 }
 
 // pointTerm is what the tree carries for a node whose inputs are all point

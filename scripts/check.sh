@@ -2,9 +2,9 @@
 # check.sh — the repo gate, and all of what CI runs: formatting, vet, the
 # race-clean test suite (every smoke and acceptance test is in it, once), a
 # one-iteration bench smoke, the loadgen CLI round trip, a short fuzz of the
-# request decoder, of the point evaluator against the model tree and of the
-# raced BIC selection against the exhaustive one, the bench/ module's vet +
-# tests, and the snapshot drill over the real daemon binary.
+# request decoder, of the point and value evaluators against the model tree
+# and of the raced BIC selection against the exhaustive one, the bench/
+# module's vet + tests, and the snapshot drill over the real daemon binary.
 # The SOR worker pool, the sharded Monte Carlo engine, and the
 # predict.Service prediction core are concurrent by design, so -race is not
 # optional here.
@@ -38,6 +38,10 @@ go test -run '^$' -fuzz FuzzPostBodies -fuzztime 5s ./internal/api
 # And of configs and availability bit patterns into the SOR point evaluator:
 # whatever they are, it returns the expression tree's mean or its error.
 go test -run '^$' -fuzz FuzzSORPointMatchesTree -fuzztime 5s ./internal/structural
+# And of stochastic means and spreads into its value evaluator, which the
+# serving path evaluates in the tree's place: the tree's value, spread
+# included, or its error.
+go test -run '^$' -fuzz FuzzSORValueMatchesTree -fuzztime 5s ./internal/structural
 # And of windows into the mixture selection: the error the exhaustive search
 # gives, its model bit for bit where the two pick the same k, and otherwise
 # one of its own candidates with a BIC no better than its pick's.
@@ -56,4 +60,4 @@ scripts/snapshot_smoke.sh
 # Coverage summary for the online-calibration layer (report-only, no gate).
 go test -cover ./internal/calib ./internal/predict | awk '{print "check.sh: coverage:", $0}'
 
-echo "check.sh: gofmt, vet, race-enabled tests, bench smoke, loadgen round trip, POST-body, point-evaluator and BIC-race fuzz, the bench/ module, and the snapshot round trip all clean"
+echo "check.sh: gofmt, vet, race-enabled tests, bench smoke, loadgen round trip, POST-body, point- and value-evaluator and BIC-race fuzz, the bench/ module, and the snapshot round trip all clean"
