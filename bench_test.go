@@ -14,6 +14,7 @@ import (
 	"prodpred/internal/calib"
 	"prodpred/internal/experiments"
 	"prodpred/internal/modal"
+	"prodpred/internal/predict"
 	"prodpred/internal/sor"
 	"prodpred/internal/stats"
 	"prodpred/internal/stochastic"
@@ -602,4 +603,63 @@ func BenchmarkPredictLevelsMissSharedDraws(b *testing.B) {
 	benchWarmTickMisses(b, warmTickService(b, 1), 2048, func(i int) PredictRequest {
 		return PredictRequest{N: 1000, Iterations: 100 + i, Levels: levels}
 	})
+}
+
+// waveFleet is the fleet-ops workload's fleet, in process: n FleetSpecs
+// tenants, live, warmed up for 120 s staggered by one tick per tenant (so a
+// sixteenth of them refit on any wave, not all on one), each asked four
+// grid sizes so its four bandwidth monitors exist.
+func waveFleet(b *testing.B, n int) *PredictRegistry {
+	b.Helper()
+	reg := NewPredictRegistry()
+	for i, spec := range predict.FleetSpecs(n, 1) {
+		spec.Warmup = 120 + 5*float64(i%16)
+		if err := reg.RegisterSpec(spec); err != nil {
+			b.Fatal(err)
+		}
+		for _, size := range []int{400, 800, 1200, 1600} {
+			if _, err := reg.Predict(PredictRequest{Platform: spec.Name, N: size, Iterations: 10}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	return reg
+}
+
+// fleetWave steps every live tenant's clock by dt: the one line to replace
+// with a loop over reg.Services() to time a commit that predates
+// Registry.AdvanceAll.
+func fleetWave(reg *PredictRegistry, dt float64) error {
+	_, _, err := reg.AdvanceAll(dt)
+	return err
+}
+
+// BenchmarkFleetAdvance times one fleet-wide 5 s wave (ns/op is ns per
+// wave) over 192 tenants — what POST /advance without a platform costs
+// under the HTTP layer. Compare runs at the same -cpu: the wave is spread
+// over GOMAXPROCS workers.
+func BenchmarkFleetAdvance(b *testing.B) {
+	b.Run("tenants=192", func(b *testing.B) {
+		reg := waveFleet(b, 192)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := fleetWave(reg, 5); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkServiceAdvanceTick times one tenant's one-period tick: four CPU
+// and four bandwidth monitors each take a sample, on the calling goroutine.
+func BenchmarkServiceAdvanceTick(b *testing.B) {
+	svc := waveFleet(b, 1).Services()[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := svc.Advance(5); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -316,10 +316,8 @@ func serve(ctx context.Context, reg *predict.Registry, ln net.Listener, tick flo
 				case <-ctx.Done():
 					return
 				case <-ticker.C:
-					for _, svc := range reg.Services() {
-						if err := svc.Advance(tick); err != nil {
-							log.Printf("predictd: clock advance: %v", err)
-						}
+					if _, _, err := reg.AdvanceAll(tick); err != nil {
+						log.Printf("predictd: clock advance: %v", err)
 					}
 				}
 			}

@@ -470,22 +470,27 @@ func (s *server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	services := s.reg.Services()
+	out := map[string]float64{}
 	if ar.Platform != "" {
 		svc, err := s.reg.Lookup(ar.Platform)
 		if err != nil {
 			httpError(w, http.StatusNotFound, err)
 			return
 		}
-		services = []*predict.Service{svc}
-	}
-	out := map[string]float64{}
-	for _, svc := range services {
 		if err := svc.Advance(ar.Seconds); err != nil {
 			httpError(w, http.StatusBadRequest, err)
 			return
 		}
 		out[svc.Name()] = svc.Now()
+	} else {
+		services, times, err := s.reg.AdvanceAll(ar.Seconds)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, err)
+			return
+		}
+		for i, svc := range services {
+			out[svc.Name()] = times[i]
+		}
 	}
 	writeJSON(w, http.StatusOK, out)
 }

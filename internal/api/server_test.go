@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -20,7 +22,7 @@ func newStack(t *testing.T, opts Options) (*httptest.Server, *predict.Registry, 
 	t.Helper()
 	metrics := obs.NewRegistry()
 	opts.Metrics = metrics
-	reg := predict.NewRegistry()
+	reg := predict.NewRegistryWith(predict.RegistryOptions{Metrics: metrics})
 	for _, id := range []int{1, 2} {
 		cfg, err := predict.SimulatedConfig(id, 3)
 		if err != nil {
@@ -151,7 +153,7 @@ func TestMetricsCatalog(t *testing.T) {
 		predict.MetricObservations, predict.MetricDriftEvents,
 		predict.MetricFaultGapSamples, predict.MetricCalibrationScale,
 		predict.MetricOutstanding, predict.MetricVirtualTime,
-		predict.MetricStageDuration,
+		predict.MetricStageDuration, predict.MetricFleetAdvance,
 		obs.MetricHTTPRequests, obs.MetricHTTPDuration, obs.MetricHTTPInFlight,
 		MetricUptime,
 	}
@@ -437,5 +439,57 @@ func TestScheduleEndpoints(t *testing.T) {
 	bigBody, _ := json.Marshal(big)
 	if resp := post(bigBody); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("oversized schedule: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestFleetAdvanceMatchesPerTenant: POST /advance without a platform steps
+// every live tenant — through the registry's worker pool — and answers the
+// JSON the per-tenant calls add up to: every live tenant, the same times.
+// A cold spec is nobody's to step and appears in neither. The 400 that
+// names the first failing tenant has no wire test: checkAdvance refuses the
+// only dt a real tenant refuses (a negative one) before any is asked, so
+// that path is pinned with a stubbed tenant in internal/predict.
+func TestFleetAdvanceMatchesPerTenant(t *testing.T) {
+	const live = 9
+	fleet := func() http.Handler {
+		reg := predict.NewRegistry()
+		specs := predict.FleetSpecs(live+1, 13)
+		for i, spec := range specs {
+			spec.Warmup = 120 + 5*float64(i%4)
+			if err := reg.RegisterSpec(spec); err != nil {
+				t.Fatal(err)
+			}
+			if i < live {
+				if _, err := reg.Lookup(spec.Name); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return NewHandler(reg, Options{})
+	}
+	whole, each := fleet(), fleet()
+	for wave := 0; wave < 3; wave++ {
+		rec := post(whole, "/advance", `{"seconds":5}`)
+		var got map[string]float64
+		if err := json.Unmarshal(rec.Body.Bytes(), &got); rec.Code != http.StatusOK || err != nil {
+			t.Fatalf("fleet-wide advance: status %d (%v): %s", rec.Code, err, rec.Body)
+		}
+		want := map[string]float64{}
+		for i := 0; i < live; i++ {
+			rec := post(each, "/advance", fmt.Sprintf(`{"platform":"tenant-%04d","seconds":5}`, i))
+			var one map[string]float64
+			if err := json.Unmarshal(rec.Body.Bytes(), &one); rec.Code != http.StatusOK || err != nil || len(one) != 1 {
+				t.Fatalf("advance of tenant %d: status %d (%v): %s", i, rec.Code, err, rec.Body)
+			}
+			for name, now := range one {
+				want[name] = now
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("wave %d: fleet-wide advance answered %v, the per-tenant calls %v", wave, got, want)
+		}
+	}
+	if rec := post(whole, "/advance", `{"seconds":-5}`); rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "seconds must be positive") {
+		t.Errorf("negative fleet-wide advance: status %d: %s", rec.Code, rec.Body)
 	}
 }

@@ -88,12 +88,8 @@ func fleetSchedArm(scenario string, policy fleetsched.Policy, seed int64) (fleet
 		SatRelWidth: fsSatRelWidth,
 	})
 	advance := func(dt float64) error {
-		for _, svc := range reg.Services() {
-			if err := svc.Advance(dt); err != nil {
-				return err
-			}
-		}
-		return nil
+		_, _, err := reg.AdvanceAll(dt)
+		return err
 	}
 	now := fsWarmup
 	total := 0

@@ -401,8 +401,7 @@ func (s *Scheduler) SubmitWith(jobs []JobSpec, policy Policy, quantile float64) 
 // which would rather keep a job than move it to another saturated
 // tenant). Reports false — with j untouched — when no tenant qualifies.
 func (s *Scheduler) placeLocked(j *job, policy Policy, quantile float64, exclude string, onlyUnsaturated bool) (Placement, bool) {
-	names := s.reg.Names()
-	sort.Strings(names)
+	names := s.reg.Names() // sorted: ties go to the first name
 	type cand struct {
 		name      string
 		saturated bool

@@ -2,6 +2,7 @@ package fleetsched
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 
 	"prodpred/internal/obs"
@@ -73,6 +74,9 @@ func TestPlacementPrefersFasterTenant(t *testing.T) {
 		testSpec("fast", "ultra", "light", 21),
 		testSpec("slow", "sparc2", "light", 22),
 	)
+	if names := reg.Names(); !sort.StringsAreSorted(names) { // placeLocked walks them as given
+		t.Fatalf("Registry.Names() = %v, want sorted", names)
+	}
 	for _, policy := range Policies {
 		s := New(reg, Config{Policy: policy})
 		pls, err := s.Submit([]JobSpec{{N: 120, Iterations: 10}})

@@ -1,0 +1,131 @@
+package predict
+
+import (
+	"errors"
+	"runtime"
+	"sort"
+	"strings"
+	"testing"
+
+	"prodpred/internal/obs"
+)
+
+// liveFleet registers and instantiates n FleetSpecs tenants.
+func liveFleet(t *testing.T, n int, opts RegistryOptions) *Registry {
+	t.Helper()
+	reg := NewRegistryWith(opts)
+	for _, spec := range FleetSpecs(n, 5) {
+		if err := reg.RegisterSpec(spec); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := reg.Lookup(spec.Name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return reg
+}
+
+// TestTickAllocations: a one-period tick of a warm four-machine tenant with
+// four bandwidth monitors runs on the calling goroutine and allocates next
+// to nothing when no refit falls due (the per-monitor fan-out it replaces
+// built three slices, a WaitGroup and eight closures, and started eight
+// goroutines). A refit allocates its fit and falls due on about one tick in
+// eight, so the figure is the median over single ticks, not their mean.
+func TestTickAllocations(t *testing.T) {
+	reg := liveFleet(t, 1, RegistryOptions{Metrics: obs.NewRegistry()})
+	svc := reg.Services()[0] // tenant-0000: four machines
+	for _, n := range []int{400, 800, 1200, 1600} {
+		if _, err := svc.Predict(Request{N: n, Iterations: 10}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(svc.shards) != 4 || len(svc.bwShards()) != 4 {
+		t.Fatalf("tenant has %d CPU and %d bandwidth shards, want 4 and 4", len(svc.shards), len(svc.bwShards()))
+	}
+	allocs := make([]float64, 41)
+	for i := range allocs {
+		allocs[i] = testing.AllocsPerRun(1, func() {
+			if err := svc.Advance(svc.period); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	sort.Float64s(allocs)
+	if median := allocs[len(allocs)/2]; median > 2 {
+		t.Errorf("the median tick allocates %.0f times, want <= 2 (all ticks, sorted: %v)", median, allocs)
+	}
+}
+
+// TestAdvanceAllWorkers: the pool is min(GOMAXPROCS, live) workers with
+// the caller as one of them, so a one-tenant fleet and a GOMAXPROCS(1)
+// wave start no goroutine at all.
+func TestAdvanceAllWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, tc := range []struct {
+		name           string
+		tenants, procs int
+		spawned        int64
+	}{
+		{"one tenant", 1, 4, 0},
+		{"GOMAXPROCS(1)", 6, 1, 0},
+		{"fewer tenants than processors", 3, 4, 2},
+		{"more tenants than processors", 6, 4, 3},
+	} {
+		reg := liveFleet(t, tc.tenants, RegistryOptions{})
+		runtime.GOMAXPROCS(tc.procs)
+		services, times, err := reg.AdvanceAll(5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := reg.spawned.Load(); got != tc.spawned {
+			t.Errorf("%s: wave started %d goroutines, want %d", tc.name, got, tc.spawned)
+		}
+		for i, svc := range services {
+			if times[i] != 125 || svc.Now() != 125 {
+				t.Errorf("%s: %s at %g (reported %g) after one 5 s wave from 120", tc.name, svc.Name(), svc.Now(), times[i])
+			}
+		}
+	}
+}
+
+// TestAdvanceAllAttemptsEveryTenant: a tenant whose step fails does not
+// leave the tenants after it a step behind, and the error names the first
+// failing tenant in roster order whichever worker reached it. No real step
+// can fail today — Advance refuses only a negative dt, which fails every
+// tenant alike and which the API's checkAdvance refuses before it gets
+// here — so the failing tenants are stubbed.
+func TestAdvanceAllAttemptsEveryTenant(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	metrics := obs.NewRegistry()
+	reg := liveFleet(t, 12, RegistryOptions{Metrics: metrics})
+	boom := errors.New("sensor bus on fire")
+	failing := map[string]bool{"tenant-0007": true, "tenant-0003": true, "tenant-0011": true}
+	services, times, err := reg.advanceAll(5, func(s *Service, dt float64) (float64, error) {
+		if failing[s.Name()] {
+			return s.Now(), boom
+		}
+		return s.advance(dt)
+	})
+	if !errors.Is(err, boom) || !strings.Contains(err.Error(), `"tenant-0003"`) {
+		t.Errorf("error %v, want the stub's, naming tenant-0003", err)
+	}
+	if len(services) != 12 {
+		t.Fatalf("roster of %d, want 12", len(services))
+	}
+	for i, svc := range services {
+		want := 125.0
+		if failing[svc.Name()] {
+			want = 120
+		}
+		if svc.Now() != want || times[i] != want {
+			t.Errorf("%s at %g (reported %g), want %g", svc.Name(), svc.Now(), times[i], want)
+		}
+	}
+	if got := metrics.NewHistogram(MetricFleetAdvance, "", nil).Snapshot().Count; got != 1 {
+		t.Errorf("%s observed %d waves, want 1", MetricFleetAdvance, got)
+	}
+
+	if _, _, err := reg.AdvanceAll(-1); err == nil || !strings.Contains(err.Error(), `"tenant-0000"`) {
+		t.Errorf("negative step: error %v, want one naming tenant-0000", err)
+	}
+}

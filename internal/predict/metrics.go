@@ -8,7 +8,8 @@ import (
 )
 
 // Pipeline metric family names, as exposed on GET /metrics. Every family is
-// labeled by platform; the stage histogram additionally by stage. The full
+// labeled by platform (the stage histogram additionally by stage) except
+// MetricFleetAdvance, which the registry records once per wave. The full
 // catalog lives in OPERATIONS.md, and internal/readmecheck fails the build
 // if a registered name is missing from it.
 const (
@@ -27,6 +28,7 @@ const (
 	MetricTournamentWins   = "forecaster_tournament_wins_total"
 	MetricQuantileRequests = "predict_quantile_requests_total"
 	MetricScenarioInfo     = "workload_scenario_info"
+	MetricFleetAdvance     = "predict_fleet_advance_seconds"
 )
 
 // BatchSizeBuckets are the upper bounds of the predict_batch_size

@@ -3,9 +3,12 @@ package predict
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"prodpred/internal/calib"
 	"prodpred/internal/obs"
@@ -34,6 +37,12 @@ type RegistryOptions struct {
 type Registry struct {
 	shards  [registryShards]registryShard
 	metrics *obs.Registry
+
+	// waveSeconds is the wall time of each AdvanceAll (nil without
+	// metrics); spawned counts the goroutines AdvanceAll has started, for
+	// the tests that pin when it starts none.
+	waveSeconds *obs.Histogram
+	spawned     atomic.Int64
 
 	// countMu guards the registration count and the sole-platform name the
 	// empty-name Lookup convenience resolves through.
@@ -74,6 +83,10 @@ func NewRegistry() *Registry {
 // instrumentation.
 func NewRegistryWith(opts RegistryOptions) *Registry {
 	r := &Registry{metrics: opts.Metrics}
+	if opts.Metrics != nil {
+		r.waveSeconds = opts.Metrics.NewHistogram(MetricFleetAdvance,
+			"Wall-clock time of one fleet-wide clock step (Registry.AdvanceAll) in seconds.", nil)
+	}
 	for i := range r.shards {
 		r.shards[i].services = make(map[string]*Service)
 		r.shards[i].entries = make(map[string]*platformEntry)
@@ -342,6 +355,59 @@ func (r *Registry) Services() []*Service {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name() < out[j].Name() })
 	return out
+}
+
+// AdvanceAll steps the clock of every live tenant forward by dt virtual
+// seconds — the one definition of a fleet-wide tick. Tenants are
+// independent (each Service owns its monitors, clock and cache), so
+// min(GOMAXPROCS, live) workers pull them off a shared index in roster
+// (name) order and each tenant ticks under its own clock lock only: there
+// is no fleet lock, and requests to tenants not being ticked at that
+// instant are served throughout. Every tenant is attempted whatever the
+// others return. The result is the roster that was stepped, each tenant's
+// clock as its step left it, and the first error in roster order, wrapped
+// with its tenant's name. With one worker the caller runs the loop itself
+// and no goroutine is started.
+func (r *Registry) AdvanceAll(dt float64) ([]*Service, []float64, error) {
+	return r.advanceAll(dt, (*Service).advance)
+}
+
+// advanceAll is AdvanceAll over a given per-tenant step — the seam the
+// tests reach a failing tenant through, which no real step produces.
+func (r *Registry) advanceAll(dt float64, step func(*Service, float64) (float64, error)) ([]*Service, []float64, error) {
+	start := time.Now()
+	services := r.Services()
+	times := make([]float64, len(services))
+	errs := make([]error, len(services))
+	var next atomic.Int64
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(services) {
+				return
+			}
+			times[i], errs[i] = step(services[i], dt)
+		}
+	}
+	// The caller is one of the workers.
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(services)); w > 1; w-- {
+		r.spawned.Add(1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	r.waveSeconds.Observe(time.Since(start).Seconds())
+	for i, err := range errs {
+		if err != nil {
+			return services, times, fmt.Errorf("predict: advancing platform %q: %w", services[i].Name(), err)
+		}
+	}
+	return services, times, nil
 }
 
 // LiveCount returns how many platforms have been instantiated so far.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -73,13 +74,14 @@ const maxOutstanding = 4096
 // monitorShard is one independently locked monitor. CPU monitors get one
 // shard per machine and bandwidth monitors one shard per probe size, so
 // concurrent Predicts touching different monitors never serialize on a
-// service-wide lock. A bandwidth shard is inserted into the map before its
-// monitor exists; the monitor is built lazily under the shard's own lock
+// service-wide lock. A bandwidth shard is published before its monitor
+// exists; the monitor is built lazily under the shard's own lock
 // (double-checked), so a first-touch probe size stalls only requests for
 // that same probe size.
 type monitorShard struct {
-	mu  sync.Mutex
-	mon *nws.Monitor
+	mu    sync.Mutex
+	mon   *nws.Monitor
+	probe float64 // bandwidth shards: the probe size in bytes
 }
 
 // Service is a long-lived, goroutine-safe prediction service over one
@@ -121,8 +123,11 @@ type Service struct {
 
 	shards []monitorShard // one per machine, CPU monitors
 
+	// bw holds the bandwidth shards in ascending probe size — the order a
+	// tick and a snapshot walk them in. An insert replaces the slice, never
+	// writes it in place, so a reader takes bwMu only to load the header.
 	bwMu sync.RWMutex
-	bw   map[float64]*monitorShard // keyed by probe size (bytes)
+	bw   []*monitorShard
 
 	// cache is the tick-scoped forecast cache (nil when disabled): all
 	// Predicts between two Advance calls share one read of the monitors,
@@ -148,7 +153,9 @@ type Service struct {
 
 	// Telemetry (nil when Config.Metrics was nil). lastMissed tracks the
 	// missed-sample total already exported, so the fault-gap counter only
-	// ever advances by deltas; metricsMu serializes the delta computation.
+	// ever advances by deltas; metricsMu guards it (an advance is alone on
+	// the service, but first-use bandwidth monitors are built under the
+	// shared clock lock).
 	metrics    *serviceMetrics
 	metricsMu  sync.Mutex
 	lastMissed int
@@ -197,7 +204,6 @@ func NewService(cfg Config) (*Service, error) {
 		env:      env,
 		machines: make([]cluster.Machine, p),
 		shards:   make([]monitorShard, p),
-		bw:       make(map[float64]*monitorShard),
 		period:   period,
 		history:  history,
 		prior:    prior,
@@ -266,12 +272,20 @@ func (s *Service) CacheGeneration() uint64 { return s.cache.generation() }
 // Advance moves the clock forward by dt virtual seconds, taking every
 // sensor measurement that falls due.
 func (s *Service) Advance(dt float64) error {
+	_, err := s.advance(dt)
+	return err
+}
+
+// advance is Advance that also returns the clock as the step left it, read
+// under the same hold of the clock lock.
+func (s *Service) advance(dt float64) (float64, error) {
 	if dt < 0 {
-		return fmt.Errorf("predict: negative advance %g", dt)
+		return s.Now(), fmt.Errorf("predict: negative advance %g", dt)
 	}
 	s.clockMu.Lock()
 	defer s.clockMu.Unlock()
-	return s.advanceToLocked(s.now + dt)
+	err := s.advanceToLocked(s.now + dt)
+	return s.now, err
 }
 
 // AdvanceTo moves the clock to absolute virtual time t >= Now().
@@ -284,92 +298,76 @@ func (s *Service) AdvanceTo(t float64) error {
 	return s.advanceToLocked(t)
 }
 
-// advanceToLocked moves the clock under the exclusive clock lock: monitors
-// run forward in parallel across shards, then the tick cache generation
-// rolls so no stale forecast survives the tick boundary. A no-op advance
-// (t == now) leaves the cache intact — monitor state cannot have changed.
+// advanceToLocked moves the clock under the exclusive clock lock: every
+// monitor runs forward on the calling goroutine — CPU shards in machine
+// order, then bandwidth shards in ascending probe size — and the tick cache
+// generation rolls so no stale forecast survives the tick boundary. A no-op
+// advance (t == now) leaves the cache intact — monitor state cannot have
+// changed. The first error in that order ends the tick (none can occur
+// today: Monitor.RunUntil's is documented always nil).
 //
-// Parallel catch-up is safe and deterministic: every monitor's evolution
-// is a pure function of its own sample stream (no cross-monitor state),
-// so each shard lands bit-identical to a sequential sweep. It matters
-// because the exclusive clock lock stalls all serving while monitors
-// absorb samples, and the per-sample tournament work (EM mixture refits
-// in particular) made the sequential sweep the advance-latency tail.
+// The order is for the reader, not the result: every monitor's evolution is
+// a pure function of its own sample stream (no cross-monitor state), so each
+// lands on the same bits whatever runs beside it. That is why the
+// parallelism lives one level up, in Registry.AdvanceAll, where the work
+// per goroutine is a tenant's whole tick instead of one monitor's few
+// microseconds of sampling.
 func (s *Service) advanceToLocked(t float64) error {
 	moved := t != s.now
 	s.now = t
-	shards := make([]*monitorShard, 0, len(s.shards))
+	missed := 0
 	for i := range s.shards {
-		shards = append(shards, &s.shards[i])
-	}
-	s.bwMu.RLock()
-	for _, sh := range s.bw {
-		shards = append(shards, sh)
-	}
-	s.bwMu.RUnlock()
-	errs := make([]error, len(shards))
-	var wg sync.WaitGroup
-	for i, sh := range shards {
-		wg.Add(1)
-		go func(i int, sh *monitorShard) {
-			defer wg.Done()
-			sh.mu.Lock()
-			if sh.mon != nil {
-				errs[i] = sh.mon.RunUntil(t)
-			}
-			sh.mu.Unlock()
-		}(i, sh)
-	}
-	wg.Wait()
-	// First error in shard order, so a multi-failure advance reports the
-	// same error the sequential sweep did.
-	for _, err := range errs {
+		m, err := s.shards[i].runUntil(t)
 		if err != nil {
 			return err
 		}
+		missed += m
+	}
+	for _, sh := range s.bwShards() {
+		m, err := sh.runUntil(t)
+		if err != nil {
+			return err
+		}
+		missed += m
 	}
 	if moved {
 		s.cache.invalidate()
 	}
-	s.syncClockMetrics()
+	if s.metrics != nil {
+		s.metricsMu.Lock()
+		s.metrics.recordClock(t, missed-s.lastMissed)
+		s.lastMissed = missed
+		s.metricsMu.Unlock()
+	}
 	return nil
 }
 
-// syncClockMetrics publishes the virtual clock and the fault-gap delta
-// accumulated since the previous sync. Callers must hold clockMu (shared or
-// exclusive); shard locks are taken briefly per monitor.
-func (s *Service) syncClockMetrics() {
-	if s.metrics == nil {
-		return
+// runUntil catches the shard's monitor up to virtual time t and returns its
+// missed-sample total, both under one hold of the shard lock. A bandwidth
+// shard published but not yet built has nothing to run.
+func (sh *monitorShard) runUntil(t float64) (missed int, err error) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.mon == nil {
+		return 0, nil
 	}
-	missed := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		missed += sh.mon.Gaps().Missed
-		sh.mu.Unlock()
-	}
+	err = sh.mon.RunUntil(t)
+	return sh.mon.Gaps().Missed, err
+}
+
+// bwShards returns the bandwidth shards in ascending probe size; the slice
+// is the caller's to walk without bwMu.
+func (s *Service) bwShards() []*monitorShard {
 	s.bwMu.RLock()
-	bwShards := make([]*monitorShard, 0, len(s.bw))
-	for _, sh := range s.bw {
-		bwShards = append(bwShards, sh)
-	}
-	s.bwMu.RUnlock()
-	for _, sh := range bwShards {
-		sh.mu.Lock()
-		if sh.mon != nil {
-			missed += sh.mon.Gaps().Missed
-		}
-		sh.mu.Unlock()
-	}
-	s.metricsMu.Lock()
-	if missed > s.lastMissed {
-		s.metrics.recordClock(s.now, missed-s.lastMissed)
-		s.lastMissed = missed
-	} else {
-		s.metrics.recordClock(s.now, 0)
-	}
-	s.metricsMu.Unlock()
+	defer s.bwMu.RUnlock()
+	return s.bw
+}
+
+// searchBW finds where the shard for a probe size sits, or would be
+// inserted, in the ascending shard list.
+func searchBW(bw []*monitorShard, probeBytes float64) (int, bool) {
+	i := sort.Search(len(bw), func(i int) bool { return bw[i].probe >= probeBytes })
+	return i, i < len(bw) && bw[i].probe == probeBytes
 }
 
 func (s *Service) checkPlatform(name string) error {
@@ -557,19 +555,23 @@ func (s *Service) Partition(req Request) (*sor.Partition, error) {
 // early-created one would.
 func (s *Service) bwReport(n int) (stochastic.Value, nws.GapStats, error) {
 	probeBytes := float64(n-2) * 8
-	s.bwMu.RLock()
-	sh := s.bw[probeBytes]
-	s.bwMu.RUnlock()
-	if sh == nil {
+	var sh *monitorShard
+	shards := s.bwShards()
+	if i, ok := searchBW(shards, probeBytes); ok {
+		sh = shards[i]
+	} else {
 		s.bwMu.Lock()
-		if sh = s.bw[probeBytes]; sh == nil {
+		i, ok := searchBW(s.bw, probeBytes)
+		if ok {
+			sh = s.bw[i]
+		} else {
 			if len(s.bw) >= MaxProbeSizes {
 				s.bwMu.Unlock()
 				return stochastic.Value{}, nws.GapStats{}, fmt.Errorf(
 					"predict: grid size %d needs one more bandwidth probe size, exceeds limit %d per platform", n, MaxProbeSizes)
 			}
-			sh = &monitorShard{}
-			s.bw[probeBytes] = sh
+			sh = &monitorShard{probe: probeBytes}
+			s.bw = slices.Insert(slices.Clone(s.bw), i, sh)
 		}
 		s.bwMu.Unlock()
 	}
@@ -591,10 +593,13 @@ func (s *Service) bwReport(n int) (stochastic.Value, nws.GapStats, error) {
 	bw := sh.mon.RobustReport(s.now, stochastic.New(s.link.DedBW/2, s.link.DedBW/2))
 	gaps := sh.mon.Gaps()
 	sh.mu.Unlock()
-	if created {
+	if created && s.metrics != nil {
 		// A first-use bandwidth monitor may have accumulated gaps while
 		// catching up; fold them into the fault-gap counter.
-		s.syncClockMetrics()
+		s.metricsMu.Lock()
+		s.metrics.recordClock(s.now, gaps.Missed)
+		s.lastMissed += gaps.Missed
+		s.metricsMu.Unlock()
 	}
 	frac := bw.MulPoint(1 / s.link.DedBW)
 	if frac.Mean <= 0.01 {
@@ -1166,14 +1171,8 @@ func (s *Service) CPUGaps() []nws.GapStats {
 func (s *Service) BWGaps() nws.GapStats {
 	s.clockMu.RLock()
 	defer s.clockMu.RUnlock()
-	s.bwMu.RLock()
-	bwShards := make([]*monitorShard, 0, len(s.bw))
-	for _, sh := range s.bw {
-		bwShards = append(bwShards, sh)
-	}
-	s.bwMu.RUnlock()
 	var total nws.GapStats
-	for _, sh := range bwShards {
+	for _, sh := range s.bwShards() {
 		sh.mu.Lock()
 		if sh.mon == nil {
 			sh.mu.Unlock()

@@ -301,20 +301,11 @@ func (s *Service) exportTo(e *snapEnc) {
 		encodeMonitorState(e, st)
 	}
 
-	// Bandwidth monitors, sorted by probe size for a deterministic image.
-	s.bwMu.RLock()
-	probes := make([]float64, 0, len(s.bw))
-	for p := range s.bw {
-		probes = append(probes, p)
-	}
-	s.bwMu.RUnlock()
-	sort.Float64s(probes)
-	e.u32(uint32(len(probes)))
-	for _, p := range probes {
-		s.bwMu.RLock()
-		sh := s.bw[p]
-		s.bwMu.RUnlock()
-		e.f64(p)
+	// Bandwidth monitors, in ascending probe size.
+	bw := s.bwShards()
+	e.u32(uint32(len(bw)))
+	for _, sh := range bw {
+		e.f64(sh.probe)
 		sh.mu.Lock()
 		if sh.mon == nil {
 			e.boolean(false)
@@ -371,9 +362,14 @@ func (s *Service) importFrom(d *snapDec) error {
 	}
 
 	nBW := d.count(1)
+	lastProbe := 0.0 // images list probe sizes ascending, as the service keeps them
 	for i := 0; i < nBW && d.err == nil; i++ {
 		probe := d.f64()
-		sh := &monitorShard{}
+		if d.err == nil && !(probe > lastProbe) {
+			return fmt.Errorf("predict: snapshot bandwidth probe size %g does not ascend from %g", probe, lastProbe)
+		}
+		lastProbe = probe
+		sh := &monitorShard{probe: probe}
 		if d.boolean() {
 			st := decodeMonitorState(d)
 			if d.err != nil {
@@ -390,7 +386,7 @@ func (s *Service) importFrom(d *snapDec) error {
 			}
 			sh.mon = mon
 		}
-		s.bw[probe] = sh
+		s.bw = append(s.bw, sh)
 	}
 
 	s.nextID = d.u64()

@@ -2,6 +2,7 @@ package predict_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"reflect"
 	"strings"
@@ -247,5 +248,28 @@ func TestReadSnapshotRejectsCorrupt(t *testing.T) {
 	}
 	if _, err := predict.ReadSnapshot(bytes.NewReader(append(append([]byte(nil), full...), 0xAA)), predict.RegistryOptions{}); err == nil {
 		t.Error("trailing bytes accepted")
+	}
+
+	// A live tenant's bandwidth monitors are listed in ascending probe size
+	// (the order the service keeps and ticks them in); an image that lists
+	// one twice, or out of order, is refused.
+	for _, n := range []int{400, 800} {
+		if _, err := reg.Predict(predict.Request{N: n, Iterations: 10}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap.Reset()
+	if err := reg.WriteSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	probe := func(n int) []byte {
+		return binary.LittleEndian.AppendUint64(nil, math.Float64bits(float64(n-2)*8))
+	}
+	if bytes.Count(snap.Bytes(), probe(400)) != 1 || bytes.Count(snap.Bytes(), probe(800)) != 1 {
+		t.Fatal("the image does not hold each probe size exactly once")
+	}
+	twice := bytes.Replace(snap.Bytes(), probe(800), probe(400), 1)
+	if _, err := predict.ReadSnapshot(bytes.NewReader(twice), predict.RegistryOptions{}); err == nil || !strings.Contains(err.Error(), "does not ascend") {
+		t.Errorf("a probe size listed twice: want a does-not-ascend error, got %v", err)
 	}
 }

@@ -30,7 +30,7 @@ func readRepoFile(t *testing.T, name string) string {
 func buildServingMetrics(t *testing.T) []string {
 	t.Helper()
 	metrics := obs.NewRegistry()
-	reg := predict.NewRegistry()
+	reg := predict.NewRegistryWith(predict.RegistryOptions{Metrics: metrics})
 	for _, id := range []int{1, 2} {
 		cfg, err := predict.SimulatedConfig(id, 1)
 		if err != nil {
@@ -82,15 +82,16 @@ func TestOperationsDocumentsEveryMetric(t *testing.T) {
 			t.Errorf("OPERATIONS.md does not document stage %q", stage)
 		}
 	}
-	// The serving-cache and batch families must be both registered (the
-	// enumeration above would miss a family that silently stopped being
-	// registered) and documented.
+	// The serving-cache, batch and fleet-step families must be both
+	// registered (the enumeration above would miss a family that silently
+	// stopped being registered) and documented.
 	registered := make(map[string]bool, len(names))
 	for _, name := range names {
 		registered[name] = true
 	}
 	for _, name := range []string{
 		predict.MetricCacheHits, predict.MetricCacheMisses, predict.MetricBatchSize,
+		predict.MetricFleetAdvance,
 	} {
 		if !registered[name] {
 			t.Errorf("serving stack no longer registers %q", name)
