@@ -322,7 +322,7 @@ func BenchmarkSORPointEval(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if sink, err = eval.Time(loads, 1); err != nil {
+		if sink, err = eval.Phase(loads, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -39,8 +39,8 @@ func TestTickAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(svc.shards) != 4 || len(svc.bwShards()) != 4 {
-		t.Fatalf("tenant has %d CPU and %d bandwidth shards, want 4 and 4", len(svc.shards), len(svc.bwShards()))
+	if len(svc.cpu) != 4 || len(svc.bw) != 4 {
+		t.Fatalf("tenant has %d CPU and %d bandwidth monitors, want 4 and 4", len(svc.cpu), len(svc.bw))
 	}
 	allocs := make([]float64, 41)
 	for i := range allocs {

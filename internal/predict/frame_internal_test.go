@@ -15,7 +15,7 @@ import (
 
 // perRunDistGrid is the reading half of the distribution transform as it
 // was when every shape drew for itself: the run's own times — k times each
-// phase, which is SORPoint.Time (TestSORPointTimeIsKTimesPhase) — in draw
+// phase, which is the tree's time (TestSORPointTimeIsKTimesPhase) — in draw
 // order, sorted, read at DistLevels, monotonized. It is the reference the
 // grid read off a size's shared, already sorted draws is held to.
 func perRunDistGrid(phases []float64, k float64, raw stochastic.Value) []float64 {

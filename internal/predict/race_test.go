@@ -2,6 +2,8 @@ package predict_test
 
 import (
 	"fmt"
+	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -93,18 +95,32 @@ func TestConcurrentPredictDeterministic(t *testing.T) {
 }
 
 // TestConcurrentMixedOps hammers every public method from many goroutines
-// purely for the race detector: predictions, reports, gap counters, and
-// clock advances interleaving freely must be data-race-free and deadlock-
-// free (determinism is not asserted here — the clock moves mid-flight).
+// purely for the race detector (determinism is not asserted here — the clock
+// moves mid-flight): everything that meets on a service's one monitor lock
+// and on the registry's one lock must be data-race-free and deadlock-free.
+//
+// On one service: predictions whose grid sizes several goroutines touch for
+// the first time at once (each builds a bandwidth monitor under the monitor
+// lock), observes, reports, gap counters, fleet snapshots and clock advances.
+// On the registry, meanwhile: tenants registered, looked up cold from eight
+// goroutines at once (one build, one *Service), retired, listed and ticked.
 func TestConcurrentMixedOps(t *testing.T) {
-	svc := burstyService(t, 33, 100, stressInjector(t, 33, 4))
-	req := baseRequest()
+	reg := predict.NewRegistry()
+	if err := reg.RegisterSpec(snapshotSpec(t)); err != nil {
+		t.Fatal(err)
+	}
+	svc, err := reg.Lookup("") // the sole platform, until the registry leg adds more
+	if err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			req := baseRequest()
 			for i := 0; i < 10; i++ {
+				req.N = 120 + 40*i // every worker's i-th size is a first touch for all four
 				p, err := svc.Predict(req)
 				if err != nil {
 					t.Errorf("predict: %v", err)
@@ -130,23 +146,87 @@ func TestConcurrentMixedOps(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; i < 10; i++ {
+		for i := 0; i < 200; i++ {
 			svc.Reports()
 			svc.CPUGaps()
 			svc.BWGaps()
+		}
+	}()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 10; i++ {
 			svc.Now()
 			svc.Accuracy()
 			svc.Outstanding()
+			if err := reg.WriteSnapshot(io.Discard); err != nil {
+				t.Errorf("snapshot: %v", err)
+			}
+		}
+	}()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for _, spec := range predict.FleetSpecs(6, 3) {
+			spec.Warmup = 30
+			if err := reg.RegisterSpec(spec); err != nil {
+				t.Errorf("register: %v", err)
+				continue
+			}
+			if _, err := reg.Lookup(""); err == nil {
+				t.Error("empty-name lookup resolved on a multi-tenant registry")
+			}
+			built := make([]*predict.Service, 8)
+			var cold sync.WaitGroup
+			for i := range built {
+				cold.Add(1)
+				go func() {
+					defer cold.Done()
+					b, err := reg.Lookup(spec.Name)
+					if err != nil {
+						t.Errorf("cold lookup: %v", err)
+					}
+					built[i] = b
+				}()
+			}
+			cold.Wait()
+			for _, b := range built {
+				if b != built[0] || b == nil || b.Name() != spec.Name {
+					t.Errorf("eight cold lookups of %s built %v", spec.Name, built)
+					break
+				}
+			}
+			if _, _, err := reg.AdvanceAll(5); err != nil {
+				t.Errorf("advance all: %v", err)
+			}
+			if err := reg.Retire(spec.Name); err != nil {
+				t.Errorf("retire: %v", err)
+			}
+		}
+	}()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			names := reg.Names()
+			if !slices.IsSorted(names) || len(slices.Compact(slices.Clone(names))) != len(names) {
+				t.Errorf("Names() not sorted and duplicate-free: %v", names)
+			}
+			if live := reg.Services(); len(live) > len(names)+1 { // a retire may fall between the two reads
+				t.Errorf("%d live services of %d registered", len(live), len(names))
+			}
 		}
 	}()
 	wg.Wait()
-	gaps := svc.CPUGaps()
 	total := 0
-	for _, g := range gaps {
+	for _, g := range svc.CPUGaps() {
 		total += g.Missed
 	}
 	if total == 0 {
 		t.Error("stress run injected no measurement gaps")
+	}
+	if svc.BWGaps().Clean == 0 {
+		t.Error("stress run built no bandwidth monitor")
 	}
 }
 

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,11 +14,6 @@ import (
 	"prodpred/internal/obs"
 )
 
-// registryShards is how many independently locked shards platform names
-// are spread across. The count never changes while a registry lives and
-// shard assignment is never serialised, so a plain hash modulo does the job.
-const registryShards = 32
-
 // RegistryOptions tunes a fleet registry.
 type RegistryOptions struct {
 	// Metrics, when non-nil, instruments every lazily instantiated service
@@ -27,15 +22,14 @@ type RegistryOptions struct {
 }
 
 // Registry routes requests to the Service owning the named platform — the
-// multi-tenant front a serving daemon puts before its fleet. Platform
-// names are hashed across independently locked shards, so
-// Lookup and PredictBatch on thousands of tenants never contend on one
-// registry-wide mutex. Platforms register either as live services
-// (Register) or as declarative specs (RegisterSpec) that instantiate
-// lazily — build, warm up, publish — on the first request that names
-// them. Safe for concurrent use.
+// multi-tenant front a serving daemon puts before its fleet. One RWMutex
+// guards one name → entry map and a name-sorted roster of the same entries; a
+// lookup holds it shared for one map read (tens of nanoseconds of a request's
+// hundreds of microseconds), so there is no contention for more locks to
+// spread. Platforms register either as live services (Register) or as
+// declarative specs (RegisterSpec) that instantiate lazily — build, warm up,
+// publish — on the first request that names them. Safe for concurrent use.
 type Registry struct {
-	shards  [registryShards]registryShard
 	metrics *obs.Registry
 
 	// waveSeconds is the wall time of each AdvanceAll (nil without
@@ -44,33 +38,27 @@ type Registry struct {
 	waveSeconds *obs.Histogram
 	spawned     atomic.Int64
 
-	// countMu guards the registration count and the sole-platform name the
-	// empty-name Lookup convenience resolves through.
-	countMu  sync.Mutex
-	count    int
-	soleName string
+	// mu guards entries and roster. roster is every registration in name
+	// order — the order names, live services and snapshots are listed in —
+	// and is replaced, never written in place, so a reader takes mu only to
+	// load the slice and walks it unlocked.
+	mu      sync.RWMutex
+	entries map[string]*platformEntry
+	roster  []*platformEntry
 }
 
-// registryShard is one lock domain of the registry: the subset of
-// platforms whose names hash to it. services is the live fast path
-// (published under the write lock once a service exists); entries holds
-// every registration, cold or live.
-type registryShard struct {
-	mu       sync.RWMutex
-	services map[string]*Service
-	entries  map[string]*platformEntry
-}
-
-// platformEntry is one registered platform. A spec entry starts cold and
-// memoizes its build (service or error) under its own mutex, so
-// concurrent first requests for a cold tenant build it exactly once and a
-// slow build never blocks requests for other tenants on the same shard.
+// platformEntry is one registered platform. svc is the live service: set at
+// registration for one that arrives built, published by instantiate for a
+// cold spec. The build is memoized (service or error) under the entry's own
+// mutex, so concurrent first requests for a cold tenant build it exactly once
+// and a slow build holds no registry lock.
 type platformEntry struct {
-	spec *PlatformSpec // nil for directly registered services
+	name string
+	spec *PlatformSpec // nil for directly registered spec-less services
+	svc  atomic.Pointer[Service]
 
 	mu    sync.Mutex
 	built bool
-	svc   *Service
 	err   error
 }
 
@@ -82,49 +70,42 @@ func NewRegistry() *Registry {
 // NewRegistryWith returns an empty registry with the given
 // instrumentation.
 func NewRegistryWith(opts RegistryOptions) *Registry {
-	r := &Registry{metrics: opts.Metrics}
+	r := &Registry{metrics: opts.Metrics, entries: make(map[string]*platformEntry)}
 	if opts.Metrics != nil {
 		r.waveSeconds = opts.Metrics.NewHistogram(MetricFleetAdvance,
 			"Wall-clock time of one fleet-wide clock step (Registry.AdvanceAll) in seconds.", nil)
 	}
-	for i := range r.shards {
-		r.shards[i].services = make(map[string]*Service)
-		r.shards[i].entries = make(map[string]*platformEntry)
-	}
 	return r
 }
 
-// fnv64a is an inline FNV-1a so the per-request hash allocates nothing.
-func fnv64a(s string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime64
+// add files a new registration, keeping the roster in name order.
+func (r *Registry) add(e *platformEntry) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := r.entries[e.name]; ok {
+		return fmt.Errorf("predict: platform %q already registered", e.name)
 	}
-	return h
+	r.entries[e.name] = e
+	i, _ := slices.BinarySearchFunc(r.roster, e.name, func(e *platformEntry, name string) int {
+		return strings.Compare(e.name, name)
+	})
+	r.roster = slices.Insert(slices.Clone(r.roster), i, e)
+	return nil
 }
 
-// shardFor maps a platform name to its shard: FNV-1a modulo the shard
-// count.
-func (r *Registry) shardFor(name string) *registryShard {
-	return &r.shards[fnv64a(name)%registryShards]
+// addLive files a registration whose service already exists.
+func (r *Registry) addLive(spec *PlatformSpec, s *Service) error {
+	e := &platformEntry{name: s.Name(), spec: spec, built: true}
+	e.svc.Store(s)
+	return r.add(e)
 }
 
-// registered records a new registration for the empty-name resolution
-// bookkeeping.
-func (r *Registry) registered(name string) {
-	r.countMu.Lock()
-	r.count++
-	if r.count == 1 {
-		r.soleName = name
-	} else {
-		r.soleName = ""
-	}
-	r.countMu.Unlock()
+// entriesByName returns the roster: every registration, in name order. The
+// slice is shared and read-only.
+func (r *Registry) entriesByName() []*platformEntry {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.roster
 }
 
 // Register adds a live service under its platform name.
@@ -135,17 +116,7 @@ func (r *Registry) Register(s *Service) error {
 	if s.Name() == "" {
 		return errors.New("predict: service platform has no name")
 	}
-	sh := r.shardFor(s.Name())
-	sh.mu.Lock()
-	if _, ok := sh.entries[s.Name()]; ok {
-		sh.mu.Unlock()
-		return fmt.Errorf("predict: platform %q already registered", s.Name())
-	}
-	sh.entries[s.Name()] = &platformEntry{spec: s.Spec(), built: true, svc: s}
-	sh.services[s.Name()] = s
-	sh.mu.Unlock()
-	r.registered(s.Name())
-	return nil
+	return r.addLive(s.Spec(), s)
 }
 
 // RegisterSpec adds a cold declarative platform: the spec is validated and
@@ -158,32 +129,7 @@ func (r *Registry) RegisterSpec(spec PlatformSpec) error {
 	if err := spec.Validate(); err != nil {
 		return err
 	}
-	sh := r.shardFor(spec.Name)
-	sh.mu.Lock()
-	if _, ok := sh.entries[spec.Name]; ok {
-		sh.mu.Unlock()
-		return fmt.Errorf("predict: platform %q already registered", spec.Name)
-	}
-	sh.entries[spec.Name] = &platformEntry{spec: spec.clone()}
-	sh.mu.Unlock()
-	r.registered(spec.Name)
-	return nil
-}
-
-// registerRestored installs a spec together with its already-live restored
-// service — the snapshot restore path.
-func (r *Registry) registerRestored(spec *PlatformSpec, s *Service) error {
-	sh := r.shardFor(spec.Name)
-	sh.mu.Lock()
-	if _, ok := sh.entries[spec.Name]; ok {
-		sh.mu.Unlock()
-		return fmt.Errorf("predict: platform %q already registered", spec.Name)
-	}
-	sh.entries[spec.Name] = &platformEntry{spec: spec, built: true, svc: s}
-	sh.services[spec.Name] = s
-	sh.mu.Unlock()
-	r.registered(spec.Name)
-	return nil
+	return r.add(&platformEntry{name: spec.Name, spec: spec.clone()})
 }
 
 // Retire removes a platform registration — live or cold — so subsequent
@@ -197,27 +143,16 @@ func (r *Registry) Retire(name string) error {
 	if name == "" {
 		return errors.New("predict: retire needs a platform name")
 	}
-	sh := r.shardFor(name)
-	sh.mu.Lock()
-	if _, ok := sh.entries[name]; !ok {
-		sh.mu.Unlock()
+	r.mu.Lock()
+	e, ok := r.entries[name]
+	if ok {
+		delete(r.entries, name)
+		r.roster = slices.DeleteFunc(slices.Clone(r.roster), func(x *platformEntry) bool { return x == e })
+	}
+	r.mu.Unlock()
+	if !ok {
 		return r.missError(fmt.Sprintf("predict: unknown platform %q", name), name)
 	}
-	delete(sh.entries, name)
-	delete(sh.services, name)
-	sh.mu.Unlock()
-	// Re-derive the empty-name resolution bookkeeping. Names() nests shard
-	// read locks under countMu; no path locks in the reverse order (every
-	// shard-lock holder releases before touching countMu).
-	r.countMu.Lock()
-	r.count--
-	r.soleName = ""
-	if r.count == 1 {
-		if names := r.Names(); len(names) == 1 {
-			r.soleName = names[0]
-		}
-	}
-	r.countMu.Unlock()
 	return nil
 }
 
@@ -226,49 +161,44 @@ func (r *Registry) Retire(name string) error {
 // Misses allocate a bounded error — a count plus the few nearest names —
 // never the full tenant list.
 func (r *Registry) Lookup(name string) (*Service, error) {
+	var e *platformEntry
 	if name == "" {
-		r.countMu.Lock()
-		count, sole := r.count, r.soleName
-		r.countMu.Unlock()
-		if count == 1 && sole != "" {
-			return r.Lookup(sole)
+		roster := r.entriesByName()
+		if len(roster) != 1 {
+			return nil, r.missError("predict: no platform named", "")
 		}
-		return nil, r.missError("predict: no platform named", "")
+		e = roster[0]
+	} else {
+		r.mu.RLock()
+		e = r.entries[name]
+		r.mu.RUnlock()
+		if e == nil {
+			return nil, r.missError(fmt.Sprintf("predict: unknown platform %q", name), name)
+		}
 	}
-	sh := r.shardFor(name)
-	sh.mu.RLock()
-	svc := sh.services[name]
-	e := sh.entries[name]
-	sh.mu.RUnlock()
-	if svc != nil {
+	if svc := e.svc.Load(); svc != nil {
 		return svc, nil
 	}
-	if e == nil {
-		return nil, r.missError(fmt.Sprintf("predict: unknown platform %q", name), name)
-	}
-	return e.instantiate(r, sh)
+	return e.instantiate(r.metrics)
 }
 
 // instantiate builds the entry's service exactly once, memoizing the
-// result (or the error) and publishing the live service on the shard's
-// fast path.
-func (e *platformEntry) instantiate(r *Registry, sh *registryShard) (*Service, error) {
+// result (or the error) and publishing the live service on the entry. An
+// entry retired while it builds publishes to nobody: the registry no longer
+// lists it.
+func (e *platformEntry) instantiate(metrics *obs.Registry) (*Service, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.built {
-		return e.svc, e.err
+		return e.svc.Load(), e.err
 	}
-	svc, err := NewServiceFromSpec(e.spec, r.metrics)
+	e.built = true
+	svc, err := NewServiceFromSpec(e.spec, metrics)
 	if err != nil {
-		err = fmt.Errorf("predict: instantiating platform %q: %w", e.spec.Name, err)
+		e.err = fmt.Errorf("predict: instantiating platform %q: %w", e.name, err)
+		return nil, e.err
 	}
-	e.svc, e.err, e.built = svc, err, true
-	if err != nil {
-		return nil, err
-	}
-	sh.mu.Lock()
-	sh.services[e.spec.Name] = svc
-	sh.mu.Unlock()
+	e.svc.Store(svc)
 	return svc, nil
 }
 
@@ -288,34 +218,12 @@ func (r *Registry) missError(prefix, miss string) error {
 // lexicographically. O(fleet) time on the error path only; the happy path
 // never calls it.
 func (r *Registry) nearestNames(miss string, k int) (int, []string) {
-	type cand struct {
-		name   string
-		shared int
-	}
-	var cands []cand
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.RLock()
-		for name := range sh.entries {
-			cands = append(cands, cand{name: name, shared: sharedPrefix(name, miss)})
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].shared != cands[j].shared {
-			return cands[i].shared > cands[j].shared
-		}
-		return cands[i].name < cands[j].name
+	names := r.Names()
+	// Stable over the name-ordered roster: ties stay lexicographic.
+	slices.SortStableFunc(names, func(a, b string) int {
+		return sharedPrefix(b, miss) - sharedPrefix(a, miss)
 	})
-	n := len(cands)
-	if k > n {
-		k = n
-	}
-	names := make([]string, k)
-	for i := 0; i < k; i++ {
-		names[i] = cands[i].name
-	}
-	return n, names
+	return len(names), names[:min(k, len(names))]
 }
 
 func sharedPrefix(a, b string) int {
@@ -328,16 +236,11 @@ func sharedPrefix(a, b string) int {
 
 // Names returns every registered platform name (live or cold), sorted.
 func (r *Registry) Names() []string {
-	var names []string
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.RLock()
-		for name := range sh.entries {
-			names = append(names, name)
-		}
-		sh.mu.RUnlock()
+	roster := r.entriesByName()
+	names := make([]string, len(roster))
+	for i, e := range roster {
+		names[i] = e.name
 	}
-	sort.Strings(names)
 	return names
 }
 
@@ -345,15 +248,11 @@ func (r *Registry) Names() []string {
 // order; cold specs are not materialized.
 func (r *Registry) Services() []*Service {
 	var out []*Service
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.RLock()
-		for _, svc := range sh.services {
+	for _, e := range r.entriesByName() {
+		if svc := e.svc.Load(); svc != nil {
 			out = append(out, svc)
 		}
-		sh.mu.RUnlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name() < out[j].Name() })
 	return out
 }
 
@@ -411,16 +310,7 @@ func (r *Registry) advanceAll(dt float64, step func(*Service, float64) (float64,
 }
 
 // LiveCount returns how many platforms have been instantiated so far.
-func (r *Registry) LiveCount() int {
-	n := 0
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.RLock()
-		n += len(sh.services)
-		sh.mu.RUnlock()
-	}
-	return n
-}
+func (r *Registry) LiveCount() int { return len(r.Services()) }
 
 // Predict routes the request to the service named by req.Platform.
 func (r *Registry) Predict(req Request) (Prediction, error) {

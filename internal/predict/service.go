@@ -71,17 +71,10 @@ type Config struct {
 // (a caller that never observes must not grow the service without bound).
 const maxOutstanding = 4096
 
-// monitorShard is one independently locked monitor. CPU monitors get one
-// shard per machine and bandwidth monitors one shard per probe size, so
-// concurrent Predicts touching different monitors never serialize on a
-// service-wide lock. A bandwidth shard is published before its monitor
-// exists; the monitor is built lazily under the shard's own lock
-// (double-checked), so a first-touch probe size stalls only requests for
-// that same probe size.
-type monitorShard struct {
-	mu    sync.Mutex
+// bwMonitor is the bandwidth monitor of one probe size (bytes).
+type bwMonitor struct {
+	probe float64
 	mon   *nws.Monitor
-	probe float64 // bandwidth shards: the probe size in bytes
 }
 
 // Service is a long-lived, goroutine-safe prediction service over one
@@ -92,15 +85,17 @@ type monitorShard struct {
 // given seed and clock schedule because every sensor and fault decision is
 // a pure function of virtual time.
 //
-// Locking: clockMu orders everything against clock movement — Advance holds
-// it exclusively while it runs monitors forward and invalidates the tick
-// cache; every reader (Predict, Reports, Observe, ...) holds it shared, so
-// all requests between two advances see one frozen monitor state. Under the
-// shared clock lock, per-monitor shard locks serialize access to individual
-// (non-thread-safe) monitors, and ledgerMu guards the Observe ledger. Lock
-// order: clockMu > cache entry > size frame > tick frame > shard >
-// ledgerMu; the calibration tracker carries its own internal lock and is
-// never held across another.
+// Locking: one lock per owner. clockMu orders everything against clock
+// movement — Advance holds it exclusively while it runs monitors forward and
+// invalidates the tick cache, and a snapshot export holds it exclusively for
+// a consistent cut; every reader (Predict, Reports, Observe, ...) holds it
+// shared, so all requests between two advances see one frozen monitor state.
+// Under the shared clock lock, monMu serializes access to the
+// (non-thread-safe) monitors, and ledgerMu guards the Observe ledger; whoever
+// holds the clock lock exclusively is alone on the service and takes neither
+// for the monitors. Lock order: clockMu > cache entry > size frame > tick
+// frame > monMu > ledgerMu; the calibration tracker carries its own internal
+// lock and is never held across another.
 type Service struct {
 	name     string
 	plat     *cluster.Platform
@@ -121,13 +116,19 @@ type Service struct {
 	clockMu sync.RWMutex
 	now     float64
 
-	shards []monitorShard // one per machine, CPU monitors
-
-	// bw holds the bandwidth shards in ascending probe size — the order a
-	// tick and a snapshot walk them in. An insert replaces the slice, never
-	// writes it in place, so a reader takes bwMu only to load the header.
-	bwMu sync.RWMutex
-	bw   []*monitorShard
+	// monMu guards the monitors, the bandwidth list and lastMissed for
+	// holders of the shared clock lock. The tick cache makes that one read of
+	// the CPU monitors per tick and one of a bandwidth monitor per (tick, grid
+	// size), so there is nothing for a finer lock to keep apart.
+	monMu sync.Mutex
+	cpu   []*nws.Monitor // one per machine
+	// bw holds the bandwidth monitors in ascending probe size — the order a
+	// tick and a snapshot walk them in — each built, caught up and inserted
+	// by the first request for its grid size.
+	bw []bwMonitor
+	// lastMissed is the missed-sample total already exported, so the
+	// fault-gap counter only ever advances by deltas.
+	lastMissed int
 
 	// cache is the tick-scoped forecast cache (nil when disabled): all
 	// Predicts between two Advance calls share one read of the monitors,
@@ -151,14 +152,8 @@ type Service struct {
 	issued      map[uint64]issuedPrediction
 	issuedOrder []uint64 // issue order, for bounded eviction
 
-	// Telemetry (nil when Config.Metrics was nil). lastMissed tracks the
-	// missed-sample total already exported, so the fault-gap counter only
-	// ever advances by deltas; metricsMu guards it (an advance is alone on
-	// the service, but first-use bandwidth monitors are built under the
-	// shared clock lock).
-	metrics    *serviceMetrics
-	metricsMu  sync.Mutex
-	lastMissed int
+	// Telemetry (nil when Config.Metrics was nil).
+	metrics *serviceMetrics
 }
 
 // issuedPrediction remembers what Observe needs about one answered request.
@@ -203,7 +198,7 @@ func NewService(cfg Config) (*Service, error) {
 		plat:     cfg.Platform,
 		env:      env,
 		machines: make([]cluster.Machine, p),
-		shards:   make([]monitorShard, p),
+		cpu:      make([]*nws.Monitor, p),
 		period:   period,
 		history:  history,
 		prior:    prior,
@@ -229,7 +224,7 @@ func NewService(cfg Config) (*Service, error) {
 		if cfg.Injector != nil {
 			sensor = cfg.Injector.Sensor(i, sensor)
 		}
-		if s.shards[i].mon, err = nws.NewSensorMonitor(sensor, period, history); err != nil {
+		if s.cpu[i], err = nws.NewSensorMonitor(sensor, period, history); err != nil {
 			return nil, err
 		}
 	}
@@ -298,13 +293,14 @@ func (s *Service) AdvanceTo(t float64) error {
 	return s.advanceToLocked(t)
 }
 
-// advanceToLocked moves the clock under the exclusive clock lock: every
-// monitor runs forward on the calling goroutine — CPU shards in machine
-// order, then bandwidth shards in ascending probe size — and the tick cache
-// generation rolls so no stale forecast survives the tick boundary. A no-op
-// advance (t == now) leaves the cache intact — monitor state cannot have
-// changed. The first error in that order ends the tick (none can occur
-// today: Monitor.RunUntil's is documented always nil).
+// advanceToLocked moves the clock under the exclusive clock lock — alone on
+// the service, so it takes no monitor lock: every monitor runs forward on the
+// calling goroutine, CPU monitors in machine order, then bandwidth monitors
+// in ascending probe size, and the tick cache generation rolls so no stale
+// forecast survives the tick boundary. A no-op advance (t == now) leaves the
+// cache intact — monitor state cannot have changed. The first error in that
+// order ends the tick (none can occur today: Monitor.RunUntil's is documented
+// always nil).
 //
 // The order is for the reader, not the result: every monitor's evolution is
 // a pure function of its own sample stream (no cross-monitor state), so each
@@ -315,59 +311,38 @@ func (s *Service) AdvanceTo(t float64) error {
 func (s *Service) advanceToLocked(t float64) error {
 	moved := t != s.now
 	s.now = t
-	missed := 0
-	for i := range s.shards {
-		m, err := s.shards[i].runUntil(t)
-		if err != nil {
+	for _, mon := range s.cpu {
+		if err := mon.RunUntil(t); err != nil {
 			return err
 		}
-		missed += m
 	}
-	for _, sh := range s.bwShards() {
-		m, err := sh.runUntil(t)
-		if err != nil {
+	for _, b := range s.bw {
+		if err := b.mon.RunUntil(t); err != nil {
 			return err
 		}
-		missed += m
 	}
 	if moved {
 		s.cache.invalidate()
 	}
 	if s.metrics != nil {
-		s.metricsMu.Lock()
+		missed := s.missedTotal()
 		s.metrics.recordClock(t, missed-s.lastMissed)
 		s.lastMissed = missed
-		s.metricsMu.Unlock()
 	}
 	return nil
 }
 
-// runUntil catches the shard's monitor up to virtual time t and returns its
-// missed-sample total, both under one hold of the shard lock. A bandwidth
-// shard published but not yet built has nothing to run.
-func (sh *monitorShard) runUntil(t float64) (missed int, err error) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.mon == nil {
-		return 0, nil
+// missedTotal sums the missed-sample counters of every monitor. Callers hold
+// the clock lock exclusively or monMu.
+func (s *Service) missedTotal() int {
+	missed := 0
+	for _, mon := range s.cpu {
+		missed += mon.Gaps().Missed
 	}
-	err = sh.mon.RunUntil(t)
-	return sh.mon.Gaps().Missed, err
-}
-
-// bwShards returns the bandwidth shards in ascending probe size; the slice
-// is the caller's to walk without bwMu.
-func (s *Service) bwShards() []*monitorShard {
-	s.bwMu.RLock()
-	defer s.bwMu.RUnlock()
-	return s.bw
-}
-
-// searchBW finds where the shard for a probe size sits, or would be
-// inserted, in the ascending shard list.
-func searchBW(bw []*monitorShard, probeBytes float64) (int, bool) {
-	i := sort.Search(len(bw), func(i int) bool { return bw[i].probe >= probeBytes })
-	return i, i < len(bw) && bw[i].probe == probeBytes
+	for _, b := range s.bw {
+		missed += b.mon.Gaps().Missed
+	}
+	return missed
 }
 
 func (s *Service) checkPlatform(name string) error {
@@ -431,54 +406,48 @@ func validateRequest(req Request) error {
 // (forecast -> running mean -> prior) otherwise — plus the per-machine
 // diagnostic reports and the distribution-valued report behind each value
 // (the tournament winner's quantile grid, or a normal tabulation of the
-// override). Callers hold the shared clock lock; each machine's shard lock
-// is taken per pass. The two pipeline stages it spans are timed separately:
-// monitor_read (catching every monitor up to the current virtual time —
-// normally a no-op, since Advance already did) and forecast (producing the
-// stochastic load reports).
+// override). Callers hold the shared clock lock; the read runs under monMu.
+// The two pipeline stages it spans are timed separately: monitor_read
+// (catching every monitor up to the current virtual time — normally a no-op,
+// since Advance already did) and forecast (producing the stochastic load
+// reports).
 func (s *Service) readLoads(override func(int, *nws.Monitor) (stochastic.Value, error)) ([]stochastic.Value, []MachineReport, []nws.LoadDist, error) {
+	s.monMu.Lock()
+	defer s.monMu.Unlock()
 	read := s.metrics.startStage(stageMonitorRead)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		err := sh.mon.RunUntil(s.now)
-		sh.mu.Unlock()
-		if err != nil {
+	for _, mon := range s.cpu {
+		if err := mon.RunUntil(s.now); err != nil {
 			read.stop()
 			return nil, nil, nil, err
 		}
 	}
 	read.stop()
 	defer s.metrics.startStage(stageForecast).stop()
-	loads := make([]stochastic.Value, len(s.shards))
-	reports := make([]MachineReport, len(s.shards))
-	dists := make([]nws.LoadDist, len(s.shards))
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
+	loads := make([]stochastic.Value, len(s.cpu))
+	reports := make([]MachineReport, len(s.cpu))
+	dists := make([]nws.LoadDist, len(s.cpu))
+	for i, mon := range s.cpu {
 		if override != nil {
-			v, err := override(i, sh.mon)
+			v, err := override(i, mon)
 			if err != nil {
-				sh.mu.Unlock()
 				return nil, nil, nil, err
 			}
 			loads[i] = v
 			dists[i] = overrideLoadDist(v)
 		} else {
-			loads[i] = sh.mon.RobustReport(s.now, s.prior)
-			dists[i] = sh.mon.RobustDistReport(s.now, s.prior)
+			loads[i] = mon.RobustReport(s.now, s.prior)
+			dists[i] = mon.RobustDistReport(s.now, s.prior)
 		}
 		reports[i] = MachineReport{
 			Machine:    i,
 			Load:       loads[i],
 			Raw:        s.env.RawCPUAvail(i, s.now),
-			Staleness:  sh.mon.Staleness(),
-			Widening:   sh.mon.DegradationFactor(),
-			Gaps:       sh.mon.Gaps(),
+			Staleness:  mon.Staleness(),
+			Widening:   mon.DegradationFactor(),
+			Gaps:       mon.Gaps(),
 			Forecaster: dists[i].Forecaster,
 			Components: dists[i].Components,
 		}
-		sh.mu.Unlock()
 		s.metrics.recordTournamentWin(dists[i].Forecaster)
 	}
 	return loads, reports, dists, nil
@@ -533,79 +502,65 @@ func (s *Service) Partition(req Request) (*sor.Partition, error) {
 	if err := validateRequest(req); err != nil {
 		return nil, err
 	}
-	// The reports are the tick's: shared with every Predict of this tick
-	// unless the request brings its own loads.
-	tick := &tickFrame{}
-	if s.cache != nil && req.LoadOverride == nil {
-		tick = s.cache.frame()
-	}
-	if err := s.resolveTick(tick, req.LoadOverride); err != nil {
+	tick, err := s.tickReports(req.LoadOverride)
+	if err != nil {
 		return nil, err
 	}
 	return s.choosePartition(req, tick.loads)
 }
 
+// tickReports returns a resolved tick frame: the cache's — the one read every
+// Predict of this tick shares — unless the cache is off or the caller brings
+// its own loads, which get a fresh frame. Callers hold the shared clock lock.
+func (s *Service) tickReports(override func(int, *nws.Monitor) (stochastic.Value, error)) (*tickFrame, error) {
+	tick := &tickFrame{}
+	if s.cache != nil && override == nil {
+		tick = s.cache.frame()
+	}
+	return tick, s.resolveTick(tick, override)
+}
+
 // bwReport returns the bandwidth fraction forecast for n's ghost-row-sized
-// probe messages, creating the monitor on first use behind a double-checked
-// per-shard lock: the shard is published under a brief map write lock, and
-// the (expensive) monitor construction and catch-up happen under that
-// shard's own lock, so a first-touch probe size can never stall Predicts
-// for other probe sizes or other machines. Monitors are pure functions of
+// probe messages, under monMu. The first request for a probe size builds its
+// monitor, catches it up to the clock and inserts it, all under that lock:
+// for the length of one catch-up the same tenant's other first-of-tick reads
+// wait (DESIGN.md §5 "Locks the size of the traffic" prices it), once per
+// (tenant, grid size) per process lifetime. Monitors are pure functions of
 // virtual time, so a late-created monitor has exactly the history an
 // early-created one would.
 func (s *Service) bwReport(n int) (stochastic.Value, nws.GapStats, error) {
 	probeBytes := float64(n-2) * 8
-	var sh *monitorShard
-	shards := s.bwShards()
-	if i, ok := searchBW(shards, probeBytes); ok {
-		sh = shards[i]
-	} else {
-		s.bwMu.Lock()
-		i, ok := searchBW(s.bw, probeBytes)
-		if ok {
-			sh = s.bw[i]
-		} else {
-			if len(s.bw) >= MaxProbeSizes {
-				s.bwMu.Unlock()
-				return stochastic.Value{}, nws.GapStats{}, fmt.Errorf(
-					"predict: grid size %d needs one more bandwidth probe size, exceeds limit %d per platform", n, MaxProbeSizes)
-			}
-			sh = &monitorShard{probe: probeBytes}
-			s.bw = slices.Insert(slices.Clone(s.bw), i, sh)
+	s.monMu.Lock()
+	defer s.monMu.Unlock()
+	i := sort.Search(len(s.bw), func(i int) bool { return s.bw[i].probe >= probeBytes })
+	if i == len(s.bw) || s.bw[i].probe != probeBytes {
+		if len(s.bw) >= MaxProbeSizes {
+			return stochastic.Value{}, nws.GapStats{}, fmt.Errorf(
+				"predict: grid size %d needs one more bandwidth probe size, exceeds limit %d per platform", n, MaxProbeSizes)
 		}
-		s.bwMu.Unlock()
-	}
-	sh.mu.Lock()
-	created := false
-	if sh.mon == nil {
 		mon, err := nws.NewBandwidthMonitor(s.env, 0, 1, probeBytes, s.period, s.history)
 		if err != nil {
-			sh.mu.Unlock()
 			return stochastic.Value{}, nws.GapStats{}, err
 		}
 		if err := mon.RunUntil(s.now); err != nil {
-			sh.mu.Unlock()
 			return stochastic.Value{}, nws.GapStats{}, err
 		}
-		sh.mon = mon
-		created = true
+		s.bw = slices.Insert(s.bw, i, bwMonitor{probe: probeBytes, mon: mon})
+		if s.metrics != nil {
+			// A first-use bandwidth monitor may have accumulated gaps while
+			// catching up; fold them into the fault-gap counter.
+			missed := mon.Gaps().Missed
+			s.metrics.recordClock(s.now, missed)
+			s.lastMissed += missed
+		}
 	}
-	bw := sh.mon.RobustReport(s.now, stochastic.New(s.link.DedBW/2, s.link.DedBW/2))
-	gaps := sh.mon.Gaps()
-	sh.mu.Unlock()
-	if created && s.metrics != nil {
-		// A first-use bandwidth monitor may have accumulated gaps while
-		// catching up; fold them into the fault-gap counter.
-		s.metricsMu.Lock()
-		s.metrics.recordClock(s.now, gaps.Missed)
-		s.lastMissed += gaps.Missed
-		s.metricsMu.Unlock()
-	}
+	mon := s.bw[i].mon
+	bw := mon.RobustReport(s.now, stochastic.New(s.link.DedBW/2, s.link.DedBW/2))
 	frac := bw.MulPoint(1 / s.link.DedBW)
 	if frac.Mean <= 0.01 {
 		frac = stochastic.New(0.01, frac.Spread)
 	}
-	return frac, gaps, nil
+	return frac, mon.Gaps(), nil
 }
 
 // Predict answers one request at the current virtual time: read per-machine
@@ -908,8 +863,8 @@ func (s *Service) drawPhases(eval *structural.SORPoint, dists []nws.LoadDist, bw
 // execution-time quantile grid of a run of k phase pairs, the empirical
 // DistLevels quantiles of k times each sorted phase draw. Multiplying by a
 // positive k and rounding are both monotone, so the scaled draws are the
-// sorted execution times of that run — what sorting SORPoint.Time over the
-// same draws gives, NaNs first either way — and one pass of draws serves
+// sorted execution times of that run — what sorting the run's own times over
+// the same draws gives, NaNs first either way — and one pass of draws serves
 // every iteration count. Without draws the grid degrades to the raw value's
 // normal quantiles.
 func distGrid(draws []float64, k float64, raw stochastic.Value) []float64 {
@@ -1127,40 +1082,28 @@ func (s *Service) Outstanding() int {
 }
 
 // Reports returns the current per-machine load reports (robust fallback
-// chain) without evaluating a model — the /report endpoint's view.
+// chain) without evaluating a model — the /report endpoint's view. They are
+// the tick's, the slice every Prediction.Loads of this tick shares (callers
+// must not mutate it); with the cache off each call reads the monitors anew.
 func (s *Service) Reports() []MachineReport {
 	s.clockMu.RLock()
 	defer s.clockMu.RUnlock()
-	reports := make([]MachineReport, len(s.shards))
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		ld := sh.mon.RobustDistReport(s.now, s.prior)
-		reports[i] = MachineReport{
-			Machine:    i,
-			Load:       sh.mon.RobustReport(s.now, s.prior),
-			Raw:        s.env.RawCPUAvail(i, s.now),
-			Staleness:  sh.mon.Staleness(),
-			Widening:   sh.mon.DegradationFactor(),
-			Gaps:       sh.mon.Gaps(),
-			Forecaster: ld.Forecaster,
-			Components: ld.Components,
-		}
-		sh.mu.Unlock()
+	tick, err := s.tickReports(nil)
+	if err != nil {
+		return nil
 	}
-	return reports
+	return tick.reports
 }
 
 // CPUGaps returns each CPU monitor's per-fault-class gap counters.
 func (s *Service) CPUGaps() []nws.GapStats {
 	s.clockMu.RLock()
 	defer s.clockMu.RUnlock()
-	gaps := make([]nws.GapStats, len(s.shards))
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		gaps[i] = sh.mon.Gaps()
-		sh.mu.Unlock()
+	s.monMu.Lock()
+	defer s.monMu.Unlock()
+	gaps := make([]nws.GapStats, len(s.cpu))
+	for i, mon := range s.cpu {
+		gaps[i] = mon.Gaps()
 	}
 	return gaps
 }
@@ -1171,15 +1114,11 @@ func (s *Service) CPUGaps() []nws.GapStats {
 func (s *Service) BWGaps() nws.GapStats {
 	s.clockMu.RLock()
 	defer s.clockMu.RUnlock()
+	s.monMu.Lock()
+	defer s.monMu.Unlock()
 	var total nws.GapStats
-	for _, sh := range s.bwShards() {
-		sh.mu.Lock()
-		if sh.mon == nil {
-			sh.mu.Unlock()
-			continue
-		}
-		g := sh.mon.Gaps()
-		sh.mu.Unlock()
+	for _, b := range s.bw {
+		g := b.mon.Gaps()
 		total.Clean += g.Clean
 		total.Recovered += g.Recovered
 		total.Retries += g.Retries

@@ -2,6 +2,7 @@ package predict_test
 
 import (
 	"math"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -263,6 +264,18 @@ func TestReportsAndGaps(t *testing.T) {
 	}
 	if gaps[1].Dropped != 0 {
 		t.Errorf("machine 1 has no schedule but dropped %d", gaps[1].Dropped)
+	}
+	// The reports are the tick's one read: what a same-tick prediction
+	// carries, whether the tick cache holds the read or each call repeats it.
+	for _, noCache := range []bool{false, true} {
+		svc := shardService(t, 11, noCache)
+		p, err := svc.Predict(baseRequest())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := svc.Reports(); !reflect.DeepEqual(got, p.Loads) {
+			t.Errorf("cache off=%v: Reports() = %+v, the same tick's Prediction.Loads = %+v", noCache, got, p.Loads)
+		}
 	}
 }
 

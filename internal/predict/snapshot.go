@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"prodpred/internal/calib"
 	"prodpred/internal/nws"
@@ -159,35 +158,17 @@ func (d *snapDec) f64s() []float64 {
 // have no way to rebuild its structure). Platforms are written in name
 // order, so equal fleets produce byte-identical snapshots.
 func (r *Registry) WriteSnapshot(w io.Writer) error {
-	type platSnap struct {
-		name  string
-		entry *platformEntry
-	}
-	var plats []platSnap
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.RLock()
-		for name, e := range sh.entries {
-			plats = append(plats, platSnap{name: name, entry: e})
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Slice(plats, func(i, j int) bool { return plats[i].name < plats[j].name })
-
+	plats := r.entriesByName()
 	e := &snapEnc{b: make([]byte, 0, 1<<16)}
 	e.b = append(e.b, snapshotMagic...)
 	e.u32(snapshotVersion)
 	e.u32(uint32(len(plats)))
 	for _, p := range plats {
-		p.entry.mu.Lock()
-		svc, built := p.entry.svc, p.entry.built && p.entry.err == nil
-		p.entry.mu.Unlock()
-		live := built && svc != nil
-		var spec *PlatformSpec
+		svc := p.svc.Load()
+		live := svc != nil
+		spec := p.spec
 		if live {
 			spec = svc.Spec()
-		} else {
-			spec = p.entry.spec
 		}
 		if spec == nil {
 			return fmt.Errorf("predict: platform %q was not built from a spec; cannot snapshot", p.name)
@@ -249,7 +230,7 @@ func ReadSnapshot(rd io.Reader, opts RegistryOptions) (*Registry, error) {
 		if err != nil {
 			return nil, fmt.Errorf("predict: restoring platform %q: %w", name, err)
 		}
-		if err := reg.registerRestored(svc.Spec(), svc); err != nil {
+		if err := reg.addLive(svc.Spec(), svc); err != nil {
 			return nil, err
 		}
 	}
@@ -284,7 +265,8 @@ func restoreService(spec *PlatformSpec, reg *Registry, d *snapDec) (*Service, er
 
 // exportTo writes the service's full dynamic state. It takes the clock
 // lock exclusively, so the image is a consistent cut: no Predict, Observe,
-// or Advance is in flight while the state is read.
+// or Advance is in flight while the state is read, and the monitors need no
+// lock of their own.
 func (s *Service) exportTo(e *snapEnc) {
 	s.clockMu.Lock()
 	defer s.clockMu.Unlock()
@@ -292,28 +274,20 @@ func (s *Service) exportTo(e *snapEnc) {
 	e.f64(s.now)
 
 	// CPU monitors, machine order.
-	e.u32(uint32(len(s.shards)))
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		st := sh.mon.ExportState()
-		sh.mu.Unlock()
-		encodeMonitorState(e, st)
+	e.u32(uint32(len(s.cpu)))
+	for _, mon := range s.cpu {
+		encodeMonitorState(e, mon.ExportState())
 	}
 
-	// Bandwidth monitors, in ascending probe size.
-	bw := s.bwShards()
-	e.u32(uint32(len(bw)))
-	for _, sh := range bw {
-		e.f64(sh.probe)
-		sh.mu.Lock()
-		if sh.mon == nil {
-			e.boolean(false)
-		} else {
-			e.boolean(true)
-			encodeMonitorState(e, sh.mon.ExportState())
-		}
-		sh.mu.Unlock()
+	// Bandwidth monitors, in ascending probe size. The flag says the monitor
+	// was built: always true since a monitor is built before it is listed,
+	// kept so the image layout (and importFrom's reading of older images,
+	// which could list a probe size ahead of its monitor) does not move.
+	e.u32(uint32(len(s.bw)))
+	for _, b := range s.bw {
+		e.f64(b.probe)
+		e.boolean(true)
+		encodeMonitorState(e, b.mon.ExportState())
 	}
 
 	// Prediction ledger: live entries in issue order (dead slots dropped —
@@ -348,15 +322,15 @@ func (s *Service) importFrom(d *snapDec) error {
 	s.now = d.f64()
 
 	nCPU := d.count(1)
-	if d.err == nil && nCPU != len(s.shards) {
-		return fmt.Errorf("predict: snapshot has %d CPU monitors, platform has %d machines", nCPU, len(s.shards))
+	if d.err == nil && nCPU != len(s.cpu) {
+		return fmt.Errorf("predict: snapshot has %d CPU monitors, platform has %d machines", nCPU, len(s.cpu))
 	}
 	for i := 0; i < nCPU && d.err == nil; i++ {
 		st := decodeMonitorState(d)
 		if d.err != nil {
 			break
 		}
-		if err := s.shards[i].mon.ImportState(st); err != nil {
+		if err := s.cpu[i].ImportState(st); err != nil {
 			return err
 		}
 	}
@@ -369,24 +343,26 @@ func (s *Service) importFrom(d *snapDec) error {
 			return fmt.Errorf("predict: snapshot bandwidth probe size %g does not ascend from %g", probe, lastProbe)
 		}
 		lastProbe = probe
-		sh := &monitorShard{probe: probe}
-		if d.boolean() {
-			st := decodeMonitorState(d)
-			if d.err != nil {
-				break
-			}
-			mon, err := nws.NewBandwidthMonitor(s.env, 0, 1, probe, s.period, s.history)
-			if err != nil {
-				return err
-			}
-			// Bandwidth monitors carry no tournament: the section an older
-			// image holds for one is decoded above and dropped here.
-			if err := mon.ImportState(st); err != nil {
-				return err
-			}
-			sh.mon = mon
+		if !d.boolean() {
+			// An older image caught a probe size listed ahead of its monitor.
+			// Nothing to import: the next request for that size rebuilds the
+			// monitor from virtual time, bit for bit.
+			continue
 		}
-		s.bw = append(s.bw, sh)
+		st := decodeMonitorState(d)
+		if d.err != nil {
+			break
+		}
+		mon, err := nws.NewBandwidthMonitor(s.env, 0, 1, probe, s.period, s.history)
+		if err != nil {
+			return err
+		}
+		// Bandwidth monitors carry no tournament: the section an older
+		// image holds for one is decoded above and dropped here.
+		if err := mon.ImportState(st); err != nil {
+			return err
+		}
+		s.bw = append(s.bw, bwMonitor{probe: probe, mon: mon})
 	}
 
 	s.nextID = d.u64()
@@ -414,16 +390,7 @@ func (s *Service) importFrom(d *snapDec) error {
 
 	// Seed the metrics delta baseline so the first post-restore advance
 	// exports only new gaps, not the whole historical total again.
-	missed := 0
-	for i := range s.shards {
-		missed += s.shards[i].mon.Gaps().Missed
-	}
-	for _, sh := range s.bw {
-		if sh.mon != nil {
-			missed += sh.mon.Gaps().Missed
-		}
-	}
-	s.lastMissed = missed
+	s.lastMissed = s.missedTotal()
 	return nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -271,5 +272,35 @@ func TestReadSnapshotRejectsCorrupt(t *testing.T) {
 	twice := bytes.Replace(snap.Bytes(), probe(800), probe(400), 1)
 	if _, err := predict.ReadSnapshot(bytes.NewReader(twice), predict.RegistryOptions{}); err == nil || !strings.Contains(err.Error(), "does not ascend") {
 		t.Errorf("a probe size listed twice: want a does-not-ascend error, got %v", err)
+	}
+
+	// An image from before monitors were built ahead of being listed can
+	// hold a probe size with no monitor behind it (flag 0, no state). It is
+	// accepted and the entry dropped: the next request for that size rebuilds
+	// the monitor from virtual time, and the restored tenant answers and
+	// re-snapshots bit for bit as the one that never lost it. The two
+	// monitors' states are equally long (same clock, period and history), so
+	// the distance between the probe sizes is one entry's length.
+	at400, at800 := bytes.Index(snap.Bytes(), probe(400)), bytes.Index(snap.Bytes(), probe(800))
+	unbuilt := slices.Concat(snap.Bytes()[:at800+8], []byte{0}, snap.Bytes()[2*at800-at400:])
+	back, err := predict.ReadSnapshot(bytes.NewReader(unbuilt), predict.RegistryOptions{})
+	if err != nil {
+		t.Fatalf("an image with an unbuilt bandwidth entry: %v", err)
+	}
+	var images [2]bytes.Buffer
+	var preds [2]predict.Prediction
+	for i, r := range []*predict.Registry{reg, back} {
+		if preds[i], err = r.Predict(predict.Request{N: 800, Iterations: 10}); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.WriteSnapshot(&images[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(preds[0], preds[1]) {
+		t.Errorf("prediction over the rebuilt monitor %+v, over the one that was never dropped %+v", preds[1], preds[0])
+	}
+	if !bytes.Equal(images[0].Bytes(), images[1].Bytes()) {
+		t.Error("the tenant restored without its unbuilt entry re-snapshots to different bytes")
 	}
 }

@@ -117,33 +117,6 @@ func (s Sum) String() string {
 	return "(" + strings.Join(parts, " +"+s.Rel.String()[:3]+" ") + ")"
 }
 
-// Mul multiplies two components under the given relation.
-type Mul struct {
-	Rel  Relation
-	A, B Component
-}
-
-// Eval implements Component.
-func (m Mul) Eval(p Params) (stochastic.Value, error) {
-	a, err := m.A.Eval(p)
-	if err != nil {
-		return stochastic.Value{}, err
-	}
-	b, err := m.B.Eval(p)
-	if err != nil {
-		return stochastic.Value{}, err
-	}
-	if m.Rel == Related {
-		return a.MulRelated(b), nil
-	}
-	return a.MulUnrelated(b), nil
-}
-
-// String implements Component.
-func (m Mul) String() string {
-	return fmt.Sprintf("(%s *%s %s)", m.A.String(), m.Rel.String()[:3], m.B.String())
-}
-
 // Div divides A by B under the given relation.
 type Div struct {
 	Rel  Relation
@@ -260,15 +233,3 @@ func (r Repeat) Of(v stochastic.Value) stochastic.Value {
 func (r Repeat) String() string {
 	return fmt.Sprintf("(%g x%s %s)", r.K, r.Rel.String()[:3], r.C.String())
 }
-
-// Func is an escape hatch for custom component models.
-type Func struct {
-	Label string
-	F     func(p Params) (stochastic.Value, error)
-}
-
-// Eval implements Component.
-func (f Func) Eval(p Params) (stochastic.Value, error) { return f.F(p) }
-
-// String implements Component.
-func (f Func) String() string { return f.Label }

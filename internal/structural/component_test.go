@@ -1,7 +1,6 @@
 package structural
 
 import (
-	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -71,27 +70,12 @@ func TestMulDivEval(t *testing.T) {
 		"a": stochastic.New(10, 1),
 		"b": stochastic.New(5, 2),
 	}
-	v, err := (Mul{Rel: Related, A: Param("a"), B: Param("b")}).Eval(p)
-	if err != nil || v != stochastic.New(50, 27) {
-		t.Errorf("related mul=%v err=%v", v, err)
-	}
-	v, err = (Mul{Rel: Unrelated, A: Param("a"), B: Param("b")}).Eval(p)
-	want := stochastic.New(10, 1).MulUnrelated(stochastic.New(5, 2))
-	if err != nil || !v.ApproxEqual(want, 1e-12) {
-		t.Errorf("unrelated mul=%v err=%v", v, err)
-	}
-	v, err = (Div{Rel: Unrelated, A: Param("a"), B: Param("b")}).Eval(p)
+	v, err := (Div{Rel: Unrelated, A: Param("a"), B: Param("b")}).Eval(p)
 	if err != nil || math.Abs(v.Mean-2) > 1e-12 {
 		t.Errorf("div=%v err=%v", v, err)
 	}
 	if _, err := (Div{Rel: Related, A: Param("a"), B: PointConst(0)}).Eval(p); err == nil {
 		t.Error("divide by zero should fail")
-	}
-	if _, err := (Mul{Rel: Related, A: Param("zz"), B: Param("a")}).Eval(p); err == nil {
-		t.Error("missing A should fail")
-	}
-	if _, err := (Mul{Rel: Related, A: Param("a"), B: Param("zz")}).Eval(p); err == nil {
-		t.Error("missing B should fail")
 	}
 	if _, err := (Div{Rel: Related, A: Param("zz"), B: Param("a")}).Eval(p); err == nil {
 		t.Error("missing div A should fail")
@@ -132,25 +116,6 @@ func TestMaxOverEval(t *testing.T) {
 	}
 	if _, err := (MaxOver{Terms: []Component{Param("zz")}}).Eval(p); err == nil {
 		t.Error("missing param should propagate")
-	}
-}
-
-func TestFuncEval(t *testing.T) {
-	f := Func{Label: "custom", F: func(Params) (stochastic.Value, error) {
-		return stochastic.Point(9), nil
-	}}
-	v, err := f.Eval(nil)
-	if err != nil || v != stochastic.Point(9) {
-		t.Errorf("func=%v err=%v", v, err)
-	}
-	if f.String() != "custom" {
-		t.Error("label")
-	}
-	fErr := Func{Label: "boom", F: func(Params) (stochastic.Value, error) {
-		return stochastic.Value{}, errors.New("boom")
-	}}
-	if _, err := fErr.Eval(nil); err == nil {
-		t.Error("func error should propagate")
 	}
 }
 
@@ -230,10 +195,10 @@ func TestRepeatValidation(t *testing.T) {
 func TestStringRendering(t *testing.T) {
 	m := Scale{K: 3, C: Sum{Rel: Related, Terms: []Component{
 		Param("a"),
-		Mul{Rel: Unrelated, A: Param("b"), B: PointConst(2)},
+		Div{Rel: Unrelated, A: Param("b"), B: PointConst(2)},
 	}}}
 	s := m.String()
-	for _, want := range []string{"a", "b", "3", "2", "*unr", "+rel"} {
+	for _, want := range []string{"a", "b", "3", "2", "/unr", "+rel"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("String %q missing %q", s, want)
 		}

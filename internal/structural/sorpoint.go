@@ -19,12 +19,12 @@ import (
 // it into the run's value, so a caller predicting several iteration counts
 // of one decomposition evaluates the model once.
 //
-// Phase and Time evaluate at point parameters — every load and the
+// Phase evaluates one phase pair at point parameters — every load and the
 // bandwidth fraction a stochastic.Point, the degenerate stochastic value of
-// the paper's footnote 1 — and return the mean the tree returns for them,
-// bit for bit (TestSORPointMatchesTree, FuzzSORPointMatchesTree). There
-// bit-identity is a matter of performing the tree's float operations on the
-// mean, in the tree's order:
+// the paper's footnote 1 — and PhasePairs(Iterations) times it is the mean
+// the tree returns for them, bit for bit (TestSORPointMatchesTree,
+// FuzzSORPointMatchesTree). There bit-identity is a matter of performing the
+// tree's float operations on the mean, in the tree's order:
 //
 //   - a Div is Point(c).MulUnrelated(Point(x).Recip()): c·(1/x), a multiply
 //     by the reciprocal and not a divide, and 0 when c or 1/x is 0;
@@ -39,15 +39,14 @@ import (
 //     finite), and a NaN spread decides LargestMagnitude and Probabilistic
 //     the way it does in stochastic.Max — so it is carried, as 0 or NaN;
 //   - Repeat multiplies the mean by 2·NumIts under either IterationRel, so
-//     Time is that count times Phase, which does not depend on it.
+//     the run's time is that count times Phase, which does not depend on it.
 //
 // A SORPoint is immutable after construction and safe for concurrent use.
 type SORPoint struct {
 	strips   []pointStrip
 	xfer     float64 // GhostRowBytes / DedBW: one ghost row at full bandwidth
 	latency  float64
-	charged  bool    // some strip pays for a transfer: the bandwidth fraction is read
-	k        float64 // 2·NumIts
+	charged  bool // some strip pays for a transfer: the bandwidth fraction is read
 	strategy stochastic.MaxStrategy
 }
 
@@ -80,7 +79,6 @@ func (c *SORConfig) PointEvaluator() (*SORPoint, error) {
 		strips:   make([]pointStrip, p),
 		xfer:     c.Partition.GhostRowBytes() / c.Link.DedBW,
 		latency:  c.Link.Latency,
-		k:        PhasePairs(c.Iterations),
 		strategy: c.MaxStrategy,
 	}
 	for i := range e.strips {
@@ -99,21 +97,11 @@ func (c *SORConfig) PointEvaluator() (*SORPoint, error) {
 	return e, nil
 }
 
-// Time returns the predicted execution time at the given point
-// availabilities: loads[p] is strip p's CPU availability and bw the
-// network-availability fraction. It fails where the tree does, on a zero
-// divisor, with the tree's error.
-func (e *SORPoint) Time(loads []float64, bw float64) (float64, error) {
-	phase, err := e.Phase(loads, bw)
-	if err != nil {
-		return 0, err
-	}
-	return e.k * phase, nil
-}
-
 // Phase returns the time of one phase pair, MaxComp + MaxComm, at the given
-// point availabilities: Time without its 2·NumIts, and the same whatever
-// the config's iteration count.
+// point availabilities: loads[p] is strip p's CPU availability and bw the
+// network-availability fraction. It is the same whatever the config's
+// iteration count, and fails where the tree does, on a zero divisor, with
+// the tree's error.
 func (e *SORPoint) Phase(loads []float64, bw float64) (float64, error) {
 	if len(loads) != len(e.strips) {
 		return 0, fmt.Errorf("structural: %d loads for %d strips", len(loads), len(e.strips))

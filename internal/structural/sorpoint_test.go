@@ -68,9 +68,9 @@ func pointTestConfig(rng *rand.Rand, p int, strategy stochastic.MaxStrategy, rel
 	}
 }
 
-// comparePointToTree holds Time(loads, bw) to the expression tree evaluated
-// at the same values as point parameters: the same mean by bit pattern (any
-// NaN equals any NaN), or the same error text.
+// comparePointToTree holds PhasePairs(Iterations)·Phase(loads, bw) to the
+// expression tree evaluated at the same values as point parameters: the same
+// mean by bit pattern (any NaN equals any NaN), or the same error text.
 func comparePointToTree(t *testing.T, cfg *SORConfig, loads []float64, bw float64) {
 	t.Helper()
 	params := Params{BWAvailParam: stochastic.Point(bw)}
@@ -82,19 +82,20 @@ func comparePointToTree(t *testing.T, cfg *SORConfig, loads []float64, bw float6
 	if err != nil {
 		t.Fatalf("PointEvaluator on a config Build accepts: %v", err)
 	}
-	got, gotErr := ev.Time(loads, bw)
+	got, gotErr := ev.Phase(loads, bw)
+	got *= PhasePairs(cfg.Iterations)
 	describe := func() string {
 		return fmt.Sprintf("rows %v idx %v strategy %d rel %v loads %v bw %v",
 			cfg.Partition.Rows, cfg.MachineIdx, cfg.MaxStrategy, cfg.IterationRel, loads, bw)
 	}
 	if wantErr != nil || gotErr != nil {
 		if wantErr == nil || gotErr == nil || wantErr.Error() != gotErr.Error() {
-			t.Fatalf("%s: Time error %v, tree error %v", describe(), gotErr, wantErr)
+			t.Fatalf("%s: Phase error %v, tree error %v", describe(), gotErr, wantErr)
 		}
 		return
 	}
 	if math.Float64bits(got) != math.Float64bits(want.Mean) && !(math.IsNaN(got) && math.IsNaN(want.Mean)) {
-		t.Fatalf("%s: Time %v (%#x), tree %v (%#x)", describe(),
+		t.Fatalf("%s: 2·NumIts·Phase %v (%#x), tree %v (%#x)", describe(),
 			got, math.Float64bits(got), want.Mean, math.Float64bits(want.Mean))
 	}
 }
@@ -114,9 +115,9 @@ func drawAvail(rng *rand.Rand) float64 {
 
 // TestSORPointMatchesTree: the point evaluator is the expression tree at
 // zero spread — for 1..8 strips, every Max strategy, both iteration
-// relations and every mapping, over corner and random availabilities, Time
-// returns Build().Eval()'s mean bit for bit, and a zero load or bandwidth
-// fraction is the tree's error.
+// relations and every mapping, over corner and random availabilities,
+// 2·NumIts·Phase is Build().Eval()'s mean bit for bit, and a zero load or
+// bandwidth fraction is the tree's error.
 func TestSORPointMatchesTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	strategies := []stochastic.MaxStrategy{stochastic.LargestMean, stochastic.LargestMagnitude, stochastic.Probabilistic}
@@ -193,7 +194,7 @@ func TestSORPointRejectsWhatBuildRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ev.Time([]float64{1, 1}, 1); err == nil {
+	if _, err := ev.Phase([]float64{1, 1}, 1); err == nil {
 		t.Error("two loads for four strips accepted")
 	}
 }

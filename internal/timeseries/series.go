@@ -80,18 +80,6 @@ func (s *Series) Times() []float64 {
 	return out
 }
 
-// Window returns the values with timestamps in the half-open interval
-// [from, to).
-func (s *Series) Window(from, to float64) []float64 {
-	lo := sort.Search(len(s.pts), func(i int) bool { return s.pts[i].T >= from })
-	hi := sort.Search(len(s.pts), func(i int) bool { return s.pts[i].T >= to })
-	out := make([]float64, 0, hi-lo)
-	for _, p := range s.pts[lo:hi] {
-		out = append(out, p.V)
-	}
-	return out
-}
-
 // ValueAt returns the measurement in force at time t: the value of the
 // latest point with timestamp <= t. ok is false before the first point.
 func (s *Series) ValueAt(t float64) (v float64, ok bool) {

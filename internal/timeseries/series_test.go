@@ -53,20 +53,6 @@ func TestFromSlices(t *testing.T) {
 	}
 }
 
-func TestWindow(t *testing.T) {
-	s, _ := FromSlices([]float64{0, 1, 2, 3, 4}, []float64{5, 6, 7, 8, 9})
-	got := s.Window(1, 3)
-	if len(got) != 2 || got[0] != 6 || got[1] != 7 {
-		t.Errorf("Window=%v", got)
-	}
-	if got := s.Window(10, 20); len(got) != 0 {
-		t.Errorf("empty window=%v", got)
-	}
-	if got := s.Window(-5, 100); len(got) != 5 {
-		t.Errorf("full window=%v", got)
-	}
-}
-
 func TestValueAt(t *testing.T) {
 	s, _ := FromSlices([]float64{1, 3, 5}, []float64{10, 30, 50})
 	if _, ok := s.ValueAt(0.5); ok {

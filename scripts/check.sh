@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # check.sh — the repo gate, and all of what CI runs: formatting, vet, the
-# race-clean test suite (every smoke and acceptance test is in it, once), a
-# one-iteration bench smoke, the loadgen CLI round trip, a short fuzz of the
-# request decoder, of the point and value evaluators against the model tree
-# and of the raced BIC selection against the exhaustive one, the bench/
-# module's vet + tests, and the snapshot drill over the real daemon binary.
+# race-clean test suite (every smoke and acceptance test is in it, once), the
+# concurrency tests of the serving core once more at one and at four
+# schedulers, a one-iteration bench smoke, the loadgen CLI round trip, a short
+# fuzz of the request decoder, of the point and value evaluators against the
+# model tree and of the raced BIC selection against the exhaustive one, the
+# bench/ module's vet + tests, and the snapshot drill over the real daemon
+# binary.
 # The SOR worker pool, the sharded Monte Carlo engine, and the
 # predict.Service prediction core are concurrent by design, so -race is not
 # optional here.
@@ -20,6 +22,13 @@ fi
 
 go vet ./...
 go test -race ./...
+# That pass runs at the runner's one GOMAXPROCS. The serving core's locking
+# has two shapes that depend on it — Registry.AdvanceAll is a plain loop at
+# one worker and a pool at more, and the one-lock-per-owner paths only meet
+# where goroutines really interleave — so the concurrency tests (and only
+# they) run again at both, whatever the runner has.
+go test -race -cpu 1,4 -run 'Race|Stress|Storm|Coherence|Concurrent|AdvanceAll|FleetAdvance|Registry|Retired' \
+    ./internal/predict ./internal/fleetsched ./internal/api
 # Bench smoke: every benchmark must still run for one iteration without
 # error (no measurement — regressions are caught by scripts/bench.sh).
 go test -bench=. -benchtime=1x -run '^$' ./...
@@ -60,4 +69,4 @@ scripts/snapshot_smoke.sh
 # Coverage summary for the online-calibration layer (report-only, no gate).
 go test -cover ./internal/calib ./internal/predict | awk '{print "check.sh: coverage:", $0}'
 
-echo "check.sh: gofmt, vet, race-enabled tests, bench smoke, loadgen round trip, POST-body, point- and value-evaluator and BIC-race fuzz, the bench/ module, and the snapshot round trip all clean"
+echo "check.sh: gofmt, vet, race-enabled tests, the concurrency tests at -cpu 1,4, bench smoke, loadgen round trip, POST-body, point- and value-evaluator and BIC-race fuzz, the bench/ module, and the snapshot round trip all clean"
