@@ -408,11 +408,13 @@ func (s *Scheduler) placeLocked(j *job, policy Policy, quantile float64, exclude
 		score     float64
 		exec      float64
 		mean      float64
+		svc       *predict.Service
 		predID    uint64
 		part      *sor.Partition
 		now       float64
 	}
 	var best, bestSat *cand
+	var scored []*cand
 	skips := 0
 	for _, name := range names {
 		if name == exclude {
@@ -446,10 +448,12 @@ func (s *Scheduler) placeLocked(j *job, policy Policy, quantile float64, exclude
 			score:     s.backlogLocked(ts, svc.Now()) + exec,
 			exec:      exec,
 			mean:      pred.Value.Mean,
+			svc:       svc,
 			predID:    pred.ID,
 			part:      pred.Partition,
 			now:       svc.Now(),
 		}
+		scored = append(scored, c)
 		if c.saturated {
 			if bestSat == nil || c.score < bestSat.score {
 				bestSat = c
@@ -460,6 +464,14 @@ func (s *Scheduler) placeLocked(j *job, policy Policy, quantile float64, exclude
 	}
 	if best == nil && !onlyUnsaturated {
 		best = bestSat // every scorable tenant saturated: degrade, don't drop
+	}
+	// Only the winner's prediction is ever observed. The others go back now:
+	// left in their tenants' ledgers they would sit there until the bound
+	// evicted them, and from then on every wave would evict live ones.
+	for _, c := range scored {
+		if c != best {
+			c.svc.Discard(c.predID)
+		}
 	}
 	if best == nil {
 		return Placement{}, false
@@ -560,9 +572,15 @@ func (s *Scheduler) syncLocked() {
 		for _, j := range queue {
 			// Only move a job somewhere unsaturated; shuffling work between
 			// saturated tenants helps nobody.
+			old := j.predID
 			if _, ok := s.placeLocked(j, s.cfg.Policy, s.cfg.Quantile, name, true); !ok {
 				kept = append(kept, j)
 				continue
+			}
+			// The job completes elsewhere now: the tenant it left will
+			// never observe the prediction it was placed by.
+			if src, err := s.reg.Lookup(name); err == nil {
+				src.Discard(old)
 			}
 			j.migrations++
 			s.migrated++

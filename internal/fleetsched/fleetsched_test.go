@@ -168,6 +168,19 @@ func TestLifecycleCompletesAndObserves(t *testing.T) {
 			t.Errorf("bad completed job %+v", j)
 		}
 	}
+	requireLedgersEmpty(t, reg)
+}
+
+// requireLedgersEmpty: once every job has completed, no tenant still holds a
+// prediction the scheduler asked for — not the winners' (observed), not the
+// scored-but-not-chosen candidates', not a migrated job's first one.
+func requireLedgersEmpty(t *testing.T, reg *predict.Registry) {
+	t.Helper()
+	for _, svc := range reg.Services() {
+		if n := svc.Outstanding(); n != 0 {
+			t.Errorf("tenant %s still holds %d of the scheduler's predictions", svc.Name(), n)
+		}
+	}
 }
 
 func TestDeadlineMissCounted(t *testing.T) {
@@ -335,6 +348,14 @@ func TestMigrationOffSaturatedTenant(t *testing.T) {
 			t.Errorf("running job should not migrate: %+v", j)
 		}
 	}
+	for tick := 0; tick < 4000 && s.Status().Completed < 3; tick++ {
+		advance(t, reg, 5)
+		s.Sync()
+	}
+	if st := s.Status(); st.Completed != 3 {
+		t.Fatalf("jobs did not complete: %+v", st)
+	}
+	requireLedgersEmpty(t, reg)
 }
 
 // TestStatusMetricNamesRegistered pins the metric families the OPERATIONS

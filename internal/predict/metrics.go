@@ -244,6 +244,13 @@ func (m *serviceMetrics) recordObserve(scale float64, outstanding int, drifted b
 	m.outstanding.Set(float64(outstanding))
 }
 
+// recordOutstanding republishes the ledger size after a Discard.
+func (m *serviceMetrics) recordOutstanding(outstanding int) {
+	if m != nil {
+		m.outstanding.Set(float64(outstanding))
+	}
+}
+
 // recordClock publishes the virtual clock and the cumulative fault-gap
 // delta (missed sensor samples since the last sync).
 func (m *serviceMetrics) recordClock(vtime float64, missedDelta int) {

@@ -1068,6 +1068,19 @@ func (s *Service) Observe(id uint64, actual float64) (calib.Snapshot, error) {
 	return snap, nil
 }
 
+// Discard forgets an issued prediction that will never be observed — a
+// candidate a scheduler scored and did not choose — so it neither counts
+// against the ledger's bound nor pins its quantile grid until evicted. An
+// unknown (or already observed) ID is a no-op, and IDs issued later do not
+// move.
+func (s *Service) Discard(id uint64) {
+	s.ledgerMu.Lock()
+	delete(s.issued, id)
+	outstanding := len(s.issued)
+	s.ledgerMu.Unlock()
+	s.metrics.recordOutstanding(outstanding)
+}
+
 // Accuracy returns the platform's online accuracy and calibration state.
 // Safe for concurrent use (the tracker carries its own lock).
 func (s *Service) Accuracy() calib.Snapshot {

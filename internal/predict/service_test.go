@@ -406,6 +406,27 @@ func TestObserveLifecycle(t *testing.T) {
 	if _, err := svc.Observe(pred2.ID, pred2.Value.Mean); err != nil {
 		t.Errorf("valid observe after rejected actuals: %v", err)
 	}
+	// A discarded prediction leaves the ledger without touching the
+	// calibrator, cannot be observed afterwards, and moves no later ID; an
+	// unknown ID discards nothing.
+	pred3, err := svc.Predict(baseRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Discard(pred3.ID + 1000)
+	if svc.Outstanding() != 1 {
+		t.Errorf("outstanding=%d after discarding an unknown ID", svc.Outstanding())
+	}
+	svc.Discard(pred3.ID)
+	if svc.Outstanding() != 0 || svc.Accuracy().Observed != 2 {
+		t.Errorf("after discard: outstanding=%d observed=%d", svc.Outstanding(), svc.Accuracy().Observed)
+	}
+	if _, err := svc.Observe(pred3.ID, 1); err == nil {
+		t.Error("observing a discarded prediction should fail")
+	}
+	if pred4, err := svc.Predict(baseRequest()); err != nil || pred4.ID != pred3.ID+1 {
+		t.Errorf("prediction after a discard: ID %d err %v, want ID %d", pred4.ID, err, pred3.ID+1)
+	}
 }
 
 // TestObserveCalibratesIntervals: consistently over-wide raw intervals
