@@ -14,6 +14,7 @@ import (
 	"prodpred/internal/calib"
 	"prodpred/internal/experiments"
 	"prodpred/internal/modal"
+	"prodpred/internal/nws"
 	"prodpred/internal/predict"
 	"prodpred/internal/sor"
 	"prodpred/internal/stats"
@@ -391,9 +392,9 @@ func burstyEnv(b *testing.B) *Env {
 // BenchmarkMonitorSample times one sensor period of a monitor whose
 // 512-sample ring is full: the sample, the battery's postmortem and, on a
 // CPU monitor, the distribution tournament's round. The mixture competitor
-// refits on every 16th round, so ns/op is the amortised cost only once b.N
-// spans many refit cycles (the default benchtime does; -benchtime 1x does
-// not).
+// refits on every 16th round and races its model orders on every 64th, so
+// ns/op is the amortised cost only once b.N spans many 64-round cycles (the
+// default benchtime does; -benchtime 1x does not).
 func BenchmarkMonitorSample(b *testing.B) {
 	env := burstyEnv(b)
 	cpu, err := NewCPUMonitor(env, 0, 5, 512)
@@ -443,6 +444,20 @@ func BenchmarkFitBIC64Unimodal(b *testing.B) {
 }
 
 func benchFitBIC64(b *testing.B, load func(seed int64) (LoadProcess, error)) {
+	window := fitWindow64(b, load)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := modal.FitBIC(window, 4); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// fitWindow64 is the 64 samples, 5 s apart, of load's seed-3 process that
+// the refit benchmarks fit.
+func fitWindow64(b *testing.B, load func(seed int64) (LoadProcess, error)) []float64 {
+	b.Helper()
 	p, err := load(3)
 	if err != nil {
 		b.Fatal(err)
@@ -451,13 +466,51 @@ func benchFitBIC64(b *testing.B, load func(seed int64) (LoadProcess, error)) {
 	for i := range window {
 		window[i] = p.At(5 * float64(i))
 	}
+	return window
+}
+
+// BenchmarkRefit64 times a warm refit of BenchmarkFitBIC64's window: EM
+// started from the window's own BIC fit, at its order, through the
+// package-level call — the floor of the refits the mixture competitor makes
+// between races, whose fit in hand is sixteen samples old (iters/op is the
+// EM iterations it takes).
+func BenchmarkRefit64(b *testing.B) {
+	window := fitWindow64(b, BurstyLoad)
+	fit, err := modal.FitBIC(window, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var mm *modal.MixtureModel
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := modal.FitBIC(window, 4); err != nil {
+		if mm, err = modal.Refit(window, fit.Modes); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(mm.Iterations), "iters/op")
+}
+
+// BenchmarkMixtureQuantileGrid times the quantile grid the mixture competitor
+// tabulates on every refit and every restore: the nine DistLevels of a
+// four-mode fit of BenchmarkFitBIC64's window.
+func BenchmarkMixtureQuantileGrid(b *testing.B) {
+	fit, err := modal.FitEM(fitWindow64(b, BurstyLoad), 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mx, err := fit.Mixture()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var sink float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range nws.DistLevels {
+			sink += mx.Quantile(p)
+		}
+	}
+	_ = sink
 }
 
 // BenchmarkTrackerObserveQuantiles times one outcome with a quantile grid
@@ -606,14 +659,15 @@ func BenchmarkPredictLevelsMissSharedDraws(b *testing.B) {
 }
 
 // waveFleet is the fleet-ops workload's fleet, in process: n FleetSpecs
-// tenants, live, warmed up for 120 s staggered by one tick per tenant (so a
-// sixteenth of them refit on any wave, not all on one), each asked four
-// grid sizes so its four bandwidth monitors exist.
-func waveFleet(b *testing.B, n int) *PredictRegistry {
+// tenants, live, warmed up for 120 s plus stagger seconds per tenant index
+// mod 16 — one 5 s tick, as the workload staggers them, so a sixteenth of
+// them refit on any wave, not all on one — each asked four grid sizes so its
+// four bandwidth monitors exist.
+func waveFleet(b *testing.B, n int, stagger float64) *PredictRegistry {
 	b.Helper()
 	reg := NewPredictRegistry()
 	for i, spec := range predict.FleetSpecs(n, 1) {
-		spec.Warmup = 120 + 5*float64(i%16)
+		spec.Warmup = 120 + stagger*float64(i%16)
 		if err := reg.RegisterSpec(spec); err != nil {
 			b.Fatal(err)
 		}
@@ -640,7 +694,7 @@ func fleetWave(reg *PredictRegistry, dt float64) error {
 // over GOMAXPROCS workers.
 func BenchmarkFleetAdvance(b *testing.B) {
 	b.Run("tenants=192", func(b *testing.B) {
-		reg := waveFleet(b, 192)
+		reg := waveFleet(b, 192, 5)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -651,10 +705,48 @@ func BenchmarkFleetAdvance(b *testing.B) {
 	})
 }
 
+// BenchmarkFleetRefitWave times the wave of a refit storm: 192 tenants
+// warmed up together, so that every CPU monitor of the fleet refits its
+// mixture on the same wave, once every 16. A monitor has taken 24
+// postmortem rounds at the end of its 120 s warm-up and one more per wave;
+// "race" times the waves whose round count is a multiple of 64, on which
+// every refit races the model orders, and "between-races" the other refit
+// waves — warm refits since they were split, races before. The waves
+// between are stepped untimed.
+func BenchmarkFleetRefitWave(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		due  func(obs int) bool
+	}{
+		{"race", func(obs int) bool { return obs%64 == 0 }},
+		{"between-races", func(obs int) bool { return obs%16 == 0 && obs%64 != 0 }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			reg := waveFleet(b, 192, 0)
+			obs := 24
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for !c.due(obs + 1) {
+					if err := fleetWave(reg, 5); err != nil {
+						b.Fatal(err)
+					}
+					obs++
+				}
+				b.StartTimer()
+				if err := fleetWave(reg, 5); err != nil {
+					b.Fatal(err)
+				}
+				obs++
+			}
+		})
+	}
+}
+
 // BenchmarkServiceAdvanceTick times one tenant's one-period tick: four CPU
 // and four bandwidth monitors each take a sample, on the calling goroutine.
 func BenchmarkServiceAdvanceTick(b *testing.B) {
-	svc := waveFleet(b, 1).Services()[0]
+	svc := waveFleet(b, 1, 5).Services()[0]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

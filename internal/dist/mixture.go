@@ -13,6 +13,7 @@ import (
 type Mixture struct {
 	components []Distribution
 	weights    []float64
+	lo, hi     float64 // the bracket Quantile searches in
 }
 
 // NewMixture builds a mixture from parallel component and weight slices.
@@ -39,10 +40,37 @@ func NewMixture(components []Distribution, weights []float64) (*Mixture, error) 
 	for i, w := range weights {
 		norm[i] = w / total
 	}
-	return &Mixture{
+	m := &Mixture{
 		components: append([]Distribution(nil), components...),
 		weights:    norm,
-	}, nil
+	}
+	m.lo, m.hi = m.bracket()
+	return m, nil
+}
+
+// bracket spans the components' 1e-9 and 1-1e-9 quantiles, or 20 standard
+// deviations either side of the mean when that is not a finite interval.
+func (m *Mixture) bracket() (lo, hi float64) {
+	lo, hi = math.Inf(1), math.Inf(-1)
+	for _, c := range m.components {
+		cl := c.Quantile(1e-9)
+		ch := c.Quantile(1 - 1e-9)
+		if cl < lo {
+			lo = cl
+		}
+		if ch > hi {
+			hi = ch
+		}
+	}
+	if math.IsInf(lo, 0) || math.IsInf(hi, 0) || !(hi > lo) {
+		mu := m.Mean()
+		sd := math.Sqrt(m.Variance())
+		if sd == 0 || math.IsNaN(sd) {
+			sd = math.Abs(mu) + 1
+		}
+		lo, hi = mu-20*sd, mu+20*sd
+	}
+	return lo, hi
 }
 
 // Components returns the component distributions. Callers must not modify
@@ -70,8 +98,15 @@ func (m *Mixture) CDF(x float64) float64 {
 	return f
 }
 
-// Quantile implements Distribution via bisection on the mixture CDF, which
-// is monotone. Accuracy is ~1e-10 relative to the bracketing interval.
+// Quantile implements Distribution by safeguarded Newton on the mixture CDF,
+// which is monotone, inside the bracket NewMixture worked out. Every
+// evaluation moves one end of the bracket. A Newton step is taken, nudged a
+// quarter of the stop width past the root so that the bracket closes from
+// both ends, unless it leaves the bracket, the PDF is 0, the CDF reads p
+// exactly, or the step is more than half the one before; then the bracket
+// is bisected instead. It stops, and answers the bracket's midpoint, once
+// the bracket is 1e-12·(1+|hi|) wide: about 8 evaluations in on a load
+// mixture, where halving the bracket takes 40.
 func (m *Mixture) Quantile(p float64) float64 {
 	if p <= 0 {
 		p = 1e-12
@@ -79,37 +114,29 @@ func (m *Mixture) Quantile(p float64) float64 {
 	if p >= 1 {
 		p = 1 - 1e-12
 	}
-	// Bracket using component quantiles.
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, c := range m.components {
-		cl := c.Quantile(1e-9)
-		ch := c.Quantile(1 - 1e-9)
-		if cl < lo {
-			lo = cl
-		}
-		if ch > hi {
-			hi = ch
-		}
-	}
-	if math.IsInf(lo, 0) || math.IsInf(hi, 0) || !(hi > lo) {
-		// Fall back to a wide fixed bracket around the mean.
-		mu := m.Mean()
-		sd := math.Sqrt(m.Variance())
-		if sd == 0 || math.IsNaN(sd) {
-			sd = math.Abs(mu) + 1
-		}
-		lo, hi = mu-20*sd, mu+20*sd
-	}
+	lo, hi := m.lo, m.hi
+	x, last := (lo+hi)/2, hi-lo
 	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		if m.CDF(mid) < p {
-			lo = mid
+		f := m.CDF(x) - p
+		if f < 0 {
+			lo = x
 		} else {
-			hi = mid
+			hi = x
 		}
-		if hi-lo <= 1e-12*(1+math.Abs(hi)) {
+		tol := 1e-12 * (1 + math.Abs(hi))
+		if hi-lo <= tol {
 			break
 		}
+		// f/PDF is ±Inf or NaN where the PDF underflows, and next is then
+		// outside the bracket or NaN: both bisect. So does f = 0: the CDF
+		// reads p exactly along a stretch as wide as the PDF is small, and
+		// the answer is its left end, which the tangent cannot see.
+		step := f / m.PDF(x)
+		next := x - step - math.Copysign(tol/4, step)
+		if f == 0 || !(next > lo && next < hi) || math.Abs(next-x) > last/2 {
+			next = (lo + hi) / 2
+		}
+		x, last = next, math.Abs(next-x)
 	}
 	return (lo + hi) / 2
 }

@@ -158,10 +158,30 @@ func FitBIC(xs []float64, kMax int) (*MixtureModel, error) {
 	return f.fitBIC(xs, kMax)
 }
 
+// Refit fits a mixture to xs by EM started from the modes from, at their
+// order, instead of from k-means: the refit of a window that has moved on
+// from the one from was fitted to, where the fit in hand is close to the
+// answer. Sigmas are floored and weights normalized the way the kernel keeps
+// its own; a mode that is not finite, or has a negative weight, is an error.
+func Refit(xs []float64, from []Mode) (*MixtureModel, error) {
+	if len(from) == 0 {
+		return nil, errors.New("modal: Refit needs at least one mode")
+	}
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+	for _, m := range from {
+		if !finite(m.Mean) || !finite(m.Sigma) || !finite(m.Weight) || m.Weight < 0 {
+			return nil, fmt.Errorf("modal: invalid seed mode %+v", m)
+		}
+	}
+	f := fitters.Get().(*fitter)
+	defer fitters.Put(f)
+	return f.fit(xs, len(from), from, math.Inf(-1))
+}
+
 func (f *fitter) fitEM(xs []float64, k int) (*MixtureModel, error) {
 	f.sorted = append(f.sorted[:0], xs...)
 	sort.Float64s(f.sorted)
-	return f.fit(xs, k, math.Inf(-1))
+	return f.fit(xs, k, nil, math.Inf(-1))
 }
 
 // errAbandoned is fit's answer for a candidate it stopped early: at some
@@ -188,7 +208,7 @@ func (f *fitter) fitBIC(xs []float64, kMax int) (*MixtureModel, error) {
 	var firstErr error
 	logN := math.Log(float64(len(xs)))
 	for k := 1; k <= kMax; k++ {
-		mm, err := f.fit(xs, k, (float64(3*k-1)*logN-bestBIC)/2)
+		mm, err := f.fit(xs, k, nil, (float64(3*k-1)*logN-bestBIC)/2)
 		if err != nil {
 			// errAbandoned may land here too: a candidate is abandoned only
 			// against an incumbent, and with best set firstErr is not read.
@@ -207,9 +227,10 @@ func (f *fitter) fitBIC(xs []float64, kMax int) (*MixtureModel, error) {
 	return best, nil
 }
 
-// fit is the EM kernel; f.sorted holds xs in ascending order. A fit that can
-// no longer reach the log-likelihood need returns errAbandoned; -Inf asks for
-// the fit whatever it reaches.
+// fit is the EM kernel. It starts from seed's k modes when seed is not nil,
+// and otherwise from k-means, for which f.sorted holds xs in ascending order.
+// A fit that can no longer reach the log-likelihood need returns
+// errAbandoned; -Inf asks for the fit whatever it reaches.
 //
 // Its floating-point results are pinned bit for bit by
 // TestFitEMMatchesReference against the plain textbook loop, so every
@@ -220,7 +241,7 @@ func (f *fitter) fitBIC(xs []float64, kMax int) (*MixtureModel, error) {
 // and the calls the E-step skips are the ones whose result is exact by
 // definition — exp(0) = 1 for the component that attains the row maximum,
 // log(1) = 0 and x/1 = x for a row no other component contributes to.
-func (f *fitter) fit(xs []float64, k int, need float64) (*MixtureModel, error) {
+func (f *fitter) fit(xs []float64, k int, seed []Mode, need float64) (*MixtureModel, error) {
 	if k < 1 {
 		return nil, errors.New("modal: k must be >= 1")
 	}
@@ -241,7 +262,14 @@ func (f *fitter) fit(xs []float64, k int, need float64) (*MixtureModel, error) {
 	means, sigmas, weights := vec(0), vec(1), vec(2)
 	logW, logS := vec(3), vec(4)
 	nj, mu, vr := vec(5), vec(6), vec(7)
-	f.kmeansInit(xs, lo, hi, means, sigmas, weights, nj, mu)
+	if seed == nil {
+		f.kmeansInit(xs, lo, hi, means, sigmas, weights, nj, mu)
+	} else {
+		for j, m := range seed {
+			means[j], sigmas[j], weights[j] = m.Mean, math.Max(m.Sigma, minSigma), m.Weight
+		}
+		normalize(weights)
+	}
 	if cap(f.resp) < n*k {
 		f.resp = make([]float64, n*k)
 	}

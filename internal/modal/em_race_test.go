@@ -202,7 +202,7 @@ func TestFitAbandonsWhereReferenceDoes(t *testing.T) {
 	fit := func(w []float64, k int, need float64) (*MixtureModel, error) {
 		f.sorted = append(f.sorted[:0], w...)
 		sort.Float64s(f.sorted)
-		return f.fit(w, k, need)
+		return f.fit(w, k, nil, need)
 	}
 	pinned, dips := 0, 0
 	for name, windows := range identityCorpus(t) {

@@ -13,12 +13,14 @@ import (
 // verbatim (names prefixed ref) as the oracle TestFitEMMatchesReference
 // compares the live FitEM and FitBIC against bit for bit. The additions are
 // the refReseeds counter, so the test can tell that its collapse cases do
-// collapse, and the race FitBIC runs its candidates through, which is defined
+// collapse; the race FitBIC runs its candidates through, which is defined
 // here the way the fit is: refFit takes the log-likelihood a candidate has to
 // reach and carries the one abandonment line. refFitBIC passes it; refFitEM
 // and refFitBICExhaustive — the selection as it stood before the race, which
 // TestFitBICRaceAgainstExhaustive measures agreement against — ask for the
-// fit whatever it reaches.
+// fit whatever it reaches; and the warm start Refit runs, which is refFit
+// handed the modes to start from in place of the k-means seed (refRefit,
+// held to Refit by TestRefitMatchesReference).
 
 var refReseeds int
 
@@ -32,9 +34,20 @@ func refFitEM(xs []float64, k int) (*MixtureModel, error) {
 	return refFit(xs, k, math.Inf(-1))
 }
 
+// refRefit is refFitEM started from the modes from, at their order.
+func refRefit(xs []float64, from []Mode) (*MixtureModel, error) {
+	return refFitFrom(xs, len(from), from, math.Inf(-1))
+}
+
 // refFit is refFitEM unless the fit can no longer reach the log-likelihood
 // need, when it is errRefAbandoned.
 func refFit(xs []float64, k int, need float64) (*MixtureModel, error) {
+	return refFitFrom(xs, k, nil, need)
+}
+
+// refFitFrom is refFit started from seed's modes — sigmas floored, weights
+// normalized — instead of from k-means, unless seed is nil.
+func refFitFrom(xs []float64, k int, seed []Mode, need float64) (*MixtureModel, error) {
 	if k < 1 {
 		return nil, errors.New("modal: k must be >= 1")
 	}
@@ -47,7 +60,19 @@ func refFit(xs []float64, k int, need float64) (*MixtureModel, error) {
 		return nil, errors.New("modal: degenerate sample")
 	}
 
-	means, sigmas, weights := refKmeansInit(xs, k)
+	var means, sigmas, weights []float64
+	if seed == nil {
+		means, sigmas, weights = refKmeansInit(xs, k)
+	} else {
+		for _, m := range seed {
+			s := m.Sigma
+			if s < minSigma {
+				s = minSigma
+			}
+			means, sigmas, weights = append(means, m.Mean), append(sigmas, s), append(weights, m.Weight)
+		}
+		refNormalize(weights)
+	}
 	n := len(xs)
 	resp := make([][]float64, n)
 	for i := range resp {

@@ -199,9 +199,13 @@ func sortedQuantile(sorted []float64, p float64) float64 {
 const (
 	// mixtureRefitEvery is how many postmortem rounds pass between EM
 	// refits; between refits the cached fit answers from its precomputed
-	// quantile grid, so the steady-state cost per round is O(1).
+	// quantile grid, so a round that does not refit costs O(1). Three refits
+	// in four are warm (EM from the fit in hand, ~16 iterations); the one at
+	// a multiple of mixtureWindow races the model orders (~56).
 	mixtureRefitEvery = 16
-	// mixtureWindow is how many trailing measurements each refit uses.
+	// mixtureWindow is how many trailing measurements each refit uses, and
+	// how many rounds pass between the races that re-choose the order: one
+	// race per window of data.
 	mixtureWindow = 64
 	// mixtureMinHist gates the first fit.
 	mixtureMinHist = 24
@@ -213,10 +217,15 @@ const (
 // MixtureForecasterName tags the modal/dist Gaussian-mixture competitor.
 const MixtureForecasterName = "mixture-em"
 
-// mixtureDist fits a BIC-selected Gaussian mixture (internal/modal) to the
-// trailing window every mixtureRefitEvery rounds and predicts its
-// unconditional distribution — the right shape for regime-switching
-// multimodal series where point tracking chases the jumps.
+// mixtureDist fits a Gaussian mixture (internal/modal) to the trailing
+// window every mixtureRefitEvery rounds and predicts its unconditional
+// distribution — the right shape for regime-switching multimodal series
+// where point tracking chases the jumps. The first fit, and every refit at a
+// multiple of mixtureWindow rounds, races the orders 1..mixtureKMax for the
+// BIC pick; the refits between races restart EM from the fit in hand at its
+// order. Which of the two a refit is follows from obs and modes alone, the
+// two fields a snapshot carries, so a restored forecaster refits as the one
+// that never stopped.
 type mixtureDist struct {
 	obs     int         // postmortem rounds absorbed
 	modes   []Component // cached fit; nil before the first successful fit
@@ -235,7 +244,17 @@ func (f *mixtureDist) Observe(hist []float64, point *Forecast, actual float64) {
 		hist = hist[len(hist)-(mixtureWindow-1):]
 	}
 	f.scratch = append(append(f.scratch[:0], hist...), actual)
-	mm, err := modal.FitBIC(f.scratch, mixtureKMax)
+	var mm *modal.MixtureModel
+	var err error
+	if f.modes == nil || f.obs%mixtureWindow == 0 {
+		mm, err = modal.FitBIC(f.scratch, mixtureKMax)
+	} else {
+		from := make([]modal.Mode, len(f.modes))
+		for i, c := range f.modes {
+			from[i] = modal.Mode{Mean: c.Mean, Sigma: c.Sigma, Weight: c.Weight}
+		}
+		mm, err = modal.Refit(f.scratch, from)
+	}
 	if err != nil {
 		return // degenerate window; keep the previous fit
 	}

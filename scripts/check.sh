@@ -4,9 +4,9 @@
 # concurrency tests of the serving core once more at one and at four
 # schedulers, a one-iteration bench smoke, the loadgen CLI round trip, a short
 # fuzz of the request decoder, of the point and value evaluators against the
-# model tree and of the raced BIC selection against the exhaustive one, the
-# bench/ module's vet + tests, and the snapshot drill over the real daemon
-# binary.
+# model tree, of the raced BIC selection against the exhaustive one and of the
+# mixture quantile search against bisection, the bench/ module's vet + tests,
+# and the snapshot drill over the real daemon binary.
 # The SOR worker pool, the sharded Monte Carlo engine, and the
 # predict.Service prediction core are concurrent by design, so -race is not
 # optional here.
@@ -55,6 +55,9 @@ go test -run '^$' -fuzz FuzzSORValueMatchesTree -fuzztime 5s ./internal/structur
 # gives, its model bit for bit where the two pick the same k, and otherwise
 # one of its own candidates with a BIC no better than its pick's.
 go test -run '^$' -fuzz FuzzFitBICRace -fuzztime 5s ./internal/modal
+# And of mixtures into the quantile search their forecast grids are read by:
+# inside the bracket, monotone in p, and where the bisection it replaced lands.
+go test -run '^$' -fuzz FuzzMixtureQuantile -fuzztime 5s ./internal/dist
 
 # The benchmark harness is its own module (bench/go.mod, replace prodpred
 # => ../), so ./... above does not see it: vet and test it here, or an
@@ -69,4 +72,4 @@ scripts/snapshot_smoke.sh
 # Coverage summary for the online-calibration layer (report-only, no gate).
 go test -cover ./internal/calib ./internal/predict | awk '{print "check.sh: coverage:", $0}'
 
-echo "check.sh: gofmt, vet, race-enabled tests, the concurrency tests at -cpu 1,4, bench smoke, loadgen round trip, POST-body, point- and value-evaluator and BIC-race fuzz, the bench/ module, and the snapshot round trip all clean"
+echo "check.sh: gofmt, vet, race-enabled tests, the concurrency tests at -cpu 1,4, bench smoke, loadgen round trip, POST-body, point- and value-evaluator, BIC-race and mixture-quantile fuzz, the bench/ module, and the snapshot round trip all clean"
