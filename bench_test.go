@@ -659,15 +659,15 @@ func BenchmarkPredictLevelsMissSharedDraws(b *testing.B) {
 }
 
 // waveFleet is the fleet-ops workload's fleet, in process: n FleetSpecs
-// tenants, live, warmed up for 120 s plus stagger seconds per tenant index
-// mod 16 — one 5 s tick, as the workload staggers them, so a sixteenth of
-// them refit on any wave, not all on one — each asked four grid sizes so its
-// four bandwidth monitors exist.
-func waveFleet(b *testing.B, n int, stagger float64) *PredictRegistry {
+// tenants, live, warmed up for warmup seconds (fleet-ops: 120) plus stagger
+// seconds per tenant index mod 16 — one 5 s tick, as the workload staggers
+// them, so a sixteenth of them refit on any wave, not all on one — each asked
+// four grid sizes so its four bandwidth monitors exist.
+func waveFleet(b *testing.B, n int, stagger, warmup float64) *PredictRegistry {
 	b.Helper()
 	reg := NewPredictRegistry()
 	for i, spec := range predict.FleetSpecs(n, 1) {
-		spec.Warmup = 120 + stagger*float64(i%16)
+		spec.Warmup = warmup + stagger*float64(i%16)
 		if err := reg.RegisterSpec(spec); err != nil {
 			b.Fatal(err)
 		}
@@ -694,7 +694,7 @@ func fleetWave(reg *PredictRegistry, dt float64) error {
 // over GOMAXPROCS workers.
 func BenchmarkFleetAdvance(b *testing.B) {
 	b.Run("tenants=192", func(b *testing.B) {
-		reg := waveFleet(b, 192, 5)
+		reg := waveFleet(b, 192, 5, 120)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -722,7 +722,7 @@ func BenchmarkFleetRefitWave(b *testing.B) {
 		{"between-races", func(obs int) bool { return obs%16 == 0 && obs%64 != 0 }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			reg := waveFleet(b, 192, 0)
+			reg := waveFleet(b, 192, 0, 120)
 			obs := 24
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -745,13 +745,22 @@ func BenchmarkFleetRefitWave(b *testing.B) {
 
 // BenchmarkServiceAdvanceTick times one tenant's one-period tick: four CPU
 // and four bandwidth monitors each take a sample, on the calling goroutine.
+// "warmup=120s" is fleet-ops' warm-up (24-sample rings); "wrapped" the small
+// fleets' 2600 s, whose 512-sample rings have wrapped.
 func BenchmarkServiceAdvanceTick(b *testing.B) {
-	svc := waveFleet(b, 1, 5).Services()[0]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := svc.Advance(5); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name   string
+		warmup float64
+	}{{"warmup=120s", 120}, {"wrapped", 2600}} {
+		b.Run(c.name, func(b *testing.B) {
+			svc := waveFleet(b, 1, 5, c.warmup).Services()[0]
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := svc.Advance(5); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

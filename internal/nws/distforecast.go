@@ -112,14 +112,11 @@ const EmpiricalForecasterName = "empirical-q"
 // represent.
 type empiricalDist struct {
 	residuals []float64 // FIFO window of point-forecast residuals
-	// sorted is the window in ascending order, valid while isSorted: a
-	// report reads it twice (Quantiles, then Components) and a tick's
-	// postmortem once more, so it is kept until the window changes — in
-	// Observe and in Tournament.ImportState, the two events that also drop
-	// the monitor's sweep memo.
-	sorted   []float64
-	isSorted bool
-	sorts    int // sorts performed, for the memo test
+	// sorted is the same window in sort.Float64s order, kept by Observe's
+	// one removal and one insertion per round; Tournament.ImportState builds
+	// it once from the imported residuals.
+	sorted sortedWindow
+	sorts  int // windows built whole, for the memo test
 }
 
 func (f *empiricalDist) Name() string { return EmpiricalForecasterName }
@@ -129,24 +126,29 @@ func (f *empiricalDist) Observe(hist []float64, point *Forecast, actual float64)
 		return
 	}
 	if len(f.residuals) >= empiricalWindow {
+		f.sorted.remove(f.residuals[0])
 		f.residuals = f.residuals[:copy(f.residuals, f.residuals[1:])]
 	}
-	f.residuals = append(f.residuals, actual-point.Value)
-	f.isSorted = false
+	r := actual - point.Value
+	f.residuals = append(f.residuals, r)
+	f.sorted.insert(r)
 }
 
-// sortedResiduals returns the ascending residual window, sorting it on the
-// first call after the window changed; ok is false on insufficient
-// postmortem data. Callers must not modify the slice.
+// setResiduals replaces the window, building its sorted form whole.
+func (f *empiricalDist) setResiduals(rs []float64) {
+	f.residuals = append(f.residuals[:0], rs...)
+	f.sorted = f.sorted[:0]
+	for _, r := range rs {
+		f.sorted.insert(r)
+	}
+	f.sorts++
+}
+
+// sortedResiduals returns the ascending residual window; ok is false on
+// insufficient postmortem data. Callers must not modify the slice.
 func (f *empiricalDist) sortedResiduals() ([]float64, bool) {
 	if len(f.residuals) < empiricalMinResiduals {
 		return nil, false
-	}
-	if !f.isSorted {
-		f.sorted = append(f.sorted[:0], f.residuals...)
-		sort.Float64s(f.sorted)
-		f.isSorted = true
-		f.sorts++
 	}
 	return f.sorted, true
 }
@@ -568,8 +570,7 @@ func (t *Tournament) ImportState(st TournamentState) error {
 			if len(rs) > empiricalWindow {
 				rs = rs[len(rs)-empiricalWindow:]
 			}
-			ff.residuals = append(ff.residuals[:0], rs...)
-			ff.isSorted = false
+			ff.setResiduals(rs)
 		}
 	}
 	return nil

@@ -92,11 +92,7 @@ func (f WindowMedian) Predict(hist []float64) (float64, bool) {
 	var buf [32]float64
 	w := append(buf[:0], hist[len(hist)-f.W:]...)
 	sort.Float64s(w)
-	n := len(w)
-	if n%2 == 1 {
-		return w[n/2], true
-	}
-	return (w[n/2-1] + w[n/2]) / 2, true
+	return sortedWindow(w).median(), true
 }
 
 // ExpSmoothing predicts with exponential smoothing at gain Alpha in (0,1].
@@ -152,10 +148,13 @@ func (f Forecast) Stochastic() stochastic.Value {
 // cumulative squared postmortem error and forecasts with the current best.
 // Not safe for concurrent use.
 //
-// Everything a Mix does with a history starts from one pass of the battery
-// over it (sweep); the postmortem and the forecast are both read off that
-// pass. Update and Forecast sweep the history they are given; a Monitor
-// sweeps each state of its ring once and reuses the pass for both.
+// Everything a Mix does with a history starts from the battery's predictions
+// of it (a sweep); the postmortem and the forecast are both read off them.
+// Update and Forecast sweep the history they are given, in one pass over it.
+// A Monitor never re-reads its ring: it keeps an aggregate of it (RunningMean
+// and the ExpSmoothing chains folded over aligned blocks, the WindowMedian
+// windows kept sorted), reads the battery off that once per ring state and
+// reuses the predictions for both.
 type Mix struct {
 	forecasters []Forecaster
 	names       []string // Name() of each, taken once: most format theirs
@@ -168,6 +167,10 @@ type Mix struct {
 	fused  []bool
 	means  []int
 	smooth []smoother
+	// medians lists the WindowMedians, whose windows a Monitor's aggregate
+	// keeps sorted; kept marks every position the aggregate answers for.
+	medians []median
+	kept    []bool
 
 	scratch sweep // what the exported hist-taking methods sweep into
 	sweeps  int   // battery passes run so far
@@ -177,8 +180,12 @@ type Mix struct {
 type smoother struct {
 	idx         int     // battery position
 	alpha, rest float64 // gain and 1-gain
+	pow         float64 // rest^blockLen, multiplied out in order
 	s           float64
 }
+
+// median is one WindowMedian of the battery.
+type median struct{ idx, w int }
 
 // sweep is the battery's output on one history: each forecaster's
 // prediction, and whether it could make one.
@@ -198,6 +205,7 @@ func NewMix(fs []Forecaster) *Mix {
 		sqErr:       make([]float64, len(fs)),
 		n:           make([]int, len(fs)),
 		fused:       make([]bool, len(fs)),
+		kept:        make([]bool, len(fs)),
 	}
 	for i, f := range fs {
 		m.names[i] = f.Name()
@@ -207,9 +215,21 @@ func NewMix(fs []Forecaster) *Mix {
 			m.fused[i] = true
 		case ExpSmoothing:
 			if f.Alpha > 0 && f.Alpha <= 1 {
-				m.smooth = append(m.smooth, smoother{idx: i, alpha: f.Alpha, rest: 1 - f.Alpha})
+				sm := smoother{idx: i, alpha: f.Alpha, rest: 1 - f.Alpha, pow: 1}
+				for k := 0; k < blockLen; k++ {
+					sm.pow *= sm.rest
+				}
+				m.smooth = append(m.smooth, sm)
 				m.fused[i] = true
 			}
+		case WindowMedian:
+			if f.W > 0 {
+				m.medians = append(m.medians, median{idx: i, w: f.W})
+				m.kept[i] = true
+			}
+		}
+		if m.fused[i] {
+			m.kept[i] = true
 		}
 	}
 	m.scratch = m.newSweep()
@@ -222,6 +242,8 @@ func (m *Mix) newSweep() sweep {
 
 // sweep runs the battery over hist into out. Each prediction is exactly what
 // the forecaster's own Predict returns; the fused ones only share the loop.
+// It serves the exported history-taking methods, and is what a Monitor's
+// aggregate reads the same predictions as (bit for bit until its ring wraps).
 func (m *Mix) sweep(hist []float64, out *sweep) {
 	m.sweeps++
 	for i, f := range m.forecasters {

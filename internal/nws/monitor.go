@@ -85,12 +85,17 @@ type Monitor struct {
 	curGap int     // consecutive missed samples in the current gap
 	stale  float64 // effective staleness in periods (rises on miss, decays on success)
 
+	// agg is what the battery keeps of the ring, advanced by every recorded
+	// sample and rebuilt by ImportState, so that no read walks the ring.
+	agg *aggregate
+
 	// The memo: what has already been derived from the current state. The
-	// battery's pass over the ring and the mix forecast read off it are a
-	// function of the ring and the mix scores, which only a recorded sample
-	// (or ImportState) changes; they serve every report of this ring and
-	// then the next sample's postmortems, so each ring state is swept once.
-	// Staleness is applied to the forecast on the way out, never stored.
+	// battery's predictions, read off agg, and the mix forecast picked from
+	// them are a function of the ring and the mix scores, which only a
+	// recorded sample (or ImportState) changes; they serve every report of
+	// this ring and then the next sample's postmortems, so each ring state is
+	// read once. Staleness is applied to the forecast on the way out, never
+	// stored.
 	swept    bool
 	preds    sweep
 	point    Forecast
@@ -145,7 +150,7 @@ func newMonitor(sensor Sensor, period float64, histSize int) (*Monitor, error) {
 		return nil, err
 	}
 	mix := NewMix(nil)
-	return &Monitor{measure: sensor, period: period, ring: ring, mix: mix, preds: mix.newSweep()}, nil
+	return &Monitor{measure: sensor, period: period, ring: ring, mix: mix, agg: mix.newAggregate(histSize), preds: mix.newSweep()}, nil
 }
 
 // Period returns the sensor period in seconds.
@@ -166,7 +171,8 @@ func (m *Monitor) RunUntil(t float64) error {
 		if err != nil {
 			m.recordMiss(err)
 		} else {
-			if hist := m.ring.View(); len(hist) > 0 {
+			hist := m.ring.View()
+			if len(hist) > 0 {
 				// Score the distribution tournament against the same
 				// postmortem round before the shared mix absorbs it, so
 				// every competitor is judged on the pre-update state.
@@ -176,6 +182,7 @@ func (m *Monitor) RunUntil(t float64) error {
 				}
 				m.mix.score(&m.preds, v)
 			}
+			m.agg.push(hist, v)
 			m.ring.Push(m.nextT, v)
 			m.swept = false
 			m.curGap = 0
@@ -186,14 +193,15 @@ func (m *Monitor) RunUntil(t float64) error {
 	return nil
 }
 
-// forecast returns the mix forecast from the current ring, sweeping the
-// battery over it if this ring state has not been swept yet. The ring must
-// not be empty. The pointer is into the memo, valid until the next sample;
-// it is nil when the mix has no forecast, which is what err then says.
+// forecast returns the mix forecast from the current ring, reading the
+// battery off the aggregate if this ring state has not been read yet. The
+// ring must not be empty. The pointer is into the memo, valid until the next
+// sample; it is nil when the mix has no forecast, which is what err then
+// says.
 func (m *Monitor) forecast() (*Forecast, error) {
 	if !m.swept {
 		hist := m.ring.View()
-		m.mix.sweep(hist, &m.preds)
+		m.agg.sweep(hist, &m.preds)
 		m.point, m.pointErr = m.mix.pick(&m.preds, hist)
 		m.swept = true
 	}

@@ -79,6 +79,12 @@ func (m *Monitor) ImportState(st MonitorState) error {
 	if len(st.Times) > m.ring.Cap() {
 		return fmt.Errorf("nws: state history %d exceeds ring capacity %d", len(st.Times), m.ring.Cap())
 	}
+	// The ring keeps the last min(recorded, capacity) samples; the battery's
+	// aggregate is rebuilt from them and the recorded count.
+	if want := min(st.Stats.Recorded(), m.ring.Cap()); len(st.Times) != want {
+		return fmt.Errorf("nws: state history %d does not match %d recorded samples in a ring of %d: want %d",
+			len(st.Times), st.Stats.Recorded(), m.ring.Cap(), want)
+	}
 	if len(st.MixSqErr) != len(m.mix.forecasters) || len(st.MixN) != len(m.mix.forecasters) {
 		return fmt.Errorf("nws: state mix size %d/%d does not match battery of %d",
 			len(st.MixSqErr), len(st.MixN), len(m.mix.forecasters))
@@ -96,6 +102,7 @@ func (m *Monitor) ImportState(st MonitorState) error {
 		ring.Push(st.Times[i], st.Values[i])
 	}
 	m.ring = ring
+	m.agg.rebuild(ring.View(), st.Stats.Recorded())
 	m.swept = false
 	copy(m.mix.sqErr, st.MixSqErr)
 	copy(m.mix.n, st.MixN)

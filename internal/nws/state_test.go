@@ -3,6 +3,8 @@ package nws
 import (
 	"math"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -99,5 +101,42 @@ func TestMonitorImportStateValidates(t *testing.T) {
 	}
 	if err := m.ImportState(MonitorState{MixSqErr: []float64{1}, MixN: []int{1}}); err == nil {
 		t.Fatal("want error for mismatched mix size")
+	}
+}
+
+// TestMonitorImportStateRejectsUnrecordedHistory: a ring holds the last
+// min(recorded, capacity) samples, and the battery's aggregate is rebuilt
+// from exactly those — a history of any other length is refused, by name.
+func TestMonitorImportStateRejectsUnrecordedHistory(t *testing.T) {
+	orig := newStateMonitor(t)
+	if err := orig.RunUntil(1000); err != nil {
+		t.Fatal(err)
+	}
+	full := orig.ExportState()
+	if len(full.Values) != 64 || full.Stats.Recorded() <= 64 {
+		t.Fatalf("want a wrapped 64-sample ring, have %d samples of %d recorded", len(full.Values), full.Stats.Recorded())
+	}
+	short := full
+	short.Times, short.Values = full.Times[1:], full.Values[1:]
+	early := newStateMonitor(t)
+	if err := early.RunUntil(100); err != nil {
+		t.Fatal(err)
+	}
+	unwrapped := early.ExportState()
+	unwrapped.Stats.Clean++
+	for _, st := range []MonitorState{short, unwrapped} {
+		m := newStateMonitor(t)
+		err := m.ImportState(st)
+		if err == nil {
+			t.Fatalf("accepted %d samples for %d recorded", len(st.Values), st.Stats.Recorded())
+		}
+		for _, n := range []int{len(st.Values), st.Stats.Recorded()} {
+			if !strings.Contains(err.Error(), strconv.Itoa(n)) {
+				t.Errorf("error %q does not name %d", err, n)
+			}
+		}
+	}
+	if err := newStateMonitor(t).ImportState(full); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -4,8 +4,9 @@
 # concurrency tests of the serving core once more at one and at four
 # schedulers, a one-iteration bench smoke, the loadgen CLI round trip, a short
 # fuzz of the request decoder, of the point and value evaluators against the
-# model tree, of the raced BIC selection against the exhaustive one and of the
-# mixture quantile search against bisection, the bench/ module's vet + tests,
+# model tree, of the raced BIC selection against the exhaustive one, of the
+# mixture quantile search against bisection and of the NWS battery's sorted
+# windows against sort.Float64s, the bench/ module's vet + tests,
 # and the snapshot drill over the real daemon binary.
 # The SOR worker pool, the sharded Monte Carlo engine, and the
 # predict.Service prediction core are concurrent by design, so -race is not
@@ -58,6 +59,9 @@ go test -run '^$' -fuzz FuzzFitBICRace -fuzztime 5s ./internal/modal
 # And of mixtures into the quantile search their forecast grids are read by:
 # inside the bracket, monotone in p, and where the bisection it replaced lands.
 go test -run '^$' -fuzz FuzzMixtureQuantile -fuzztime 5s ./internal/dist
+# And of sample arrivals and departures into the NWS battery's sorted windows:
+# always sort.Float64s's order, NaNs, signed zeros and ties included.
+go test -run '^$' -fuzz FuzzSortedWindow -fuzztime 5s ./internal/nws
 
 # The benchmark harness is its own module (bench/go.mod, replace prodpred
 # => ../), so ./... above does not see it: vet and test it here, or an
@@ -72,4 +76,4 @@ scripts/snapshot_smoke.sh
 # Coverage summary for the online-calibration layer (report-only, no gate).
 go test -cover ./internal/calib ./internal/predict | awk '{print "check.sh: coverage:", $0}'
 
-echo "check.sh: gofmt, vet, race-enabled tests, the concurrency tests at -cpu 1,4, bench smoke, loadgen round trip, POST-body, point- and value-evaluator, BIC-race and mixture-quantile fuzz, the bench/ module, and the snapshot round trip all clean"
+echo "check.sh: gofmt, vet, race-enabled tests, the concurrency tests at -cpu 1,4, bench smoke, loadgen round trip, POST-body, point- and value-evaluator, BIC-race, mixture-quantile and sorted-window fuzz, the bench/ module, and the snapshot round trip all clean"
