@@ -515,36 +515,54 @@ func BenchmarkMixtureQuantileGrid(b *testing.B) {
 
 // BenchmarkTrackerObserveQuantiles times one outcome with a quantile grid
 // into a tracker whose window is full: the record, the drift detectors (a
-// mode-count check every 16th) and the ten conformal quantiles.
+// mode-count check every 16th) and the ten conformal quantiles. The
+// residuals are normal (`unimodal`: the regime's baseline is one mode, so
+// every check fits a mixture) or alternate between two modes 4σ apart
+// (`bimodal`: a multi-modal baseline, whose checks fit nothing).
 func BenchmarkTrackerObserveQuantiles(b *testing.B) {
-	tr, err := NewAccuracyTracker(CalibrationConfig{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	// A centered predictive distribution: nothing drifts, every level has
-	// scores on both sides.
-	raw := stochastic.FromMeanSigma(100, 5)
-	grid := make([]float64, len(calib.QuantileGridLevels))
-	for j, p := range calib.QuantileGridLevels {
-		grid[j] = 100 + 5*stats.NormalQuantile(p)
-	}
-	rng := rand.New(rand.NewSource(1))
-	outcomes := make([]CalibrationOutcome, 256)
-	for i := range outcomes {
-		outcomes[i] = CalibrationOutcome{Raw: raw, Calibrated: raw, Actual: 100 + 5*rng.NormFloat64(), RawQuantiles: grid}
-	}
-	observe := func(i int) {
-		o := outcomes[i%len(outcomes)]
-		o.ID, o.Time = uint64(i+1), float64(i+1)
-		tr.Observe(o)
-	}
-	for i := 0; i < len(outcomes); i++ {
-		observe(i)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		observe(len(outcomes) + i)
+	for _, bc := range []struct {
+		name  string
+		modes []float64 // residual centers in σ, drawn in turn
+		sd    float64   // residual spread around them in σ
+	}{
+		{"unimodal", []float64{0}, 1},
+		{"bimodal", []float64{-2, 2}, 0.3},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			tr, err := NewAccuracyTracker(CalibrationConfig{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			// A centered predictive distribution: every level has scores
+			// on both sides.
+			raw := stochastic.FromMeanSigma(100, 5)
+			grid := make([]float64, len(calib.QuantileGridLevels))
+			for j, p := range calib.QuantileGridLevels {
+				grid[j] = 100 + 5*stats.NormalQuantile(p)
+			}
+			rng := rand.New(rand.NewSource(1))
+			outcomes := make([]CalibrationOutcome, 256)
+			for i := range outcomes {
+				z := bc.modes[i%len(bc.modes)] + bc.sd*rng.NormFloat64()
+				outcomes[i] = CalibrationOutcome{Raw: raw, Calibrated: raw, Actual: 100 + 5*z, RawQuantiles: grid}
+			}
+			observe := func(i int) {
+				o := outcomes[i%len(outcomes)]
+				o.ID, o.Time = uint64(i+1), float64(i+1)
+				tr.Observe(o)
+			}
+			for i := 0; i < len(outcomes); i++ {
+				observe(i)
+			}
+			if got := tr.ExportState().BaseModes; got != len(bc.modes) {
+				b.Fatalf("warm-up left a %d-mode baseline, want %d", got, len(bc.modes))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				observe(len(outcomes) + i)
+			}
+		})
 	}
 }
 

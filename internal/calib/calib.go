@@ -35,7 +35,6 @@ package calib
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"prodpred/internal/stats"
@@ -268,8 +267,9 @@ type Tracker struct {
 	baseModes  int // mode count at regime start (0 = not yet fitted)
 
 	// scratch is the one sample buffer of an Observe: each of its quantiles
-	// fills it, sorts it in place and reads the sorted sample, and the
-	// mode-count check fits it. Nothing in it outlives the call.
+	// fills it and selects its two order statistics in place (leaving it
+	// permuted, never sorted), and a mode-count check whose verdict can
+	// still matter fits it. Nothing in it outlives the call.
 	scratch []float64
 }
 
@@ -321,7 +321,20 @@ func (t *Tracker) calibrateLocked(raw stochastic.Value) stochastic.Value {
 func (t *Tracker) Observe(o Outcome) (DriftEvent, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	ev, drifted := t.detectLocked(t.recordLocked(o))
+	if drifted {
+		t.drifts = append(t.drifts, ev)
+		t.resetLocked()
+		return ev, true
+	}
+	t.rescaleLocked()
+	t.rescaleQuantilesLocked()
+	return DriftEvent{}, false
+}
 
+// recordLocked reduces o to its window record, appends it to the rolling
+// window and the counters, and returns the appended record.
+func (t *Tracker) recordLocked(o Outcome) *WindowRec {
 	r := WindowRec{ID: o.ID, Time: o.Time}
 	r.RawIn = o.Raw.Contains(o.Actual)
 	r.CalIn = o.Calibrated.Contains(o.Actual)
@@ -357,16 +370,7 @@ func (t *Tracker) Observe(o Outcome) (DriftEvent, bool) {
 	if len(t.window) > t.cfg.Window {
 		t.window = t.window[1:]
 	}
-
-	ev, drifted := t.detectLocked(&t.window[len(t.window)-1])
-	if drifted {
-		t.drifts = append(t.drifts, ev)
-		t.resetLocked()
-		return ev, true
-	}
-	t.rescaleLocked()
-	t.rescaleQuantilesLocked()
-	return DriftEvent{}, false
+	return &t.window[len(t.window)-1]
 }
 
 // rescaleLocked recomputes the conformal multiplier from the nonconformity
@@ -391,14 +395,7 @@ func (t *Tracker) rescaleLocked() {
 	if level > 1 {
 		level = 1
 	}
-	t.scale = math.Min(math.Max(quantileInPlace(scores, level), t.cfg.ScaleFloor), t.cfg.ScaleCeil)
-}
-
-// quantileInPlace is stats.Quantile without its copy: it sorts xs, which must
-// be non-empty, and reads level q in [0,1] off it.
-func quantileInPlace(xs []float64, q float64) float64 {
-	sort.Float64s(xs)
-	return stats.QuantileSorted(xs, q)
+	t.scale = math.Min(math.Max(stats.QuantileInPlace(scores, level), t.cfg.ScaleFloor), t.cfg.ScaleCeil)
 }
 
 // regimeWindowLocked returns the suffix of the window belonging to the

@@ -48,12 +48,18 @@ func (t *Tracker) detectLocked(r *WindowRec) (DriftEvent, bool) {
 
 	// Phase 3: periodic mode-count check. A regime whose residuals were
 	// single-mode and become multi-modal has changed character even if its
-	// mean has not moved far enough for the CUSUM.
+	// mean has not moved far enough for the CUSUM. Its verdict is read only
+	// to fix the regime's baseline mode count and, from a single-mode
+	// baseline, to fire; a regime that began multi-modal can only end by
+	// the CUSUM, so its checks keep their schedule but fit nothing.
 	t.sinceCheck++
 	if t.sinceCheck < t.cfg.ModeCheckEvery {
 		return DriftEvent{}, false
 	}
 	t.sinceCheck = 0
+	if t.baseModes >= 2 {
+		return DriftEvent{}, false
+	}
 	zs := t.scratch[:0]
 	regime := t.regimeWindowLocked()
 	for i := range regime {

@@ -42,7 +42,11 @@
 // windowed mean PIT near 0.5 indicates a centered predictive distribution.
 package calib
 
-import "math"
+import (
+	"math"
+
+	"prodpred/internal/stats"
+)
 
 // IntervalLevels are the central interval levels the quantile calibrator
 // maintains two-sided multipliers for, ascending.
@@ -147,7 +151,7 @@ func (t *Tracker) rescaleQuantilesLocked() {
 	}
 	t.scratch = resid
 	if len(resid) >= t.cfg.MinObserved {
-		shift := quantileInPlace(resid, 0.5)
+		shift := stats.QuantileInPlace(resid, 0.5)
 		t.qShift = math.Min(math.Max(shift, -qShiftLimit), qShiftLimit)
 	}
 
@@ -179,7 +183,7 @@ func (t *Tracker) rescaleQuantilesLocked() {
 			if level > 1 {
 				level = 1
 			}
-			q := quantileInPlace(scores, level)
+			q := stats.QuantileInPlace(scores, level)
 			q = math.Min(math.Max(q, t.cfg.QScaleFloor), t.cfg.QScaleCeil)
 			if side == 0 {
 				t.qLo[i] = q

@@ -3,6 +3,7 @@ package stochastic
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -53,9 +54,13 @@ func (e *Empirical) Summary() Value {
 	return Value{Mean: e.mean, Spread: 2 * e.sigma}
 }
 
-// Quantile returns the q-th sample quantile.
+// Quantile returns the q-th sample quantile, read off the sample sorted at
+// construction.
 func (e *Empirical) Quantile(q float64) (float64, error) {
-	return stats.Quantile(e.sorted, q)
+	if q < 0 || q > 1 || math.IsNaN(q) {
+		return 0, stats.ErrQuantileLevel
+	}
+	return stats.QuantileSorted(e.sorted, q), nil
 }
 
 // Interval returns the central interval holding fraction p of the sample

@@ -5,8 +5,9 @@
 # schedulers, a one-iteration bench smoke, the loadgen CLI round trip, a short
 # fuzz of the request decoder, of the point and value evaluators against the
 # model tree, of the raced BIC selection against the exhaustive one, of the
-# mixture quantile search against bisection and of the NWS battery's sorted
-# windows against sort.Float64s, the bench/ module's vet + tests,
+# mixture quantile search against bisection, of the NWS battery's sorted
+# windows against sort.Float64s and of the quantile selection against the
+# sort, the bench/ module's vet + tests,
 # and the snapshot drill over the real daemon binary.
 # The SOR worker pool, the sharded Monte Carlo engine, and the
 # predict.Service prediction core are concurrent by design, so -race is not
@@ -62,6 +63,9 @@ go test -run '^$' -fuzz FuzzMixtureQuantile -fuzztime 5s ./internal/dist
 # And of sample arrivals and departures into the NWS battery's sorted windows:
 # always sort.Float64s's order, NaNs, signed zeros and ties included.
 go test -run '^$' -fuzz FuzzSortedWindow -fuzztime 5s ./internal/nws
+# And of samples and levels into the selection the calibrator reads its
+# quantiles by: sort.Float64s + QuantileSorted's answer, and a permutation.
+go test -run '^$' -fuzz FuzzQuantileInPlace -fuzztime 5s ./internal/stats
 
 # The benchmark harness is its own module (bench/go.mod, replace prodpred
 # => ../), so ./... above does not see it: vet and test it here, or an
@@ -76,4 +80,4 @@ scripts/snapshot_smoke.sh
 # Coverage summary for the online-calibration layer (report-only, no gate).
 go test -cover ./internal/calib ./internal/predict | awk '{print "check.sh: coverage:", $0}'
 
-echo "check.sh: gofmt, vet, race-enabled tests, the concurrency tests at -cpu 1,4, bench smoke, loadgen round trip, POST-body, point- and value-evaluator, BIC-race, mixture-quantile and sorted-window fuzz, the bench/ module, and the snapshot round trip all clean"
+echo "check.sh: gofmt, vet, race-enabled tests, the concurrency tests at -cpu 1,4, bench smoke, loadgen round trip, POST-body, point- and value-evaluator, BIC-race, mixture-quantile, sorted-window and quantile-selection fuzz, the bench/ module, and the snapshot round trip all clean"
