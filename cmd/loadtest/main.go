@@ -16,7 +16,6 @@
 //	loadtest -duration 5 -workers 8 -observe 0.8 -advance 0.1
 //	loadtest -url http://localhost:8080 -duration 30
 //	loadtest -duration 3 -batch 16          # drive POST /predict/batch
-//	loadtest -duration 3 -no-cache          # A/B the tick cache off
 //	loadtest -platforms 1000 -kill-restore  # multi-tenant fleet mode
 //	loadtest -duration 3 -sched 0.2         # mix in POST /schedule placements
 //
@@ -68,7 +67,6 @@ func main() {
 	flag.Float64Var(&cfg.ObserveFrac, "observe", 0.8, "fraction of predictions fed back via /observe")
 	flag.Float64Var(&cfg.AdvanceFrac, "advance", 0.1, "fraction of loops issuing a /advance clock step")
 	flag.IntVar(&cfg.Batch, "batch", 0, "requests per POST /predict/batch call (0 = use POST /predict)")
-	flag.BoolVar(&cfg.NoCache, "no-cache", false, "disable the tick-scoped forecast cache on the in-process platforms")
 	flag.IntVar(&cfg.Platforms, "platforms", 0, "host a fleet of N lazily-instantiated tenant specs instead of the two paper platforms")
 	flag.BoolVar(&cfg.KillRestore, "kill-restore", false, "snapshot, kill, and restore the in-process server mid-run")
 	flag.StringVar(&cfg.Scenario, "scenario", "", "drive the in-process platforms with this workload-library scenario instead of the paper load models")
@@ -95,12 +93,10 @@ type config struct {
 	ObserveFrac float64
 	AdvanceFrac float64
 	Batch       int
-	NoCache     bool
 	Platforms   int     // fleet size (0 = the two paper platforms)
 	KillRestore bool    // snapshot/kill/restore the in-process server mid-run
 	Scenario    string  // workload-library scenario for the in-process platforms
 	SchedFrac   float64 // fraction of loops also issuing a POST /schedule
-	Level       float64 // central interval asked of every prediction (0 = none; tests only, no flag)
 }
 
 // opStats summarizes one operation's latency sample: the stochastic
@@ -362,7 +358,6 @@ func inProcess(cfg config) (*httptest.Server, error) {
 	metrics := obs.NewRegistry()
 	reg := predict.NewRegistryWith(predict.RegistryOptions{Metrics: metrics})
 	for _, spec := range specs {
-		spec.DisableTickCache = cfg.NoCache
 		if err := reg.RegisterSpec(spec); err != nil {
 			return nil, err
 		}
@@ -373,7 +368,7 @@ func inProcess(cfg config) (*httptest.Server, error) {
 func doPredict(client *http.Client, target, platform string, cfg config) (api.PredictResponse, float64, error) {
 	var pr api.PredictResponse
 	ms, err := timedPost(client, target+"/predict",
-		api.PredictRequest{Platform: platform, N: cfg.N, Iterations: cfg.Iterations, Level: cfg.Level}, &pr)
+		api.PredictRequest{Platform: platform, N: cfg.N, Iterations: cfg.Iterations}, &pr)
 	return pr, ms, err
 }
 
@@ -384,7 +379,7 @@ func doPredict(client *http.Client, target, platform string, cfg config) (api.Pr
 func doBatch(client *http.Client, target, platform string, cfg config) (api.PredictResponse, float64, error) {
 	req := api.BatchPredictRequest{Requests: make([]api.PredictRequest, cfg.Batch)}
 	for i := range req.Requests {
-		req.Requests[i] = api.PredictRequest{Platform: platform, N: cfg.N, Iterations: cfg.Iterations, Level: cfg.Level}
+		req.Requests[i] = api.PredictRequest{Platform: platform, N: cfg.N, Iterations: cfg.Iterations}
 	}
 	var br api.BatchPredictResponse
 	ms, err := timedPost(client, target+"/predict/batch", req, &br)

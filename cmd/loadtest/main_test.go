@@ -62,43 +62,6 @@ func TestResultPrint(t *testing.T) {
 	}
 }
 
-// TestCacheVsUncachedSmoke is the serving-cache regression gate: with a
-// steady clock (no advances, so every repeated shape is a cache hit) the
-// cached serving path must never be slower than the same run with the
-// tick cache disabled.
-//
-// Every request asks for a 95 % interval, so a miss pays the 64-draw
-// quantile grid and the cache is worth a factor of two, not the tenth of a
-// scalar request that a busy machine's jitter swallows. The two
-// configurations alternate over three rounds and each side is read by its
-// best round: the first run of a process is always the slowest, and
-// interference only ever slows a round down. ~4 s budget.
-func TestCacheVsUncachedSmoke(t *testing.T) {
-	base := config{
-		Seed: 1, Warmup: 300, Duration: 0.7, Workers: 4, Level: 0.95,
-		N: 120, Iterations: 4, ObserveFrac: 0, AdvanceFrac: 0,
-	}
-	var best [2]float64 // cached, uncached
-	for round := 0; round < 3; round++ {
-		for side := range best {
-			cfg := base
-			cfg.NoCache = side == 1
-			res, err := run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Errors != 0 {
-				t.Fatalf("round %d, NoCache=%v: %d request errors", round, cfg.NoCache, res.Errors)
-			}
-			best[side] = max(best[side], res.Throughput)
-		}
-	}
-	if best[0] < best[1] {
-		t.Errorf("cached serving path slower than uncached: best of 3 rounds %.1f req/s vs %.1f req/s", best[0], best[1])
-	}
-	t.Logf("best of 3 rounds: cached %.1f req/s, uncached %.1f req/s", best[0], best[1])
-}
-
 // TestRunFleetKillRestoreSmoke is the fleet-mode acceptance: 1,000
 // lazily-instantiated tenant platforms, a mid-run snapshot/kill/restore
 // cycle, and the run still completes with zero request errors.

@@ -157,9 +157,10 @@ func TestCodecFewerAllocs(t *testing.T) {
 // is the fragment appendLoads writes — over seeded sequences of predictions
 // of shapes that share and do not share a tick's reports, batches, observes
 // and zero and positive advances, on two platforms behind one memo, with the
-// tick cache on (a tick's responses after the first copy) and off (every
-// response encodes), each response encoded through the memo is byte for
-// byte the response encoded without one.
+// tick cache serving (a tick's responses after the first copy) and with every
+// request pinning its partition, which bypasses the cache so every response
+// carries fresh loads and encodes, each response encoded through the memo is
+// byte for byte the response encoded without one.
 func TestLoadsMemoMatchesFreshEncode(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		for _, noCache := range []bool{false, true} {
@@ -170,7 +171,6 @@ func TestLoadsMemoMatchesFreshEncode(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				cfg.DisableTickCache = noCache
 				svc, err := predict.NewService(cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -199,6 +199,13 @@ func TestLoadsMemoMatchesFreshEncode(t *testing.T) {
 				req := predict.Request{N: []int{120, 200}[rng.Intn(2)], Iterations: 1 + rng.Intn(4)}
 				if rng.Intn(3) == 0 {
 					req.Levels = []float64{0.9}
+				}
+				if noCache {
+					part, err := svc.Partition(req)
+					if err != nil {
+						t.Fatal(err)
+					}
+					req.Partition = part
 				}
 				switch op := rng.Intn(8); {
 				case op < 4:

@@ -111,8 +111,8 @@ type LoadJSON struct {
 	Widening  float64  `json:"widening"`
 	Gaps      GapsJSON `json:"gaps"`
 	// Forecaster tags which distribution forecaster produced this machine's
-	// load distribution (tournament competitor, "fallback", "prior", or
-	// "override"); Components is that distribution as a Gaussian mixture.
+	// load distribution (tournament competitor, "fallback" or "prior");
+	// Components is that distribution as a Gaussian mixture.
 	Forecaster string          `json:"forecaster"`
 	Components []ComponentJSON `json:"components,omitempty"`
 }

@@ -45,11 +45,11 @@ func init() {
 
 func runAblationIterationRel(seed int64) (*Result, error) {
 	const n = 600
-	related, err := runPlatform2Series(n, seed, 12, stochastic.LargestMean, structural.Related, nil)
+	related, err := runPlatform2Series(n, seed, 12, stochastic.LargestMean, structural.Related)
 	if err != nil {
 		return nil, err
 	}
-	unrelated, err := runPlatform2Series(n, seed, 12, stochastic.LargestMean, structural.Unrelated, nil)
+	unrelated, err := runPlatform2Series(n, seed, 12, stochastic.LargestMean, structural.Unrelated)
 	if err != nil {
 		return nil, err
 	}
@@ -217,7 +217,7 @@ func runAblationMaxStrategy(seed int64) (*Result, error) {
 		{"largest-magnitude", stochastic.LargestMagnitude},
 		{"probabilistic", stochastic.Probabilistic},
 	} {
-		recs, err := runPlatform2Series(n, seed, 12, s.s, structural.Related, nil)
+		recs, err := runPlatform2Series(n, seed, 12, s.s, structural.Related)
 		if err != nil {
 			return nil, err
 		}

@@ -42,9 +42,6 @@ type productionConfig struct {
 	partStrategy sched.Strategy
 	maxStrategy  stochastic.MaxStrategy
 	iterationRel structural.Relation
-	// predictLoad optionally overrides the per-machine stochastic load
-	// parameter; when nil, the NWS monitor report is used.
-	predictLoad func(machine int, mon *nws.Monitor) (stochastic.Value, error)
 	// inject, when non-nil, wraps every CPU sensor with its per-machine
 	// fault schedule — the robustness experiments' knob.
 	inject *faults.Injector
@@ -52,9 +49,6 @@ type productionConfig struct {
 	// back through Service.Observe, so later predictions in the series
 	// carry conformally calibrated intervals.
 	observe bool
-	// calibration tunes the online tracker when observe is set; the zero
-	// value takes the calib defaults.
-	calibration calib.Config
 	// diag, when non-nil, is filled with per-monitor gap counters after
 	// the series completes.
 	diag *pipelineDiag
@@ -120,11 +114,10 @@ func runProductionSeries(cfg productionConfig) ([]runRecord, error) {
 		return nil, errors.New("experiments: runs must be positive")
 	}
 	svc, err := predict.NewService(predict.Config{
-		Platform:    cfg.plat,
-		CPU:         cfg.cpu,
-		Net:         cfg.net,
-		Injector:    cfg.inject,
-		Calibration: cfg.calibration,
+		Platform: cfg.plat,
+		CPU:      cfg.cpu,
+		Net:      cfg.net,
+		Injector: cfg.inject,
 	})
 	if err != nil {
 		return nil, err
@@ -138,7 +131,6 @@ func runProductionSeries(cfg productionConfig) ([]runRecord, error) {
 		Strategy:     cfg.partStrategy,
 		MaxStrategy:  cfg.maxStrategy,
 		IterationRel: cfg.iterationRel,
-		LoadOverride: cfg.predictLoad,
 		// The harness always records the full quantile grid; the serving
 		// path computes it only on request, so opt in explicitly.
 		Distribution: true,

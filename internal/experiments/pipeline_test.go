@@ -6,7 +6,6 @@ import (
 
 	"prodpred/internal/cluster"
 	"prodpred/internal/load"
-	"prodpred/internal/nws"
 	"prodpred/internal/sched"
 	"prodpred/internal/stochastic"
 )
@@ -92,25 +91,6 @@ func TestRunProductionSeriesValidation(t *testing.T) {
 	cfg.cpu = cfg.cpu[:1]
 	if _, err := runProductionSeries(cfg); err == nil {
 		t.Error("cpu count mismatch should fail")
-	}
-}
-
-func TestRunProductionSeriesCustomPredictor(t *testing.T) {
-	cfg := smallBurstyConfig(t, 7, 2)
-	called := 0
-	cfg.predictLoad = func(machine int, mon *nws.Monitor) (stochastic.Value, error) {
-		called++
-		return stochastic.New(0.5, 0.2), nil
-	}
-	recs, err := runProductionSeries(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if called == 0 {
-		t.Error("custom predictor not used")
-	}
-	if len(recs) != 2 {
-		t.Errorf("records=%d", len(recs))
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"prodpred/internal/cluster"
 	"prodpred/internal/load"
-	"prodpred/internal/nws"
 	"prodpred/internal/sched"
 	"prodpred/internal/simenv"
 	"prodpred/internal/sor"
@@ -226,7 +225,7 @@ func boolTo01(b bool) float64 {
 // size (Figures 12-17).
 func platform2Runner(n int, id string) func(int64) (*Result, error) {
 	return func(seed int64) (*Result, error) {
-		recs, err := runPlatform2Series(n, seed, 20, stochastic.LargestMean, structural.Related, nil)
+		recs, err := runPlatform2Series(n, seed, 20, stochastic.LargestMean, structural.Related)
 		if err != nil {
 			return nil, err
 		}
@@ -255,7 +254,7 @@ func platform2Runner(n int, id string) func(int64) (*Result, error) {
 // runPlatform2Series is the shared bursty pipeline, also used by the
 // ablations with alternative prediction configurations.
 func runPlatform2Series(n int, seed int64, runs int, maxStrat stochastic.MaxStrategy,
-	iterRel structural.Relation, predictLoad func(int, *nws.Monitor) (stochastic.Value, error)) ([]runRecord, error) {
+	iterRel structural.Relation) ([]runRecord, error) {
 	plat := cluster.Platform2()
 	cpu := make([]load.Process, plat.Size())
 	for i := range cpu {
@@ -269,7 +268,7 @@ func runPlatform2Series(n int, seed int64, runs int, maxStrat stochastic.MaxStra
 	if err != nil {
 		return nil, err
 	}
-	cfg := productionConfig{
+	return runProductionSeries(productionConfig{
 		plat:         plat,
 		cpu:          cpu,
 		net:          net,
@@ -281,9 +280,7 @@ func runPlatform2Series(n int, seed int64, runs int, maxStrat stochastic.MaxStra
 		partStrategy: sched.MeanBalanced,
 		maxStrategy:  maxStrat,
 		iterationRel: iterRel,
-	}
-	cfg.predictLoad = predictLoad
-	return runProductionSeries(cfg)
+	})
 }
 
 // runDedicated validates the §2.2.1 dedicated-accuracy claim across sizes.

@@ -19,13 +19,12 @@
 // resulting calib.Snapshot for saturation signals. A tenant saturates when
 // its calibrator detects a load-regime drift event or its latest
 // prediction's relative interval width crosses Config.SatRelWidth;
-// saturated tenants are skipped by placement for Config.SatHold virtual
-// seconds, and their still-queued jobs are migrated to the cheapest
-// non-saturated tenant.
+// saturated tenants are skipped by placement for 240 virtual seconds, and
+// their still-queued jobs are migrated to the cheapest non-saturated tenant.
 //
 // Units: every time in this package's API — job deadlines, placement
-// times, start/finish stamps, SatHold — is in virtual seconds on the
-// tenants' simulated clocks; the scheduler assumes the fleet's clocks are
+// times, start/finish stamps — is in virtual seconds on the tenants'
+// simulated clocks; the scheduler assumes the fleet's clocks are
 // advanced in lockstep (the daemon's tick loop and the experiments both
 // do). Wall-clock time appears only in the schedule-latency telemetry and
 // never feeds back into decisions.
@@ -88,9 +87,9 @@ const DefaultQuantile = 0.95
 // is zero.
 const DefaultSatRelWidth = 1.5
 
-// DefaultSatHold is how long a saturation verdict sticks, in virtual
-// seconds, when Config.SatHold is zero.
-const DefaultSatHold = 240
+// satHold is how long a saturated tenant stays excluded from placement, in
+// virtual seconds. Drift events and width re-crossings extend the hold.
+const satHold = 240
 
 // Config tunes a Scheduler. The zero value gives quantile placement at
 // DefaultQuantile with default saturation thresholds and no telemetry.
@@ -105,10 +104,6 @@ type Config struct {
 	// (DefaultSatRelWidth when 0): a tenant whose latest prediction's
 	// 95% width divided by its median exceeds it is marked saturated.
 	SatRelWidth float64
-	// SatHold is how long a saturated tenant stays excluded from
-	// placement, in virtual seconds (DefaultSatHold when 0). Drift events
-	// and width re-crossings extend the hold.
-	SatHold float64
 	// Metrics, when non-nil, receives the fleetsched_* families. Telemetry
 	// never feeds back into placement: same inputs give the same schedule
 	// with metrics on or off.
@@ -124,9 +119,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SatRelWidth == 0 {
 		c.SatRelWidth = DefaultSatRelWidth
-	}
-	if c.SatHold == 0 {
-		c.SatHold = DefaultSatHold
 	}
 	return c
 }
@@ -673,10 +665,10 @@ func (s *Scheduler) refreshSaturationLocked(ts *tenant, svc *predict.Service, no
 	snap := svc.Accuracy()
 	if len(snap.Drifts) > ts.driftsSeen {
 		ts.driftsSeen = len(snap.Drifts)
-		s.saturateLocked(ts, now+s.cfg.SatHold)
+		s.saturateLocked(ts, now+satHold)
 	}
 	if ts.everScored && ts.relWidth > s.cfg.SatRelWidth {
-		s.saturateLocked(ts, now+s.cfg.SatHold)
+		s.saturateLocked(ts, now+satHold)
 	}
 	if ts.saturated && now >= ts.satUntil && ts.relWidth <= s.cfg.SatRelWidth {
 		ts.saturated = false

@@ -54,9 +54,9 @@ type tickCache struct {
 
 // sizeKey is the part of the request shape the partition, the bandwidth
 // forecast and the per-phase-pair value depend on; shapeKey is the rest.
-// Requests carrying a pinned Partition or a LoadOverride bypass the cache
-// entirely (the experiments' knobs — their output depends on caller state
-// the keys cannot name).
+// Requests carrying a pinned Partition bypass the cache entirely (the
+// experiments' knob — their output depends on caller state the keys cannot
+// name).
 type sizeKey struct {
 	n            int
 	strategy     sched.Strategy
@@ -67,12 +67,6 @@ type sizeKey struct {
 type shapeKey struct {
 	iterations   int
 	iterationRel structural.Relation
-}
-
-// cacheable reports whether req's pipeline output is a pure function of the
-// monitor state and the key fields.
-func cacheable(req Request) bool {
-	return req.Partition == nil && req.LoadOverride == nil
 }
 
 func keysFor(req Request) (sizeKey, shapeKey) {

@@ -1,0 +1,12 @@
+package predict
+
+// DropTickCache turns s's tick cache off: from then on every request runs the
+// whole pipeline over a frame of its own, and Reports reads the monitors anew.
+// It is the reference the cached ≡ uncached tests hold the cache to — cached
+// and uncached services are bit-identical for the same seed and clock
+// schedule, the cache only changing how often the (pure) pipeline runs.
+func DropTickCache(s *Service) {
+	s.clockMu.Lock()
+	defer s.clockMu.Unlock()
+	s.cache = nil
+}

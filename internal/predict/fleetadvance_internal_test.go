@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"prodpred/internal/nws"
 	"prodpred/internal/obs"
 )
 
@@ -45,7 +46,7 @@ func TestTickAllocations(t *testing.T) {
 	allocs := make([]float64, 41)
 	for i := range allocs {
 		allocs[i] = testing.AllocsPerRun(1, func() {
-			if err := svc.Advance(svc.period); err != nil {
+			if err := svc.Advance(nws.DefaultPeriod); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -132,7 +132,7 @@ func newServiceMetrics(reg *obs.Registry, platform string) *serviceMetrics {
 		"platform", "forecaster")
 	m.wins = make(map[string]*obs.Counter)
 	tags := append(nws.DistForecasterNames(),
-		nws.FallbackForecasterName, nws.PriorForecasterName, OverrideForecasterName)
+		nws.FallbackForecasterName, nws.PriorForecasterName)
 	for _, tag := range tags {
 		m.wins[tag] = m.winsVec.With(platform, tag)
 	}

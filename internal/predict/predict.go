@@ -80,9 +80,6 @@ type Request struct {
 	// run series predicts against a fixed schedule; when nil the Service
 	// partitions from the current load reports.
 	Partition *sor.Partition
-	// LoadOverride, when non-nil, replaces the robust monitor report for
-	// each machine — the ablation experiments' knob.
-	LoadOverride func(machine int, mon *nws.Monitor) (stochastic.Value, error)
 	// Levels optionally lists central interval levels (each in (0,1)) the
 	// caller wants read off the calibrated predictive distribution;
 	// Prediction.Dist.Intervals answers them in order. Levels are part of
@@ -121,17 +118,13 @@ type MachineReport struct {
 	Gaps nws.GapStats
 	// Forecaster tags which distribution forecaster produced this machine's
 	// predictive load distribution: a tournament competitor
-	// (nws.DistForecasterNames), a fallback-chain tag ("fallback",
-	// "prior"), or "override" when the request pinned the loads.
+	// (nws.DistForecasterNames) or a fallback-chain tag ("fallback",
+	// "prior").
 	Forecaster string
 	// Components summarize the machine's predictive load distribution as a
 	// Gaussian mixture (a single component for normal-shaped reports).
 	Components []nws.Component
 }
-
-// OverrideForecasterName tags machine reports whose load came from a
-// Request.LoadOverride instead of a monitor's distribution forecaster.
-const OverrideForecasterName = "override"
 
 // Interval is one central prediction interval read off the calibrated
 // predictive distribution.

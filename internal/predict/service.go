@@ -36,34 +36,18 @@ type Config struct {
 	// Net is the network contention process; a load.Constant network is
 	// treated as contention-free and left unmonitored.
 	Net load.Process
-	// Period is the sensor cadence in virtual seconds (nws.DefaultPeriod
-	// when zero).
-	Period float64
-	// History is the monitor ring size (512 when zero).
+	// History is the monitor ring size (512 when zero). Sensors sample every
+	// nws.DefaultPeriod virtual seconds, the paper's NWS cadence.
 	History int
 	// Injector, when non-nil, wraps every CPU sensor with its per-machine
 	// deterministic fault schedule.
 	Injector *faults.Injector
-	// CPUPrior is the no-history fallback for CPU monitors
-	// (DefaultCPUPrior when zero).
-	CPUPrior stochastic.Value
-	// Calibration tunes the online accuracy tracker; zero-value fields
-	// take the calib package defaults (95% capture target, window 64,
-	// scale clamped to [0.5, 3]).
-	Calibration calib.Config
 	// Metrics, when non-nil, receives the service's telemetry: per-platform
 	// pipeline counters/gauges and per-stage wall-clock latency histograms
 	// (see the predict Metric* constants). Nil disables instrumentation at
 	// near-zero cost; telemetry never feeds back into predictions, so
 	// same-seed determinism is unaffected either way.
 	Metrics *obs.Registry
-	// DisableTickCache turns off the tick-scoped forecast cache, forcing
-	// every Predict through the full pipeline — the reference path the
-	// stress tests and the cached-vs-uncached CI smoke compare against.
-	// Cached and uncached services are bit-identical for the same seed and
-	// clock schedule; the cache only changes how often the (pure) pipeline
-	// runs.
-	DisableTickCache bool
 }
 
 // maxOutstanding bounds how many issued-but-unobserved predictions a
@@ -103,9 +87,7 @@ type Service struct {
 	machines []cluster.Machine
 	link     cluster.Link
 	netMon   bool
-	period   float64
 	history  int
-	prior    stochastic.Value
 
 	// spec, when non-nil, is the declarative description the service was
 	// built from. Snapshots require it: the restore path rebuilds the
@@ -130,10 +112,12 @@ type Service struct {
 	// fault-gap counter only ever advances by deltas.
 	lastMissed int
 
-	// cache is the tick-scoped forecast cache (nil when disabled): all
-	// Predicts between two Advance calls share one read of the monitors,
-	// those of one grid size one partition and model evaluation, and those
-	// of one request shape one pipeline result.
+	// cache is the tick-scoped forecast cache: all Predicts between two
+	// Advance calls share one read of the monitors, those of one grid size
+	// one partition and model evaluation, and those of one request shape one
+	// pipeline result. Only the tests' cached ≡ uncached references set it
+	// nil, which sends every request through the whole pipeline over a frame
+	// of its own.
 	cache *tickCache
 
 	// design is the fixed Latin-hypercube sample the distribution transform
@@ -176,19 +160,11 @@ func NewService(cfg Config) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	period := cfg.Period
-	if period == 0 {
-		period = nws.DefaultPeriod
-	}
 	history := cfg.History
 	if history == 0 {
 		history = 512
 	}
-	prior := cfg.CPUPrior
-	if prior == (stochastic.Value{}) {
-		prior = DefaultCPUPrior
-	}
-	tracker, err := calib.New(cfg.Calibration)
+	tracker, err := calib.New(calib.Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -199,16 +175,12 @@ func NewService(cfg Config) (*Service, error) {
 		env:      env,
 		machines: make([]cluster.Machine, p),
 		cpu:      make([]*nws.Monitor, p),
-		period:   period,
 		history:  history,
-		prior:    prior,
+		cache:    newTickCache(),
 		tracker:  tracker,
 		issued:   make(map[uint64]issuedPrediction),
 		metrics:  newServiceMetrics(cfg.Metrics, cfg.Platform.Name),
 		design:   buildDistDesign(p),
-	}
-	if !cfg.DisableTickCache {
-		s.cache = newTickCache()
 	}
 	_, constant := cfg.Net.(load.Constant)
 	s.netMon = !constant
@@ -224,7 +196,7 @@ func NewService(cfg Config) (*Service, error) {
 		if cfg.Injector != nil {
 			sensor = cfg.Injector.Sensor(i, sensor)
 		}
-		if s.cpu[i], err = nws.NewSensorMonitor(sensor, period, history); err != nil {
+		if s.cpu[i], err = nws.NewSensorMonitor(sensor, nws.DefaultPeriod, history); err != nil {
 			return nil, err
 		}
 	}
@@ -259,9 +231,9 @@ func (s *Service) Now() float64 {
 }
 
 // CacheGeneration returns the tick cache's generation counter: the number
-// of clock movements since the service was built (0 when the cache is
-// disabled). The coherence invariant is generation == virtual clock — a
-// cached forecast is never served across an Advance.
+// of clock movements since the service was built. The coherence invariant
+// is generation == virtual clock — a cached forecast is never served across
+// an Advance.
 func (s *Service) CacheGeneration() uint64 { return s.cache.generation() }
 
 // Advance moves the clock forward by dt virtual seconds, taking every
@@ -401,17 +373,16 @@ func validateRequest(req Request) error {
 	return nil
 }
 
-// readLoads reads one stochastic load value per machine — the override when
-// the request carries one, the gap-aware RobustReport fallback chain
-// (forecast -> running mean -> prior) otherwise — plus the per-machine
-// diagnostic reports and the distribution-valued report behind each value
-// (the tournament winner's quantile grid, or a normal tabulation of the
-// override). Callers hold the shared clock lock; the read runs under monMu.
+// readLoads reads one stochastic load value per machine — the gap-aware
+// RobustReport fallback chain (forecast -> running mean -> prior) — plus the
+// per-machine diagnostic reports and the distribution-valued report behind
+// each value (the tournament winner's quantile grid). Callers hold the
+// shared clock lock; the read runs under monMu.
 // The two pipeline stages it spans are timed separately: monitor_read
 // (catching every monitor up to the current virtual time — normally a no-op,
 // since Advance already did) and forecast (producing the stochastic load
 // reports).
-func (s *Service) readLoads(override func(int, *nws.Monitor) (stochastic.Value, error)) ([]stochastic.Value, []MachineReport, []nws.LoadDist, error) {
+func (s *Service) readLoads() ([]stochastic.Value, []MachineReport, []nws.LoadDist, error) {
 	s.monMu.Lock()
 	defer s.monMu.Unlock()
 	read := s.metrics.startStage(stageMonitorRead)
@@ -427,17 +398,8 @@ func (s *Service) readLoads(override func(int, *nws.Monitor) (stochastic.Value, 
 	reports := make([]MachineReport, len(s.cpu))
 	dists := make([]nws.LoadDist, len(s.cpu))
 	for i, mon := range s.cpu {
-		if override != nil {
-			v, err := override(i, mon)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			loads[i] = v
-			dists[i] = overrideLoadDist(v)
-		} else {
-			loads[i] = mon.RobustReport(s.now, s.prior)
-			dists[i] = mon.RobustDistReport(s.now, s.prior)
-		}
+		loads[i] = mon.RobustReport(s.now, DefaultCPUPrior)
+		dists[i] = mon.RobustDistReport(s.now, DefaultCPUPrior)
 		reports[i] = MachineReport{
 			Machine:    i,
 			Load:       loads[i],
@@ -453,28 +415,13 @@ func (s *Service) readLoads(override func(int, *nws.Monitor) (stochastic.Value, 
 	return loads, reports, dists, nil
 }
 
-// overrideLoadDist tabulates a pinned load value's normal quantiles on the
-// DistLevels grid — overrides carry no forecaster, so their distribution is
-// the value read at face value.
-func overrideLoadDist(v stochastic.Value) nws.LoadDist {
-	qs := make([]float64, len(nws.DistLevels))
-	for i, p := range nws.DistLevels {
-		qs[i] = v.Quantile(p)
-	}
-	return nws.LoadDist{
-		Quantiles:  qs,
-		Components: []nws.Component{{Weight: 1, Mean: v.Mean, Sigma: v.Sigma()}},
-		Forecaster: OverrideForecasterName,
-	}
-}
-
 // resolveTick fills the tick level of a frame — readLoads, once — and
 // returns the error it memoizes. Callers hold the shared clock lock.
-func (s *Service) resolveTick(tick *tickFrame, override func(int, *nws.Monitor) (stochastic.Value, error)) error {
+func (s *Service) resolveTick(tick *tickFrame) error {
 	tick.mu.Lock()
 	defer tick.mu.Unlock()
 	if !tick.done {
-		tick.loads, tick.reports, tick.dists, tick.err = s.readLoads(override)
+		tick.loads, tick.reports, tick.dists, tick.err = s.readLoads()
 		tick.tag = dominantForecaster(tick.dists)
 		tick.done = true
 	}
@@ -502,7 +449,7 @@ func (s *Service) Partition(req Request) (*sor.Partition, error) {
 	if err := validateRequest(req); err != nil {
 		return nil, err
 	}
-	tick, err := s.tickReports(req.LoadOverride)
+	tick, err := s.tickReports()
 	if err != nil {
 		return nil, err
 	}
@@ -510,14 +457,14 @@ func (s *Service) Partition(req Request) (*sor.Partition, error) {
 }
 
 // tickReports returns a resolved tick frame: the cache's — the one read every
-// Predict of this tick shares — unless the cache is off or the caller brings
-// its own loads, which get a fresh frame. Callers hold the shared clock lock.
-func (s *Service) tickReports(override func(int, *nws.Monitor) (stochastic.Value, error)) (*tickFrame, error) {
+// Predict of this tick shares — or, with the cache off, a fresh one. Callers
+// hold the shared clock lock.
+func (s *Service) tickReports() (*tickFrame, error) {
 	tick := &tickFrame{}
-	if s.cache != nil && override == nil {
+	if s.cache != nil {
 		tick = s.cache.frame()
 	}
-	return tick, s.resolveTick(tick, override)
+	return tick, s.resolveTick(tick)
 }
 
 // bwReport returns the bandwidth fraction forecast for n's ghost-row-sized
@@ -538,7 +485,7 @@ func (s *Service) bwReport(n int) (stochastic.Value, nws.GapStats, error) {
 			return stochastic.Value{}, nws.GapStats{}, fmt.Errorf(
 				"predict: grid size %d needs one more bandwidth probe size, exceeds limit %d per platform", n, MaxProbeSizes)
 		}
-		mon, err := nws.NewBandwidthMonitor(s.env, 0, 1, probeBytes, s.period, s.history)
+		mon, err := nws.NewBandwidthMonitor(s.env, 0, 1, probeBytes, nws.DefaultPeriod, s.history)
 		if err != nil {
 			return stochastic.Value{}, nws.GapStats{}, err
 		}
@@ -629,17 +576,17 @@ func (s *Service) predictShared(req Request) (Prediction, error) {
 }
 
 // resolveCore returns the pipeline result for req — from the tick cache
-// when possible, computing (and memoizing) it on first touch. Uncacheable
-// requests (pinned Partition or LoadOverride) always run the pipeline, over
-// a frame of their own that nothing else reads. A shape the full cache has
-// no entry for is computed on every call: over its size's frame when the
-// tick has one, over a frame of its own otherwise.
+// when possible, computing (and memoizing) it on first touch. A request
+// with a pinned Partition always runs the pipeline, over a frame of its own
+// that nothing else reads. A shape the full cache has no entry for is
+// computed on every call: over its size's frame when the tick has one, over
+// a frame of its own otherwise.
 func (s *Service) resolveCore(req Request) (*predictionCore, error) {
 	var (
 		sz *sizeFrame
 		e  *cacheEntry
 	)
-	if s.cache != nil && cacheable(req) {
+	if s.cache != nil && req.Partition == nil {
 		sz, e = s.cache.entry(keysFor(req))
 	}
 	if e == nil {
@@ -696,7 +643,7 @@ func (s *Service) resolveSize(sz *sizeFrame, req Request) error {
 // pinned), the bandwidth forecast, and the model's value for one phase pair.
 func (s *Service) computeSize(sz *sizeFrame, req Request) error {
 	tick := sz.tick
-	err := s.resolveTick(tick, req.LoadOverride)
+	err := s.resolveTick(tick)
 	if err != nil {
 		return err
 	}
@@ -1097,11 +1044,11 @@ func (s *Service) Outstanding() int {
 // Reports returns the current per-machine load reports (robust fallback
 // chain) without evaluating a model — the /report endpoint's view. They are
 // the tick's, the slice every Prediction.Loads of this tick shares (callers
-// must not mutate it); with the cache off each call reads the monitors anew.
+// must not mutate it).
 func (s *Service) Reports() []MachineReport {
 	s.clockMu.RLock()
 	defer s.clockMu.RUnlock()
-	tick, err := s.tickReports(nil)
+	tick, err := s.tickReports()
 	if err != nil {
 		return nil
 	}

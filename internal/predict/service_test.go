@@ -11,7 +11,6 @@ import (
 	"prodpred/internal/cluster"
 	"prodpred/internal/faults"
 	"prodpred/internal/load"
-	"prodpred/internal/nws"
 	"prodpred/internal/predict"
 	"prodpred/internal/stochastic"
 )
@@ -182,31 +181,6 @@ func TestPriorFallbackUnderTotalOutage(t *testing.T) {
 	}
 	if !pred.Degraded() {
 		t.Error("permanent outage should mark the prediction degraded")
-	}
-}
-
-func TestLoadOverride(t *testing.T) {
-	svc := burstyService(t, 7, 200, nil)
-	req := baseRequest()
-	called := 0
-	req.LoadOverride = func(machine int, mon *nws.Monitor) (stochastic.Value, error) {
-		called++
-		if mon.Len() == 0 {
-			t.Errorf("machine %d monitor empty in override", machine)
-		}
-		return stochastic.New(0.5, 0.2), nil
-	}
-	pred, err := svc.Predict(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if called != svc.Platform().Size() {
-		t.Errorf("override called %d times", called)
-	}
-	for i, l := range pred.Loads {
-		if l.Load != stochastic.New(0.5, 0.2) {
-			t.Errorf("machine %d load=%v, want override", i, l.Load)
-		}
 	}
 }
 

@@ -26,10 +26,12 @@ func shardService(t *testing.T, seed int64, noCache bool) *predict.Service {
 	}
 	cfg.Injector = stressInjector(t, seed, 4)
 	cfg.History = 256
-	cfg.DisableTickCache = noCache
 	svc, err := predict.NewService(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if noCache {
+		predict.DropTickCache(svc)
 	}
 	if err := svc.AdvanceTo(100); err != nil {
 		t.Fatal(err)
@@ -149,7 +151,7 @@ func TestShardedPredictTickCoherence(t *testing.T) {
 
 // TestCachedMatchesUncached locks down the cache's core guarantee: the
 // tick-scoped cache is a pure memoization, so a cached service and a
-// DisableTickCache service with the same seed, driven through the same
+// DropTickCache service with the same seed, driven through the same
 // predict/observe/advance sequence, must emit byte-identical predictions
 // (IDs, calibration state, monitor diagnostics — everything).
 func TestCachedMatchesUncached(t *testing.T) {
@@ -261,7 +263,6 @@ func renderPrediction(p predict.Prediction, err error) string {
 // was answered.
 func runFrameSequence(t *testing.T, spec predict.PlatformSpec, seed int64, noCache bool) []string {
 	t.Helper()
-	spec.DisableTickCache = noCache
 	reg := predict.NewRegistry()
 	if err := reg.RegisterSpec(spec); err != nil {
 		t.Fatal(err)
@@ -283,6 +284,9 @@ func runFrameSequence(t *testing.T, spec predict.PlatformSpec, seed int64, noCac
 		svc, err := reg.Lookup(spec.Name)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if noCache {
+			predict.DropTickCache(svc)
 		}
 		if step == restoreAt {
 			var img bytes.Buffer
@@ -384,10 +388,13 @@ func TestFrameStorm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.Metrics, cfg.DisableTickCache = metrics, metrics == nil
+		cfg.Metrics = metrics
 		svc, err := predict.NewService(cfg)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if metrics == nil {
+			predict.DropTickCache(svc)
 		}
 		if err := svc.AdvanceTo(100); err != nil {
 			t.Fatal(err)

@@ -1,6 +1,7 @@
 package predict
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -214,7 +215,7 @@ func ReadSnapshot(rd io.Reader, opts RegistryOptions) (*Registry, error) {
 			break
 		}
 		var spec PlatformSpec
-		if err := json.Unmarshal(specJSON, &spec); err != nil {
+		if err := decodeSpecJSON(bytes.NewReader(specJSON), &spec); err != nil {
 			return nil, fmt.Errorf("predict: decoding spec %q: %w", name, err)
 		}
 		if spec.Name != name {
@@ -353,7 +354,7 @@ func (s *Service) importFrom(d *snapDec) error {
 		if d.err != nil {
 			break
 		}
-		mon, err := nws.NewBandwidthMonitor(s.env, 0, 1, probe, s.period, s.history)
+		mon, err := nws.NewBandwidthMonitor(s.env, 0, 1, probe, nws.DefaultPeriod, s.history)
 		if err != nil {
 			return err
 		}

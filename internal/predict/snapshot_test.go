@@ -3,6 +3,7 @@ package predict_test
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"math"
 	"reflect"
 	"slices"
@@ -302,5 +303,47 @@ func TestReadSnapshotRejectsCorrupt(t *testing.T) {
 	}
 	if !bytes.Equal(images[0].Bytes(), images[1].Bytes()) {
 		t.Error("the tenant restored without its unbuilt entry re-snapshots to different bytes")
+	}
+}
+
+// TestReadSnapshotRejectsUnknownSpecField: an image's embedded spec is decoded
+// as strictly as a spec file. A key the spec types do not declare — a retired
+// setting such as "period", or a misspelt one — refuses the image, cold or
+// live, instead of restoring the platform under settings it did not name.
+func TestReadSnapshotRejectsUnknownSpecField(t *testing.T) {
+	spec := predict.FleetSpecs(1, 2)[0]
+	specJSON, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, live := range []bool{false, true} {
+		reg := predict.NewRegistry()
+		if err := reg.RegisterSpec(spec); err != nil {
+			t.Fatal(err)
+		}
+		if live {
+			if _, err := reg.Lookup(spec.Name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var snap bytes.Buffer
+		if err := reg.WriteSnapshot(&snap); err != nil {
+			t.Fatal(err)
+		}
+		img := snap.Bytes()
+		at := bytes.Index(img, specJSON)
+		if at < 4 || binary.LittleEndian.Uint32(img[at-4:]) != uint32(len(specJSON)) {
+			t.Fatalf("live %v: the image does not hold the spec as a length-prefixed field", live)
+		}
+		if _, err := predict.ReadSnapshot(bytes.NewReader(img), predict.RegistryOptions{}); err != nil {
+			t.Fatalf("live %v: the untouched image: %v", live, err)
+		}
+		for _, key := range []string{`"period":10`, `"bogus_field":1`} {
+			extra := append([]byte("{"+key+","), specJSON[1:]...)
+			mangled := slices.Concat(img[:at-4], binary.LittleEndian.AppendUint32(nil, uint32(len(extra))), extra, img[at+len(specJSON):])
+			if _, err := predict.ReadSnapshot(bytes.NewReader(mangled), predict.RegistryOptions{}); err == nil || !strings.Contains(err.Error(), "unknown field") {
+				t.Errorf("live %v, spec with %s: want an unknown-field error, got %v", live, key, err)
+			}
+		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 
-	"prodpred/internal/calib"
 	"prodpred/internal/cluster"
 	"prodpred/internal/faults"
 	"prodpred/internal/load"
@@ -16,8 +15,7 @@ import (
 )
 
 // PlatformSpec is the declarative, JSON-serializable description of one
-// tenant platform: machines, link, load processes, fault schedules, and
-// calibration config. It is everything needed to (re)build a Service —
+// tenant platform: machines, link, load processes and fault schedules. It is everything needed to (re)build a Service —
 // the registry instantiates cold specs lazily on first request, and the
 // snapshot format embeds each platform's spec so restore can rebuild the
 // static structure and import only dynamic state on top.
@@ -43,10 +41,8 @@ type PlatformSpec struct {
 	// Seed is the platform's base random seed. Load specs with Seed 0
 	// derive theirs from it (Seed + machine index; Seed + 999 for Net).
 	Seed int64 `json:"seed"`
-	// Period is the sensor cadence in virtual seconds (nws.DefaultPeriod
-	// when 0); History the monitor ring size (512 when 0).
-	Period  float64 `json:"period,omitempty"`
-	History int     `json:"history,omitempty"`
+	// History is the monitor ring size (512 when 0).
+	History int `json:"history,omitempty"`
 	// Warmup is how many virtual seconds of measurements to take at
 	// instantiation before the service answers its first request.
 	Warmup float64 `json:"warmup,omitempty"`
@@ -55,11 +51,6 @@ type PlatformSpec struct {
 	FaultSeed int64 `json:"fault_seed,omitempty"`
 	// Faults holds per-machine sensor-fault schedules.
 	Faults []FaultSpec `json:"faults,omitempty"`
-	// Calibration overrides the online-calibrator defaults.
-	Calibration *CalibrationSpec `json:"calibration,omitempty"`
-	// DisableTickCache turns off the tick-scoped forecast cache (see
-	// Config.DisableTickCache).
-	DisableTickCache bool `json:"disable_tick_cache,omitempty"`
 }
 
 // MachineSpec names one machine, either by catalog kind — "sparc2",
@@ -273,37 +264,6 @@ type OutageSpec struct {
 	End   float64 `json:"end"`
 }
 
-// CalibrationSpec mirrors calib.Config with JSON tags; zero fields take
-// the calib defaults.
-type CalibrationSpec struct {
-	TargetCapture  float64 `json:"target_capture,omitempty"`
-	Window         int     `json:"window,omitempty"`
-	MinObserved    int     `json:"min_observed,omitempty"`
-	ScaleFloor     float64 `json:"scale_floor,omitempty"`
-	ScaleCeil      float64 `json:"scale_ceil,omitempty"`
-	CUSUMSlack     float64 `json:"cusum_slack,omitempty"`
-	CUSUMLimit     float64 `json:"cusum_limit,omitempty"`
-	ModeCheckEvery int     `json:"mode_check_every,omitempty"`
-	MaxModes       int     `json:"max_modes,omitempty"`
-}
-
-func (c *CalibrationSpec) config() calib.Config {
-	if c == nil {
-		return calib.Config{}
-	}
-	return calib.Config{
-		TargetCapture:  c.TargetCapture,
-		Window:         c.Window,
-		MinObserved:    c.MinObserved,
-		ScaleFloor:     c.ScaleFloor,
-		ScaleCeil:      c.ScaleCeil,
-		CUSUMSlack:     c.CUSUMSlack,
-		CUSUMLimit:     c.CUSUMLimit,
-		ModeCheckEvery: c.ModeCheckEvery,
-		MaxModes:       c.MaxModes,
-	}
-}
-
 // Config materializes the spec into a service Config. It is side-effect
 // free and deterministic; errors name the offending field.
 func (ps *PlatformSpec) Config() (Config, error) {
@@ -397,14 +357,11 @@ func (ps *PlatformSpec) Config() (Config, error) {
 		}
 	}
 	return Config{
-		Platform:         plat,
-		CPU:              cpu,
-		Net:              net,
-		Period:           ps.Period,
-		History:          ps.History,
-		Injector:         injector,
-		Calibration:      ps.Calibration.config(),
-		DisableTickCache: ps.DisableTickCache,
+		Platform: plat,
+		CPU:      cpu,
+		Net:      net,
+		History:  ps.History,
+		Injector: injector,
 	}, nil
 }
 
@@ -439,10 +396,6 @@ func (ps *PlatformSpec) clone() *PlatformSpec {
 	c.Faults = append([]FaultSpec(nil), ps.Faults...)
 	for i, f := range c.Faults {
 		c.Faults[i].Outages = append([]OutageSpec(nil), f.Outages...)
-	}
-	if ps.Calibration != nil {
-		cal := *ps.Calibration
-		c.Calibration = &cal
 	}
 	return &c
 }
@@ -481,9 +434,7 @@ func NewServiceFromSpec(spec *PlatformSpec, metrics *obs.Registry) (*Service, er
 // format) and validates each one.
 func ParseSpecs(r io.Reader) ([]PlatformSpec, error) {
 	var specs []PlatformSpec
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&specs); err != nil {
+	if err := decodeSpecJSON(r, &specs); err != nil {
 		return nil, fmt.Errorf("predict: parsing specs: %w", err)
 	}
 	for i := range specs {
@@ -492,6 +443,15 @@ func ParseSpecs(r io.Reader) ([]PlatformSpec, error) {
 		}
 	}
 	return specs, nil
+}
+
+// decodeSpecJSON decodes spec JSON into v, refusing any key the spec types do
+// not declare: a spec file or snapshot image naming a setting this build does
+// not have is an error, not a platform quietly built under other settings.
+func decodeSpecJSON(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 // SimulatedSpec returns the declarative spec for one of the paper's

@@ -85,8 +85,7 @@ func TestParseSpecs(t *testing.T) {
 	  {"name":"a","seed":1,"machines":[{"name":"m0","kind":"sparc5"},{"name":"m1","kind":"sparc10"}],
 	   "cpu":[{"kind":"single-mode","mean":0.5,"sigma":0.05,"phi":0.8}],
 	   "net":{"kind":"ethernet-contention"},
-	   "faults":[{"machine":0,"drop":0.05,"outages":[{"start":10,"end":20}]}],
-	   "calibration":{"window":32}},
+	   "faults":[{"machine":0,"drop":0.05,"outages":[{"start":10,"end":20}]}]},
 	  {"name":"b","seed":2,"machines":[{"name":"m0","elem_rate":1e6,"memory_mb":64},{"name":"m1","elem_rate":2e6,"memory_mb":64}]}
 	]`
 	specs, err := predict.ParseSpecs(strings.NewReader(specsJSON))
