@@ -529,10 +529,7 @@ func BenchmarkTrackerObserveQuantiles(b *testing.B) {
 		{"bimodal", []float64{-2, 2}, 0.3},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			tr, err := NewAccuracyTracker(CalibrationConfig{})
-			if err != nil {
-				b.Fatal(err)
-			}
+			tr := NewAccuracyTracker()
 			// A centered predictive distribution: every level has scores
 			// on both sides.
 			raw := stochastic.FromMeanSigma(100, 5)

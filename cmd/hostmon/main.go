@@ -31,36 +31,40 @@ func main() {
 }
 
 func run(samples int, period time.Duration) error {
-	mon, err := nws.NewHostMonitor(512)
+	sensor, err := nws.HostSensor()
+	if err != nil {
+		return err
+	}
+	// One monitor tick per sample: virtual second i is the i-th reading.
+	mon, err := nws.NewSensorMonitor(sensor, 1, 512)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("Monitoring this host's CPU availability (%d samples, every %v)\n", samples, period)
 	fmt.Printf("%-6s %-12s %-14s %-12s %s\n", "#", "availability", "forecast", "±2·RMSE", "best forecaster")
-	missed := 0
 	for i := 0; i < samples; i++ {
-		v, err := mon.Sample()
-		switch {
-		case err != nil:
-			// A failed read is a gap, not a fatal condition: skip the tick,
-			// keep forecasting from the surviving history.
-			missed++
-			fmt.Printf("%-6d %-12s (sensor error: %v)\n", i, "-", err)
-		default:
+		missed := mon.Gaps().Missed
+		_ = mon.RunUntil(float64(i))
+		if mon.Gaps().Missed > missed {
+			// A failed read is a gap, not a fatal condition: the monitor
+			// skips the tick and keeps forecasting from the surviving history.
+			fmt.Printf("%-6d %-12s (sensor error)\n", i, "-")
+		} else {
+			v, _ := mon.Last()
 			f, ferr := mon.Forecast()
 			if ferr != nil {
-				fmt.Printf("%-6d %-12.3f %s\n", i, v, "(warming up)")
+				fmt.Printf("%-6d %-12.3f %s\n", i, v.V, "(warming up)")
 			} else {
 				sv := f.Stochastic()
-				fmt.Printf("%-6d %-12.3f %-14.3f %-12.3f %s\n", i, v, f.Value, sv.Spread, f.Best)
+				fmt.Printf("%-6d %-12.3f %-14.3f %-12.3f %s\n", i, v.V, f.Value, sv.Spread, f.Best)
 			}
 		}
 		if i < samples-1 {
 			time.Sleep(period)
 		}
 	}
-	if missed > 0 {
-		fmt.Printf("\nSensor health: %d/%d samples recorded, %d missed\n", samples-missed, samples, missed)
+	if g := mon.Gaps(); g.Missed > 0 {
+		fmt.Printf("\nSensor health: %d/%d samples recorded, %d missed\n", g.Recorded(), samples, g.Missed)
 	}
 	f, err := mon.Forecast()
 	if err != nil {

@@ -32,8 +32,10 @@
 // file instead of the built-in paper platforms; tenants instantiate lazily
 // on their first request. With -restore snap.bin, the daemon resumes a
 // fleet captured by POST /snapshot, bit-identical to a run that never
-// stopped. With -record-traces DIR, a clean shutdown records every
-// instantiated platform's load processes to DIR as versioned trace files
+// stopped. Beside either, the flags that shape only the built-in platforms
+// (-seed, -warmup and the fault flags) are refused with exit status 2.
+// With -record-traces DIR, a clean shutdown records every instantiated
+// platform's load processes to DIR as versioned trace files
 // (<platform>-cpu<i>.trace, plus <platform>-net.trace when the network is
 // contended) that predict.LoadSpec{Kind:"trace"} replays bit-identically.
 // With -pprof, net/http/pprof is mounted under /debug/pprof/;
@@ -91,6 +93,18 @@ func main() {
 		schedQ    = flag.Float64("sched-quantile", fleetsched.DefaultQuantile, "default quantile for the quantile placement policy (0,1)")
 	)
 	flag.Parse()
+	if *specsPath != "" || *restore != "" {
+		var set []string
+		flag.Visit(func(f *flag.Flag) {
+			if builtinOnly[f.Name] {
+				set = append(set, "-"+f.Name)
+			}
+		})
+		if len(set) > 0 {
+			fmt.Fprintf(os.Stderr, "predictd: %v shape only the built-in platforms; -specs and -restore bring their own\n", set)
+			os.Exit(2)
+		}
+	}
 	pol, err := fleetsched.ParsePolicy(*schedPol)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "predictd:", err)
@@ -103,6 +117,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "predictd:", err)
 		os.Exit(1)
 	}
+}
+
+// builtinOnly names the flags that shape only the built-in platforms: a
+// -specs fleet or a -restore image carries its own seeds, warm-ups and
+// fault schedules, so with either of them these flags would do nothing.
+var builtinOnly = map[string]bool{
+	"seed": true, "warmup": true, "drop": true, "transient": true, "spike": true,
+	"outage-start": true, "outage-end": true,
 }
 
 // faultFlags collects the sensor-fault knobs applied to every hosted

@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -257,6 +261,47 @@ func TestFaultFlagInjector(t *testing.T) {
 	}
 	if _, err := buildRegistry(1, 0, faultFlags{drop: 1.5}, nil); err == nil {
 		t.Error("out-of-range probability should fail")
+	}
+}
+
+// TestBuiltinFlagsRefusedBesideAFleet: -specs and -restore replace the
+// built-in platforms, so a flag that shapes only those is refused with exit
+// 2 instead of silently doing nothing. main runs in a child process of the
+// test binary; the file it is handed does not exist, so a daemon that got
+// past the check exits 1 on opening it and never serves.
+func TestBuiltinFlagsRefusedBesideAFleet(t *testing.T) {
+	if args := os.Getenv("PREDICTD_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"predictd"}, strings.Split(args, "\n")...)
+		main()
+		return
+	}
+	missing := filepath.Join(t.TempDir(), "missing")
+	run := func(args ...string) (int, string) {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestBuiltinFlagsRefusedBesideAFleet$")
+		cmd.Env = append(os.Environ(), "PREDICTD_TEST_ARGS="+strings.Join(args, "\n"))
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		var exit *exec.ExitError
+		if err := cmd.Run(); err != nil && !errors.As(err, &exit) {
+			t.Fatal(err)
+		}
+		return cmd.ProcessState.ExitCode(), stderr.String()
+	}
+	for _, args := range [][]string{
+		{"-specs", missing, "-drop", "0.1"},
+		{"-specs", missing, "-seed", "3", "-warmup", "60"},
+		{"-restore", missing, "-outage-start", "100", "-outage-end", "250"},
+		{"-restore", missing, "-transient", "0.2", "-spike", "0"},
+	} {
+		if code, stderr := run(args...); code != 2 || !strings.Contains(stderr, args[2]) {
+			t.Errorf("%v: exit %d, stderr %q; want exit 2 naming %s", args, code, stderr, args[2])
+		}
+	}
+	// Without them the same fleets pass the check and reach the file.
+	for _, args := range [][]string{{"-specs", missing, "-tick", "0"}, {"-restore", missing, "-sched-quantile", "0.9"}} {
+		if code, stderr := run(args...); code != 1 || !strings.Contains(stderr, "missing") {
+			t.Errorf("%v: exit %d, stderr %q; want exit 1 on the missing file", args, code, stderr)
+		}
 	}
 }
 

@@ -25,37 +25,17 @@ func mk(i int, z float64) Outcome {
 // jitter is a small deterministic unimodal perturbation.
 func jitter(i int) float64 { return 0.05 * float64(i%7-3) }
 
-func mustNew(t *testing.T, cfg Config) *Tracker {
+func mustNew(t *testing.T) *Tracker {
 	t.Helper()
-	tr, err := New(cfg)
+	tr, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return tr
 }
 
-func TestConfigValidation(t *testing.T) {
-	for _, cfg := range []Config{
-		{TargetCapture: 1.2},
-		{TargetCapture: -0.1},
-		{Window: 1},
-		{ScaleFloor: 0.5, ScaleCeil: 0.1},
-		{CUSUMSlack: -1},
-		{CUSUMLimit: -3},
-	} {
-		if _, err := New(cfg); err == nil {
-			t.Errorf("config %+v should fail validation", cfg)
-		}
-	}
-	tr := mustNew(t, Config{})
-	cfg := tr.Config()
-	if cfg.TargetCapture != DefaultTargetCapture || cfg.Window != DefaultWindow {
-		t.Errorf("defaults not applied: %+v", cfg)
-	}
-}
-
 func TestCaptureAccounting(t *testing.T) {
-	tr := mustNew(t, Config{})
+	tr := mustNew(t)
 	// 8 captured, 2 escaped (z = ±5 is outside a ±2σ interval).
 	for i := 0; i < 8; i++ {
 		tr.Observe(mk(i, jitter(i)))
@@ -81,18 +61,18 @@ func TestCaptureAccounting(t *testing.T) {
 }
 
 func TestConformalTightening(t *testing.T) {
-	tr := mustNew(t, Config{})
+	tr := mustNew(t)
 	// Residuals far smaller than the claimed half-width: scores ≈ 0.05,
 	// so the conformal quantile drops and the floor clamps the scale.
 	for i := 0; i < 32; i++ {
 		tr.Observe(mk(i, 0.1+0.02*float64(i%5)))
 	}
 	s := tr.Snapshot()
-	if s.Scale != DefaultScaleFloor {
-		t.Errorf("scale=%g, want floor %g for near-perfect predictions", s.Scale, DefaultScaleFloor)
+	if s.Scale != ScaleFloor {
+		t.Errorf("scale=%g, want floor %g for near-perfect predictions", s.Scale, ScaleFloor)
 	}
 	cal := tr.Calibrate(stochastic.New(10, 2))
-	if cal.Mean != 10 || cal.Spread != 2*DefaultScaleFloor {
+	if cal.Mean != 10 || cal.Spread != 2*ScaleFloor {
 		t.Errorf("calibrated=%v", cal)
 	}
 }
@@ -101,7 +81,7 @@ func TestConformalWidening(t *testing.T) {
 	// Residuals routinely escape the raw interval: scores ≈ 1.5-2, so the
 	// scale must rise above 1 — and the calibrated interval must then
 	// capture what the raw one missed.
-	tr := mustNew(t, Config{CUSUMLimit: 1e9}) // isolate the calibrator
+	tr := mustNew(t)
 	for i := 0; i < 40; i++ {
 		z := 3.0 + jitter(i) // outside ±2σ every time
 		if i%2 == 0 {
@@ -116,7 +96,7 @@ func TestConformalWidening(t *testing.T) {
 	if s.Scale <= 1 {
 		t.Fatalf("scale=%g, want > 1 when raw intervals under-cover", s.Scale)
 	}
-	if s.Scale > DefaultScaleCeil {
+	if s.Scale > ScaleCeil {
 		t.Fatalf("scale=%g above ceiling", s.Scale)
 	}
 	if s.CalibratedCapture <= s.RawCapture {
@@ -125,21 +105,20 @@ func TestConformalWidening(t *testing.T) {
 }
 
 func TestScaleCeiling(t *testing.T) {
-	tr := mustNew(t, Config{CUSUMLimit: 1e9})
+	// Every residual is +20σ: scores ≈ 10, far past the ceiling, and the
+	// same sign throughout, so the CUSUM's baseline absorbs the offset and
+	// the armed detector stays quiet.
+	tr := mustNew(t)
 	for i := 0; i < 30; i++ {
-		z := 20.0 + jitter(i)
-		if i%2 == 0 {
-			z = -z
-		}
-		tr.Observe(mk(i, z)) // scores ≈ 10, far past the ceiling
+		tr.Observe(mk(i, 20+jitter(i)))
 	}
-	if s := tr.Snapshot(); s.Scale != DefaultScaleCeil {
-		t.Errorf("scale=%g, want ceiling %g", s.Scale, DefaultScaleCeil)
+	if s := tr.Snapshot(); s.Scale != ScaleCeil {
+		t.Errorf("scale=%g, want ceiling %g", s.Scale, ScaleCeil)
 	}
 }
 
 func TestPointPredictionsPassThrough(t *testing.T) {
-	tr := mustNew(t, Config{})
+	tr := mustNew(t)
 	if got := tr.Calibrate(stochastic.Point(7)); got != stochastic.Point(7) {
 		t.Errorf("point value calibrated to %v", got)
 	}
@@ -159,7 +138,7 @@ func TestPointPredictionsPassThrough(t *testing.T) {
 }
 
 func TestCUSUMDriftAndReset(t *testing.T) {
-	tr := mustNew(t, Config{})
+	tr := mustNew(t)
 	// Steady regime, then a sustained +4σ shift in the residuals.
 	var fired *DriftEvent
 	for i := 0; i < 40; i++ {
@@ -197,7 +176,7 @@ func TestCUSUMDriftAndReset(t *testing.T) {
 }
 
 func TestNoDriftOnSteadyStream(t *testing.T) {
-	tr := mustNew(t, Config{})
+	tr := mustNew(t)
 	for i := 0; i < 200; i++ {
 		if ev, ok := tr.Observe(mk(i, jitter(i))); ok {
 			t.Fatalf("steady stream drifted at %d: %+v", i, ev)
@@ -212,7 +191,7 @@ func TestModeCountDrift(t *testing.T) {
 	// Residuals stay near zero mean throughout (the CUSUM sees nothing)
 	// but switch from unimodal noise to a ±2σ bimodal alternation — the
 	// Platform-2-style bursty shift the mode check exists for.
-	tr := mustNew(t, Config{})
+	tr := mustNew(t)
 	var fired *DriftEvent
 	for i := 0; i < 120; i++ {
 		z := jitter(i)
@@ -246,7 +225,7 @@ func TestModeCountDrift(t *testing.T) {
 // sequence hold byte-identical state, including under concurrent readers.
 func TestDeterministicState(t *testing.T) {
 	run := func() string {
-		tr := mustNew(t, Config{})
+		tr := mustNew(t)
 		var wg sync.WaitGroup
 		stop := make(chan struct{})
 		// Concurrent readers must not perturb the write path.
@@ -261,7 +240,6 @@ func TestDeterministicState(t *testing.T) {
 					default:
 						_ = tr.Snapshot()
 						_ = tr.Calibrate(stochastic.New(10, 2))
-						_ = tr.Scale()
 					}
 				}
 			}()
@@ -278,7 +256,7 @@ func TestDeterministicState(t *testing.T) {
 		}
 		close(stop)
 		wg.Wait()
-		return fmt.Sprintf("%#v|%#v", tr.Snapshot(), tr.Scale())
+		return fmt.Sprintf("%#v", tr.Snapshot())
 	}
 	a, b := run(), run()
 	if a != b {
@@ -289,7 +267,7 @@ func TestDeterministicState(t *testing.T) {
 // TestConcurrentObserve: parallel Observe calls race-cleanly; the
 // commutative aggregates agree with the sequential result.
 func TestConcurrentObserve(t *testing.T) {
-	tr := mustNew(t, Config{CUSUMLimit: 1e9})
+	tr := mustNew(t)
 	var wg sync.WaitGroup
 	const n = 64
 	for i := 0; i < n; i++ {

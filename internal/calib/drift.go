@@ -27,7 +27,7 @@ func (t *Tracker) detectLocked(r *WindowRec) (DriftEvent, bool) {
 		return DriftEvent{}, false
 	}
 	// Phase 1: accumulate the regime's residual baseline.
-	if t.baseN < t.cfg.MinObserved {
+	if t.baseN < MinObserved {
 		t.baseN++
 		t.baseSum += r.Z
 		r.Armed = false
@@ -40,9 +40,9 @@ func (t *Tracker) detectLocked(r *WindowRec) (DriftEvent, bool) {
 	// units of the raw interval. Slack k absorbs ordinary wander; a
 	// sustained shift accumulates toward the decision limit h.
 	d := r.Z - base
-	t.cusumPos = math.Max(0, t.cusumPos+d-t.cfg.CUSUMSlack)
-	t.cusumNeg = math.Max(0, t.cusumNeg-d-t.cfg.CUSUMSlack)
-	if stat := math.Max(t.cusumPos, t.cusumNeg); stat > t.cfg.CUSUMLimit {
+	t.cusumPos = math.Max(0, t.cusumPos+d-CUSUMSlack)
+	t.cusumNeg = math.Max(0, t.cusumNeg-d-CUSUMSlack)
+	if stat := math.Max(t.cusumPos, t.cusumNeg); stat > CUSUMLimit {
 		return DriftEvent{Time: r.Time, Seq: t.observed, Reason: ReasonCUSUM, Stat: stat}, true
 	}
 
@@ -53,7 +53,7 @@ func (t *Tracker) detectLocked(r *WindowRec) (DriftEvent, bool) {
 	// baseline, to fire; a regime that began multi-modal can only end by
 	// the CUSUM, so its checks keep their schedule but fit nothing.
 	t.sinceCheck++
-	if t.sinceCheck < t.cfg.ModeCheckEvery {
+	if t.sinceCheck < ModeCheck {
 		return DriftEvent{}, false
 	}
 	t.sinceCheck = 0
@@ -68,10 +68,10 @@ func (t *Tracker) detectLocked(r *WindowRec) (DriftEvent, bool) {
 		}
 	}
 	t.scratch = zs
-	if len(zs) < 2*t.cfg.MinObserved {
+	if len(zs) < 2*MinObserved {
 		return DriftEvent{}, false
 	}
-	mm, err := modal.FitBIC(zs, t.cfg.MaxModes)
+	mm, err := modal.FitBIC(zs, MaxModes)
 	if err != nil {
 		return DriftEvent{}, false // degenerate or short sample: no verdict
 	}

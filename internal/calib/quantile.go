@@ -150,7 +150,7 @@ func (t *Tracker) rescaleQuantilesLocked() {
 		}
 	}
 	t.scratch = resid
-	if len(resid) >= t.cfg.MinObserved {
+	if len(resid) >= MinObserved {
 		shift := stats.QuantileInPlace(resid, 0.5)
 		t.qShift = math.Min(math.Max(shift, -qShiftLimit), qShiftLimit)
 	}
@@ -162,7 +162,7 @@ func (t *Tracker) rescaleQuantilesLocked() {
 			m++
 		}
 	}
-	if m < t.cfg.MinObserved {
+	if m < MinObserved {
 		return
 	}
 	for side := 0; side < 2; side++ {
@@ -184,7 +184,7 @@ func (t *Tracker) rescaleQuantilesLocked() {
 				level = 1
 			}
 			q := stats.QuantileInPlace(scores, level)
-			q = math.Min(math.Max(q, t.cfg.QScaleFloor), t.cfg.QScaleCeil)
+			q = math.Min(math.Max(q, QScaleFloor), QScaleCeil)
 			if side == 0 {
 				t.qLo[i] = q
 			} else {
@@ -192,25 +192,6 @@ func (t *Tracker) rescaleQuantilesLocked() {
 			}
 		}
 	}
-}
-
-// QuantileScales returns copies of the current per-level multipliers for
-// the lower and upper quantile offsets, parallel to IntervalLevels. Both
-// are 1 per level until MinObserved distribution-valued outcomes accumulate
-// in the current regime.
-func (t *Tracker) QuantileScales() (lo, hi []float64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]float64(nil), t.qLo...), append([]float64(nil), t.qHi...)
-}
-
-// QuantileShift returns the current conformal median shift as a fraction
-// of the predictive median — 0 until MinObserved distribution-valued
-// outcomes accumulate in the current regime.
-func (t *Tracker) QuantileShift() float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.qShift
 }
 
 // CalibrateQuantiles recenters a raw quantile grid (QuantileGridLevels

@@ -43,11 +43,14 @@ func distOutcome(id uint64, mean, actual float64) Outcome {
 	}
 }
 
+// quantileScales reads the per-level multipliers off a snapshot.
+func quantileScales(tr *Tracker) (lo, hi []float64) {
+	s := tr.Snapshot()
+	return s.QuantileScaleLo, s.QuantileScaleHi
+}
+
 func TestQuantileScalesWidenUnderCoveredTails(t *testing.T) {
-	tr, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := mustNew(t)
 	// Actuals land alternately far above and far below the grid's outer
 	// quantiles: every level under-covers on both sides, so every
 	// multiplier must rise above 1. Alternation keeps the CUSUM drift
@@ -59,7 +62,7 @@ func TestQuantileScalesWidenUnderCoveredTails(t *testing.T) {
 		}
 		tr.Observe(distOutcome(uint64(i+1), 10, 10+d))
 	}
-	lo, hi := tr.QuantileScales()
+	lo, hi := quantileScales(tr)
 	for i := range IntervalLevels {
 		if !(lo[i] > 1) || !(hi[i] > 1) {
 			t.Fatalf("level %g scales lo=%g hi=%g, want both > 1 (all %v / %v)",
@@ -76,10 +79,7 @@ func TestQuantileScalesWidenUnderCoveredTails(t *testing.T) {
 }
 
 func TestQuantileScalesTightenOverCoveredGrid(t *testing.T) {
-	tr, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := mustNew(t)
 	// Actuals hug the median: the grid is far too wide everywhere and the
 	// multipliers should drop below 1 (down to the floor).
 	for i := 0; i < 40; i++ {
@@ -89,22 +89,19 @@ func TestQuantileScalesTightenOverCoveredGrid(t *testing.T) {
 		}
 		tr.Observe(distOutcome(uint64(i+1), 10, 10+d))
 	}
-	lo, hi := tr.QuantileScales()
+	lo, hi := quantileScales(tr)
 	for i := range IntervalLevels {
 		if !(lo[i] < 1) || !(hi[i] < 1) {
 			t.Fatalf("level %g scales lo=%g hi=%g, want both < 1", IntervalLevels[i], lo[i], hi[i])
 		}
-		if lo[i] < tr.Config().QScaleFloor || hi[i] < tr.Config().QScaleFloor {
-			t.Fatalf("scales %g/%g fell below floor %g", lo[i], hi[i], tr.Config().QScaleFloor)
+		if lo[i] < QScaleFloor || hi[i] < QScaleFloor {
+			t.Fatalf("scales %g/%g fell below floor %g", lo[i], hi[i], QScaleFloor)
 		}
 	}
 }
 
 func TestQuantileScalesAsymmetric(t *testing.T) {
-	tr, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := mustNew(t)
 	// Upper tail under-covers (large positive surprises), lower side is
 	// fine: hi multipliers must exceed lo multipliers.
 	for i := 0; i < 60; i++ {
@@ -114,7 +111,7 @@ func TestQuantileScalesAsymmetric(t *testing.T) {
 		}
 		tr.Observe(distOutcome(uint64(i+1), 10, 10+d))
 	}
-	lo, hi := tr.QuantileScales()
+	lo, hi := quantileScales(tr)
 	for i := range IntervalLevels {
 		if !(hi[i] > lo[i]) {
 			t.Fatalf("level %g: hi %g not above lo %g under upper-tail misses", IntervalLevels[i], hi[i], lo[i])
@@ -123,10 +120,7 @@ func TestQuantileScalesAsymmetric(t *testing.T) {
 }
 
 func TestCalibrateQuantilesAppliesScalesAndStaysMonotone(t *testing.T) {
-	tr, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := mustNew(t)
 	for i := 0; i < 40; i++ {
 		d := 2.0
 		if i%2 == 1 {
@@ -158,10 +152,7 @@ func TestCalibrateQuantilesAppliesScalesAndStaysMonotone(t *testing.T) {
 }
 
 func TestCalibrateQuantilesPassesThroughUnexpectedLength(t *testing.T) {
-	tr, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := mustNew(t)
 	raw := []float64{1, 2, 3}
 	got := tr.CalibrateQuantiles(nil, raw)
 	for i := range raw {
@@ -189,10 +180,7 @@ func TestGridPIT(t *testing.T) {
 }
 
 func TestQuantileStateRoundTrip(t *testing.T) {
-	tr, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := mustNew(t)
 	for i := 0; i < 40; i++ {
 		d := 2.0
 		if i%2 == 1 {
@@ -201,15 +189,12 @@ func TestQuantileStateRoundTrip(t *testing.T) {
 		tr.Observe(distOutcome(uint64(i+1), 10, 10+d))
 	}
 	st := tr.ExportState()
-	tr2, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr2 := mustNew(t)
 	if err := tr2.ImportState(st); err != nil {
 		t.Fatal(err)
 	}
-	lo1, hi1 := tr.QuantileScales()
-	lo2, hi2 := tr2.QuantileScales()
+	lo1, hi1 := quantileScales(tr)
+	lo2, hi2 := quantileScales(tr2)
 	for i := range IntervalLevels {
 		if lo1[i] != lo2[i] || hi1[i] != hi2[i] {
 			t.Fatalf("restored scales differ at level %g: %g/%g vs %g/%g",
@@ -226,8 +211,8 @@ func TestQuantileStateRoundTrip(t *testing.T) {
 		tr.Observe(o)
 		tr2.Observe(o)
 	}
-	lo1, hi1 = tr.QuantileScales()
-	lo2, hi2 = tr2.QuantileScales()
+	lo1, hi1 = quantileScales(tr)
+	lo2, hi2 = quantileScales(tr2)
 	for i := range IntervalLevels {
 		if lo1[i] != lo2[i] || hi1[i] != hi2[i] {
 			t.Fatalf("post-restore divergence at level %g", IntervalLevels[i])
@@ -236,10 +221,7 @@ func TestQuantileStateRoundTrip(t *testing.T) {
 }
 
 func TestQuantileShiftRecentersBiasedGrid(t *testing.T) {
-	tr, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := mustNew(t)
 	// The model systematically overpredicts: actuals sit ~12% below the
 	// predictive median. A pure around-the-median stretch cannot repair
 	// that; the conformal median shift must.
@@ -250,12 +232,8 @@ func TestQuantileShiftRecentersBiasedGrid(t *testing.T) {
 		}
 		tr.Observe(distOutcome(uint64(i+1), 10, 8.8+d))
 	}
-	shift := tr.QuantileShift()
-	if shift < -0.15 || shift > -0.09 {
+	if shift := tr.Snapshot().QuantileShift; shift < -0.15 || shift > -0.09 {
 		t.Fatalf("shift %g, want near -0.12", shift)
-	}
-	if got := tr.Snapshot().QuantileShift; got != shift {
-		t.Fatalf("snapshot shift %g != accessor %g", got, shift)
 	}
 	raw := gridAround(10, []float64{0.3, 0.55, 0.7, 0.85})
 	cal := tr.CalibrateQuantiles(nil, raw)
@@ -271,10 +249,7 @@ func TestQuantileShiftRecentersBiasedGrid(t *testing.T) {
 }
 
 func TestDriftResetClearsQuantileScales(t *testing.T) {
-	tr, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := mustNew(t)
 	for i := 0; i < 40; i++ {
 		d := 2.0
 		if i%2 == 1 {
@@ -282,14 +257,14 @@ func TestDriftResetClearsQuantileScales(t *testing.T) {
 		}
 		tr.Observe(distOutcome(uint64(i+1), 10, 10+d))
 	}
-	lo, _ := tr.QuantileScales()
+	lo, _ := quantileScales(tr)
 	if lo[0] == 1 {
 		t.Fatal("scales never moved; test needs a moving baseline")
 	}
 	tr.mu.Lock()
 	tr.resetLocked()
 	tr.mu.Unlock()
-	lo, hi := tr.QuantileScales()
+	lo, hi := quantileScales(tr)
 	for i := range IntervalLevels {
 		if lo[i] != 1 || hi[i] != 1 {
 			t.Fatalf("post-reset scales %v/%v, want all 1", lo, hi)
@@ -298,10 +273,7 @@ func TestDriftResetClearsQuantileScales(t *testing.T) {
 }
 
 func TestDriftResetKeepsQuantileShift(t *testing.T) {
-	tr, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := mustNew(t)
 	// Persistent ~12% overprediction: the shift is model bias, so a drift
 	// reset (a load-regime event) must not discard it.
 	for i := 0; i < 40; i++ {
@@ -311,14 +283,14 @@ func TestDriftResetKeepsQuantileShift(t *testing.T) {
 		}
 		tr.Observe(distOutcome(uint64(i+1), 10, 8.8+d))
 	}
-	before := tr.QuantileShift()
+	before := tr.Snapshot().QuantileShift
 	if before >= -0.09 {
 		t.Fatalf("shift %g never engaged; test needs a biased baseline", before)
 	}
 	tr.mu.Lock()
 	tr.resetLocked()
 	tr.mu.Unlock()
-	if after := tr.QuantileShift(); after != before {
+	if after := tr.Snapshot().QuantileShift; after != before {
 		t.Fatalf("drift reset changed shift %g -> %g; model bias should survive regime resets", before, after)
 	}
 }

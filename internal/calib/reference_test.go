@@ -46,15 +46,15 @@ func refRescale(t *Tracker) {
 		}
 	}
 	n := len(scores)
-	if n < t.cfg.MinObserved {
+	if n < MinObserved {
 		t.scale = 1
 		return
 	}
-	level := math.Ceil(float64(n+1)*t.cfg.TargetCapture) / float64(n)
+	level := math.Ceil(float64(n+1)*TargetCapture) / float64(n)
 	if level > 1 {
 		level = 1
 	}
-	t.scale = math.Min(math.Max(refQuantile(scores, level), t.cfg.ScaleFloor), t.cfg.ScaleCeil)
+	t.scale = math.Min(math.Max(refQuantile(scores, level), ScaleFloor), ScaleCeil)
 }
 
 func refRescaleQuantiles(t *Tracker) {
@@ -69,7 +69,7 @@ func refRescaleQuantiles(t *Tracker) {
 			resid = append(resid, r.QRel-1)
 		}
 	}
-	if len(resid) >= t.cfg.MinObserved {
+	if len(resid) >= MinObserved {
 		t.qShift = math.Min(math.Max(refQuantile(resid, 0.5), -qShiftLimit), qShiftLimit)
 	}
 	regime := t.regimeWindowLocked()
@@ -79,7 +79,7 @@ func refRescaleQuantiles(t *Tracker) {
 			m++
 		}
 	}
-	if m < t.cfg.MinObserved {
+	if m < MinObserved {
 		return
 	}
 	for side := 0; side < 2; side++ {
@@ -99,7 +99,7 @@ func refRescaleQuantiles(t *Tracker) {
 			if level > 1 {
 				level = 1
 			}
-			q := math.Min(math.Max(refQuantile(scores, level), t.cfg.QScaleFloor), t.cfg.QScaleCeil)
+			q := math.Min(math.Max(refQuantile(scores, level), QScaleFloor), QScaleCeil)
 			if side == 0 {
 				t.qLo[i] = q
 			} else {
@@ -113,7 +113,7 @@ func refDetect(t *Tracker, r *WindowRec) (DriftEvent, bool) {
 	if r.Excluded {
 		return DriftEvent{}, false
 	}
-	if t.baseN < t.cfg.MinObserved {
+	if t.baseN < MinObserved {
 		t.baseN++
 		t.baseSum += r.Z
 		r.Armed = false
@@ -121,13 +121,13 @@ func refDetect(t *Tracker, r *WindowRec) (DriftEvent, bool) {
 	}
 	r.Armed = true
 	d := r.Z - t.baseSum/float64(t.baseN)
-	t.cusumPos = math.Max(0, t.cusumPos+d-t.cfg.CUSUMSlack)
-	t.cusumNeg = math.Max(0, t.cusumNeg-d-t.cfg.CUSUMSlack)
-	if stat := math.Max(t.cusumPos, t.cusumNeg); stat > t.cfg.CUSUMLimit {
+	t.cusumPos = math.Max(0, t.cusumPos+d-CUSUMSlack)
+	t.cusumNeg = math.Max(0, t.cusumNeg-d-CUSUMSlack)
+	if stat := math.Max(t.cusumPos, t.cusumNeg); stat > CUSUMLimit {
 		return DriftEvent{Time: r.Time, Seq: t.observed, Reason: ReasonCUSUM, Stat: stat}, true
 	}
 	t.sinceCheck++
-	if t.sinceCheck < t.cfg.ModeCheckEvery {
+	if t.sinceCheck < ModeCheck {
 		return DriftEvent{}, false
 	}
 	t.sinceCheck = 0
@@ -137,10 +137,10 @@ func refDetect(t *Tracker, r *WindowRec) (DriftEvent, bool) {
 			zs = append(zs, w.Z)
 		}
 	}
-	if len(zs) < 2*t.cfg.MinObserved {
+	if len(zs) < 2*MinObserved {
 		return DriftEvent{}, false
 	}
-	mm, err := modal.FitBIC(zs, t.cfg.MaxModes)
+	mm, err := modal.FitBIC(zs, MaxModes)
 	if err != nil {
 		return DriftEvent{}, false
 	}
@@ -204,8 +204,7 @@ func refOutcome(rng *rand.Rand, i int, z float64) Outcome {
 // stateString renders everything a tracker exposes; %v prints the shortest
 // decimal that round-trips, so equal strings mean equal bits (-0 included).
 func stateString(t *Tracker) string {
-	lo, hi := t.QuantileScales()
-	return fmt.Sprintf("%+v\n%+v\n%v %v %v", t.ExportState(), t.Snapshot(), lo, hi, t.QuantileShift())
+	return fmt.Sprintf("%+v\n%+v", t.ExportState(), t.Snapshot())
 }
 
 // TestTrackerMatchesReference drives a Tracker and the reference calibrator
@@ -228,7 +227,7 @@ func TestTrackerMatchesReference(t *testing.T) {
 	for name, phases := range sequences {
 		for seed := int64(1); seed <= 3; seed++ {
 			rng := rand.New(rand.NewSource(seed))
-			got, want := mustNew(t, Config{}), mustNew(t, Config{})
+			got, want := mustNew(t), mustNew(t)
 			i := 0
 			for _, ph := range phases {
 				for s := 0; s < ph.steps; s++ {
@@ -249,7 +248,7 @@ func TestTrackerMatchesReference(t *testing.T) {
 					}
 					if rng.Intn(40) == 0 {
 						st, rst := got.ExportState(), want.ExportState()
-						got, want = mustNew(t, Config{}), mustNew(t, Config{})
+						got, want = mustNew(t), mustNew(t)
 						if err := got.ImportState(st); err != nil {
 							t.Fatal(err)
 						}

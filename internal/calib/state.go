@@ -32,9 +32,8 @@ type WindowRec struct {
 
 // State is the complete dynamic state of a Tracker in portable form, for
 // the snapshot/restore path: a Tracker evolves only through Observe, so
-// exporting this state and importing it into a Tracker built with the same
-// Config yields byte-identical future behavior for the same observation
-// sequence.
+// exporting this state and importing it into a fresh Tracker yields
+// byte-identical future behavior for the same observation sequence.
 type State struct {
 	Window []WindowRec
 	Drifts []DriftEvent
@@ -90,12 +89,12 @@ func (t *Tracker) ExportState() State {
 	return st
 }
 
-// ImportState replaces the tracker's dynamic state with st. The tracker
-// must carry the same Config the state was exported under (the window
-// bound, in particular, is validated here).
+// ImportState replaces the tracker's dynamic state with st. A state from
+// outside the program is checked first: its window must fit in Window and
+// its scale must be positive.
 func (t *Tracker) ImportState(st State) error {
-	if len(st.Window) > t.cfg.Window {
-		return fmt.Errorf("calib: state window %d exceeds configured window %d", len(st.Window), t.cfg.Window)
+	if len(st.Window) > Window {
+		return fmt.Errorf("calib: state window %d exceeds the window of %d", len(st.Window), Window)
 	}
 	if !(st.Scale > 0) {
 		return fmt.Errorf("calib: state scale %g must be positive", st.Scale)
@@ -121,9 +120,9 @@ func (t *Tracker) ImportState(st State) error {
 	t.sinceCheck = st.SinceCheck
 	t.baseModes = st.BaseModes
 	// The median shift and per-level quantile multipliers are a pure
-	// function of the regime window, so recompute rather than serialize
-	// them — a v1 state (no quantile fields) lands on zero-shift/all-ones
-	// exactly as a fresh tracker would.
+	// function of the window, so recompute rather than serialize them — a
+	// window with no distribution-valued record lands on zero shift and
+	// all-ones multipliers exactly as a fresh tracker would.
 	t.rescaleQuantilesLocked()
 	return nil
 }

@@ -44,24 +44,15 @@ func feedOutcomes(t *testing.T, tr *Tracker, start, n int) {
 // a fresh tracker with the same config reproduces the original exactly,
 // including after both ingest the same further outcomes.
 func TestTrackerStateRoundTrip(t *testing.T) {
-	a, err := New(Config{})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	a := mustNew(t)
 	feedOutcomes(t, a, 0, 150)
 
-	b, err := New(Config{})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	b := mustNew(t)
 	if err := b.ImportState(a.ExportState()); err != nil {
 		t.Fatalf("ImportState: %v", err)
 	}
 	if !reflect.DeepEqual(a.Snapshot(), b.Snapshot()) {
 		t.Fatalf("snapshots diverge after import:\n%+v\nvs\n%+v", a.Snapshot(), b.Snapshot())
-	}
-	if a.Scale() != b.Scale() {
-		t.Fatalf("scales diverge: %v vs %v", a.Scale(), b.Scale())
 	}
 
 	// Continue both with identical outcomes; they must stay in lockstep.
@@ -73,11 +64,8 @@ func TestTrackerStateRoundTrip(t *testing.T) {
 }
 
 func TestTrackerImportStateValidates(t *testing.T) {
-	tr, err := New(Config{Window: 8, MinObserved: 2})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if err := tr.ImportState(State{Window: make([]WindowRec, 9), Scale: 1}); err == nil {
+	tr := mustNew(t)
+	if err := tr.ImportState(State{Window: make([]WindowRec, Window+1), Scale: 1}); err == nil {
 		t.Fatal("want error for oversized window")
 	}
 	if err := tr.ImportState(State{Scale: 0}); err == nil {

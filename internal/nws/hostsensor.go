@@ -3,57 +3,41 @@ package nws
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"strconv"
 	"strings"
-	"time"
-
-	"prodpred/internal/timeseries"
 )
-
-// HostMonitor samples this machine's real CPU availability — the sensor an
-// actual NWS deployment would run. On Linux it reads /proc/loadavg and
-// converts the 1-minute load average into an availability fraction the way
-// the NWS CPU sensor does: avail = ncpu / (load + 1), clamped to [0, 1]
-// (the share an additional runnable process would receive). Unlike
-// Monitor, HostMonitor samples wall-clock time; it exists for live use and
-// for the host-calibration experiments, not for the deterministic
-// reproduction pipeline.
-type HostMonitor struct {
-	path string
-	ncpu float64
-	ring *timeseries.Ring
-	mix  *Mix
-}
 
 // ErrHostSensorUnavailable reports that this platform exposes no readable
 // load average.
 var ErrHostSensorUnavailable = errors.New("nws: host load sensor unavailable on this platform")
 
-// NewHostMonitor returns a monitor of the local machine's availability with
-// the given bounded history size. It fails on platforms without
-// /proc/loadavg.
-func NewHostMonitor(histSize int) (*HostMonitor, error) {
-	return newHostMonitor("/proc/loadavg", histSize)
-}
+// HostSensor returns the sensor of this machine's real CPU availability —
+// the one an actual NWS deployment would run. On Linux it reads
+// /proc/loadavg and converts the 1-minute load average into an availability
+// fraction the way the NWS CPU sensor does: avail = ncpu / (load + 1),
+// clamped to 1 (the share an additional runnable process would receive).
+// It reads the host now, whatever virtual time a Monitor asks for, so it
+// is for live use (cmd/hostmon), not the deterministic reproduction
+// pipeline. It fails on platforms without /proc/loadavg.
+func HostSensor() (Sensor, error) { return hostSensor("/proc/loadavg") }
 
-func newHostMonitor(path string, histSize int) (*HostMonitor, error) {
+func hostSensor(path string) (Sensor, error) {
 	if runtime.GOOS != "linux" {
 		return nil, ErrHostSensorUnavailable
 	}
 	if _, err := os.Stat(path); err != nil {
 		return nil, ErrHostSensorUnavailable
 	}
-	ring, err := timeseries.NewRing(histSize)
-	if err != nil {
-		return nil, err
-	}
-	return &HostMonitor{
-		path: path,
-		ncpu: float64(runtime.NumCPU()),
-		ring: ring,
-		mix:  NewMix(nil),
+	ncpu := float64(runtime.NumCPU())
+	return func(float64) (float64, error) {
+		load, err := readLoadAvg(path)
+		if err != nil {
+			return 0, err
+		}
+		return math.Min(ncpu/(load+1), 1), nil
 	}, nil
 }
 
@@ -76,34 +60,4 @@ func readLoadAvg(path string) (float64, error) {
 		return 0, fmt.Errorf("nws: negative loadavg %g", v)
 	}
 	return v, nil
-}
-
-// Sample takes one measurement now and scores the forecaster mix
-// postmortem against it.
-func (h *HostMonitor) Sample() (float64, error) {
-	loadavg, err := readLoadAvg(h.path)
-	if err != nil {
-		return 0, err
-	}
-	avail := h.ncpu / (loadavg + 1)
-	if avail > 1 {
-		avail = 1
-	}
-	if hist := h.ring.View(); len(hist) > 0 {
-		h.mix.Update(hist, avail)
-	}
-	h.ring.Push(float64(time.Now().UnixNano())/1e9, avail)
-	return avail, nil
-}
-
-// Len returns the number of stored measurements.
-func (h *HostMonitor) Len() int { return h.ring.Len() }
-
-// Forecast reports the NWS prediction of the host's availability from the
-// measurements taken so far.
-func (h *HostMonitor) Forecast() (Forecast, error) {
-	if h.ring.Len() == 0 {
-		return Forecast{}, errors.New("nws: no measurements yet")
-	}
-	return h.mix.Forecast(h.ring.View())
 }

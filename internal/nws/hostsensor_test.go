@@ -39,82 +39,90 @@ func TestReadLoadAvg(t *testing.T) {
 	}
 }
 
-func TestNewHostMonitorValidation(t *testing.T) {
+func TestHostSensorValidation(t *testing.T) {
 	if runtime.GOOS != "linux" {
-		if _, err := NewHostMonitor(10); !errors.Is(err, ErrHostSensorUnavailable) {
+		if _, err := HostSensor(); !errors.Is(err, ErrHostSensorUnavailable) {
 			t.Errorf("non-linux err=%v", err)
 		}
 		t.Skip("host sensor requires linux")
 	}
-	if _, err := newHostMonitor("/nonexistent/loadavg", 10); !errors.Is(err, ErrHostSensorUnavailable) {
+	if _, err := hostSensor("/nonexistent/loadavg"); !errors.Is(err, ErrHostSensorUnavailable) {
 		t.Errorf("missing path err=%v", err)
-	}
-	if _, err := NewHostMonitor(0); err == nil {
-		t.Error("zero history should fail")
 	}
 }
 
-func TestHostMonitorSampleAndForecast(t *testing.T) {
+// TestHostSensorMonitor drives the real host sensor through a Monitor, the
+// way cmd/hostmon does: one sample per virtual second.
+func TestHostSensorMonitor(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("host sensor requires linux")
 	}
-	h, err := NewHostMonitor(32)
+	s, err := HostSensor()
 	if err != nil {
 		t.Skipf("host sensor unavailable: %v", err)
 	}
-	if _, err := h.Forecast(); err == nil {
+	m, err := NewSensorMonitor(s, 1, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Forecast(); err == nil {
 		t.Error("forecast before sampling should fail")
 	}
 	for i := 0; i < 10; i++ {
-		v, err := h.Sample()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v <= 0 || v > 1 {
-			t.Fatalf("availability %g outside (0,1]", v)
+		m.RunUntil(float64(i))
+		p, ok := m.Last()
+		if !ok || p.V <= 0 || p.V > 1 {
+			t.Fatalf("sample %d: availability %g (ok %v) outside (0,1]", i, p.V, ok)
 		}
 	}
-	if h.Len() != 10 {
-		t.Errorf("history len=%d", h.Len())
+	if m.Len() != 10 || m.Gaps().Missed != 0 {
+		t.Errorf("history len=%d, missed=%d", m.Len(), m.Gaps().Missed)
 	}
-	f, err := h.Forecast()
+	f, err := m.Forecast()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f.Value <= 0 || f.Value > 1 {
 		t.Errorf("forecast=%g", f.Value)
 	}
-	sv := f.Stochastic()
-	if sv.Spread < 0 {
+	if sv := f.Stochastic(); sv.Spread < 0 {
 		t.Errorf("spread=%g", sv.Spread)
 	}
 }
 
-func TestHostMonitorFakeLoadavg(t *testing.T) {
+// TestHostSensorFakeLoadavg: a synthetic loadavg file makes the conversion
+// deterministic, and a read that fails is a gap the monitor records.
+func TestHostSensorFakeLoadavg(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("host sensor requires linux")
 	}
-	// Drive the monitor with a synthetic loadavg file to make the
-	// conversion deterministic.
 	dir := t.TempDir()
 	p := filepath.Join(dir, "loadavg")
 	if err := os.WriteFile(p, []byte("1.00 0 0\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	h, err := newHostMonitor(p, 8)
+	s, err := hostSensor(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := h.Sample()
+	m, err := NewSensorMonitor(s, 1, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.RunUntil(0)
 	// ncpu/(1+1) clamped to 1.
 	want := float64(runtime.NumCPU()) / 2
 	if want > 1 {
 		want = 1
 	}
-	if v != want {
-		t.Errorf("avail=%g want %g", v, want)
+	if v, _ := m.Last(); v.V != want {
+		t.Errorf("avail=%g want %g", v.V, want)
+	}
+	if err := os.WriteFile(p, []byte("garbage\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m.RunUntil(1)
+	if g := m.Gaps(); g.Missed != 1 || g.SensorErrors != 1 || m.Len() != 1 {
+		t.Errorf("failed read: gaps %+v, history %d, want one sensor error and the first sample kept", g, m.Len())
 	}
 }

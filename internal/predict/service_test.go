@@ -430,7 +430,7 @@ func TestObserveCalibratesIntervals(t *testing.T) {
 	if pred.CalibrationScale >= 1 {
 		t.Errorf("scale=%g, want < 1 after 24 dead-center outcomes", pred.CalibrationScale)
 	}
-	if pred.CalibrationScale < calib.DefaultScaleFloor {
+	if pred.CalibrationScale < calib.ScaleFloor {
 		t.Errorf("scale=%g below floor", pred.CalibrationScale)
 	}
 	if pred.Value.Spread >= pred.Raw.Spread || pred.Value.Spread == 0 {
@@ -476,7 +476,7 @@ func TestPredictHitAllocIndependentOfDriftLog(t *testing.T) {
 			t.Fatal(err)
 		}
 		drifts = len(snap.Drifts)
-		if snap.SinceReset == calib.DefaultMinObserved {
+		if snap.SinceReset == calib.MinObserved {
 			high = !high
 		}
 	}

@@ -364,8 +364,8 @@ type (
 	// is in virtual seconds.
 	PredictionService = predict.Service
 	// PredictConfig configures a PredictionService: platform, per-machine
-	// CPU load processes, network contention, monitoring period and
-	// history, optional fault injector, and fallback prior.
+	// CPU load processes, network contention, monitor history, optional
+	// fault injector, and optional metrics registry.
 	PredictConfig = predict.Config
 	// PredictRequest names what to predict: grid size, iteration count,
 	// partition strategy, Max strategy, and iteration relation.
@@ -414,9 +414,6 @@ type (
 	// statistics, a conformal half-width multiplier, and CUSUM +
 	// mode-count regime-drift detection. Safe for concurrent use.
 	AccuracyTracker = calib.Tracker
-	// CalibrationConfig tunes an AccuracyTracker (capture target, window,
-	// scale floor/ceiling, CUSUM sensitivity); zero fields take defaults.
-	CalibrationConfig = calib.Config
 	// CalibrationSnapshot is a consistent read of a tracker's accuracy and
 	// calibration state — what GET /accuracy serves.
 	CalibrationSnapshot = calib.Snapshot
@@ -426,10 +423,11 @@ type (
 	DriftEvent = calib.DriftEvent
 )
 
-// Calibration defaults and drift-event reasons.
+// The calibration target and drift-event reasons.
 const (
-	// DefaultTargetCapture is the paper's two-σ nominal coverage (~95%).
-	DefaultTargetCapture = calib.DefaultTargetCapture
+	// DefaultTargetCapture is the paper's two-σ nominal coverage (~95%),
+	// the capture rate every AccuracyTracker aims for.
+	DefaultTargetCapture = calib.TargetCapture
 	// DriftReasonCUSUM marks a sustained forecast-residual shift.
 	DriftReasonCUSUM = calib.ReasonCUSUM
 	// DriftReasonModeCount marks residuals that turned multi-modal.
@@ -437,10 +435,11 @@ const (
 )
 
 // NewAccuracyTracker returns a standalone online accuracy tracker — the
-// same machinery a PredictionService embeds, for callers that run their
-// own prediction loop.
-func NewAccuracyTracker(cfg CalibrationConfig) (*AccuracyTracker, error) {
-	return calib.New(cfg)
+// same machinery, at the same fixed tuning, a PredictionService embeds, for
+// callers that run their own prediction loop.
+func NewAccuracyTracker() *AccuracyTracker {
+	tr, _ := calib.New(calib.Config{}) // never fails
+	return tr
 }
 
 // StalenessDegradeRate is the per-period staleness widening rate shared by

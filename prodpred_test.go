@@ -271,13 +271,7 @@ func TestFacadePredictionService(t *testing.T) {
 func TestFacadeCalibration(t *testing.T) {
 	// Standalone tracker: feed dead-center outcomes until the conformal
 	// multiplier tightens below identity.
-	tr, err := NewAccuracyTracker(CalibrationConfig{TargetCapture: DefaultTargetCapture})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewAccuracyTracker(CalibrationConfig{TargetCapture: 2}); err == nil {
-		t.Error("invalid capture target should fail")
-	}
+	tr := NewAccuracyTracker()
 	for i := 0; i < 24; i++ {
 		raw := NewValue(10, 2)
 		out := CalibrationOutcome{
