@@ -1,9 +1,10 @@
 // Command predictd serves stochastic execution-time predictions over
 // HTTP/JSON — the predict.Service core exposed as a long-lived daemon
-// against the paper's simulated production platforms. It hosts Platform 1
-// (center-mode load) and Platform 2 (bursty 4-modal load) behind one
-// registry, advances their shared virtual clocks from wall time, and can
-// inject deterministic sensor faults to exercise the gap-aware monitors.
+// against the paper's simulated production platforms. By default it hosts
+// Platform 1 (center-mode load) and Platform 2 (bursty 4-modal load),
+// predict.SimulatedSpec(1, 1) and (2, 1) with 600 virtual seconds of
+// warm-up, behind one registry, and advances their shared virtual clocks
+// from wall time.
 //
 // Endpoints:
 //
@@ -30,10 +31,10 @@
 //
 // With -specs fleet.json, the daemon serves the declarative fleet in the
 // file instead of the built-in paper platforms; tenants instantiate lazily
-// on their first request. With -restore snap.bin, the daemon resumes a
-// fleet captured by POST /snapshot, bit-identical to a run that never
-// stopped. Beside either, the flags that shape only the built-in platforms
-// (-seed, -warmup and the fault flags) are refused with exit status 2.
+// on their first request, and a spec's seed, warmup, fault_seed and faults
+// keys are the way to serve other seeds, warm-ups or injected sensor
+// faults. With -restore snap.bin, the daemon resumes a fleet captured by
+// POST /snapshot, bit-identical to a run that never stopped.
 // With -record-traces DIR, a clean shutdown records every instantiated
 // platform's load processes to DIR as versioned trace files
 // (<platform>-cpu<i>.trace, plus <platform>-net.trace when the network is
@@ -44,7 +45,7 @@
 //
 // Usage:
 //
-//	predictd -addr :8080 -seed 1 -warmup 600 -tick 5 -drop 0.1 -pprof
+//	predictd -addr :8080 -tick 5 -pprof
 //	predictd -specs fleet.json
 //	predictd -restore snap.bin
 package main
@@ -73,101 +74,62 @@ import (
 	"prodpred/internal/workload"
 )
 
+// options is predictd's command line. OPERATIONS.md's "Starting the
+// daemon" table documents every flag; TestOperationsFlagTable holds the two
+// to each other.
+type options struct {
+	addr, specs, restore, recordDir, schedPolicy string
+	tick, schedQuantile                          float64
+	pprof, logRequests                           bool
+}
+
+// declareFlags defines predictd's flags on fs, bound to the returned
+// options.
+func declareFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.Float64Var(&o.tick, "tick", 5, "virtual seconds advanced per wall-clock second (0 = manual /advance only)")
+	fs.BoolVar(&o.pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/")
+	fs.BoolVar(&o.logRequests, "log-requests", false, "write one JSON access-log line per request to stderr")
+	fs.StringVar(&o.specs, "specs", "", "serve the declarative fleet in this JSON file instead of the built-in platforms")
+	fs.StringVar(&o.restore, "restore", "", "resume the fleet captured in this POST /snapshot image")
+	fs.StringVar(&o.recordDir, "record-traces", "", "on shutdown, record every instantiated platform's load processes as replayable trace files in this directory")
+	fs.StringVar(&o.schedPolicy, "sched-policy", string(fleetsched.PolicyQuantile), fmt.Sprintf("default POST /schedule placement policy %v", fleetsched.Policies))
+	fs.Float64Var(&o.schedQuantile, "sched-quantile", fleetsched.DefaultQuantile, "default quantile for the quantile placement policy (0,1)")
+	return o
+}
+
 func main() {
-	var (
-		addr      = flag.String("addr", ":8080", "listen address")
-		seed      = flag.Int64("seed", 1, "random seed for the simulated platforms")
-		warmup    = flag.Float64("warmup", 600, "virtual seconds of NWS warmup before serving")
-		tick      = flag.Float64("tick", 5, "virtual seconds advanced per wall-clock second (0 = manual /advance only)")
-		drop      = flag.Float64("drop", 0, "per-sample measurement drop probability on every machine")
-		transient = flag.Float64("transient", 0, "per-sample transient sensor-error probability on every machine")
-		spike     = flag.Float64("spike", 0, "per-sample outlier-spike probability on every machine")
-		outageAt  = flag.Float64("outage-start", 0, "outage window start on machine 0 (virtual s)")
-		outageEnd = flag.Float64("outage-end", 0, "outage window end on machine 0 (virtual s)")
-		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-		logReqs   = flag.Bool("log-requests", false, "write one JSON access-log line per request to stderr")
-		specsPath = flag.String("specs", "", "serve the declarative fleet in this JSON file instead of the built-in platforms")
-		restore   = flag.String("restore", "", "resume the fleet captured in this POST /snapshot image")
-		recordDir = flag.String("record-traces", "", "on shutdown, record every instantiated platform's load processes as replayable trace files in this directory")
-		schedPol  = flag.String("sched-policy", string(fleetsched.PolicyQuantile), fmt.Sprintf("default POST /schedule placement policy %v", fleetsched.Policies))
-		schedQ    = flag.Float64("sched-quantile", fleetsched.DefaultQuantile, "default quantile for the quantile placement policy (0,1)")
-	)
+	o := declareFlags(flag.CommandLine)
 	flag.Parse()
-	if *specsPath != "" || *restore != "" {
-		var set []string
-		flag.Visit(func(f *flag.Flag) {
-			if builtinOnly[f.Name] {
-				set = append(set, "-"+f.Name)
-			}
-		})
-		if len(set) > 0 {
-			fmt.Fprintf(os.Stderr, "predictd: %v shape only the built-in platforms; -specs and -restore bring their own\n", set)
-			os.Exit(2)
-		}
-	}
-	pol, err := fleetsched.ParsePolicy(*schedPol)
+	pol, err := fleetsched.ParsePolicy(o.schedPolicy)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "predictd:", err)
 		os.Exit(2)
 	}
-	if err := run(*addr, *seed, *warmup, *tick, faultFlags{
-		drop: *drop, transient: *transient, spike: *spike,
-		outageStart: *outageAt, outageEnd: *outageEnd,
-	}, *specsPath, *restore, *recordDir, fleetsched.Config{Policy: pol, Quantile: *schedQ}, *pprofOn, *logReqs); err != nil {
+	if err := run(o, fleetsched.Config{Policy: pol, Quantile: o.schedQuantile}); err != nil {
 		fmt.Fprintln(os.Stderr, "predictd:", err)
 		os.Exit(1)
 	}
 }
 
-// builtinOnly names the flags that shape only the built-in platforms: a
-// -specs fleet or a -restore image carries its own seeds, warm-ups and
-// fault schedules, so with either of them these flags would do nothing.
-var builtinOnly = map[string]bool{
-	"seed": true, "warmup": true, "drop": true, "transient": true, "spike": true,
-	"outage-start": true, "outage-end": true,
-}
-
-// faultFlags collects the sensor-fault knobs applied to every hosted
-// platform.
-type faultFlags struct {
-	drop, transient, spike float64
-	outageStart, outageEnd float64
-}
-
-// specs translates the flags into the declarative per-machine fault
-// schedules a PlatformSpec carries (nil when no fault class is enabled):
-// the same schedule on every machine, plus the outage window on machine 0.
-func (f faultFlags) specs(machines int) []predict.FaultSpec {
-	hasOutage := f.outageEnd > f.outageStart
-	if f.drop == 0 && f.transient == 0 && f.spike == 0 && !hasOutage {
-		return nil
-	}
-	out := make([]predict.FaultSpec, machines)
-	for m := range out {
-		out[m] = predict.FaultSpec{Machine: m, Drop: f.drop, Transient: f.transient, Spike: f.spike}
-		if m == 0 && hasOutage {
-			out[m].Outages = []predict.OutageSpec{{Start: f.outageStart, End: f.outageEnd}}
-		}
-	}
-	return out
-}
-
-// buildRegistry hosts both paper platforms under the same seed, warmup,
-// and fault schedule, declared as specs so the fleet is snapshottable.
-// The hosted defaults are instantiated eagerly: the daemon pays warmup at
-// startup, not on the first request. A non-nil metrics registry
-// instruments every service (per-stage timings, per-platform counters);
-// nil disables telemetry.
-func buildRegistry(seed int64, warmup float64, ff faultFlags, metrics *obs.Registry) (*predict.Registry, error) {
+// builtinRegistry hosts both paper platforms, SimulatedSpec(1, 1) and
+// SimulatedSpec(2, 1) with 600 virtual seconds of warm-up, declared as
+// specs so the fleet is snapshottable. They are instantiated eagerly: the
+// daemon pays the warm-up at startup, not on the first request. A non-nil
+// metrics registry instruments every service (per-stage timings,
+// per-platform counters); nil disables telemetry.
+func builtinRegistry(metrics *obs.Registry) (*predict.Registry, error) {
 	reg := predict.NewRegistryWith(predict.RegistryOptions{Metrics: metrics})
 	for _, id := range []int{1, 2} {
-		spec, err := predict.SimulatedSpec(id, seed)
+		spec, err := predict.SimulatedSpec(id, 1)
 		if err != nil {
 			return nil, err
 		}
-		spec.Warmup = warmup
-		spec.FaultSeed = seed + int64(id)
-		spec.Faults = ff.specs(len(spec.Machines))
+		spec.Warmup = 600
+		// No fault is injected, but snapshot images carry the spec: keep
+		// the fault seed every built-in image has held.
+		spec.FaultSeed = 1 + int64(id)
 		if err := reg.RegisterSpec(spec); err != nil {
 			return nil, err
 		}
@@ -213,40 +175,39 @@ func restoreRegistry(path string, metrics *obs.Registry) (*predict.Registry, err
 	return reg, nil
 }
 
-func run(addr string, seed int64, warmup, tick float64, ff faultFlags, specsPath, restorePath, recordDir string, sched fleetsched.Config, pprofOn, logReqs bool) error {
+func run(o *options, sched fleetsched.Config) error {
 	metrics := obs.NewRegistry()
 	var reg *predict.Registry
 	var err error
 	switch {
-	case restorePath != "" && specsPath != "":
+	case o.restore != "" && o.specs != "":
 		return errors.New("-specs and -restore are mutually exclusive")
-	case restorePath != "":
-		reg, err = restoreRegistry(restorePath, metrics)
-	case specsPath != "":
-		reg, err = specRegistry(specsPath, metrics)
+	case o.restore != "":
+		reg, err = restoreRegistry(o.restore, metrics)
+	case o.specs != "":
+		reg, err = specRegistry(o.specs, metrics)
 	default:
-		reg, err = buildRegistry(seed, warmup, ff, metrics)
+		reg, err = builtinRegistry(metrics)
 	}
 	if err != nil {
 		return err
 	}
-	opts := api.Options{Metrics: metrics, EnablePprof: pprofOn, Sched: sched}
-	if logReqs {
+	opts := api.Options{Metrics: metrics, EnablePprof: o.pprof, Sched: sched}
+	if o.logRequests {
 		opts.AccessLog = log.New(os.Stderr, "", 0)
 	}
-	ln, err := net.Listen("tcp", addr)
+	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
 		return err
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	log.Printf("predictd: serving %v on %s (tick %gx, warmup %gs, pprof %v)",
-		reg.Names(), ln.Addr(), tick, warmup, pprofOn)
-	if err := serve(ctx, reg, ln, tick, api.NewHandler(reg, opts)); err != nil {
+	log.Printf("predictd: serving %v on %s (tick %gx, pprof %v)", reg.Names(), ln.Addr(), o.tick, o.pprof)
+	if err := serve(ctx, reg, ln, o.tick, api.NewHandler(reg, opts)); err != nil {
 		return err
 	}
-	if recordDir != "" {
-		return recordFleet(reg, recordDir)
+	if o.recordDir != "" {
+		return recordFleet(reg, o.recordDir)
 	}
 	return nil
 }

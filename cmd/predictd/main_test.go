@@ -4,14 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
+	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -22,20 +22,45 @@ import (
 )
 
 // newTestServer builds the daemon's full stack — registry, services,
-// injected faults, shared metrics registry — behind an httptest server.
-// Faults: 30% dropout on every machine plus an outage window on machine 0
-// that the warmup period crosses, so the gap-aware path is exercised end
-// to end.
+// injected faults, shared metrics registry — behind an httptest server. The
+// fleet is the two paper platforms at seed, 600 s of warm-up, served from a
+// -specs file whose faults keys inject 30% dropout on every machine plus an
+// outage window on machine 0 that the warm-up crosses, so the gap-aware path
+// is exercised end to end. Both platforms are instantiated before the first
+// request, as the built-in fleet is.
 func newTestServer(t *testing.T, seed int64) (*httptest.Server, *predict.Registry) {
 	t.Helper()
-	metrics := obs.NewRegistry()
-	reg, err := buildRegistry(seed, 600, faultFlags{
-		drop:        0.3,
-		outageStart: 100,
-		outageEnd:   250,
-	}, metrics)
+	var specs []predict.PlatformSpec
+	for _, id := range []int{1, 2} {
+		spec, err := predict.SimulatedSpec(id, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.Warmup = 600
+		spec.FaultSeed = seed + int64(id)
+		for m := range spec.Machines {
+			spec.Faults = append(spec.Faults, predict.FaultSpec{Machine: m, Drop: 0.3})
+		}
+		spec.Faults[0].Outages = []predict.OutageSpec{{Start: 100, End: 250}}
+		specs = append(specs, spec)
+	}
+	raw, err := json.Marshal(specs)
 	if err != nil {
 		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "fleet.json")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	metrics := obs.NewRegistry()
+	reg, err := specRegistry(path, metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range specs {
+		if _, err := reg.Lookup(spec.Name); err != nil {
+			t.Fatal(err)
+		}
 	}
 	ts := httptest.NewServer(api.NewHandler(reg, api.Options{Metrics: metrics}))
 	t.Cleanup(ts.Close)
@@ -234,7 +259,7 @@ func TestReportAndAdvanceEndpoints(t *testing.T) {
 	}
 }
 
-// TestServingDeterminism: two daemons with the same seed and fault flags
+// TestServingDeterminism: two daemons with the same seed and fault specs
 // serve bit-identical predictions — the serving layer preserves the
 // pipeline's same-seed determinism even under injected faults.
 func TestServingDeterminism(t *testing.T) {
@@ -252,56 +277,40 @@ func TestServingDeterminism(t *testing.T) {
 	}
 }
 
-func TestFaultFlagInjector(t *testing.T) {
-	if fs := (faultFlags{}).specs(4); fs != nil {
-		t.Errorf("no flags should declare no faults: %v", fs)
+// TestOperationsFlagTable: the flag tables under OPERATIONS.md's "Starting
+// the daemon" list exactly the flags predictd declares, so a deleted flag
+// does not live on in the runbook and a new one cannot go undocumented.
+func TestOperationsFlagTable(t *testing.T) {
+	raw, err := os.ReadFile("../../OPERATIONS.md")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if fs := (faultFlags{drop: 0.5}).specs(4); len(fs) != 4 || fs[3].Drop != 0.5 {
-		t.Errorf("drop flag should declare a schedule per machine: %v", fs)
+	_, section, ok := strings.Cut(string(raw), "\n## Starting the daemon\n")
+	if !ok {
+		t.Fatal(`OPERATIONS.md has no "## Starting the daemon" section`)
 	}
-	if _, err := buildRegistry(1, 0, faultFlags{drop: 1.5}, nil); err == nil {
-		t.Error("out-of-range probability should fail")
-	}
-}
-
-// TestBuiltinFlagsRefusedBesideAFleet: -specs and -restore replace the
-// built-in platforms, so a flag that shapes only those is refused with exit
-// 2 instead of silently doing nothing. main runs in a child process of the
-// test binary; the file it is handed does not exist, so a daemon that got
-// past the check exits 1 on opening it and never serves.
-func TestBuiltinFlagsRefusedBesideAFleet(t *testing.T) {
-	if args := os.Getenv("PREDICTD_TEST_ARGS"); args != "" {
-		os.Args = append([]string{"predictd"}, strings.Split(args, "\n")...)
-		main()
-		return
-	}
-	missing := filepath.Join(t.TempDir(), "missing")
-	run := func(args ...string) (int, string) {
-		cmd := exec.Command(os.Args[0], "-test.run=^TestBuiltinFlagsRefusedBesideAFleet$")
-		cmd.Env = append(os.Environ(), "PREDICTD_TEST_ARGS="+strings.Join(args, "\n"))
-		var stderr bytes.Buffer
-		cmd.Stderr = &stderr
-		var exit *exec.ExitError
-		if err := cmd.Run(); err != nil && !errors.As(err, &exit) {
-			t.Fatal(err)
+	section, _, _ = strings.Cut(section, "\n## ")
+	documented := map[string]bool{}
+	flagName := regexp.MustCompile("`-([a-z-]+)`")
+	for _, line := range strings.Split(section, "\n") {
+		if !strings.HasPrefix(line, "| `-") {
+			continue
 		}
-		return cmd.ProcessState.ExitCode(), stderr.String()
-	}
-	for _, args := range [][]string{
-		{"-specs", missing, "-drop", "0.1"},
-		{"-specs", missing, "-seed", "3", "-warmup", "60"},
-		{"-restore", missing, "-outage-start", "100", "-outage-end", "250"},
-		{"-restore", missing, "-transient", "0.2", "-spike", "0"},
-	} {
-		if code, stderr := run(args...); code != 2 || !strings.Contains(stderr, args[2]) {
-			t.Errorf("%v: exit %d, stderr %q; want exit 2 naming %s", args, code, stderr, args[2])
+		cell, _, _ := strings.Cut(line[1:], "|")
+		for _, m := range flagName.FindAllStringSubmatch(cell, -1) {
+			documented[m[1]] = true
 		}
 	}
-	// Without them the same fleets pass the check and reach the file.
-	for _, args := range [][]string{{"-specs", missing, "-tick", "0"}, {"-restore", missing, "-sched-quantile", "0.9"}} {
-		if code, stderr := run(args...); code != 1 || !strings.Contains(stderr, "missing") {
-			t.Errorf("%v: exit %d, stderr %q; want exit 1 on the missing file", args, code, stderr)
+	fs := flag.NewFlagSet("predictd", flag.ContinueOnError)
+	declareFlags(fs)
+	fs.VisitAll(func(f *flag.Flag) {
+		if !documented[f.Name] {
+			t.Errorf("predictd's -%s is missing from OPERATIONS.md's flag table", f.Name)
 		}
+		delete(documented, f.Name)
+	})
+	for name := range documented {
+		t.Errorf("OPERATIONS.md's flag table documents -%s, which predictd does not declare", name)
 	}
 }
 
@@ -450,7 +459,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // ephemeral port, answer a request, cancel the context, and require a
 // clean drain — the path main exercises on SIGINT.
 func TestGracefulShutdown(t *testing.T) {
-	reg, err := buildRegistry(9, 600, faultFlags{}, nil)
+	reg, err := builtinRegistry(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,14 +30,21 @@ func FuzzParseValue(f *testing.F) {
 }
 
 // FuzzEval checks the expression evaluator never panics on arbitrary
-// argument vectors.
+// argument vectors, and that every value it answers without an error is
+// finite. Run with `go test -fuzz=FuzzEval ./cmd/stochcalc`.
 func FuzzEval(f *testing.F) {
 	f.Add("8±2", "+u", "5±1.5")
 	f.Add("max-prob", "4±0.5", "3±2")
 	f.Add("1", "/u", "0")
 	f.Fuzz(func(t *testing.T, a, b, c string) {
-		// Errors are fine; panics are not.
-		_, _ = eval([]string{a, b, c})
-		_, _ = eval([]string{a})
+		for _, args := range [][]string{{a, b, c}, {a}} {
+			v, err := eval(args)
+			if err != nil {
+				continue
+			}
+			if math.IsInf(v.Mean, 0) || math.IsNaN(v.Mean) || math.IsInf(v.Spread, 0) || math.IsNaN(v.Spread) {
+				t.Fatalf("eval(%q) = %v: not finite", args, v)
+			}
+		}
 	})
 }

@@ -28,12 +28,12 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	out, err := eval(args)
+	v, err := eval(args)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "stochcalc:", err)
 		os.Exit(1)
 	}
-	fmt.Println(out)
+	fmt.Println(v)
 }
 
 func usage() {
@@ -42,7 +42,10 @@ func usage() {
 values: 8, 8±2, 12±30%   ops: +r +u -r -u *r *u /r /u`)
 }
 
-func eval(args []string) (string, error) {
+// eval computes the expression in args. It refuses what float64 arithmetic
+// cannot answer: a division by a zero-mean value, and any result whose mean
+// or spread is not finite (an overflow, or a NaN).
+func eval(args []string) (stochastic.Value, error) {
 	switch args[0] {
 	case "max-mean", "max-mag", "max-prob":
 		strategy := map[string]stochastic.MaxStrategy{
@@ -54,30 +57,36 @@ func eval(args []string) (string, error) {
 		for _, a := range args[1:] {
 			v, err := parseValue(a)
 			if err != nil {
-				return "", err
+				return stochastic.Value{}, err
 			}
 			vs = append(vs, v)
 		}
 		res, err := stochastic.Max(strategy, vs...)
 		if err != nil {
-			return "", err
+			return stochastic.Value{}, err
 		}
-		return res.String(), nil
+		return finite(res)
 	}
 
 	acc, err := parseValue(args[0])
 	if err != nil {
-		return "", err
+		return stochastic.Value{}, err
 	}
 	rest := args[1:]
 	for len(rest) > 0 {
+		if _, err := finite(acc); err != nil {
+			return stochastic.Value{}, err
+		}
 		if len(rest) < 2 {
-			return "", fmt.Errorf("dangling operator %q", rest[0])
+			return stochastic.Value{}, fmt.Errorf("dangling operator %q", rest[0])
 		}
 		op := rest[0]
 		rhs, err := parseValue(rest[1])
 		if err != nil {
-			return "", err
+			return stochastic.Value{}, err
+		}
+		if (op == "/r" || op == "/u") && rhs.Mean == 0 {
+			return stochastic.Value{}, fmt.Errorf("division by the zero-mean value %q", rest[1])
 		}
 		switch op {
 		case "+r":
@@ -97,11 +106,20 @@ func eval(args []string) (string, error) {
 		case "/u":
 			acc = acc.DivUnrelated(rhs)
 		default:
-			return "", fmt.Errorf("unknown operator %q", op)
+			return stochastic.Value{}, fmt.Errorf("unknown operator %q", op)
 		}
 		rest = rest[2:]
 	}
-	return acc.String(), nil
+	return finite(acc)
+}
+
+// finite passes v through, or refuses it when its mean or spread is
+// infinite or NaN.
+func finite(v stochastic.Value) (stochastic.Value, error) {
+	if math.IsInf(v.Mean, 0) || math.IsNaN(v.Mean) || math.IsInf(v.Spread, 0) || math.IsNaN(v.Spread) {
+		return stochastic.Value{}, fmt.Errorf("result %v is not finite", v)
+	}
+	return v, nil
 }
 
 // parseValue accepts "8", "8±2", "8+-2", "12±30%", "12+-30%".

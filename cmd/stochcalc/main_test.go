@@ -41,12 +41,12 @@ func TestParseValueErrors(t *testing.T) {
 }
 
 func TestEvalChain(t *testing.T) {
-	out, err := eval([]string{"8±2", "+u", "5±1.5", "*r", "2"})
+	v, err := eval([]string{"8±2", "+u", "5±1.5", "*r", "2"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// (8±2 +u 5±1.5) = 13±2.5; *r 2 = 26±5.
-	if !strings.Contains(out, "26") || !strings.Contains(out, "5") {
+	if out := v.String(); !strings.Contains(out, "26") || !strings.Contains(out, "5") {
 		t.Errorf("eval chain=%q", out)
 	}
 	for _, op := range []string{"+r", "-r", "-u", "*u", "/r", "/u"} {
@@ -57,24 +57,20 @@ func TestEvalChain(t *testing.T) {
 }
 
 func TestEvalMax(t *testing.T) {
-	out, err := eval([]string{"max-mean", "4±0.5", "3±2", "3±1"})
+	v, err := eval([]string{"max-mean", "4±0.5", "3±2", "3±1"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(out, "4 ±") {
-		t.Errorf("max-mean=%q", out)
+	if !strings.HasPrefix(v.String(), "4 ±") {
+		t.Errorf("max-mean=%v", v)
 	}
-	out, err = eval([]string{"max-mag", "4±0.5", "3±2"})
-	if err != nil || !strings.HasPrefix(out, "3 ±") {
-		t.Errorf("max-mag=%q err=%v", out, err)
+	v, err = eval([]string{"max-mag", "4±0.5", "3±2"})
+	if err != nil || !strings.HasPrefix(v.String(), "3 ±") {
+		t.Errorf("max-mag=%v err=%v", v, err)
 	}
-	out, err = eval([]string{"max-prob", "4±0.5", "3±2"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := parseValue(strings.ReplaceAll(out, " ", ""))
+	v, err = eval([]string{"max-prob", "4±0.5", "3±2"})
 	if err != nil || math.Abs(v.Mean-4.1) > 0.2 {
-		t.Errorf("max-prob=%q", out)
+		t.Errorf("max-prob=%v err=%v", v, err)
 	}
 }
 
@@ -96,5 +92,18 @@ func TestEvalErrors(t *testing.T) {
 	}
 	if _, err := eval([]string{"max-mean", "bad"}); err == nil {
 		t.Error("bad max operand should fail")
+	}
+	// Undefined or overflowing arithmetic is an error, not an Inf or a NaN.
+	for _, args := range [][]string{
+		{"8±2", "/u", "0±0"},
+		{"0", "/u", "0"},
+		{"8±2", "/r", "0±1"},
+		{"1e308", "*r", "1e308"},
+		{"1e308", "+u", "1e308", "-u", "1"},
+		{"1e308±1e308%"},
+	} {
+		if v, err := eval(args); err == nil {
+			t.Errorf("eval(%q) = %v, want an error", args, v)
+		}
 	}
 }

@@ -5,11 +5,15 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"prodpred/internal/obs"
@@ -492,4 +496,148 @@ func TestFleetAdvanceMatchesPerTenant(t *testing.T) {
 	if rec := post(whole, "/advance", `{"seconds":-5}`); rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "seconds must be positive") {
 		t.Errorf("negative fleet-wide advance: status %d: %s", rec.Code, rec.Body)
 	}
+}
+
+// postOK posts body as JSON to url and decodes a 200 answer into out (when
+// non-nil); any other status is an error naming the route and the answer.
+func postOK(url string, body, out any) error {
+	raw, err := json.Marshal(body)
+	if err != nil {
+		return err
+	}
+	resp, err := http.Post(url, "application/json", bytes.NewReader(raw))
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	got, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("%s: status %d: %s", url, resp.StatusCode, got)
+	}
+	if out == nil {
+		return nil
+	}
+	return json.Unmarshal(got, out)
+}
+
+// TestConcurrentTrafficAcrossKillRestore is the crash-recovery drill under
+// concurrent closed-loop clients over real sockets. Workers mix single and
+// batch predicts, observes, clock steps and one-job placements across a
+// fleet of lazily instantiated tenants; then POST /snapshot captures the
+// fleet, the server is torn down, a new one is restored from the image, and
+// the same workers go on, first observing the predictions they left open
+// before the cut. Every call on either server must succeed, the restored
+// fleet must hold the same tenants, cold ones still cold, and each server's
+// GET /schedule/status must count exactly the placements made on it.
+func TestConcurrentTrafficAcrossKillRestore(t *testing.T) {
+	const tenants, workers, rounds = 24, 4, 12
+	open := make([][]ObserveRequest, workers) // per worker: predictions not yet observed
+	phase := func(url string, seed int64) {
+		var placed atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for _, o := range open[w] {
+					if err := postOK(url+"/observe", o, nil); err != nil {
+						t.Errorf("worker %d: observing a prediction left open: %v", w, err)
+						return
+					}
+				}
+				open[w] = nil
+				rng := rand.New(rand.NewSource(seed*workers + int64(w)))
+				for r := 0; r < rounds; r++ {
+					tenant := fmt.Sprintf("tenant-%04d", rng.Intn(tenants))
+					req := PredictRequest{Platform: tenant, N: 120, Iterations: 4}
+					var pr PredictResponse
+					if r%2 == 0 {
+						if err := postOK(url+"/predict", req, &pr); err != nil {
+							t.Errorf("worker %d: %v", w, err)
+							return
+						}
+					} else {
+						var br BatchPredictResponse
+						err := postOK(url+"/predict/batch", BatchPredictRequest{Requests: []PredictRequest{req, req, req, req}}, &br)
+						if err != nil || br.Errors != 0 || len(br.Responses) != 4 || br.Responses[0].PredictResponse == nil {
+							t.Errorf("worker %d: batch: %v %+v", w, err, br)
+							return
+						}
+						pr = *br.Responses[0].PredictResponse
+					}
+					ob := ObserveRequest{Platform: tenant, ID: pr.ID, Actual: pr.Mean}
+					if r%3 == 0 {
+						open[w] = append(open[w], ob)
+					} else if err := postOK(url+"/observe", ob, nil); err != nil {
+						t.Errorf("worker %d: %v", w, err)
+						return
+					}
+					if r%4 == 3 {
+						if err := postOK(url+"/advance", AdvanceRequest{Platform: tenant, Seconds: 5}, nil); err != nil {
+							t.Errorf("worker %d: %v", w, err)
+							return
+						}
+					}
+					if r%3 == 1 {
+						var sr ScheduleResponse
+						job := ScheduleJob{Name: fmt.Sprintf("w%d-r%d", w, r), N: 120, Iterations: 4}
+						if err := postOK(url+"/schedule", ScheduleRequest{Jobs: []ScheduleJob{job}}, &sr); err != nil || sr.Unplaced != 0 || len(sr.Placements) != 1 {
+							t.Errorf("worker %d: schedule: %v %+v", w, err, sr)
+							return
+						}
+						placed.Add(1)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		resp, err := http.Get(url + "/schedule/status")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st struct {
+			Submitted int64 `json:"submitted"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		if st.Submitted != placed.Load() {
+			t.Errorf("/schedule/status counts %d submitted jobs, the workers placed %d", st.Submitted, placed.Load())
+		}
+	}
+
+	reg := predict.NewRegistry()
+	for _, spec := range predict.FleetSpecs(tenants, 1) {
+		if err := reg.RegisterSpec(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := httptest.NewServer(NewHandler(reg, Options{Metrics: obs.NewRegistry()}))
+	phase(ts.URL, 1)
+	resp, err := http.Post(ts.URL+"/snapshot", "application/octet-stream", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	image, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("snapshot: status %d, %v", resp.StatusCode, err)
+	}
+	ts.Close()
+
+	back, err := predict.ReadSnapshot(bytes.NewReader(image), predict.RegistryOptions{Metrics: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back.Names(), reg.Names()) || len(back.Services()) != len(reg.Services()) {
+		t.Fatalf("restored %d tenants, %d live; the killed server had %d, %d live",
+			len(back.Names()), len(back.Services()), len(reg.Names()), len(reg.Services()))
+	}
+	restored := httptest.NewServer(NewHandler(back, Options{}))
+	defer restored.Close()
+	phase(restored.URL, 2)
 }

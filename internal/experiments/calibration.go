@@ -95,7 +95,7 @@ func calibScenarios() []calibScenario {
 					if err != nil {
 						return nil, err
 					}
-					if cpu[i], err = load.NewSwitch(switchAt, light, bursty); err != nil {
+					if cpu[i], err = load.NewSwitch([]float64{switchAt}, light, bursty); err != nil {
 						return nil, err
 					}
 				}

@@ -364,7 +364,7 @@ func TestRecordNoDriftOnLongRanges(t *testing.T) {
 func TestSwitchRegimeChange(t *testing.T) {
 	before := NewConstant(0.9)
 	after := NewConstant(0.2)
-	sw, err := NewSwitch(500, before, after)
+	sw, err := NewSwitch([]float64{500}, before, after)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,17 +385,36 @@ func TestSwitchRegimeChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw2, err := NewSwitch(100, before, fine)
+	sw2, err := NewSwitch([]float64{100}, before, fine)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sw2.Interval() != 0.25 {
 		t.Errorf("interval=%g want 0.25", sw2.Interval())
 	}
-	if _, err := NewSwitch(0, before, after); err == nil {
+	if _, err := NewSwitch([]float64{0}, before, after); err == nil {
 		t.Error("non-positive switch time should fail")
 	}
-	if _, err := NewSwitch(10, nil, after); err == nil {
+	if _, err := NewSwitch([]float64{10}, nil, after); err == nil {
 		t.Error("nil process should fail")
+	}
+	// n regimes: regime j holds on [at[j-1], at[j]).
+	mid := NewConstant(0.5)
+	sw3, err := NewSwitch([]float64{100, 200}, before, mid, after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ t, want float64 }{{0, 0.9}, {99, 0.9}, {100, 0.5}, {199, 0.5}, {200, 0.2}, {1e6, 0.2}} {
+		if v := sw3.At(c.t); v != c.want {
+			t.Errorf("three regimes at t=%g: %g, want %g", c.t, v, c.want)
+		}
+	}
+	for _, at := range [][]float64{{200, 100}, {100, 100}, {100}, {100, 200, 300}} {
+		if _, err := NewSwitch(at, before, mid, after); err == nil {
+			t.Errorf("boundaries %v for three regimes should fail", at)
+		}
+	}
+	if _, err := NewSwitch(nil, before); err == nil {
+		t.Error("a single regime should fail")
 	}
 }

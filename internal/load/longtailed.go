@@ -13,10 +13,10 @@ import (
 // threshold near the achievable maximum with a long tail of congested
 // samples, and a median above the mean.
 //
-// The process emits clamp01(peak - D) per tick, where D is a lognormal
+// The process emits Clamp01(peak - D) per tick, where D is a lognormal
 // congestion drop.
 type LongTailed struct {
-	c *cache
+	c *Sequence
 }
 
 // NewLongTailed constructs the process. peak is the availability ceiling in
@@ -35,13 +35,13 @@ func NewLongTailed(peak, dropMean, dropStd, dt float64, seed int64) (*LongTailed
 	}
 	rng := rand.New(rand.NewSource(seed))
 	gen := func(i int, prev float64) float64 {
-		return clamp01(peak - ln.Sample(rng))
+		return Clamp01(peak - ln.Sample(rng))
 	}
-	return &LongTailed{c: newCache(dt, gen)}, nil
+	return &LongTailed{c: NewSequence(dt, gen)}, nil
 }
 
 // At implements Process.
-func (l *LongTailed) At(t float64) float64 { return l.c.at(t) }
+func (l *LongTailed) At(t float64) float64 { return l.c.At(t) }
 
 // Interval implements Process.
 func (l *LongTailed) Interval() float64 { return l.c.dt }
@@ -53,7 +53,7 @@ func (l *LongTailed) Interval() float64 { return l.c.dt }
 // paper's §2.1.1 observation that a normal summary covers ~91% rather than
 // 95% of long-tailed bandwidth data.
 type Congested struct {
-	c *cache
+	c *Sequence
 }
 
 // NewCongested constructs the process. peak is the availability ceiling in
@@ -83,13 +83,13 @@ func NewCongested(peak float64, baseMean, baseStd, burstProb, burstMean, burstSt
 		if rng.Float64() < burstProb {
 			d = burst.Sample(rng)
 		}
-		return clamp01(peak - d)
+		return Clamp01(peak - d)
 	}
-	return &Congested{c: newCache(dt, gen)}, nil
+	return &Congested{c: NewSequence(dt, gen)}, nil
 }
 
 // At implements Process.
-func (c *Congested) At(t float64) float64 { return c.c.at(t) }
+func (c *Congested) At(t float64) float64 { return c.c.At(t) }
 
 // Interval implements Process.
 func (c *Congested) Interval() float64 { return c.c.dt }

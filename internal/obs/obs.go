@@ -140,8 +140,7 @@ func (g *Gauge) Value() float64 {
 // query engine. internal/stats.Histogram is the offline sibling (linear
 // bins over a known range, for load-shape analysis); latency spans four
 // orders of magnitude, so exposition uses exponential bounds instead, and
-// exact quantiles over raw samples remain stats.Quantile's job (cmd/loadtest
-// computes its client-side quantiles that way).
+// exact quantiles over raw samples remain stats.Quantile's job.
 //
 // All methods are safe for concurrent use and no-ops on a nil receiver.
 type Histogram struct {
@@ -598,8 +597,8 @@ func (r *Registry) Handler() http.Handler {
 
 // ParseText is a minimal validating parser for the Prometheus text format:
 // it returns the TYPE-declared families (name -> type) and the number of
-// sample lines, and errors on any malformed line. The CI loadtest smoke and
-// the readmecheck suite use it to assert that GET /metrics stays parseable.
+// sample lines, and errors on any malformed line. The daemon's and the API's
+// tests use it to assert that GET /metrics stays parseable.
 func ParseText(r io.Reader) (families map[string]string, samples int, err error) {
 	families = make(map[string]string)
 	data, err := io.ReadAll(r)

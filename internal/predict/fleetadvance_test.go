@@ -365,7 +365,7 @@ func TestAdvanceAllUnderTraffic(t *testing.T) {
 			t.Errorf("%s: %d clock movements over %d waves", spec.Name, got-o.gen, waves)
 		}
 	}
-	if got := reg.LiveCount(); got != steady+cold+late {
+	if got := len(reg.Services()); got != steady+cold+late {
 		t.Errorf("%d tenants live at the end, want %d", got, steady+cold+late)
 	}
 }

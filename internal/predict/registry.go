@@ -309,9 +309,6 @@ func (r *Registry) advanceAll(dt float64, step func(*Service, float64) (float64,
 	return services, times, nil
 }
 
-// LiveCount returns how many platforms have been instantiated so far.
-func (r *Registry) LiveCount() int { return len(r.Services()) }
-
 // Predict routes the request to the service named by req.Platform.
 func (r *Registry) Predict(req Request) (Prediction, error) {
 	s, err := r.Lookup(req.Platform)

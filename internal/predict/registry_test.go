@@ -25,8 +25,8 @@ func fleetRegistry(t *testing.T, n int) *predict.Registry {
 // own tenant.
 func TestRegistryLazyInstantiation(t *testing.T) {
 	reg := fleetRegistry(t, 50)
-	if got := reg.LiveCount(); got != 0 {
-		t.Fatalf("LiveCount before any request = %d, want 0", got)
+	if got := len(reg.Services()); got != 0 {
+		t.Fatalf("live services before any request = %d, want 0", got)
 	}
 	if got := len(reg.Names()); got != 50 {
 		t.Fatalf("Names lists %d platforms, want 50", got)
@@ -40,11 +40,8 @@ func TestRegistryLazyInstantiation(t *testing.T) {
 	if p.Time != 30 {
 		t.Fatalf("lazily built tenant served at t=%g, want its warmup 30", p.Time)
 	}
-	if got := reg.LiveCount(); got != 1 {
-		t.Fatalf("LiveCount after one request = %d, want 1", got)
-	}
 	if got := len(reg.Services()); got != 1 {
-		t.Fatalf("Services lists %d live services, want 1", got)
+		t.Fatalf("live services after one request = %d, want 1", got)
 	}
 }
 
@@ -74,8 +71,8 @@ func TestRegistryConcurrentFirstLookup(t *testing.T) {
 			t.Fatal("concurrent first lookups built different services")
 		}
 	}
-	if got := reg.LiveCount(); got != 1 {
-		t.Fatalf("LiveCount = %d, want 1", got)
+	if got := len(reg.Services()); got != 1 {
+		t.Fatalf("live services = %d, want 1", got)
 	}
 }
 

@@ -202,8 +202,8 @@ func TestSnapshotColdSpecs(t *testing.T) {
 	if !reflect.DeepEqual(back.Names(), reg.Names()) {
 		t.Fatalf("names diverge: %v vs %v", back.Names(), reg.Names())
 	}
-	if got := back.LiveCount(); got != 1 {
-		t.Fatalf("restored LiveCount = %d, want 1 (cold specs must stay cold)", got)
+	if got := len(back.Services()); got != 1 {
+		t.Fatalf("restored live services = %d, want 1 (cold specs must stay cold)", got)
 	}
 }
 

@@ -499,7 +499,7 @@ func SimulatedSpec(platform int, seed int64) (PlatformSpec, error) {
 }
 
 // FleetSpecs generates n tenant specs ("tenant-0000"...) for fleet-scale
-// tests and the loadtest's -platforms mode: a rotation of
+// tests and benchmarks: a rotation of
 // platform-1-shaped steady tenants, platform-2-shaped bursty tenants, and
 // workload-scenario tenants cycling the scenario library, each with its
 // own derived seed and a short warmup to keep lazy instantiation cheap.

@@ -5,7 +5,7 @@ import "sort"
 // The shipped scenario library. Each scenario compresses production time:
 // a "day" is a few hundred virtual seconds, so diurnal structure, flash
 // crowds, and regime cascades all land inside the horizons the experiments
-// and loadtests actually run. All ticks are exact binary floats so that
+// and the benchmark actually run. All ticks are exact binary floats so that
 // recorded traces replay bit-identically (see TraceProcess).
 var library = map[string]*ScenarioSpec{
 	// diurnal-web: a web fleet breathing with its audience — a slow

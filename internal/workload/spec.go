@@ -307,7 +307,7 @@ func (c *ComponentSpec) build(dt float64, seed int64) (load.Process, error) {
 			}
 			prev = b
 		}
-		return &switchProc{children: children, at: append([]float64(nil), c.At...), dt: minInterval(children)}, nil
+		return load.NewSwitch(c.At, children...)
 	case "":
 		return nil, errors.New("component missing kind")
 	default:

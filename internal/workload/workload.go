@@ -24,46 +24,9 @@ package workload
 import (
 	"math"
 	"math/rand"
-	"sync"
 
 	"prodpred/internal/load"
 )
-
-func clamp01(x float64) float64 {
-	switch {
-	case x < 0:
-		return 0
-	case x > 1:
-		return 1
-	}
-	return x
-}
-
-// seq lazily materializes a per-tick sequence from a generator that must
-// run in tick order (population processes evolve tick to tick). It mirrors
-// the cache inside internal/load: At() is pure from the caller's view and
-// safe for concurrent use.
-type seq struct {
-	mu   sync.Mutex
-	vals []float64
-	gen  func(i int) float64
-	dt   float64
-}
-
-func (s *seq) At(t float64) float64 {
-	if t < 0 {
-		t = 0
-	}
-	idx := int(t / s.dt)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for len(s.vals) <= idx {
-		s.vals = append(s.vals, s.gen(len(s.vals)))
-	}
-	return s.vals[idx]
-}
-
-func (s *seq) Interval() float64 { return s.dt }
 
 // Cycle is one sinusoidal component of a diurnal availability pattern.
 // Availability contribution is Amp * sin(2π·t/Period + Phase); stacking a
@@ -95,7 +58,7 @@ func (d *diurnal) At(t float64) float64 {
 	for _, c := range d.cycles {
 		v += c.Amp * math.Sin(2*math.Pi*tq/c.Period+c.Phase)
 	}
-	return clamp01(v)
+	return load.Clamp01(v)
 }
 
 func (d *diurnal) Interval() float64 { return d.dt }
@@ -145,7 +108,7 @@ func newCohorts(cohorts []Cohort, dt float64, seed int64) load.Process {
 			n[i] = int(c.Lambda / c.Mu)
 		}
 	}
-	return &seq{dt: dt, gen: func(tick int) float64 {
+	return load.NewSequence(dt, func(tick int, _ float64) float64 {
 		t := float64(tick) * dt
 		total := 0
 		for i, c := range cohorts {
@@ -156,11 +119,11 @@ func newCohorts(cohorts []Cohort, dt float64, seed int64) load.Process {
 					stay++
 				}
 			}
-			n[i] = stay + poisson(rng, c.rateAt(t)*dt)
+			n[i] = stay + load.Poisson(rng, c.rateAt(t)*dt)
 			total += n[i]
 		}
 		return 1 / float64(1+total)
-	}}
+	})
 }
 
 // newFlashCrowd builds the flash-crowd process: a baseline of `users`
@@ -171,11 +134,11 @@ func newCohorts(cohorts []Cohort, dt float64, seed int64) load.Process {
 // around the envelope each tick; availability is the 1/(1+n) CPU share.
 func newFlashCrowd(users, crowd, onset, ramp, decay, repeat, dt float64, seed int64) load.Process {
 	rng := rand.New(rand.NewSource(seed))
-	return &seq{dt: dt, gen: func(tick int) float64 {
+	return load.NewSequence(dt, func(tick int, _ float64) float64 {
 		t := float64(tick) * dt
-		n := poisson(rng, flashEnvelope(t, crowd, onset, ramp, decay, repeat))
+		n := load.Poisson(rng, flashEnvelope(t, crowd, onset, ramp, decay, repeat))
 		return 1 / (1 + users + float64(n))
-	}}
+	})
 }
 
 // flashEnvelope is the expected crowd size at time t.
@@ -197,27 +160,6 @@ func flashEnvelope(t, crowd, onset, ramp, decay, repeat float64) float64 {
 	}
 }
 
-// poisson draws a Poisson(mean) variate by Knuth's method (means here are a
-// few arrivals per tick).
-func poisson(rng *rand.Rand, mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	l := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= rng.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-		if k > 10000 { // numerical guard; unreachable for sane means
-			return k
-		}
-	}
-}
-
 // minInterval returns the finest tick among processes — the composite
 // interval of every combinator, matching load.Switch's convention.
 func minInterval(ps []load.Process) float64 {
@@ -230,7 +172,7 @@ func minInterval(ps []load.Process) float64 {
 	return dt
 }
 
-// sumProc is the weighted-sum combinator: clamp01(Σ wᵢ·childᵢ(t)).
+// sumProc is the weighted-sum combinator: load.Clamp01(Σ wᵢ·childᵢ(t)).
 type sumProc struct {
 	children []load.Process
 	weights  []float64
@@ -242,7 +184,7 @@ func (s *sumProc) At(t float64) float64 {
 	for i, c := range s.children {
 		v += s.weights[i] * c.At(t)
 	}
-	return clamp01(v)
+	return load.Clamp01(v)
 }
 
 func (s *sumProc) Interval() float64 { return s.dt }
@@ -260,7 +202,7 @@ func (m *modProc) At(t float64) float64 {
 	for _, c := range m.children {
 		v *= c.At(t)
 	}
-	return clamp01(v)
+	return load.Clamp01(v)
 }
 
 func (m *modProc) Interval() float64 { return m.dt }
@@ -283,24 +225,3 @@ func (c *clampProc) At(t float64) float64 {
 }
 
 func (c *clampProc) Interval() float64 { return c.child.Interval() }
-
-// switchProc is the n-way switch-at-time combinator: child j is in force on
-// [at[j-1], at[j]). Children keep their own absolute clocks, exactly like
-// load.Switch, so a bursty late regime is already "running" when the switch
-// lands.
-type switchProc struct {
-	children []load.Process
-	at       []float64 // len(children)-1 ascending boundaries
-	dt       float64
-}
-
-func (s *switchProc) At(t float64) float64 {
-	for j, b := range s.at {
-		if t < b {
-			return s.children[j].At(t)
-		}
-	}
-	return s.children[len(s.children)-1].At(t)
-}
-
-func (s *switchProc) Interval() float64 { return s.dt }

@@ -24,8 +24,8 @@
 //   - the paper's tables and figures  (internal/experiments)
 //
 // Serving infrastructure (the HTTP layer in internal/api and the metrics
-// registry in internal/obs) is not re-exported here; cmd/predictd and
-// cmd/loadtest consume it directly, and OPERATIONS.md documents it.
+// registry in internal/obs) is not re-exported here; cmd/predictd
+// consumes it directly, and OPERATIONS.md documents it.
 //
 // Two time units appear throughout: simulation and prediction APIs run in
 // virtual seconds (the simulated platform clock), while telemetry

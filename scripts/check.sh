@@ -6,8 +6,9 @@
 # fuzz of the request decoder, of the point and value evaluators against the
 # model tree, of the raced BIC selection against the exhaustive one, of the
 # mixture quantile search against bisection, of the NWS battery's sorted
-# windows against sort.Float64s and of the quantile selection against the
-# sort, the bench/ module's vet + tests,
+# windows against sort.Float64s, of the quantile selection against the
+# sort and of stochcalc's evaluator (finite or an error), the bench/
+# module's vet + tests,
 # and the snapshot drill over the real daemon binary.
 # The SOR worker pool, the sharded Monte Carlo engine, and the
 # predict.Service prediction core are concurrent by design, so -race is not
@@ -67,6 +68,9 @@ go test -run '^$' -fuzz FuzzSortedWindow -fuzztime 5s ./internal/nws
 # And of samples and levels into the selection the calibrator reads its
 # quantiles by: sort.Float64s + QuantileSorted's answer, and a permutation.
 go test -run '^$' -fuzz FuzzQuantileInPlace -fuzztime 5s ./internal/stats
+# And of argument vectors into stochcalc's evaluator: an error, or a finite
+# value — never an Inf or a NaN printed with exit status 0.
+go test -run '^$' -fuzz FuzzEval -fuzztime 5s ./cmd/stochcalc
 
 # The benchmark harness is its own module (bench/go.mod, replace prodpred
 # => ../), so ./... above does not see it: vet and test it here, or an
@@ -81,4 +85,4 @@ scripts/snapshot_smoke.sh
 # Coverage summary for the online-calibration layer (report-only, no gate).
 go test -cover ./internal/calib ./internal/predict | awk '{print "check.sh: coverage:", $0}'
 
-echo "check.sh: gofmt, vet, race-enabled tests, the concurrency tests at -cpu 1,4, bench smoke, loadgen round trip, POST-body, point- and value-evaluator, BIC-race, mixture-quantile, sorted-window and quantile-selection fuzz, the bench/ module, and the snapshot round trip all clean"
+echo "check.sh: gofmt, vet, race-enabled tests, the concurrency tests at -cpu 1,4, bench smoke, loadgen round trip, POST-body, point- and value-evaluator, BIC-race, mixture-quantile, sorted-window, quantile-selection and stochcalc-evaluator fuzz, the bench/ module, and the snapshot round trip all clean"

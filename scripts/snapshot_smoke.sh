@@ -5,8 +5,9 @@
 # the restored daemon answers the next prediction byte-identically —
 # same values, same prediction ID — to the daemon that never stopped.
 #
-# Runs with -tick 0 (manual clock only), so both timelines are pure
-# functions of the served request sequence and the comparison is exact.
+# Runs the built-in fleet (its default 600 s warm-up) with -tick 0 (manual
+# clock only), so both timelines are pure functions of the served request
+# sequence and the comparison is exact.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -40,7 +41,7 @@ wait_addr() {
 
 body='{"platform":"platform2","n":400,"iterations":6}'
 
-"$workdir/predictd" -addr 127.0.0.1:0 -tick 0 -warmup 120 2> "$workdir/a.log" &
+"$workdir/predictd" -addr 127.0.0.1:0 -tick 0 2> "$workdir/a.log" &
 pids+=($!)
 addr_a=$(wait_addr "$workdir/a.log")
 
