@@ -567,15 +567,13 @@ func BenchmarkTrackerObserveQuantiles(b *testing.B) {
 // the tick cache (a pinned partition bypasses it): the per-machine reports,
 // the structural model, and the 64-draw Latin-hypercube quantile grid.
 func BenchmarkDistGrid(b *testing.B) {
-	cfg, err := SimulatedPredictConfig(2, 1)
+	spec, err := SimulatedPlatformSpec(2, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	svc, err := NewPredictionService(cfg)
+	spec.Warmup = 600
+	svc, err := NewPredictionService(spec)
 	if err != nil {
-		b.Fatal(err)
-	}
-	if err := svc.Advance(600); err != nil {
 		b.Fatal(err)
 	}
 	req := PredictRequest{N: 1000, Iterations: 20, Distribution: true}
@@ -608,15 +606,13 @@ func warmTick(b *testing.B, svc *PredictionService) {
 
 func warmTickService(b *testing.B, sizes int) *PredictionService {
 	b.Helper()
-	cfg, err := SimulatedPredictConfig(2, 1)
+	spec, err := SimulatedPlatformSpec(2, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	svc, err := NewPredictionService(cfg)
+	spec.Warmup = 600
+	svc, err := NewPredictionService(spec)
 	if err != nil {
-		b.Fatal(err)
-	}
-	if err := svc.Advance(600); err != nil {
 		b.Fatal(err)
 	}
 	for n := 1000; n < 1000+sizes; n++ { // every grid size's bandwidth monitor exists

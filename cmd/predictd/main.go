@@ -264,9 +264,6 @@ func recordFleet(reg *predict.Registry, dir string) error {
 // first scenario name its loads reference (if any), a hash of the spec
 // JSON, and the platform seed.
 func provenance(spec *predict.PlatformSpec) (scenario, specHash string, seed int64) {
-	if spec == nil {
-		return "", "", 0
-	}
 	for _, ls := range spec.CPU {
 		if ls.Kind == "scenario" {
 			scenario = ls.Scenario

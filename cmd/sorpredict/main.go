@@ -56,15 +56,13 @@ func applyStrategy(req *predict.Request, strategy string) error {
 }
 
 func run(platformID, n, iters, runs int, seed int64, strategy string) error {
-	cfg, err := predict.SimulatedConfig(platformID, seed)
+	spec, err := predict.SimulatedSpec(platformID, seed)
 	if err != nil {
 		return err
 	}
-	svc, err := predict.NewService(cfg)
+	spec.Warmup = 900 // NWS warmup
+	svc, err := predict.NewServiceFromSpec(&spec, nil)
 	if err != nil {
-		return err
-	}
-	if err := svc.AdvanceTo(900); err != nil { // NWS warmup
 		return err
 	}
 	plat := svc.Platform()

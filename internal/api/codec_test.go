@@ -14,15 +14,19 @@ import (
 // codecService builds one warmed simulated platform for codec tests and
 // benchmarks.
 func codecService(t testing.TB, seed int64) *predict.Service {
-	cfg, err := predict.SimulatedConfig(1, seed)
+	return simulatedService(t, 1, seed, 300)
+}
+
+// simulatedService builds SimulatedSpec(platform, seed)'s service, warmed
+// up to warmup.
+func simulatedService(t testing.TB, platform int, seed int64, warmup float64) *predict.Service {
+	spec, err := predict.SimulatedSpec(platform, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := predict.NewService(cfg)
+	spec.Warmup = warmup
+	svc, err := predict.NewServiceFromSpec(&spec, nil)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.AdvanceTo(300); err != nil {
 		t.Fatal(err)
 	}
 	return svc
@@ -167,18 +171,7 @@ func TestLoadsMemoMatchesFreshEncode(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			var svcs []*predict.Service
 			for platform := 1; platform <= 2; platform++ {
-				cfg, err := predict.SimulatedConfig(platform, 40+seed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				svc, err := predict.NewService(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := svc.AdvanceTo(200); err != nil {
-					t.Fatal(err)
-				}
-				svcs = append(svcs, svc)
+				svcs = append(svcs, simulatedService(t, platform, 40+seed, 200))
 			}
 			var memo loadsMemo
 			encoded, copied := 0, 0

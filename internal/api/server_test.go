@@ -28,19 +28,15 @@ func newStack(t *testing.T, opts Options) (*httptest.Server, *predict.Registry, 
 	opts.Metrics = metrics
 	reg := predict.NewRegistryWith(predict.RegistryOptions{Metrics: metrics})
 	for _, id := range []int{1, 2} {
-		cfg, err := predict.SimulatedConfig(id, 3)
+		spec, err := predict.SimulatedSpec(id, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.Metrics = metrics
-		svc, err := predict.NewService(cfg)
-		if err != nil {
+		spec.Warmup = 300
+		if err := reg.RegisterSpec(spec); err != nil {
 			t.Fatal(err)
 		}
-		if err := svc.AdvanceTo(300); err != nil {
-			t.Fatal(err)
-		}
-		if err := reg.Register(svc); err != nil {
+		if _, err := reg.Lookup(spec.Name); err != nil {
 			t.Fatal(err)
 		}
 	}

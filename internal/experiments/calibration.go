@@ -4,8 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"prodpred/internal/cluster"
-	"prodpred/internal/load"
+	"prodpred/internal/predict"
 	"prodpred/internal/sched"
 	"prodpred/internal/stochastic"
 	"prodpred/internal/structural"
@@ -24,8 +23,7 @@ func init() {
 type calibScenario struct {
 	name string
 	key  string // metric key prefix
-	plat *cluster.Platform
-	cpu  func(seed int64) ([]load.Process, error)
+	spec func(seed int64) predict.PlatformSpec
 	// wantDrift notes whether the load path contains an injected regime
 	// change the detector is expected to flag.
 	wantDrift bool
@@ -42,64 +40,29 @@ func calibScenarios() []calibScenario {
 		{
 			name: "Platform 1, steady center-mode",
 			key:  "p1",
-			plat: cluster.Platform1(),
-			cpu: func(seed int64) ([]load.Process, error) {
-				p0, err := load.Platform1CenterMode(seed + 1)
-				if err != nil {
-					return nil, err
-				}
-				p1, err := load.Platform1CenterMode(seed + 2)
-				if err != nil {
-					return nil, err
-				}
-				l2, err := load.LightLoad(seed + 3)
-				if err != nil {
-					return nil, err
-				}
-				l3, err := load.LightLoad(seed + 4)
-				if err != nil {
-					return nil, err
-				}
-				return []load.Process{p0, p1, l2, l3}, nil
+			spec: func(seed int64) predict.PlatformSpec {
+				spec := simulatedSpec(1, seed+1)
+				spec.Net.Seed = seed + 999
+				spec.Warmup = 600
+				return spec
 			},
 		},
 		{
 			name: "Platform 2, bursty 4-modal",
 			key:  "p2",
-			plat: cluster.Platform2(),
-			cpu: func(seed int64) ([]load.Process, error) {
-				cpu := make([]load.Process, 4)
-				for i := range cpu {
-					p, err := load.Platform2FourModeBursty(seed + int64(i)*7)
-					if err != nil {
-						return nil, err
-					}
-					cpu[i] = p
-				}
-				return cpu, nil
-			},
+			spec: burstySpec,
 		},
 		{
 			name:      "Platform 2, light -> bursty switch",
 			key:       "switch",
-			plat:      cluster.Platform2(),
 			wantDrift: true,
-			cpu: func(seed int64) ([]load.Process, error) {
-				cpu := make([]load.Process, 4)
-				for i := range cpu {
-					light, err := load.LightLoad(seed + 100 + int64(i))
-					if err != nil {
-						return nil, err
-					}
-					bursty, err := load.Platform2FourModeBursty(seed + int64(i)*7)
-					if err != nil {
-						return nil, err
-					}
-					if cpu[i], err = load.NewSwitch([]float64{switchAt}, light, bursty); err != nil {
-						return nil, err
-					}
+			spec: func(seed int64) predict.PlatformSpec {
+				spec := burstySpec(seed)
+				for i, bursty := range spec.CPU {
+					light := predict.LoadSpec{Kind: "light", Seed: seed + 100 + int64(i)}
+					spec.CPU[i] = predict.LoadSpec{Kind: "switch", At: []float64{switchAt}, Children: []predict.LoadSpec{light, bursty}}
 				}
-				return cpu, nil
+				return spec
 			},
 		},
 	}
@@ -145,24 +108,13 @@ func runCalibReplay(seed int64) (*Result, error) {
 	var b strings.Builder
 	var drifts []string
 	for _, sc := range calibScenarios() {
-		cpu, err := sc.cpu(seed)
-		if err != nil {
-			return nil, err
-		}
-		net, err := load.EthernetContention(seed + 999)
-		if err != nil {
-			return nil, err
-		}
 		diag := &pipelineDiag{}
 		recs, err := runProductionSeries(productionConfig{
-			plat:         sc.plat,
-			cpu:          cpu,
-			net:          net,
+			spec:         sc.spec(seed),
 			n:            n,
 			iters:        8,
 			runs:         runs,
 			gap:          20,
-			warmup:       600,
 			partStrategy: sched.MeanBalanced,
 			maxStrategy:  stochastic.LargestMean,
 			iterationRel: structural.Related,

@@ -5,8 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"prodpred/internal/cluster"
-	"prodpred/internal/load"
 	"prodpred/internal/sched"
 	"prodpred/internal/stochastic"
 	"prodpred/internal/structural"
@@ -73,28 +71,13 @@ const (
 // observe loop closed, so calibration and the forecaster tournament adapt
 // within the series.
 func distTournamentSeries(seed int64) ([]runRecord, *pipelineDiag, error) {
-	cpu := make([]load.Process, 4)
-	for i := range cpu {
-		p, err := load.Platform2FourModeBursty(seed + int64(i)*7)
-		if err != nil {
-			return nil, nil, err
-		}
-		cpu[i] = p
-	}
-	net, err := load.EthernetContention(seed + 999)
-	if err != nil {
-		return nil, nil, err
-	}
 	diag := &pipelineDiag{}
 	recs, err := runProductionSeries(productionConfig{
-		plat:         cluster.Platform2(),
-		cpu:          cpu,
-		net:          net,
+		spec:         burstySpec(seed),
 		n:            distTournamentN,
 		iters:        4,
 		runs:         distTournamentRuns,
 		gap:          5,
-		warmup:       600,
 		partStrategy: sched.MeanBalanced,
 		maxStrategy:  stochastic.LargestMean,
 		iterationRel: structural.Related,

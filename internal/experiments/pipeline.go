@@ -6,9 +6,6 @@ import (
 	"math"
 
 	"prodpred/internal/calib"
-	"prodpred/internal/cluster"
-	"prodpred/internal/faults"
-	"prodpred/internal/load"
 	"prodpred/internal/nws"
 	"prodpred/internal/predict"
 	"prodpred/internal/sched"
@@ -30,21 +27,16 @@ type pipelineDiag struct {
 // simulated production platform — the experimental loop behind Figures 9
 // and 12-17.
 type productionConfig struct {
-	plat  *cluster.Platform
-	cpu   []load.Process
-	net   load.Process
-	n     int // grid size
-	iters int // SOR iterations per run
-	runs  int // number of back-to-back executions
-	gap   float64
-	// warmup is how long monitors observe before the first run.
-	warmup       float64
+	// spec is the platform, its load and sensor faults; its Warmup is how
+	// long the monitors observe before the first run.
+	spec         predict.PlatformSpec
+	n            int // grid size
+	iters        int // SOR iterations per run
+	runs         int // number of back-to-back executions
+	gap          float64
 	partStrategy sched.Strategy
 	maxStrategy  stochastic.MaxStrategy
 	iterationRel structural.Relation
-	// inject, when non-nil, wraps every CPU sensor with its per-machine
-	// fault schedule — the robustness experiments' knob.
-	inject *faults.Injector
 	// observe closes the loop: each run's measured execution time is fed
 	// back through Service.Observe, so later predictions in the series
 	// carry conformally calibrated intervals.
@@ -113,16 +105,8 @@ func runProductionSeries(cfg productionConfig) ([]runRecord, error) {
 	if cfg.runs <= 0 {
 		return nil, errors.New("experiments: runs must be positive")
 	}
-	svc, err := predict.NewService(predict.Config{
-		Platform: cfg.plat,
-		CPU:      cfg.cpu,
-		Net:      cfg.net,
-		Injector: cfg.inject,
-	})
+	svc, err := predict.NewServiceFromSpec(&cfg.spec, nil)
 	if err != nil {
-		return nil, err
-	}
-	if err := svc.AdvanceTo(cfg.warmup); err != nil {
 		return nil, err
 	}
 	req := predict.Request{
@@ -140,7 +124,7 @@ func runProductionSeries(cfg productionConfig) ([]runRecord, error) {
 		return nil, err
 	}
 	req.Partition = part
-	backend, err := sor.NewSimBackend(svc.Env(), part, sor.IdentityMapping(cfg.plat.Size()))
+	backend, err := sor.NewSimBackend(svc.Env(), part, sor.IdentityMapping(len(cfg.spec.Machines)))
 	if err != nil {
 		return nil, err
 	}
@@ -198,6 +182,28 @@ func runProductionSeries(cfg productionConfig) ([]runRecord, error) {
 		cfg.diag.Calibration = svc.Accuracy()
 	}
 	return recs, nil
+}
+
+// simulatedSpec is predict.SimulatedSpec without its error, which only a
+// platform other than 1 or 2 returns.
+func simulatedSpec(platform int, seed int64) predict.PlatformSpec {
+	spec, err := predict.SimulatedSpec(platform, seed)
+	if err != nil {
+		panic(err) // static platform number; cannot fail
+	}
+	return spec
+}
+
+// burstySpec is the bursty Platform 2 of the observed-series experiments:
+// the 4-modal load on machine i seeded seed+7i, ethernet contention on the
+// link, and a 600 s warm-up.
+func burstySpec(seed int64) predict.PlatformSpec {
+	spec := simulatedSpec(2, seed)
+	for i := range spec.CPU {
+		spec.CPU[i].Seed = seed + int64(i)*7
+	}
+	spec.Warmup = 600
+	return spec
 }
 
 // renderRunSeries renders a run series as the paper's Figures 9/12/14/16:

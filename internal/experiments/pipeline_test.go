@@ -4,40 +4,28 @@ import (
 	"strings"
 	"testing"
 
-	"prodpred/internal/cluster"
-	"prodpred/internal/load"
 	"prodpred/internal/sched"
 	"prodpred/internal/stochastic"
 )
 
-// smallBurstyConfig is a scaled-down Platform 2 pipeline for fast tests.
-func smallBurstyConfig(t *testing.T, seed int64, runs int) productionConfig {
-	t.Helper()
-	plat := cluster.Platform2()
-	cpu := make([]load.Process, plat.Size())
-	for i := range cpu {
-		p, err := load.Platform2FourModeBursty(seed + int64(i)*7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cpu[i] = p
-	}
+// smallBurstyConfig is a scaled-down Platform 2 pipeline for fast tests,
+// on a dedicated link.
+func smallBurstyConfig(seed int64, runs int) productionConfig {
+	spec := burstySpec(seed)
+	spec.Net = nil
 	return productionConfig{
-		plat:         plat,
-		cpu:          cpu,
-		net:          load.Dedicated(),
+		spec:         spec,
 		n:            300,
 		iters:        8,
 		runs:         runs,
 		gap:          20,
-		warmup:       600,
 		partStrategy: sched.MeanBalanced,
 		maxStrategy:  stochastic.LargestMean,
 	}
 }
 
 func TestRunProductionSeriesBasics(t *testing.T) {
-	cfg := smallBurstyConfig(t, 3, 6)
+	cfg := smallBurstyConfig(3, 6)
 	recs, err := runProductionSeries(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -60,14 +48,14 @@ func TestRunProductionSeriesBasics(t *testing.T) {
 		if r.Pred.IsPoint() {
 			t.Errorf("run %d production prediction should carry spread", i)
 		}
-		if len(r.LoadsAt) != cfg.plat.Size() {
+		if len(r.LoadsAt) != len(cfg.spec.Machines) {
 			t.Errorf("run %d loads=%d", i, len(r.LoadsAt))
 		}
 	}
 }
 
 func TestRunProductionSeriesCaptures(t *testing.T) {
-	recs, err := runProductionSeries(smallBurstyConfig(t, 5, 10))
+	recs, err := runProductionSeries(smallBurstyConfig(5, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,23 +71,23 @@ func TestRunProductionSeriesCaptures(t *testing.T) {
 }
 
 func TestRunProductionSeriesValidation(t *testing.T) {
-	cfg := smallBurstyConfig(t, 1, 0)
+	cfg := smallBurstyConfig(1, 0)
 	if _, err := runProductionSeries(cfg); err == nil {
 		t.Error("runs=0 should fail")
 	}
-	cfg = smallBurstyConfig(t, 1, 1)
-	cfg.cpu = cfg.cpu[:1]
+	cfg = smallBurstyConfig(1, 1)
+	cfg.spec.CPU = cfg.spec.CPU[:3]
 	if _, err := runProductionSeries(cfg); err == nil {
 		t.Error("cpu count mismatch should fail")
 	}
 }
 
 func TestRunProductionSeriesDeterministic(t *testing.T) {
-	a, err := runProductionSeries(smallBurstyConfig(t, 11, 3))
+	a, err := runProductionSeries(smallBurstyConfig(11, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := runProductionSeries(smallBurstyConfig(t, 11, 3))
+	b, err := runProductionSeries(smallBurstyConfig(11, 3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"prodpred/internal/cluster"
-	"prodpred/internal/faults"
-	"prodpred/internal/load"
+	"prodpred/internal/predict"
 	"prodpred/internal/sched"
 	"prodpred/internal/stochastic"
 	"prodpred/internal/structural"
@@ -23,9 +21,9 @@ func init() {
 
 // faultScenario is one fault class applied to the bursty production series.
 type faultScenario struct {
-	name  string
-	key   string // metric key suffix
-	build func(seed int64) *faults.Injector
+	name   string
+	key    string // metric key suffix
+	faults []predict.FaultSpec
 }
 
 // robustScenarios returns the fault classes the robustness experiment
@@ -35,41 +33,24 @@ type faultScenario struct {
 func robustScenarios(machines int) []faultScenario {
 	// The series warms up for 600 virtual seconds; the outage window sits
 	// squarely inside the execution region that follows.
-	outage := faults.Window{Start: 700, End: 820}
-	all := func(seed int64, s faults.Schedule) *faults.Injector {
-		in := faults.NewInjector(seed)
-		for m := 0; m < machines; m++ {
-			if err := in.Set(m, s); err != nil {
-				panic(err) // static schedules; cannot fail
-			}
+	outage := []predict.OutageSpec{{Start: 700, End: 820}}
+	all := func(f predict.FaultSpec) []predict.FaultSpec {
+		fs := make([]predict.FaultSpec, machines)
+		for m := range fs {
+			fs[m] = f
+			fs[m].Machine = m
 		}
-		return in
+		return fs
 	}
+	combined := all(predict.FaultSpec{Drop: 0.2})
+	combined[0].Outages = outage
 	return []faultScenario{
-		{"fault-free", "clean", func(int64) *faults.Injector { return nil }},
-		{"20% dropout", "drop", func(seed int64) *faults.Injector {
-			return all(seed, faults.Schedule{DropProb: 0.2})
-		}},
-		{"outage 120s (machine 0)", "outage", func(seed int64) *faults.Injector {
-			in := faults.NewInjector(seed)
-			if err := in.Set(0, faults.Schedule{Outages: []faults.Window{outage}}); err != nil {
-				panic(err)
-			}
-			return in
-		}},
-		{"5% spikes (x4)", "spike", func(seed int64) *faults.Injector {
-			return all(seed, faults.Schedule{SpikeProb: 0.05, SpikeFactor: 4})
-		}},
-		{"2% transient errors", "transient", func(seed int64) *faults.Injector {
-			return all(seed, faults.Schedule{TransientProb: 0.02})
-		}},
-		{"20% dropout + outage", "combined", func(seed int64) *faults.Injector {
-			in := all(seed, faults.Schedule{DropProb: 0.2})
-			if err := in.Set(0, faults.Schedule{DropProb: 0.2, Outages: []faults.Window{outage}}); err != nil {
-				panic(err)
-			}
-			return in
-		}},
+		{"fault-free", "clean", nil},
+		{"20% dropout", "drop", all(predict.FaultSpec{Drop: 0.2})},
+		{"outage 120s (machine 0)", "outage", []predict.FaultSpec{{Machine: 0, Outages: outage}}},
+		{"5% spikes (x4)", "spike", all(predict.FaultSpec{Spike: 0.05, SpikeFactor: 4})},
+		{"2% transient errors", "transient", all(predict.FaultSpec{Transient: 0.02})},
+		{"20% dropout + outage", "combined", combined},
 	}
 }
 
@@ -82,40 +63,27 @@ func runRobustFaults(seed int64) (*Result, error) {
 		n    = 300
 		runs = 15
 	)
-	plat := cluster.Platform2()
-	scens := robustScenarios(plat.Size())
+	base := burstySpec(seed)
+	base.FaultSeed = seed
+	scens := robustScenarios(len(base.Machines))
 
 	tb := NewTable("scenario", "capture", "mean spread", "missed", "drop/outage/retry", "longest gap")
 	metrics := map[string]float64{}
 	var cleanCapture float64
 	var b strings.Builder
 	for si, sc := range scens {
-		cpu := make([]load.Process, plat.Size())
-		for i := range cpu {
-			p, err := load.Platform2FourModeBursty(seed + int64(i)*7)
-			if err != nil {
-				return nil, err
-			}
-			cpu[i] = p
-		}
-		net, err := load.EthernetContention(seed + 999)
-		if err != nil {
-			return nil, err
-		}
+		spec := base
+		spec.Faults = sc.faults
 		diag := &pipelineDiag{}
 		recs, err := runProductionSeries(productionConfig{
-			plat:         plat,
-			cpu:          cpu,
-			net:          net,
+			spec:         spec,
 			n:            n,
 			iters:        8,
 			runs:         runs,
 			gap:          20,
-			warmup:       600,
 			partStrategy: sched.MeanBalanced,
 			maxStrategy:  stochastic.LargestMean,
 			iterationRel: structural.Related,
-			inject:       sc.build(seed),
 			diag:         diag,
 		})
 		if err != nil {

@@ -136,7 +136,6 @@ func runFig7(seed int64) (*Result, error) {
 // machines stays in the center mode (0.48 ± 0.05); the stochastic interval
 // should capture the actual runtime at every problem size.
 func runFig9(seed int64) (*Result, error) {
-	plat := cluster.Platform1()
 	metrics := map[string]float64{}
 	tb := NewTable("N", "predicted", "interval", "actual", "inside", "mean-err")
 	capturedAll := true
@@ -146,32 +145,15 @@ func runFig9(seed int64) (*Result, error) {
 	var xsN, actuals, los, his, means []float64
 	for i, n := range []int{1000, 1200, 1400, 1600, 1800, 2000} {
 		// Fresh load processes per size, as each paper point is its own
-		// set of executions.
-		s := seed + int64(i)*101
-		proc0, err := load.Platform1CenterMode(s + 1)
-		if err != nil {
-			return nil, err
-		}
-		proc1, err := load.Platform1CenterMode(s + 2)
-		if err != nil {
-			return nil, err
-		}
-		light2, err := load.LightLoad(s + 3)
-		if err != nil {
-			return nil, err
-		}
-		light3, err := load.LightLoad(s + 4)
-		if err != nil {
-			return nil, err
-		}
+		// set of executions, on a dedicated link: only the CPU loads vary.
+		spec := simulatedSpec(1, seed+int64(i)*101+1)
+		spec.Net = nil
+		spec.Warmup = 900
 		recs, err := runProductionSeries(productionConfig{
-			plat:         plat,
-			cpu:          []load.Process{proc0, proc1, light2, light3},
-			net:          load.Dedicated(),
+			spec:         spec,
 			n:            n,
 			iters:        10,
 			runs:         1,
-			warmup:       900,
 			partStrategy: sched.MeanBalanced,
 			maxStrategy:  stochastic.LargestMean,
 		})
@@ -255,28 +237,14 @@ func platform2Runner(n int, id string) func(int64) (*Result, error) {
 // ablations with alternative prediction configurations.
 func runPlatform2Series(n int, seed int64, runs int, maxStrat stochastic.MaxStrategy,
 	iterRel structural.Relation) ([]runRecord, error) {
-	plat := cluster.Platform2()
-	cpu := make([]load.Process, plat.Size())
-	for i := range cpu {
-		p, err := load.Platform2FourModeBursty(seed + int64(i)*17)
-		if err != nil {
-			return nil, err
-		}
-		cpu[i] = p
-	}
-	net, err := load.EthernetContention(seed + 999)
-	if err != nil {
-		return nil, err
-	}
+	spec := simulatedSpec(2, seed)
+	spec.Warmup = 1200
 	return runProductionSeries(productionConfig{
-		plat:         plat,
-		cpu:          cpu,
-		net:          net,
+		spec:         spec,
 		n:            n,
 		iters:        10,
 		runs:         runs,
 		gap:          30,
-		warmup:       1200,
 		partStrategy: sched.MeanBalanced,
 		maxStrategy:  maxStrat,
 		iterationRel: iterRel,

@@ -4,8 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"prodpred/internal/cluster"
-	"prodpred/internal/load"
+	"prodpred/internal/predict"
 	"prodpred/internal/sched"
 	"prodpred/internal/stochastic"
 	"prodpred/internal/structural"
@@ -32,35 +31,20 @@ const (
 	scenarioSeeds = 2
 )
 
-// scenarioSeries replays one observed production series with the named
-// library scenario driving all four machines (entry i on machine i) and
-// shared-ethernet contention on the network.
+// scenarioSeries replays one observed production series on burstySpec's
+// platform with the named library scenario in place of the bursty load
+// (entry i on machine i, same seeds).
 func scenarioSeries(name string, seed int64) ([]runRecord, error) {
-	sc, ok := workload.Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("workload-scenarios: unknown scenario %q", name)
-	}
-	cpu := make([]load.Process, 4)
-	for i := range cpu {
-		p, err := sc.Machine(i, seed+int64(i)*7)
-		if err != nil {
-			return nil, err
-		}
-		cpu[i] = p
-	}
-	net, err := load.EthernetContention(seed + 999)
-	if err != nil {
-		return nil, err
+	spec := burstySpec(seed)
+	for i := range spec.CPU {
+		spec.CPU[i] = predict.LoadSpec{Kind: "scenario", Scenario: name, Machine: i, Seed: spec.CPU[i].Seed}
 	}
 	return runProductionSeries(productionConfig{
-		plat:         cluster.Platform2(),
-		cpu:          cpu,
-		net:          net,
+		spec:         spec,
 		n:            scenarioN,
 		iters:        4,
 		runs:         scenarioRuns,
 		gap:          5,
-		warmup:       600,
 		partStrategy: sched.MeanBalanced,
 		maxStrategy:  stochastic.LargestMean,
 		iterationRel: structural.Related,

@@ -216,14 +216,8 @@ func refusingEvaluator(t *testing.T, model *structural.SORConfig) *structural.SO
 // tree), and the grid's share of them — the evaluator, the draw and time
 // buffers, the grid — is a handful however many draws there are.
 func TestDistGridDoesNotAllocatePerDraw(t *testing.T) {
-	cfg, err := SimulatedConfig(2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc, err := NewService(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	svc := simulatedService(t, 2, 1)
+	var err error
 	if err := svc.Advance(600); err != nil {
 		t.Fatal(err)
 	}
@@ -258,14 +252,7 @@ func TestDistGridDoesNotAllocatePerDraw(t *testing.T) {
 // with the bytes a cached service gives it, and the next tick starts over.
 func TestTickCacheIsBounded(t *testing.T) {
 	build := func() *Service {
-		cfg, err := SimulatedConfig(1, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		svc, err := NewService(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		svc := simulatedService(t, 1, 3)
 		if err := svc.Advance(300); err != nil {
 			t.Fatal(err)
 		}

@@ -1,5 +1,22 @@
 package predict
 
+import "testing"
+
+// simulatedService builds SimulatedSpec(platform, seed)'s service, clock at
+// zero.
+func simulatedService(t testing.TB, platform int, seed int64) *Service {
+	t.Helper()
+	spec, err := SimulatedSpec(platform, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := NewServiceFromSpec(&spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return svc
+}
+
 // DropTickCache turns s's tick cache off: from then on every request runs the
 // whole pipeline over a frame of its own, and Reports reads the monitors anew.
 // It is the reference the cached ≡ uncached tests hold the cache to — cached

@@ -6,25 +6,12 @@ import (
 	"prodpred/internal/stochastic"
 )
 
-func ledgerService(t *testing.T) *Service {
-	t.Helper()
-	cfg, err := SimulatedConfig(1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc, err := NewService(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return svc
-}
-
 // TestLedgerDeadSlotsDoNotEvict is the unit-level regression for the
 // eviction bug: Observe leaves dead slots behind in issuedOrder, and the
 // old bound (on order length, not live count) let them evict a live
 // prediction while only a handful were truly outstanding.
 func TestLedgerDeadSlotsDoNotEvict(t *testing.T) {
-	svc := ledgerService(t)
+	svc := simulatedService(t, 1, 1)
 	v := stochastic.New(1, 0.1)
 
 	svc.ledgerMu.Lock()
@@ -62,7 +49,7 @@ func TestLedgerDeadSlotsDoNotEvict(t *testing.T) {
 // true outstanding count: at maxOutstanding live entries, issuing one more
 // evicts exactly the oldest live prediction.
 func TestLedgerEvictsOldestLiveAtBound(t *testing.T) {
-	svc := ledgerService(t)
+	svc := simulatedService(t, 1, 1)
 	v := stochastic.New(1, 0.1)
 
 	svc.ledgerMu.Lock()
@@ -101,7 +88,7 @@ func TestLedgerEvictsOldestLiveAtBound(t *testing.T) {
 // workload and asserts the order slice stays proportional to the live
 // count — the backing-array retention fix.
 func TestLedgerOrderCompactionBound(t *testing.T) {
-	svc := ledgerService(t)
+	svc := simulatedService(t, 1, 1)
 	v := stochastic.New(1, 0.1)
 	svc.ledgerMu.Lock()
 	for i := 0; i < 50000; i++ {

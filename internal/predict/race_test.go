@@ -9,27 +9,20 @@ import (
 	"sync"
 	"testing"
 
-	"prodpred/internal/faults"
 	"prodpred/internal/predict"
 	"prodpred/internal/stochastic"
 )
 
-// stressInjector schedules every fault class: drops and spikes everywhere,
+// stressFaults schedules every fault class: drops and spikes everywhere,
 // transients, and an outage window on machine 0 that the stress rounds
 // advance straight through.
-func stressInjector(t *testing.T, seed int64, machines int) *faults.Injector {
-	t.Helper()
-	in := faults.NewInjector(seed)
-	for m := 0; m < machines; m++ {
-		s := faults.Schedule{DropProb: 0.2, TransientProb: 0.02, SpikeProb: 0.05, SpikeFactor: 4}
-		if m == 0 {
-			s.Outages = []faults.Window{{Start: 150, End: 260}}
-		}
-		if err := in.Set(m, s); err != nil {
-			t.Fatal(err)
-		}
+func stressFaults(machines int) []predict.FaultSpec {
+	fs := make([]predict.FaultSpec, machines)
+	for m := range fs {
+		fs[m] = predict.FaultSpec{Machine: m, Drop: 0.2, Transient: 0.02, Spike: 0.05, SpikeFactor: 4}
 	}
-	return in
+	fs[0].Outages = []predict.OutageSpec{{Start: 150, End: 260}}
+	return fs
 }
 
 // runStressRounds fires `workers` parallel Predict calls per round against
@@ -37,7 +30,7 @@ func stressInjector(t *testing.T, seed int64, machines int) *faults.Injector {
 // injected throughout. Returns the per-round, per-worker predictions.
 func runStressRounds(t *testing.T, seed int64, rounds, workers int) ([][]stochastic.Value, *predict.Service) {
 	t.Helper()
-	svc := burstyService(t, seed, 100, stressInjector(t, seed, 4))
+	svc := burstyService(t, seed, 100, stressFaults(4)...)
 	req := baseRequest()
 	out := make([][]stochastic.Value, rounds)
 	for r := range out {
@@ -238,7 +231,7 @@ func TestConcurrentMixedOps(t *testing.T) {
 func TestConcurrentObservePredictDeterministic(t *testing.T) {
 	const rounds, workers = 5, 8
 	run := func() (string, []stochastic.Value) {
-		svc := burstyService(t, 29, 100, stressInjector(t, 29, 4))
+		svc := burstyService(t, 29, 100, stressFaults(4)...)
 		req := baseRequest()
 		var vals []stochastic.Value
 		for r := 0; r < rounds; r++ {

@@ -16,8 +16,8 @@ import (
 
 // RegistryOptions tunes a fleet registry.
 type RegistryOptions struct {
-	// Metrics, when non-nil, instruments every lazily instantiated service
-	// (eagerly Register()ed services carry whatever their Config chose).
+	// Metrics, when non-nil, instruments every service the registry builds
+	// or restores.
 	Metrics *obs.Registry
 }
 
@@ -26,9 +26,10 @@ type RegistryOptions struct {
 // guards one name → entry map and a name-sorted roster of the same entries; a
 // lookup holds it shared for one map read (tens of nanoseconds of a request's
 // hundreds of microseconds), so there is no contention for more locks to
-// spread. Platforms register either as live services (Register) or as
-// declarative specs (RegisterSpec) that instantiate lazily — build, warm up,
-// publish — on the first request that names them. Safe for concurrent use.
+// spread. Platforms register as declarative specs (RegisterSpec) that
+// instantiate lazily — build, warm up, publish — on the first request that
+// names them; a restored snapshot registers its live platforms built. Safe
+// for concurrent use.
 type Registry struct {
 	metrics *obs.Registry
 
@@ -48,13 +49,13 @@ type Registry struct {
 }
 
 // platformEntry is one registered platform. svc is the live service: set at
-// registration for one that arrives built, published by instantiate for a
-// cold spec. The build is memoized (service or error) under the entry's own
-// mutex, so concurrent first requests for a cold tenant build it exactly once
-// and a slow build holds no registry lock.
+// registration for one restored from a snapshot, published by instantiate
+// for a cold spec. The build is memoized (service or error) under the
+// entry's own mutex, so concurrent first requests for a cold tenant build it
+// exactly once and a slow build holds no registry lock.
 type platformEntry struct {
 	name string
-	spec *PlatformSpec // nil for directly registered spec-less services
+	spec *PlatformSpec
 	svc  atomic.Pointer[Service]
 
 	mu    sync.Mutex
@@ -94,8 +95,8 @@ func (r *Registry) add(e *platformEntry) error {
 }
 
 // addLive files a registration whose service already exists.
-func (r *Registry) addLive(spec *PlatformSpec, s *Service) error {
-	e := &platformEntry{name: s.Name(), spec: spec, built: true}
+func (r *Registry) addLive(s *Service) error {
+	e := &platformEntry{name: s.Name(), spec: s.spec, built: true}
 	e.svc.Store(s)
 	return r.add(e)
 }
@@ -106,17 +107,6 @@ func (r *Registry) entriesByName() []*platformEntry {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.roster
-}
-
-// Register adds a live service under its platform name.
-func (r *Registry) Register(s *Service) error {
-	if s == nil {
-		return errors.New("predict: nil service")
-	}
-	if s.Name() == "" {
-		return errors.New("predict: service platform has no name")
-	}
-	return r.addLive(s.Spec(), s)
 }
 
 // RegisterSpec adds a cold declarative platform: the spec is validated and

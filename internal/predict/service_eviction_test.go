@@ -11,7 +11,7 @@ import (
 // predictions are *truly* outstanding, not once 4096 ledger slots (live or
 // dead) have ever existed.
 func TestObserveHeavyTrafficNeverEvictsLive(t *testing.T) {
-	svc := burstyService(t, 3, 60, nil)
+	svc := burstyService(t, 3, 60)
 	req := baseRequest()
 	first, err := svc.Predict(req)
 	if err != nil {

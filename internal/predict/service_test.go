@@ -9,27 +9,31 @@ import (
 
 	"prodpred/internal/calib"
 	"prodpred/internal/cluster"
-	"prodpred/internal/faults"
-	"prodpred/internal/load"
 	"prodpred/internal/predict"
 	"prodpred/internal/stochastic"
 )
 
-// burstyService builds a Platform 2 service under bursty production load,
-// optionally fault-injected, advanced to warmup.
-func burstyService(t *testing.T, seed int64, warmup float64, in *faults.Injector) *predict.Service {
+// burstySpec is the Platform 2 spec under bursty production load with a
+// 256-sample monitor ring, optionally fault-injected (faults seeded with the
+// platform seed), warmed up to warmup.
+func burstySpec(t *testing.T, seed int64, warmup float64, fs ...predict.FaultSpec) predict.PlatformSpec {
 	t.Helper()
-	cfg, err := predict.SimulatedConfig(2, seed)
+	spec, err := predict.SimulatedSpec(2, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Injector = in
-	cfg.History = 256
-	svc, err := predict.NewService(cfg)
+	spec.History = 256
+	spec.Warmup = warmup
+	spec.Faults = fs
+	return spec
+}
+
+// burstyService builds burstySpec's service.
+func burstyService(t *testing.T, seed int64, warmup float64, fs ...predict.FaultSpec) *predict.Service {
+	t.Helper()
+	spec := burstySpec(t, seed, warmup, fs...)
+	svc, err := predict.NewServiceFromSpec(&spec, nil)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.AdvanceTo(warmup); err != nil {
 		t.Fatal(err)
 	}
 	return svc
@@ -39,22 +43,8 @@ func baseRequest() predict.Request {
 	return predict.Request{N: 120, Iterations: 6, MaxStrategy: stochastic.LargestMean}
 }
 
-func TestNewServiceValidation(t *testing.T) {
-	if _, err := predict.NewService(predict.Config{}); err == nil {
-		t.Error("nil platform should fail")
-	}
-	plat := cluster.Platform2()
-	if _, err := predict.NewService(predict.Config{
-		Platform: plat,
-		CPU:      []load.Process{load.Dedicated()}, // wrong count
-		Net:      load.Dedicated(),
-	}); err == nil {
-		t.Error("cpu count mismatch should fail")
-	}
-}
-
 func TestPredictBasics(t *testing.T) {
-	svc := burstyService(t, 3, 300, nil)
+	svc := burstyService(t, 3, 300)
 	pred, err := svc.Predict(baseRequest())
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +89,7 @@ func TestPredictBasics(t *testing.T) {
 }
 
 func TestRequestValidation(t *testing.T) {
-	svc := burstyService(t, 3, 100, nil)
+	svc := burstyService(t, 3, 100)
 	req := baseRequest()
 	req.N = 2
 	if _, err := svc.Predict(req); err == nil {
@@ -128,7 +118,7 @@ func TestRequestValidation(t *testing.T) {
 }
 
 func TestPartitionPinning(t *testing.T) {
-	svc := burstyService(t, 5, 300, nil)
+	svc := burstyService(t, 5, 300)
 	req := baseRequest()
 	part, err := svc.Partition(req)
 	if err != nil {
@@ -157,13 +147,11 @@ func TestPartitionPinning(t *testing.T) {
 func TestPriorFallbackUnderTotalOutage(t *testing.T) {
 	// Every sensor dark from t=0: the fallback chain must bottom out at
 	// the conservative prior instead of erroring.
-	in := faults.NewInjector(1)
+	var fs []predict.FaultSpec
 	for m := 0; m < cluster.Platform2().Size(); m++ {
-		if err := in.Set(m, faults.Schedule{Outages: []faults.Window{{Start: 0, End: 1e9}}}); err != nil {
-			t.Fatal(err)
-		}
+		fs = append(fs, predict.FaultSpec{Machine: m, Outages: []predict.OutageSpec{{Start: 0, End: 1e9}}})
 	}
-	svc := burstyService(t, 3, 200, in)
+	svc := burstyService(t, 3, 200, fs...)
 	pred, err := svc.Predict(baseRequest())
 	if err != nil {
 		t.Fatal(err)
@@ -185,20 +173,10 @@ func TestPriorFallbackUnderTotalOutage(t *testing.T) {
 }
 
 func TestDedicatedNetworkSkipsBandwidth(t *testing.T) {
-	plat := cluster.Platform2()
-	cpu := make([]load.Process, plat.Size())
-	for i := range cpu {
-		p, err := load.Platform2FourModeBursty(int64(i + 1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cpu[i] = p
-	}
-	svc, err := predict.NewService(predict.Config{Platform: plat, CPU: cpu, Net: load.Dedicated()})
+	spec := burstySpec(t, 1, 200)
+	spec.Net = nil
+	svc, err := predict.NewServiceFromSpec(&spec, nil)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.AdvanceTo(200); err != nil {
 		t.Fatal(err)
 	}
 	pred, err := svc.Predict(baseRequest())
@@ -217,11 +195,7 @@ func TestDedicatedNetworkSkipsBandwidth(t *testing.T) {
 }
 
 func TestReportsAndGaps(t *testing.T) {
-	in := faults.NewInjector(9)
-	if err := in.Set(0, faults.Schedule{DropProb: 0.5}); err != nil {
-		t.Fatal(err)
-	}
-	svc := burstyService(t, 11, 400, in)
+	svc := burstyService(t, 11, 400, predict.FaultSpec{Machine: 0, Drop: 0.5})
 	reports := svc.Reports()
 	if len(reports) != svc.Platform().Size() {
 		t.Fatalf("reports=%d", len(reports))
@@ -258,29 +232,27 @@ func TestRegistry(t *testing.T) {
 	if _, err := reg.Lookup(""); err == nil {
 		t.Error("empty registry lookup should fail")
 	}
-	svc2 := burstyService(t, 3, 100, nil)
-	if err := reg.Register(svc2); err != nil {
+	spec2 := burstySpec(t, 3, 100)
+	if err := reg.RegisterSpec(spec2); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.Register(svc2); err == nil {
+	if err := reg.RegisterSpec(spec2); err == nil {
 		t.Error("duplicate register should fail")
 	}
-	// With a single service, the empty name resolves to it.
-	if s, err := reg.Lookup(""); err != nil || s != svc2 {
-		t.Errorf("single-service empty lookup: %v, %v", s, err)
+	// With a single platform, the empty name resolves to it.
+	svc2, err := reg.Lookup("")
+	if err != nil || svc2.Name() != spec2.Name {
+		t.Fatalf("single-platform empty lookup: %v, %v", svc2, err)
 	}
-	cfg1, err := predict.SimulatedConfig(1, 3)
+	if s, err := reg.Lookup(spec2.Name); err != nil || s != svc2 {
+		t.Errorf("named lookup: %v, %v, want the instantiated service", s, err)
+	}
+	spec1, err := predict.SimulatedSpec(1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc1, err := predict.NewService(cfg1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := svc1.AdvanceTo(100); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.Register(svc1); err != nil {
+	spec1.Warmup = 100
+	if err := reg.RegisterSpec(spec1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := reg.Lookup(""); err == nil {
@@ -291,12 +263,12 @@ func TestRegistry(t *testing.T) {
 		t.Errorf("names=%v", names)
 	}
 	req := baseRequest()
-	req.Platform = svc1.Name()
+	req.Platform = spec1.Name
 	pred, err := reg.Predict(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pred.Loads) != svc1.Platform().Size() {
+	if len(pred.Loads) != len(spec1.Machines) {
 		t.Errorf("routed to wrong platform: %d machines", len(pred.Loads))
 	}
 	if _, err := reg.Lookup("nope"); err == nil || !strings.Contains(err.Error(), "unknown platform") {
@@ -307,27 +279,8 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
-func TestSimulatedConfig(t *testing.T) {
-	if _, err := predict.SimulatedConfig(3, 1); err == nil {
-		t.Error("unknown platform should fail")
-	}
-	for _, id := range []int{1, 2} {
-		cfg, err := predict.SimulatedConfig(id, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(cfg.CPU) != cfg.Platform.Size() {
-			t.Errorf("platform %d: %d load processes for %d machines",
-				id, len(cfg.CPU), cfg.Platform.Size())
-		}
-		if _, constant := cfg.Net.(load.Constant); constant {
-			t.Errorf("platform %d: network should carry contention", id)
-		}
-	}
-}
-
 func TestObserveLifecycle(t *testing.T) {
-	svc := burstyService(t, 13, 300, nil)
+	svc := burstyService(t, 13, 300)
 	pred, err := svc.Predict(baseRequest())
 	if err != nil {
 		t.Fatal(err)
@@ -407,7 +360,7 @@ func TestObserveLifecycle(t *testing.T) {
 // tighten once enough outcomes accumulate, and the floor stops the
 // tightening from collapsing the interval to a point.
 func TestObserveCalibratesIntervals(t *testing.T) {
-	svc := burstyService(t, 17, 300, nil)
+	svc := burstyService(t, 17, 300)
 	req := baseRequest()
 	for i := 0; i < 24; i++ {
 		pred, err := svc.Predict(req)
@@ -451,8 +404,8 @@ func TestObserveCalibratesIntervals(t *testing.T) {
 func TestPredictHitAllocIndependentOfDriftLog(t *testing.T) {
 	const wantDrifts, hits = 200, 1000
 	req := baseRequest()
-	quiet := burstyService(t, 13, 300, nil)
-	drifted := burstyService(t, 13, 300, nil)
+	quiet := burstyService(t, 13, 300)
+	drifted := burstyService(t, 13, 300)
 
 	// Feed drifted wrong actuals in alternating regimes — dead centre for a
 	// baseline's worth of outcomes, then ten sigma out, and back — so the
@@ -512,8 +465,11 @@ func TestPredictHitAllocIndependentOfDriftLog(t *testing.T) {
 
 func TestRegistryObserve(t *testing.T) {
 	reg := predict.NewRegistry()
-	svc := burstyService(t, 19, 200, nil)
-	if err := reg.Register(svc); err != nil {
+	if err := reg.RegisterSpec(burstySpec(t, 19, 200)); err != nil {
+		t.Fatal(err)
+	}
+	svc, err := reg.Lookup("")
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := reg.Observe("atlantis", 1, 1); err == nil {
@@ -538,7 +494,7 @@ func TestRegistryObserve(t *testing.T) {
 // TestObserveEviction: the issued-prediction ledger stays bounded when a
 // caller predicts forever without observing.
 func TestObserveEviction(t *testing.T) {
-	svc := burstyService(t, 23, 200, nil)
+	svc := burstyService(t, 23, 200)
 	req := baseRequest()
 	var first uint64
 	for i := 0; i < 4100; i++ {

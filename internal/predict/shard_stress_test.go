@@ -20,13 +20,8 @@ import (
 // the two serving paths the coherence tests compare.
 func shardService(t *testing.T, seed int64, noCache bool) *predict.Service {
 	t.Helper()
-	cfg, err := predict.SimulatedConfig(2, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Injector = stressInjector(t, seed, 4)
-	cfg.History = 256
-	svc, err := predict.NewService(cfg)
+	spec := burstySpec(t, seed, 0, stressFaults(4)...)
+	svc, err := predict.NewServiceFromSpec(&spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,12 +379,11 @@ func counterValue(reg *obs.Registry, name, platform string) int64 {
 func TestFrameStorm(t *testing.T) {
 	metrics := obs.NewRegistry()
 	build := func(metrics *obs.Registry) *predict.Service {
-		cfg, err := predict.SimulatedConfig(1, 61)
+		spec, err := predict.SimulatedSpec(1, 61)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.Metrics = metrics
-		svc, err := predict.NewService(cfg)
+		svc, err := predict.NewServiceFromSpec(&spec, metrics)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -153,11 +153,9 @@ func (d *snapDec) f64s() []float64 {
 	return v
 }
 
-// WriteSnapshot serializes the full fleet — cold specs and live service
-// state — to w. Every live platform must have been built from a spec
-// (Register a spec-less Service and the snapshot fails: restore would
-// have no way to rebuild its structure). Platforms are written in name
-// order, so equal fleets produce byte-identical snapshots.
+// WriteSnapshot serializes the full fleet — each platform's spec and, for
+// live ones, the service state — to w. Platforms are written in name order,
+// so equal fleets produce byte-identical snapshots.
 func (r *Registry) WriteSnapshot(w io.Writer) error {
 	plats := r.entriesByName()
 	e := &snapEnc{b: make([]byte, 0, 1<<16)}
@@ -167,14 +165,7 @@ func (r *Registry) WriteSnapshot(w io.Writer) error {
 	for _, p := range plats {
 		svc := p.svc.Load()
 		live := svc != nil
-		spec := p.spec
-		if live {
-			spec = svc.Spec()
-		}
-		if spec == nil {
-			return fmt.Errorf("predict: platform %q was not built from a spec; cannot snapshot", p.name)
-		}
-		specJSON, err := json.Marshal(spec)
+		specJSON, err := json.Marshal(p.spec)
 		if err != nil {
 			return fmt.Errorf("predict: encoding spec %q: %w", p.name, err)
 		}
@@ -231,7 +222,7 @@ func ReadSnapshot(rd io.Reader, opts RegistryOptions) (*Registry, error) {
 		if err != nil {
 			return nil, fmt.Errorf("predict: restoring platform %q: %w", name, err)
 		}
-		if err := reg.addLive(svc.Spec(), svc); err != nil {
+		if err := reg.addLive(svc); err != nil {
 			return nil, err
 		}
 	}
@@ -248,16 +239,10 @@ func ReadSnapshot(rd io.Reader, opts RegistryOptions) (*Registry, error) {
 // spec (no warmup — the imported clock supersedes it), dynamic state from
 // the decoder.
 func restoreService(spec *PlatformSpec, reg *Registry, d *snapDec) (*Service, error) {
-	cfg, err := spec.Config()
+	svc, err := newService(spec, reg.metrics)
 	if err != nil {
 		return nil, err
 	}
-	cfg.Metrics = reg.metrics
-	svc, err := NewService(cfg)
-	if err != nil {
-		return nil, err
-	}
-	svc.spec = spec.clone()
 	if err := svc.importFrom(d); err != nil {
 		return nil, err
 	}

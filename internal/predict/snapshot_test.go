@@ -207,22 +207,6 @@ func TestSnapshotColdSpecs(t *testing.T) {
 	}
 }
 
-// TestSnapshotRejectsSpeclessService: a service assembled directly from a
-// Config carries no spec, so the restore path could not rebuild it —
-// snapshotting must fail loudly, not silently drop the platform.
-func TestSnapshotRejectsSpeclessService(t *testing.T) {
-	reg := predict.NewRegistry()
-	svc := burstyService(t, 3, 50, nil)
-	if err := reg.Register(svc); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	err := reg.WriteSnapshot(&buf)
-	if err == nil || !strings.Contains(err.Error(), "not built from a spec") {
-		t.Fatalf("want spec-less snapshot error, got %v", err)
-	}
-}
-
 func TestReadSnapshotRejectsCorrupt(t *testing.T) {
 	reg := predict.NewRegistry()
 	if err := reg.RegisterSpec(predict.FleetSpecs(1, 2)[0]); err != nil {

@@ -99,7 +99,7 @@ type LoadSpec struct {
 	// Kind is one of: constant, light, platform1-center,
 	// platform1-trimodal, platform2-bursty, ethernet-contention,
 	// single-mode, markov-modal, user-sessions, long-tailed, congested,
-	// scenario, trace.
+	// scenario, trace, switch.
 	Kind string `json:"kind"`
 	// Seed seeds the process; 0 derives a seed from the platform seed and
 	// the machine index.
@@ -136,6 +136,11 @@ type LoadSpec struct {
 	Machine  int    `json:"machine,omitempty"`
 	// Path locates a recorded trace file (kind "trace").
 	Path string `json:"path,omitempty"`
+	// Switch: Children[0] until At[0], Children[j] on [At[j-1], At[j]),
+	// the last child after the last boundary. A child with Seed 0 takes
+	// the switch's seed.
+	At       []float64  `json:"at,omitempty"`
+	Children []LoadSpec `json:"children,omitempty"`
 }
 
 // ModeSpec is one availability mode of a markov-modal load.
@@ -201,6 +206,15 @@ func (l LoadSpec) build(defaultSeed int64) (load.Process, error) {
 			return nil, fmt.Errorf("predict: trace load %q: %w", l.Path, err)
 		}
 		return workload.TraceProcess(h, vals)
+	case "switch":
+		regimes := make([]load.Process, len(l.Children))
+		for i, c := range l.Children {
+			var err error
+			if regimes[i], err = c.build(seed); err != nil {
+				return nil, fmt.Errorf("predict: switch child %d: %w", i, err)
+			}
+		}
+		return load.NewSwitch(l.At, regimes...)
 	case "":
 		return nil, errors.New("predict: load spec missing kind")
 	default:
@@ -380,17 +394,14 @@ func (ps *PlatformSpec) clone() *PlatformSpec {
 	c.Machines = append([]MachineSpec(nil), ps.Machines...)
 	c.CPU = append([]LoadSpec(nil), ps.CPU...)
 	for i, ls := range c.CPU {
-		c.CPU[i].Modes = append([]ModeSpec(nil), ls.Modes...)
-		c.CPU[i].Weights = append([]float64(nil), ls.Weights...)
+		c.CPU[i] = ls.clone()
 	}
 	if ps.Link != nil {
 		l := *ps.Link
 		c.Link = &l
 	}
 	if ps.Net != nil {
-		n := *ps.Net
-		n.Modes = append([]ModeSpec(nil), ps.Net.Modes...)
-		n.Weights = append([]float64(nil), ps.Net.Weights...)
+		n := ps.Net.clone()
 		c.Net = &n
 	}
 	c.Faults = append([]FaultSpec(nil), ps.Faults...)
@@ -400,20 +411,27 @@ func (ps *PlatformSpec) clone() *PlatformSpec {
 	return &c
 }
 
-// NewServiceFromSpec builds a live Service from a spec: materialize the
-// Config, construct the service, run the spec's warmup, and attach the
-// spec for the snapshot path. metrics may be nil.
+// clone returns a deep copy of the load spec, children included.
+func (l LoadSpec) clone() LoadSpec {
+	l.Modes = append([]ModeSpec(nil), l.Modes...)
+	l.Weights = append([]float64(nil), l.Weights...)
+	l.At = append([]float64(nil), l.At...)
+	l.Children = append([]LoadSpec(nil), l.Children...)
+	for i, c := range l.Children {
+		l.Children[i] = c.clone()
+	}
+	return l
+}
+
+// NewServiceFromSpec builds a live Service from a spec — the one way to
+// build one: materialize the Config, construct the service with the spec
+// attached for the snapshot path, and run the spec's warmup. metrics may be
+// nil.
 func NewServiceFromSpec(spec *PlatformSpec, metrics *obs.Registry) (*Service, error) {
-	cfg, err := spec.Config()
+	svc, err := newService(spec, metrics)
 	if err != nil {
 		return nil, err
 	}
-	cfg.Metrics = metrics
-	svc, err := NewService(cfg)
-	if err != nil {
-		return nil, err
-	}
-	svc.spec = spec.clone()
 	for _, ls := range spec.CPU {
 		if ls.Kind == "scenario" {
 			svc.metrics.recordScenario(ls.Scenario)
@@ -455,8 +473,10 @@ func decodeSpecJSON(r io.Reader, v any) error {
 }
 
 // SimulatedSpec returns the declarative spec for one of the paper's
-// evaluation platforms (see SimulatedConfig, which materializes it): the
-// §3.1 / §3.2 machines, load presets and derived seeds.
+// evaluation platforms under its calibrated production load: Platform 1
+// with the center-mode load on the Sparc-2s and light load elsewhere
+// (§3.1), or Platform 2 with the 4-modal bursty load on every machine
+// (§3.2). Both run long-tailed ethernet contention on the shared link.
 func SimulatedSpec(platform int, seed int64) (PlatformSpec, error) {
 	switch platform {
 	case 1:

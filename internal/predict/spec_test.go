@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"prodpred/internal/load"
 	"prodpred/internal/predict"
 )
 
@@ -36,6 +37,16 @@ func TestSpecValidation(t *testing.T) {
 		}},
 		{"negative warmup", func(s *predict.PlatformSpec) { s.Warmup = -1 }},
 		{"bad link", func(s *predict.PlatformSpec) { s.Link = &predict.LinkSpec{DedBW: -1} }},
+		{"switch without boundary", func(s *predict.PlatformSpec) {
+			s.CPU = []predict.LoadSpec{{Kind: "switch", Children: []predict.LoadSpec{{Kind: "light"}, {Kind: "light"}}}}
+		}},
+		{"switch boundaries descending", func(s *predict.PlatformSpec) {
+			s.CPU = []predict.LoadSpec{{Kind: "switch", At: []float64{20, 10},
+				Children: []predict.LoadSpec{{Kind: "light"}, {Kind: "light"}, {Kind: "light"}}}}
+		}},
+		{"switch bad child", func(s *predict.PlatformSpec) {
+			s.CPU = []predict.LoadSpec{{Kind: "switch", At: []float64{10}, Children: []predict.LoadSpec{{Kind: "light"}, {Kind: "nope"}}}}
+		}},
 	}
 	for _, tc := range cases {
 		spec := valid()
@@ -80,6 +91,45 @@ func TestSpecBroadcastAndDefaults(t *testing.T) {
 	}
 }
 
+// TestSwitchLoadSpec: a "switch" load is load.NewSwitch over its children,
+// and a child without a seed takes the switch's, itself derived from the
+// platform seed and the machine index.
+func TestSwitchLoadSpec(t *testing.T) {
+	spec := predict.PlatformSpec{
+		Name:     "switch",
+		Machines: []predict.MachineSpec{{Name: "a", Kind: "sparc5"}, {Name: "b", Kind: "ultra"}},
+		CPU: []predict.LoadSpec{{Kind: "switch", At: []float64{100},
+			Children: []predict.LoadSpec{{Kind: "light", Seed: 5}, {Kind: "platform2-bursty"}}}},
+		Seed: 30,
+	}
+	cfg, err := spec.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for m, p := range cfg.CPU {
+		light, err := load.LightLoad(5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bursty, err := load.Platform2FourModeBursty(30 + int64(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := load.NewSwitch([]float64{100}, light, bursty)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Interval() != want.Interval() {
+			t.Errorf("machine %d: tick %g, want %g", m, p.Interval(), want.Interval())
+		}
+		for at := 0.0; at < 300; at += 7 {
+			if got, w := p.At(at), want.At(at); got != w {
+				t.Fatalf("machine %d at %g: %v, want %v", m, at, got, w)
+			}
+		}
+	}
+}
+
 func TestParseSpecs(t *testing.T) {
 	specsJSON := `[
 	  {"name":"a","seed":1,"machines":[{"name":"m0","kind":"sparc5"},{"name":"m1","kind":"sparc10"}],
@@ -103,6 +153,55 @@ func TestParseSpecs(t *testing.T) {
 	}
 }
 
+// FuzzParseSpecs: ParseSpecs never panics, and the JSON of anything it
+// accepts is a fixed point of parse → marshal. Inputs that could name a
+// trace file are skipped: that load kind opens files.
+func FuzzParseSpecs(f *testing.F) {
+	f.Add([]byte(`[{"name":"a","seed":1,"machines":[{"name":"m0","kind":"sparc5"},{"name":"m1","kind":"sparc10"}],
+	  "cpu":[{"kind":"single-mode","mean":0.5,"sigma":0.05,"phi":0.8}],"net":{"kind":"ethernet-contention"},
+	  "faults":[{"machine":0,"drop":0.05,"outages":[{"start":10,"end":20}]}]}]`))
+	f.Add([]byte(`[{"name":"s","machines":[{"name":"a","elem_rate":1e6,"memory_mb":64},{"name":"b","kind":"ultra"}],
+	  "cpu":[{"kind":"switch","at":[100],"children":[{"kind":"light","seed":3},{"kind":"platform2-bursty"}]}],
+	  "net":{"kind":"scenario","scenario":"flash-crowd"},"warmup":10}]`))
+	f.Add([]byte(`[{"name":"m","machines":[{"name":"a","kind":"sparc2"},{"name":"b","kind":"sparc2"}],
+	  "cpu":[{"kind":"markov-modal","modes":[{"mean":0.3,"sigma":0.05},{"mean":0.8,"sigma":0.05}],"weights":[1,1],"switch_prob":0.1}]}]`))
+	for _, id := range []int{1, 2} {
+		spec, err := predict.SimulatedSpec(id, 4)
+		if err != nil {
+			f.Fatal(err)
+		}
+		b, err := json.Marshal([]predict.PlatformSpec{spec})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if bytes.Contains(data, []byte("trace")) || bytes.Contains(data, []byte(`\u`)) {
+			return
+		}
+		specs, err := predict.ParseSpecs(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		once, err := json.Marshal(specs)
+		if err != nil {
+			t.Fatalf("accepted specs do not marshal: %v", err)
+		}
+		again, err := predict.ParseSpecs(bytes.NewReader(once))
+		if err != nil {
+			t.Fatalf("marshalled specs are refused: %v\n%s", err, once)
+		}
+		twice, err := json.Marshal(again)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(once, twice) {
+			t.Fatalf("parse → marshal is not a fixed point:\n%s\n%s", once, twice)
+		}
+	})
+}
+
 func TestSpecJSONRoundTrip(t *testing.T) {
 	spec, err := predict.SimulatedSpec(2, 9)
 	if err != nil {
@@ -119,6 +218,29 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(spec, back) {
 		t.Fatalf("round trip diverged:\n%+v\nvs\n%+v", spec, back)
+	}
+}
+
+func TestSimulatedSpec(t *testing.T) {
+	if _, err := predict.SimulatedSpec(3, 1); err == nil {
+		t.Error("unknown platform should fail")
+	}
+	for _, id := range []int{1, 2} {
+		spec, err := predict.SimulatedSpec(id, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := spec.Config()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cfg.CPU) != cfg.Platform.Size() {
+			t.Errorf("platform %d: %d load processes for %d machines",
+				id, len(cfg.CPU), cfg.Platform.Size())
+		}
+		if _, constant := cfg.Net.(load.Constant); constant {
+			t.Errorf("platform %d: network should carry contention", id)
+		}
 	}
 }
 

@@ -32,16 +32,14 @@ func buildServingMetrics(t *testing.T) []string {
 	metrics := obs.NewRegistry()
 	reg := predict.NewRegistryWith(predict.RegistryOptions{Metrics: metrics})
 	for _, id := range []int{1, 2} {
-		cfg, err := predict.SimulatedConfig(id, 1)
+		spec, err := predict.SimulatedSpec(id, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.Metrics = metrics
-		svc, err := predict.NewService(cfg)
-		if err != nil {
+		if err := reg.RegisterSpec(spec); err != nil {
 			t.Fatal(err)
 		}
-		if err := reg.Register(svc); err != nil {
+		if _, err := reg.Lookup(spec.Name); err != nil {
 			t.Fatal(err)
 		}
 	}

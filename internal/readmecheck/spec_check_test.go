@@ -10,13 +10,15 @@ import (
 
 // TestOperationsDocumentsEverySpecField keeps the fleet-mode section of
 // OPERATIONS.md in step with the spec types: every JSON key of a platform
-// spec and of its machine, link, fault and outage entries is named there
+// spec and of its machine, link, load, mode, fault and outage entries is
+// named there
 // (quoted in an example or in backticks), and the section's example spec
 // file parses as predictd -specs would read it. A spec field added without
 // documentation, or one removed while the example still uses it, fails here.
 func TestOperationsDocumentsEverySpecField(t *testing.T) {
 	ops := readRepoFile(t, "OPERATIONS.md")
-	for _, typ := range []any{predict.PlatformSpec{}, predict.MachineSpec{}, predict.LinkSpec{}, predict.FaultSpec{}, predict.OutageSpec{}} {
+	for _, typ := range []any{predict.PlatformSpec{}, predict.MachineSpec{}, predict.LinkSpec{},
+		predict.LoadSpec{}, predict.ModeSpec{}, predict.FaultSpec{}, predict.OutageSpec{}} {
 		rt := reflect.TypeOf(typ)
 		for i := 0; i < rt.NumField(); i++ {
 			key, _, _ := strings.Cut(rt.Field(i).Tag.Get("json"), ",")

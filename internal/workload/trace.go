@@ -88,7 +88,9 @@ func WriteTrace(w io.Writer, h TraceHeader, vals []float64) error {
 }
 
 // ReadTrace parses a trace written by WriteTrace, checking the header and
-// the sample count.
+// the sample count. The header's count is a claim, not a size: the values
+// grow as samples arrive, and a sample past the claimed count is an error
+// at once.
 func ReadTrace(r io.Reader) (TraceHeader, []float64, error) {
 	var h TraceHeader
 	br := bufio.NewReader(r)
@@ -104,12 +106,15 @@ func ReadTrace(r io.Reader) (TraceHeader, []float64, error) {
 	if err := h.validate(); err != nil {
 		return h, nil, err
 	}
-	vals := make([]float64, 0, h.Samples)
+	var vals []float64
 	sc := bufio.NewScanner(br)
 	for sc.Scan() {
 		text := strings.TrimSpace(sc.Text())
 		if text == "" {
 			continue
+		}
+		if len(vals) == h.Samples {
+			return h, nil, fmt.Errorf("workload: trace has more samples than the %d its header says", h.Samples)
 		}
 		v, err := strconv.ParseFloat(text, 64)
 		if err != nil {

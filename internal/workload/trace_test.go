@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -56,6 +57,7 @@ func TestReadTraceRejects(t *testing.T) {
 		"wrong version":   `{"format":"prodpred-trace","version":9,"seed":1,"machine":0,"dt":1,"t0":0,"samples":1}` + "\n0.5\n",
 		"bad dt":          `{"format":"prodpred-trace","version":1,"seed":1,"machine":0,"dt":0,"t0":0,"samples":1}` + "\n0.5\n",
 		"count mismatch":  `{"format":"prodpred-trace","version":1,"seed":1,"machine":0,"dt":1,"t0":0,"samples":3}` + "\n0.5\n0.6\n",
+		"extra sample":    `{"format":"prodpred-trace","version":1,"seed":1,"machine":0,"dt":1,"t0":0,"samples":1}` + "\n0.5\n0.6\n",
 		"bad sample":      `{"format":"prodpred-trace","version":1,"seed":1,"machine":0,"dt":1,"t0":0,"samples":1}` + "\nnope\n",
 		"unknown hdr key": `{"format":"prodpred-trace","version":1,"seed":1,"machine":0,"dt":1,"t0":0,"samples":1,"extra":true}` + "\n0.5\n",
 	}
@@ -64,6 +66,50 @@ func TestReadTraceRejects(t *testing.T) {
 			t.Errorf("%s: expected error, got none", name)
 		}
 	}
+}
+
+// TestReadTraceHugeHeaderCount: a header claiming more samples than memory
+// holds is refused like any other count mismatch — the claim never sizes an
+// allocation.
+func TestReadTraceHugeHeaderCount(t *testing.T) {
+	for _, samples := range []string{"9223372036854775807", "100000000000"} {
+		data := `{"format":"prodpred-trace","version":1,"seed":1,"machine":0,"dt":1,"t0":0,"samples":` + samples + "}\n0.5\n0.6\n"
+		_, _, err := ReadTrace(strings.NewReader(data))
+		if err == nil || !strings.Contains(err.Error(), "has 2 samples") {
+			t.Errorf("samples %s: err = %v, want a count mismatch", samples, err)
+		}
+	}
+}
+
+// FuzzReadTrace: ReadTrace never panics, and a trace it accepts comes back
+// from WriteTrace → ReadTrace with the same header and bit-identical values.
+func FuzzReadTrace(f *testing.F) {
+	f.Add([]byte(`{"format":"prodpred-trace","version":1,"seed":1,"machine":0,"dt":1,"t0":0,"samples":2}` + "\n0.5\n-0\n"))
+	f.Add([]byte(`{"format":"prodpred-trace","version":1,"scenario":"x","seed":-3,"machine":-1,"dt":0.25,"t0":5,"samples":1}` + "\nNaN\n"))
+	f.Add([]byte(`{"format":"prodpred-trace","version":1,"seed":1,"machine":0,"dt":1,"t0":0,"samples":9223372036854775807}` + "\n0.5\n"))
+	f.Add([]byte(`{"format":"prodpred-trace","version":1,"seed":1,"machine":0,"dt":1,"t0":0,"samples":1}` + "\n0x1p-3\n\n1e400\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, vals, err := ReadTrace(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteTrace(&buf, h, vals); err != nil {
+			t.Fatalf("accepted trace does not write: %v", err)
+		}
+		h2, vals2, err := ReadTrace(&buf)
+		if err != nil {
+			t.Fatalf("written trace does not read: %v\n%s", err, buf.Bytes())
+		}
+		if h2 != h || len(vals2) != len(vals) {
+			t.Fatalf("round trip changed the trace: %+v (%d values) -> %+v (%d values)", h, len(vals), h2, len(vals2))
+		}
+		for i := range vals {
+			if math.Float64bits(vals2[i]) != math.Float64bits(vals[i]) {
+				t.Fatalf("sample %d changed bits: %v -> %v", i, vals[i], vals2[i])
+			}
+		}
+	})
 }
 
 func TestWriteTraceFillsDefaults(t *testing.T) {

@@ -23,6 +23,11 @@
 //   - the prediction-service core     (internal/predict)
 //   - the paper's tables and figures  (internal/experiments)
 //
+// A PredictionService is built from a PlatformSpec, the declarative,
+// JSON-serializable description of a platform (SimulatedPlatformSpec gives
+// the paper's two); NewPredictionService builds it and runs its warm-up, and
+// a PredictRegistry hosts several by name (RegisterSpec).
+//
 // Serving infrastructure (the HTTP layer in internal/api and the metrics
 // registry in internal/obs) is not re-exported here; cmd/predictd
 // consumes it directly, and OPERATIONS.md documents it.
@@ -363,10 +368,15 @@ type (
 	// time in its API (clock positions, predictions, observed runtimes)
 	// is in virtual seconds.
 	PredictionService = predict.Service
-	// PredictConfig configures a PredictionService: platform, per-machine
-	// CPU load processes, network contention, monitor history, optional
-	// fault injector, and optional metrics registry.
-	PredictConfig = predict.Config
+	// PlatformSpec is the JSON-serializable description every
+	// PredictionService is built from: machines, link, per-machine CPU
+	// load, network contention, monitor history, warm-up, and sensor-fault
+	// schedules.
+	PlatformSpec = predict.PlatformSpec
+	// FaultSpec is one machine's sensor-fault schedule in a PlatformSpec;
+	// OutageSpec one of its outage windows, in virtual seconds.
+	FaultSpec  = predict.FaultSpec
+	OutageSpec = predict.OutageSpec
 	// PredictRequest names what to predict: grid size, iteration count,
 	// partition strategy, Max strategy, and iteration relation.
 	PredictRequest = predict.Request
@@ -386,21 +396,21 @@ type (
 // has no usable history — for example during a sensor outage.
 var DefaultCPUPrior = predict.DefaultCPUPrior
 
-// NewPredictionService builds a prediction service over the configured
-// simulated platform. Advance or AdvanceTo moves its virtual clock (and
-// all monitors) forward; Predict answers at the current time.
-func NewPredictionService(cfg PredictConfig) (*PredictionService, error) {
-	return predict.NewService(cfg)
+// NewPredictionService builds the prediction service the spec describes and
+// runs its warm-up. Advance or AdvanceTo moves its virtual clock (and all
+// monitors) further; Predict answers at the current time.
+func NewPredictionService(spec PlatformSpec) (*PredictionService, error) {
+	return predict.NewServiceFromSpec(&spec, nil)
 }
 
 // NewPredictRegistry returns an empty prediction-service registry.
 func NewPredictRegistry() *PredictRegistry { return predict.NewRegistry() }
 
-// SimulatedPredictConfig returns the canonical PredictConfig for the
-// paper's evaluation platforms (1 or 2) under their calibrated production
-// load shapes — the same construction cmd/sorpredict and cmd/predictd use.
-func SimulatedPredictConfig(platform int, seed int64) (PredictConfig, error) {
-	return predict.SimulatedConfig(platform, seed)
+// SimulatedPlatformSpec returns the spec of one of the paper's evaluation
+// platforms (1 or 2) under its calibrated production load shapes — the same
+// construction cmd/sorpredict and cmd/predictd use.
+func SimulatedPlatformSpec(platform int, seed int64) (PlatformSpec, error) {
+	return predict.SimulatedSpec(platform, seed)
 }
 
 // Online accuracy tracking, adaptive interval calibration, and load-regime

@@ -202,25 +202,20 @@ func TestFacadeDistributedAndModal(t *testing.T) {
 // platform through the facade only, warm it up, and predict under both
 // healthy and degraded monitors.
 func TestFacadePredictionService(t *testing.T) {
-	in := NewFaultInjector(5)
-	if err := in.Set(0, FaultSchedule{
-		DropProb:    0.3,
-		SpikeProb:   0.05,
+	spec, err := SimulatedPlatformSpec(2, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Faults = []FaultSpec{{
+		Machine:     0,
+		Drop:        0.3,
+		Spike:       0.05,
 		SpikeFactor: DefaultSpikeFactor,
-		Outages:     []OutageWindow{{Start: 100, End: 220}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := SimulatedPredictConfig(2, 5)
+		Outages:     []OutageSpec{{Start: 100, End: 220}},
+	}}
+	spec.Warmup = 300
+	svc, err := NewPredictionService(spec)
 	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Injector = in
-	svc, err := NewPredictionService(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.AdvanceTo(300); err != nil {
 		t.Fatal(err)
 	}
 
@@ -239,14 +234,25 @@ func TestFacadePredictionService(t *testing.T) {
 	if gaps.Dropped == 0 || gaps.Outage == 0 {
 		t.Errorf("machine 0 gaps=%+v, want drops and outage misses", gaps)
 	}
+
+	// A standalone injector wraps any sensor with the same schedules.
+	in := NewFaultInjector(5)
+	if err := in.Set(0, FaultSchedule{DropProb: 0.3, Outages: []OutageWindow{{Start: 100, End: 220}}}); err != nil {
+		t.Fatal(err)
+	}
+	sensor := in.Sensor(0, func(float64) (float64, error) { return 1, nil })
+	for at := 0.0; at < 300; at += 10 {
+		sensor(at)
+	}
 	var stats FaultStats = in.Stats(0)
 	if stats.Drops == 0 || stats.OutageHits == 0 || stats.Total() == 0 {
 		t.Errorf("injector stats empty: %+v", stats)
 	}
 
-	// Route the same request through a registry, as predictd does.
+	// Route the same request through a registry, as predictd does: the
+	// registry builds its own service from the same spec.
 	reg := NewPredictRegistry()
-	if err := reg.Register(svc); err != nil {
+	if err := reg.RegisterSpec(spec); err != nil {
 		t.Fatal(err)
 	}
 	routed, err := reg.Predict(PredictRequest{
@@ -292,15 +298,17 @@ func TestFacadeCalibration(t *testing.T) {
 	}
 
 	// Closed loop through a service and a registry.
-	cfg, err := SimulatedPredictConfig(1, 7)
+	spec, err := SimulatedPlatformSpec(1, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := NewPredictionService(cfg)
-	if err != nil {
+	spec.Warmup = 200
+	reg := NewPredictRegistry()
+	if err := reg.RegisterSpec(spec); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.AdvanceTo(200); err != nil {
+	svc, err := reg.Lookup(spec.Name)
+	if err != nil {
 		t.Fatal(err)
 	}
 	pred, err := svc.Predict(PredictRequest{N: 120, Iterations: 6, MaxStrategy: LargestMean})
@@ -309,10 +317,6 @@ func TestFacadeCalibration(t *testing.T) {
 	}
 	if pred.ID == 0 || pred.CalibrationScale != 1 || pred.Value != pred.Raw {
 		t.Errorf("uncalibrated prediction: id=%d scale=%g", pred.ID, pred.CalibrationScale)
-	}
-	reg := NewPredictRegistry()
-	if err := reg.Register(svc); err != nil {
-		t.Fatal(err)
 	}
 	var got CalibrationSnapshot
 	got, err = reg.Observe(svc.Name(), pred.ID, pred.Value.Mean)

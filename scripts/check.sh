@@ -7,9 +7,9 @@
 # model tree, of the raced BIC selection against the exhaustive one, of the
 # mixture quantile search against bisection, of the NWS battery's sorted
 # windows against sort.Float64s, of the quantile selection against the
-# sort and of stochcalc's evaluator (finite or an error), the bench/
-# module's vet + tests,
-# and the snapshot drill over the real daemon binary.
+# sort, of stochcalc's evaluator (finite or an error) and of the trace and
+# spec readers, the bench/ module's vet + tests, the snapshot drill over the
+# real daemon binary, and a report-only line count (scripts/loc.sh).
 # The SOR worker pool, the sharded Monte Carlo engine, and the
 # predict.Service prediction core are concurrent by design, so -race is not
 # optional here.
@@ -71,6 +71,11 @@ go test -run '^$' -fuzz FuzzQuantileInPlace -fuzztime 5s ./internal/stats
 # And of argument vectors into stochcalc's evaluator: an error, or a finite
 # value — never an Inf or a NaN printed with exit status 0.
 go test -run '^$' -fuzz FuzzEval -fuzztime 5s ./cmd/stochcalc
+# And of bytes into the two readers behind every built service: trace files
+# (never a panic; what is accepted writes and reads back bit for bit) and
+# spec files (never a panic; what is accepted re-marshals to a fixed point).
+go test -run '^$' -fuzz FuzzReadTrace -fuzztime 5s ./internal/workload
+go test -run '^$' -fuzz FuzzParseSpecs -fuzztime 5s ./internal/predict
 
 # The benchmark harness is its own module (bench/go.mod, replace prodpred
 # => ../), so ./... above does not see it: vet and test it here, or an
@@ -84,5 +89,7 @@ scripts/snapshot_smoke.sh
 
 # Coverage summary for the online-calibration layer (report-only, no gate).
 go test -cover ./internal/calib ./internal/predict | awk '{print "check.sh: coverage:", $0}'
+# Go line count of the root module (report-only, no gate).
+scripts/loc.sh | awk '{print "check.sh: lines:", $0}'
 
-echo "check.sh: gofmt, vet, race-enabled tests, the concurrency tests at -cpu 1,4, bench smoke, loadgen round trip, POST-body, point- and value-evaluator, BIC-race, mixture-quantile, sorted-window, quantile-selection and stochcalc-evaluator fuzz, the bench/ module, and the snapshot round trip all clean"
+echo "check.sh: gofmt, vet, race-enabled tests, the concurrency tests at -cpu 1,4, bench smoke, loadgen round trip, POST-body, point- and value-evaluator, BIC-race, mixture-quantile, sorted-window, quantile-selection, stochcalc-evaluator, trace-reader (FuzzReadTrace) and spec-parser (FuzzParseSpecs) fuzz, the bench/ module, and the snapshot round trip all clean"
