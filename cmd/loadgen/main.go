@@ -1,12 +1,14 @@
 // Command loadgen generates production-load traces and summarizes recorded
 // ones. Generation goes through the workload scenario subsystem: pick a
-// library scenario (-scenario) or a scenario spec file (-spec), and loadgen
-// writes the versioned trace format (JSON header + one sample per line)
-// that predict.LoadSpec{Kind: "trace"} replays bit-identically. -replay
-// summarizes an existing trace: distribution stats, modal structure, and
-// the scenario scorecard (burst count, tail index, diurnal period). With
-// none of -list, -scenario, -spec or -replay, loadgen prints its usage and
-// exits 2.
+// library scenario (-scenario) or a scenario spec file (-spec: format
+// version 2, whose machine and net entries are load specs with the keys of
+// a fleet spec's cpu entries), and loadgen writes the versioned trace
+// format (JSON header + one sample per line) that a "trace" load replays
+// bit-identically. -list prints each library scenario's name, machine
+// entry count, net load kind and spec hash. -replay summarizes an existing
+// trace: distribution stats, modal structure, and the scenario scorecard
+// (burst count, tail index, diurnal period). With none of -list, -scenario,
+// -spec or -replay, loadgen prints its usage and exits 2.
 //
 // Usage:
 //
@@ -17,8 +19,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"prodpred/internal/load"
@@ -29,38 +33,54 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is loadgen on the given arguments; it returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		scenario = flag.String("scenario", "", "workload-library scenario to generate from (see -list)")
-		specPath = flag.String("spec", "", "scenario spec JSON file to generate from")
-		machine  = flag.Int("machine", 0, "scenario machine entry to generate")
-		list     = flag.Bool("list", false, "list library scenarios and exit")
-		duration = flag.Float64("duration", 3600, "trace length in virtual seconds")
-		dt       = flag.Float64("dt", 0, "sampling interval (s); 0 = the process's native tick")
-		seed     = flag.Int64("seed", 1, "random seed")
-		out      = flag.String("o", "", "output trace path (default stdout)")
-		replay   = flag.String("replay", "", "replay and summarize an existing trace")
+		scenario = fs.String("scenario", "", "workload-library scenario to generate from (see -list)")
+		specPath = fs.String("spec", "", "scenario spec JSON file to generate from")
+		machine  = fs.Int("machine", 0, "scenario machine entry to generate")
+		list     = fs.Bool("list", false, "list library scenarios and exit")
+		duration = fs.Float64("duration", 3600, "trace length in virtual seconds")
+		dt       = fs.Float64("dt", 0, "sampling interval (s); 0 = the process's native tick")
+		seed     = fs.Int64("seed", 1, "random seed")
+		out      = fs.String("o", "", "output trace path (default stdout)")
+		replay   = fs.String("replay", "", "replay and summarize an existing trace")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	var err error
 	switch {
 	case *list:
 		for _, name := range workload.Names() {
 			sc, _ := workload.Lookup(name)
-			fmt.Printf("%-18s %d machine entries, dt=%gs, hash %s\n", name, len(sc.Machines), sc.DT, sc.Hash())
+			net := "none"
+			if sc.Net != nil {
+				net = sc.Net.Kind
+			}
+			fmt.Fprintf(stdout, "%-18s %d machine entries, net %s, hash %s\n", name, len(sc.Machines), net, sc.Hash())
 		}
 	case *replay != "":
-		err = summarize(*replay)
+		err = summarize(stdout, *replay)
 	case *scenario != "" || *specPath != "":
-		err = generate(*scenario, *specPath, *machine, *duration, *dt, *seed, *out)
+		err = generate(stdout, *scenario, *specPath, *machine, *duration, *dt, *seed, *out)
 	default:
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return 2
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "loadgen:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "loadgen:", err)
+		return 1
 	}
+	return 0
 }
 
 // resolveScenario picks the scenario source: an explicit spec file, else a
@@ -80,7 +100,7 @@ func resolveScenario(scenario, specPath string) (*workload.ScenarioSpec, error) 
 	return sc, nil
 }
 
-func generate(scenario, specPath string, machine int, duration, dt float64, seed int64, out string) error {
+func generate(stdout io.Writer, scenario, specPath string, machine int, duration, dt float64, seed int64, out string) error {
 	sc, err := resolveScenario(scenario, specPath)
 	if err != nil {
 		return err
@@ -104,7 +124,7 @@ func generate(scenario, specPath string, machine int, duration, dt float64, seed
 		DT:       dt,
 		T0:       0,
 	}
-	w := os.Stdout
+	w := stdout
 	if out != "" {
 		f, err := os.Create(out)
 		if err != nil {
@@ -117,12 +137,12 @@ func generate(scenario, specPath string, machine int, duration, dt float64, seed
 		return err
 	}
 	if out != "" {
-		fmt.Printf("wrote %d samples (%s, dt=%gs) to %s\n", s.Len(), sc.Name, dt, out)
+		fmt.Fprintf(stdout, "wrote %d samples (%s, dt=%gs) to %s\n", s.Len(), sc.Name, dt, out)
 	}
 	return nil
 }
 
-func summarize(path string) error {
+func summarize(w io.Writer, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -144,40 +164,40 @@ func summarize(path string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s: %d samples, %s (seed %d, machine %d, hash %s)\n", path, len(xs), origin, h.Seed, h.Machine, h.SpecHash)
-	fmt.Printf("  mean %.4f  std %.4f  min %.4f  median %.4f  max %.4f  skew %.2f\n",
+	fmt.Fprintf(w, "%s: %d samples, %s (seed %d, machine %d, hash %s)\n", path, len(xs), origin, h.Seed, h.Machine, h.SpecHash)
+	fmt.Fprintf(w, "  mean %.4f  std %.4f  min %.4f  median %.4f  max %.4f  skew %.2f\n",
 		sum.Mean, sum.StdDev, sum.Min, sum.Median, sum.Max, sum.Skewness)
-	fmt.Printf("  stochastic value: %s\n", sv)
+	fmt.Fprintf(w, "  stochastic value: %s\n", sv)
 
 	card := workload.NewScorecard(xs, h.DT)
-	fmt.Printf("  scorecard: %d bursts below mean-2sigma", card.BurstCount)
+	fmt.Fprintf(w, "  scorecard: %d bursts below mean-2sigma", card.BurstCount)
 	if card.TailIndex > 0 {
-		fmt.Printf(", tail index %.2f (Hill; smaller = heavier)", card.TailIndex)
+		fmt.Fprintf(w, ", tail index %.2f (Hill; smaller = heavier)", card.TailIndex)
 	} else {
-		fmt.Printf(", tail index n/a")
+		fmt.Fprintf(w, ", tail index n/a")
 	}
 	if card.DiurnalPeriod > 0 {
-		fmt.Printf(", dominant period %.0fs", card.DiurnalPeriod)
+		fmt.Fprintf(w, ", dominant period %.0fs", card.DiurnalPeriod)
 	} else {
-		fmt.Printf(", no dominant period")
+		fmt.Fprintf(w, ", no dominant period")
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 
 	mm, err := modal.FitBIC(xs, 6)
 	if err != nil {
 		return fmt.Errorf("modal fit: %w", err)
 	}
-	fmt.Printf("  modes (BIC): %d\n", mm.K())
+	fmt.Fprintf(w, "  modes (BIC): %d\n", mm.K())
 	occ := mm.Occupancy(xs)
 	for i, m := range mm.Modes {
-		fmt.Printf("    mode %d: %-18s weight %.2f occupancy %.2f\n",
+		fmt.Fprintf(w, "    mode %d: %-18s weight %.2f occupancy %.2f\n",
 			i+1, m.Stochastic().String(), m.Weight, occ[i])
 	}
 	b, err := modal.AnalyzeBurstiness(mm, xs)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("  burstiness: %d transitions (rate %.3f), mean dwell %.1f samples\n",
+	fmt.Fprintf(w, "  burstiness: %d transitions (rate %.3f), mean dwell %.1f samples\n",
 		b.Transitions, b.TransitionRate, b.MeanDwell)
 	v, single, err := modal.StochasticValue(mm, xs)
 	if err != nil {
@@ -187,6 +207,6 @@ func summarize(path string) error {
 	if single {
 		branch = "single dominant mode"
 	}
-	fmt.Printf("  §2.1.2 stochastic value (%s): %s\n", branch, v)
+	fmt.Fprintf(w, "  §2.1.2 stochastic value (%s): %s\n", branch, v)
 	return nil
 }

@@ -38,7 +38,7 @@
 // With -record-traces DIR, a clean shutdown records every instantiated
 // platform's load processes to DIR as versioned trace files
 // (<platform>-cpu<i>.trace, plus <platform>-net.trace when the network is
-// contended) that predict.LoadSpec{Kind:"trace"} replays bit-identically.
+// contended) that a "trace" load replays bit-identically.
 // With -pprof, net/http/pprof is mounted under /debug/pprof/;
 // with -log-requests, one JSON access-log line per request goes to stderr.
 // The operator runbook is OPERATIONS.md at the repo root.

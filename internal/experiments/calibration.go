@@ -8,6 +8,7 @@ import (
 	"prodpred/internal/sched"
 	"prodpred/internal/stochastic"
 	"prodpred/internal/structural"
+	"prodpred/internal/workload"
 )
 
 func init() {
@@ -59,8 +60,8 @@ func calibScenarios() []calibScenario {
 			spec: func(seed int64) predict.PlatformSpec {
 				spec := burstySpec(seed)
 				for i, bursty := range spec.CPU {
-					light := predict.LoadSpec{Kind: "light", Seed: seed + 100 + int64(i)}
-					spec.CPU[i] = predict.LoadSpec{Kind: "switch", At: []float64{switchAt}, Children: []predict.LoadSpec{light, bursty}}
+					light := workload.LoadSpec{Kind: "light", Seed: seed + 100 + int64(i)}
+					spec.CPU[i] = workload.LoadSpec{Kind: "switch", At: []float64{switchAt}, Children: []workload.LoadSpec{light, bursty}}
 				}
 				return spec
 			},

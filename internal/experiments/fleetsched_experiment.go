@@ -6,6 +6,7 @@ import (
 
 	"prodpred/internal/fleetsched"
 	"prodpred/internal/predict"
+	"prodpred/internal/workload"
 )
 
 func init() {
@@ -53,8 +54,8 @@ func fleetSchedSpecs(scenario string, seed int64) []predict.PlatformSpec {
 		return predict.PlatformSpec{
 			Name:     name,
 			Machines: ms,
-			CPU:      []predict.LoadSpec{{Kind: "scenario", Scenario: load}},
-			Net:      &predict.LoadSpec{Kind: "ethernet-contention"},
+			CPU:      []workload.LoadSpec{{Kind: "scenario", Scenario: load}},
+			Net:      &workload.LoadSpec{Kind: "ethernet-contention"},
 			Seed:     s,
 			Warmup:   fsWarmup,
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"prodpred/internal/predict"
 	"prodpred/internal/sched"
 	"prodpred/internal/stochastic"
 	"prodpred/internal/structural"
@@ -37,7 +36,7 @@ const (
 func scenarioSeries(name string, seed int64) ([]runRecord, error) {
 	spec := burstySpec(seed)
 	for i := range spec.CPU {
-		spec.CPU[i] = predict.LoadSpec{Kind: "scenario", Scenario: name, Machine: i, Seed: spec.CPU[i].Seed}
+		spec.CPU[i] = workload.LoadSpec{Kind: "scenario", Scenario: name, Machine: i, Seed: spec.CPU[i].Seed}
 	}
 	return runProductionSeries(productionConfig{
 		spec:         spec,

@@ -7,6 +7,7 @@ import (
 
 	"prodpred/internal/obs"
 	"prodpred/internal/predict"
+	"prodpred/internal/workload"
 )
 
 // testSpec is one small two-machine tenant for scheduler tests.
@@ -17,7 +18,7 @@ func testSpec(name, kind, loadKind string, seed int64) predict.PlatformSpec {
 			{Name: "m0", Kind: kind},
 			{Name: "m1", Kind: kind},
 		},
-		CPU:    []predict.LoadSpec{{Kind: loadKind}},
+		CPU:    []workload.LoadSpec{{Kind: loadKind}},
 		Seed:   seed,
 		Warmup: 150,
 	}

@@ -148,8 +148,8 @@ func (s *SingleMode) Interval() float64 { return s.c.dt }
 
 // ModeSpec describes one mode of a Markov-modulated process.
 type ModeSpec struct {
-	Mean  float64 // availability mean in [0,1]
-	Sigma float64 // within-mode std dev
+	Mean  float64 `json:"mean"`  // availability mean in [0,1]
+	Sigma float64 `json:"sigma"` // within-mode std dev
 }
 
 // MarkovModal is availability that jumps between modes according to a
@@ -220,7 +220,7 @@ func NewMarkovModal(modes []ModeSpec, weights []float64, switchProb, phi, dt flo
 			cur = pick()
 			prev = math.NaN()
 		}
-		m := modes[cur]
+		m := mm.modes[cur]
 		if math.IsNaN(prev) {
 			return Clamp01(m.Mean + m.Sigma*rng.NormFloat64())
 		}

@@ -61,7 +61,7 @@ func TestScenarioRecordReplayBitIdentical(t *testing.T) {
 	spec := predict.PlatformSpec{
 		Name:     "scenario-rec",
 		Machines: scenarioMachines(),
-		CPU:      []predict.LoadSpec{{Kind: "scenario", Scenario: scenario}},
+		CPU:      []workload.LoadSpec{{Kind: "scenario", Scenario: scenario}},
 		Seed:     11,
 		Warmup:   300,
 	}
@@ -76,7 +76,7 @@ func TestScenarioRecordReplayBitIdentical(t *testing.T) {
 	// touched, into the versioned trace format.
 	sc, _ := workload.Lookup(scenario)
 	dir := t.TempDir()
-	cpu := make([]predict.LoadSpec, len(spec.Machines))
+	cpu := make([]workload.LoadSpec, len(spec.Machines))
 	for i := range spec.Machines {
 		h, vals, err := workload.CaptureTrace(svc.Env().CPULoad(i), scenario, sc.Hash(), spec.Seed, i, 0, end)
 		if err != nil {
@@ -93,7 +93,7 @@ func TestScenarioRecordReplayBitIdentical(t *testing.T) {
 		if err := f.Close(); err != nil {
 			t.Fatal(err)
 		}
-		cpu[i] = predict.LoadSpec{Kind: "trace", Path: path}
+		cpu[i] = workload.LoadSpec{Kind: "trace", Path: path}
 	}
 
 	replay := spec
@@ -123,7 +123,7 @@ func TestScenarioSpecValidation(t *testing.T) {
 	t.Run("valid scenario kinds", func(t *testing.T) {
 		for _, name := range workload.Names() {
 			spec := base()
-			spec.CPU = []predict.LoadSpec{{Kind: "scenario", Scenario: name}}
+			spec.CPU = []workload.LoadSpec{{Kind: "scenario", Scenario: name}}
 			if err := spec.Validate(); err != nil {
 				t.Errorf("scenario %q rejected: %v", name, err)
 			}
@@ -131,19 +131,19 @@ func TestScenarioSpecValidation(t *testing.T) {
 	})
 	t.Run("scenario net kind", func(t *testing.T) {
 		spec := base()
-		spec.Net = &predict.LoadSpec{Kind: "scenario", Scenario: "diurnal-web"}
+		spec.Net = &workload.LoadSpec{Kind: "scenario", Scenario: "diurnal-web"}
 		if err := spec.Validate(); err != nil {
 			t.Fatalf("scenario net rejected: %v", err)
 		}
 		// quiet-baseline ships no net component: using it as a net spec
 		// must fail rather than silently running contention-free.
-		spec.Net = &predict.LoadSpec{Kind: "scenario", Scenario: "quiet-baseline"}
+		spec.Net = &workload.LoadSpec{Kind: "scenario", Scenario: "quiet-baseline"}
 		if err := spec.Validate(); err == nil {
 			t.Fatal("netless scenario accepted as a net spec")
 		}
 	})
 	t.Run("rejections", func(t *testing.T) {
-		cases := []predict.LoadSpec{
+		cases := []workload.LoadSpec{
 			{Kind: "scenario"}, // missing name
 			{Kind: "scenario", Scenario: "no-such-scenario"}, // unknown
 			{Kind: "scenario", Scenario: "diurnal-web", Machine: -1},
@@ -152,7 +152,7 @@ func TestScenarioSpecValidation(t *testing.T) {
 		}
 		for _, ls := range cases {
 			spec := base()
-			spec.CPU = []predict.LoadSpec{ls}
+			spec.CPU = []workload.LoadSpec{ls}
 			if err := spec.Validate(); err == nil {
 				t.Errorf("load spec %+v accepted", ls)
 			}
@@ -180,7 +180,7 @@ func TestScenarioSpecValidation(t *testing.T) {
 			t.Fatal(err)
 		}
 		spec := base()
-		spec.CPU = []predict.LoadSpec{{Kind: "trace", Path: path}}
+		spec.CPU = []workload.LoadSpec{{Kind: "trace", Path: path}}
 		if err := spec.Validate(); err != nil {
 			t.Fatalf("trace spec rejected: %v", err)
 		}
@@ -194,7 +194,7 @@ func TestScenarioBroadcastSpreadsEntries(t *testing.T) {
 	spec := predict.PlatformSpec{
 		Name:     "spread",
 		Machines: scenarioMachines(),
-		CPU:      []predict.LoadSpec{{Kind: "scenario", Scenario: "flash-crowd"}},
+		CPU:      []workload.LoadSpec{{Kind: "scenario", Scenario: "flash-crowd"}},
 		Seed:     21,
 	}
 	svc, err := predict.NewServiceFromSpec(&spec, nil)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 
 	"prodpred/internal/cluster"
 	"prodpred/internal/faults"
@@ -32,12 +31,13 @@ type PlatformSpec struct {
 	// Link is the shared interconnect; nil means 10 Mbit shared ethernet
 	// (the paper's platform interconnect).
 	Link *LinkSpec `json:"link,omitempty"`
-	// CPU holds one load-process spec per machine; empty means light load
-	// everywhere. A single entry is broadcast to every machine.
-	CPU []LoadSpec `json:"cpu,omitempty"`
+	// CPU holds one load spec per machine; empty means light load
+	// everywhere. A single entry is broadcast to every machine; a broadcast
+	// scenario entry gives machine i the scenario's machine entry i.
+	CPU []workload.LoadSpec `json:"cpu,omitempty"`
 	// Net is the network contention process; nil means a contention-free
 	// (constant, unmonitored) network.
-	Net *LoadSpec `json:"net,omitempty"`
+	Net *workload.LoadSpec `json:"net,omitempty"`
 	// Seed is the platform's base random seed. Load specs with Seed 0
 	// derive theirs from it (Seed + machine index; Seed + 999 for Net).
 	Seed int64 `json:"seed"`
@@ -91,177 +91,6 @@ type LinkSpec struct {
 	Latency float64 `json:"latency,omitempty"`
 }
 
-// LoadSpec describes one load process. Kind selects the generator; the
-// remaining fields parameterize it (unused fields are ignored). Presets
-// ("light", "platform1-center", "platform1-trimodal", "platform2-bursty",
-// "ethernet-contention") need only a seed.
-type LoadSpec struct {
-	// Kind is one of: constant, light, platform1-center,
-	// platform1-trimodal, platform2-bursty, ethernet-contention,
-	// single-mode, markov-modal, user-sessions, long-tailed, congested,
-	// scenario, trace, switch.
-	Kind string `json:"kind"`
-	// Seed seeds the process; 0 derives a seed from the platform seed and
-	// the machine index.
-	Seed int64 `json:"seed,omitempty"`
-
-	// Constant.
-	Level float64 `json:"level,omitempty"`
-	// SingleMode / shared AR(1) shape.
-	Mean  float64 `json:"mean,omitempty"`
-	Sigma float64 `json:"sigma,omitempty"`
-	Phi   float64 `json:"phi,omitempty"`
-	DT    float64 `json:"dt,omitempty"`
-	// MarkovModal.
-	Modes      []ModeSpec `json:"modes,omitempty"`
-	Weights    []float64  `json:"weights,omitempty"`
-	SwitchProb float64    `json:"switch_prob,omitempty"`
-	// UserSessions.
-	Lambda float64 `json:"lambda,omitempty"`
-	Mu     float64 `json:"mu,omitempty"`
-	// LongTailed / Congested.
-	Peak      float64 `json:"peak,omitempty"`
-	DropMean  float64 `json:"drop_mean,omitempty"`
-	DropStd   float64 `json:"drop_std,omitempty"`
-	BaseMean  float64 `json:"base_mean,omitempty"`
-	BaseStd   float64 `json:"base_std,omitempty"`
-	BurstProb float64 `json:"burst_prob,omitempty"`
-	BurstMean float64 `json:"burst_mean,omitempty"`
-	BurstStd  float64 `json:"burst_std,omitempty"`
-	// Scenario names a workload-library scenario (kind "scenario");
-	// Machine picks the scenario's component entry. When a single
-	// scenario spec is broadcast across a platform's machines, Machine is
-	// assigned per machine automatically.
-	Scenario string `json:"scenario,omitempty"`
-	Machine  int    `json:"machine,omitempty"`
-	// Path locates a recorded trace file (kind "trace").
-	Path string `json:"path,omitempty"`
-	// Switch: Children[0] until At[0], Children[j] on [At[j-1], At[j]),
-	// the last child after the last boundary. A child with Seed 0 takes
-	// the switch's seed.
-	At       []float64  `json:"at,omitempty"`
-	Children []LoadSpec `json:"children,omitempty"`
-}
-
-// ModeSpec is one availability mode of a markov-modal load.
-type ModeSpec struct {
-	Mean  float64 `json:"mean"`
-	Sigma float64 `json:"sigma"`
-}
-
-// build materializes the process, with defaultSeed used when Seed is 0.
-func (l LoadSpec) build(defaultSeed int64) (load.Process, error) {
-	seed := l.Seed
-	if seed == 0 {
-		seed = defaultSeed
-	}
-	dt := l.DT
-	if dt == 0 {
-		dt = 1.0
-	}
-	switch l.Kind {
-	case "constant":
-		return load.NewConstant(l.Level), nil
-	case "light":
-		return load.LightLoad(seed)
-	case "platform1-center":
-		return load.Platform1CenterMode(seed)
-	case "platform1-trimodal":
-		return load.Platform1TriModal(seed)
-	case "platform2-bursty":
-		return load.Platform2FourModeBursty(seed)
-	case "ethernet-contention":
-		return load.EthernetContention(seed)
-	case "single-mode":
-		return load.NewSingleMode(l.Mean, l.Sigma, l.Phi, dt, seed)
-	case "markov-modal":
-		modes := make([]load.ModeSpec, len(l.Modes))
-		for i, m := range l.Modes {
-			modes[i] = load.ModeSpec{Mean: m.Mean, Sigma: m.Sigma}
-		}
-		return load.NewMarkovModal(modes, l.Weights, l.SwitchProb, l.Phi, dt, seed)
-	case "user-sessions":
-		return load.NewUserSessions(l.Lambda, l.Mu, dt, seed)
-	case "long-tailed":
-		return load.NewLongTailed(l.Peak, l.DropMean, l.DropStd, dt, seed)
-	case "congested":
-		return load.NewCongested(l.Peak, l.BaseMean, l.BaseStd, l.BurstProb, l.BurstMean, l.BurstStd, dt, seed)
-	case "scenario":
-		sc, err := l.scenario()
-		if err != nil {
-			return nil, err
-		}
-		return sc.Machine(l.Machine, seed)
-	case "trace":
-		if l.Path == "" {
-			return nil, errors.New("predict: trace load spec missing path")
-		}
-		f, err := os.Open(l.Path)
-		if err != nil {
-			return nil, fmt.Errorf("predict: trace load: %w", err)
-		}
-		defer f.Close()
-		h, vals, err := workload.ReadTrace(f)
-		if err != nil {
-			return nil, fmt.Errorf("predict: trace load %q: %w", l.Path, err)
-		}
-		return workload.TraceProcess(h, vals)
-	case "switch":
-		regimes := make([]load.Process, len(l.Children))
-		for i, c := range l.Children {
-			var err error
-			if regimes[i], err = c.build(seed); err != nil {
-				return nil, fmt.Errorf("predict: switch child %d: %w", i, err)
-			}
-		}
-		return load.NewSwitch(l.At, regimes...)
-	case "":
-		return nil, errors.New("predict: load spec missing kind")
-	default:
-		return nil, fmt.Errorf("predict: unknown load kind %q", l.Kind)
-	}
-}
-
-// scenario resolves the spec's workload-library scenario.
-func (l LoadSpec) scenario() (*workload.ScenarioSpec, error) {
-	if l.Scenario == "" {
-		return nil, errors.New("predict: scenario load spec missing scenario name")
-	}
-	sc, ok := workload.Lookup(l.Scenario)
-	if !ok {
-		return nil, fmt.Errorf("predict: unknown workload scenario %q (have %v)", l.Scenario, workload.Names())
-	}
-	if l.Machine < 0 {
-		return nil, fmt.Errorf("predict: scenario machine index %d negative", l.Machine)
-	}
-	return sc, nil
-}
-
-// buildNet materializes the network process for the platform's Net spec.
-// Scenario-kind net specs use the scenario's net component rather than a
-// machine entry.
-func (l LoadSpec) buildNet(defaultSeed int64) (load.Process, error) {
-	if l.Kind != "scenario" {
-		return l.build(defaultSeed)
-	}
-	sc, err := l.scenario()
-	if err != nil {
-		return nil, err
-	}
-	seed := l.Seed
-	if seed == 0 {
-		seed = defaultSeed
-	}
-	net, err := sc.NetProcess(seed)
-	if err != nil {
-		return nil, err
-	}
-	if net == nil {
-		return nil, fmt.Errorf("predict: workload scenario %q defines no net component", l.Scenario)
-	}
-	return net, nil
-}
-
 // FaultSpec is one machine's sensor-fault schedule.
 type FaultSpec struct {
 	Machine     int          `json:"machine"`
@@ -311,17 +140,17 @@ func (ps *PlatformSpec) Config() (Config, error) {
 	cpuSpecs := ps.CPU
 	switch len(cpuSpecs) {
 	case 0:
-		cpuSpecs = make([]LoadSpec, len(machines))
+		cpuSpecs = make([]workload.LoadSpec, len(machines))
 		for i := range cpuSpecs {
-			cpuSpecs[i] = LoadSpec{Kind: "light"}
+			cpuSpecs[i] = workload.LoadSpec{Kind: "light"}
 		}
 	case 1:
 		if len(machines) > 1 {
 			one := cpuSpecs[0]
-			cpuSpecs = make([]LoadSpec, len(machines))
+			cpuSpecs = make([]workload.LoadSpec, len(machines))
 			for i := range cpuSpecs {
 				cpuSpecs[i] = one
-				// A broadcast scenario spreads its component entries
+				// A broadcast scenario spreads its machine entries
 				// across the platform instead of cloning entry Machine.
 				if one.Kind == "scenario" && one.Machine == 0 {
 					cpuSpecs[i].Machine = i
@@ -335,13 +164,13 @@ func (ps *PlatformSpec) Config() (Config, error) {
 	}
 	cpu := make([]load.Process, len(machines))
 	for i, ls := range cpuSpecs {
-		if cpu[i], err = ls.build(ps.Seed + int64(i)); err != nil {
+		if cpu[i], err = ls.Build(ps.Seed+int64(i), false); err != nil {
 			return Config{}, fmt.Errorf("predict: spec %q cpu %d: %w", ps.Name, i, err)
 		}
 	}
 	var net load.Process = load.NewConstant(1)
 	if ps.Net != nil {
-		if net, err = ps.Net.buildNet(ps.Seed + 999); err != nil {
+		if net, err = ps.Net.Build(ps.Seed+999, true); err != nil {
 			return Config{}, fmt.Errorf("predict: spec %q net: %w", ps.Name, err)
 		}
 	}
@@ -392,16 +221,16 @@ func (ps *PlatformSpec) Validate() error {
 func (ps *PlatformSpec) clone() *PlatformSpec {
 	c := *ps
 	c.Machines = append([]MachineSpec(nil), ps.Machines...)
-	c.CPU = append([]LoadSpec(nil), ps.CPU...)
+	c.CPU = append([]workload.LoadSpec(nil), ps.CPU...)
 	for i, ls := range c.CPU {
-		c.CPU[i] = ls.clone()
+		c.CPU[i] = ls.Clone()
 	}
 	if ps.Link != nil {
 		l := *ps.Link
 		c.Link = &l
 	}
 	if ps.Net != nil {
-		n := ps.Net.clone()
+		n := ps.Net.Clone()
 		c.Net = &n
 	}
 	c.Faults = append([]FaultSpec(nil), ps.Faults...)
@@ -409,18 +238,6 @@ func (ps *PlatformSpec) clone() *PlatformSpec {
 		c.Faults[i].Outages = append([]OutageSpec(nil), f.Outages...)
 	}
 	return &c
-}
-
-// clone returns a deep copy of the load spec, children included.
-func (l LoadSpec) clone() LoadSpec {
-	l.Modes = append([]ModeSpec(nil), l.Modes...)
-	l.Weights = append([]float64(nil), l.Weights...)
-	l.At = append([]float64(nil), l.At...)
-	l.Children = append([]LoadSpec(nil), l.Children...)
-	for i, c := range l.Children {
-		l.Children[i] = c.clone()
-	}
-	return l
 }
 
 // NewServiceFromSpec builds a live Service from a spec — the one way to
@@ -488,13 +305,13 @@ func SimulatedSpec(platform int, seed int64) (PlatformSpec, error) {
 				{Name: "sparc5", Kind: "sparc5"},
 				{Name: "sparc10", Kind: "sparc10"},
 			},
-			CPU: []LoadSpec{
+			CPU: []workload.LoadSpec{
 				{Kind: "platform1-center", Seed: seed + 0},
 				{Kind: "platform1-center", Seed: seed + 1},
 				{Kind: "light", Seed: seed + 2},
 				{Kind: "light", Seed: seed + 3},
 			},
-			Net:  &LoadSpec{Kind: "ethernet-contention", Seed: seed + 999},
+			Net:  &workload.LoadSpec{Kind: "ethernet-contention", Seed: seed + 999},
 			Seed: seed,
 		}, nil
 	case 2:
@@ -506,11 +323,11 @@ func SimulatedSpec(platform int, seed int64) (PlatformSpec, error) {
 				{Name: "ultra-a", Kind: "ultra"},
 				{Name: "ultra-b", Kind: "ultra"},
 			},
-			Net:  &LoadSpec{Kind: "ethernet-contention", Seed: seed + 999},
+			Net:  &workload.LoadSpec{Kind: "ethernet-contention", Seed: seed + 999},
 			Seed: seed,
 		}
 		for i := range spec.Machines {
-			spec.CPU = append(spec.CPU, LoadSpec{Kind: "platform2-bursty", Seed: seed + int64(i)*17})
+			spec.CPU = append(spec.CPU, workload.LoadSpec{Kind: "platform2-bursty", Seed: seed + int64(i)*17})
 		}
 		return spec, nil
 	default:
@@ -532,7 +349,7 @@ func FleetSpecs(n int, seed int64) []PlatformSpec {
 			Name:   fmt.Sprintf("tenant-%04d", i),
 			Seed:   tseed,
 			Warmup: 120,
-			Net:    &LoadSpec{Kind: "ethernet-contention"},
+			Net:    &workload.LoadSpec{Kind: "ethernet-contention"},
 		}
 		switch i % 3 {
 		case 0:
@@ -542,7 +359,7 @@ func FleetSpecs(n int, seed int64) []PlatformSpec {
 				{Name: "sparc5-a", Kind: "sparc5"},
 				{Name: "sparc10-a", Kind: "sparc10"},
 			}
-			spec.CPU = []LoadSpec{
+			spec.CPU = []workload.LoadSpec{
 				{Kind: "platform1-center"},
 				{Kind: "platform1-center"},
 				{Kind: "light"},
@@ -554,7 +371,7 @@ func FleetSpecs(n int, seed int64) []PlatformSpec {
 				{Name: "sparc10-a", Kind: "sparc10"},
 				{Name: "ultra-a", Kind: "ultra"},
 			}
-			spec.CPU = []LoadSpec{{Kind: "platform2-bursty"}}
+			spec.CPU = []workload.LoadSpec{{Kind: "platform2-bursty"}}
 		default:
 			spec.Machines = []MachineSpec{
 				{Name: "sparc5-a", Kind: "sparc5"},
@@ -562,7 +379,7 @@ func FleetSpecs(n int, seed int64) []PlatformSpec {
 				{Name: "ultra-a", Kind: "ultra"},
 				{Name: "ultra-b", Kind: "ultra"},
 			}
-			spec.CPU = []LoadSpec{{Kind: "scenario", Scenario: scenarios[(i/3)%len(scenarios)]}}
+			spec.CPU = []workload.LoadSpec{{Kind: "scenario", Scenario: scenarios[(i/3)%len(scenarios)]}}
 		}
 		specs[i] = spec
 	}

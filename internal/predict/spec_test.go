@@ -9,6 +9,7 @@ import (
 
 	"prodpred/internal/load"
 	"prodpred/internal/predict"
+	"prodpred/internal/workload"
 )
 
 func TestSpecValidation(t *testing.T) {
@@ -27,9 +28,9 @@ func TestSpecValidation(t *testing.T) {
 		{"no machines", func(s *predict.PlatformSpec) { s.Machines = nil }},
 		{"bad machine kind", func(s *predict.PlatformSpec) { s.Machines[0].Kind = "vax" }},
 		{"kindless machine without rates", func(s *predict.PlatformSpec) { s.Machines[0].Kind = "" }},
-		{"bad load kind", func(s *predict.PlatformSpec) { s.CPU = []predict.LoadSpec{{Kind: "nope"}} }},
+		{"bad load kind", func(s *predict.PlatformSpec) { s.CPU = []workload.LoadSpec{{Kind: "nope"}} }},
 		{"cpu count mismatch", func(s *predict.PlatformSpec) {
-			s.CPU = []predict.LoadSpec{{Kind: "light"}, {Kind: "light"}, {Kind: "light"}}
+			s.CPU = []workload.LoadSpec{{Kind: "light"}, {Kind: "light"}, {Kind: "light"}}
 		}},
 		{"single machine", func(s *predict.PlatformSpec) { s.Machines = s.Machines[:1] }},
 		{"fault machine out of range", func(s *predict.PlatformSpec) {
@@ -38,14 +39,16 @@ func TestSpecValidation(t *testing.T) {
 		{"negative warmup", func(s *predict.PlatformSpec) { s.Warmup = -1 }},
 		{"bad link", func(s *predict.PlatformSpec) { s.Link = &predict.LinkSpec{DedBW: -1} }},
 		{"switch without boundary", func(s *predict.PlatformSpec) {
-			s.CPU = []predict.LoadSpec{{Kind: "switch", Children: []predict.LoadSpec{{Kind: "light"}, {Kind: "light"}}}}
+			s.CPU = []workload.LoadSpec{{Kind: "switch", Children: []workload.LoadSpec{{Kind: "light"}, {Kind: "light"}}}}
 		}},
 		{"switch boundaries descending", func(s *predict.PlatformSpec) {
-			s.CPU = []predict.LoadSpec{{Kind: "switch", At: []float64{20, 10},
-				Children: []predict.LoadSpec{{Kind: "light"}, {Kind: "light"}, {Kind: "light"}}}}
+			s.CPU = []workload.LoadSpec{{Kind: "switch", At: []float64{20, 10},
+				Children: []workload.LoadSpec{{Kind: "light"}, {Kind: "light"}, {Kind: "light"}}}}
 		}},
+		{"constant level above 1", func(s *predict.PlatformSpec) { s.CPU = []workload.LoadSpec{{Kind: "constant", Level: 1.5}} }},
+		{"constant net level below 0", func(s *predict.PlatformSpec) { s.Net = &workload.LoadSpec{Kind: "constant", Level: -0.5} }},
 		{"switch bad child", func(s *predict.PlatformSpec) {
-			s.CPU = []predict.LoadSpec{{Kind: "switch", At: []float64{10}, Children: []predict.LoadSpec{{Kind: "light"}, {Kind: "nope"}}}}
+			s.CPU = []workload.LoadSpec{{Kind: "switch", At: []float64{10}, Children: []workload.LoadSpec{{Kind: "light"}, {Kind: "nope"}}}}
 		}},
 	}
 	for _, tc := range cases {
@@ -71,7 +74,7 @@ func TestSpecBroadcastAndDefaults(t *testing.T) {
 			{Name: "b", Kind: "sparc5"},
 			{Name: "c", Kind: "sparc10"},
 		},
-		CPU:  []predict.LoadSpec{{Kind: "platform2-bursty"}},
+		CPU:  []workload.LoadSpec{{Kind: "platform2-bursty"}},
 		Seed: 11,
 	}
 	svc, err := predict.NewServiceFromSpec(&spec, nil)
@@ -92,14 +95,14 @@ func TestSpecBroadcastAndDefaults(t *testing.T) {
 }
 
 // TestSwitchLoadSpec: a "switch" load is load.NewSwitch over its children,
-// and a child without a seed takes the switch's, itself derived from the
-// platform seed and the machine index.
+// and child i without a seed runs on the combinators' child seed of the
+// switch's, itself derived from the platform seed and the machine index.
 func TestSwitchLoadSpec(t *testing.T) {
 	spec := predict.PlatformSpec{
 		Name:     "switch",
 		Machines: []predict.MachineSpec{{Name: "a", Kind: "sparc5"}, {Name: "b", Kind: "ultra"}},
-		CPU: []predict.LoadSpec{{Kind: "switch", At: []float64{100},
-			Children: []predict.LoadSpec{{Kind: "light", Seed: 5}, {Kind: "platform2-bursty"}}}},
+		CPU: []workload.LoadSpec{{Kind: "switch", At: []float64{100},
+			Children: []workload.LoadSpec{{Kind: "light", Seed: 5}, {Kind: "platform2-bursty"}}}},
 		Seed: 30,
 	}
 	cfg, err := spec.Config()
@@ -111,7 +114,8 @@ func TestSwitchLoadSpec(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bursty, err := load.Platform2FourModeBursty(30 + int64(m))
+		// childSeed(30+m, 1): parent·1000003 + (1+1)·7919.
+		bursty, err := load.Platform2FourModeBursty((30+int64(m))*1000003 + 2*7919)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,6 +169,12 @@ func FuzzParseSpecs(f *testing.F) {
 	  "net":{"kind":"scenario","scenario":"flash-crowd"},"warmup":10}]`))
 	f.Add([]byte(`[{"name":"m","machines":[{"name":"a","kind":"sparc2"},{"name":"b","kind":"sparc2"}],
 	  "cpu":[{"kind":"markov-modal","modes":[{"mean":0.3,"sigma":0.05},{"mean":0.8,"sigma":0.05}],"weights":[1,1],"switch_prob":0.1}]}]`))
+	f.Add([]byte(`[{"name":"w","machines":[{"name":"a","kind":"sparc5"},{"name":"b","kind":"ultra"}],
+	  "cpu":[{"kind":"clamp","lo":0.2,"hi":0.95,"children":[{"kind":"sum","weights":[0.6,0.4],"children":[
+	    {"kind":"diurnal","base":0.6,"cycles":[{"period":300,"amp":0.2,"phase":1}]},
+	    {"kind":"cohorts","cohorts":[{"lambda":0.03,"mu":0.02,"start":50,"period":600,"swing":0.5,"phase":2}]}]}]},
+	    {"kind":"flash-crowd","users":0.5,"crowd":6,"onset":100,"ramp":30,"decay":90,"repeat":600,"seed":4}],
+	  "net":{"kind":"modulate","children":[{"kind":"ethernet-contention"},{"kind":"constant","level":0.9}]}}]`))
 	for _, id := range []int{1, 2} {
 		spec, err := predict.SimulatedSpec(id, 4)
 		if err != nil {

@@ -15,14 +15,13 @@ var library = map[string]*ScenarioSpec{
 	"diurnal-web": {
 		Version: SpecVersion,
 		Name:    "diurnal-web",
-		DT:      1,
-		Machines: []ComponentSpec{
+		Machines: []LoadSpec{
 			diurnalWebMachine(0),
 			diurnalWebMachine(1.6),
 			diurnalWebMachine(3.1),
 			diurnalWebMachine(4.7),
 		},
-		Net: &ComponentSpec{Kind: "preset", Preset: "ethernet-contention"},
+		Net: &LoadSpec{Kind: "ethernet-contention"},
 	},
 
 	// flash-crowd: quiet machines hit by a recurring stampede — a sharp
@@ -31,14 +30,13 @@ var library = map[string]*ScenarioSpec{
 	"flash-crowd": {
 		Version: SpecVersion,
 		Name:    "flash-crowd",
-		DT:      1,
-		Machines: []ComponentSpec{
+		Machines: []LoadSpec{
 			{Kind: "flash-crowd", Users: 0.4, Crowd: 5, Onset: 240, Ramp: 45, Decay: 150, Repeat: 900},
 			{Kind: "flash-crowd", Users: 0.6, Crowd: 7, Onset: 420, Ramp: 30, Decay: 180, Repeat: 900},
 			{Kind: "flash-crowd", Users: 0.3, Crowd: 4, Onset: 600, Ramp: 60, Decay: 120, Repeat: 900},
 			{Kind: "flash-crowd", Users: 0.5, Crowd: 6, Onset: 330, Ramp: 40, Decay: 160, Repeat: 900},
 		},
-		Net: &ComponentSpec{Kind: "preset", Preset: "ethernet-contention"},
+		Net: &LoadSpec{Kind: "ethernet-contention"},
 	},
 
 	// heavy-tail-batch: batch machines whose availability clusters near a
@@ -47,16 +45,15 @@ var library = map[string]*ScenarioSpec{
 	"heavy-tail-batch": {
 		Version: SpecVersion,
 		Name:    "heavy-tail-batch",
-		DT:      1,
-		Machines: []ComponentSpec{
-			{Kind: "heavy-tail", Peak: 0.85, DropMean: 0.12, DropStd: 0.10},
-			{Kind: "congested", Peak: 0.80, DropMean: 0.08, DropStd: 0.03, BurstProb: 0.12, BurstMean: 0.45, BurstStd: 0.08},
-			{Kind: "heavy-tail", Peak: 0.90, DropMean: 0.18, DropStd: 0.15},
-			{Kind: "congested", Peak: 0.75, DropMean: 0.06, DropStd: 0.02, BurstProb: 0.08, BurstMean: 0.40, BurstStd: 0.06},
+		Machines: []LoadSpec{
+			{Kind: "long-tailed", Peak: 0.85, DropMean: 0.12, DropStd: 0.10},
+			{Kind: "congested", Peak: 0.80, BaseMean: 0.08, BaseStd: 0.03, BurstProb: 0.12, BurstMean: 0.45, BurstStd: 0.08},
+			{Kind: "long-tailed", Peak: 0.90, DropMean: 0.18, DropStd: 0.15},
+			{Kind: "congested", Peak: 0.75, BaseMean: 0.06, BaseStd: 0.02, BurstProb: 0.08, BurstMean: 0.40, BurstStd: 0.06},
 		},
-		Net: &ComponentSpec{
+		Net: &LoadSpec{
 			Kind: "congested",
-			Peak: 0.62, DropMean: 0.08, DropStd: 0.025,
+			Peak: 0.62, BaseMean: 0.08, BaseStd: 0.025,
 			BurstProb: 0.18, BurstMean: 0.30, BurstStd: 0.05,
 		},
 	},
@@ -67,14 +64,13 @@ var library = map[string]*ScenarioSpec{
 	"cohort-mix": {
 		Version: SpecVersion,
 		Name:    "cohort-mix",
-		DT:      1,
-		Machines: []ComponentSpec{
+		Machines: []LoadSpec{
 			cohortMixMachine(0),
 			cohortMixMachine(1.5),
 			cohortMixMachine(3.0),
 			cohortMixMachine(4.5),
 		},
-		Net: &ComponentSpec{Kind: "preset", Preset: "ethernet-contention"},
+		Net: &LoadSpec{Kind: "ethernet-contention"},
 	},
 
 	// regime-cascade: machines that change character mid-run — steady
@@ -83,14 +79,13 @@ var library = map[string]*ScenarioSpec{
 	"regime-cascade": {
 		Version: SpecVersion,
 		Name:    "regime-cascade",
-		DT:      1,
-		Machines: []ComponentSpec{
+		Machines: []LoadSpec{
 			cascadeMachine(500, 1100),
 			cascadeMachine(650, 1250),
 			cascadeMachine(800, 1400),
 			cascadeMachine(950, 1550),
 		},
-		Net: &ComponentSpec{Kind: "preset", Preset: "ethernet-contention"},
+		Net: &LoadSpec{Kind: "ethernet-contention"},
 	},
 
 	// quiet-baseline: lightly loaded machines with a faint diurnal
@@ -99,8 +94,7 @@ var library = map[string]*ScenarioSpec{
 	"quiet-baseline": {
 		Version: SpecVersion,
 		Name:    "quiet-baseline",
-		DT:      1,
-		Machines: []ComponentSpec{
+		Machines: []LoadSpec{
 			quietMachine(0),
 			quietMachine(0.9),
 			quietMachine(1.8),
@@ -112,10 +106,10 @@ var library = map[string]*ScenarioSpec{
 // diurnalWebMachine is one phase-staggered diurnal-web component: a daily
 // cycle (period 720 s compressed) and a lunch harmonic (period 240 s),
 // modulated by single-mode jitter.
-func diurnalWebMachine(phase float64) ComponentSpec {
-	return ComponentSpec{
+func diurnalWebMachine(phase float64) LoadSpec {
+	return LoadSpec{
 		Kind: "modulate",
-		Children: []ComponentSpec{
+		Children: []LoadSpec{
 			{
 				Kind: "diurnal",
 				Base: 0.62,
@@ -131,8 +125,8 @@ func diurnalWebMachine(phase float64) ComponentSpec {
 
 // cohortMixMachine is one cohort-mix component with the phase shifting the
 // office and international populations' day cycles.
-func cohortMixMachine(phase float64) ComponentSpec {
-	return ComponentSpec{
+func cohortMixMachine(phase float64) LoadSpec {
+	return LoadSpec{
 		Kind: "cohorts",
 		Cohorts: []Cohort{
 			{Lambda: 0.030, Mu: 0.020, Period: 720, Swing: 0.8, Phase: phase},             // office workers
@@ -144,31 +138,31 @@ func cohortMixMachine(phase float64) ComponentSpec {
 
 // cascadeMachine is one regime-cascade component: steady until t1, a flash
 // crowd regime until t2, bursty four-mode switching after.
-func cascadeMachine(t1, t2 float64) ComponentSpec {
-	return ComponentSpec{
+func cascadeMachine(t1, t2 float64) LoadSpec {
+	return LoadSpec{
 		Kind: "switch",
 		At:   []float64{t1, t2},
-		Children: []ComponentSpec{
-			{Kind: "preset", Preset: "platform1-center"},
+		Children: []LoadSpec{
+			{Kind: "platform1-center"},
 			{Kind: "flash-crowd", Users: 0.5, Crowd: 6, Onset: t1, Ramp: 40, Decay: 180},
-			{Kind: "preset", Preset: "platform2-bursty"},
+			{Kind: "platform2-bursty"},
 		},
 	}
 }
 
 // quietMachine is one quiet-baseline component: light load with a faint
 // diurnal breath, clamped to stay comfortably available.
-func quietMachine(phase float64) ComponentSpec {
-	return ComponentSpec{
+func quietMachine(phase float64) LoadSpec {
+	return LoadSpec{
 		Kind: "clamp",
 		Lo:   0.55,
 		Hi:   0.99,
-		Children: []ComponentSpec{
+		Children: []LoadSpec{
 			{
 				Kind: "modulate",
-				Children: []ComponentSpec{
+				Children: []LoadSpec{
 					{Kind: "diurnal", Base: 0.97, Cycles: []Cycle{{Period: 600, Amp: 0.05, Phase: phase}}},
-					{Kind: "preset", Preset: "light"},
+					{Kind: "light"},
 				},
 			},
 		},

@@ -1,12 +1,13 @@
 package workload
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"strings"
+	"os"
 
 	"prodpred/internal/load"
 )
@@ -14,40 +15,46 @@ import (
 // SpecVersion is the current ScenarioSpec format version. Parsers accept
 // exactly this version; bumping it is the signal that the JSON shape
 // changed incompatibly.
-const SpecVersion = 1
+const SpecVersion = 2
 
 // ScenarioSpec is the versioned declarative description of a production
-// workload: one component tree per machine plus an optional network
-// contention process. A spec plus a seed fully determines every sample the
-// scenario will ever emit.
+// workload: one load per machine plus an optional network contention
+// process. A spec plus a seed fully determines every sample the scenario
+// will ever emit.
 type ScenarioSpec struct {
-	Version  int             `json:"version"`
-	Name     string          `json:"name"`
-	DT       float64         `json:"dt,omitempty"` // default tick seconds (1 if omitted)
-	Machines []ComponentSpec `json:"machines"`
-	Net      *ComponentSpec  `json:"net,omitempty"`
+	Version  int        `json:"version"`
+	Name     string     `json:"name"`
+	Machines []LoadSpec `json:"machines"`
+	Net      *LoadSpec  `json:"net,omitempty"`
 }
 
-// ComponentSpec is one node of a scenario's component tree — either a leaf
-// generator or a combinator over Children. Kind selects the variant; the
-// other fields are kind-specific and ignored elsewhere.
+// LoadSpec describes one load process: a leaf generator or a combinator over
+// Children. Kind selects the variant; the other fields parameterize it and
+// are ignored by kinds that do not read them. It is the one load language:
+// a fleet spec's cpu and net entries, a scenario's machine and net entries
+// and a loadgen -spec file all write it.
 //
-// Leaves: "constant", "diurnal", "cohorts", "flash-crowd", "heavy-tail",
-// "congested", "single-mode", "user-sessions", "preset".
-// Combinators: "sum", "modulate", "clamp", "switch".
-type ComponentSpec struct {
+// Seeds: a load with Seed 0 runs on the seed its caller hands it — the
+// platform's derived seed for a fleet entry, the run's seed for a scenario
+// entry — and child i of a combinator without its own seed runs on
+// childSeed(parent, i). Ticks: a leaf ticks every DT virtual seconds, 1 when
+// DT is 0; a combinator ticks at its finest child's tick.
+type LoadSpec struct {
+	// Kind is one of: the presets light, platform1-center,
+	// platform1-trimodal, platform2-bursty, ethernet-contention; the leaves
+	// constant, diurnal, cohorts, flash-crowd, single-mode, markov-modal,
+	// user-sessions, long-tailed, congested, scenario, trace; the
+	// combinators sum, modulate, clamp, switch.
 	Kind string `json:"kind"`
+	Seed int64  `json:"seed,omitempty"`
 
 	// constant
 	Level float64 `json:"level,omitempty"`
-
 	// diurnal
 	Base   float64 `json:"base,omitempty"`
 	Cycles []Cycle `json:"cycles,omitempty"`
-
 	// cohorts
 	Cohorts []Cohort `json:"cohorts,omitempty"`
-
 	// flash-crowd
 	Users  float64 `json:"users,omitempty"`
 	Crowd  float64 `json:"crowd,omitempty"`
@@ -55,42 +62,55 @@ type ComponentSpec struct {
 	Ramp   float64 `json:"ramp,omitempty"`
 	Decay  float64 `json:"decay,omitempty"`
 	Repeat float64 `json:"repeat,omitempty"`
-
-	// heavy-tail / congested
-	Peak      float64 `json:"peak,omitempty"`
-	DropMean  float64 `json:"dropMean,omitempty"`
-	DropStd   float64 `json:"dropStd,omitempty"`
-	BurstProb float64 `json:"burstProb,omitempty"`
-	BurstMean float64 `json:"burstMean,omitempty"`
-	BurstStd  float64 `json:"burstStd,omitempty"`
-
-	// single-mode
+	// single-mode, and the AR(1) shape of markov-modal
 	Mean  float64 `json:"mean,omitempty"`
 	Sigma float64 `json:"sigma,omitempty"`
 	Phi   float64 `json:"phi,omitempty"`
-
+	DT    float64 `json:"dt,omitempty"`
+	// markov-modal (Weights also weighs sum's children, 1 each when absent)
+	Modes      []load.ModeSpec `json:"modes,omitempty"`
+	Weights    []float64       `json:"weights,omitempty"`
+	SwitchProb float64         `json:"switch_prob,omitempty"`
 	// user-sessions
 	Lambda float64 `json:"lambda,omitempty"`
 	Mu     float64 `json:"mu,omitempty"`
-
-	// preset: one of the named constructors in internal/load
-	Preset string `json:"preset,omitempty"`
-
-	// combinators
-	Children []ComponentSpec `json:"children,omitempty"`
-	Weights  []float64       `json:"weights,omitempty"` // sum: default 1 each
-	Lo       float64         `json:"lo,omitempty"`      // clamp lower bound
-	Hi       float64         `json:"hi,omitempty"`      // clamp upper bound (0 = 1)
-	At       []float64       `json:"at,omitempty"`      // switch boundaries, ascending
-
-	// DT overrides the scenario's default tick for this subtree's leaves.
-	DT float64 `json:"dt,omitempty"`
+	// long-tailed (peak, drop_*) / congested (peak, base_*, burst_*)
+	Peak      float64 `json:"peak,omitempty"`
+	DropMean  float64 `json:"drop_mean,omitempty"`
+	DropStd   float64 `json:"drop_std,omitempty"`
+	BaseMean  float64 `json:"base_mean,omitempty"`
+	BaseStd   float64 `json:"base_std,omitempty"`
+	BurstProb float64 `json:"burst_prob,omitempty"`
+	BurstMean float64 `json:"burst_mean,omitempty"`
+	BurstStd  float64 `json:"burst_std,omitempty"`
+	// scenario: the library scenario's machine entry Machine, or as a
+	// network load its net entry.
+	Scenario string `json:"scenario,omitempty"`
+	Machine  int    `json:"machine,omitempty"`
+	// trace: a recorded trace file.
+	Path string `json:"path,omitempty"`
+	// clamp bounds (Hi 0 means 1)
+	Lo float64 `json:"lo,omitempty"`
+	Hi float64 `json:"hi,omitempty"`
+	// switch: Children[0] until At[0], Children[j] on [At[j-1], At[j]), the
+	// last child after the last boundary.
+	At       []float64  `json:"at,omitempty"`
+	Children []LoadSpec `json:"children,omitempty"`
 }
 
-// ParseScenario decodes a ScenarioSpec from JSON, rejecting unknown fields
-// and validating the result — same strictness as predict.ParseSpecs.
+// ParseScenario decodes a ScenarioSpec from JSON, rejecting another format
+// version and unknown fields and validating the result.
 func ParseScenario(data []byte) (*ScenarioSpec, error) {
-	dec := json.NewDecoder(strings.NewReader(string(data)))
+	var v struct {
+		Version int `json:"version"`
+	}
+	if err := json.Unmarshal(data, &v); err != nil {
+		return nil, fmt.Errorf("workload: parse scenario: %w", err)
+	}
+	if v.Version != SpecVersion {
+		return nil, fmt.Errorf("workload: unsupported scenario version %d (want %d)", v.Version, SpecVersion)
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var sc ScenarioSpec
 	if err := dec.Decode(&sc); err != nil {
@@ -102,16 +122,8 @@ func ParseScenario(data []byte) (*ScenarioSpec, error) {
 	return &sc, nil
 }
 
-// tick returns the scenario's default tick.
-func (sc *ScenarioSpec) tick() float64 {
-	if sc.DT > 0 {
-		return sc.DT
-	}
-	return 1
-}
-
-// Validate checks the spec by building every component with a throwaway
-// seed and discarding the result.
+// Validate checks the spec by building every load with a throwaway seed and
+// discarding the result.
 func (sc *ScenarioSpec) Validate() error {
 	if sc.Version != SpecVersion {
 		return fmt.Errorf("workload: scenario %q: unsupported version %d (want %d)", sc.Name, sc.Version, SpecVersion)
@@ -119,19 +131,16 @@ func (sc *ScenarioSpec) Validate() error {
 	if sc.Name == "" {
 		return errors.New("workload: scenario needs a name")
 	}
-	if sc.DT < 0 {
-		return fmt.Errorf("workload: scenario %q: negative dt", sc.Name)
-	}
 	if len(sc.Machines) == 0 {
 		return fmt.Errorf("workload: scenario %q: no machines", sc.Name)
 	}
 	for i := range sc.Machines {
-		if _, err := sc.Machines[i].build(sc.tick(), 1); err != nil {
+		if _, err := sc.Machines[i].Build(1, false); err != nil {
 			return fmt.Errorf("workload: scenario %q machine %d: %w", sc.Name, i, err)
 		}
 	}
 	if sc.Net != nil {
-		if _, err := sc.Net.build(sc.tick(), 1); err != nil {
+		if _, err := sc.Net.Build(1, true); err != nil {
 			return fmt.Errorf("workload: scenario %q net: %w", sc.Name, err)
 		}
 	}
@@ -151,7 +160,7 @@ func (sc *ScenarioSpec) Hash() string {
 }
 
 // Machine builds machine i's load process under the given seed. Scenarios
-// with fewer component entries than the platform has machines wrap around
+// with fewer machine entries than the platform has machines wrap around
 // (entry i%len), with the seed still distinct per machine, so a 4-entry
 // scenario drives a 100-machine platform with 100 distinct processes.
 func (sc *ScenarioSpec) Machine(i int, seed int64) (load.Process, error) {
@@ -161,8 +170,7 @@ func (sc *ScenarioSpec) Machine(i int, seed int64) (load.Process, error) {
 	if len(sc.Machines) == 0 {
 		return nil, fmt.Errorf("workload: scenario %q: no machines", sc.Name)
 	}
-	c := &sc.Machines[i%len(sc.Machines)]
-	return c.build(sc.tick(), seed)
+	return sc.Machines[i%len(sc.Machines)].Build(seed, false)
 }
 
 // NetProcess builds the scenario's network contention process, or nil if
@@ -171,7 +179,21 @@ func (sc *ScenarioSpec) NetProcess(seed int64) (load.Process, error) {
 	if sc.Net == nil {
 		return nil, nil
 	}
-	return sc.Net.build(sc.tick(), seed)
+	return sc.Net.Build(seed, true)
+}
+
+// Clone returns a deep copy of the spec, children included.
+func (l LoadSpec) Clone() LoadSpec {
+	l.Cycles = append([]Cycle(nil), l.Cycles...)
+	l.Cohorts = append([]Cohort(nil), l.Cohorts...)
+	l.Modes = append([]load.ModeSpec(nil), l.Modes...)
+	l.Weights = append([]float64(nil), l.Weights...)
+	l.At = append([]float64(nil), l.At...)
+	l.Children = append([]LoadSpec(nil), l.Children...)
+	for i, c := range l.Children {
+		l.Children[i] = c.Clone()
+	}
+	return l
 }
 
 // childSeed derives child i's seed from the parent's: a splitmix-style odd
@@ -181,37 +203,51 @@ func childSeed(seed int64, i int) int64 {
 	return seed*1000003 + int64(i+1)*7919
 }
 
-// build constructs the process for a component. dt is the default tick
-// inherited from the scenario (or an enclosing DT override); seed is this
-// node's random stream.
-func (c *ComponentSpec) build(dt float64, seed int64) (load.Process, error) {
-	if c.DT < 0 {
-		return nil, errors.New("negative dt")
+// Build materializes the load; seed is used when the spec names none. As a
+// network load (net), a scenario load is the scenario's net entry, not a
+// machine's.
+func (l *LoadSpec) Build(seed int64, net bool) (load.Process, error) {
+	if l.Seed != 0 {
+		seed = l.Seed
 	}
-	if c.DT > 0 {
-		dt = c.DT
+	dt := l.DT
+	if dt == 0 {
+		dt = 1
 	}
-	switch c.Kind {
+	if !(dt > 0) {
+		return nil, fmt.Errorf("%s: dt %g must be positive", l.Kind, l.DT)
+	}
+	switch l.Kind {
+	case "light":
+		return load.LightLoad(seed)
+	case "platform1-center":
+		return load.Platform1CenterMode(seed)
+	case "platform1-trimodal":
+		return load.Platform1TriModal(seed)
+	case "platform2-bursty":
+		return load.Platform2FourModeBursty(seed)
+	case "ethernet-contention":
+		return load.EthernetContention(seed)
 	case "constant":
-		if c.Level < 0 || c.Level > 1 {
-			return nil, fmt.Errorf("constant level %g outside [0,1]", c.Level)
+		if l.Level < 0 || l.Level > 1 {
+			return nil, fmt.Errorf("constant level %g outside [0,1]", l.Level)
 		}
-		return load.NewConstant(c.Level), nil
+		return load.NewConstant(l.Level), nil
 	case "diurnal":
-		if len(c.Cycles) == 0 {
+		if len(l.Cycles) == 0 {
 			return nil, errors.New("diurnal needs at least one cycle")
 		}
-		for i, cy := range c.Cycles {
+		for i, cy := range l.Cycles {
 			if !(cy.Period > 0) {
 				return nil, fmt.Errorf("diurnal cycle %d: period must be positive", i)
 			}
 		}
-		return &diurnal{base: c.Base, cycles: append([]Cycle(nil), c.Cycles...), dt: dt}, nil
+		return &diurnal{base: l.Base, cycles: append([]Cycle(nil), l.Cycles...), dt: dt}, nil
 	case "cohorts":
-		if len(c.Cohorts) == 0 {
+		if len(l.Cohorts) == 0 {
 			return nil, errors.New("cohorts needs at least one cohort")
 		}
-		for i, co := range c.Cohorts {
+		for i, co := range l.Cohorts {
 			if !(co.Lambda > 0) || !(co.Mu > 0) {
 				return nil, fmt.Errorf("cohort %d: lambda and mu must be positive", i)
 			}
@@ -219,47 +255,61 @@ func (c *ComponentSpec) build(dt float64, seed int64) (load.Process, error) {
 				return nil, fmt.Errorf("cohort %d: swing %g outside [0,1]", i, co.Swing)
 			}
 		}
-		return newCohorts(append([]Cohort(nil), c.Cohorts...), dt, seed), nil
+		return newCohorts(append([]Cohort(nil), l.Cohorts...), dt, seed), nil
 	case "flash-crowd":
-		if c.Users < 0 {
+		if l.Users < 0 {
 			return nil, errors.New("flash-crowd: negative baseline users")
 		}
-		if !(c.Crowd > 0) || !(c.Ramp > 0) || !(c.Decay > 0) {
+		if !(l.Crowd > 0) || !(l.Ramp > 0) || !(l.Decay > 0) {
 			return nil, errors.New("flash-crowd: crowd, ramp, and decay must be positive")
 		}
-		if c.Onset < 0 || c.Repeat < 0 {
+		if l.Onset < 0 || l.Repeat < 0 {
 			return nil, errors.New("flash-crowd: negative onset or repeat")
 		}
-		return newFlashCrowd(c.Users, c.Crowd, c.Onset, c.Ramp, c.Decay, c.Repeat, dt, seed), nil
-	case "heavy-tail":
-		return load.NewLongTailed(c.Peak, c.DropMean, c.DropStd, dt, seed)
-	case "congested":
-		return load.NewCongested(c.Peak, c.DropMean, c.DropStd, c.BurstProb, c.BurstMean, c.BurstStd, dt, seed)
+		return newFlashCrowd(l.Users, l.Crowd, l.Onset, l.Ramp, l.Decay, l.Repeat, dt, seed), nil
 	case "single-mode":
-		return load.NewSingleMode(c.Mean, c.Sigma, c.Phi, dt, seed)
+		return load.NewSingleMode(l.Mean, l.Sigma, l.Phi, dt, seed)
+	case "markov-modal":
+		return load.NewMarkovModal(l.Modes, l.Weights, l.SwitchProb, l.Phi, dt, seed)
 	case "user-sessions":
-		return load.NewUserSessions(c.Lambda, c.Mu, dt, seed)
-	case "preset":
-		switch c.Preset {
-		case "platform1-center":
-			return load.Platform1CenterMode(seed)
-		case "platform1-trimodal":
-			return load.Platform1TriModal(seed)
-		case "platform2-bursty":
-			return load.Platform2FourModeBursty(seed)
-		case "light":
-			return load.LightLoad(seed)
-		case "ethernet-contention":
-			return load.EthernetContention(seed)
-		default:
-			return nil, fmt.Errorf("unknown preset %q", c.Preset)
+		return load.NewUserSessions(l.Lambda, l.Mu, dt, seed)
+	case "long-tailed":
+		return load.NewLongTailed(l.Peak, l.DropMean, l.DropStd, dt, seed)
+	case "congested":
+		return load.NewCongested(l.Peak, l.BaseMean, l.BaseStd, l.BurstProb, l.BurstMean, l.BurstStd, dt, seed)
+	case "scenario":
+		sc, ok := Lookup(l.Scenario)
+		if !ok {
+			return nil, fmt.Errorf("unknown workload scenario %q (have %v)", l.Scenario, Names())
 		}
+		if !net {
+			return sc.Machine(l.Machine, seed)
+		}
+		p, err := sc.NetProcess(seed)
+		if err == nil && p == nil {
+			err = fmt.Errorf("workload scenario %q defines no net load", l.Scenario)
+		}
+		return p, err
+	case "trace":
+		if l.Path == "" {
+			return nil, errors.New("trace load missing path")
+		}
+		f, err := os.Open(l.Path)
+		if err != nil {
+			return nil, fmt.Errorf("trace load: %w", err)
+		}
+		defer f.Close()
+		h, vals, err := ReadTrace(f)
+		if err != nil {
+			return nil, fmt.Errorf("trace load %q: %w", l.Path, err)
+		}
+		return TraceProcess(h, vals)
 	case "sum":
-		children, err := c.buildChildren(dt, seed, 2)
+		children, err := l.buildChildren(seed, net, 2)
 		if err != nil {
 			return nil, err
 		}
-		w := c.Weights
+		w := l.Weights
 		if len(w) == 0 {
 			w = make([]float64, len(children))
 			for i := range w {
@@ -271,20 +321,20 @@ func (c *ComponentSpec) build(dt float64, seed int64) (load.Process, error) {
 		}
 		return &sumProc{children: children, weights: append([]float64(nil), w...), dt: minInterval(children)}, nil
 	case "modulate":
-		children, err := c.buildChildren(dt, seed, 2)
+		children, err := l.buildChildren(seed, net, 2)
 		if err != nil {
 			return nil, err
 		}
 		return &modProc{children: children, dt: minInterval(children)}, nil
 	case "clamp":
-		children, err := c.buildChildren(dt, seed, 1)
+		children, err := l.buildChildren(seed, net, 1)
 		if err != nil {
 			return nil, err
 		}
 		if len(children) != 1 {
 			return nil, fmt.Errorf("clamp: wants exactly one child, got %d", len(children))
 		}
-		lo, hi := c.Lo, c.Hi
+		lo, hi := l.Lo, l.Hi
 		if hi == 0 {
 			hi = 1
 		}
@@ -293,38 +343,29 @@ func (c *ComponentSpec) build(dt float64, seed int64) (load.Process, error) {
 		}
 		return &clampProc{child: children[0], lo: lo, hi: hi}, nil
 	case "switch":
-		children, err := c.buildChildren(dt, seed, 2)
+		children, err := l.buildChildren(seed, net, 2)
 		if err != nil {
 			return nil, err
 		}
-		if len(c.At) != len(children)-1 {
-			return nil, fmt.Errorf("switch: %d boundaries for %d children (want %d)", len(c.At), len(children), len(children)-1)
-		}
-		prev := 0.0
-		for i, b := range c.At {
-			if !(b > prev) {
-				return nil, fmt.Errorf("switch: boundary %d (%g) not ascending and positive", i, b)
-			}
-			prev = b
-		}
-		return load.NewSwitch(c.At, children...)
+		return load.NewSwitch(l.At, children...)
 	case "":
-		return nil, errors.New("component missing kind")
+		return nil, errors.New("load spec missing kind")
 	default:
-		return nil, fmt.Errorf("unknown component kind %q", c.Kind)
+		return nil, fmt.Errorf("unknown load kind %q", l.Kind)
 	}
 }
 
-// buildChildren builds a combinator's child processes with derived seeds.
-func (c *ComponentSpec) buildChildren(dt float64, seed int64, min int) ([]load.Process, error) {
-	if len(c.Children) < min {
-		return nil, fmt.Errorf("%s: wants at least %d children, got %d", c.Kind, min, len(c.Children))
+// buildChildren builds a combinator's child processes, each on its own seed
+// or on childSeed(seed, i).
+func (l *LoadSpec) buildChildren(seed int64, net bool, min int) ([]load.Process, error) {
+	if len(l.Children) < min {
+		return nil, fmt.Errorf("%s: wants at least %d children, got %d", l.Kind, min, len(l.Children))
 	}
-	out := make([]load.Process, len(c.Children))
-	for i := range c.Children {
-		p, err := c.Children[i].build(dt, childSeed(seed, i))
+	out := make([]load.Process, len(l.Children))
+	for i := range l.Children {
+		p, err := l.Children[i].Build(childSeed(seed, i), net)
 		if err != nil {
-			return nil, fmt.Errorf("%s child %d: %w", c.Kind, i, err)
+			return nil, fmt.Errorf("%s child %d: %w", l.Kind, i, err)
 		}
 		out[i] = p
 	}

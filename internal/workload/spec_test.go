@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"bytes"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -8,9 +9,8 @@ import (
 
 func TestParseScenarioValid(t *testing.T) {
 	js := `{
-		"version": 1,
+		"version": 2,
 		"name": "two-tier",
-		"dt": 1,
 		"machines": [
 			{"kind": "sum", "weights": [0.5, 0.5], "children": [
 				{"kind": "diurnal", "base": 0.6, "cycles": [{"period": 300, "amp": 0.2}]},
@@ -18,7 +18,7 @@ func TestParseScenarioValid(t *testing.T) {
 			]},
 			{"kind": "flash-crowd", "users": 1, "crowd": 5, "onset": 60, "ramp": 20, "decay": 80}
 		],
-		"net": {"kind": "preset", "preset": "ethernet-contention"}
+		"net": {"kind": "ethernet-contention"}
 	}`
 	sc, err := ParseScenario([]byte(js))
 	if err != nil {
@@ -44,21 +44,23 @@ func TestParseScenarioValid(t *testing.T) {
 
 func TestParseScenarioRejects(t *testing.T) {
 	cases := map[string]string{
-		"unknown field":   `{"version":1,"name":"x","bogus":1,"machines":[{"kind":"constant","level":0.5}]}`,
-		"bad version":     `{"version":9,"name":"x","machines":[{"kind":"constant","level":0.5}]}`,
-		"no name":         `{"version":1,"machines":[{"kind":"constant","level":0.5}]}`,
-		"no machines":     `{"version":1,"name":"x","machines":[]}`,
-		"missing kind":    `{"version":1,"name":"x","machines":[{"level":0.5}]}`,
-		"unknown kind":    `{"version":1,"name":"x","machines":[{"kind":"wat"}]}`,
-		"unknown preset":  `{"version":1,"name":"x","machines":[{"kind":"preset","preset":"wat"}]}`,
-		"sum arity":       `{"version":1,"name":"x","machines":[{"kind":"sum","children":[{"kind":"constant","level":0.5}]}]}`,
-		"weight mismatch": `{"version":1,"name":"x","machines":[{"kind":"sum","weights":[1],"children":[{"kind":"constant","level":0.5},{"kind":"constant","level":0.4}]}]}`,
-		"clamp bounds":    `{"version":1,"name":"x","machines":[{"kind":"clamp","lo":0.9,"hi":0.2,"children":[{"kind":"constant","level":0.5}]}]}`,
-		"switch bounds":   `{"version":1,"name":"x","machines":[{"kind":"switch","at":[200,100],"children":[{"kind":"constant","level":0.5},{"kind":"constant","level":0.4},{"kind":"constant","level":0.3}]}]}`,
-		"switch arity":    `{"version":1,"name":"x","machines":[{"kind":"switch","at":[100],"children":[{"kind":"constant","level":0.5}]}]}`,
-		"flash params":    `{"version":1,"name":"x","machines":[{"kind":"flash-crowd","users":1,"crowd":5,"ramp":0,"decay":80}]}`,
-		"cohort params":   `{"version":1,"name":"x","machines":[{"kind":"cohorts","cohorts":[{"lambda":0,"mu":0.1}]}]}`,
-		"diurnal period":  `{"version":1,"name":"x","machines":[{"kind":"diurnal","base":0.5,"cycles":[{"period":0,"amp":0.1}]}]}`,
+		"unknown field":   `{"version":2,"name":"x","bogus":1,"machines":[{"kind":"constant","level":0.5}]}`,
+		"bad version":     `{"version":1,"name":"x","machines":[{"kind":"constant","level":0.5}]}`,
+		"no name":         `{"version":2,"machines":[{"kind":"constant","level":0.5}]}`,
+		"no machines":     `{"version":2,"name":"x","machines":[]}`,
+		"missing kind":    `{"version":2,"name":"x","machines":[{"level":0.5}]}`,
+		"unknown kind":    `{"version":2,"name":"x","machines":[{"kind":"wat"}]}`,
+		"preset kind":     `{"version":2,"name":"x","machines":[{"kind":"preset","preset":"light"}]}`,
+		"level above 1":   `{"version":2,"name":"x","machines":[{"kind":"constant","level":1.5}]}`,
+		"negative dt":     `{"version":2,"name":"x","machines":[{"kind":"single-mode","mean":0.5,"sigma":0.1,"dt":-1}]}`,
+		"sum arity":       `{"version":2,"name":"x","machines":[{"kind":"sum","children":[{"kind":"constant","level":0.5}]}]}`,
+		"weight mismatch": `{"version":2,"name":"x","machines":[{"kind":"sum","weights":[1],"children":[{"kind":"constant","level":0.5},{"kind":"constant","level":0.4}]}]}`,
+		"clamp bounds":    `{"version":2,"name":"x","machines":[{"kind":"clamp","lo":0.9,"hi":0.2,"children":[{"kind":"constant","level":0.5}]}]}`,
+		"switch bounds":   `{"version":2,"name":"x","machines":[{"kind":"switch","at":[200,100],"children":[{"kind":"constant","level":0.5},{"kind":"constant","level":0.4},{"kind":"constant","level":0.3}]}]}`,
+		"switch arity":    `{"version":2,"name":"x","machines":[{"kind":"switch","at":[100],"children":[{"kind":"constant","level":0.5}]}]}`,
+		"flash params":    `{"version":2,"name":"x","machines":[{"kind":"flash-crowd","users":1,"crowd":5,"ramp":0,"decay":80}]}`,
+		"cohort params":   `{"version":2,"name":"x","machines":[{"kind":"cohorts","cohorts":[{"lambda":0,"mu":0.1}]}]}`,
+		"diurnal period":  `{"version":2,"name":"x","machines":[{"kind":"diurnal","base":0.5,"cycles":[{"period":0,"amp":0.1}]}]}`,
 	}
 	for name, js := range cases {
 		if _, err := ParseScenario([]byte(js)); err == nil {
@@ -157,9 +159,87 @@ func TestHashStableAndSensitive(t *testing.T) {
 }
 
 func TestValidateErrorsNameTheScenario(t *testing.T) {
-	sc := &ScenarioSpec{Version: SpecVersion, Name: "broken", Machines: []ComponentSpec{{Kind: "wat"}}}
+	sc := &ScenarioSpec{Version: SpecVersion, Name: "broken", Machines: []LoadSpec{{Kind: "wat"}}}
 	err := sc.Validate()
 	if err == nil || !strings.Contains(err.Error(), "broken") {
 		t.Fatalf("error should name the scenario: %v", err)
 	}
+}
+
+// TestLibraryJSONRoundTrip: every library scenario survives json.Marshal →
+// ParseScenario with the same Hash and the same samples on every entry.
+func TestLibraryJSONRoundTrip(t *testing.T) {
+	for _, name := range Names() {
+		sc, _ := Lookup(name)
+		data, err := json.Marshal(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := ParseScenario(data)
+		if err != nil {
+			t.Fatalf("%s: marshalled scenario refused: %v", name, err)
+		}
+		if back.Hash() != sc.Hash() {
+			t.Errorf("%s: hash %s after the round trip, %s before", name, back.Hash(), sc.Hash())
+		}
+		for m := range sc.Machines {
+			a, errA := sc.Machine(m, 3)
+			b, errB := back.Machine(m, 3)
+			if errA != nil || errB != nil {
+				t.Fatalf("%s machine %d: %v, %v", name, m, errA, errB)
+			}
+			if digest(a) != digest(b) {
+				t.Errorf("%s machine %d: samples differ after the round trip", name, m)
+			}
+		}
+		a, errA := sc.NetProcess(3)
+		b, errB := back.NetProcess(3)
+		if errA != nil || errB != nil {
+			t.Fatalf("%s net: %v, %v", name, errA, errB)
+		}
+		if (a == nil) != (b == nil) || a != nil && digest(a) != digest(b) {
+			t.Errorf("%s: net samples differ after the round trip", name)
+		}
+	}
+}
+
+// FuzzParseScenario: ParseScenario never panics, and the JSON of anything it
+// accepts is a fixed point of parse → marshal. Inputs that could name a
+// trace file are skipped: that load kind opens files.
+func FuzzParseScenario(f *testing.F) {
+	for _, name := range Names() {
+		sc, _ := Lookup(name)
+		data, err := json.Marshal(sc)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"version":2,"name":"x","machines":[{"kind":"scenario","scenario":"flash-crowd","machine":2},
+	  {"kind":"markov-modal","modes":[{"mean":0.3,"sigma":0.05},{"mean":0.8,"sigma":0.05}],"weights":[1,1],"switch_prob":0.1,"dt":2}],
+	  "net":{"kind":"scenario","scenario":"diurnal-web"}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if bytes.Contains(data, []byte("trace")) || bytes.Contains(data, []byte(`\u`)) {
+			return
+		}
+		sc, err := ParseScenario(data)
+		if err != nil {
+			return
+		}
+		once, err := json.Marshal(sc)
+		if err != nil {
+			t.Fatalf("accepted scenario does not marshal: %v", err)
+		}
+		again, err := ParseScenario(once)
+		if err != nil {
+			t.Fatalf("marshalled scenario is refused: %v\n%s", err, once)
+		}
+		twice, err := json.Marshal(again)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(once, twice) {
+			t.Fatalf("parse → marshal is not a fixed point:\n%s\n%s", once, twice)
+		}
+	})
 }

@@ -1,24 +1,26 @@
 // Package workload composes the primitive load processes of internal/load
-// into production-shaped machine loads: declarative, versioned scenario
-// specs whose component trees mix diurnal multi-period cycles, user cohorts
-// with distinct arrival patterns, flash-crowd ramps, and heavy-tailed
-// contention under deterministic combinators (sum, modulate, clamp,
+// into production-shaped machine loads, and holds the one language every
+// load is declared in: LoadSpec, read by fleet specs (predict.PlatformSpec's
+// cpu and net entries, snapshot images), by versioned scenario specs and by
+// cmd/loadgen. Its kinds are the paper's calibrated presets and generators,
+// diurnal multi-period cycles, user cohorts with distinct arrival patterns,
+// flash-crowd ramps, heavy-tailed contention, library scenarios and
+// recorded traces, under deterministic combinators (sum, modulate, clamp,
 // switch-at-time).
 //
 // The paper's evaluation runs two platforms and one switch process; a
 // production fleet sees "extreme variability" (arXiv 1801.03898) — diurnal
-// swings, flash crowds, heavy-tailed batch contention — and this package is
-// the generator for exactly those regimes. Everything stays inside the
-// availability convention of internal/load: every process emits the
-// fraction of CPU available in [0, 1], piecewise-constant over ticks, and
-// is a pure function of (spec, seed, virtual time), so two builds of the
-// same scenario are bit-identical.
+// swings, flash crowds, heavy-tailed batch contention — and the scenario
+// library is the generator for exactly those regimes. Everything stays
+// inside the availability convention of internal/load: every process emits
+// the fraction of CPU available in [0, 1], piecewise-constant over ticks,
+// and is a pure function of (spec, seed, virtual time), so two builds of the
+// same spec are bit-identical.
 //
 // The package also defines the versioned trace interchange format
 // (TraceHeader + one sample per line) that cmd/loadgen writes, cmd/predictd
-// records on shutdown, and predict.LoadSpec{Kind: "trace"} replays — the
-// record/replay seam that turns any served workload into a reproducible
-// test input.
+// records on shutdown, and a "trace" load replays — the record/replay seam
+// that turns any served workload into a reproducible test input.
 package workload
 
 import (
