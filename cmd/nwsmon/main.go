@@ -1,7 +1,9 @@
 // Command nwsmon runs the Network Weather Service reimplementation against
 // a simulated production machine and prints the forecast stream: the
 // measured availability, the mixture-of-experts forecast, its error
-// estimate, and the winning forecaster.
+// estimate, and the winning forecaster. The machine's load is one load
+// entry in JSON, written as a fleet spec's cpu entries are (OPERATIONS.md,
+// "Fleet mode"), run on -seed unless it names its own.
 //
 // Sensor faults can be injected to demonstrate the gap-aware monitor:
 // dropped samples, outlier spikes, transient errors, and timed outage
@@ -10,11 +12,12 @@
 //
 // Usage:
 //
-//	nwsmon -load bursty -duration 600 -period 5 -seed 1
-//	nwsmon -load bursty -drop 0.2 -outage 300:420 -spike 0.05 -faultseed 7
+//	nwsmon -load '{"kind":"platform2-bursty"}' -duration 600 -period 5 -seed 1
+//	nwsmon -load '{"kind":"platform1-center"}' -drop 0.2 -outage 300:420 -spike 0.05 -faultseed 7
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
@@ -29,11 +32,12 @@ import (
 	"prodpred/internal/nws"
 	"prodpred/internal/simenv"
 	"prodpred/internal/stochastic"
+	"prodpred/internal/workload"
 )
 
 func main() {
 	var (
-		loadKind  = flag.String("load", "bursty", "load class: center | trimodal | bursty | light | dedicated")
+		loadJSON  = flag.String("load", `{"kind":"platform2-bursty"}`, "the machine's load, one fleet-spec load entry in JSON")
 		duration  = flag.Float64("duration", 600, "virtual seconds to monitor")
 		period    = flag.Float64("period", nws.DefaultPeriod, "sensor period (s)")
 		seed      = flag.Int64("seed", 1, "random seed")
@@ -50,8 +54,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "nwsmon:", err)
 		os.Exit(1)
 	}
+	spec, err := parseLoad(*loadJSON)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "nwsmon: -load:", err)
+		os.Exit(1)
+	}
 	cfg := runConfig{
-		kind:     *loadKind,
+		load:     spec,
 		duration: *duration,
 		period:   *period,
 		seed:     *seed,
@@ -71,7 +80,7 @@ func main() {
 }
 
 type runConfig struct {
-	kind      string
+	load      workload.LoadSpec
 	duration  float64
 	period    float64
 	seed      int64
@@ -108,24 +117,23 @@ func parseOutages(s string) ([]faults.Window, error) {
 	return out, nil
 }
 
-func makeLoad(kind string, seed int64) (load.Process, error) {
-	switch kind {
-	case "center":
-		return load.Platform1CenterMode(seed)
-	case "trimodal":
-		return load.Platform1TriModal(seed)
-	case "bursty":
-		return load.Platform2FourModeBursty(seed)
-	case "light":
-		return load.LightLoad(seed)
-	case "dedicated":
-		return load.Dedicated(), nil
+// parseLoad decodes one load entry as spec files are decoded: a key
+// LoadSpec does not declare, or anything after the value, is an error.
+func parseLoad(s string) (workload.LoadSpec, error) {
+	var spec workload.LoadSpec
+	dec := json.NewDecoder(strings.NewReader(s))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		return spec, err
 	}
-	return nil, fmt.Errorf("unknown load class %q", kind)
+	if strings.TrimLeft(s[dec.InputOffset():], " \t\n\r") != "" {
+		return spec, fmt.Errorf("data after the load entry")
+	}
+	return spec, nil
 }
 
 func run(w *os.File, cfg runConfig) error {
-	proc, err := makeLoad(cfg.kind, cfg.seed)
+	proc, err := cfg.load.Build(cfg.seed, false)
 	if err != nil {
 		return err
 	}
@@ -156,7 +164,7 @@ func run(w *os.File, cfg runConfig) error {
 		return err
 	}
 
-	fmt.Fprintf(w, "NWS CPU monitor: %s load, period %.0fs", cfg.kind, cfg.period)
+	fmt.Fprintf(w, "NWS CPU monitor: %s load, period %.0fs", cfg.load.Kind, cfg.period)
 	if inj != nil {
 		fmt.Fprintf(w, " (faults: drop %.0f%%, spike %.0f%%, transient %.0f%%, %d outage windows)",
 			cfg.schedule.DropProb*100, cfg.schedule.SpikeProb*100,

@@ -23,7 +23,7 @@
 //	               restorable with -restore
 //	POST /schedule {"jobs":[{"n":800,"iterations":10,...}],"policy":"quantile"}
 //	               — place SOR jobs across the fleet by predicted runtime
-//	               distribution (policy defaults to -sched-policy)
+//	               distribution (policy defaults to quantile at 0.95)
 //	GET  /schedule/status — fleet-scheduler state: per-tenant saturation,
 //	               job lifecycle, makespan, deadline misses
 //	GET  /metrics  — Prometheus text exposition (see OPERATIONS.md for the
@@ -67,7 +67,6 @@ import (
 	"time"
 
 	"prodpred/internal/api"
-	"prodpred/internal/fleetsched"
 	"prodpred/internal/load"
 	"prodpred/internal/obs"
 	"prodpred/internal/predict"
@@ -78,9 +77,9 @@ import (
 // daemon" table documents every flag; TestOperationsFlagTable holds the two
 // to each other.
 type options struct {
-	addr, specs, restore, recordDir, schedPolicy string
-	tick, schedQuantile                          float64
-	pprof, logRequests                           bool
+	addr, specs, restore, recordDir string
+	tick                            float64
+	pprof, logRequests              bool
 }
 
 // declareFlags defines predictd's flags on fs, bound to the returned
@@ -94,20 +93,13 @@ func declareFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.specs, "specs", "", "serve the declarative fleet in this JSON file instead of the built-in platforms")
 	fs.StringVar(&o.restore, "restore", "", "resume the fleet captured in this POST /snapshot image")
 	fs.StringVar(&o.recordDir, "record-traces", "", "on shutdown, record every instantiated platform's load processes as replayable trace files in this directory")
-	fs.StringVar(&o.schedPolicy, "sched-policy", string(fleetsched.PolicyQuantile), fmt.Sprintf("default POST /schedule placement policy %v", fleetsched.Policies))
-	fs.Float64Var(&o.schedQuantile, "sched-quantile", fleetsched.DefaultQuantile, "default quantile for the quantile placement policy (0,1)")
 	return o
 }
 
 func main() {
 	o := declareFlags(flag.CommandLine)
 	flag.Parse()
-	pol, err := fleetsched.ParsePolicy(o.schedPolicy)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "predictd:", err)
-		os.Exit(2)
-	}
-	if err := run(o, fleetsched.Config{Policy: pol, Quantile: o.schedQuantile}); err != nil {
+	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "predictd:", err)
 		os.Exit(1)
 	}
@@ -175,7 +167,7 @@ func restoreRegistry(path string, metrics *obs.Registry) (*predict.Registry, err
 	return reg, nil
 }
 
-func run(o *options, sched fleetsched.Config) error {
+func run(o *options) error {
 	metrics := obs.NewRegistry()
 	var reg *predict.Registry
 	var err error
@@ -192,7 +184,7 @@ func run(o *options, sched fleetsched.Config) error {
 	if err != nil {
 		return err
 	}
-	opts := api.Options{Metrics: metrics, EnablePprof: o.pprof, Sched: sched}
+	opts := api.Options{Metrics: metrics, EnablePprof: o.pprof}
 	if o.logRequests {
 		opts.AccessLog = log.New(os.Stderr, "", 0)
 	}

@@ -143,7 +143,7 @@ func TestPredictEndpointOptions(t *testing.T) {
 	for _, body := range []api.PredictRequest{
 		{Platform: "platform1", N: 80, Iterations: 4, Strategy: "conservative"},
 		{Platform: "platform2", N: 80, Iterations: 4, Strategy: "balanced", MaxStrategy: "probabilistic", IterationRel: "unrelated"},
-		{Platform: "platform2", N: 80, Iterations: 4, Strategy: "optimistic", MaxStrategy: "magnitude", Advance: 30},
+		{Platform: "platform2", N: 80, Iterations: 4, Strategy: "optimistic", MaxStrategy: "magnitude"},
 	} {
 		resp := postJSON(t, ts.URL+"/predict", body)
 		pr := decode[api.PredictResponse](t, resp)

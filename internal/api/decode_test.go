@@ -62,8 +62,8 @@ func TestWorkCeilings(t *testing.T) {
 		status      int
 		want        string // substring of the response
 	}{
-		{"/predict", `{"n":120,"iterations":6,"advance":3600}`, 200, `"time":3720,`},
-		{"/predict", `{"n":120,"iterations":6,"advance":1e9}`, 400, "advance 1e+09 exceeds limit 3600"},
+		{"/predict", `{"n":120,"iterations":6}`, 200, `"time":120,`},
+		{"/advance", `{"seconds":3600}`, 200, `"platform1":3720`},
 		{"/advance", `{"seconds":3600}`, 200, `"platform1":7320`},
 		{"/advance", `{"seconds":3600.001}`, 400, "seconds 3600.001 exceeds limit 3600"},
 		{"/advance", `{"seconds":1e9}`, 400, "exceeds limit 3600"},
@@ -140,10 +140,8 @@ func TestDecodeBodyStdlibSemantics(t *testing.T) {
 	}{
 		{"escaped string", `{"platform":"a\"bé","n":10,"iterations":1}`,
 			&PredictRequest{}, &PredictRequest{Platform: "a\"bé", N: 10, Iterations: 1}},
-		{"case-variant keys", `{"Platform":"platform1","N":120,"ITERATIONS":6,"LEVEL":0.8}`,
-			&PredictRequest{}, &PredictRequest{Platform: "platform1", N: 120, Iterations: 6, Level: 0.8}},
-		{"nested unknown field", `{"n":10,"unknown":{"nested":[1,2,{"x":"y\\"}]},"iterations":1}`,
-			&PredictRequest{}, &PredictRequest{N: 10, Iterations: 1}},
+		{"case-variant keys", `{"Platform":"platform1","N":120,"ITERATIONS":6,"LEVELS":[0.8]}`,
+			&PredictRequest{}, &PredictRequest{Platform: "platform1", N: 120, Iterations: 6, Levels: []float64{0.8}}},
 		{"observe, escaped", `{"platform":"p\t1","id":17,"actual":0.42}`,
 			&ObserveRequest{}, &ObserveRequest{Platform: "p\t1", ID: 17, Actual: 0.42}},
 		// A repeated array key decodes into the items already there,
@@ -160,5 +158,37 @@ func TestDecodeBodyStdlibSemantics(t *testing.T) {
 		} else if !reflect.DeepEqual(c.into, c.want) {
 			t.Errorf("%s: decoded %+v, want %+v", c.name, c.into, c.want)
 		}
+	}
+}
+
+// TestDecodeBodyRefusesUnknownKeys: a key the route's body does not declare
+// is a 400 that names it — a misspelt field, a removed one (level, advance),
+// one nested in a batch item or a value — never a request quietly served
+// without it. So is a query string on the two predict routes: levels are
+// the body's levels array and nothing else.
+func TestDecodeBodyRefusesUnknownKeys(t *testing.T) {
+	h := oneTenantHandler(t)
+	cases := []struct{ route, body, want string }{
+		{"/predict", `{"n":120,"iterations":6,"levles":[0.9]}`, `unknown field \"levles\"`},
+		{"/predict", `{"n":120,"iterations":6,"level":0.9}`, `unknown field \"level\"`},
+		{"/predict", `{"n":120,"iterations":6,"advance":30}`, `unknown field \"advance\"`},
+		{"/predict", `{"n":10,"unknown":{"nested":[1,2,{"x":"y\\"}]},"iterations":1}`, `unknown field \"unknown\"`},
+		{"/predict/batch", `{"requests":[{"n":120,"iterations":6},{"n":120,"iterations":6,"advance":5}]}`, `unknown field \"advance\"`},
+		{"/observe", `{"platform":"platform1","id":1,"actual":3,"actaul":3}`, `unknown field \"actaul\"`},
+		{"/advance", `{"platform":"platform1","secs":60}`, `unknown field \"secs\"`},
+		{"/schedule", `{"jobs":[{"n":120,"iterations":4,"deadine":900}]}`, `unknown field \"deadine\"`},
+		{"/predict?levels=0.9", `{"n":120,"iterations":6}`, "levels array"},
+		{"/predict/batch?level=0.9", `{"requests":[{"n":120,"iterations":6}]}`, "levels array"},
+	}
+	for _, c := range cases {
+		rec := post(h, c.route, c.body)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), c.want) {
+			t.Errorf("POST %s %s: status %d, want 400 with %q: %s", c.route, c.body, rec.Code, c.want, rec.Body)
+		}
+	}
+	// None of them reached the tenant: its first prediction is still id 1
+	// at the warm-up tick.
+	if rec := post(h, "/predict", `{"n":120,"iterations":6}`); rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"time":120,"id":1,`) {
+		t.Errorf("after the refusals: status %d: %s", rec.Code, rec.Body)
 	}
 }

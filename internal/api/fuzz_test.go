@@ -33,17 +33,18 @@ func FuzzPostBodies(f *testing.F) {
 	seeds := []string{
 		// predict bodies, well-formed and malformed
 		`{"platform":"platform1","n":200,"iterations":5}`,
-		`{"platform":"p2","n":80,"iterations":4,"strategy":"conservative","max_strategy":"magnitude","iteration_rel":"unrelated","advance":2.5}`,
+		`{"platform":"p2","n":80,"iterations":4,"strategy":"conservative","max_strategy":"magnitude","iteration_rel":"unrelated"}`,
 		` { "n" : 10 , "unknown" : {"nested":[1,2,{"x":"y"}]} , "iterations" : 1 } `,
-		`{"n":120,"iterations":6,"level":0.9,"levels":[0.5,0.95]}`,
+		`{"n":120,"iterations":6,"levels":[0.9,0.5,0.95]}`,
+		`{"n":120,"iterations":6,"level":0.9}`,
 		`{"n":120,"iterations":6,"levels":null}`,
 		`{"N":120,"ITERATIONS":6}`,
 		`{"platform":"esc\"aped","n":1}`,
 		`{"n":1e2}`,
 		`{"n":01}`,
-		`{"advance":+5}`,
-		`{"advance":1.}`,
-		`{"advance":-3.5e-1}`,
+		`{"seconds":+5}`,
+		`{"seconds":1.}`,
+		`{"seconds":-3.5e-1}`,
 		`{"unknown":truely}`,
 		`{"unknown":}`,
 		`{"levels":[0.5,]}`,
@@ -61,8 +62,9 @@ func FuzzPostBodies(f *testing.F) {
 		`{"requests":[{"n":1}],"requests":[{}]}`,
 		// more work than one body may ask for, and the most it may
 		`{"seconds":1e9}`,
-		`{"n":1000000000,"iterations":1000000000,"advance":1e9}`,
-		`{"n":16384,"iterations":16777216,"advance":3600}`,
+		`{"n":1000000000,"iterations":1000000000}`,
+		`{"n":16384,"iterations":16777216}`,
+		`{"seconds":3600}`,
 		`{"jobs":[{"n":16384,"iterations":4096},{"n":99999,"iterations":1}]}`,
 	}
 	for _, s := range seeds {

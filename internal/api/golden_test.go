@@ -184,13 +184,13 @@ func TestOlderSnapshotStillRestores(t *testing.T) {
 }
 
 // TestGoldenRestoreServesQuantileLevels: the golden fleet carries no
-// quantile outcomes (its state predates them), so it answers ?level=
-// requests with identity quantile calibration — the calibrated grid equals
+// quantile outcomes (its state predates them), so it answers interval
+// levels with identity quantile calibration — the calibrated grid equals
 // the raw grid.
 func TestGoldenRestoreServesQuantileLevels(t *testing.T) {
 	reg, _ := restoreGolden(t)
 	handler := NewHandler(reg, Options{})
-	rec := post(handler, "/predict?level=0.9&levels=0.5,0.95", `{"platform":"platform2","n":120,"iterations":6}`)
+	rec := post(handler, "/predict", `{"platform":"platform2","n":120,"iterations":6,"levels":[0.9,0.5,0.95]}`)
 	if rec.Code != 200 {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}

@@ -12,14 +12,13 @@ package api
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
 	"net/http"
 	"net/http/pprof"
-	"net/url"
 	"strconv"
-	"strings"
 	"time"
 
 	"prodpred/internal/fleetsched"
@@ -74,11 +73,6 @@ type Options struct {
 	AccessLog *log.Logger
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
 	EnablePprof bool
-	// Sched tunes the fleet scheduler behind POST /schedule (policy,
-	// quantile, saturation thresholds). Its Metrics field is ignored: the
-	// handler registers the fleetsched families on the same registry as
-	// everything else.
-	Sched fleetsched.Config
 }
 
 // server routes HTTP requests onto a predict.Registry and its fleet
@@ -104,9 +98,8 @@ func NewHandler(reg *predict.Registry, opts Options) http.Handler {
 	mw.Log = opts.AccessLog
 	mw.PlatformFrom = platformFrom
 
-	schedCfg := opts.Sched
-	schedCfg.Metrics = fleetsched.NewMetrics(opts.Metrics)
-	s := &server{reg: reg, sched: fleetsched.New(reg, schedCfg)}
+	sched := fleetsched.New(reg, fleetsched.Config{Metrics: fleetsched.NewMetrics(opts.Metrics)})
+	s := &server{reg: reg, sched: sched}
 	handlers := map[string]http.Handler{
 		"POST /predict":        http.HandlerFunc(s.handlePredict),
 		"POST /predict/batch":  http.HandlerFunc(s.handleBatchPredict),
@@ -168,40 +161,27 @@ func platformFrom(r *http.Request) string {
 // maxBodyBytes bounds a request body read into a pooled buffer.
 const maxBodyBytes = 1 << 20
 
-// queryLevels parses the ?level= / ?levels= query parameters into central
-// interval levels: level takes one value, levels a comma-separated list,
-// and both may repeat. Range validation ((0,1) exclusive) happens in the
-// pipeline, which owns the error message.
-func queryLevels(q url.Values) ([]float64, error) {
-	var out []float64
-	for _, s := range q["level"] {
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad level %q", s)
-		}
-		out = append(out, v)
-	}
-	for _, s := range q["levels"] {
-		for _, part := range strings.Split(s, ",") {
-			v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-			if err != nil {
-				return nil, fmt.Errorf("bad levels entry %q", part)
-			}
-			out = append(out, v)
-		}
-	}
-	return out, nil
-}
+// errQuery refuses a query string on the predict routes: a request's
+// interval levels are its body's levels array, and nothing else is read
+// from the URL.
+var errQuery = errors.New("query parameters are not accepted: send interval levels as the body's levels array")
 
 // decodeBody is the one way a request body enters the daemon: the whole
 // body read into a pooled buffer (at most maxBodyBytes), then decoded into
-// v by encoding/json, which refuses trailing bytes after the value.
+// v by encoding/json, refusing a key v does not declare (the error names
+// it) and anything but whitespace after the value.
 func decodeBody(r *http.Request, v any) error {
 	in := getBuf()
 	defer in.release()
 	err := readBody(r, in)
 	if err == nil {
-		err = json.Unmarshal(in.b, v)
+		dec := json.NewDecoder(bytes.NewReader(in.b))
+		dec.DisallowUnknownFields()
+		if err = dec.Decode(v); err == nil {
+			if _, end := dec.Token(); end != io.EOF {
+				err = errors.New("data after the JSON value")
+			}
+		}
 	}
 	if err != nil {
 		return fmt.Errorf("bad request body: %w", err)
@@ -237,6 +217,10 @@ func writeRaw(w http.ResponseWriter, status int, body []byte) {
 }
 
 func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
+	if r.URL.RawQuery != "" {
+		httpError(w, http.StatusBadRequest, errQuery)
+		return
+	}
 	var pr PredictRequest
 	if err := decodeBody(r, &pr); err != nil {
 		httpError(w, http.StatusBadRequest, err)
@@ -247,26 +231,10 @@ func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	qls, err := queryLevels(r.URL.Query())
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	req.Levels = append(req.Levels, qls...)
 	svc, err := s.reg.Lookup(pr.Platform)
 	if err != nil {
 		httpError(w, http.StatusNotFound, err)
 		return
-	}
-	if pr.Advance > 0 {
-		if err := checkAdvance("advance", pr.Advance); err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		if err := svc.Advance(pr.Advance); err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
 	}
 	pred, err := svc.Predict(req)
 	if err != nil {
@@ -286,6 +254,10 @@ func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 // fails only on a malformed envelope, an empty batch, or one above
 // MaxBatchSize.
 func (s *server) handleBatchPredict(w http.ResponseWriter, r *http.Request) {
+	if r.URL.RawQuery != "" {
+		httpError(w, http.StatusBadRequest, errQuery)
+		return
+	}
 	var br BatchPredictRequest
 	if err := decodeBody(r, &br); err != nil {
 		httpError(w, http.StatusBadRequest, err)
@@ -300,29 +272,17 @@ func (s *server) handleBatchPredict(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("batch of %d exceeds limit %d", len(items), MaxBatchSize))
 		return
 	}
-	// Query-level interval levels apply to every item in the batch (each
-	// item can still ask for its own via the level/levels body fields).
-	qls, err := queryLevels(r.URL.Query())
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
 	// Translate the wire items, remembering which ones are well-formed;
 	// translation failures become positional errors, not a failed batch.
 	reqs := make([]predict.Request, 0, len(items))
 	valid := make([]int, 0, len(items))
 	itemErrs := make([]error, len(items))
 	for i, pr := range items {
-		if pr.Advance != 0 {
-			itemErrs[i] = fmt.Errorf("advance is not supported in a batch (tick-coherent by design)")
-			continue
-		}
 		req, err := pr.ToRequest()
 		if err != nil {
 			itemErrs[i] = err
 			continue
 		}
-		req.Levels = append(req.Levels, qls...)
 		reqs = append(reqs, req)
 		valid = append(valid, i)
 	}
@@ -466,7 +426,7 @@ func (s *server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	if err := checkAdvance("seconds", ar.Seconds); err != nil {
+	if err := checkAdvance(ar.Seconds); err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -513,10 +473,10 @@ func (s *server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSchedule answers POST /schedule: place up to MaxScheduleJobs SOR
-// jobs across the fleet under the daemon's placement policy (or the
-// body's per-request override). Tenants that fail lookup or prediction
-// are skipped and recorded; jobs no tenant can score are dropped and
-// counted, not queued.
+// jobs across the fleet under the body's placement policy (quantile
+// placement at fleetsched.DefaultQuantile when it names none). Tenants
+// that fail lookup or prediction are skipped and recorded; jobs no tenant
+// can score are dropped and counted, not queued.
 func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	var sr ScheduleRequest
 	if err := decodeBody(r, &sr); err != nil {
@@ -535,17 +495,17 @@ func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	for i, j := range sr.Jobs {
 		jobs[i] = fleetsched.JobSpec{Name: j.Name, N: j.N, Iterations: j.Iterations, Deadline: j.Deadline}
 	}
-	pls, err := s.sched.SubmitWith(jobs, fleetsched.Policy(sr.Policy), sr.Quantile)
+	policy, quantile := fleetsched.Policy(sr.Policy), sr.Quantile
+	if policy == "" {
+		policy = fleetsched.PolicyQuantile
+	}
+	if quantile == 0 {
+		quantile = fleetsched.DefaultQuantile
+	}
+	pls, err := s.sched.SubmitWith(jobs, policy, quantile)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
-	}
-	policy, quantile := s.sched.Policy()
-	if sr.Policy != "" {
-		policy = fleetsched.Policy(sr.Policy)
-	}
-	if sr.Quantile != 0 {
-		quantile = sr.Quantile
 	}
 	resp := ScheduleResponse{
 		Policy:     string(policy),

@@ -13,18 +13,15 @@ import (
 
 // PredictRequest is the wire form of predict.Request.
 type PredictRequest struct {
-	Platform     string  `json:"platform"`
-	N            int     `json:"n"`
-	Iterations   int     `json:"iterations"`
-	Strategy     string  `json:"strategy"`      // mean | conservative | optimistic | balanced
-	MaxStrategy  string  `json:"max_strategy"`  // mean | magnitude | probabilistic
-	IterationRel string  `json:"iteration_rel"` // related | unrelated
-	Advance      float64 `json:"advance"`       // optional virtual seconds to advance first
-	// Level / Levels ask for central prediction intervals (each in (0,1))
-	// read off the calibrated predictive distribution; the response answers
-	// them in dist.intervals, Level first. The same request can also be made
-	// per call with the ?level= / ?levels= query parameters.
-	Level  float64   `json:"level,omitempty"`
+	Platform     string `json:"platform"`
+	N            int    `json:"n"`
+	Iterations   int    `json:"iterations"`
+	Strategy     string `json:"strategy"`      // mean | conservative | optimistic | balanced
+	MaxStrategy  string `json:"max_strategy"`  // mean | magnitude | probabilistic
+	IterationRel string `json:"iteration_rel"` // related | unrelated
+	// Levels asks for central prediction intervals (each in (0,1)) read off
+	// the calibrated predictive distribution; the response answers them in
+	// dist.intervals, in order.
 	Levels []float64 `json:"levels,omitempty"`
 }
 
@@ -34,11 +31,8 @@ func (pr PredictRequest) ToRequest() (predict.Request, error) {
 		Platform:   pr.Platform,
 		N:          pr.N,
 		Iterations: pr.Iterations,
+		Levels:     pr.Levels,
 	}
-	if pr.Level != 0 {
-		req.Levels = append(req.Levels, pr.Level)
-	}
-	req.Levels = append(req.Levels, pr.Levels...)
 	switch pr.Strategy {
 	case "", "mean":
 		req.Strategy = sched.MeanBalanced
@@ -337,21 +331,20 @@ type HealthResponse struct {
 	Platforms []HealthPlatform `json:"platforms"`
 }
 
-// MaxAdvanceSeconds bounds one manual clock step — POST /advance, or the
-// advance field of POST /predict. A step holds the tenant's clock lock
-// exclusively while every monitor catches up, so an unbounded one stalls
-// the tenant for as long as the caller likes; 3600 virtual seconds is 720
-// sensor periods, more than the 512-sample history keeps. Step again to go
-// further.
+// MaxAdvanceSeconds bounds one manual clock step, POST /advance. A step
+// holds the tenant's clock lock exclusively while every monitor catches up,
+// so an unbounded one stalls the tenant for as long as the caller likes;
+// 3600 virtual seconds is 720 sensor periods, more than the 512-sample
+// history keeps. Step again to go further.
 const MaxAdvanceSeconds = 3600
 
 // checkAdvance validates a requested clock step.
-func checkAdvance(field string, seconds float64) error {
+func checkAdvance(seconds float64) error {
 	if !(seconds > 0) {
-		return fmt.Errorf("%s must be positive, got %g", field, seconds)
+		return fmt.Errorf("seconds must be positive, got %g", seconds)
 	}
 	if seconds > MaxAdvanceSeconds {
-		return fmt.Errorf("%s %g exceeds limit %d", field, seconds, MaxAdvanceSeconds)
+		return fmt.Errorf("seconds %g exceeds limit %d", seconds, MaxAdvanceSeconds)
 	}
 	return nil
 }
@@ -378,15 +371,14 @@ type ScheduleJob struct {
 	Deadline float64 `json:"deadline,omitempty"`
 }
 
-// ScheduleRequest is the POST /schedule body: jobs to place, plus an
-// optional per-request policy override.
+// ScheduleRequest is the POST /schedule body: jobs to place, and the
+// placement policy of this round.
 type ScheduleRequest struct {
 	Jobs []ScheduleJob `json:"jobs"`
-	// Policy overrides the daemon's placement policy for this round:
-	// "mean", "quantile", or "upper" (empty = daemon default).
+	// Policy is "mean", "quantile", or "upper" (empty = "quantile").
 	Policy string `json:"policy,omitempty"`
-	// Quantile overrides the placement quantile, in (0,1) (0 = daemon
-	// default).
+	// Quantile is the placement quantile, in (0,1) (0 =
+	// fleetsched.DefaultQuantile).
 	Quantile float64 `json:"quantile,omitempty"`
 }
 

@@ -90,11 +90,14 @@ func (t *Tracker) ExportState() State {
 }
 
 // ImportState replaces the tracker's dynamic state with st. A state from
-// outside the program is checked first: its window must fit in Window and
-// its scale must be positive.
+// outside the program is checked first: its window must fit in Window, its
+// regime length must not be negative and its scale must be positive.
 func (t *Tracker) ImportState(st State) error {
 	if len(st.Window) > Window {
 		return fmt.Errorf("calib: state window %d exceeds the window of %d", len(st.Window), Window)
+	}
+	if st.SinceReset < 0 {
+		return fmt.Errorf("calib: state since-reset count %d is negative", st.SinceReset)
 	}
 	if !(st.Scale > 0) {
 		return fmt.Errorf("calib: state scale %g must be positive", st.Scale)

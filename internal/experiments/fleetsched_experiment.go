@@ -83,11 +83,7 @@ func fleetSchedArm(scenario string, policy fleetsched.Policy, seed int64) (fleet
 			return fleetsched.Status{}, err
 		}
 	}
-	s := fleetsched.New(reg, fleetsched.Config{
-		Policy:      policy,
-		Quantile:    fsQuantile,
-		SatRelWidth: fsSatRelWidth,
-	})
+	s := fleetsched.New(reg, fleetsched.Config{SatRelWidth: fsSatRelWidth})
 	advance := func(dt float64) error {
 		_, _, err := reg.AdvanceAll(dt)
 		return err
@@ -104,7 +100,7 @@ func fleetSchedArm(scenario string, policy fleetsched.Policy, seed int64) (fleet
 				Deadline:   now + fsDeadline,
 			}
 		}
-		if _, err := s.Submit(jobs); err != nil {
+		if _, err := s.SubmitWith(jobs, policy, fsQuantile); err != nil {
 			return fleetsched.Status{}, err
 		}
 		total += len(jobs)

@@ -4,7 +4,7 @@
 //
 // Placement walks every registered tenant in sorted-name order, asks each
 // tenant's service for a prediction of the job at the current virtual
-// tick, scores it under the configured policy — the predicted mean
+// tick, scores it under the round's policy — the predicted mean
 // (PolicyMean), the calibrated interval's upper bound (PolicyUpper), or a
 // calibrated quantile of the full predictive distribution (PolicyQuantile,
 // the distribution-aware default) — adds the tenant's planned backlog, and
@@ -60,7 +60,7 @@ const (
 	// PolicyMean scores by the predicted mean — the distribution-blind
 	// baseline.
 	PolicyMean Policy = "mean"
-	// PolicyQuantile scores by Config.Quantile of the calibrated
+	// PolicyQuantile scores by the round's quantile of the calibrated
 	// predictive distribution (falling back to the normal-interpretation
 	// quantile of the two-number prediction when no grid is available).
 	PolicyQuantile Policy = "quantile"
@@ -79,7 +79,7 @@ func ParsePolicy(s string) (Policy, error) {
 	}
 }
 
-// DefaultQuantile is the placement quantile when Config.Quantile is zero.
+// DefaultQuantile is the placement quantile Submit places at.
 const DefaultQuantile = 0.95
 
 // DefaultSatRelWidth is the saturation threshold on a tenant's latest
@@ -91,15 +91,9 @@ const DefaultSatRelWidth = 1.5
 // virtual seconds. Drift events and width re-crossings extend the hold.
 const satHold = 240
 
-// Config tunes a Scheduler. The zero value gives quantile placement at
-// DefaultQuantile with default saturation thresholds and no telemetry.
+// Config tunes a Scheduler. The zero value gives the default saturation
+// threshold and no telemetry.
 type Config struct {
-	// Policy is the default placement policy (PolicyQuantile when empty);
-	// SubmitWith can override it per round.
-	Policy Policy
-	// Quantile is the placement quantile for PolicyQuantile, in (0,1)
-	// (DefaultQuantile when 0).
-	Quantile float64
 	// SatRelWidth is the relative-interval-width saturation threshold
 	// (DefaultSatRelWidth when 0): a tenant whose latest prediction's
 	// 95% width divided by its median exceeds it is marked saturated.
@@ -111,12 +105,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Policy == "" {
-		c.Policy = PolicyQuantile
-	}
-	if c.Quantile == 0 {
-		c.Quantile = DefaultQuantile
-	}
 	if c.SatRelWidth == 0 {
 		c.SatRelWidth = DefaultSatRelWidth
 	}
@@ -231,9 +219,6 @@ type TenantStatus struct {
 
 // Status is a consistent snapshot of the scheduler.
 type Status struct {
-	// Policy and Quantile are the configured defaults.
-	Policy   Policy  `json:"policy"`
-	Quantile float64 `json:"quantile"`
 	// Job population counters.
 	Submitted int `json:"submitted"`
 	Queued    int `json:"queued"`
@@ -260,10 +245,13 @@ type Status struct {
 // recentCap bounds the completed-job history Status reports.
 const recentCap = 256
 
-// job is one placed job's internal record.
+// job is one placed job's internal record. Policy and quantile are the
+// ones it was submitted under: a migration re-places it under them.
 type job struct {
-	id   uint64
-	spec JobSpec
+	id       uint64
+	spec     JobSpec
+	policy   Policy
+	quantile float64
 
 	tenant      string
 	predID      uint64
@@ -328,15 +316,14 @@ func New(reg *predict.Registry, cfg Config) *Scheduler {
 	}
 }
 
-// Policy returns the configured default policy and quantile.
-func (s *Scheduler) Policy() (Policy, float64) { return s.cfg.Policy, s.cfg.Quantile }
-
-// Submit places jobs under the configured default policy. See SubmitWith.
+// Submit places jobs at PolicyQuantile and DefaultQuantile. See
+// SubmitWith.
 func (s *Scheduler) Submit(jobs []JobSpec) ([]Placement, error) {
-	return s.SubmitWith(jobs, s.cfg.Policy, s.cfg.Quantile)
+	return s.SubmitWith(jobs, PolicyQuantile, DefaultQuantile)
 }
 
-// SubmitWith places jobs in order under an explicit policy. Each job is
+// SubmitWith places jobs in order under policy, at quantile (in (0,1);
+// PolicyQuantile reads it, and every placement reports it). Each job is
 // scored on every live tenant (sorted by name) and committed to the
 // cheapest; tenants that fail Lookup or Predict — a just-retired tenant,
 // a broken spec — are skipped and recorded rather than failing the round.
@@ -345,14 +332,8 @@ func (s *Scheduler) Submit(jobs []JobSpec) ([]Placement, error) {
 // It is an error to submit a malformed job (one predict.CheckJobShape
 // refuses, or one above MaxJobWork) or an unknown policy.
 func (s *Scheduler) SubmitWith(jobs []JobSpec, policy Policy, quantile float64) ([]Placement, error) {
-	if policy == "" {
-		policy = s.cfg.Policy
-	}
 	if _, err := ParsePolicy(string(policy)); err != nil {
 		return nil, err
-	}
-	if quantile == 0 {
-		quantile = s.cfg.Quantile
 	}
 	if quantile <= 0 || quantile >= 1 {
 		return nil, fmt.Errorf("fleetsched: quantile %g outside (0,1)", quantile)
@@ -373,8 +354,8 @@ func (s *Scheduler) SubmitWith(jobs []JobSpec, policy Policy, quantile float64) 
 	placements := make([]Placement, 0, len(jobs))
 	for _, js := range jobs {
 		s.nextID++
-		j := &job{id: s.nextID, spec: js}
-		pl, ok := s.placeLocked(j, policy, quantile, "", false)
+		j := &job{id: s.nextID, spec: js, policy: policy, quantile: quantile}
+		pl, ok := s.placeLocked(j, "", false)
 		if !ok {
 			s.unplaced++
 			s.m.recordUnplaced()
@@ -386,13 +367,13 @@ func (s *Scheduler) SubmitWith(jobs []JobSpec, policy Policy, quantile float64) 
 	return placements, nil
 }
 
-// placeLocked scores j on every live tenant and commits it to the
-// cheapest. exclude names a tenant never to consider (the migration
+// placeLocked scores j on every live tenant under its policy and commits
+// it to the cheapest. exclude names a tenant never to consider (the migration
 // source). Saturated tenants are skipped unless no unsaturated tenant can
 // be scored; onlyUnsaturated disables that fallback (the migration pass,
 // which would rather keep a job than move it to another saturated
 // tenant). Reports false — with j untouched — when no tenant qualifies.
-func (s *Scheduler) placeLocked(j *job, policy Policy, quantile float64, exclude string, onlyUnsaturated bool) (Placement, bool) {
+func (s *Scheduler) placeLocked(j *job, exclude string, onlyUnsaturated bool) (Placement, bool) {
 	names := s.reg.Names() // sorted: ties go to the first name
 	type cand struct {
 		name      string
@@ -421,7 +402,7 @@ func (s *Scheduler) placeLocked(j *job, policy Policy, quantile float64, exclude
 			continue
 		}
 		req := predict.Request{N: j.spec.N, Iterations: j.spec.Iterations}
-		if policy == PolicyQuantile {
+		if j.policy == PolicyQuantile {
 			req.Distribution = true
 		}
 		pred, err := svc.Predict(req)
@@ -433,7 +414,7 @@ func (s *Scheduler) placeLocked(j *job, policy Policy, quantile float64, exclude
 		}
 		ts.relWidth = relWidth(pred)
 		ts.everScored = true
-		exec := execScore(pred, policy, quantile)
+		exec := execScore(pred, j.policy, j.quantile)
 		c := &cand{
 			name:      name,
 			saturated: ts.saturated,
@@ -479,13 +460,13 @@ func (s *Scheduler) placeLocked(j *job, policy Policy, quantile float64, exclude
 	if math.IsNaN(s.firstPlace) || best.now < s.firstPlace {
 		s.firstPlace = best.now
 	}
-	s.m.recordPlacement(policy)
+	s.m.recordPlacement(j.policy)
 	return Placement{
 		JobID:         j.id,
 		Name:          j.spec.Name,
 		Tenant:        best.name,
-		Policy:        policy,
-		Quantile:      quantile,
+		Policy:        j.policy,
+		Quantile:      j.quantile,
 		Score:         best.score,
 		PredictedMean: best.mean,
 		PredictedExec: best.exec,
@@ -565,7 +546,7 @@ func (s *Scheduler) syncLocked() {
 			// Only move a job somewhere unsaturated; shuffling work between
 			// saturated tenants helps nobody.
 			old := j.predID
-			if _, ok := s.placeLocked(j, s.cfg.Policy, s.cfg.Quantile, name, true); !ok {
+			if _, ok := s.placeLocked(j, name, true); !ok {
 				kept = append(kept, j)
 				continue
 			}
@@ -789,8 +770,6 @@ func (s *Scheduler) Status() Status {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := Status{
-		Policy:     s.cfg.Policy,
-		Quantile:   s.cfg.Quantile,
 		Completed:  s.done,
 		Misses:     s.misses,
 		Migrations: s.migrated,

@@ -60,6 +60,9 @@ func TestSubmitValidation(t *testing.T) {
 	if _, err := s.SubmitWith([]JobSpec{{N: 50, Iterations: 1}}, PolicyQuantile, 1.5); err == nil {
 		t.Error("quantile outside (0,1) should be rejected")
 	}
+	if _, err := s.SubmitWith([]JobSpec{{N: 50, Iterations: 1}}, "", DefaultQuantile); err == nil {
+		t.Error("an empty policy should be rejected: the caller names one")
+	}
 	if _, err := ParsePolicy("quantile"); err != nil {
 		t.Error(err)
 	}
@@ -79,8 +82,8 @@ func TestPlacementPrefersFasterTenant(t *testing.T) {
 		t.Fatalf("Registry.Names() = %v, want sorted", names)
 	}
 	for _, policy := range Policies {
-		s := New(reg, Config{Policy: policy})
-		pls, err := s.Submit([]JobSpec{{N: 120, Iterations: 10}})
+		s := New(reg, Config{})
+		pls, err := s.SubmitWith([]JobSpec{{N: 120, Iterations: 10}}, policy, DefaultQuantile)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,12 +103,12 @@ func TestBacklogSpreadsWork(t *testing.T) {
 		testSpec("a", "sparc10", "light", 31),
 		testSpec("b", "sparc10", "light", 32),
 	)
-	s := New(reg, Config{Policy: PolicyMean})
+	s := New(reg, Config{})
 	jobs := make([]JobSpec, 6)
 	for i := range jobs {
 		jobs[i] = JobSpec{N: 200, Iterations: 50}
 	}
-	pls, err := s.Submit(jobs)
+	pls, err := s.SubmitWith(jobs, PolicyMean, DefaultQuantile)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +127,7 @@ func TestLifecycleCompletesAndObserves(t *testing.T) {
 		testSpec("b", "sparc5", "light", 42),
 	)
 	m := NewMetrics(obs.NewRegistry())
-	s := New(reg, Config{Policy: PolicyQuantile, Metrics: m})
+	s := New(reg, Config{Metrics: m})
 	deadline := 150.0 + 4000
 	pls, err := s.Submit([]JobSpec{
 		{Name: "j1", N: 200, Iterations: 60, Deadline: deadline},
@@ -186,9 +189,9 @@ func requireLedgersEmpty(t *testing.T, reg *predict.Registry) {
 
 func TestDeadlineMissCounted(t *testing.T) {
 	reg := testRegistry(t, testSpec("a", "sparc2", "light", 51))
-	s := New(reg, Config{Policy: PolicyMean})
+	s := New(reg, Config{})
 	// An absurd deadline in the past guarantees a miss.
-	if _, err := s.Submit([]JobSpec{{N: 150, Iterations: 30, Deadline: 1}}); err != nil {
+	if _, err := s.SubmitWith([]JobSpec{{N: 150, Iterations: 30, Deadline: 1}}, PolicyMean, DefaultQuantile); err != nil {
 		t.Fatal(err)
 	}
 	for tick := 0; tick < 400 && s.Status().Completed < 1; tick++ {
@@ -211,7 +214,7 @@ func TestDeterministicSchedule(t *testing.T) {
 			testSpec("b", "sparc5", "light", 62),
 			testSpec("c", "ultra", "platform1-center", 63),
 		)
-		s := New(reg, Config{Policy: PolicyQuantile})
+		s := New(reg, Config{})
 		for wave := 0; wave < 3; wave++ {
 			if _, err := s.Submit([]JobSpec{
 				{N: 180, Iterations: 40, Deadline: 2000},
@@ -248,7 +251,7 @@ func TestRetiredTenantSkipped(t *testing.T) {
 		testSpec("gone", "ultra", "light", 72),
 	)
 	m := NewMetrics(obs.NewRegistry())
-	s := New(reg, Config{Policy: PolicyQuantile, Metrics: m})
+	s := New(reg, Config{Metrics: m})
 	// Warm the scheduler's view of both tenants, queueing work on the
 	// faster one (which is about to retire).
 	pls, err := s.Submit([]JobSpec{{N: 200, Iterations: 80}, {N: 200, Iterations: 80}})
@@ -314,7 +317,7 @@ func TestMigrationOffSaturatedTenant(t *testing.T) {
 		testSpec("cold", "sparc2", "light", 82),
 	)
 	m := NewMetrics(obs.NewRegistry())
-	s := New(reg, Config{Policy: PolicyQuantile, Metrics: m})
+	s := New(reg, Config{Metrics: m})
 	// Everything lands on the 16x-faster tenant.
 	pls, err := s.Submit([]JobSpec{
 		{N: 200, Iterations: 80}, {N: 200, Iterations: 80}, {N: 200, Iterations: 80},
@@ -357,6 +360,55 @@ func TestMigrationOffSaturatedTenant(t *testing.T) {
 		t.Fatalf("jobs did not complete: %+v", st)
 	}
 	requireLedgersEmpty(t, reg)
+}
+
+// TestMigrationKeepsJobPolicy: a migrated job is re-placed under the policy
+// it was submitted with, not the scheduler's default. Jobs placed by mean
+// and moved off a saturated tenant commit to their new tenant's predicted
+// mean, so that tenant's backlog stays in one unit.
+func TestMigrationKeepsJobPolicy(t *testing.T) {
+	reg := testRegistry(t,
+		testSpec("hot", "ultra", "light", 81),
+		testSpec("cold", "sparc2", "light", 82),
+	)
+	s := New(reg, Config{})
+	jobs := []JobSpec{{N: 200, Iterations: 80}, {N: 200, Iterations: 80}, {N: 200, Iterations: 80}}
+	pls, err := s.SubmitWith(jobs, PolicyMean, DefaultQuantile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pl := range pls {
+		if pl.Tenant != "hot" {
+			t.Fatalf("test setup: expected all jobs on hot, got %+v", pls)
+		}
+	}
+	s.mu.Lock()
+	s.saturateLocked(s.tenants["hot"], 1e12)
+	s.mu.Unlock()
+	advance(t, reg, 1)
+	s.Sync()
+	cold, err := reg.Lookup("cold")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred, err := cold.Predict(predict.Request{N: 200, Iterations: 80})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold.Discard(pred.ID)
+	migrated := 0
+	for _, j := range s.Status().Jobs {
+		if j.Migrations == 0 {
+			continue
+		}
+		migrated++
+		if j.Tenant != "cold" || j.PredictedExec != pred.Value.Mean {
+			t.Errorf("migrated job %d: on %s with predicted_exec %g, want cold's mean %g", j.ID, j.Tenant, j.PredictedExec, pred.Value.Mean)
+		}
+	}
+	if migrated == 0 {
+		t.Fatal("no job migrated")
+	}
 }
 
 // TestStatusMetricNamesRegistered pins the metric families the OPERATIONS

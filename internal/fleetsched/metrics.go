@@ -19,8 +19,7 @@ const (
 	MetricRoundDuration   = "fleetsched_schedule_duration_seconds"
 )
 
-// Policies lists every placement policy, for eager label registration and
-// flag help.
+// Policies lists every placement policy, for eager label registration.
 var Policies = []Policy{PolicyMean, PolicyQuantile, PolicyUpper}
 
 // Metrics holds the scheduler's pre-resolved metric series. A nil *Metrics

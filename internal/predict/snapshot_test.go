@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"math"
+	"os"
 	"reflect"
 	"slices"
 	"strings"
@@ -330,4 +331,44 @@ func TestReadSnapshotRejectsUnknownSpecField(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzReadSnapshot throws bytes at the snapshot reader, seeded with the two
+// golden images. Whatever the bytes, ReadSnapshot must not panic; an image
+// it accepts must write back an image that reads and writes again to the
+// same bytes, so one round trip reaches a fixed point. Inputs that name a
+// trace file are skipped, as in FuzzParseSpecs: a trace load reads the
+// filesystem.
+func FuzzReadSnapshot(f *testing.F) {
+	for _, path := range []string{"testdata/snapshot_v2.snap", "testdata/snapshot_v2_pr16.snap"} {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if bytes.Contains(data, []byte("trace")) || bytes.Contains(data, []byte(`\u`)) {
+			return
+		}
+		reg, err := predict.ReadSnapshot(bytes.NewReader(data), predict.RegistryOptions{})
+		if err != nil {
+			return
+		}
+		var once bytes.Buffer
+		if err := reg.WriteSnapshot(&once); err != nil {
+			t.Fatalf("an accepted image does not write back: %v", err)
+		}
+		again, err := predict.ReadSnapshot(bytes.NewReader(once.Bytes()), predict.RegistryOptions{})
+		if err != nil {
+			t.Fatalf("the written-back image is refused: %v", err)
+		}
+		var twice bytes.Buffer
+		if err := again.WriteSnapshot(&twice); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatalf("read → write is not a fixed point: %d bytes, then %d", once.Len(), twice.Len())
+		}
+	})
 }

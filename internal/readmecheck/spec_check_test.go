@@ -39,7 +39,16 @@ func TestOperationsDocumentsEverySpecField(t *testing.T) {
 		}
 	}
 
-	_, fleet, ok := strings.Cut(ops, "## Fleet mode")
+	if len(fleetModeExample(t)) == 0 {
+		t.Fatal("the fleet-mode example holds no spec")
+	}
+}
+
+// fleetModeExample parses the example spec file of OPERATIONS.md's
+// fleet-mode section as predictd -specs would read it.
+func fleetModeExample(t *testing.T) []predict.PlatformSpec {
+	t.Helper()
+	_, fleet, ok := strings.Cut(readRepoFile(t, "OPERATIONS.md"), "## Fleet mode")
 	if !ok {
 		t.Fatal(`OPERATIONS.md has no "## Fleet mode" section`)
 	}
@@ -55,9 +64,7 @@ func TestOperationsDocumentsEverySpecField(t *testing.T) {
 	if err != nil {
 		t.Fatalf("the fleet-mode example does not parse: %v", err)
 	}
-	if len(specs) == 0 {
-		t.Fatal("the fleet-mode example holds no spec")
-	}
+	return specs
 }
 
 // TestOperationsKindTable keeps OPERATIONS.md's load-kind table in step

@@ -8,7 +8,7 @@
 # mixture quantile search against bisection, of the NWS battery's sorted
 # windows against sort.Float64s, of the quantile selection against the
 # sort, of stochcalc's evaluator (finite or an error) and of the trace,
-# scenario and spec readers, the bench/ module's vet + tests, the snapshot drill over the
+# scenario, spec and snapshot readers, the bench/ module's vet + tests, the snapshot drill over the
 # real daemon binary, and a report-only line count (scripts/loc.sh).
 # The SOR worker pool, the sharded Monte Carlo engine, and the
 # predict.Service prediction core are concurrent by design, so -race is not
@@ -71,13 +71,15 @@ go test -run '^$' -fuzz FuzzQuantileInPlace -fuzztime 5s ./internal/stats
 # And of argument vectors into stochcalc's evaluator: an error, or a finite
 # value — never an Inf or a NaN printed with exit status 0.
 go test -run '^$' -fuzz FuzzEval -fuzztime 5s ./cmd/stochcalc
-# And of bytes into the three readers behind every built service and trace:
+# And of bytes into the four readers behind every built service and trace:
 # trace files (never a panic; what is accepted writes and reads back bit for
 # bit), scenario files and spec files (never a panic; what is accepted
-# re-marshals to a fixed point).
+# re-marshals to a fixed point) and snapshot images (never a panic; what is
+# accepted re-snapshots to a fixed point after one round trip).
 go test -run '^$' -fuzz FuzzReadTrace -fuzztime 5s ./internal/workload
 go test -run '^$' -fuzz FuzzParseScenario -fuzztime 5s ./internal/workload
 go test -run '^$' -fuzz FuzzParseSpecs -fuzztime 5s ./internal/predict
+go test -run '^$' -fuzz FuzzReadSnapshot -fuzztime 5s ./internal/predict
 
 # The benchmark harness is its own module (bench/go.mod, replace prodpred
 # => ../), so ./... above does not see it: vet and test it here, or an
@@ -94,4 +96,4 @@ go test -cover ./internal/calib ./internal/predict | awk '{print "check.sh: cove
 # Go line count of the root module (report-only, no gate).
 scripts/loc.sh | awk '{print "check.sh: lines:", $0}'
 
-echo "check.sh: gofmt, vet, race-enabled tests, the concurrency tests at -cpu 1,4, bench smoke, loadgen round trip, POST-body, point- and value-evaluator, BIC-race, mixture-quantile, sorted-window, quantile-selection, stochcalc-evaluator, trace-reader (FuzzReadTrace), scenario-parser (FuzzParseScenario) and spec-parser (FuzzParseSpecs) fuzz, the bench/ module, and the snapshot round trip all clean"
+echo "check.sh: gofmt, vet, race-enabled tests, the concurrency tests at -cpu 1,4, bench smoke, loadgen round trip, POST-body, point- and value-evaluator, BIC-race, mixture-quantile, sorted-window, quantile-selection, stochcalc-evaluator, trace-reader (FuzzReadTrace), scenario-parser (FuzzParseScenario), spec-parser (FuzzParseSpecs) and snapshot-reader (FuzzReadSnapshot) fuzz, the bench/ module, and the snapshot round trip all clean"
