@@ -460,16 +460,32 @@ func (s *server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 // `predictd -restore`. POST, not GET: exporting takes each live service's
 // clock lock exclusively, briefly pausing its serving path, so the
 // operation is not a safe idempotent read.
+//
+// The image is streamed to the client platform by platform, with no
+// Content-Length (a chunked response): a clock lock is held only while its
+// platform's section is encoded, never across a network write. The 409 is
+// a spec that does not marshal, which is found before the first byte; once
+// the image has started, a failed write means the client is gone, and the
+// truncated image is all it gets.
 func (s *server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	var buf bytes.Buffer
-	if err := s.reg.WriteSnapshot(&buf); err != nil {
-		httpError(w, http.StatusConflict, err)
-		return
-	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(buf.Bytes())
+	sw := &countingWriter{w: w}
+	if err := s.reg.WriteSnapshot(sw); err != nil && sw.n == 0 {
+		httpError(w, http.StatusConflict, err)
+	}
+}
+
+// countingWriter counts the bytes written through it, so a handler knows
+// whether its response has started.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // handleSchedule answers POST /schedule: place up to MaxScheduleJobs SOR

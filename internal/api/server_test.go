@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -629,4 +630,44 @@ func TestConcurrentTrafficAcrossKillRestore(t *testing.T) {
 	restored := httptest.NewServer(NewHandler(back, Options{}))
 	defer restored.Close()
 	phase(restored.URL, 2)
+}
+
+// TestSnapshotResponseIsStreamed: POST /snapshot answers with the image
+// WriteSnapshot writes, streamed as a chunked body without a Content-Length.
+func TestSnapshotResponseIsStreamed(t *testing.T) {
+	reg := predict.NewRegistry()
+	for _, spec := range predict.FleetSpecs(8, 1) {
+		if err := reg.RegisterSpec(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{"tenant-0001", "tenant-0005"} {
+		if _, err := reg.Lookup(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := httptest.NewServer(NewHandler(reg, Options{}))
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/snapshot", "application/octet-stream", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	image, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("snapshot: status %d, %v", resp.StatusCode, err)
+	}
+	if resp.ContentLength != -1 || !slices.Equal(resp.TransferEncoding, []string{"chunked"}) {
+		t.Errorf("Content-Length %d, Transfer-Encoding %v: want a chunked body of unstated length", resp.ContentLength, resp.TransferEncoding)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
+		t.Errorf("Content-Type %q", ct)
+	}
+	var want bytes.Buffer
+	if err := reg.WriteSnapshot(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(image, want.Bytes()) {
+		t.Fatalf("the served image (%d bytes) is not WriteSnapshot's (%d bytes)", len(image), want.Len())
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 
 	"prodpred/internal/calib"
 	"prodpred/internal/nws"
@@ -153,41 +154,69 @@ func (d *snapDec) f64s() []float64 {
 	return v
 }
 
-// WriteSnapshot serializes the full fleet — each platform's spec and, for
-// live ones, the service state — to w. Platforms are written in name order,
-// so equal fleets produce byte-identical snapshots.
+// WriteSnapshot streams the full fleet — each platform's spec and, for live
+// ones, the service state — to w. Platforms are written in name order, so
+// equal fleets produce byte-identical snapshots.
+//
+// Every spec is marshalled before the first byte is written, so an error
+// from that happens with w untouched; any later error is w's own. Then the
+// header and each platform's section go to w one Write each, encoded into
+// one reused buffer: a platform's clock lock is held while its section is
+// encoded and released before the section is written.
 func (r *Registry) WriteSnapshot(w io.Writer) error {
 	plats := r.entriesByName()
-	e := &snapEnc{b: make([]byte, 0, 1<<16)}
-	e.b = append(e.b, snapshotMagic...)
-	e.u32(snapshotVersion)
-	e.u32(uint32(len(plats)))
-	for _, p := range plats {
-		svc := p.svc.Load()
-		live := svc != nil
+	specs := make([][]byte, len(plats))
+	for i, p := range plats {
 		specJSON, err := json.Marshal(p.spec)
 		if err != nil {
 			return fmt.Errorf("predict: encoding spec %q: %w", p.name, err)
 		}
+		specs[i] = specJSON
+	}
+	e := &snapEnc{b: make([]byte, 0, 1<<16)}
+	e.b = append(e.b, snapshotMagic...)
+	e.u32(snapshotVersion)
+	e.u32(uint32(len(plats)))
+	if err := e.flush(w); err != nil {
+		return err
+	}
+	for i, p := range plats {
+		svc := p.svc.Load()
 		e.str(p.name)
-		e.bytes(specJSON)
-		e.boolean(live)
-		if live {
+		e.bytes(specs[i])
+		e.boolean(svc != nil)
+		if svc != nil {
 			svc.exportTo(e)
 		}
+		if err := e.flush(w); err != nil {
+			return err
+		}
 	}
+	return nil
+}
+
+// flush writes what the encoder holds to w and empties it for the next
+// section.
+func (e *snapEnc) flush(w io.Writer) error {
 	_, err := w.Write(e.b)
+	e.b = e.b[:0]
 	return err
 }
+
+// MaxSnapshotBytes is the largest image ReadSnapshot reads: 1 GiB, some
+// three hundred times a 192-tenant fleet's image. A longer one is refused
+// before it is held in memory.
+const MaxSnapshotBytes = 1 << 30
 
 // ReadSnapshot rebuilds a fleet registry from a snapshot image: cold specs
 // re-register cold, live platforms are reconstructed from their spec and
 // their dynamic state imported, so the restored registry continues exactly
-// where the snapshotted one stopped.
+// where the snapshotted one stopped. An image longer than MaxSnapshotBytes
+// is refused.
 func ReadSnapshot(rd io.Reader, opts RegistryOptions) (*Registry, error) {
-	data, err := io.ReadAll(rd)
+	data, err := readImage(rd, MaxSnapshotBytes)
 	if err != nil {
-		return nil, fmt.Errorf("predict: reading snapshot: %w", err)
+		return nil, err
 	}
 	d := &snapDec{b: data}
 	if got := string(d.take(len(snapshotMagic))); d.err == nil && got != snapshotMagic {
@@ -233,6 +262,29 @@ func ReadSnapshot(rd io.Reader, opts RegistryOptions) (*Registry, error) {
 		return nil, fmt.Errorf("predict: %d trailing bytes after snapshot", len(d.b)-d.off)
 	}
 	return reg, nil
+}
+
+// readImage reads a whole image of at most limit bytes. A regular file's
+// size is known before it is read, so a file over the limit is refused
+// unread and one within it is read into one buffer of its size.
+func readImage(rd io.Reader, limit int64) ([]byte, error) {
+	tooLarge := fmt.Errorf("predict: snapshot image exceeds the %d-byte limit", limit)
+	var buf bytes.Buffer
+	if f, ok := rd.(*os.File); ok {
+		if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() {
+			if fi.Size() > limit {
+				return nil, tooLarge
+			}
+			buf.Grow(int(fi.Size()) + bytes.MinRead)
+		}
+	}
+	if _, err := buf.ReadFrom(io.LimitReader(rd, limit+1)); err != nil {
+		return nil, fmt.Errorf("predict: reading snapshot: %w", err)
+	}
+	if int64(buf.Len()) > limit {
+		return nil, tooLarge
+	}
+	return buf.Bytes(), nil
 }
 
 // restoreService rebuilds one live platform: static structure from the

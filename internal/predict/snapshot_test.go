@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -330,6 +333,143 @@ func TestReadSnapshotRejectsUnknownSpecField(t *testing.T) {
 				t.Errorf("live %v, spec with %s: want an unknown-field error, got %v", live, key, err)
 			}
 		}
+	}
+}
+
+// recordingWriter keeps a copy of every Write it is handed and, when failAt
+// is positive, fails the failAt-th call (counting from 1) and every later
+// one.
+type recordingWriter struct {
+	writes [][]byte
+	calls  int
+	failAt int
+}
+
+var errRecordingFailed = errors.New("recording writer: write refused")
+
+func (w *recordingWriter) Write(p []byte) (int, error) {
+	w.calls++
+	if w.failAt > 0 && w.calls >= w.failAt {
+		return 0, errRecordingFailed
+	}
+	w.writes = append(w.writes, append([]byte(nil), p...))
+	return len(p), nil
+}
+
+// checkSections requires the writes to be the image's header and then one
+// platform section each, in name order: every write after the first opens
+// with the next platform's length-prefixed name, so none holds more than
+// one section.
+func checkSections(t *testing.T, writes [][]byte, names []string) {
+	t.Helper()
+	if len(writes) != 1+len(names) {
+		t.Fatalf("%d writes for %d platforms, want the header and one per platform", len(writes), len(names))
+	}
+	if len(writes[0]) != len("PPSNAP")+8 {
+		t.Fatalf("the first write is %d bytes, want the %d-byte header alone", len(writes[0]), len("PPSNAP")+8)
+	}
+	for i, name := range names {
+		head := binary.LittleEndian.AppendUint32(nil, uint32(len(name)))
+		if w := writes[i+1]; !bytes.HasPrefix(w, append(head, name...)) {
+			t.Fatalf("write %d does not open platform %q's section", i+1, name)
+		}
+	}
+}
+
+// TestSnapshotStreamsSectionBySection: WriteSnapshot hands its writer the
+// header and then one platform's section per Write, and the bytes it writes
+// are the golden images a whole-image writer produced.
+func TestSnapshotStreamsSectionBySection(t *testing.T) {
+	golden, err := os.ReadFile("testdata/snapshot_v2.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"testdata/snapshot_v2.snap", "testdata/snapshot_v2_pr16.snap"} {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg, err := predict.ReadSnapshot(bytes.NewReader(raw), predict.RegistryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var w recordingWriter
+		if err := reg.WriteSnapshot(&w); err != nil {
+			t.Fatal(err)
+		}
+		checkSections(t, w.writes, reg.Names())
+		if !bytes.Equal(bytes.Join(w.writes, nil), golden) {
+			t.Fatalf("%s: the streamed image is not the golden image", path)
+		}
+	}
+
+	// A fleet of cold and live tenants streams the same way.
+	reg := predict.NewRegistry()
+	for _, spec := range predict.FleetSpecs(12, 5) {
+		if err := reg.RegisterSpec(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{"tenant-0002", "tenant-0007", "tenant-0011"} {
+		if _, err := reg.Predict(predict.Request{Platform: name, N: 200, Iterations: 10}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var w recordingWriter
+	if err := reg.WriteSnapshot(&w); err != nil {
+		t.Fatal(err)
+	}
+	checkSections(t, w.writes, reg.Names())
+	if _, err := predict.ReadSnapshot(bytes.NewReader(bytes.Join(w.writes, nil)), predict.RegistryOptions{}); err != nil {
+		t.Fatalf("the streamed fleet image does not restore: %v", err)
+	}
+}
+
+// TestSnapshotWriteErrorStops: a writer that fails on its k-th call makes
+// WriteSnapshot return that error, after exactly k calls.
+func TestSnapshotWriteErrorStops(t *testing.T) {
+	reg := predict.NewRegistry()
+	for _, spec := range predict.FleetSpecs(4, 5) {
+		if err := reg.RegisterSpec(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := reg.Lookup("tenant-0001"); err != nil {
+		t.Fatal(err)
+	}
+	for k := 1; k <= 1+len(reg.Names()); k++ {
+		w := recordingWriter{failAt: k}
+		if err := reg.WriteSnapshot(&w); !errors.Is(err, errRecordingFailed) {
+			t.Fatalf("failing on write %d: WriteSnapshot returned %v", k, err)
+		}
+		if w.calls != k {
+			t.Fatalf("failing on write %d: WriteSnapshot wrote %d times", k, w.calls)
+		}
+	}
+}
+
+// TestReadSnapshotRefusesOversizedImage: an image file longer than
+// MaxSnapshotBytes is refused, naming the limit, before it is read. The
+// file is sparse and opened write-only, so a reader that tried to read it
+// would fail on the read instead.
+func TestReadSnapshotRefusesOversizedImage(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "huge.snap")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Truncate(predict.MaxSnapshotBytes + 1); err != nil {
+		t.Skipf("no sparse file: %v", err)
+	}
+	f.Close()
+	f, err = os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	_, err = predict.ReadSnapshot(f, predict.RegistryOptions{})
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%d-byte limit", predict.MaxSnapshotBytes)) {
+		t.Fatalf("a %d-byte image: want an error naming the limit, got %v", predict.MaxSnapshotBytes+1, err)
 	}
 }
 

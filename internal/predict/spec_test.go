@@ -50,6 +50,25 @@ func TestSpecValidation(t *testing.T) {
 		{"switch bad child", func(s *predict.PlatformSpec) {
 			s.CPU = []workload.LoadSpec{{Kind: "switch", At: []float64{10}, Children: []workload.LoadSpec{{Kind: "light"}, {Kind: "nope"}}}}
 		}},
+		// User counts above workload.MaxUsers: each tick loops over them.
+		{"user-sessions stationary users", func(s *predict.PlatformSpec) {
+			s.CPU = []workload.LoadSpec{{Kind: "user-sessions", Lambda: 1e9, Mu: 1}}
+		}},
+		{"user-sessions arrivals per tick", func(s *predict.PlatformSpec) {
+			s.CPU = []workload.LoadSpec{{Kind: "user-sessions", Lambda: 60, Mu: 1, DT: 10}}
+		}},
+		{"cohort stationary users", func(s *predict.PlatformSpec) {
+			s.CPU = []workload.LoadSpec{{Kind: "cohorts", Cohorts: []workload.Cohort{{Lambda: 1e9, Mu: 1e-9}}}}
+		}},
+		{"cohorts summed stationary users", func(s *predict.PlatformSpec) {
+			s.CPU = []workload.LoadSpec{{Kind: "cohorts", Cohorts: []workload.Cohort{{Lambda: 300, Mu: 1}, {Lambda: 300, Mu: 1}}}}
+		}},
+		{"cohort peak arrivals per tick", func(s *predict.PlatformSpec) {
+			s.CPU = []workload.LoadSpec{{Kind: "cohorts", Cohorts: []workload.Cohort{{Lambda: 300, Mu: 10, Period: 60, Swing: 1}}}}
+		}},
+		{"flash-crowd users", func(s *predict.PlatformSpec) {
+			s.Net = &workload.LoadSpec{Kind: "flash-crowd", Users: 400, Crowd: 200, Ramp: 10, Decay: 10}
+		}},
 	}
 	for _, tc := range cases {
 		spec := valid()
@@ -61,6 +80,13 @@ func TestSpecValidation(t *testing.T) {
 	spec := valid()
 	if err := spec.Validate(); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
+	}
+	// At the ceiling is still a load.
+	spec.CPU = []workload.LoadSpec{{Kind: "user-sessions", Lambda: workload.MaxUsers, Mu: 1},
+		{Kind: "cohorts", Cohorts: []workload.Cohort{{Lambda: workload.MaxUsers / 2, Mu: 0.5, Period: 60, Swing: 1}}}}
+	spec.Net = &workload.LoadSpec{Kind: "flash-crowd", Users: workload.MaxUsers - 1, Crowd: 1, Ramp: 10, Decay: 10}
+	if err := spec.Validate(); err != nil {
+		t.Fatalf("loads at the user ceiling rejected: %v", err)
 	}
 }
 
@@ -175,6 +201,10 @@ func FuzzParseSpecs(f *testing.F) {
 	    {"kind":"cohorts","cohorts":[{"lambda":0.03,"mu":0.02,"start":50,"period":600,"swing":0.5,"phase":2}]}]}]},
 	    {"kind":"flash-crowd","users":0.5,"crowd":6,"onset":100,"ramp":30,"decay":90,"repeat":600,"seed":4}],
 	  "net":{"kind":"modulate","children":[{"kind":"ethernet-contention"},{"kind":"constant","level":0.9}]}}]`))
+	// A user count past workload.MaxUsers, refused before any tick loops
+	// over it.
+	f.Add([]byte(`[{"name":"u","machines":[{"name":"a","kind":"sparc5"},{"name":"b","kind":"ultra"}],
+	  "cpu":[{"kind":"user-sessions","lambda":1e9,"mu":1},{"kind":"cohorts","cohorts":[{"lambda":1e9,"mu":1e-9}]}]}]`))
 	for _, id := range []int{1, 2} {
 		spec, err := predict.SimulatedSpec(id, 4)
 		if err != nil {

@@ -98,6 +98,11 @@ func (s *Series) ValueAt(t float64) (v float64, ok bool) {
 // push writes behind the window, and when the window reaches the end of the
 // buffers it is moved back to the front (one copy every ringSlack pushes).
 // That is what lets View hand out the values without copying them.
+//
+// The buffers start small and double each time the window is moved, up to
+// size + ringSlack(size), so a ring holds memory for what it was pushed,
+// not for what it could hold; once they are at full length, a move is a
+// copy to the front and nothing more.
 type Ring struct {
 	size   int
 	ts, vs []float64 // points are ts/vs[start : start+n]
@@ -109,13 +114,25 @@ type Ring struct {
 // two moves of its window.
 func ringSlack(size int) int { return size/8 + 1 }
 
+// ringFirstBuf is the buffer length a new ring starts with (or its full
+// length, when that is shorter).
+const ringFirstBuf = 8
+
 // NewRing returns a ring holding at most size points; size must be positive.
 func NewRing(size int) (*Ring, error) {
 	if size <= 0 {
 		return nil, errors.New("timeseries: ring size must be positive")
 	}
-	buf := make([]float64, 2*(size+ringSlack(size)))
-	return &Ring{size: size, ts: buf[:len(buf)/2], vs: buf[len(buf)/2:]}, nil
+	r := &Ring{size: size}
+	r.alloc(min(ringFirstBuf, size+ringSlack(size)))
+	return r, nil
+}
+
+// alloc gives the ring fresh buffers of length l; the caller copies the
+// window over.
+func (r *Ring) alloc(l int) {
+	buf := make([]float64, 2*l)
+	r.ts, r.vs = buf[:l:l], buf[l:]
 }
 
 // Push appends a measurement, evicting the oldest if the ring is full.
@@ -126,8 +143,12 @@ func (r *Ring) Push(t, v float64) {
 	}
 	end := r.start + r.n
 	if end == len(r.vs) {
-		copy(r.ts, r.ts[r.start:end])
-		copy(r.vs, r.vs[r.start:end])
+		ts, vs := r.ts, r.vs
+		if full := r.size + ringSlack(r.size); len(vs) < full {
+			r.alloc(min(2*len(vs), full))
+		}
+		copy(r.ts, ts[r.start:end])
+		copy(r.vs, vs[r.start:end])
 		r.start, end = 0, r.n
 	}
 	r.ts[end], r.vs[end] = t, v

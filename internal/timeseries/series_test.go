@@ -165,3 +165,64 @@ func TestRingViewIsTheStoredWindow(t *testing.T) {
 		}
 	}
 }
+
+// A ring holds buffers for what it was pushed: a 512-point ring after a
+// 120 s warm-up at a 5 s period (24 points) has not reserved its capacity.
+func TestRingGrowsOnDemand(t *testing.T) {
+	r, _ := NewRing(512)
+	for i := 0; i < 24; i++ {
+		r.Push(float64(i), float64(i))
+	}
+	if len(r.ts) >= 128 || len(r.vs) >= 128 {
+		t.Fatalf("a 512-point ring holding 24 points has buffers of %d and %d slots", len(r.ts), len(r.vs))
+	}
+	for i := 24; i < 2000; i++ {
+		r.Push(float64(i), float64(i))
+	}
+	if full := 512 + ringSlack(512); len(r.ts) != full || len(r.vs) != full {
+		t.Fatalf("a wrapped 512-point ring has buffers of %d and %d slots, want %d", len(r.ts), len(r.vs), full)
+	}
+}
+
+// FuzzRing pushes a sequence into a ring of a size in [1, 600] and checks
+// every accessor against a plain slice of the last Cap points after every
+// push.
+func FuzzRing(f *testing.F) {
+	f.Add(uint16(3), uint16(10), []byte{1, 2, 3})
+	f.Add(uint16(511), uint16(1200), []byte("ring"))
+	f.Add(uint16(599), uint16(4000), []byte{0xff, 0, 7})
+	f.Fuzz(func(t *testing.T, sizeRaw, pushes uint16, data []byte) {
+		size := int(sizeRaw)%600 + 1
+		if len(data) == 0 {
+			data = []byte{0}
+		}
+		r, err := NewRing(size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var model []Point
+		for i := 0; i < int(pushes)%4096; i++ {
+			p := Point{T: float64(i), V: float64(data[i%len(data)]) - float64(i)/3}
+			r.Push(p.T, p.V)
+			model = append(model, p)
+			if len(model) > size {
+				model = model[1:]
+			}
+			if r.Len() != len(model) || r.Cap() != size {
+				t.Fatalf("size %d push %d: Len %d Cap %d, want %d and %d", size, i, r.Len(), r.Cap(), len(model), size)
+			}
+			if last, ok := r.Last(); !ok || last != p {
+				t.Fatalf("size %d push %d: Last %+v %v, want %+v", size, i, last, ok, p)
+			}
+			view, vals := r.View(), r.Values()
+			if len(view) != len(model) || len(vals) != len(model) {
+				t.Fatalf("size %d push %d: View %d and Values %d points, want %d", size, i, len(view), len(vals), len(model))
+			}
+			for k, want := range model {
+				if got := r.At(k); got != want || view[k] != want.V || vals[k] != want.V {
+					t.Fatalf("size %d push %d: point %d is At %+v, View %g, Values %g; want %+v", size, i, k, got, view[k], vals[k], want)
+				}
+			}
+		}
+	})
+}

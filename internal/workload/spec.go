@@ -203,6 +203,23 @@ func childSeed(seed int64, i int) int64 {
 	return seed*1000003 + int64(i+1)*7919
 }
 
+// MaxUsers is the ceiling on a load's user counts: a user-sessions or
+// cohorts load's stationary population (lambda/mu, summed over cohorts) and
+// mean arrivals per tick (lambda·dt, at a cohort's peak swing), and a
+// flash-crowd's users + crowd. Each tick loops over every active user and
+// draws its arrivals by Knuth's method, whose exp(-mean) would underflow
+// past ~745, so a larger count is refused rather than served slowly or
+// wrongly. The library's loads stay under 10.
+const MaxUsers = 500
+
+// checkUsers refuses a user count above MaxUsers.
+func checkUsers(what string, n float64) error {
+	if n > MaxUsers {
+		return fmt.Errorf("%s %g exceed the ceiling of %d", what, n, MaxUsers)
+	}
+	return nil
+}
+
 // Build materializes the load; seed is used when the spec names none. As a
 // network load (net), a scenario load is the scenario's net entry, not a
 // machine's.
@@ -247,6 +264,7 @@ func (l *LoadSpec) Build(seed int64, net bool) (load.Process, error) {
 		if len(l.Cohorts) == 0 {
 			return nil, errors.New("cohorts needs at least one cohort")
 		}
+		stationary := 0.0
 		for i, co := range l.Cohorts {
 			if !(co.Lambda > 0) || !(co.Mu > 0) {
 				return nil, fmt.Errorf("cohort %d: lambda and mu must be positive", i)
@@ -254,6 +272,13 @@ func (l *LoadSpec) Build(seed int64, net bool) (load.Process, error) {
 			if co.Swing < 0 || co.Swing > 1 {
 				return nil, fmt.Errorf("cohort %d: swing %g outside [0,1]", i, co.Swing)
 			}
+			if err := checkUsers(fmt.Sprintf("cohort %d: peak arrivals per tick", i), co.Lambda*(1+co.Swing)*dt); err != nil {
+				return nil, err
+			}
+			stationary += co.Lambda / co.Mu
+		}
+		if err := checkUsers("cohorts: stationary users", stationary); err != nil {
+			return nil, err
 		}
 		return newCohorts(append([]Cohort(nil), l.Cohorts...), dt, seed), nil
 	case "flash-crowd":
@@ -266,12 +291,21 @@ func (l *LoadSpec) Build(seed int64, net bool) (load.Process, error) {
 		if l.Onset < 0 || l.Repeat < 0 {
 			return nil, errors.New("flash-crowd: negative onset or repeat")
 		}
+		if err := checkUsers("flash-crowd: users + crowd", l.Users+l.Crowd); err != nil {
+			return nil, err
+		}
 		return newFlashCrowd(l.Users, l.Crowd, l.Onset, l.Ramp, l.Decay, l.Repeat, dt, seed), nil
 	case "single-mode":
 		return load.NewSingleMode(l.Mean, l.Sigma, l.Phi, dt, seed)
 	case "markov-modal":
 		return load.NewMarkovModal(l.Modes, l.Weights, l.SwitchProb, l.Phi, dt, seed)
 	case "user-sessions":
+		if err := checkUsers("user-sessions: stationary users", l.Lambda/l.Mu); err != nil {
+			return nil, err
+		}
+		if err := checkUsers("user-sessions: arrivals per tick", l.Lambda*dt); err != nil {
+			return nil, err
+		}
 		return load.NewUserSessions(l.Lambda, l.Mu, dt, seed)
 	case "long-tailed":
 		return load.NewLongTailed(l.Peak, l.DropMean, l.DropStd, dt, seed)

@@ -7,9 +7,11 @@
 # model tree, of the raced BIC selection against the exhaustive one, of the
 # mixture quantile search against bisection, of the NWS battery's sorted
 # windows against sort.Float64s, of the quantile selection against the
-# sort, of stochcalc's evaluator (finite or an error) and of the trace,
-# scenario, spec and snapshot readers, the bench/ module's vet + tests, the snapshot drill over the
-# real daemon binary, and a report-only line count (scripts/loc.sh).
+# sort, of the growing measurement ring against a plain slice, of
+# stochcalc's evaluator (finite or an error) and of the trace, scenario,
+# spec and snapshot readers, the bench/ module's vet + tests, the snapshot
+# drill over the real daemon binary, and a report-only line count
+# (scripts/loc.sh).
 # The SOR worker pool, the sharded Monte Carlo engine, and the
 # predict.Service prediction core are concurrent by design, so -race is not
 # optional here.
@@ -68,6 +70,10 @@ go test -run '^$' -fuzz FuzzSortedWindow -fuzztime 5s ./internal/nws
 # And of samples and levels into the selection the calibrator reads its
 # quantiles by: sort.Float64s + QuantileSorted's answer, and a permutation.
 go test -run '^$' -fuzz FuzzQuantileInPlace -fuzztime 5s ./internal/stats
+# And of ring sizes and push sequences into the monitors' history ring, whose
+# buffers grow as points arrive: after every push, the last Cap points of a
+# plain slice, through every accessor.
+go test -run '^$' -fuzz FuzzRing -fuzztime 5s ./internal/timeseries
 # And of argument vectors into stochcalc's evaluator: an error, or a finite
 # value — never an Inf or a NaN printed with exit status 0.
 go test -run '^$' -fuzz FuzzEval -fuzztime 5s ./cmd/stochcalc
@@ -96,4 +102,4 @@ go test -cover ./internal/calib ./internal/predict | awk '{print "check.sh: cove
 # Go line count of the root module (report-only, no gate).
 scripts/loc.sh | awk '{print "check.sh: lines:", $0}'
 
-echo "check.sh: gofmt, vet, race-enabled tests, the concurrency tests at -cpu 1,4, bench smoke, loadgen round trip, POST-body, point- and value-evaluator, BIC-race, mixture-quantile, sorted-window, quantile-selection, stochcalc-evaluator, trace-reader (FuzzReadTrace), scenario-parser (FuzzParseScenario), spec-parser (FuzzParseSpecs) and snapshot-reader (FuzzReadSnapshot) fuzz, the bench/ module, and the snapshot round trip all clean"
+echo "check.sh: gofmt, vet, race-enabled tests, the concurrency tests at -cpu 1,4, bench smoke, loadgen round trip, POST-body, point- and value-evaluator, BIC-race, mixture-quantile, sorted-window, quantile-selection, ring (FuzzRing), stochcalc-evaluator, trace-reader (FuzzReadTrace), scenario-parser (FuzzParseScenario), spec-parser (FuzzParseSpecs) and snapshot-reader (FuzzReadSnapshot) fuzz, the bench/ module, and the snapshot round trip all clean"
