@@ -111,8 +111,10 @@ func TestPredictEndpoint(t *testing.T) {
 	if !(pr.Lo < pr.Mean && pr.Mean < pr.Hi) {
 		t.Errorf("interval [%g,%g] does not bracket mean %g", pr.Lo, pr.Hi, pr.Mean)
 	}
-	if len(pr.PartitionRows) != 4 || len(pr.Loads) != 4 {
-		t.Errorf("partition=%v loads=%d", pr.PartitionRows, len(pr.Loads))
+	// A prediction's per-machine reports are GET /report at its time.
+	rep := getReport(t, ts.URL, pr.Platform, pr.Time)
+	if len(pr.PartitionRows) != 4 || len(rep.Loads) != 4 {
+		t.Errorf("partition=%v loads=%d", pr.PartitionRows, len(rep.Loads))
 	}
 	rows := 0
 	for _, r := range pr.PartitionRows {
@@ -123,7 +125,7 @@ func TestPredictEndpoint(t *testing.T) {
 	}
 	// Injected sensor faults must surface in the per-machine diagnostics.
 	dropped, outage := 0, 0
-	for _, l := range pr.Loads {
+	for _, l := range rep.Loads {
 		dropped += l.Gaps.Dropped
 		outage += l.Gaps.Outage
 	}
@@ -272,9 +274,26 @@ func TestServingDeterminism(t *testing.T) {
 		t.Errorf("same-seed daemons diverged: %g±%g vs %g±%g",
 			p1.Mean, p1.Spread, p2.Mean, p2.Spread)
 	}
-	if fmt.Sprintf("%+v", p1.Loads) != fmt.Sprintf("%+v", p2.Loads) {
+	r1 := getReport(t, ts1.URL, p1.Platform, p1.Time)
+	r2 := getReport(t, ts2.URL, p2.Platform, p2.Time)
+	if fmt.Sprintf("%+v", r1.Loads) != fmt.Sprintf("%+v", r2.Loads) {
 		t.Error("same-seed daemons report different load diagnostics")
 	}
+}
+
+// getReport fetches GET /report for platform and requires it to be the
+// report of virtual time at.
+func getReport(t *testing.T, url, platform string, at float64) api.ReportResponse {
+	t.Helper()
+	resp, err := http.Get(url + "/report?platform=" + platform)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := decode[api.ReportResponse](t, resp)
+	if rep.Time != at {
+		t.Fatalf("%s: report of time %g, want %g", platform, rep.Time, at)
+	}
+	return rep
 }
 
 // TestOperationsFlagTable: the flag tables under OPERATIONS.md's "Starting

@@ -130,105 +130,10 @@ func appendGaps(b []byte, g nws.GapStats) []byte {
 	return append(b, '}')
 }
 
-func appendLoad(b []byte, r predict.MachineReport) []byte {
-	b = append(b, `{"machine":`...)
-	b = strconv.AppendInt(b, int64(r.Machine), 10)
-	b = append(b, `,"mean":`...)
-	b = appendFloat(b, r.Load.Mean)
-	b = append(b, `,"spread":`...)
-	b = appendFloat(b, r.Load.Spread)
-	b = append(b, `,"raw":`...)
-	b = appendFloat(b, r.Raw)
-	b = append(b, `,"staleness":`...)
-	b = appendFloat(b, r.Staleness)
-	b = append(b, `,"widening":`...)
-	b = appendFloat(b, r.Widening)
-	b = append(b, `,"gaps":`...)
-	b = appendGaps(b, r.Gaps)
-	b = append(b, `,"forecaster":`...)
-	b = appendString(b, r.Forecaster)
-	if len(r.Components) > 0 { // omitempty
-		b = append(b, `,"components":[`...)
-		for i, c := range r.Components {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = append(b, `{"weight":`...)
-			b = appendFloat(b, c.Weight)
-			b = append(b, `,"mean":`...)
-			b = appendFloat(b, c.Mean)
-			b = append(b, `,"sigma":`...)
-			b = appendFloat(b, c.Sigma)
-			b = append(b, '}')
-		}
-		b = append(b, ']')
-	}
-	return append(b, '}')
-}
-
-// appendLoads appends the per-machine reports the way encoding/json does a
-// []LoadJSON: null when nil, a JSON array otherwise.
-func appendLoads(b []byte, loads []predict.MachineReport) []byte {
-	if loads == nil {
-		return append(b, "null"...)
-	}
-	b = append(b, '[')
-	for i := range loads {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = appendLoad(b, loads[i])
-	}
-	return append(b, ']')
-}
-
-// loadsMemo keeps, per platform, the bytes appendLoads last produced for it.
-// Every prediction a service answers between two clock movements carries the
-// same Loads slice — one read of the monitors, shared and by contract never
-// mutated — so the slice's identity (where it starts and how long it is)
-// names its contents, and a response after the first of a tick copies the
-// fragment instead of formatting some forty floats again. The slot holds
-// the slice it compares against, so that address cannot be handed to
-// another slice while the slot can still match it. One slot per platform is
-// enough: a tick's predictions arrive together, and a platform that serves
-// unshared slices (tick cache off) only ever misses. The zero loadsMemo is
-// empty and ready.
-type loadsMemo struct {
-	mu    sync.RWMutex
-	slots map[string]*loadsSlot
-}
-
-type loadsSlot struct {
-	loads []predict.MachineReport
-	enc   []byte // appendLoads(nil, loads)
-}
-
-// appendLoads is appendLoads(b, loads) through the memo. A nil memo encodes
-// afresh.
-func (m *loadsMemo) appendLoads(b []byte, platform string, loads []predict.MachineReport) []byte {
-	if m == nil || len(loads) == 0 {
-		return appendLoads(b, loads)
-	}
-	m.mu.RLock()
-	slot := m.slots[platform]
-	m.mu.RUnlock()
-	if slot == nil || &slot.loads[0] != &loads[0] || len(slot.loads) != len(loads) {
-		slot = &loadsSlot{loads: loads, enc: appendLoads(nil, loads)}
-		m.mu.Lock()
-		if m.slots == nil {
-			m.slots = make(map[string]*loadsSlot)
-		}
-		m.slots[platform] = slot
-		m.mu.Unlock()
-	}
-	return append(b, slot.enc...)
-}
-
 // appendPrediction encodes one prediction as the PredictResponse wire
 // shape, straight from the domain object — no intermediate wire struct, no
-// reflection, no per-field allocation. The loads fragment goes through memo
-// when there is one.
-func appendPrediction(b []byte, platform string, p *predict.Prediction, memo *loadsMemo) []byte {
+// reflection, no per-field allocation.
+func appendPrediction(b []byte, platform string, p *predict.Prediction) []byte {
 	lo, hi := p.Value.Interval()
 	b = append(b, `{"platform":`...)
 	b = appendString(b, platform)
@@ -263,8 +168,6 @@ func appendPrediction(b []byte, platform string, p *predict.Prediction, memo *lo
 		}
 		b = append(b, ']')
 	}
-	b = append(b, `,"loads":`...)
-	b = memo.appendLoads(b, platform, p.Loads)
 	b = append(b, `,"bw_mean":`...)
 	b = appendFloat(b, p.Bandwidth.Mean)
 	b = append(b, `,"bw_spread":`...)

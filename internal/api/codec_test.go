@@ -1,9 +1,7 @@
 package api
 
 import (
-	"bytes"
 	"encoding/json"
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -47,9 +45,6 @@ func refPredictResponse(platform string, p predict.Prediction) PredictResponse {
 	if p.Partition != nil {
 		pr.PartitionRows = p.Partition.Rows
 	}
-	for _, l := range p.Loads {
-		pr.Loads = append(pr.Loads, toLoadJSON(l))
-	}
 	pr.Dist = toDistJSON(p.Dist)
 	return pr
 }
@@ -79,7 +74,7 @@ func TestAppendPredictionMatchesStdlib(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := appendPrediction(nil, svc.Name(), &p, nil)
+	got := appendPrediction(nil, svc.Name(), &p)
 	want, err := json.Marshal(refPredictResponse(svc.Name(), p))
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +136,7 @@ func TestCodecFewerAllocs(t *testing.T) {
 	name := svc.Name()
 	codec := testing.AllocsPerRun(200, func() {
 		out := getBuf()
-		out.b = appendPrediction(out.b, name, &p, nil)
+		out.b = appendPrediction(out.b, name, &p)
 		out.release()
 	})
 	stdlib := testing.AllocsPerRun(200, func() {
@@ -157,118 +152,6 @@ func TestCodecFewerAllocs(t *testing.T) {
 	}
 }
 
-// TestLoadsMemoMatchesFreshEncode: the loads fragment copied out of the memo
-// is the fragment appendLoads writes — over seeded sequences of predictions
-// of shapes that share and do not share a tick's reports, batches, observes
-// and zero and positive advances, on two platforms behind one memo, with the
-// tick cache serving (a tick's responses after the first copy) and with every
-// request pinning its partition, which bypasses the cache so every response
-// carries fresh loads and encodes, each response encoded through the memo is
-// byte for byte the response encoded without one.
-func TestLoadsMemoMatchesFreshEncode(t *testing.T) {
-	for seed := int64(1); seed <= 20; seed++ {
-		for _, noCache := range []bool{false, true} {
-			rng := rand.New(rand.NewSource(seed))
-			var svcs []*predict.Service
-			for platform := 1; platform <= 2; platform++ {
-				svcs = append(svcs, simulatedService(t, platform, 40+seed, 200))
-			}
-			var memo loadsMemo
-			encoded, copied := 0, 0
-			check := func(svc *predict.Service, p predict.Prediction) {
-				t.Helper()
-				before := memo.slots[svc.Name()]
-				got := appendPrediction(nil, svc.Name(), &p, &memo)
-				if want := appendPrediction(nil, svc.Name(), &p, nil); !bytes.Equal(got, want) {
-					t.Fatalf("seed %d, cache off %v:\nmemo  %s\nfresh %s", seed, noCache, got, want)
-				}
-				encoded++
-				if before != nil && memo.slots[svc.Name()] == before {
-					copied++
-				}
-			}
-			for step := 0; step < 60; step++ {
-				svc := svcs[rng.Intn(len(svcs))]
-				req := predict.Request{N: []int{120, 200}[rng.Intn(2)], Iterations: 1 + rng.Intn(4)}
-				if rng.Intn(3) == 0 {
-					req.Levels = []float64{0.9}
-				}
-				if noCache {
-					part, err := svc.Partition(req)
-					if err != nil {
-						t.Fatal(err)
-					}
-					req.Partition = part
-				}
-				switch op := rng.Intn(8); {
-				case op < 4:
-					p, err := svc.Predict(req)
-					if err != nil {
-						t.Fatal(err)
-					}
-					check(svc, p)
-					if op == 0 {
-						if _, err := svc.Observe(p.ID, p.Raw.Mean*1.05); err != nil {
-							t.Fatal(err)
-						}
-					}
-				case op == 4:
-					other := req
-					other.Iterations += 7
-					preds, errs := svc.PredictBatch([]predict.Request{req, other, req})
-					for i, p := range preds {
-						if errs[i] != nil {
-							t.Fatal(errs[i])
-						}
-						check(svc, p)
-					}
-				case op == 5:
-					if err := svc.Advance(0); err != nil {
-						t.Fatal(err)
-					}
-				default:
-					if err := svc.Advance(5 + 30*rng.Float64()); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			if noCache && copied != 0 {
-				t.Errorf("seed %d: %d of %d unshared slices matched a slot", seed, copied, encoded)
-			}
-			if !noCache && 2*copied < encoded {
-				t.Errorf("seed %d: only %d of %d responses of shared ticks copied their loads", seed, copied, encoded)
-			}
-		}
-	}
-}
-
-// TestLoadsMemoHitAllocatesNothing: after a tick's first response, writing
-// the loads fragment is a copy.
-func TestLoadsMemoHitAllocatesNothing(t *testing.T) {
-	svc := codecService(t, 17)
-	var memo loadsMemo
-	var preds []predict.Prediction
-	for its := 1; its <= 3; its++ {
-		p, err := svc.Predict(predict.Request{N: 120, Iterations: its})
-		if err != nil {
-			t.Fatal(err)
-		}
-		preds = append(preds, p)
-	}
-	name := svc.Name()
-	buf := memo.appendLoads(make([]byte, 0, 8192), name, preds[0].Loads)
-	i := 0
-	if allocs := testing.AllocsPerRun(200, func() {
-		i++
-		buf = memo.appendLoads(buf[:0], name, preds[i%len(preds)].Loads)
-	}); allocs != 0 {
-		t.Errorf("a memoized loads fragment costs %v allocations, want 0", allocs)
-	}
-	if want := appendLoads(nil, preds[0].Loads); !bytes.Equal(buf, want) {
-		t.Errorf("memoized fragment %s, fresh %s", buf, want)
-	}
-}
-
 // BenchmarkServicePredictParallel measures the serving hot path end to end
 // — Predict plus response encoding — under parallel load, once per codec.
 // The codec flavor must show fewer allocs/op than the stdjson flavor.
@@ -278,7 +161,6 @@ func BenchmarkServicePredictParallel(b *testing.B) {
 			svc := codecService(b, 13)
 			req := predict.Request{N: 120, Iterations: 6}
 			name := svc.Name()
-			var memo loadsMemo
 			b.ReportAllocs()
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
@@ -289,7 +171,7 @@ func BenchmarkServicePredictParallel(b *testing.B) {
 					}
 					if mode == "codec" {
 						out := getBuf()
-						out.b = appendPrediction(out.b, name, &p, &memo)
+						out.b = appendPrediction(out.b, name, &p)
 						out.release()
 					} else {
 						if _, err := json.Marshal(refPredictResponse(name, p)); err != nil {

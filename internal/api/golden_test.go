@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"reflect"
@@ -110,6 +111,9 @@ func TestGoldenSnapshotServesIdentically(t *testing.T) {
 }
 
 // serveRecording replays the PR 7 recording against a restored registry.
+// Each recorded prediction's loads array, which predictions no longer carry,
+// must be what GET /report serves for its platform right after it, at the
+// same time.
 func serveRecording(t *testing.T, reg *predict.Registry) {
 	t.Helper()
 	raw, err := os.ReadFile("../predict/testdata/snapshot_v1_responses.json")
@@ -139,11 +143,67 @@ func serveRecording(t *testing.T, reg *predict.Registry) {
 		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
 			t.Fatalf("exchange %d: response is not JSON: %v\n%s", i, err, rec.Body.String())
 		}
+		var loads []predictionLoads
+		if strings.HasPrefix(ex.Path, "/predict") {
+			loads = recordedLoads(want)
+		}
 		if err := subsetEqual("resp", want, got); err != nil {
 			t.Errorf("exchange %d (%s %s) diverged from the recording: %v",
 				i, ex.Method, ex.Path, err)
 		}
+		for j, l := range loads {
+			if err := reportHolds(handler, l); err != nil {
+				t.Errorf("exchange %d (%s %s), prediction %d: %v", i, ex.Method, ex.Path, j, err)
+			}
+		}
 	}
+}
+
+// predictionLoads is the loads array a recorded prediction carried, with
+// the platform and time it was served at.
+type predictionLoads struct {
+	platform string
+	time     any
+	loads    any
+}
+
+// recordedLoads takes the loads arrays out of a recorded /predict or
+// /predict/batch response — the recording predates predictions leaving
+// their per-machine reports to GET /report — and returns them in order.
+func recordedLoads(resp any) []predictionLoads {
+	obj, _ := resp.(map[string]any)
+	preds := []any{obj}
+	if items, ok := obj["responses"].([]any); ok {
+		preds = items
+	}
+	var out []predictionLoads
+	for _, p := range preds {
+		pm, _ := p.(map[string]any)
+		if l, ok := pm["loads"]; ok {
+			platform, _ := pm["platform"].(string)
+			out = append(out, predictionLoads{platform: platform, time: pm["time"], loads: l})
+			delete(pm, "loads")
+		}
+	}
+	return out
+}
+
+// reportHolds requires GET /report for the prediction's platform to serve
+// the recorded loads at the prediction's time.
+func reportHolds(h http.Handler, want predictionLoads) error {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/report?platform="+want.platform, nil))
+	if rec.Code != 200 {
+		return fmt.Errorf("GET /report: status %d: %s", rec.Code, rec.Body.String())
+	}
+	var got map[string]any
+	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+		return fmt.Errorf("GET /report: %v", err)
+	}
+	if err := subsetEqual("report.time", want.time, got["time"]); err != nil {
+		return err
+	}
+	return subsetEqual("report.loads", want.loads, got["loads"])
 }
 
 // TestGoldenSnapshotIsFixedPoint: restoring the golden image and

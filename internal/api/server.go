@@ -80,7 +80,6 @@ type Options struct {
 type server struct {
 	reg   *predict.Registry
 	sched *fleetsched.Scheduler
-	loads loadsMemo
 }
 
 // NewHandler builds the daemon's HTTP handler over reg: every Routes entry
@@ -209,9 +208,12 @@ func readBody(r *http.Request, pb *poolBuf) error {
 	}
 }
 
-// writeRaw sends a pre-encoded JSON payload.
+// writeRaw sends a pre-encoded JSON payload with its length, so a body
+// larger than net/http's write buffer still goes out whole, not chunked.
 func writeRaw(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
 	_, _ = w.Write(body)
 }
@@ -243,7 +245,7 @@ func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	out := getBuf()
 	defer out.release()
-	out.b = appendPrediction(out.b, svc.Name(), &pred, &s.loads)
+	out.b = appendPrediction(out.b, svc.Name(), &pred)
 	writeRaw(w, http.StatusOK, out.b)
 }
 
@@ -312,7 +314,7 @@ func (s *server) handleBatchPredict(w http.ResponseWriter, r *http.Request) {
 		if svc, err := s.reg.Lookup(name); err == nil {
 			name = svc.Name()
 		}
-		out.b = appendPrediction(out.b, name, predFor[i], &s.loads)
+		out.b = appendPrediction(out.b, name, predFor[i])
 	}
 	out.b = append(out.b, `],"errors":`...)
 	out.b = strconv.AppendInt(out.b, int64(errCount), 10)
@@ -327,13 +329,16 @@ func (s *server) handleReport(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, err)
 		return
 	}
+	// Time and loads are one read: the loads are exactly those of every
+	// prediction stamped with this time.
+	ro := svc.Readout()
 	resp := ReportResponse{
 		Platform:    svc.Name(),
-		Time:        svc.Now(),
+		Time:        ro.Time,
 		Calibration: toAccuracyJSON(svc.Accuracy()),
 		Outstanding: svc.Outstanding(),
 	}
-	for _, rep := range svc.Reports() {
+	for _, rep := range ro.Reports {
 		// The client may hang up while we walk monitor state; stop early
 		// rather than marshal a response nobody reads.
 		if ctx.Err() != nil {
@@ -398,12 +403,13 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		if ctx.Err() != nil {
 			return
 		}
+		ro := svc.Readout()
 		hp := HealthPlatform{
 			Platform: svc.Name(),
-			Time:     svc.Now(),
-			BWGaps:   toGapsJSON(svc.BWGaps()),
+			Time:     ro.Time,
+			BWGaps:   toGapsJSON(ro.BWGaps),
 		}
-		for _, rep := range svc.Reports() {
+		for _, rep := range ro.Reports {
 			if rep.Staleness > 0 {
 				hp.Degraded = true
 				resp.Status = "degraded"

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -669,5 +670,151 @@ func TestSnapshotResponseIsStreamed(t *testing.T) {
 	}
 	if !bytes.Equal(image, want.Bytes()) {
 		t.Fatalf("the served image (%d bytes) is not WriteSnapshot's (%d bytes)", len(image), want.Len())
+	}
+}
+
+// TestRawResponsesStateTheirLength: a pre-encoded response — here a batch
+// far larger than net/http's 2 KB write buffer, and a single prediction —
+// carries Content-Length equal to its body and is not chunked.
+func TestRawResponsesStateTheirLength(t *testing.T) {
+	ts, _, _ := newStack(t, Options{})
+	var reqs []PredictRequest
+	for i := 0; i < 32; i++ {
+		reqs = append(reqs, PredictRequest{Platform: fmt.Sprintf("platform%d", 1+i%2), N: 100 + 10*i, Iterations: 4})
+	}
+	batch, _ := json.Marshal(BatchPredictRequest{Requests: reqs})
+	for _, c := range []struct{ route, body string }{
+		{"/predict/batch", string(batch)},
+		{"/predict", `{"platform":"platform1","n":100,"iterations":4}`},
+	} {
+		resp, err := http.Post(ts.URL+c.route, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, %v: %s", c.route, resp.StatusCode, err, body)
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: Content-Length %d, Transfer-Encoding %v for a %d-byte body", c.route, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
+	}
+}
+
+// TestReportIsOneTick: GET /report and GET /healthz read a platform's time
+// and its monitors under one hold of the clock. While one goroutine steps
+// the clock, every response the pollers get carries the per-machine reports
+// a same-seed twin reports at the response's time — never one tick's time
+// with the next tick's loads.
+func TestReportIsOneTick(t *testing.T) {
+	const steps, pollers = 400, 3
+	spec, err := predict.SimulatedSpec(2, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Warmup = 200
+	twin, err := predict.NewServiceFromSpec(&spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[float64]predict.Readout{}
+	for i := 0; ; i++ {
+		ro := twin.Readout()
+		want[ro.Time] = ro
+		if i == steps {
+			break
+		}
+		if err := twin.Advance(5); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	reg := predict.NewRegistry()
+	if err := reg.RegisterSpec(spec); err != nil {
+		t.Fatal(err)
+	}
+	svc, err := reg.Lookup(spec.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewHandler(reg, Options{})
+	get := func(route string, out any) error {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", route, nil))
+		if err := json.Unmarshal(rec.Body.Bytes(), out); rec.Code != http.StatusOK || err != nil {
+			return fmt.Errorf("GET %s: status %d (%v): %s", route, rec.Code, err, rec.Body)
+		}
+		return nil
+	}
+	// poll reads /report and /healthz once each and returns the report's
+	// time, or how either disagrees with the twin.
+	poll := func() (float64, error) {
+		var rep ReportResponse
+		if err := get("/report?platform="+spec.Name, &rep); err != nil {
+			return 0, err
+		}
+		ro, ok := want[rep.Time]
+		if !ok {
+			return 0, fmt.Errorf("GET /report at time %g, which the clock never read", rep.Time)
+		}
+		for m, r := range ro.Reports {
+			if m >= len(rep.Loads) || !reflect.DeepEqual(rep.Loads[m], toLoadJSON(r)) {
+				return 0, fmt.Errorf("GET /report at time %g: machine %d is not the twin's report at that time, %+v", rep.Time, m, r)
+			}
+		}
+		var health HealthResponse
+		if err := get("/healthz", &health); err != nil {
+			return 0, err
+		}
+		hp := health.Platforms[0]
+		ro = want[hp.Time]
+		if len(hp.Machines) != len(ro.Reports) || hp.BWGaps != toGapsJSON(ro.BWGaps) {
+			return 0, fmt.Errorf("GET /healthz at time %g: %+v; the twin's readout then is %+v", hp.Time, hp, ro)
+		}
+		for m, r := range ro.Reports {
+			if hm := hp.Machines[m]; hm.Staleness != r.Staleness || hm.Gaps != toGapsJSON(r.Gaps) {
+				return 0, fmt.Errorf("GET /healthz at time %g: machine %d is %+v; the twin's report then is %+v", hp.Time, m, hm, r)
+			}
+		}
+		return rep.Time, nil
+	}
+
+	var stepping atomic.Bool
+	stepping.Store(true)
+	seen := make([]map[float64]bool, pollers)
+	var wg sync.WaitGroup
+	for p := range seen {
+		seen[p] = map[float64]bool{}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for stepping.Load() {
+				at, err := poll()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				seen[p][at] = true
+			}
+		}()
+	}
+	for i := 0; i < steps && !t.Failed(); i++ {
+		if err := svc.Advance(5); err != nil {
+			t.Error(err)
+			break
+		}
+		runtime.Gosched()
+	}
+	stepping.Store(false)
+	wg.Wait()
+	ticks := map[float64]bool{}
+	for _, m := range seen {
+		for at := range m {
+			ticks[at] = true
+		}
+	}
+	if len(ticks) < 10 {
+		t.Errorf("the polls read %d of the %d clock readings; too few to race the steps", len(ticks), steps+1)
 	}
 }

@@ -219,7 +219,9 @@ func toDistJSON(d predict.PredictionDist) *DistJSON {
 	return dj
 }
 
-// PredictResponse is the wire form of predict.Prediction.
+// PredictResponse is the wire form of predict.Prediction, less its
+// per-machine load reports (Prediction.Loads): those change once per tick,
+// not per prediction, and GET /report serves them for the same Time.
 type PredictResponse struct {
 	Platform string  `json:"platform"`
 	Time     float64 `json:"time"`
@@ -231,14 +233,13 @@ type PredictResponse struct {
 	Hi     float64 `json:"hi"`
 	// RawSpread is the uncalibrated half-width; Spread is RawSpread ×
 	// CalibrationScale (the mean is never rescaled).
-	RawSpread        float64    `json:"raw_spread"`
-	CalibrationScale float64    `json:"calibration_scale"`
-	Degraded         bool       `json:"degraded"`
-	PartitionRows    []int      `json:"partition_rows"`
-	Loads            []LoadJSON `json:"loads"`
-	BWMean           float64    `json:"bw_mean"`
-	BWSpread         float64    `json:"bw_spread"`
-	BWGaps           GapsJSON   `json:"bw_gaps"`
+	RawSpread        float64  `json:"raw_spread"`
+	CalibrationScale float64  `json:"calibration_scale"`
+	Degraded         bool     `json:"degraded"`
+	PartitionRows    []int    `json:"partition_rows"`
+	BWMean           float64  `json:"bw_mean"`
+	BWSpread         float64  `json:"bw_spread"`
+	BWGaps           GapsJSON `json:"bw_gaps"`
 	// Dist is the distribution-valued prediction (quantile grid, forecaster
 	// tag, requested intervals); omitted only when the pipeline produced no
 	// grid (never, in the current serving path).

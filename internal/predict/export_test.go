@@ -18,7 +18,7 @@ func simulatedService(t testing.TB, platform int, seed int64) *Service {
 }
 
 // DropTickCache turns s's tick cache off: from then on every request runs the
-// whole pipeline over a frame of its own, and Reports reads the monitors anew.
+// whole pipeline over a frame of its own, and Readout reads the monitors anew.
 // It is the reference the cached ≡ uncached tests hold the cache to — cached
 // and uncached services are bit-identical for the same seed and clock
 // schedule, the cache only changing how often the (pure) pipeline runs.

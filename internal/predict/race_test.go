@@ -140,7 +140,7 @@ func TestConcurrentMixedOps(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
-			svc.Reports()
+			svc.Readout()
 			svc.CPUGaps()
 			svc.BWGaps()
 		}

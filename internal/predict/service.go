@@ -69,7 +69,7 @@ type bwMonitor struct {
 // Locking: one lock per owner. clockMu orders everything against clock
 // movement — Advance holds it exclusively while it runs monitors forward and
 // invalidates the tick cache, and a snapshot export holds it exclusively for
-// a consistent cut; every reader (Predict, Reports, Observe, ...) holds it
+// a consistent cut; every reader (Predict, Readout, Observe, ...) holds it
 // shared, so all requests between two advances see one frozen monitor state.
 // Under the shared clock lock, monMu serializes access to the
 // (non-thread-safe) monitors, and ledgerMu guards the Observe ledger; whoever
@@ -1043,18 +1043,35 @@ func (s *Service) Outstanding() int {
 	return len(s.issued)
 }
 
-// Reports returns the current per-machine load reports (robust fallback
-// chain) without evaluating a model — the /report endpoint's view. They are
-// the tick's, the slice every Prediction.Loads of this tick shares (callers
-// must not mutate it).
-func (s *Service) Reports() []MachineReport {
+// Readout is one platform's monitors at one virtual time: GET /report's and
+// GET /healthz's view.
+type Readout struct {
+	// Time is the virtual clock the rest was read at.
+	Time float64
+	// Reports are the per-machine load reports (robust fallback chain) of
+	// the tick at Time — the slice every Prediction.Loads of that tick
+	// shares (callers must not mutate it); nil when the monitors cannot be
+	// read.
+	Reports []MachineReport
+	// BWGaps is what BWGaps returns at Time.
+	BWGaps nws.GapStats
+}
+
+// Readout reads the clock, the tick's reports and the bandwidth gap
+// counters under one hold of the clock lock, without evaluating a model, so
+// an Advance cannot land between them: the reports are always the ones a
+// prediction stamped with the same Time carries.
+func (s *Service) Readout() Readout {
 	s.clockMu.RLock()
 	defer s.clockMu.RUnlock()
-	tick, err := s.tickReports()
-	if err != nil {
-		return nil
+	r := Readout{Time: s.now}
+	if tick, err := s.tickReports(); err == nil {
+		r.Reports = tick.reports
 	}
-	return tick.reports
+	s.monMu.Lock()
+	r.BWGaps = s.bwGapsLocked()
+	s.monMu.Unlock()
+	return r
 }
 
 // CPUGaps returns each CPU monitor's per-fault-class gap counters.
@@ -1078,6 +1095,11 @@ func (s *Service) BWGaps() nws.GapStats {
 	defer s.clockMu.RUnlock()
 	s.monMu.Lock()
 	defer s.monMu.Unlock()
+	return s.bwGapsLocked()
+}
+
+// bwGapsLocked is BWGaps for a caller holding the clock lock and monMu.
+func (s *Service) bwGapsLocked() nws.GapStats {
 	var total nws.GapStats
 	for _, b := range s.bw {
 		g := b.mon.Gaps()

@@ -196,7 +196,7 @@ func TestDedicatedNetworkSkipsBandwidth(t *testing.T) {
 
 func TestReportsAndGaps(t *testing.T) {
 	svc := burstyService(t, 11, 400, predict.FaultSpec{Machine: 0, Drop: 0.5})
-	reports := svc.Reports()
+	reports := svc.Readout().Reports
 	if len(reports) != svc.Platform().Size() {
 		t.Fatalf("reports=%d", len(reports))
 	}
@@ -221,8 +221,13 @@ func TestReportsAndGaps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := svc.Reports(); !reflect.DeepEqual(got, p.Loads) {
-			t.Errorf("cache off=%v: Reports() = %+v, the same tick's Prediction.Loads = %+v", noCache, got, p.Loads)
+		r := svc.Readout()
+		if !reflect.DeepEqual(r.Reports, p.Loads) {
+			t.Errorf("cache off=%v: Readout().Reports = %+v, the same tick's Prediction.Loads = %+v", noCache, r.Reports, p.Loads)
+		}
+		if r.Time != p.Time || r.BWGaps != svc.BWGaps() {
+			t.Errorf("cache off=%v: Readout() at %g with bandwidth gaps %+v; the prediction's time is %g, BWGaps() %+v",
+				noCache, r.Time, r.BWGaps, p.Time, svc.BWGaps())
 		}
 	}
 }

@@ -155,7 +155,7 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 	if !reflect.DeepEqual(svcA.Accuracy(), svcB.Accuracy()) {
 		t.Fatal("calibration state diverges after continued run")
 	}
-	if !reflect.DeepEqual(svcA.Reports(), svcB.Reports()) {
+	if !reflect.DeepEqual(svcA.Readout(), svcB.Readout()) {
 		t.Fatal("machine reports diverge after continued run")
 	}
 }

@@ -7,6 +7,8 @@ package readmecheck
 
 import (
 	"os"
+	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -104,5 +106,49 @@ func TestReadmeLinksOperations(t *testing.T) {
 	readme := readRepoFile(t, "README.md")
 	if !strings.Contains(readme, "OPERATIONS.md") {
 		t.Error("README.md does not link to OPERATIONS.md")
+	}
+}
+
+// TestPredictResponseExamplesUseWireKeys: every "key": shown in the JSON
+// response examples of OPERATIONS.md's POST /predict and POST
+// /predict/batch sections is a JSON key of the payload types those routes
+// answer with, so a key removed from the wire cannot live on in the
+// runbook.
+func TestPredictResponseExamplesUseWireKeys(t *testing.T) {
+	keys := map[string]bool{}
+	for _, typ := range []any{api.PredictResponse{}, api.BatchPredictResponse{}, api.GapsJSON{},
+		api.DistJSON{}, api.IntervalJSON{}} {
+		rt := reflect.TypeOf(typ)
+		for i := 0; i < rt.NumField(); i++ {
+			if key, _, _ := strings.Cut(rt.Field(i).Tag.Get("json"), ","); key != "" && key != "-" {
+				keys[key] = true
+			}
+		}
+	}
+	ops := readRepoFile(t, "OPERATIONS.md")
+	jsonKey := regexp.MustCompile(`"([^"]*)"\s*:`)
+	for _, route := range []string{"POST /predict", "POST /predict/batch"} {
+		_, section, ok := strings.Cut(ops, "\n### "+route+"\n")
+		if !ok {
+			t.Fatalf("OPERATIONS.md has no %q section", "### "+route)
+		}
+		section, _, _ = strings.Cut(section, "\n### ")
+		examples := 0
+		for rest := section; ; {
+			var block string
+			if _, rest, ok = strings.Cut(rest, "```json\n"); !ok {
+				break
+			}
+			block, rest, _ = strings.Cut(rest, "```")
+			examples++
+			for _, m := range jsonKey.FindAllStringSubmatch(block, -1) {
+				if !keys[m[1]] {
+					t.Errorf("OPERATIONS.md's %s response example shows %q, which the response does not carry", route, m[1])
+				}
+			}
+		}
+		if examples == 0 {
+			t.Errorf("OPERATIONS.md's %s section shows no JSON response example", route)
+		}
 	}
 }
