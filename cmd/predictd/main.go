@@ -12,11 +12,13 @@
 //	POST /predict/batch  {"requests":[{...},{...}]} — up to 1024 predict
 //	               bodies answered positionally in one tick-coherent call
 //	POST /observe  {"platform":"platform2","id":7,"actual":41.3} — feed a
-//	               measured runtime back to the online calibrator
-//	GET  /accuracy ?platform=platform2 — capture rates, calibration
-//	               multiplier, and drift events (all platforms when omitted)
-//	GET  /report   ?platform=platform2 — per-machine monitor reports plus
-//	               the platform's calibration state
+//	               measured runtime back to the online calibrator; answers
+//	               the id consumed and whether it fired a regime reset
+//	GET  /accuracy ?platform=platform2 — calibration state: capture rates,
+//	               multipliers, drift events, outstanding ids (all platforms
+//	               when omitted)
+//	GET  /report   ?platform=platform2 — per-machine monitor reports, all
+//	               at one virtual time
 //	GET  /healthz  — status plus per-fault-class gap counters
 //	POST /advance  {"platform":"platform2","seconds":60} — manual clock step
 //	POST /snapshot — stream a binary image of the full fleet state,

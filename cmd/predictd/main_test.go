@@ -334,9 +334,9 @@ func TestOperationsFlagTable(t *testing.T) {
 }
 
 // TestObserveAndAccuracyEndpoints closes the prediction loop over the
-// wire: predict, observe the measured runtime against the returned id,
-// and read the accuracy state back through /observe, /accuracy, and
-// /report.
+// wire: predict, observe the measured runtime against the returned id
+// (acknowledged with the id it consumed), and read the accuracy state back
+// through /accuracy, its one surface.
 func TestObserveAndAccuracyEndpoints(t *testing.T) {
 	ts, _ := newTestServer(t, 4)
 	pr := decode[api.PredictResponse](t, postJSON(t, ts.URL+"/predict", api.PredictRequest{
@@ -357,8 +357,8 @@ func TestObserveAndAccuracyEndpoints(t *testing.T) {
 		t.Fatalf("observe status=%d", resp.StatusCode)
 	}
 	or := decode[api.ObserveResponse](t, resp)
-	if or.Platform != "platform1" || or.Accuracy.Observed != 1 || or.Accuracy.RawCapture != 1 {
-		t.Errorf("observe response=%+v", or)
+	if or.Platform != "platform1" || or.ID != pr.ID || or.Drifted {
+		t.Errorf("observe response=%+v, want platform1's id %d, no drift", or, pr.ID)
 	}
 
 	resp2, err := http.Get(ts.URL + "/accuracy")
@@ -386,19 +386,19 @@ func TestObserveAndAccuracyEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if one := decode[api.AccuracyResponse](t, resp3); len(one.Platforms) != 1 || one.Platforms[0].Platform != "platform1" {
-		t.Errorf("filtered accuracy=%+v", one)
+	one := decode[api.AccuracyResponse](t, resp3)
+	if len(one.Platforms) != 1 || one.Platforms[0].Platform != "platform1" {
+		t.Fatalf("filtered accuracy=%+v", one)
+	}
+	if p := one.Platforms[0]; p.Accuracy.Observed != 1 || p.Accuracy.RawCapture != 1 || p.Outstanding != 0 {
+		t.Errorf("platform1 accuracy=%+v outstanding=%d, want the one captured outcome", p.Accuracy, p.Outstanding)
 	}
 
-	// /report now carries the calibration state alongside the monitors.
 	resp4, err := http.Get(ts.URL + "/report?platform=platform1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	rep := decode[api.ReportResponse](t, resp4)
-	if rep.Calibration.Observed != 1 || rep.Outstanding != 0 {
-		t.Errorf("report calibration=%+v outstanding=%d", rep.Calibration, rep.Outstanding)
-	}
 	for _, l := range rep.Loads {
 		if l.Widening < 1 {
 			t.Errorf("machine %d widening=%g", l.Machine, l.Widening)

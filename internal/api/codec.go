@@ -1,14 +1,14 @@
-// Hand-rolled JSON encoders for the serving hot paths (POST /predict,
-// /predict/batch, /observe): append-style, writing straight from the
-// domain objects into pooled buffers. Everything else — every request body
-// (decodeBody in server.go) and the cold responses (reports, health,
-// accuracy listings) — is encoding/json.
+// Hand-rolled JSON encoders for the serving hot paths (POST /predict and
+// /predict/batch): append-style, writing straight from the domain objects
+// into pooled buffers. Everything else — every request body (decodeBody in
+// server.go), the observe acknowledgement and the cold responses (reports,
+// health, accuracy listings) — is encoding/json (writeJSON).
 //
 // The encoders emit exactly the wire shape of the PredictResponse /
-// ObserveResponse / BatchPredictResponse structs (same keys, same
-// omitempty behavior, nil slices as null), so clients decoding with
-// encoding/json see no difference; the wire.go structs stay the reference
-// the codec tests hold them to.
+// BatchPredictResponse structs (same keys, same omitempty behavior, nil
+// slices as null), so clients decoding with encoding/json see no
+// difference; the wire.go structs stay the reference the codec tests hold
+// them to.
 package api
 
 import (
@@ -16,7 +16,6 @@ import (
 	"strconv"
 	"sync"
 
-	"prodpred/internal/calib"
 	"prodpred/internal/nws"
 	"prodpred/internal/predict"
 )
@@ -201,85 +200,6 @@ func appendPrediction(b []byte, platform string, p *predict.Prediction) []byte {
 		}
 		b = append(b, '}')
 	}
-	return append(b, '}')
-}
-
-// appendAccuracy encodes a calibration snapshot as the AccuracyJSON wire
-// shape (drifts omitted when empty, matching omitempty).
-func appendAccuracy(b []byte, s calib.Snapshot) []byte {
-	b = append(b, `{"observed":`...)
-	b = strconv.AppendInt(b, int64(s.Observed), 10)
-	b = append(b, `,"window_fill":`...)
-	b = strconv.AppendInt(b, int64(s.WindowFill), 10)
-	b = append(b, `,"raw_capture":`...)
-	b = appendFloat(b, s.RawCapture)
-	b = append(b, `,"calibrated_capture":`...)
-	b = appendFloat(b, s.CalibratedCapture)
-	b = append(b, `,"cum_raw_capture":`...)
-	b = appendFloat(b, s.CumRawCapture)
-	b = append(b, `,"cum_calibrated_capture":`...)
-	b = appendFloat(b, s.CumCalibratedCapture)
-	b = append(b, `,"mean_signed_rel_err":`...)
-	b = appendFloat(b, s.MeanSignedRelErr)
-	b = append(b, `,"mean_abs_rel_err":`...)
-	b = appendFloat(b, s.MeanAbsRelErr)
-	b = append(b, `,"mean_raw_width":`...)
-	b = appendFloat(b, s.MeanRawWidth)
-	b = append(b, `,"mean_calibrated_width":`...)
-	b = appendFloat(b, s.MeanCalibratedWidth)
-	b = append(b, `,"scale":`...)
-	b = appendFloat(b, s.Scale)
-	b = append(b, `,"target":`...)
-	b = appendFloat(b, s.Target)
-	b = append(b, `,"since_reset":`...)
-	b = strconv.AppendInt(b, int64(s.SinceReset), 10)
-	if len(s.Drifts) > 0 {
-		b = append(b, `,"drifts":[`...)
-		for i, d := range s.Drifts {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = append(b, `{"time":`...)
-			b = appendFloat(b, d.Time)
-			b = append(b, `,"seq":`...)
-			b = strconv.AppendInt(b, int64(d.Seq), 10)
-			b = append(b, `,"reason":`...)
-			b = appendString(b, d.Reason)
-			b = append(b, `,"stat":`...)
-			b = appendFloat(b, d.Stat)
-			b = append(b, '}')
-		}
-		b = append(b, ']')
-	}
-	b = append(b, `,"last_time":`...)
-	b = appendFloat(b, s.LastTime)
-	if len(s.QuantileLevels) > 0 { // the quantile slices share omitempty
-		b = append(b, `,"quantile_levels":`...)
-		b = appendFloats(b, s.QuantileLevels)
-	}
-	if len(s.QuantileScaleLo) > 0 {
-		b = append(b, `,"quantile_scale_lo":`...)
-		b = appendFloats(b, s.QuantileScaleLo)
-	}
-	if len(s.QuantileScaleHi) > 0 {
-		b = append(b, `,"quantile_scale_hi":`...)
-		b = appendFloats(b, s.QuantileScaleHi)
-	}
-	b = append(b, `,"quantile_shift":`...)
-	b = appendFloat(b, s.QuantileShift)
-	b = append(b, `,"mean_pit":`...)
-	b = appendFloat(b, s.MeanPIT)
-	b = append(b, `,"pit_count":`...)
-	b = strconv.AppendInt(b, int64(s.PITCount), 10)
-	return append(b, '}')
-}
-
-// appendObserve encodes the ObserveResponse wire shape.
-func appendObserve(b []byte, platform string, s calib.Snapshot) []byte {
-	b = append(b, `{"platform":`...)
-	b = appendString(b, platform)
-	b = append(b, `,"accuracy":`...)
-	b = appendAccuracy(b, s)
 	return append(b, '}')
 }
 

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"prodpred/internal/calib"
 	"prodpred/internal/predict"
 )
 
@@ -80,36 +79,6 @@ func TestAppendPredictionMatchesStdlib(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustEqualJSON(t, got, want)
-}
-
-// TestAppendObserveMatchesStdlib covers the observe-path encoder, both with
-// an empty snapshot (drifts omitted) and a populated one.
-func TestAppendObserveMatchesStdlib(t *testing.T) {
-	snaps := []calib.Snapshot{
-		{Scale: 1, Target: 0.95},
-		{
-			Observed: 40, WindowFill: 32, RawCapture: 0.9, CalibratedCapture: 0.97,
-			CumRawCapture: 0.88, CumCalibratedCapture: 0.96,
-			MeanSignedRelErr: -0.02, MeanAbsRelErr: 0.07,
-			MeanRawWidth: 0.4, MeanCalibratedWidth: 0.55,
-			Scale: 1.3, Target: 0.95, SinceReset: 12, LastTime: 812.5,
-			Drifts: []calib.DriftEvent{
-				{Time: 400, Seq: 1, Reason: "shift \"up\"", Stat: 3.2},
-				{Time: 700, Seq: 2, Reason: "spread", Stat: 2.8},
-			},
-		},
-	}
-	for i, s := range snaps {
-		got := appendObserve(nil, "platform1", s)
-		want, err := json.Marshal(ObserveResponse{Platform: "platform1", Accuracy: toAccuracyJSON(s)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustEqualJSON(t, got, want)
-		if i == 0 && string(got) == "" {
-			t.Fatal("empty encoding")
-		}
-	}
 }
 
 // TestAppendErrorObjMatchesStdlib: error payloads escape like stdlib does.

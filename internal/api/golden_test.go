@@ -113,7 +113,8 @@ func TestGoldenSnapshotServesIdentically(t *testing.T) {
 // serveRecording replays the PR 7 recording against a restored registry.
 // Each recorded prediction's loads array, which predictions no longer carry,
 // must be what GET /report serves for its platform right after it, at the
-// same time.
+// same time; and each recorded report's calibration state, which reports no
+// longer carry, what GET /accuracy serves for its platform at that point.
 func serveRecording(t *testing.T, reg *predict.Registry) {
 	t.Helper()
 	raw, err := os.ReadFile("../predict/testdata/snapshot_v1_responses.json")
@@ -144,8 +145,12 @@ func serveRecording(t *testing.T, reg *predict.Registry) {
 			t.Fatalf("exchange %d: response is not JSON: %v\n%s", i, err, rec.Body.String())
 		}
 		var loads []predictionLoads
-		if strings.HasPrefix(ex.Path, "/predict") {
+		var cal *reportCalibration
+		switch {
+		case strings.HasPrefix(ex.Path, "/predict"):
 			loads = recordedLoads(want)
+		case strings.HasPrefix(ex.Path, "/report"):
+			cal = recordedCalibration(want)
 		}
 		if err := subsetEqual("resp", want, got); err != nil {
 			t.Errorf("exchange %d (%s %s) diverged from the recording: %v",
@@ -154,6 +159,11 @@ func serveRecording(t *testing.T, reg *predict.Registry) {
 		for j, l := range loads {
 			if err := reportHolds(handler, l); err != nil {
 				t.Errorf("exchange %d (%s %s), prediction %d: %v", i, ex.Method, ex.Path, j, err)
+			}
+		}
+		if cal != nil {
+			if err := accuracyHolds(handler, *cal); err != nil {
+				t.Errorf("exchange %d (%s %s): %v", i, ex.Method, ex.Path, err)
 			}
 		}
 	}
@@ -204,6 +214,59 @@ func reportHolds(h http.Handler, want predictionLoads) error {
 		return err
 	}
 	return subsetEqual("report.loads", want.loads, got["loads"])
+}
+
+// reportCalibration is the calibration state a recorded GET /report
+// carried, with the platform and time it was served at.
+type reportCalibration struct {
+	platform    string
+	time        any
+	calibration any
+	outstanding any
+}
+
+// recordedCalibration takes calibration and outstanding out of a recorded
+// GET /report response — the recording predates reports leaving the
+// calibration state to GET /accuracy — or returns nil if it has none.
+func recordedCalibration(resp any) *reportCalibration {
+	obj, _ := resp.(map[string]any)
+	c, ok := obj["calibration"]
+	if !ok {
+		return nil
+	}
+	platform, _ := obj["platform"].(string)
+	rc := &reportCalibration{platform: platform, time: obj["time"], calibration: c, outstanding: obj["outstanding"]}
+	delete(obj, "calibration")
+	delete(obj, "outstanding")
+	return rc
+}
+
+// accuracyHolds requires GET /accuracy for the report's platform to serve
+// the recorded calibration state and outstanding count at the report's
+// time.
+func accuracyHolds(h http.Handler, want reportCalibration) error {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/accuracy?platform="+want.platform, nil))
+	if rec.Code != 200 {
+		return fmt.Errorf("GET /accuracy: status %d: %s", rec.Code, rec.Body.String())
+	}
+	var got struct {
+		Platforms []map[string]any `json:"platforms"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+		return fmt.Errorf("GET /accuracy: %v", err)
+	}
+	if len(got.Platforms) != 1 {
+		return fmt.Errorf("GET /accuracy?platform=%s: %d platforms", want.platform, len(got.Platforms))
+	}
+	p := got.Platforms[0]
+	if err := subsetEqual("accuracy.time", want.time, p["time"]); err != nil {
+		return err
+	}
+	if err := subsetEqual("accuracy.outstanding", want.outstanding, p["outstanding"]); err != nil {
+		return err
+	}
+	return subsetEqual("accuracy.accuracy", want.calibration, p["accuracy"])
 }
 
 // TestGoldenSnapshotIsFixedPoint: restoring the golden image and

@@ -45,8 +45,8 @@ var Routes = []Route{
 	{"POST /predict", "issue a stochastic runtime prediction"},
 	{"POST /predict/batch", "issue many predictions in one round trip"},
 	{"POST /observe", "feed a measured runtime back to the online calibrator"},
-	{"GET /accuracy", "capture rates, calibration scale, and drift events"},
-	{"GET /report", "per-machine monitor reports plus calibration state"},
+	{"GET /accuracy", "calibration state: capture rates, scales, drift events, outstanding ids"},
+	{"GET /report", "per-machine monitor reports, all at one virtual time"},
 	{"GET /healthz", "serving status plus per-fault-class gap counters"},
 	{"POST /advance", "manually advance a platform's virtual clock"},
 	{"POST /snapshot", "stream a binary snapshot of the full fleet state"},
@@ -332,12 +332,7 @@ func (s *server) handleReport(w http.ResponseWriter, r *http.Request) {
 	// Time and loads are one read: the loads are exactly those of every
 	// prediction stamped with this time.
 	ro := svc.Readout()
-	resp := ReportResponse{
-		Platform:    svc.Name(),
-		Time:        ro.Time,
-		Calibration: toAccuracyJSON(svc.Accuracy()),
-		Outstanding: svc.Outstanding(),
-	}
+	resp := ReportResponse{Platform: svc.Name(), Time: ro.Time}
 	for _, rep := range ro.Reports {
 		// The client may hang up while we walk monitor state; stop early
 		// rather than marshal a response nobody reads.
@@ -363,15 +358,12 @@ func (s *server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, err)
 		return
 	}
-	snap, err := svc.Observe(or.ID, or.Actual)
+	drifted, err := svc.Observe(or.ID, or.Actual)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	out := getBuf()
-	defer out.release()
-	out.b = appendObserve(out.b, svc.Name(), snap)
-	writeRaw(w, http.StatusOK, out.b)
+	writeJSON(w, http.StatusOK, ObserveResponse{Platform: svc.Name(), ID: or.ID, Drifted: drifted})
 }
 
 func (s *server) handleAccuracy(w http.ResponseWriter, r *http.Request) {
@@ -563,10 +555,20 @@ func (s *server) handleScheduleStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.sched.Status())
 }
 
+// writeJSON encodes v with encoding/json into a pooled buffer and sends it
+// with its length. A value encoding/json refuses (a NaN or an infinity) is
+// a 500 carrying the encoder's error, never a status with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	out := getBuf()
+	defer out.release()
+	buf := bytes.NewBuffer(out.b)
+	err := json.NewEncoder(buf).Encode(v)
+	out.b = buf.Bytes()
+	if err != nil {
+		out.b = append(appendErrorObj(out.b[:0], "encoding the response: "+err.Error()), '\n')
+		status = http.StatusInternalServerError
+	}
+	writeRaw(w, status, out.b)
 }
 
 func httpError(w http.ResponseWriter, status int, err error) {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -18,6 +19,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"prodpred/internal/calib"
 	"prodpred/internal/obs"
 	"prodpred/internal/predict"
 )
@@ -673,31 +675,115 @@ func TestSnapshotResponseIsStreamed(t *testing.T) {
 	}
 }
 
-// TestRawResponsesStateTheirLength: a pre-encoded response — here a batch
-// far larger than net/http's 2 KB write buffer, and a single prediction —
-// carries Content-Length equal to its body and is not chunked.
+// TestRawResponsesStateTheirLength: every JSON response carries
+// Content-Length equal to its body and is not chunked — a pre-encoded batch
+// far larger than net/http's 2 KB write buffer, a single prediction, and a
+// cold encoding/json one over 2 KB (the status of 32 scheduled jobs).
 func TestRawResponsesStateTheirLength(t *testing.T) {
 	ts, _, _ := newStack(t, Options{})
 	var reqs []PredictRequest
+	var jobs []ScheduleJob
 	for i := 0; i < 32; i++ {
 		reqs = append(reqs, PredictRequest{Platform: fmt.Sprintf("platform%d", 1+i%2), N: 100 + 10*i, Iterations: 4})
+		jobs = append(jobs, ScheduleJob{Name: fmt.Sprintf("job-%02d", i), N: 100 + 10*i, Iterations: 4})
 	}
 	batch, _ := json.Marshal(BatchPredictRequest{Requests: reqs})
-	for _, c := range []struct{ route, body string }{
-		{"/predict/batch", string(batch)},
-		{"/predict", `{"platform":"platform1","n":100,"iterations":4}`},
+	schedule, _ := json.Marshal(ScheduleRequest{Jobs: jobs})
+	for _, c := range []struct {
+		method, route, body string
+		over2KB             bool
+	}{
+		{"POST", "/predict/batch", string(batch), true},
+		{"POST", "/predict", `{"platform":"platform1","n":100,"iterations":4}`, false},
+		{"POST", "/schedule", string(schedule), true},
+		{"GET", "/schedule/status", "", true},
 	} {
-		resp, err := http.Post(ts.URL+c.route, "application/json", strings.NewReader(c.body))
+		req, err := http.NewRequest(c.method, ts.URL+c.route, strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		body, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d, %v: %s", c.route, resp.StatusCode, err, body)
+			t.Fatalf("%s %s: status %d, %v: %s", c.method, c.route, resp.StatusCode, err, body)
+		}
+		if c.over2KB && len(body) <= 2048 {
+			t.Fatalf("%s %s: %d-byte body fits net/http's buffer and tests nothing", c.method, c.route, len(body))
 		}
 		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
-			t.Errorf("%s: Content-Length %d, Transfer-Encoding %v for a %d-byte body", c.route, resp.ContentLength, resp.TransferEncoding, len(body))
+			t.Errorf("%s %s: Content-Length %d, Transfer-Encoding %v for a %d-byte body", c.method, c.route, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
+	}
+}
+
+// TestWriteJSONRefusesNonFinite: a value encoding/json refuses (here NaN) is
+// a 500 whose JSON body names the encoder's error, never a 200 with an
+// empty body.
+func TestWriteJSONRefusesNonFinite(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]float64{"scale": math.NaN()})
+	if rec.Code != http.StatusInternalServerError {
+		t.Errorf("status %d, want 500", rec.Code)
+	}
+	var body map[string]string
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || !strings.Contains(body["error"], "NaN") {
+		t.Errorf("body %q (%v), want a JSON error naming NaN", rec.Body.String(), err)
+	}
+	if cl := rec.Header().Get("Content-Length"); cl != fmt.Sprint(rec.Body.Len()) {
+		t.Errorf("Content-Length %q for a %d-byte body", cl, rec.Body.Len())
+	}
+}
+
+// TestObserveAckReportsDrift: POST /observe answers exactly the platform,
+// the id it consumed and whether the outcome fired a regime reset, and
+// drifted is true on exactly the observes after which GET /accuracy's drift
+// log grows by one. The outcomes alternate between dead centre for a
+// baseline's worth and ten spreads out, so the CUSUM fires at every flip.
+func TestObserveAckReportsDrift(t *testing.T) {
+	const wantDrifts = 3
+	h := oneTenantHandler(t)
+	decodeStrict := func(rec *httptest.ResponseRecorder, v any) {
+		t.Helper()
+		dec := json.NewDecoder(rec.Body)
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(v); err != nil || rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %v", rec.Code, err)
+		}
+	}
+	drifts := 0
+	for i, high := 0, false; drifts < wantDrifts; i++ {
+		if i > 100*wantDrifts {
+			t.Fatalf("only %d drift events after %d observes", drifts, i)
+		}
+		var pr PredictResponse
+		decodeStrict(post(h, "/predict", `{"platform":"platform1","n":120,"iterations":6}`), &pr)
+		actual := pr.Mean
+		if high {
+			actual += 10 * pr.RawSpread
+		}
+		var ack ObserveResponse
+		decodeStrict(post(h, "/observe", fmt.Sprintf(`{"platform":"platform1","id":%d,"actual":%g}`, pr.ID, actual)), &ack)
+		if ack.Platform != "platform1" || ack.ID != pr.ID {
+			t.Fatalf("observe %d: ack %+v for prediction %d", i, ack, pr.ID)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/accuracy?platform=platform1", nil))
+		var acc AccuracyResponse
+		decodeStrict(rec, &acc)
+		a := acc.Platforms[0].Accuracy
+		if grew := len(a.Drifts) - drifts; grew != 0 && grew != 1 || ack.Drifted != (grew == 1) {
+			t.Fatalf("observe %d: drifted=%v, drift log %d -> %d", i, ack.Drifted, drifts, len(a.Drifts))
+		}
+		if ack.Drifted && a.Drifts[drifts].Reason != calib.ReasonCUSUM {
+			t.Fatalf("observe %d: drift %+v, want the CUSUM's", i, a.Drifts[drifts])
+		}
+		drifts = len(a.Drifts)
+		if a.SinceReset == calib.MinObserved {
+			high = !high
 		}
 	}
 }

@@ -132,7 +132,8 @@ type DriftJSON struct {
 }
 
 // AccuracyJSON is the wire form of calib.Snapshot — the online accuracy
-// and calibration state the /accuracy and /report endpoints expose.
+// and calibration state GET /accuracy serves, the one place it leaves the
+// daemon.
 type AccuracyJSON struct {
 	Observed             int         `json:"observed"`
 	WindowFill           int         `json:"window_fill"`
@@ -201,7 +202,7 @@ type DistJSON struct {
 	Calibrated []float64 `json:"calibrated"`
 	// Forecaster is the dominant per-machine distribution-forecaster tag.
 	Forecaster string `json:"forecaster"`
-	// Intervals answers the request's level/levels, in order.
+	// Intervals answers the request's levels, in order.
 	Intervals []IntervalJSON `json:"intervals,omitempty"`
 }
 
@@ -241,8 +242,8 @@ type PredictResponse struct {
 	BWSpread         float64  `json:"bw_spread"`
 	BWGaps           GapsJSON `json:"bw_gaps"`
 	// Dist is the distribution-valued prediction (quantile grid, forecaster
-	// tag, requested intervals); omitted only when the pipeline produced no
-	// grid (never, in the current serving path).
+	// tag, requested intervals); omitted when the request asked for no
+	// levels, since only then is the grid computed.
 	Dist *DistJSON `json:"dist,omitempty"`
 }
 
@@ -272,14 +273,13 @@ type BatchPredictResponse struct {
 // MaxBatchSize bounds one POST /predict/batch call.
 const MaxBatchSize = 1024
 
-// ReportResponse is the GET /report payload: one platform's monitor
-// reports plus its calibration state.
+// ReportResponse is the GET /report payload: one platform's per-machine
+// monitor reports, all read at virtual time Time. Its calibration state is
+// GET /accuracy's.
 type ReportResponse struct {
-	Platform    string       `json:"platform"`
-	Time        float64      `json:"time"`
-	Loads       []LoadJSON   `json:"loads"`
-	Calibration AccuracyJSON `json:"calibration"`
-	Outstanding int          `json:"outstanding"`
+	Platform string     `json:"platform"`
+	Time     float64    `json:"time"`
+	Loads    []LoadJSON `json:"loads"`
 }
 
 // ObserveRequest closes the loop on one prediction: the platform that
@@ -290,11 +290,14 @@ type ObserveRequest struct {
 	Actual   float64 `json:"actual"`
 }
 
-// ObserveResponse acknowledges an observation with the platform's updated
-// accuracy state.
+// ObserveResponse acknowledges one observation: the platform, the
+// prediction id it consumed, and whether this outcome fired a regime reset
+// (one more entry in GET /accuracy's drifts). The calibration state it left
+// is GET /accuracy's to report.
 type ObserveResponse struct {
-	Platform string       `json:"platform"`
-	Accuracy AccuracyJSON `json:"accuracy"`
+	Platform string `json:"platform"`
+	ID       uint64 `json:"id"`
+	Drifted  bool   `json:"drifted"`
 }
 
 // AccuracyPlatform is one platform's entry in the GET /accuracy payload.

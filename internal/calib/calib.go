@@ -230,19 +230,20 @@ func (t *Tracker) calibrateLocked(raw stochastic.Value) stochastic.Value {
 
 // Observe ingests one outcome: records it in the rolling windows, updates
 // the conformal multiplier, and runs the drift detectors. It returns the
-// drift event if this outcome triggered a regime reset.
-func (t *Tracker) Observe(o Outcome) (DriftEvent, bool) {
+// drift event if this outcome triggered a regime reset, and the multiplier
+// the outcome left (1 after a reset).
+func (t *Tracker) Observe(o Outcome) (ev DriftEvent, drifted bool, scale float64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	ev, drifted := t.detectLocked(t.recordLocked(o))
+	ev, drifted = t.detectLocked(t.recordLocked(o))
 	if drifted {
 		t.drifts = append(t.drifts, ev)
 		t.resetLocked()
-		return ev, true
+		return ev, true, t.scale
 	}
 	t.rescaleLocked()
 	t.rescaleQuantilesLocked()
-	return DriftEvent{}, false
+	return DriftEvent{}, false, t.scale
 }
 
 // recordLocked reduces o to its window record, appends it to the rolling

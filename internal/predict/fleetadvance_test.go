@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"prodpred/internal/calib"
 	"prodpred/internal/obs"
 	"prodpred/internal/predict"
 	"prodpred/internal/stochastic"
@@ -60,6 +61,16 @@ func snapshotBytes(t *testing.T, reg *predict.Registry) []byte {
 	return buf.Bytes()
 }
 
+// accuracyOf reads the named tenant's calibration state.
+func accuracyOf(t *testing.T, reg *predict.Registry, name string) calib.Snapshot {
+	t.Helper()
+	svc, err := reg.Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return svc.Accuracy()
+}
+
 // TestAdvanceAllMatchesSequential: the pool is the loop. Two registries
 // built from the same specs are stepped through the same waves — one by
 // AdvanceAll, the other by a plain loop over its services — with the same
@@ -107,9 +118,10 @@ func TestAdvanceAllMatchesSequential(t *testing.T) {
 					}
 					if ids := pending[name]; len(ids) > 2 {
 						actual := 10 + float64(ids[0]%7)
-						ps, perr := pool.Observe(name, ids[0], actual)
-						ls, lerr := loop.Observe(name, ids[0], actual)
-						if perr != nil || lerr != nil || !reflect.DeepEqual(ps, ls) {
+						pd, perr := pool.Observe(name, ids[0], actual)
+						ld, lerr := loop.Observe(name, ids[0], actual)
+						ps, ls := accuracyOf(t, pool, name), accuracyOf(t, loop, name)
+						if perr != nil || lerr != nil || pd != ld || !reflect.DeepEqual(ps, ls) {
 							t.Fatalf("wave %d %s observe: pool %+v (%v), loop %+v (%v)", wave, name, ps, perr, ls, lerr)
 						}
 						pending[name] = ids[1:]

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"prodpred/internal/calib"
 	"prodpred/internal/obs"
 )
 
@@ -348,11 +347,12 @@ func (r *Registry) PredictBatch(reqs []Request) ([]Prediction, []error) {
 }
 
 // Observe routes a measured runtime (virtual seconds) to the service that
-// issued the prediction, closing the accuracy loop for that platform.
-func (r *Registry) Observe(platform string, id uint64, actual float64) (calib.Snapshot, error) {
+// issued the prediction, closing the accuracy loop for that platform; it
+// reports whether the outcome fired a regime reset, as Service.Observe.
+func (r *Registry) Observe(platform string, id uint64, actual float64) (drifted bool, err error) {
 	s, err := r.Lookup(platform)
 	if err != nil {
-		return calib.Snapshot{}, err
+		return false, err
 	}
 	return s.Observe(id, actual)
 }

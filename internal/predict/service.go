@@ -986,11 +986,12 @@ func (s *Service) compactOrderLocked() {
 // virtual seconds, like the prediction it answers) is fed to the
 // platform's accuracy tracker, which updates capture statistics,
 // adapts the interval multiplier, and checks for regime drift. The
-// prediction ID must have been issued by this service and not yet observed;
-// the returned snapshot reflects the state after ingestion.
-func (s *Service) Observe(id uint64, actual float64) (calib.Snapshot, error) {
+// prediction ID must have been issued by this service and not yet observed.
+// drifted reports whether this outcome fired a regime reset; the state it
+// left is Accuracy's to read.
+func (s *Service) Observe(id uint64, actual float64) (drifted bool, err error) {
 	if actual <= 0 {
-		return calib.Snapshot{}, fmt.Errorf("predict: non-positive actual runtime %g", actual)
+		return false, fmt.Errorf("predict: non-positive actual runtime %g", actual)
 	}
 	s.clockMu.RLock()
 	defer s.clockMu.RUnlock()
@@ -1002,9 +1003,9 @@ func (s *Service) Observe(id uint64, actual float64) (calib.Snapshot, error) {
 	outstanding := len(s.issued)
 	s.ledgerMu.Unlock()
 	if !ok {
-		return calib.Snapshot{}, fmt.Errorf("predict: prediction id %d was never issued by platform %q (or was already observed)", id, s.name)
+		return false, fmt.Errorf("predict: prediction id %d was never issued by platform %q (or was already observed)", id, s.name)
 	}
-	_, drifted := s.tracker.Observe(calib.Outcome{
+	_, drifted, scale := s.tracker.Observe(calib.Outcome{
 		ID:           id,
 		Time:         s.now,
 		Raw:          ip.raw,
@@ -1012,9 +1013,8 @@ func (s *Service) Observe(id uint64, actual float64) (calib.Snapshot, error) {
 		Actual:       actual,
 		RawQuantiles: ip.rawQ,
 	})
-	snap := s.tracker.Snapshot()
-	s.metrics.recordObserve(snap.Scale, outstanding, drifted)
-	return snap, nil
+	s.metrics.recordObserve(scale, outstanding, drifted)
+	return drifted, nil
 }
 
 // Discard forgets an issued prediction that will never be observed — a

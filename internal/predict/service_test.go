@@ -300,11 +300,10 @@ func TestObserveLifecycle(t *testing.T) {
 	if svc.Outstanding() != 1 {
 		t.Errorf("outstanding=%d", svc.Outstanding())
 	}
-	snap, err := svc.Observe(pred.ID, pred.Value.Mean)
-	if err != nil {
-		t.Fatal(err)
+	if drifted, err := svc.Observe(pred.ID, pred.Value.Mean); err != nil || drifted {
+		t.Fatalf("observe: drifted=%v, %v", drifted, err)
 	}
-	if snap.Observed != 1 || snap.CumRawCapture != 1 {
+	if snap := svc.Accuracy(); snap.Observed != 1 || snap.CumRawCapture != 1 {
 		t.Errorf("snapshot after one captured outcome: %+v", snap)
 	}
 	if svc.Outstanding() != 0 {
@@ -429,9 +428,13 @@ func TestPredictHitAllocIndependentOfDriftLog(t *testing.T) {
 		if high {
 			actual += 5 * pred.Raw.Spread
 		}
-		snap, err := drifted.Observe(pred.ID, actual)
+		fired, err := drifted.Observe(pred.ID, actual)
 		if err != nil {
 			t.Fatal(err)
+		}
+		snap := drifted.Accuracy()
+		if fired != (len(snap.Drifts) > drifts) {
+			t.Fatalf("observe %d: drifted=%v, drift log %d -> %d", observes, fired, drifts, len(snap.Drifts))
 		}
 		drifts = len(snap.Drifts)
 		if snap.SinceReset == calib.MinObserved {
@@ -484,11 +487,10 @@ func TestRegistryObserve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := reg.Observe(svc.Name(), pred.ID, pred.Value.Mean)
-	if err != nil {
+	if _, err := reg.Observe(svc.Name(), pred.ID, pred.Value.Mean); err != nil {
 		t.Fatal(err)
 	}
-	if snap.Observed != 1 {
+	if snap := svc.Accuracy(); snap.Observed != 1 {
 		t.Errorf("routed observe recorded %d outcomes", snap.Observed)
 	}
 	if _, err := reg.Observe(svc.Name(), pred.ID+7, 1); err == nil {

@@ -312,8 +312,8 @@ func runFrameSequence(t *testing.T, spec predict.PlatformSpec, seed int64, noCac
 			k := rng.Intn(len(pending))
 			p := pending[k]
 			pending = append(pending[:k], pending[k+1:]...)
-			snap, err := svc.Observe(p.ID, p.Raw.Mean*(0.85+0.3*rng.Float64()))
-			got = append(got, fmt.Sprintf("%#v %v", snap, err))
+			drifted, err := svc.Observe(p.ID, p.Raw.Mean*(0.85+0.3*rng.Float64()))
+			got = append(got, fmt.Sprintf("%v %#v %v", drifted, svc.Accuracy(), err))
 		case op == 8:
 			if err := svc.Advance(0); err != nil {
 				t.Fatal(err)

@@ -72,8 +72,8 @@ func TestSnapshotBetweenRacesRestoresBitIdentical(t *testing.T) {
 			if len(*pending) > 3 {
 				id := (*pending)[0]
 				*pending = (*pending)[1:]
-				snap, err := reg.Observe(spec.Name, id, 10+math.Mod(float64(id)*0.37, 5))
-				out = append(out, snap, err)
+				drifted, err := reg.Observe(spec.Name, id, 10+math.Mod(float64(id)*0.37, 5))
+				out = append(out, drifted, err, svc.Accuracy())
 			}
 			return out
 		}

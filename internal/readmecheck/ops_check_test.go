@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"prodpred/internal/api"
+	"prodpred/internal/calib"
 	"prodpred/internal/obs"
 	"prodpred/internal/predict"
 )
@@ -110,24 +111,33 @@ func TestReadmeLinksOperations(t *testing.T) {
 }
 
 // TestPredictResponseExamplesUseWireKeys: every "key": shown in the JSON
-// response examples of OPERATIONS.md's POST /predict and POST
-// /predict/batch sections is a JSON key of the payload types those routes
-// answer with, so a key removed from the wire cannot live on in the
-// runbook.
+// response examples of OPERATIONS.md's POST /predict, POST /predict/batch,
+// POST /observe, GET /accuracy and GET /report sections is a JSON key of the
+// payload types that route answers with, so a key removed from the wire
+// cannot live on in the runbook; and every drift "reason" shown is one the
+// calibrator writes.
 func TestPredictResponseExamplesUseWireKeys(t *testing.T) {
-	keys := map[string]bool{}
-	for _, typ := range []any{api.PredictResponse{}, api.BatchPredictResponse{}, api.GapsJSON{},
-		api.DistJSON{}, api.IntervalJSON{}} {
-		rt := reflect.TypeOf(typ)
-		for i := 0; i < rt.NumField(); i++ {
-			if key, _, _ := strings.Cut(rt.Field(i).Tag.Get("json"), ","); key != "" && key != "-" {
-				keys[key] = true
-			}
-		}
+	predictTypes := []any{api.PredictResponse{}, api.GapsJSON{}, api.DistJSON{}, api.IntervalJSON{}}
+	wireTypes := map[string][]any{
+		"POST /predict":       predictTypes,
+		"POST /predict/batch": append([]any{api.BatchPredictResponse{}, api.BatchPredictItem{}}, predictTypes...),
+		"POST /observe":       {api.ObserveResponse{}},
+		"GET /accuracy":       {api.AccuracyResponse{}, api.AccuracyPlatform{}, api.AccuracyJSON{}, api.DriftJSON{}},
+		"GET /report":         {api.ReportResponse{}, api.LoadJSON{}, api.GapsJSON{}, api.ComponentJSON{}},
 	}
 	ops := readRepoFile(t, "OPERATIONS.md")
 	jsonKey := regexp.MustCompile(`"([^"]*)"\s*:`)
-	for _, route := range []string{"POST /predict", "POST /predict/batch"} {
+	reason := regexp.MustCompile(`"reason"\s*:\s*"([^"]*)"`)
+	for route, types := range wireTypes {
+		keys := map[string]bool{}
+		for _, typ := range types {
+			rt := reflect.TypeOf(typ)
+			for i := 0; i < rt.NumField(); i++ {
+				if key, _, _ := strings.Cut(rt.Field(i).Tag.Get("json"), ","); key != "" && key != "-" {
+					keys[key] = true
+				}
+			}
+		}
 		_, section, ok := strings.Cut(ops, "\n### "+route+"\n")
 		if !ok {
 			t.Fatalf("OPERATIONS.md has no %q section", "### "+route)
@@ -144,6 +154,11 @@ func TestPredictResponseExamplesUseWireKeys(t *testing.T) {
 			for _, m := range jsonKey.FindAllStringSubmatch(block, -1) {
 				if !keys[m[1]] {
 					t.Errorf("OPERATIONS.md's %s response example shows %q, which the response does not carry", route, m[1])
+				}
+			}
+			for _, m := range reason.FindAllStringSubmatch(block, -1) {
+				if m[1] != calib.ReasonCUSUM && m[1] != calib.ReasonModeCount {
+					t.Errorf("OPERATIONS.md's %s response example shows drift reason %q; the calibrator writes %q or %q", route, m[1], calib.ReasonCUSUM, calib.ReasonModeCount)
 				}
 			}
 		}

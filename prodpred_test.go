@@ -285,7 +285,7 @@ func TestFacadeCalibration(t *testing.T) {
 			Raw: raw, Calibrated: tr.Calibrate(raw),
 			Actual: 10 + 0.02*float64(i%5-2),
 		}
-		if _, fired := tr.Observe(out); fired {
+		if _, fired, _ := tr.Observe(out); fired {
 			t.Fatalf("outcome %d: unexpected drift", i)
 		}
 	}
@@ -318,11 +318,10 @@ func TestFacadeCalibration(t *testing.T) {
 	if pred.ID == 0 || pred.CalibrationScale != 1 || pred.Value != pred.Raw {
 		t.Errorf("uncalibrated prediction: id=%d scale=%g", pred.ID, pred.CalibrationScale)
 	}
-	var got CalibrationSnapshot
-	got, err = reg.Observe(svc.Name(), pred.ID, pred.Value.Mean)
-	if err != nil {
+	if _, err := reg.Observe(svc.Name(), pred.ID, pred.Value.Mean); err != nil {
 		t.Fatal(err)
 	}
+	var got CalibrationSnapshot = svc.Accuracy()
 	if got.Observed != 1 || got.RawCapture != 1 {
 		t.Errorf("after observe: %+v", got)
 	}

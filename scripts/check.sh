@@ -32,8 +32,10 @@ go test -race ./...
 # one worker and a pool at more, and the one-lock-per-owner paths only meet
 # where goroutines really interleave — so the concurrency tests (and only
 # they) run again at both, whatever the runner has; the calibrator's
-# TestConcurrentObserve among them.
-go test -race -cpu 1,4 -run 'Race|Stress|Storm|Coherence|Concurrent|AdvanceAll|FleetAdvance|Registry|Retired' \
+# TestConcurrentObserve and TestDeterministicState (snapshot readers racing
+# Observe) among them, and api's TestReportIsOneTick (pollers racing a clock
+# step).
+go test -race -cpu 1,4 -run 'Race|Stress|Storm|Coherence|Concurrent|AdvanceAll|FleetAdvance|Registry|Retired|ReportIsOneTick|DeterministicState' \
     ./internal/predict ./internal/fleetsched ./internal/api ./internal/calib
 # Bench smoke: every benchmark must still run for one iteration without
 # error (no measurement — regressions are caught by scripts/bench.sh).
