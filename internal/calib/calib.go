@@ -342,6 +342,14 @@ func (t *Tracker) resetLocked() {
 	t.baseModes = 0
 }
 
+// DriftCount returns how many regime changes have been detected: what
+// len(Snapshot().Drifts) reads, without copying the state.
+func (t *Tracker) DriftCount() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.drifts)
+}
+
 // Snapshot returns a consistent copy of the accuracy and calibration state.
 func (t *Tracker) Snapshot() Snapshot {
 	t.mu.Lock()

@@ -164,8 +164,8 @@ func TestCUSUMDriftAndReset(t *testing.T) {
 		t.Errorf("drift at seq %d, want shortly after the shift at 31", fired.Seq)
 	}
 	s := tr.Snapshot()
-	if len(s.Drifts) != 1 {
-		t.Fatalf("drifts=%d", len(s.Drifts))
+	if len(s.Drifts) != 1 || tr.DriftCount() != 1 {
+		t.Fatalf("drifts=%d, DriftCount %d", len(s.Drifts), tr.DriftCount())
 	}
 	if s.SinceReset >= s.Observed {
 		t.Errorf("sinceReset=%d not reset (observed=%d)", s.SinceReset, s.Observed)

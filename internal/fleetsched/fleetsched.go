@@ -643,9 +643,8 @@ func (s *Scheduler) completeVanishedLocked(ts *tenant) {
 // calibrator drift events and the latest relative interval width both
 // saturate; a quiet tenant clears once the hold expires.
 func (s *Scheduler) refreshSaturationLocked(ts *tenant, svc *predict.Service, now float64) {
-	snap := svc.Accuracy()
-	if len(snap.Drifts) > ts.driftsSeen {
-		ts.driftsSeen = len(snap.Drifts)
+	if drifts := svc.DriftCount(); drifts > ts.driftsSeen {
+		ts.driftsSeen = drifts
 		s.saturateLocked(ts, now+satHold)
 	}
 	if ts.everScored && ts.relWidth > s.cfg.SatRelWidth {

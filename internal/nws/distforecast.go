@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"prodpred/internal/dist"
 	"prodpred/internal/modal"
@@ -228,15 +229,25 @@ const MixtureForecasterName = "mixture-em"
 // order. Which of the two a refit is follows from obs and modes alone, the
 // two fields a snapshot carries, so a restored forecaster refits as the one
 // that never stopped.
+//
+// The round a refit falls due on only records it (a Refit); the fit is
+// installed by the first thing that needs it — the next round, a read of the
+// fit, a state export — after a background Run or that reader has computed
+// it. Since the fit is a pure function of what the round recorded, every
+// read sees the bits the refit would have left had it run on its round.
 type mixtureDist struct {
 	obs     int         // postmortem rounds absorbed
-	modes   []Component // cached fit; nil before the first successful fit
-	qgrid   []float64   // cached quantiles of the fit at DistLevels
-	scratch []float64   // reused fit window buffer
+	modes   []Component // installed fit; nil before the first successful fit
+	qgrid   []float64   // quantiles of the installed fit at DistLevels
+	pending *Refit      // recorded by the last refit round, not yet installed
+	count   func(RefitBy)
 }
 
 func (f *mixtureDist) Name() string { return MixtureForecasterName }
 
+// Observe records a refit on the rounds one falls due. The round's scoring
+// (Tournament.update) has installed the previous one, so the fit it warms
+// from is the one in hand.
 func (f *mixtureDist) Observe(hist []float64, point *Forecast, actual float64) {
 	f.obs++
 	if f.obs%mixtureRefitEvery != 0 || len(hist)+1 < mixtureMinHist {
@@ -245,42 +256,118 @@ func (f *mixtureDist) Observe(hist []float64, point *Forecast, actual float64) {
 	if len(hist) >= mixtureWindow {
 		hist = hist[len(hist)-(mixtureWindow-1):]
 	}
-	f.scratch = append(append(f.scratch[:0], hist...), actual)
+	j := &Refit{window: append(append(make([]float64, 0, len(hist)+1), hist...), actual), count: f.count}
+	if f.modes != nil && f.obs%mixtureWindow != 0 {
+		j.seed = f.modes // installed fits are replaced, never written
+	}
+	f.pending = j
+}
+
+// settle installs the pending refit, if any, running it on the caller unless
+// a background Run has claimed it, in which case it waits for that run.
+func (f *mixtureDist) settle(by RefitBy) {
+	j := f.pending
+	if j == nil {
+		return
+	}
+	j.claim(by)
+	f.pending = nil
+	if j.qgrid != nil { // nil: a degenerate window; keep the previous fit
+		f.modes, f.qgrid = j.modes, j.qgrid
+	}
+}
+
+// RefitBy says who ran a mixture refit — the by label of the
+// predict_mixture_refits_total metric.
+type RefitBy uint8
+
+const (
+	// RefitBackground is a Run started after the clock step that recorded
+	// the refit.
+	RefitBackground RefitBy = iota
+	// RefitReader is the first read that needed the fit: a report the
+	// mixture leads, or a state export.
+	RefitReader
+	// RefitStep is the next postmortem round, when it came first: a clock
+	// step that takes several rounds runs each refit on the round after it.
+	RefitStep
+)
+
+var refitByNames = [...]string{"background", "reader", "step"}
+
+func (b RefitBy) String() string { return refitByNames[b] }
+
+// Refit is one mixture refit as the round it fell due on recorded it: that
+// round's own copy of the trailing window, the fit to restart EM from (nil to
+// race the orders), and who to tell when it runs. It runs exactly once —
+// by Run or by the first reader that needs the fit, whichever claims it
+// first; a reader that finds Run under way waits for it.
+type Refit struct {
+	once   sync.Once
+	window []float64
+	seed   []Component
+	count  func(RefitBy)
+	taken  bool // handed out by Monitor.TakeRefit
+
+	// What the fit left: the modes and their DistLevels grid, both nil when
+	// the window was degenerate.
+	modes []Component
+	qgrid []float64
+}
+
+// Run fits the mixture unless a reader already has. It is what a
+// background goroutine calls.
+func (j *Refit) Run() { j.claim(RefitBackground) }
+
+// claim runs the fit once, whoever asks first, and waits while another
+// caller runs it.
+func (j *Refit) claim(by RefitBy) {
+	j.once.Do(func() {
+		j.fit()
+		if j.count != nil {
+			j.count(by)
+		}
+	})
+}
+
+// fit is the refit itself: EM over the recorded window and the fitted
+// mixture's quantile grid.
+func (j *Refit) fit() {
 	var mm *modal.MixtureModel
 	var err error
-	if f.modes == nil || f.obs%mixtureWindow == 0 {
-		mm, err = modal.FitBIC(f.scratch, mixtureKMax)
+	if j.seed == nil {
+		mm, err = modal.FitBIC(j.window, mixtureKMax)
 	} else {
-		from := make([]modal.Mode, len(f.modes))
-		for i, c := range f.modes {
+		from := make([]modal.Mode, len(j.seed))
+		for i, c := range j.seed {
 			from[i] = modal.Mode{Mean: c.Mean, Sigma: c.Sigma, Weight: c.Weight}
 		}
-		mm, err = modal.Refit(f.scratch, from)
+		mm, err = modal.Refit(j.window, from)
 	}
 	if err != nil {
-		return // degenerate window; keep the previous fit
+		return
 	}
 	modes := make([]Component, len(mm.Modes))
 	for i, md := range mm.Modes {
 		modes[i] = Component{Weight: md.Weight, Mean: md.Mean, Sigma: math.Max(md.Sigma, minConservativeRMSE)}
 	}
-	f.setFit(modes)
+	if grid := quantileGrid(modes); grid != nil {
+		j.modes, j.qgrid = modes, grid
+	}
 }
 
-// setFit installs a fitted mixture and precomputes its DistLevels grid.
-// Shared with snapshot import so a restored forecaster reports
-// bit-identically without re-running EM.
-func (f *mixtureDist) setFit(modes []Component) {
+// quantileGrid tabulates a fitted mixture's quantiles at DistLevels; nil
+// when the components do not make a mixture.
+func quantileGrid(modes []Component) []float64 {
 	mx, err := componentsMixture(modes)
 	if err != nil {
-		return
+		return nil
 	}
 	grid := make([]float64, len(DistLevels))
 	for i, p := range DistLevels {
 		grid[i] = mx.Quantile(p)
 	}
-	f.modes = modes
-	f.qgrid = grid
+	return grid
 }
 
 // componentsMixture rebuilds a dist.Mixture from component summaries.
@@ -299,6 +386,7 @@ func componentsMixture(modes []Component) (*dist.Mixture, error) {
 }
 
 func (f *mixtureDist) Quantiles(_ *Forecast, ps, out []float64) bool {
+	f.settle(RefitReader)
 	if f.modes == nil {
 		return false
 	}
@@ -308,7 +396,10 @@ func (f *mixtureDist) Quantiles(_ *Forecast, ps, out []float64) bool {
 	return true
 }
 
-func (f *mixtureDist) Components(*Forecast) []Component { return f.modes }
+func (f *mixtureDist) Components(*Forecast) []Component {
+	f.settle(RefitReader)
+	return f.modes
+}
 
 // GridQuantile interpolates a quantile function tabulated on DistLevels at
 // probability p, extrapolating flat beyond the grid ends — the one-call
@@ -387,14 +478,15 @@ type Tournament struct {
 	weight      []float64 // decayed round count (the loss normalizer)
 	wins        []int64   // rounds each competitor led after scoring
 	scoreQ      []float64 // a competitor's quantiles at tournamentScoreLevels
+	mixture     *mixtureDist
 }
 
 // NewTournament builds the standard three-way tournament over a shared
 // mix: the incumbent NWS-normal summary, the empirical residual-quantile
 // forecaster, and the EM Gaussian-mixture forecaster.
 func NewTournament(mix *Mix) *Tournament {
-	t := &Tournament{mix: mix}
-	t.forecasters = []DistForecaster{normalDist{}, &empiricalDist{}, &mixtureDist{}}
+	t := &Tournament{mix: mix, mixture: &mixtureDist{}}
+	t.forecasters = []DistForecaster{normalDist{}, &empiricalDist{}, t.mixture}
 	t.loss = make([]float64, len(t.forecasters))
 	t.weight = make([]float64, len(t.forecasters))
 	t.wins = make([]int64, len(t.forecasters))
@@ -434,6 +526,7 @@ func (t *Tournament) Update(hist []float64, actual float64) {
 // update is the round itself, given the shared mix's forecast from hist
 // (nil when it has none).
 func (t *Tournament) update(hist []float64, point *Forecast, actual float64) {
+	t.mixture.settle(RefitStep)
 	for i, f := range t.forecasters {
 		t.loss[i] *= tournamentDecay
 		t.weight[i] *= tournamentDecay
@@ -508,7 +601,7 @@ func (t *Tournament) Names() []string {
 }
 
 // TournamentState is the Tournament's dynamic state in portable form for
-// the snapshot layer: decayed scores plus the mixture competitor's cached
+// the snapshot layer: decayed scores plus the mixture competitor's installed
 // fit (the fit is a function of the window at fit time, which a restore
 // cannot replay, so it is carried verbatim).
 type TournamentState struct {
@@ -520,7 +613,8 @@ type TournamentState struct {
 	FitModes  []Component
 }
 
-// ExportState copies the tournament's dynamic state.
+// ExportState copies the tournament's dynamic state, installing a pending
+// refit first.
 func (t *Tournament) ExportState() TournamentState {
 	st := TournamentState{
 		Loss:   append([]float64(nil), t.loss...),
@@ -530,6 +624,7 @@ func (t *Tournament) ExportState() TournamentState {
 	for _, f := range t.forecasters {
 		switch ff := f.(type) {
 		case *mixtureDist:
+			ff.settle(RefitReader)
 			st.FitObs = ff.obs
 			st.FitModes = append([]Component(nil), ff.modes...)
 		case *empiricalDist:
@@ -561,9 +656,12 @@ func (t *Tournament) ImportState(st TournamentState) error {
 		switch ff := f.(type) {
 		case *mixtureDist:
 			ff.obs = st.FitObs
-			ff.modes, ff.qgrid = nil, nil
+			ff.modes, ff.qgrid, ff.pending = nil, nil, nil
 			if len(st.FitModes) > 0 {
-				ff.setFit(append([]Component(nil), st.FitModes...))
+				modes := append([]Component(nil), st.FitModes...)
+				if grid := quantileGrid(modes); grid != nil {
+					ff.modes, ff.qgrid = modes, grid
+				}
 			}
 		case *empiricalDist:
 			rs := st.Residuals

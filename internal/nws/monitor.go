@@ -362,3 +362,28 @@ func (m *Monitor) Mix() *Mix { return m.mix }
 // diagnostics and snapshots; nil on a monitor built without one
 // (NewBandwidthMonitor).
 func (m *Monitor) Tournament() *Tournament { return m.tour }
+
+// TakeRefit hands out the mixture refit the monitor's last round left
+// pending, once: nil when there is none or it was handed out before. The
+// caller starts it (Refit.Run) once it has finished stepping — never while
+// it steps, where it would compete with the step's own work. A refit nobody
+// starts is run by the first round or read that needs it.
+func (m *Monitor) TakeRefit() *Refit {
+	if m.tour == nil {
+		return nil
+	}
+	j := m.tour.mixture.pending
+	if j == nil || j.taken {
+		return nil
+	}
+	j.taken = true
+	return j
+}
+
+// CountRefits has fn told who ran each mixture refit recorded from now on;
+// fn may be called from any goroutine.
+func (m *Monitor) CountRefits(fn func(RefitBy)) {
+	if m.tour != nil {
+		m.tour.mixture.count = fn
+	}
+}

@@ -101,11 +101,11 @@ func TestAdvanceAllAttemptsEveryTenant(t *testing.T) {
 	reg := liveFleet(t, 12, RegistryOptions{Metrics: metrics})
 	boom := errors.New("sensor bus on fire")
 	failing := map[string]bool{"tenant-0007": true, "tenant-0003": true, "tenant-0011": true}
-	services, times, err := reg.advanceAll(5, func(s *Service, dt float64) (float64, error) {
+	services, times, err := reg.advanceAll(5, func(s *Service, dt float64) (float64, []*nws.Refit, error) {
 		if failing[s.Name()] {
-			return s.Now(), boom
+			return s.Now(), nil, boom
 		}
-		return s.advance(dt)
+		return s.step(dt)
 	})
 	if !errors.Is(err, boom) || !strings.Contains(err.Error(), `"tenant-0003"`) {
 		t.Errorf("error %v, want the stub's, naming tenant-0003", err)

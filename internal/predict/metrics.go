@@ -29,6 +29,7 @@ const (
 	MetricQuantileRequests = "predict_quantile_requests_total"
 	MetricScenarioInfo     = "workload_scenario_info"
 	MetricFleetAdvance     = "predict_fleet_advance_seconds"
+	MetricMixtureRefits    = "predict_mixture_refits_total"
 )
 
 // BatchSizeBuckets are the upper bounds of the predict_batch_size
@@ -73,6 +74,7 @@ type serviceMetrics struct {
 	outstanding  *obs.Gauge
 	vtime        *obs.Gauge
 	stages       [numStages]*obs.Histogram
+	refits       [3]*obs.Counter // by nws.RefitBy
 
 	// Tournament-win counters, pre-resolved per known forecaster tag.
 	// winsVec stays behind for tags outside the standard set; the map is
@@ -126,6 +128,12 @@ func newServiceMetrics(reg *obs.Registry, platform string) *serviceMetrics {
 	for st, label := range Stages {
 		m.stages[st] = hv.With(platform, label)
 	}
+	rv := reg.NewCounterVec(MetricMixtureRefits,
+		"Mixture-forecaster refits run, by platform and by whom: a background goroutine, the first read that needed the fit, or the next round of a clock step.",
+		"platform", "by")
+	for by := range m.refits {
+		m.refits[by] = rv.With(platform, nws.RefitBy(by).String())
+	}
 	m.platform = platform
 	m.winsVec = reg.NewCounterVec(MetricTournamentWins,
 		"Machine-load distributions served per winning forecaster, by platform and forecaster.",
@@ -163,6 +171,14 @@ func (m *serviceMetrics) recordTournamentWin(name string) {
 		return
 	}
 	m.winsVec.With(m.platform, name).Inc()
+}
+
+// recordRefit counts one mixture refit, by who ran it; safe from any
+// goroutine.
+func (m *serviceMetrics) recordRefit(by nws.RefitBy) {
+	if m != nil {
+		m.refits[by].Inc()
+	}
 }
 
 // recordQuantileRequest counts one prediction that asked for calibrated

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"prodpred/internal/nws"
 	"prodpred/internal/obs"
 )
 
@@ -255,17 +256,20 @@ func (r *Registry) Services() []*Service {
 // others return. The result is the roster that was stepped, each tenant's
 // clock as its step left it, and the first error in roster order, wrapped
 // with its tenant's name. With one worker the caller runs the loop itself
-// and no goroutine is started.
+// and no goroutine is started for the wave. The mixture refits the wave
+// records start in the background once the whole wave is done: started
+// mid-wave, they would compete with the wave's own workers.
 func (r *Registry) AdvanceAll(dt float64) ([]*Service, []float64, error) {
-	return r.advanceAll(dt, (*Service).advance)
+	return r.advanceAll(dt, (*Service).step)
 }
 
 // advanceAll is AdvanceAll over a given per-tenant step — the seam the
 // tests reach a failing tenant through, which no real step produces.
-func (r *Registry) advanceAll(dt float64, step func(*Service, float64) (float64, error)) ([]*Service, []float64, error) {
+func (r *Registry) advanceAll(dt float64, step func(*Service, float64) (float64, []*nws.Refit, error)) ([]*Service, []float64, error) {
 	start := time.Now()
 	services := r.Services()
 	times := make([]float64, len(services))
+	refits := make([][]*nws.Refit, len(services))
 	errs := make([]error, len(services))
 	var next atomic.Int64
 	work := func() {
@@ -274,7 +278,7 @@ func (r *Registry) advanceAll(dt float64, step func(*Service, float64) (float64,
 			if i >= len(services) {
 				return
 			}
-			times[i], errs[i] = step(services[i], dt)
+			times[i], refits[i], errs[i] = step(services[i], dt)
 		}
 	}
 	// The caller is one of the workers.
@@ -290,6 +294,7 @@ func (r *Registry) advanceAll(dt float64, step func(*Service, float64) (float64,
 	work()
 	wg.Wait()
 	r.waveSeconds.Observe(time.Since(start).Seconds())
+	runRefits(slices.Concat(refits...))
 	for i, err := range errs {
 		if err != nil {
 			return services, times, fmt.Errorf("predict: advancing platform %q: %w", services[i].Name(), err)

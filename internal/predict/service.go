@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"prodpred/internal/calib"
 	"prodpred/internal/cluster"
@@ -203,6 +205,9 @@ func newService(spec *PlatformSpec, metrics *obs.Registry) (*Service, error) {
 		if s.cpu[i], err = nws.NewSensorMonitor(sensor, nws.DefaultPeriod, history); err != nil {
 			return nil, err
 		}
+		if s.metrics != nil {
+			s.cpu[i].CountRefits(s.metrics.recordRefit)
+		}
 	}
 	return s, nil
 }
@@ -248,23 +253,34 @@ func (s *Service) Advance(dt float64) error {
 // advance is Advance that also returns the clock as the step left it, read
 // under the same hold of the clock lock.
 func (s *Service) advance(dt float64) (float64, error) {
+	now, refits, err := s.step(dt)
+	runRefits(refits)
+	return now, err
+}
+
+// step is advance that leaves the refits the step recorded unstarted and
+// returns them, for a caller with more stepping to do first.
+func (s *Service) step(dt float64) (float64, []*nws.Refit, error) {
 	if dt < 0 {
-		return s.Now(), fmt.Errorf("predict: negative advance %g", dt)
+		return s.Now(), nil, fmt.Errorf("predict: negative advance %g", dt)
 	}
 	s.clockMu.Lock()
 	defer s.clockMu.Unlock()
-	err := s.advanceToLocked(s.now + dt)
-	return s.now, err
+	refits, err := s.advanceToLocked(s.now + dt)
+	return s.now, refits, err
 }
 
 // AdvanceTo moves the clock to absolute virtual time t >= Now().
 func (s *Service) AdvanceTo(t float64) error {
 	s.clockMu.Lock()
-	defer s.clockMu.Unlock()
-	if t < s.now {
-		return fmt.Errorf("predict: cannot advance backwards from %g to %g", s.now, t)
+	if now := s.now; t < now {
+		s.clockMu.Unlock()
+		return fmt.Errorf("predict: cannot advance backwards from %g to %g", now, t)
 	}
-	return s.advanceToLocked(t)
+	refits, err := s.advanceToLocked(t)
+	s.clockMu.Unlock()
+	runRefits(refits)
+	return err
 }
 
 // advanceToLocked moves the clock under the exclusive clock lock — alone on
@@ -282,17 +298,21 @@ func (s *Service) AdvanceTo(t float64) error {
 // parallelism lives one level up, in Registry.AdvanceAll, where the work
 // per goroutine is a tenant's whole tick instead of one monitor's few
 // microseconds of sampling.
-func (s *Service) advanceToLocked(t float64) error {
+//
+// A mixture refit that falls due is only recorded here; the refits the step
+// leaves pending are returned for the caller to start (runRefits) once it
+// has released the clock lock.
+func (s *Service) advanceToLocked(t float64) ([]*nws.Refit, error) {
 	moved := t != s.now
 	s.now = t
 	for _, mon := range s.cpu {
 		if err := mon.RunUntil(t); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	for _, b := range s.bw {
 		if err := b.mon.RunUntil(t); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	if moved {
@@ -303,8 +323,43 @@ func (s *Service) advanceToLocked(t float64) error {
 		s.metrics.recordClock(t, missed-s.lastMissed)
 		s.lastMissed = missed
 	}
-	return nil
+	var refits []*nws.Refit
+	for _, mon := range s.cpu {
+		if j := mon.TakeRefit(); j != nil {
+			refits = append(refits, j)
+		}
+	}
+	return refits, nil
 }
+
+// refitsRunning counts the goroutines runRefits has running.
+var refitsRunning sync.WaitGroup
+
+// runRefits runs refits in the background, in order, on one goroutine per
+// processor but one (at least one, at most one per refit): the core left
+// over answers the requests meanwhile, the one waiting on the step first.
+// A read that needs a refit first runs it itself or waits for it, so
+// nothing waits on these goroutines.
+func runRefits(refits []*nws.Refit) {
+	if len(refits) == 0 {
+		return
+	}
+	var next atomic.Int64
+	for w := min(max(runtime.GOMAXPROCS(0)-1, 1), len(refits)); w > 0; w-- {
+		refitsRunning.Add(1)
+		go func() {
+			defer refitsRunning.Done()
+			for i := next.Add(1) - 1; i < int64(len(refits)); i = next.Add(1) - 1 {
+				refits[i].Run()
+			}
+		}()
+	}
+}
+
+// WaitRefits blocks until every background refit started so far has run:
+// the drain a benchmark or test takes between clock steps so that the next
+// one is timed alone. No step may start refits while it waits.
+func WaitRefits() { refitsRunning.Wait() }
 
 // missedTotal sums the missed-sample counters of every monitor. Callers hold
 // the clock lock exclusively or monMu.
@@ -1035,6 +1090,10 @@ func (s *Service) Discard(id uint64) {
 func (s *Service) Accuracy() calib.Snapshot {
 	return s.tracker.Snapshot()
 }
+
+// DriftCount returns how many regime changes the platform's calibrator has
+// detected: len(Accuracy().Drifts), without copying the accuracy state.
+func (s *Service) DriftCount() int { return s.tracker.DriftCount() }
 
 // Outstanding reports how many issued predictions await an Observe call.
 func (s *Service) Outstanding() int {

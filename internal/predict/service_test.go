@@ -436,6 +436,9 @@ func TestPredictHitAllocIndependentOfDriftLog(t *testing.T) {
 		if fired != (len(snap.Drifts) > drifts) {
 			t.Fatalf("observe %d: drifted=%v, drift log %d -> %d", observes, fired, drifts, len(snap.Drifts))
 		}
+		if n := drifted.DriftCount(); n != len(snap.Drifts) {
+			t.Fatalf("observe %d: DriftCount %d, drift log %d", observes, n, len(snap.Drifts))
+		}
 		drifts = len(snap.Drifts)
 		if snap.SinceReset == calib.MinObserved {
 			high = !high

@@ -33,9 +33,10 @@ go test -race ./...
 # where goroutines really interleave — so the concurrency tests (and only
 # they) run again at both, whatever the runner has; the calibrator's
 # TestConcurrentObserve and TestDeterministicState (snapshot readers racing
-# Observe) among them, and api's TestReportIsOneTick (pollers racing a clock
-# step).
-go test -race -cpu 1,4 -run 'Race|Stress|Storm|Coherence|Concurrent|AdvanceAll|FleetAdvance|Registry|Retired|ReportIsOneTick|DeterministicState' \
+# Observe) among them, api's TestReportIsOneTick (pollers racing a clock
+# step) and predict's TestBackgroundRefitReaders (reads racing the mixture
+# refits a step leaves to the background).
+go test -race -cpu 1,4 -run 'Race|Stress|Storm|Coherence|Concurrent|AdvanceAll|FleetAdvance|Registry|Retired|ReportIsOneTick|DeterministicState|BackgroundRefit' \
     ./internal/predict ./internal/fleetsched ./internal/api ./internal/calib
 # Bench smoke: every benchmark must still run for one iteration without
 # error (no measurement — regressions are caught by scripts/bench.sh).
