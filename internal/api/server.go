@@ -89,15 +89,14 @@ func NewHandler(reg *predict.Registry, opts Options) http.Handler {
 		opts.Metrics = obs.NewRegistry()
 	}
 	start := time.Now()
-	opts.Metrics.NewGaugeFunc(MetricUptime,
-		"Wall-clock seconds since the HTTP handler was built.",
-		func() float64 { return time.Since(start).Seconds() })
+	opts.Metrics.NewGaugeVec(MetricUptime, "Wall-clock seconds since the HTTP handler was built.").
+		Func(func() float64 { return time.Since(start).Seconds() })
 
 	mw := obs.NewHTTPMiddleware(opts.Metrics)
 	mw.Log = opts.AccessLog
 	mw.PlatformFrom = platformFrom
 
-	sched := fleetsched.New(reg, fleetsched.Config{Metrics: fleetsched.NewMetrics(opts.Metrics)})
+	sched := fleetsched.New(reg, fleetsched.Config{Metrics: opts.Metrics})
 	s := &server{reg: reg, sched: sched}
 	handlers := map[string]http.Handler{
 		"POST /predict":        http.HandlerFunc(s.handlePredict),

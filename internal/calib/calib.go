@@ -216,34 +216,49 @@ func New(Config) (*Tracker, error) {
 // untouched, the half-width is scaled. Point values pass through unchanged
 // (there is no spread to correct).
 func (t *Tracker) Calibrate(raw stochastic.Value) stochastic.Value {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.calibrateLocked(raw)
+	cal, _ := t.Overlay(raw, nil)
+	return cal
 }
 
-func (t *Tracker) calibrateLocked(raw stochastic.Value) stochastic.Value {
-	if raw.IsPoint() {
-		return raw
+// Overlay applies both calibrations under one hold of the tracker, so a
+// prediction's two-number value and its quantile grid always come from the
+// same state: raw as Calibrate returns it, and rawQ as
+// calibrateQuantilesLocked rewrites it into a fresh slice (nil when rawQ is
+// nil).
+func (t *Tracker) Overlay(raw stochastic.Value, rawQ []float64) (cal stochastic.Value, calQ []float64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if rawQ != nil {
+		calQ = t.calibrateQuantilesLocked(make([]float64, 0, len(rawQ)), rawQ)
 	}
-	return stochastic.Value{Mean: raw.Mean, Spread: t.scale * raw.Spread}
+	if raw.IsPoint() {
+		return raw, calQ
+	}
+	return stochastic.Value{Mean: raw.Mean, Spread: t.scale * raw.Spread}, calQ
+}
+
+// Scale returns the current half-width multiplier (1 after a reset).
+func (t *Tracker) Scale() float64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.scale
 }
 
 // Observe ingests one outcome: records it in the rolling windows, updates
 // the conformal multiplier, and runs the drift detectors. It returns the
-// drift event if this outcome triggered a regime reset, and the multiplier
-// the outcome left (1 after a reset).
-func (t *Tracker) Observe(o Outcome) (ev DriftEvent, drifted bool, scale float64) {
+// drift event if this outcome triggered a regime reset.
+func (t *Tracker) Observe(o Outcome) (ev DriftEvent, drifted bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	ev, drifted = t.detectLocked(t.recordLocked(o))
 	if drifted {
 		t.drifts = append(t.drifts, ev)
 		t.resetLocked()
-		return ev, true, t.scale
+		return ev, true
 	}
 	t.rescaleLocked()
 	t.rescaleQuantilesLocked()
-	return DriftEvent{}, false, t.scale
+	return DriftEvent{}, false
 }
 
 // recordLocked reduces o to its window record, appends it to the rolling

@@ -146,7 +146,7 @@ func TestCUSUMDriftAndReset(t *testing.T) {
 		if i >= 30 {
 			z = 4 + jitter(i)
 		}
-		if ev, ok, _ := tr.Observe(mk(i, z)); ok {
+		if ev, ok := tr.Observe(mk(i, z)); ok {
 			if fired != nil {
 				t.Fatalf("second drift at %d: %+v", i, ev)
 			}
@@ -178,7 +178,7 @@ func TestCUSUMDriftAndReset(t *testing.T) {
 func TestNoDriftOnSteadyStream(t *testing.T) {
 	tr := mustNew(t)
 	for i := 0; i < 200; i++ {
-		if ev, ok, _ := tr.Observe(mk(i, jitter(i))); ok {
+		if ev, ok := tr.Observe(mk(i, jitter(i))); ok {
 			t.Fatalf("steady stream drifted at %d: %+v", i, ev)
 		}
 	}
@@ -201,7 +201,7 @@ func TestModeCountDrift(t *testing.T) {
 				z = -z
 			}
 		}
-		if ev, ok, _ := tr.Observe(mk(i, z)); ok {
+		if ev, ok := tr.Observe(mk(i, z)); ok {
 			e := ev
 			fired = &e
 			break

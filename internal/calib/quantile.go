@@ -54,7 +54,7 @@ var IntervalLevels = []float64{0.5, 0.8, 0.9, 0.95}
 
 // QuantileGridLevels is the symmetric quantile grid implied by
 // IntervalLevels — the lo/hi ends (1∓L)/2 of every level plus the median,
-// ascending. Raw quantile grids handed to Observe and CalibrateQuantiles
+// ascending. Raw quantile grids handed to Observe and Overlay
 // use this layout; it matches nws.DistLevels by construction.
 var QuantileGridLevels = buildGridLevels()
 
@@ -194,13 +194,12 @@ func (t *Tracker) rescaleQuantilesLocked() {
 	}
 }
 
-// CalibrateQuantiles recenters a raw quantile grid (QuantileGridLevels
-// layout) by the conformal median shift, rescales the side offsets with
-// the current per-level multipliers, and appends the calibrated, monotone
-// grid to dst. A grid of unexpected length is appended unchanged.
-func (t *Tracker) CalibrateQuantiles(dst, raw []float64) []float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+// calibrateQuantilesLocked recenters a raw quantile grid
+// (QuantileGridLevels layout) by the conformal median shift, rescales the
+// side offsets with the current per-level multipliers, and appends the
+// calibrated, monotone grid to dst. A grid of unexpected length is appended
+// unchanged. Overlay is its one caller.
+func (t *Tracker) calibrateQuantilesLocked(dst, raw []float64) []float64 {
 	n := len(IntervalLevels)
 	if len(raw) != 2*n+1 {
 		return append(dst, raw...)

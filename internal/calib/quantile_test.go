@@ -129,7 +129,7 @@ func TestCalibrateQuantilesAppliesScalesAndStaysMonotone(t *testing.T) {
 		tr.Observe(distOutcome(uint64(i+1), 10, 10+d))
 	}
 	raw := gridAround(10, []float64{0.3, 0.55, 0.7, 0.85})
-	cal := tr.CalibrateQuantiles(nil, raw)
+	_, cal := tr.Overlay(stochastic.Value{}, raw)
 	if len(cal) != len(raw) {
 		t.Fatalf("calibrated grid has %d points, want %d", len(cal), len(raw))
 	}
@@ -154,7 +154,7 @@ func TestCalibrateQuantilesAppliesScalesAndStaysMonotone(t *testing.T) {
 func TestCalibrateQuantilesPassesThroughUnexpectedLength(t *testing.T) {
 	tr := mustNew(t)
 	raw := []float64{1, 2, 3}
-	got := tr.CalibrateQuantiles(nil, raw)
+	_, got := tr.Overlay(stochastic.Value{}, raw)
 	for i := range raw {
 		if got[i] != raw[i] {
 			t.Fatalf("unexpected-length grid modified: %v -> %v", raw, got)
@@ -236,7 +236,7 @@ func TestQuantileShiftRecentersBiasedGrid(t *testing.T) {
 		t.Fatalf("shift %g, want near -0.12", shift)
 	}
 	raw := gridAround(10, []float64{0.3, 0.55, 0.7, 0.85})
-	cal := tr.CalibrateQuantiles(nil, raw)
+	_, cal := tr.Overlay(stochastic.Value{}, raw)
 	n := len(IntervalLevels)
 	if !(cal[n] < 9.2) {
 		t.Fatalf("calibrated median %g, want recentered below 9.2", cal[n])

@@ -234,13 +234,13 @@ func TestTrackerMatchesReference(t *testing.T) {
 					z := ph.shift + ph.modes[i%len(ph.modes)] + ph.sd*rng.NormFloat64()
 					o := refOutcome(rng, i, z)
 					wasMulti := got.ExportState().BaseModes >= 2
-					gotEv, gotFired, gotScale := got.Observe(o)
+					gotEv, gotFired := got.Observe(o)
 					wantEv, wantFired := refObserve(want, o)
 					if gotEv != wantEv || gotFired != wantFired {
 						t.Fatalf("%s seed %d step %d: drift %+v %v, reference %+v %v", name, seed, i, gotEv, gotFired, wantEv, wantFired)
 					}
-					if wantScale := want.ExportState().Scale; gotScale != wantScale {
-						t.Fatalf("%s seed %d step %d: Observe returned scale %g, reference state holds %g", name, seed, i, gotScale, wantScale)
+					if gotScale, wantScale := got.Scale(), want.ExportState().Scale; gotScale != wantScale {
+						t.Fatalf("%s seed %d step %d: Scale reads %g, reference state holds %g", name, seed, i, gotScale, wantScale)
 					}
 					if gotFired {
 						reasons[gotEv.Reason]++

@@ -47,6 +47,7 @@ import (
 	"sync"
 	"time"
 
+	"prodpred/internal/obs"
 	"prodpred/internal/predict"
 	"prodpred/internal/sched"
 	"prodpred/internal/sor"
@@ -98,17 +99,10 @@ type Config struct {
 	// (DefaultSatRelWidth when 0): a tenant whose latest prediction's
 	// 95% width divided by its median exceeds it is marked saturated.
 	SatRelWidth float64
-	// Metrics, when non-nil, receives the fleetsched_* families. Telemetry
-	// never feeds back into placement: same inputs give the same schedule
-	// with metrics on or off.
-	Metrics *Metrics
-}
-
-func (c Config) withDefaults() Config {
-	if c.SatRelWidth == 0 {
-		c.SatRelWidth = DefaultSatRelWidth
-	}
-	return c
+	// Metrics, when non-nil, receives the fleetsched_* families, which read
+	// the scheduler when scraped. Telemetry never feeds back into placement:
+	// same inputs give the same schedule with metrics on or off.
+	Metrics *obs.Registry
 }
 
 // MaxJobWork bounds the element updates (N²·Iterations) one submitted job
@@ -284,13 +278,14 @@ type tenant struct {
 // Scheduler places jobs across the fleet hosted by a predict.Registry.
 // Safe for concurrent use.
 type Scheduler struct {
-	reg *predict.Registry
-	cfg Config
-	m   *Metrics
+	reg   *predict.Registry
+	cfg   Config
+	round *obs.Histogram // placement-round latency; nil without metrics
 
 	mu       sync.Mutex
 	nextID   uint64
 	tenants  map[string]*tenant
+	placed   map[Policy]int // placements, migrations included, by policy
 	unplaced int
 	misses   int
 	migrated int
@@ -306,14 +301,18 @@ type Scheduler struct {
 // losing) tenants afterwards: every placement round re-reads the live
 // roster.
 func New(reg *predict.Registry, cfg Config) *Scheduler {
-	cfg = cfg.withDefaults()
-	return &Scheduler{
+	if cfg.SatRelWidth == 0 {
+		cfg.SatRelWidth = DefaultSatRelWidth
+	}
+	s := &Scheduler{
 		reg:        reg,
 		cfg:        cfg,
-		m:          cfg.Metrics,
 		tenants:    make(map[string]*tenant),
+		placed:     make(map[Policy]int, len(Policies)),
 		firstPlace: math.NaN(),
 	}
+	s.registerMetrics(cfg.Metrics)
+	return s
 }
 
 // Submit places jobs at PolicyQuantile and DefaultQuantile. See
@@ -358,12 +357,11 @@ func (s *Scheduler) SubmitWith(jobs []JobSpec, policy Policy, quantile float64) 
 		pl, ok := s.placeLocked(j, "", false)
 		if !ok {
 			s.unplaced++
-			s.m.recordUnplaced()
 			continue
 		}
 		placements = append(placements, pl)
 	}
-	s.m.recordRound(time.Since(start).Seconds())
+	s.round.Observe(time.Since(start).Seconds())
 	return placements, nil
 }
 
@@ -398,7 +396,6 @@ func (s *Scheduler) placeLocked(j *job, exclude string, onlyUnsaturated bool) (P
 		if err != nil {
 			ts.skips++
 			skips++
-			s.m.recordSkip()
 			continue
 		}
 		req := predict.Request{N: j.spec.N, Iterations: j.spec.Iterations}
@@ -409,7 +406,6 @@ func (s *Scheduler) placeLocked(j *job, exclude string, onlyUnsaturated bool) (P
 		if err != nil {
 			ts.skips++
 			skips++
-			s.m.recordSkip()
 			continue
 		}
 		ts.relWidth = relWidth(pred)
@@ -460,7 +456,7 @@ func (s *Scheduler) placeLocked(j *job, exclude string, onlyUnsaturated bool) (P
 	if math.IsNaN(s.firstPlace) || best.now < s.firstPlace {
 		s.firstPlace = best.now
 	}
-	s.m.recordPlacement(j.policy)
+	s.placed[j.policy]++
 	return Placement{
 		JobID:         j.id,
 		Name:          j.spec.Name,
@@ -524,7 +520,6 @@ func (s *Scheduler) syncLocked() {
 			// rescued by the migration pass below; a started job keeps its
 			// already-computed finish and completes unobserved.
 			ts.skips++
-			s.m.recordSkip()
 			s.saturateLocked(ts, ts.satUntil) // stays excluded
 			s.completeVanishedLocked(ts)
 			continue
@@ -557,11 +552,9 @@ func (s *Scheduler) syncLocked() {
 			}
 			j.migrations++
 			s.migrated++
-			s.m.recordMigration()
 		}
 		ts.queue = kept
 	}
-	s.m.recordGauges(s.saturatedCountLocked(), s.queuedCountLocked())
 }
 
 // runTenantLocked starts and completes jobs on one tenant up to virtual
@@ -621,7 +614,6 @@ func (s *Scheduler) completeLocked(ts *tenant, svc *predict.Service, j *job) {
 	if missed {
 		s.misses++
 	}
-	s.m.recordCompletion(missed)
 	s.recent = append(s.recent, s.jobStatus(j, StateCompleted, missed))
 	if len(s.recent) > recentCap {
 		s.recent = s.recent[len(s.recent)-recentCap:]
@@ -730,6 +722,14 @@ func (s *Scheduler) saturatedCountLocked() int {
 		if ts.saturated {
 			n++
 		}
+	}
+	return n
+}
+
+func (s *Scheduler) skipsLocked() int {
+	n := 0
+	for _, ts := range s.tenants {
+		n += int(ts.skips)
 	}
 	return n
 }

@@ -3,6 +3,8 @@ package fleetsched
 import (
 	"reflect"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
 	"prodpred/internal/obs"
@@ -126,8 +128,7 @@ func TestLifecycleCompletesAndObserves(t *testing.T) {
 		testSpec("a", "sparc10", "light", 41),
 		testSpec("b", "sparc5", "light", 42),
 	)
-	m := NewMetrics(obs.NewRegistry())
-	s := New(reg, Config{Metrics: m})
+	s := New(reg, Config{Metrics: obs.NewRegistry()})
 	deadline := 150.0 + 4000
 	pls, err := s.Submit([]JobSpec{
 		{Name: "j1", N: 200, Iterations: 60, Deadline: deadline},
@@ -250,8 +251,8 @@ func TestRetiredTenantSkipped(t *testing.T) {
 		testSpec("keep", "sparc10", "light", 71),
 		testSpec("gone", "ultra", "light", 72),
 	)
-	m := NewMetrics(obs.NewRegistry())
-	s := New(reg, Config{Metrics: m})
+	metrics := obs.NewRegistry()
+	s := New(reg, Config{Metrics: metrics})
 	// Warm the scheduler's view of both tenants, queueing work on the
 	// faster one (which is about to retire).
 	pls, err := s.Submit([]JobSpec{{N: 200, Iterations: 80}, {N: 200, Iterations: 80}})
@@ -306,6 +307,14 @@ func TestRetiredTenantSkipped(t *testing.T) {
 	if st = s.Status(); st.Completed != 3 {
 		t.Errorf("jobs lost after retire: %+v", st)
 	}
+	skips := uint64(0)
+	for _, ts := range st.Tenants {
+		skips += ts.Skips
+	}
+	m := scrape(t, metrics)
+	if m[MetricTenantSkips] != float64(skips) || m[MetricJobsCompleted] != 3 {
+		t.Errorf("metrics read %g skips and %g completions, status %d and 3", m[MetricTenantSkips], m[MetricJobsCompleted], skips)
+	}
 }
 
 // TestMigrationOffSaturatedTenant drives the rebalancer directly: with a
@@ -316,8 +325,8 @@ func TestMigrationOffSaturatedTenant(t *testing.T) {
 		testSpec("hot", "ultra", "light", 81),
 		testSpec("cold", "sparc2", "light", 82),
 	)
-	m := NewMetrics(obs.NewRegistry())
-	s := New(reg, Config{Metrics: m})
+	metrics := obs.NewRegistry()
+	s := New(reg, Config{Metrics: metrics})
 	// Everything lands on the 16x-faster tenant.
 	pls, err := s.Submit([]JobSpec{
 		{N: 200, Iterations: 80}, {N: 200, Iterations: 80}, {N: 200, Iterations: 80},
@@ -343,6 +352,12 @@ func TestMigrationOffSaturatedTenant(t *testing.T) {
 	}
 	if st.SaturatedTenants != 1 {
 		t.Errorf("saturated gauge: %+v", st)
+	}
+	// A migration is a placement too.
+	m := scrape(t, metrics)
+	if m[MetricMigrations] != float64(st.Migrations) || m[MetricSaturated] != 1 ||
+		m[MetricPlacements+`{policy="quantile"}`] != float64(3+st.Migrations) {
+		t.Errorf("metrics %v disagree with status %+v", m, st)
 	}
 	for _, j := range st.Jobs {
 		if j.State == StateQueued && j.Tenant == "hot" {
@@ -415,7 +430,7 @@ func TestMigrationKeepsJobPolicy(t *testing.T) {
 // catalog documents.
 func TestMetricsRegistered(t *testing.T) {
 	reg := obs.NewRegistry()
-	NewMetrics(reg)
+	New(predict.NewRegistry(), Config{Metrics: reg})
 	names := map[string]bool{}
 	for _, n := range reg.MetricNames() {
 		names[n] = true
@@ -428,5 +443,53 @@ func TestMetricsRegistered(t *testing.T) {
 		if !names[want] {
 			t.Errorf("metric %s not registered", want)
 		}
+	}
+}
+
+// scrape renders reg and returns every sample line's value, keyed by the
+// text before it (name plus labels).
+func scrape(t *testing.T, reg *obs.Registry) map[string]float64 {
+	t.Helper()
+	var b strings.Builder
+	if err := reg.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]float64{}
+	for _, line := range strings.Split(b.String(), "\n") {
+		i := strings.LastIndexByte(line, ' ')
+		if line == "" || line[0] == '#' || i < 0 {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("metric line %q: %v", line, err)
+		}
+		out[line[:i]] = v
+	}
+	return out
+}
+
+// TestJobsOutstandingAfterSubmit: the outstanding-jobs gauge reads the
+// queues a placement round just filled, with no Sync in between.
+func TestJobsOutstandingAfterSubmit(t *testing.T) {
+	reg := testRegistry(t,
+		testSpec("a", "sparc10", "light", 91),
+		testSpec("b", "sparc5", "light", 92),
+	)
+	metrics := obs.NewRegistry()
+	s := New(reg, Config{Metrics: metrics})
+	jobs := make([]JobSpec, 32)
+	for i := range jobs {
+		jobs[i] = JobSpec{N: 150, Iterations: 10 + i%3}
+	}
+	if pls, err := s.Submit(jobs); err != nil || len(pls) != len(jobs) {
+		t.Fatalf("placed %d of %d: %v", len(pls), len(jobs), err)
+	}
+	m := scrape(t, metrics)
+	if got := m[MetricJobsOutstanding]; got != 32 {
+		t.Errorf("%s = %g after a 32-job submit, want 32", MetricJobsOutstanding, got)
+	}
+	if got := m[MetricPlacements+`{policy="quantile"}`]; got != 32 {
+		t.Errorf("%s{policy=quantile} = %g, want 32", MetricPlacements, got)
 	}
 }

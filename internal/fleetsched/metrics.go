@@ -22,103 +22,53 @@ const (
 // Policies lists every placement policy, for eager label registration.
 var Policies = []Policy{PolicyMean, PolicyQuantile, PolicyUpper}
 
-// Metrics holds the scheduler's pre-resolved metric series. A nil *Metrics
-// makes every record call a cheap no-op, and telemetry never feeds back
-// into placement: the schedule is identical with metrics on or off.
-type Metrics struct {
-	placements map[Policy]*obs.Counter
-	migrations *obs.Counter
-	skips      *obs.Counter
-	unplaced   *obs.Counter
-	completed  *obs.Counter
-	misses     *obs.Counter
-	saturated  *obs.Gauge
-	queued     *obs.Gauge
-	round      *obs.Histogram
-}
-
-// NewMetrics registers (or finds) the fleetsched families on reg and
-// resolves every series eagerly — one series per placement policy — so the
-// documented catalog exists from the first scrape. A nil reg returns nil,
-// which every record method treats as a no-op.
-func NewMetrics(reg *obs.Registry) *Metrics {
+// registerMetrics registers (or finds) the fleetsched families on reg, one
+// placement series per policy, so the documented catalog exists from the
+// first scrape. Every counter and gauge reads the scheduler's own fields
+// under s.mu when scraped — the scheduler is not snapshotted, so its counts
+// are this process's — and only the round latency is pushed. A nil reg
+// registers nothing.
+func (s *Scheduler) registerMetrics(reg *obs.Registry) {
 	if reg == nil {
-		return nil
+		return
 	}
-	m := &Metrics{
-		placements: make(map[Policy]*obs.Counter, len(Policies)),
-		migrations: reg.NewCounter(MetricMigrations,
-			"Queued jobs migrated away from saturated tenants by the rebalancer."),
-		skips: reg.NewCounter(MetricTenantSkips,
-			"Tenants skipped during placement or sync on lookup/predict errors (e.g. just retired)."),
-		unplaced: reg.NewCounter(MetricUnplaced,
-			"Submitted jobs dropped because no tenant could be scored."),
-		completed: reg.NewCounter(MetricJobsCompleted,
-			"Jobs completed by the fleet scheduler."),
-		misses: reg.NewCounter(MetricDeadlineMisses,
-			"Completed jobs that finished after their deadline."),
-		saturated: reg.NewGauge(MetricSaturated,
-			"Tenants currently marked saturated (excluded from placement)."),
-		queued: reg.NewGauge(MetricJobsOutstanding,
-			"Jobs currently queued or running across the fleet."),
-		round: reg.NewHistogram(MetricRoundDuration,
-			"Wall-clock latency of one placement round in seconds.", nil),
+	count := func(read func() int) obs.CounterFunc {
+		return func() int64 {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return int64(read())
+		}
 	}
-	vec := reg.NewCounterVec(MetricPlacements,
+	level := func(read func() int) obs.GaugeFunc {
+		c := count(read)
+		return func() float64 { return float64(c()) }
+	}
+	placements := reg.NewCounterVec(MetricPlacements,
 		"Jobs placed, by placement policy.", "policy")
 	for _, p := range Policies {
-		m.placements[p] = vec.With(string(p))
+		placements.Func(count(func() int { return s.placed[p] }), string(p))
 	}
-	return m
-}
-
-func (m *Metrics) recordPlacement(p Policy) {
-	if m == nil {
-		return
-	}
-	if c, ok := m.placements[p]; ok {
-		c.Inc()
-	}
-}
-
-func (m *Metrics) recordMigration() {
-	if m != nil {
-		m.migrations.Inc()
-	}
-}
-
-func (m *Metrics) recordSkip() {
-	if m != nil {
-		m.skips.Inc()
-	}
-}
-
-func (m *Metrics) recordUnplaced() {
-	if m != nil {
-		m.unplaced.Inc()
-	}
-}
-
-func (m *Metrics) recordCompletion(missed bool) {
-	if m == nil {
-		return
-	}
-	m.completed.Inc()
-	if missed {
-		m.misses.Inc()
-	}
-}
-
-func (m *Metrics) recordGauges(saturated, outstanding int) {
-	if m == nil {
-		return
-	}
-	m.saturated.Set(float64(saturated))
-	m.queued.Set(float64(outstanding))
-}
-
-func (m *Metrics) recordRound(seconds float64) {
-	if m != nil {
-		m.round.Observe(seconds)
-	}
+	reg.NewCounterVec(MetricMigrations,
+		"Queued jobs migrated away from saturated tenants by the rebalancer.").
+		Func(count(func() int { return s.migrated }))
+	reg.NewCounterVec(MetricTenantSkips,
+		"Tenants skipped during placement or sync on lookup/predict errors (e.g. just retired).").
+		Func(count(s.skipsLocked))
+	reg.NewCounterVec(MetricUnplaced,
+		"Submitted jobs dropped because no tenant could be scored.").
+		Func(count(func() int { return s.unplaced }))
+	reg.NewCounterVec(MetricJobsCompleted,
+		"Jobs completed by the fleet scheduler.").
+		Func(count(func() int { return s.done }))
+	reg.NewCounterVec(MetricDeadlineMisses,
+		"Completed jobs that finished after their deadline.").
+		Func(count(func() int { return s.misses }))
+	reg.NewGaugeVec(MetricSaturated,
+		"Tenants currently marked saturated (excluded from placement).").
+		Func(level(s.saturatedCountLocked))
+	reg.NewGaugeVec(MetricJobsOutstanding,
+		"Jobs currently queued or running across the fleet.").
+		Func(level(s.queuedCountLocked))
+	s.round = reg.NewHistogram(MetricRoundDuration,
+		"Wall-clock latency of one placement round in seconds.", nil)
 }

@@ -15,7 +15,9 @@
 //
 //   - stdlib only (the module is fully offline);
 //   - goroutine-safe: counters and gauges are single atomics, histograms
-//     take a short mutex per observation;
+//     take a short mutex per observation, and a value its owner already
+//     holds is a function series (CounterFunc, GaugeFunc) read at
+//     exposition, so nothing copies it on the request path;
 //   - nil-safe: every method on a nil *Counter, *Gauge, or *Histogram is a
 //     no-op, so instrumented code runs unchanged (and nearly free) when no
 //     registry is configured;
@@ -251,12 +253,20 @@ type family struct {
 	name, help string
 	kind       Kind
 	labels     []string
-	bounds     []float64      // histogram families only
-	fn         func() float64 // gauge-func families only
+	bounds     []float64 // histogram families only
 
 	mu     sync.Mutex
-	series map[string]any // *Counter | *Gauge | *Histogram, keyed by joined label values
+	series map[string]any // *Counter | *Gauge | *Histogram | CounterFunc | GaugeFunc, keyed by joined label values
 }
+
+// CounterFunc and GaugeFunc are series whose value their owner already
+// holds: exposition calls them, with no registry or family lock held, so
+// the owner may take its own locks inside. A counter function must never
+// decrease while its owner lives.
+type (
+	CounterFunc func() int64
+	GaugeFunc   func() float64
+)
 
 // labelKey joins label values with an unprintable separator so distinct
 // tuples cannot collide.
@@ -272,6 +282,15 @@ func (f *family) get(values []string, make func() any) any {
 	m := make()
 	f.series[key] = m
 	return m
+}
+
+// setFunc installs a function series for one label-value tuple, replacing
+// whatever series the tuple had: the newest owner of a name is the one read.
+func (f *family) setFunc(values []string, fn any) {
+	f.checkValues(values)
+	f.mu.Lock()
+	f.series[labelKey(values)] = fn
+	f.mu.Unlock()
 }
 
 // Registry is a set of metric families. All methods are safe for concurrent
@@ -330,25 +349,10 @@ func validMetricName(s string) bool {
 	return true
 }
 
-// NewCounter registers (or finds) an unlabeled counter.
-func (r *Registry) NewCounter(name, help string) *Counter {
-	f := r.register(name, help, KindCounter, nil, nil)
-	return f.get(nil, func() any { return &Counter{} }).(*Counter)
-}
-
 // NewGauge registers (or finds) an unlabeled gauge.
 func (r *Registry) NewGauge(name, help string) *Gauge {
 	f := r.register(name, help, KindGauge, nil, nil)
 	return f.get(nil, func() any { return &Gauge{} }).(*Gauge)
-}
-
-// NewGaugeFunc registers a gauge whose value is computed by fn at every
-// exposition — for values that already live elsewhere (uptime, pool sizes).
-func (r *Registry) NewGaugeFunc(name, help string, fn func() float64) {
-	f := r.register(name, help, KindGauge, nil, nil)
-	f.mu.Lock()
-	f.fn = fn
-	f.mu.Unlock()
 }
 
 // NewHistogram registers (or finds) an unlabeled histogram over the given
@@ -379,6 +383,9 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return v.f.get(values, func() any { return &Counter{} }).(*Counter)
 }
 
+// Func makes fn the series of one label-value tuple (see CounterFunc).
+func (v *CounterVec) Func(fn CounterFunc, values ...string) { v.f.setFunc(values, fn) }
+
 // GaugeVec is a gauge family with a fixed label schema.
 type GaugeVec struct{ f *family }
 
@@ -395,6 +402,9 @@ func (v *GaugeVec) With(values ...string) *Gauge {
 	v.f.checkValues(values)
 	return v.f.get(values, func() any { return &Gauge{} }).(*Gauge)
 }
+
+// Func makes fn the series of one label-value tuple (see GaugeFunc).
+func (v *GaugeVec) Func(fn GaugeFunc, values ...string) { v.f.setFunc(values, fn) }
 
 // HistogramVec is a histogram family with a fixed label schema.
 type HistogramVec struct{ f *family }
@@ -472,7 +482,6 @@ func (f *family) writeText(w io.Writer) error {
 	for i, k := range keys {
 		series[i] = f.series[k]
 	}
-	fn := f.fn
 	f.mu.Unlock()
 
 	if f.help != "" {
@@ -481,10 +490,6 @@ func (f *family) writeText(w io.Writer) error {
 		}
 	}
 	if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind); err != nil {
-		return err
-	}
-	if fn != nil {
-		_, err := fmt.Fprintf(w, "%s %s\n", f.name, formatFloat(fn()))
 		return err
 	}
 	for i, m := range series {
@@ -497,8 +502,12 @@ func (f *family) writeText(w io.Writer) error {
 		switch m := m.(type) {
 		case *Counter:
 			_, err = fmt.Fprintf(w, "%s %d\n", base, m.Value())
+		case CounterFunc:
+			_, err = fmt.Fprintf(w, "%s %d\n", base, m())
 		case *Gauge:
 			_, err = fmt.Fprintf(w, "%s %s\n", base, formatFloat(m.Value()))
+		case GaugeFunc:
+			_, err = fmt.Fprintf(w, "%s %s\n", base, formatFloat(m()))
 		case *Histogram:
 			err = m.writeText(w, f.name, f.labels, values)
 		}

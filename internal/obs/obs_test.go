@@ -11,7 +11,7 @@ import (
 
 func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry()
-	c := r.NewCounter("requests_total", "reqs")
+	c := r.NewCounterVec("requests_total", "reqs").With()
 	c.Inc()
 	c.Add(4)
 	c.Add(-3) // ignored: counters are monotone
@@ -25,7 +25,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 		t.Errorf("gauge=%g, want 1.5", g.Value())
 	}
 	// Get-or-create: same name returns the same metric.
-	if r.NewCounter("requests_total", "reqs").Value() != 5 {
+	if r.NewCounterVec("requests_total", "reqs").With().Value() != 5 {
 		t.Error("re-registration did not return the existing counter")
 	}
 }
@@ -59,7 +59,7 @@ func TestNilSafety(t *testing.T) {
 
 func TestRegisterConflictPanics(t *testing.T) {
 	r := NewRegistry()
-	r.NewCounter("m", "")
+	r.NewCounterVec("m", "").With()
 	defer func() {
 		if recover() == nil {
 			t.Error("re-registering a counter as a gauge must panic")
@@ -75,7 +75,7 @@ func TestInvalidNamePanics(t *testing.T) {
 			t.Error("invalid metric name must panic")
 		}
 	}()
-	r.NewCounter("9bad name", "")
+	r.NewCounterVec("9bad name", "").With()
 }
 
 func TestHistogramQuantilesAgainstStats(t *testing.T) {
@@ -130,7 +130,7 @@ func TestWriteTextDeterministicAndParses(t *testing.T) {
 		h := r.NewHistogramVec("stage_seconds", "stages", []float64{0.001, 0.01}, "stage")
 		h.With("model_eval").Observe(0.0005)
 		h.With("model_eval").Observe(0.5)
-		r.NewGaugeFunc("uptime_seconds", "uptime", func() float64 { return 42 })
+		r.NewGaugeVec("uptime_seconds", "uptime").Func(func() float64 { return 42 })
 		return r
 	}
 	var a, b strings.Builder
@@ -185,7 +185,7 @@ func TestParseTextRejectsMalformed(t *testing.T) {
 
 func TestMetricNames(t *testing.T) {
 	r := NewRegistry()
-	r.NewCounter("b_total", "")
+	r.NewCounterVec("b_total", "").With()
 	r.NewGauge("a_gauge", "")
 	names := r.MetricNames()
 	if len(names) != 2 || names[0] != "a_gauge" || names[1] != "b_total" {
@@ -198,7 +198,7 @@ func TestMetricNames(t *testing.T) {
 // exposition all at once.
 func TestConcurrentUse(t *testing.T) {
 	r := NewRegistry()
-	c := r.NewCounter("c_total", "")
+	c := r.NewCounterVec("c_total", "").With()
 	g := r.NewGauge("g", "")
 	hv := r.NewHistogramVec("h_seconds", "", nil, "stage")
 	cv := r.NewCounterVec("cv_total", "", "k")
@@ -230,5 +230,37 @@ func TestConcurrentUse(t *testing.T) {
 	wg.Wait()
 	if c.Value() != 8*500 {
 		t.Errorf("counter=%d, want %d", c.Value(), 8*500)
+	}
+}
+
+// TestFuncSeries: a function series is read at exposition — a counter's as
+// an integer — the newest function for a label tuple is the one read, and
+// it runs with no registry or family lock held, so it may use the registry
+// itself.
+func TestFuncSeries(t *testing.T) {
+	r := NewRegistry()
+	cv := r.NewCounterVec("jobs_total", "jobs", "policy")
+	cv.Func(func() int64 { return 1 }, "mean")
+	cv.Func(func() int64 { return 1<<53 + 1 }, "mean")
+	gv := r.NewGaugeVec("clock_seconds", "clock", "platform")
+	gv.Func(func() float64 {
+		gv.With("other").Set(2) // the family's own lock
+		r.NewCounterVec("late_total", "").With().Inc()
+		return 180.5
+	}, "p1")
+	var b strings.Builder
+	if err := r.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`clock_seconds{platform="p1"} 180.5`,
+		`jobs_total{policy="mean"} 9007199254740993`,
+	} {
+		if !strings.Contains(b.String(), want+"\n") {
+			t.Errorf("exposition lacks %q:\n%s", want, b.String())
+		}
+	}
+	if _, _, err := ParseText(strings.NewReader(b.String())); err != nil {
+		t.Error(err)
 	}
 }

@@ -57,9 +57,12 @@ const (
 	numStages
 )
 
-// serviceMetrics holds one platform's pre-resolved metric series. A nil
+// serviceMetrics holds one platform's pre-resolved pushed series: the
+// counters of what this process did and the latency histograms. A nil
 // *serviceMetrics (no registry configured) makes every record call a cheap
-// no-op, so the pipeline is identical with telemetry off.
+// no-op, so the pipeline is identical with telemetry off. The gauges are
+// not here: newServiceMetrics registers them as functions that read the
+// service itself at exposition.
 type serviceMetrics struct {
 	predictions  *obs.Counter
 	errors       *obs.Counter
@@ -70,9 +73,6 @@ type serviceMetrics struct {
 	cacheMisses  *obs.Counter
 	batchSize    *obs.Histogram
 	quantileReqs *obs.Counter
-	scale        *obs.Gauge
-	outstanding  *obs.Gauge
-	vtime        *obs.Gauge
 	stages       [numStages]*obs.Histogram
 	refits       [3]*obs.Counter // by nws.RefitBy
 
@@ -82,19 +82,18 @@ type serviceMetrics struct {
 	platform string
 	winsVec  *obs.CounterVec
 	wins     map[string]*obs.Counter
-
-	// scenarioVec carries one constant-1 series per workload scenario the
-	// platform's spec references — an info metric for fleet dashboards.
-	scenarioVec *obs.GaugeVec
 }
 
 // newServiceMetrics registers (or finds) the pipeline families on reg and
-// resolves this platform's series, eagerly, so every documented family and
-// stage series exists from the first scrape.
-func newServiceMetrics(reg *obs.Registry, platform string) *serviceMetrics {
+// resolves s's series, eagerly, so every documented family and stage series
+// exists from the first scrape. The calibration scale, the ledger size and
+// the virtual clock are read from s when scraped, and the scenario info
+// series are constant: none of them is written after this.
+func newServiceMetrics(reg *obs.Registry, s *Service) *serviceMetrics {
 	if reg == nil {
 		return nil
 	}
+	platform := s.name
 	m := &serviceMetrics{
 		predictions: reg.NewCounterVec(MetricPredictions,
 			"Predictions issued, by platform.", "platform").With(platform),
@@ -115,13 +114,16 @@ func newServiceMetrics(reg *obs.Registry, platform string) *serviceMetrics {
 			BatchSizeBuckets, "platform").With(platform),
 		quantileReqs: reg.NewCounterVec(MetricQuantileRequests,
 			"Predictions that requested calibrated quantile intervals, by platform.", "platform").With(platform),
-		scale: reg.NewGaugeVec(MetricCalibrationScale,
-			"Current conformal half-width multiplier, by platform (1 = uncalibrated).", "platform").With(platform),
-		outstanding: reg.NewGaugeVec(MetricOutstanding,
-			"Issued predictions awaiting an Observe call, by platform.", "platform").With(platform),
-		vtime: reg.NewGaugeVec(MetricVirtualTime,
-			"Current virtual-clock time in virtual seconds, by platform.", "platform").With(platform),
 	}
+	reg.NewGaugeVec(MetricCalibrationScale,
+		"Current conformal half-width multiplier, by platform (1 = uncalibrated).", "platform").
+		Func(s.tracker.Scale, platform)
+	reg.NewGaugeVec(MetricOutstanding,
+		"Issued predictions awaiting an Observe call, by platform.", "platform").
+		Func(func() float64 { return float64(s.Outstanding()) }, platform)
+	reg.NewGaugeVec(MetricVirtualTime,
+		"Current virtual-clock time in virtual seconds, by platform.", "platform").
+		Func(s.Now, platform)
 	hv := reg.NewHistogramVec(MetricStageDuration,
 		"Wall-clock pipeline stage latency in seconds, by platform and stage.",
 		nil, "platform", "stage")
@@ -144,20 +146,20 @@ func newServiceMetrics(reg *obs.Registry, platform string) *serviceMetrics {
 	for _, tag := range tags {
 		m.wins[tag] = m.winsVec.With(platform, tag)
 	}
-	m.scenarioVec = reg.NewGaugeVec(MetricScenarioInfo,
+	// One constant-1 series per workload scenario the spec references: an
+	// info metric for fleet dashboards.
+	scenarios := reg.NewGaugeVec(MetricScenarioInfo,
 		"Workload-library scenarios driving this platform's load (value always 1), by platform and scenario.",
 		"platform", "scenario")
-	m.scale.Set(1)
-	return m
-}
-
-// recordScenario publishes one workload-scenario info series for this
-// platform.
-func (m *serviceMetrics) recordScenario(name string) {
-	if m == nil || name == "" {
-		return
+	for _, ls := range s.spec.CPU {
+		if ls.Kind == "scenario" {
+			scenarios.With(platform, ls.Scenario).Set(1)
+		}
 	}
-	m.scenarioVec.With(m.platform, name).Set(1)
+	if s.spec.Net != nil && s.spec.Net.Kind == "scenario" {
+		scenarios.With(platform, s.spec.Net.Scenario).Set(1)
+	}
+	return m
 }
 
 // recordTournamentWin counts one machine-load distribution served by the
@@ -236,19 +238,16 @@ func (m *serviceMetrics) recordBatch(n int) {
 	}
 }
 
-// recordPredict updates the per-prediction counters and gauges after a
-// successful Predict call.
-func (m *serviceMetrics) recordPredict(scale float64, outstanding int) {
-	if m == nil {
-		return
+// recordPredict counts one successful Predict call.
+func (m *serviceMetrics) recordPredict() {
+	if m != nil {
+		m.predictions.Inc()
 	}
-	m.predictions.Inc()
-	m.scale.Set(scale)
-	m.outstanding.Set(float64(outstanding))
 }
 
-// recordObserve updates the feedback-path counters after an Observe call.
-func (m *serviceMetrics) recordObserve(scale float64, outstanding int, drifted bool) {
+// recordObserve counts one Observe call and, when it fired a regime reset,
+// one drift event.
+func (m *serviceMetrics) recordObserve(drifted bool) {
 	if m == nil {
 		return
 	}
@@ -256,23 +255,11 @@ func (m *serviceMetrics) recordObserve(scale float64, outstanding int, drifted b
 	if drifted {
 		m.drifts.Inc()
 	}
-	m.scale.Set(scale)
-	m.outstanding.Set(float64(outstanding))
 }
 
-// recordOutstanding republishes the ledger size after a Discard.
-func (m *serviceMetrics) recordOutstanding(outstanding int) {
+// recordGaps adds newly missed sensor samples to the fault-gap counter.
+func (m *serviceMetrics) recordGaps(missed int) {
 	if m != nil {
-		m.outstanding.Set(float64(outstanding))
+		m.gapSamples.Add(int64(missed))
 	}
-}
-
-// recordClock publishes the virtual clock and the cumulative fault-gap
-// delta (missed sensor samples since the last sync).
-func (m *serviceMetrics) recordClock(vtime float64, missedDelta int) {
-	if m == nil {
-		return
-	}
-	m.vtime.Set(vtime)
-	m.gapSamples.Add(int64(missedDelta))
 }

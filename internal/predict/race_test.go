@@ -3,12 +3,16 @@ package predict_test
 import (
 	"fmt"
 	"io"
+	"math"
+	"math/rand"
 	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"prodpred/internal/calib"
 	"prodpred/internal/predict"
 	"prodpred/internal/stochastic"
 )
@@ -285,4 +289,80 @@ func TestConcurrentObservePredictDeterministic(t *testing.T) {
 	if !strings.Contains(stateA, "Observed:40") {
 		t.Errorf("state did not record all outcomes: %s", stateA)
 	}
+}
+
+// TestCalibrationOverlayStress: a prediction's calibrated value and its
+// calibrated quantile grid come from one state of the platform's tracker,
+// even while Observe moves it. One goroutine runs predict → observe round
+// trips, so the tracker's outcome sequence is known; readers predict the
+// same shape meanwhile. Replayed on a twin tracker, every state gives one
+// (value, grid) pair, and each reader's answer must be one of them — never
+// the value of one state with the grid of the next.
+func TestCalibrationOverlayStress(t *testing.T) {
+	const observes, readers = 600, 3
+	svc := burstyService(t, 17, 300)
+	req := baseRequest()
+	req.Distribution = true
+	rng := rand.New(rand.NewSource(5))
+	var outcomes []calib.Outcome
+	var done atomic.Bool
+	answers := make([][]predict.Prediction, readers)
+	var wg sync.WaitGroup
+	for r := range answers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !done.Load() {
+				p, err := svc.Predict(req)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				svc.Discard(p.ID)
+				answers[r] = append(answers[r], p)
+			}
+		}()
+	}
+	for i := 0; i < observes; i++ {
+		p, err := svc.Predict(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Actuals spread well past the interval, so nearly every outcome
+		// moves the scale, the shift or a quantile multiplier.
+		actual := p.Raw.Mean * math.Exp(0.4*rng.NormFloat64())
+		if _, err := svc.Observe(p.ID, actual); err != nil {
+			t.Fatal(err)
+		}
+		outcomes = append(outcomes, calib.Outcome{ID: p.ID, Time: p.Time, Raw: p.Raw,
+			Calibrated: p.Value, Actual: actual, RawQuantiles: p.Dist.Raw})
+	}
+	done.Store(true)
+	wg.Wait()
+
+	pair := func(v stochastic.Value, grid []float64) string { return fmt.Sprint(v, grid) }
+	states := map[string]bool{}
+	twin, _ := calib.New(calib.Config{})
+	raw, rawQ := outcomes[0].Raw, outcomes[0].RawQuantiles
+	for i := 0; ; i++ {
+		v, grid := twin.Overlay(raw, rawQ)
+		states[pair(v, grid)] = true
+		if i == len(outcomes) {
+			break
+		}
+		twin.Observe(outcomes[i])
+	}
+	n := 0
+	for _, ps := range answers {
+		for _, p := range ps {
+			n++
+			if p.Raw != raw || !slices.Equal(p.Dist.Raw, rawQ) {
+				t.Fatalf("prediction %d answers another raw shape than the round trips", p.ID)
+			}
+			if !states[pair(p.Value, p.Dist.Calibrated)] {
+				t.Errorf("prediction %d: value %v and grid %v come from no single tracker state", p.ID, p.Value, p.Dist.Calibrated)
+			}
+		}
+	}
+	t.Logf("%d reader answers over %d tracker states", n, len(states))
 }

@@ -127,12 +127,14 @@ type Service struct {
 
 	// Online accuracy state: the per-platform tracker plus the ledger of
 	// issued-but-unobserved predictions the Observe path resolves against.
-	// The tracker locks internally; ledgerMu guards the ledger maps.
-	tracker     *calib.Tracker
-	ledgerMu    sync.Mutex
-	nextID      uint64
-	issued      map[uint64]issuedPrediction
-	issuedOrder []uint64 // issue order, for bounded eviction
+	// The tracker locks internally; ledgerMu guards the ledger. IDs are
+	// issued in ascending order, so every live ID lies in (evicted, nextID]:
+	// evicted is the eviction cursor, the last ID bounded eviction passed.
+	tracker  *calib.Tracker
+	ledgerMu sync.Mutex
+	nextID   uint64
+	evicted  uint64
+	issued   map[uint64]issuedPrediction
 
 	// Telemetry (nil when the service was built without a metrics
 	// registry).
@@ -152,8 +154,9 @@ type issuedPrediction struct {
 // monitor per machine, a lazily grown set of bandwidth monitors, and the
 // clock at virtual time zero. No measurements are taken until the clock
 // advances. metrics, when non-nil, receives the service's telemetry:
-// per-platform pipeline counters/gauges and per-stage wall-clock latency
-// histograms (see the predict Metric* constants). Nil disables
+// per-platform pipeline counters, gauges that read the service when
+// scraped, and per-stage wall-clock latency histograms (see the predict
+// Metric* constants). Nil disables
 // instrumentation at near-zero cost; telemetry never feeds back into
 // predictions, so same-seed determinism is unaffected either way.
 func newService(spec *PlatformSpec, metrics *obs.Registry) (*Service, error) {
@@ -185,9 +188,9 @@ func newService(spec *PlatformSpec, metrics *obs.Registry) (*Service, error) {
 		cache:    newTickCache(),
 		tracker:  tracker,
 		issued:   make(map[uint64]issuedPrediction),
-		metrics:  newServiceMetrics(metrics, cfg.Platform.Name),
 		design:   buildDistDesign(p),
 	}
+	s.metrics = newServiceMetrics(metrics, s)
 	_, constant := cfg.Net.(load.Constant)
 	s.netMon = !constant
 	if s.link, err = cfg.Platform.Link(0, 1); err != nil {
@@ -320,7 +323,7 @@ func (s *Service) advanceToLocked(t float64) ([]*nws.Refit, error) {
 	}
 	if s.metrics != nil {
 		missed := s.missedTotal()
-		s.metrics.recordClock(t, missed-s.lastMissed)
+		s.metrics.recordGaps(missed - s.lastMissed)
 		s.lastMissed = missed
 	}
 	var refits []*nws.Refit
@@ -554,7 +557,7 @@ func (s *Service) bwReport(n int) (stochastic.Value, nws.GapStats, error) {
 			// A first-use bandwidth monitor may have accumulated gaps while
 			// catching up; fold them into the fault-gap counter.
 			missed := mon.Gaps().Missed
-			s.metrics.recordClock(s.now, missed)
+			s.metrics.recordGaps(missed)
 			s.lastMissed += missed
 		}
 	}
@@ -941,18 +944,19 @@ func dominantForecaster(dists []nws.LoadDist) string {
 // learns exclusively from distribution-valued traffic.
 func (s *Service) finishPrediction(core *predictionCore, req Request) Prediction {
 	levels := req.Levels
-	cal := s.tracker.Calibrate(core.raw)
-	scale := 1.0
-	if core.raw.Spread > 0 {
-		scale = cal.Spread / core.raw.Spread
-	}
 	var distRaw []float64
 	if req.Distribution || len(levels) > 0 {
 		distRaw = core.dist(s)
 	}
+	// One hold of the tracker for both overlays: an Observe landing between
+	// two would give the value and the grid different calibration states.
+	cal, calQ := s.tracker.Overlay(core.raw, distRaw)
+	scale := 1.0
+	if core.raw.Spread > 0 {
+		scale = cal.Spread / core.raw.Spread
+	}
 	var dist PredictionDist
 	if len(distRaw) == len(nws.DistLevels) {
-		calQ := s.tracker.CalibrateQuantiles(make([]float64, 0, len(distRaw)), distRaw)
 		dist = PredictionDist{
 			Levels:     nws.DistLevels,
 			Raw:        distRaw,
@@ -975,9 +979,8 @@ func (s *Service) finishPrediction(core *predictionCore, req Request) Prediction
 	}
 	s.ledgerMu.Lock()
 	id := s.issueLocked(core.raw, cal, distRaw)
-	outstanding := len(s.issued)
 	s.ledgerMu.Unlock()
-	s.metrics.recordPredict(scale, outstanding)
+	s.metrics.recordPredict()
 	return Prediction{
 		ID:               id,
 		Value:            cal,
@@ -994,47 +997,22 @@ func (s *Service) finishPrediction(core *predictionCore, req Request) Prediction
 
 // issueLocked registers a freshly answered prediction in the Observe
 // ledger, evicting the oldest still-unobserved entry once maxOutstanding
-// predictions are truly outstanding. Observe deletes from issued but leaves
-// the ID behind in issuedOrder as a dead slot; those never count against
-// the bound and are skipped (and dropped) during eviction, and
-// compactOrderLocked rebuilds the order slice before dead slots dominate.
-// Callers hold ledgerMu.
+// predictions are truly outstanding: the first live ID above the eviction
+// cursor. The cursor only moves up, so each ID is passed over once in the
+// service's life. Callers hold ledgerMu.
 func (s *Service) issueLocked(raw, calibrated stochastic.Value, rawQ []float64) uint64 {
-	s.nextID++
-	id := s.nextID
 	if len(s.issued) >= maxOutstanding {
-		for len(s.issuedOrder) > 0 {
-			oldest := s.issuedOrder[0]
-			s.issuedOrder = s.issuedOrder[1:]
-			if _, live := s.issued[oldest]; live {
-				delete(s.issued, oldest)
+		for {
+			s.evicted++
+			if _, live := s.issued[s.evicted]; live {
+				delete(s.issued, s.evicted)
 				break
 			}
 		}
 	}
-	s.issued[id] = issuedPrediction{raw: raw, calibrated: calibrated, rawQ: rawQ}
-	s.issuedOrder = append(s.issuedOrder, id)
-	s.compactOrderLocked()
-	return id
-}
-
-// compactOrderLocked rebuilds issuedOrder without dead slots once they
-// outnumber live entries. The rebuild allocates a fresh backing array, so
-// the issuedOrder[1:] reslicing above can never pin retired memory
-// indefinitely; with the 2x trigger the cost is amortized O(1) per issue.
-// Callers hold ledgerMu.
-func (s *Service) compactOrderLocked() {
-	const compactFloor = 64
-	if len(s.issuedOrder) < compactFloor || len(s.issuedOrder) < 2*len(s.issued) {
-		return
-	}
-	compact := make([]uint64, 0, len(s.issued))
-	for _, id := range s.issuedOrder {
-		if _, live := s.issued[id]; live {
-			compact = append(compact, id)
-		}
-	}
-	s.issuedOrder = compact
+	s.nextID++
+	s.issued[s.nextID] = issuedPrediction{raw: raw, calibrated: calibrated, rawQ: rawQ}
+	return s.nextID
 }
 
 // Observe closes the loop for one prediction: the measured runtime (in
@@ -1052,15 +1030,12 @@ func (s *Service) Observe(id uint64, actual float64) (drifted bool, err error) {
 	defer s.clockMu.RUnlock()
 	s.ledgerMu.Lock()
 	ip, ok := s.issued[id]
-	if ok {
-		delete(s.issued, id)
-	}
-	outstanding := len(s.issued)
+	delete(s.issued, id)
 	s.ledgerMu.Unlock()
 	if !ok {
 		return false, fmt.Errorf("predict: prediction id %d was never issued by platform %q (or was already observed)", id, s.name)
 	}
-	_, drifted, scale := s.tracker.Observe(calib.Outcome{
+	_, drifted = s.tracker.Observe(calib.Outcome{
 		ID:           id,
 		Time:         s.now,
 		Raw:          ip.raw,
@@ -1068,7 +1043,7 @@ func (s *Service) Observe(id uint64, actual float64) (drifted bool, err error) {
 		Actual:       actual,
 		RawQuantiles: ip.rawQ,
 	})
-	s.metrics.recordObserve(scale, outstanding, drifted)
+	s.metrics.recordObserve(drifted)
 	return drifted, nil
 }
 
@@ -1080,9 +1055,7 @@ func (s *Service) Observe(id uint64, actual float64) (drifted bool, err error) {
 func (s *Service) Discard(id uint64) {
 	s.ledgerMu.Lock()
 	delete(s.issued, id)
-	outstanding := len(s.issued)
 	s.ledgerMu.Unlock()
-	s.metrics.recordOutstanding(outstanding)
 }
 
 // Accuracy returns the platform's online accuracy and calibration state.

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 
 	"prodpred/internal/calib"
 	"prodpred/internal/nws"
@@ -328,18 +329,16 @@ func (s *Service) exportTo(e *snapEnc) {
 		encodeMonitorState(e, b.mon.ExportState())
 	}
 
-	// Prediction ledger: live entries in issue order (dead slots dropped —
-	// they carry no state the restored eviction path could need).
+	// Prediction ledger: live entries in issue order, which is ID order.
 	s.ledgerMu.Lock()
 	e.u64(s.nextID)
-	liveOrder := make([]uint64, 0, len(s.issued))
-	for _, id := range s.issuedOrder {
-		if _, ok := s.issued[id]; ok {
-			liveOrder = append(liveOrder, id)
-		}
+	live := make([]uint64, 0, len(s.issued))
+	for id := range s.issued {
+		live = append(live, id)
 	}
-	e.u32(uint32(len(liveOrder)))
-	for _, id := range liveOrder {
+	slices.Sort(live)
+	e.u32(uint32(len(live)))
+	for _, id := range live {
 		ip := s.issued[id]
 		e.u64(id)
 		e.f64(ip.raw.Mean)
@@ -354,9 +353,12 @@ func (s *Service) exportTo(e *snapEnc) {
 }
 
 // importFrom replaces a freshly built service's dynamic state with a
-// decoded snapshot section. The service must not yet be published to other
-// goroutines.
+// decoded snapshot section. The service must not yet be published to a
+// registry; it holds the clock lock (and the ledger's for the ledger) all
+// the same, because its metrics registry already reads it.
 func (s *Service) importFrom(d *snapDec) error {
+	s.clockMu.Lock()
+	defer s.clockMu.Unlock()
 	s.now = d.f64()
 
 	nCPU := d.count(1)
@@ -403,11 +405,24 @@ func (s *Service) importFrom(d *snapDec) error {
 		s.bw = append(s.bw, bwMonitor{probe: probe, mon: mon})
 	}
 
+	// The ledger's IDs are outside input: they must ascend within
+	// [1, nextID], or a later issue would overwrite a restored entry and
+	// the eviction cursor could run past every live ID.
+	s.ledgerMu.Lock()
+	defer s.ledgerMu.Unlock()
 	s.nextID = d.u64()
+	s.evicted = s.nextID
 	nLedger := d.count(8 + 4*8)
-	s.issuedOrder = make([]uint64, 0, nLedger)
+	last := uint64(0)
 	for i := 0; i < nLedger && d.err == nil; i++ {
 		id := d.u64()
+		if d.err == nil && (id <= last || id > s.nextID) {
+			return fmt.Errorf("predict: snapshot ledger id %d does not ascend from %d within next id %d", id, last, s.nextID)
+		}
+		if i == 0 {
+			s.evicted = id - 1
+		}
+		last = id
 		ip := issuedPrediction{}
 		ip.raw.Mean = d.f64()
 		ip.raw.Spread = d.f64()
@@ -415,7 +430,6 @@ func (s *Service) importFrom(d *snapDec) error {
 		ip.calibrated.Spread = d.f64()
 		ip.rawQ = d.f64s()
 		s.issued[id] = ip
-		s.issuedOrder = append(s.issuedOrder, id)
 	}
 
 	ts := decodeTrackerState(d)

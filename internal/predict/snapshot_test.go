@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"prodpred/internal/obs"
 	"prodpred/internal/predict"
 )
 
@@ -511,4 +512,77 @@ func FuzzReadSnapshot(f *testing.F) {
 			t.Fatalf("read → write is not a fixed point: %d bytes, then %d", once.Len(), twice.Len())
 		}
 	})
+}
+
+// gaugeLines renders metrics and returns the sample lines of the named
+// families, in exposition order (by family name, then labels).
+func gaugeLines(t *testing.T, metrics *obs.Registry, families ...string) []string {
+	t.Helper()
+	var b strings.Builder
+	if err := metrics.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, line := range strings.Split(b.String(), "\n") {
+		for _, f := range families {
+			if strings.HasPrefix(line, f+"{") {
+				out = append(out, line)
+			}
+		}
+	}
+	return out
+}
+
+// TestRestoredMetricsReadTheState: a restored registry's GET /metrics
+// gauges read the restored services — clock, ledger size, calibration
+// scale and scenario info — exactly as the live registry's read the
+// services it was snapshotted from, not the zeros a fresh series starts at.
+func TestRestoredMetricsReadTheState(t *testing.T) {
+	spec := predict.FleetSpecs(3, 5)[2] // a workload-scenario tenant
+	live := obs.NewRegistry()
+	reg := predict.NewRegistryWith(predict.RegistryOptions{Metrics: live})
+	if err := reg.RegisterSpec(spec); err != nil {
+		t.Fatal(err)
+	}
+	svc, err := reg.Lookup(spec.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := baseRequest()
+	req.Platform = spec.Name
+	for i := 0; i < 20; i++ {
+		p, err := svc.Predict(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 0 {
+			// Far outside the interval, so the scale leaves 1.
+			if _, err := svc.Observe(p.ID, 4*p.Value.Mean); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := svc.Advance(60); err != nil {
+		t.Fatal(err)
+	}
+	if svc.Outstanding() != 10 || svc.Accuracy().Scale == 1 || svc.Now() != spec.Warmup+60 {
+		t.Fatalf("setup: outstanding %d, scale %g, clock %g", svc.Outstanding(), svc.Accuracy().Scale, svc.Now())
+	}
+	restored := obs.NewRegistry()
+	if _, err := predict.ReadSnapshot(bytes.NewReader(snapshotBytes(t, reg)), predict.RegistryOptions{Metrics: restored}); err != nil {
+		t.Fatal(err)
+	}
+	families := []string{predict.MetricVirtualTime, predict.MetricOutstanding, predict.MetricCalibrationScale, predict.MetricScenarioInfo}
+	want := []string{
+		fmt.Sprintf(`%s{platform=%q} %g`, predict.MetricCalibrationScale, spec.Name, svc.Accuracy().Scale),
+		fmt.Sprintf(`%s{platform=%q} %g`, predict.MetricOutstanding, spec.Name, 10.0),
+		fmt.Sprintf(`%s{platform=%q} %g`, predict.MetricVirtualTime, spec.Name, spec.Warmup+60),
+		fmt.Sprintf(`%s{platform=%q,scenario=%q} 1`, predict.MetricScenarioInfo, spec.Name, spec.CPU[0].Scenario),
+	}
+	if got := gaugeLines(t, live, families...); !slices.Equal(got, want) {
+		t.Errorf("live registry reads\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	if got := gaugeLines(t, restored, families...); !slices.Equal(got, want) {
+		t.Errorf("restored registry reads\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
 }

@@ -249,14 +249,6 @@ func NewServiceFromSpec(spec *PlatformSpec, metrics *obs.Registry) (*Service, er
 	if err != nil {
 		return nil, err
 	}
-	for _, ls := range spec.CPU {
-		if ls.Kind == "scenario" {
-			svc.metrics.recordScenario(ls.Scenario)
-		}
-	}
-	if spec.Net != nil && spec.Net.Kind == "scenario" {
-		svc.metrics.recordScenario(spec.Net.Scenario)
-	}
 	if spec.Warmup > 0 {
 		if err := svc.AdvanceTo(spec.Warmup); err != nil {
 			return nil, err

@@ -285,7 +285,7 @@ func TestFacadeCalibration(t *testing.T) {
 			Raw: raw, Calibrated: tr.Calibrate(raw),
 			Actual: 10 + 0.02*float64(i%5-2),
 		}
-		if _, fired, _ := tr.Observe(out); fired {
+		if _, fired := tr.Observe(out); fired {
 			t.Fatalf("outcome %d: unexpected drift", i)
 		}
 	}

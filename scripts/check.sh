@@ -34,9 +34,10 @@ go test -race ./...
 # they) run again at both, whatever the runner has; the calibrator's
 # TestConcurrentObserve and TestDeterministicState (snapshot readers racing
 # Observe) among them, api's TestReportIsOneTick (pollers racing a clock
-# step) and predict's TestBackgroundRefitReaders (reads racing the mixture
-# refits a step leaves to the background).
-go test -race -cpu 1,4 -run 'Race|Stress|Storm|Coherence|Concurrent|AdvanceAll|FleetAdvance|Registry|Retired|ReportIsOneTick|DeterministicState|BackgroundRefit' \
+# step), predict's TestBackgroundRefitReaders (reads racing the mixture
+# refits a step leaves to the background) and api's TestScrapeDuringFleetOps
+# (GET /metrics, whose gauges read their owners, racing fleet traffic).
+go test -race -cpu 1,4 -run 'Race|Stress|Storm|Coherence|Concurrent|AdvanceAll|FleetAdvance|Registry|Retired|ReportIsOneTick|DeterministicState|BackgroundRefit|ScrapeDuringFleetOps' \
     ./internal/predict ./internal/fleetsched ./internal/api ./internal/calib
 # Bench smoke: every benchmark must still run for one iteration without
 # error (no measurement — regressions are caught by scripts/bench.sh).
