@@ -788,6 +788,48 @@ func TestObserveAckReportsDrift(t *testing.T) {
 	}
 }
 
+// TestObserveOverflowingActuals: outcomes near the float64 ceiling, every
+// other one of 24 observes on a platform2 tenant from the first on, would
+// overflow the calibrator's Z-scores: its CUSUM to +Inf, and at the 24th
+// the mode-count check to a sample no mixture has a finite BIC for. Every
+// observe is still answered 200, and GET /accuracy afterwards answers 200
+// in JSON.
+func TestObserveOverflowingActuals(t *testing.T) {
+	spec, err := predict.SimulatedSpec(2, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Warmup = 120
+	reg := predict.NewRegistry()
+	if err := reg.RegisterSpec(spec); err != nil {
+		t.Fatal(err)
+	}
+	h := NewHandler(reg, Options{})
+	for i := 0; i < 24; i++ {
+		rec := post(h, "/predict", `{"platform":"platform2","n":120,"iterations":6}`)
+		var pr PredictResponse
+		if err := json.NewDecoder(rec.Body).Decode(&pr); err != nil || rec.Code != http.StatusOK {
+			t.Fatalf("predict %d: status %d: %v", i, rec.Code, err)
+		}
+		actual := pr.Mean
+		if i%2 == 0 {
+			actual = 1e308
+		}
+		if rec := post(h, "/observe", fmt.Sprintf(`{"platform":"platform2","id":%d,"actual":%g}`, pr.ID, actual)); rec.Code != http.StatusOK {
+			t.Fatalf("observe %d of %g: status %d: %s", i, actual, rec.Code, rec.Body)
+		}
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/accuracy?platform=platform2", nil))
+	var acc AccuracyResponse
+	if err := json.NewDecoder(rec.Body).Decode(&acc); err != nil || rec.Code != http.StatusOK {
+		t.Fatalf("GET /accuracy: status %d: %v", rec.Code, err)
+	}
+	if got := acc.Platforms[0].Accuracy.Observed; got != 24 {
+		t.Fatalf("GET /accuracy counts %d outcomes, want 24", got)
+	}
+}
+
 // TestReportIsOneTick: GET /report and GET /healthz read a platform's time
 // and its monitors under one hold of the clock. While one goroutine steps
 // the clock, every response the pollers get carries the per-machine reports

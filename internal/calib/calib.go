@@ -261,6 +261,12 @@ func (t *Tracker) Observe(o Outcome) (ev DriftEvent, drifted bool) {
 	return DriftEvent{}, false
 }
 
+// maxZ bounds a standardized residual. An actual near the float64 ceiling
+// would overflow it to ±Inf, and the regime baseline and the CUSUM sums with
+// it, which no drift verdict or GET /accuracy could then be read from; a
+// residual this far out is past CUSUMLimit whatever its size.
+const maxZ = 1e6
+
 // recordLocked reduces o to its window record, appends it to the rolling
 // window and the counters, and returns the appended record.
 func (t *Tracker) recordLocked(o Outcome) *WindowRec {
@@ -275,7 +281,7 @@ func (t *Tracker) recordLocked(o Outcome) *WindowRec {
 	}
 	if o.Raw.Spread > 0 {
 		r.Score = math.Abs(o.Actual-o.Raw.Mean) / o.Raw.Spread
-		r.Z = (o.Actual - o.Raw.Mean) / o.Raw.Sigma()
+		r.Z = math.Max(-maxZ, math.Min(maxZ, (o.Actual-o.Raw.Mean)/o.Raw.Sigma()))
 	} else {
 		// A point prediction carries no interval to calibrate; keep it for
 		// the capture statistics but exclude it from score quantiles and

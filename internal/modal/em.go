@@ -151,7 +151,8 @@ func FitEM(xs []float64, k int) (*MixtureModel, error) {
 // among those that finish: the candidates are raced, in ascending k, and one
 // is abandoned (see errAbandoned) once it can no longer take the lead from
 // the best so far. The result is always bit for bit what FitEM returns for
-// its k.
+// its k. When no candidate's BIC is finite it returns an error, never a nil
+// model.
 func FitBIC(xs []float64, kMax int) (*MixtureModel, error) {
 	f := fitters.Get().(*fitter)
 	defer fitters.Put(f)
@@ -222,6 +223,11 @@ func (f *fitter) fitBIC(xs []float64, kMax int) (*MixtureModel, error) {
 		}
 	}
 	if best == nil {
+		if firstErr == nil {
+			// Every fit ran, but none has a BIC below +Inf: NaN or
+			// overflowing samples.
+			firstErr = errors.New("modal: no candidate has a finite BIC")
+		}
 		return nil, firstErr
 	}
 	return best, nil

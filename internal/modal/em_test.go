@@ -155,6 +155,24 @@ func TestFitBICValidation(t *testing.T) {
 	}
 }
 
+// TestFitBICRefusesWithoutAFiniteBIC: a sample whose every fit has a BIC
+// that is NaN or +Inf (two of its values +Inf, NaN or near the float64
+// ceiling) selects no candidate, and FitBIC says so with an error instead of
+// a nil model.
+func TestFitBICRefusesWithoutAFiniteBIC(t *testing.T) {
+	for _, bad := range []float64{math.Inf(1), math.NaN(), 1e308} {
+		xs := make([]float64, 16)
+		for i := range xs {
+			xs[i] = 1 + 0.1*float64(i%4)
+		}
+		xs[3], xs[11] = bad, bad
+		mm, err := FitBIC(xs, 4)
+		if err == nil || mm != nil {
+			t.Errorf("two values of %g: model %v, error %v; want an error and no model", bad, mm, err)
+		}
+	}
+}
+
 func TestClassify(t *testing.T) {
 	mm := &MixtureModel{Modes: []Mode{
 		{Mean: 0.3, Sigma: 0.05, Weight: 0.5},

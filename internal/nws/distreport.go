@@ -56,7 +56,7 @@ func (m *Monitor) RobustDistReport(t float64, prior stochastic.Value) LoadDist {
 		}
 	}
 	mean, sigma := m.runningMean()
-	return normalLoadDist(mean, sigma*m.widenFactor(), FallbackForecasterName)
+	return normalLoadDist(mean, sigma*m.DegradationFactor(), FallbackForecasterName)
 }
 
 // medianLevel indexes the median in DistLevels.
@@ -66,7 +66,7 @@ var medianLevel = DistLevelIndex(0.5)
 // them in place around the median by the staleness degradation factor, and
 // enforces monotonicity.
 func (m *Monitor) widenedDist(qs []float64, comps []Component, name string) LoadDist {
-	if w := m.widenFactor(); w != 1 {
+	if w := m.DegradationFactor(); w != 1 {
 		med := qs[medianLevel]
 		for i := range qs {
 			qs[i] = med + w*(qs[i]-med)

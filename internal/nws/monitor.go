@@ -272,8 +272,6 @@ func (m *Monitor) Staleness() float64 { return m.stale }
 // reported spread: 1 on a healthy stream, growing with staleness.
 func (m *Monitor) DegradationFactor() float64 { return StalenessFactor(m.stale) }
 
-func (m *Monitor) widenFactor() float64 { return m.DegradationFactor() }
-
 // Len returns the number of stored measurements.
 func (m *Monitor) Len() int { return m.ring.Len() }
 
@@ -302,7 +300,7 @@ func (m *Monitor) Forecast() (Forecast, error) {
 		// factor has something to act on.
 		f.RMSE = minConservativeRMSE
 	}
-	f.RMSE *= m.widenFactor()
+	f.RMSE *= m.DegradationFactor()
 	return f, nil
 }
 
@@ -340,7 +338,7 @@ func (m *Monitor) RobustReport(t float64, prior stochastic.Value) stochastic.Val
 		}
 	}
 	mean, sigma := m.runningMean()
-	return stochastic.FromMeanSigma(mean, sigma*m.widenFactor())
+	return stochastic.FromMeanSigma(mean, sigma*m.DegradationFactor())
 }
 
 // runningMean is the fallback report of a history the mix is not trusted

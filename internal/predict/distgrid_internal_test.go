@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"prodpred/internal/nws"
+	"prodpred/internal/obs"
 	"prodpred/internal/sor"
 	"prodpred/internal/stats"
 	"prodpred/internal/stochastic"
@@ -160,18 +161,15 @@ func TestDistGridMatchesTree(t *testing.T) {
 				for _, strategy := range []stochastic.MaxStrategy{stochastic.LargestMean, stochastic.LargestMagnitude, stochastic.Probabilistic} {
 					for _, rel := range []structural.Relation{structural.Related, structural.Unrelated} {
 						req := shape
-						req.MaxStrategy, req.IterationRel = strategy, rel
-						core, err := svc.computeCore(req, &sizeFrame{tick: &tickFrame{}})
-						if err != nil {
-							t.Fatalf("%s at %g, %+v: %v", spec.Name, until, req, err)
-						}
-						model, dists, bandwidth := svc.sorModel(req, core.size.partition), core.size.tick.dists, core.size.bandwidth
-						got := core.dist(svc)
-						want := treeDistGrid(svc, model, dists, bandwidth, core.raw)
+						req.MaxStrategy, req.IterationRel, req.Distribution = strategy, rel, true
+						p, sz := servedFrame(t, svc, req)
+						model, dists, bandwidth := svc.sorModel(req, sz.partition), sz.tick.dists, sz.bandwidth
+						got := p.Dist.Raw
+						want := treeDistGrid(svc, model, dists, bandwidth, p.Raw)
 						if !sameFloats(got, want) {
 							t.Fatalf("%s at %g, %+v:\ngrid %v\ntree %v", spec.Name, until, req, got, want)
 						}
-						if sameFloats(got, normalDistGrid(core.raw)) {
+						if sameFloats(got, normalDistGrid(p.Raw)) {
 							t.Fatalf("%s at %g, %+v: the grid degraded to the normal one", spec.Name, until, req)
 						}
 						grids++
@@ -181,7 +179,8 @@ func TestDistGridMatchesTree(t *testing.T) {
 						// reaches the grid; what degrades the grid is a
 						// refused draw — here by an evaluator of one strip
 						// fewer than the platform has machines.
-						if got := distGrid(svc.drawPhases(refusingEvaluator(t, model), dists, bandwidth), core.k, core.raw); !sameFloats(got, normalDistGrid(core.raw)) {
+						k := structural.PhasePairs(req.Iterations)
+						if got := distGrid(svc.drawPhases(refusingEvaluator(t, model), dists, bandwidth), k, p.Raw); !sameFloats(got, normalDistGrid(p.Raw)) {
 							t.Fatalf("%s: refused draws served %v, want the raw value's normal grid", spec.Name, got)
 						}
 					}
@@ -233,41 +232,50 @@ func TestDistGridDoesNotAllocatePerDraw(t *testing.T) {
 	if miss > 160 {
 		t.Errorf("a distribution-valued miss allocates %v times, want <= 160", miss)
 	}
-	core, err := svc.computeCore(req, &sizeFrame{tick: &tickFrame{}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	req.Partition = nil
+	p, sz := servedFrame(t, svc, req)
+	k := structural.PhasePairs(req.Iterations)
 	grid := testing.AllocsPerRun(50, func() {
-		_ = distGrid(svc.drawPhases(core.size.eval, core.size.tick.dists, core.size.bandwidth), core.k, core.raw)
+		_ = distGrid(svc.drawPhases(sz.eval, sz.tick.dists, sz.bandwidth), k, p.Raw)
 	})
 	if grid > 8 || grid >= distSamples/4 {
 		t.Errorf("one grid of %d draws allocates %v times, want a handful", distSamples, grid)
 	}
 }
 
-// TestTickCacheIsBounded: one generation memoizes maxTickCacheEntries
-// shapes; the next distinct shape is computed and served without an entry —
-// over the frame of its grid size if that has been asked, and otherwise
-// without one: the size table grows only under the shapes the bound counts —
-// with the bytes a cached service gives it, and the next tick starts over.
+// TestTickCacheIsBounded: one tick stores maxTickSizes grid sizes; the next
+// distinct size is worked out on every call over a frame of its own, with
+// the bytes a fresh service gives it, and stores nothing; a stored size
+// still hits, and the next tick starts over. The sizes are on an unmonitored
+// network: on a monitored one MaxProbeSizes bandwidth monitors cap a tick at
+// 64 sizes per (strategy, balancing, Max strategy), so the bound cannot bind.
 func TestTickCacheIsBounded(t *testing.T) {
 	build := func() *Service {
-		svc := simulatedService(t, 1, 3)
+		spec, err := SimulatedSpec(1, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.Net = nil
+		svc, err := NewServiceFromSpec(&spec, obs.NewRegistry())
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := svc.Advance(300); err != nil {
 			t.Fatal(err)
 		}
 		return svc
 	}
 	full, fresh := build(), build()
-	for i := 1; i <= maxTickCacheEntries; i++ {
-		if _, err := full.Predict(Request{N: 120, Iterations: i}); err != nil {
+	for i := 0; i < maxTickSizes; i++ {
+		if _, err := full.Predict(Request{N: 100 + i, Iterations: 5}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := full.cache.shapes; got != maxTickCacheEntries {
-		t.Fatalf("%d entries after %d shapes", got, maxTickCacheEntries)
+	if got := len(full.tick.sizes); got != maxTickSizes {
+		t.Fatalf("%d sizes stored after %d asked", got, maxTickSizes)
 	}
-	over := Request{N: 120, Iterations: maxTickCacheEntries + 1, Levels: []float64{0.9}}
+	hits, misses := full.metrics.cacheHits.Value(), full.metrics.cacheMisses.Value()
+	over := Request{N: 100 + maxTickSizes, Iterations: 7, Levels: []float64{0.9}}
 	want, err := fresh.Predict(over)
 	if err != nil {
 		t.Fatal(err)
@@ -278,23 +286,20 @@ func TestTickCacheIsBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got.Value != want.Value || got.Raw != want.Raw || !sameFloats(got.Dist.Calibrated, want.Dist.Calibrated) || got.Dist.Intervals[0] != want.Dist.Intervals[0] {
-			t.Fatalf("uncached %+v, cached %+v", got, want)
+			t.Fatalf("fresh %+v, full %+v", want, got)
 		}
 	}
-	// It ran on the frame its 4096 predecessors share: the draws it asked
-	// for, first of them all, are there.
-	if sz, e := full.cache.entry(keysFor(over)); e != nil || sz == nil || sz.draws == nil {
-		t.Fatalf("a shape past the bound: entry %v, size frame %+v", e, sz)
+	if got := len(full.tick.sizes); got != maxTickSizes {
+		t.Fatalf("%d sizes stored after a size past the bound", got)
 	}
-	if _, err := full.Predict(Request{N: 121, Iterations: 1}); err != nil {
-		t.Fatal(err)
+	// A stored size still hits, with another iteration count too.
+	for _, its := range []int{5, 9} {
+		if _, err := full.Predict(Request{N: 107, Iterations: its}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if got, sizes := full.cache.shapes, len(full.cache.tick.sizes); got != maxTickCacheEntries || sizes != 1 {
-		t.Fatalf("%d entries under %d sizes after shapes past the bound", got, sizes)
-	}
-	// A memoized shape still hits, and a tick empties the generation.
-	if _, e := full.cache.entry(keysFor(Request{N: 120, Iterations: 7})); e == nil || !e.done {
-		t.Fatal("a memoized shape lost its entry")
+	if h, m := full.metrics.cacheHits.Value()-hits, full.metrics.cacheMisses.Value()-misses; h != 2 || m != 2 {
+		t.Fatalf("%d hits and %d misses, want the stored size's 2 and the unstored one's 2", h, m)
 	}
 	if err := full.Advance(5); err != nil {
 		t.Fatal(err)
@@ -302,7 +307,7 @@ func TestTickCacheIsBounded(t *testing.T) {
 	if _, err := full.Predict(over); err != nil {
 		t.Fatal(err)
 	}
-	if got, sizes := full.cache.shapes, len(full.cache.tick.sizes); got != 1 || sizes != 1 {
-		t.Fatalf("%d entries under %d sizes after the first shape of a new tick", got, sizes)
+	if got := len(full.tick.sizes); got != 1 {
+		t.Fatalf("%d sizes stored after the first request of a new tick", got)
 	}
 }

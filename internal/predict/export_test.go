@@ -25,5 +25,18 @@ func simulatedService(t testing.TB, platform int, seed int64) *Service {
 func DropTickCache(s *Service) {
 	s.clockMu.Lock()
 	defer s.clockMu.Unlock()
-	s.cache = nil
+	s.tick = nil
+}
+
+// servedFrame predicts req on s and returns the prediction with the size
+// frame of the current tick it was served from, whose partition, bandwidth
+// and reports the tests hold the served value and grid to. req carries no
+// Partition, and its size is one the tick stores.
+func servedFrame(t testing.TB, s *Service, req Request) (Prediction, *sizeFrame) {
+	t.Helper()
+	p, err := s.Predict(req)
+	if err != nil {
+		t.Fatalf("%+v: %v", req, err)
+	}
+	return p, s.tick.size(req)
 }

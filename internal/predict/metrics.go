@@ -106,9 +106,9 @@ func newServiceMetrics(reg *obs.Registry, s *Service) *serviceMetrics {
 		gapSamples: reg.NewCounterVec(MetricFaultGapSamples,
 			"Sensor samples lost to faults (drops, outages, exhausted transients), by platform.", "platform").With(platform),
 		cacheHits: reg.NewCounterVec(MetricCacheHits,
-			"Predictions served from the tick-scoped forecast cache, by platform.", "platform").With(platform),
+			"Predictions whose grid size the tick-scoped forecast cache had already worked out, by platform.", "platform").With(platform),
 		cacheMisses: reg.NewCounterVec(MetricCacheMisses,
-			"Predictions that ran the full pipeline (first touch per tick, or uncacheable request), by platform.", "platform").With(platform),
+			"Predictions that worked out their grid size (first touch per size and tick, or uncacheable request), by platform.", "platform").With(platform),
 		batchSize: reg.NewHistogramVec(MetricBatchSize,
 			"Requests per POST /predict/batch call, by platform.",
 			BatchSizeBuckets, "platform").With(platform),

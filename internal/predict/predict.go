@@ -91,9 +91,10 @@ type Request struct {
 	// when no interval levels are requested. The Monte Carlo transform
 	// behind the grid costs distSamples structural-model evaluations, so
 	// it runs lazily: the first distribution-requesting prediction per
-	// (shape, tick) pays it and the tick cache shares the result; requests
-	// that leave both Distribution and Levels unset keep the legacy
-	// two-number payload and never pay.
+	// (grid size, tick) pays it and the tick cache shares its sorted
+	// draws, which each request scales by its own iteration count;
+	// requests that leave both Distribution and Levels unset keep the
+	// legacy two-number payload and never pay.
 	Distribution bool
 }
 
@@ -142,9 +143,11 @@ type Interval struct {
 // Raw is produced by a Monte Carlo transform of the per-machine load
 // distributions: the structural model is evaluated over a fixed
 // Latin-hypercube matrix of joint availability draws (machines and
-// bandwidth sampled independently through their forecast quantile grids),
-// and the execution-time quantiles are read off the resulting sample.
-// Calibrated recenters the grid by the tracker's conformal median shift
+// bandwidth sampled independently through their forecast quantile grids)
+// for the time of one phase pair, and the execution-time quantiles are read
+// off that sample scaled by the request's phase-pair count. The sorted draws
+// are worked out once per grid size and tick; every prediction reads its own
+// Raw off them. Calibrated recenters the grid by the tracker's conformal median shift
 // and applies its per-level two-sided conformal multipliers.
 type PredictionDist struct {
 	// Levels is the quantile grid, ascending (nws.DistLevels).

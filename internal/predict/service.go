@@ -76,9 +76,9 @@ type bwMonitor struct {
 // Under the shared clock lock, monMu serializes access to the
 // (non-thread-safe) monitors, and ledgerMu guards the Observe ledger; whoever
 // holds the clock lock exclusively is alone on the service and takes neither
-// for the monitors. Lock order: clockMu > cache entry > size frame > tick
-// frame > monMu > ledgerMu; the calibration tracker carries its own internal
-// lock and is never held across another.
+// for the monitors. Lock order: clockMu > size frame > tick frame > monMu >
+// ledgerMu; a tick frame's size table lock and the calibration tracker's own
+// internal lock are never held across another.
 type Service struct {
 	name     string
 	plat     *cluster.Platform
@@ -110,13 +110,16 @@ type Service struct {
 	// fault-gap counter only ever advances by deltas.
 	lastMissed int
 
-	// cache is the tick-scoped forecast cache: all Predicts between two
-	// Advance calls share one read of the monitors, those of one grid size
-	// one partition and model evaluation, and those of one request shape one
-	// pipeline result. Only the tests' cached ≡ uncached references set it
-	// nil, which sends every request through the whole pipeline over a frame
-	// of its own.
-	cache *tickCache
+	// tick is the tick cache (cache.go): all Predicts between two Advance
+	// calls share one read of the monitors, and those of one grid size one
+	// partition and model evaluation. Advance replaces it under the clock
+	// write lock, so holders of the shared clock lock read it without one of
+	// its own. Only the tests' cached ≡ uncached references set it nil, which
+	// sends every request through the whole pipeline over a frame of its own.
+	tick *tickFrame
+	// gen counts the clock movements since the service was built, each of
+	// which replaced tick; guarded by clockMu.
+	gen uint64
 
 	// design is the fixed Latin-hypercube sample the distribution transform
 	// evaluates the structural model over — one column per machine plus one
@@ -144,8 +147,8 @@ type Service struct {
 // issuedPrediction remembers what Observe needs about one answered request.
 type issuedPrediction struct {
 	raw, calibrated stochastic.Value
-	// rawQ is the uncalibrated quantile grid the prediction carried (shared
-	// with the core; never mutated) — the quantile calibrator scores the
+	// rawQ is the uncalibrated quantile grid the prediction carried (its
+	// Dist.Raw; never mutated) — the quantile calibrator scores the
 	// realized quantile against it.
 	rawQ []float64
 }
@@ -185,7 +188,7 @@ func newService(spec *PlatformSpec, metrics *obs.Registry) (*Service, error) {
 		spec:     spec.clone(),
 		cpu:      make([]*nws.Monitor, p),
 		history:  history,
-		cache:    newTickCache(),
+		tick:     newTickFrame(),
 		tracker:  tracker,
 		issued:   make(map[uint64]issuedPrediction),
 		design:   buildDistDesign(p),
@@ -244,7 +247,11 @@ func (s *Service) Now() float64 {
 // of clock movements since the service was built. The coherence invariant
 // is generation == virtual clock — a cached forecast is never served across
 // an Advance.
-func (s *Service) CacheGeneration() uint64 { return s.cache.generation() }
+func (s *Service) CacheGeneration() uint64 {
+	s.clockMu.RLock()
+	defer s.clockMu.RUnlock()
+	return s.gen
+}
 
 // Advance moves the clock forward by dt virtual seconds, taking every
 // sensor measurement that falls due.
@@ -289,9 +296,9 @@ func (s *Service) AdvanceTo(t float64) error {
 // advanceToLocked moves the clock under the exclusive clock lock — alone on
 // the service, so it takes no monitor lock: every monitor runs forward on the
 // calling goroutine, CPU monitors in machine order, then bandwidth monitors
-// in ascending probe size, and the tick cache generation rolls so no stale
-// forecast survives the tick boundary. A no-op advance (t == now) leaves the
-// cache intact — monitor state cannot have changed. The first error in that
+// in ascending probe size, and a fresh tick frame replaces the cache's so
+// no stale forecast survives the tick boundary. A no-op advance (t == now)
+// leaves the cache intact — monitor state cannot have changed. The first error in that
 // order ends the tick (none can occur today: Monitor.RunUntil's is documented
 // always nil).
 //
@@ -319,7 +326,10 @@ func (s *Service) advanceToLocked(t float64) ([]*nws.Refit, error) {
 		}
 	}
 	if moved {
-		s.cache.invalidate()
+		s.gen++
+		if s.tick != nil {
+			s.tick = newTickFrame()
+		}
 	}
 	if s.metrics != nil {
 		missed := s.missedTotal()
@@ -516,14 +526,19 @@ func (s *Service) Partition(req Request) (*sor.Partition, error) {
 	return s.choosePartition(req, tick.loads)
 }
 
-// tickReports returns a resolved tick frame: the cache's — the one read every
+// frame returns the tick frame a request reads: the cache's — the one every
 // Predict of this tick shares — or, with the cache off, a fresh one. Callers
 // hold the shared clock lock.
-func (s *Service) tickReports() (*tickFrame, error) {
-	tick := &tickFrame{}
-	if s.cache != nil {
-		tick = s.cache.frame()
+func (s *Service) frame() *tickFrame {
+	if s.tick == nil {
+		return newTickFrame()
 	}
+	return s.tick
+}
+
+// tickReports returns the resolved frame of the current tick.
+func (s *Service) tickReports() (*tickFrame, error) {
+	tick := s.frame()
 	return tick, s.resolveTick(tick)
 }
 
@@ -573,13 +588,13 @@ func (s *Service) bwReport(n int) (stochastic.Value, nws.GapStats, error) {
 // Predict answers one request at the current virtual time: read per-machine
 // load reports, choose (or reuse) the partition, parameterize the SOR
 // structural model, and evaluate it to a stochastic prediction. Between two
-// Advance calls the pipeline result for a given request shape is computed
-// once and served from the tick cache (each hit still issues a fresh ledger
-// ID and applies the current calibration multiplier). When the service
-// carries a metrics registry, the call records per-stage wall-clock
-// latencies (monitor_read -> forecast once per tick, schedule -> model_eval
-// once per grid size and tick, plus the whole call as stage "predict") and
-// the per-platform counters/gauges.
+// Advance calls the pipeline result for a given grid size is computed once
+// and served from the tick cache (each request still scales it by its own
+// iteration count, issues a fresh ledger ID and applies the current
+// calibration multiplier). When the service carries a metrics registry,
+// the call records per-stage wall-clock latencies (monitor_read -> forecast
+// once per tick, schedule -> model_eval once per grid size and tick, plus
+// the whole call as stage "predict") and the per-platform counters/gauges.
 func (s *Service) Predict(req Request) (Prediction, error) {
 	s.clockMu.RLock()
 	defer s.clockMu.RUnlock()
@@ -594,8 +609,8 @@ func (s *Service) Predict(req Request) (Prediction, error) {
 }
 
 // PredictBatch answers many requests in one shared-clock visit: every
-// request resolves against the same frozen tick, distinct request shapes
-// run the pipeline once each, and repeated shapes are served from the tick
+// request resolves against the same frozen tick, distinct grid sizes run
+// the pipeline once each, and repeated sizes are served from the tick
 // cache. Results and errors are positional; a failed request leaves a zero
 // Prediction and a non-nil error at its index without failing the rest.
 func (s *Service) PredictBatch(reqs []Request) ([]Prediction, []error) {
@@ -619,8 +634,8 @@ func (s *Service) PredictBatch(reqs []Request) ([]Prediction, []error) {
 }
 
 // predictShared resolves one request under the shared clock lock: validate,
-// fetch-or-compute the tick-scoped pipeline core, then apply the
-// per-request overlay (calibration, ledger ID).
+// fetch-or-compute the tick-scoped size frame, then work out the request's
+// own share (iteration count, calibration, ledger ID).
 func (s *Service) predictShared(req Request) (Prediction, error) {
 	if err := s.checkPlatform(req.Platform); err != nil {
 		return Prediction{}, err
@@ -628,77 +643,29 @@ func (s *Service) predictShared(req Request) (Prediction, error) {
 	if err := validateRequest(req); err != nil {
 		return Prediction{}, err
 	}
-	core, err := s.resolveCore(req)
-	if err != nil {
+	sz := s.frame().size(req)
+	if err := s.resolveSize(sz, req); err != nil {
 		return Prediction{}, err
 	}
-	return s.finishPrediction(core, req), nil
-}
-
-// resolveCore returns the pipeline result for req — from the tick cache
-// when possible, computing (and memoizing) it on first touch. A request
-// with a pinned Partition always runs the pipeline, over a frame of its own
-// that nothing else reads. A shape the full cache has no entry for is
-// computed on every call: over its size's frame when the tick has one, over
-// a frame of its own otherwise.
-func (s *Service) resolveCore(req Request) (*predictionCore, error) {
-	var (
-		sz *sizeFrame
-		e  *cacheEntry
-	)
-	if s.cache != nil && req.Partition == nil {
-		sz, e = s.cache.entry(keysFor(req))
-	}
-	if e == nil {
-		if sz == nil {
-			sz = &sizeFrame{tick: &tickFrame{}}
-		}
-		s.metrics.recordCacheMiss()
-		return s.computeCore(req, sz)
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.done {
-		s.metrics.recordCacheHit()
-		return e.core, e.err
-	}
-	s.metrics.recordCacheMiss()
-	e.core, e.err = s.computeCore(req, sz)
-	e.done = true
-	return e.core, e.err
-}
-
-// computeCore runs the monitor -> forecast -> schedule -> model pipeline at
-// the current tick for one request shape, over the frame it is handed: the
-// cache's, where whatever an earlier shape of this tick or grid size worked
-// out is found done, or a fresh one, where everything runs. The shape's own
-// share is Repeat's arithmetic on the size's per-phase-pair value. Callers
-// hold the shared clock lock.
-func (s *Service) computeCore(req Request, sz *sizeFrame) (*predictionCore, error) {
-	if err := s.resolveSize(sz, req); err != nil {
-		return nil, err
-	}
-	k := structural.PhasePairs(req.Iterations)
-	return &predictionCore{
-		size: sz,
-		raw:  structural.Repeat{K: k, Rel: req.IterationRel}.Of(sz.phase),
-		k:    k,
-	}, nil
+	return s.finishPrediction(sz, req), nil
 }
 
 // resolveSize fills the size level of a frame, once, and returns the error
-// it memoizes.
+// it memoizes. Filling it is a cache miss, finding it filled a hit.
 func (s *Service) resolveSize(sz *sizeFrame, req Request) error {
 	sz.mu.Lock()
 	defer sz.mu.Unlock()
-	if !sz.done {
-		sz.err = s.computeSize(sz, req)
-		sz.done = true
+	if sz.done {
+		s.metrics.recordCacheHit()
+		return sz.err
 	}
+	s.metrics.recordCacheMiss()
+	sz.err = s.computeSize(sz, req)
+	sz.done = true
 	return sz.err
 }
 
-// computeSize works out what a request shape owes to its grid size and
+// computeSize works out what a request owes to its grid size and
 // strategies alone: the partition (chosen from the tick's load reports, or
 // pinned), the bandwidth forecast, and the model's value for one phase pair.
 func (s *Service) computeSize(sz *sizeFrame, req Request) error {
@@ -931,29 +898,33 @@ func dominantForecaster(dists []nws.LoadDist) string {
 	return best
 }
 
-// finishPrediction applies the per-request overlay to a (possibly shared)
-// pipeline core: the calibrator's current multiplier, the per-level
+// finishPrediction works out the request's own share over a resolved
+// (possibly shared) size frame: the iteration count's scaling of the size's
+// per-phase-pair value, the calibrator's current multiplier, the per-level
 // quantile calibration of the distribution grid (and any requested
-// intervals), and a fresh ledger ID. The overlay runs identically on cached
-// and uncached cores.
+// intervals), and a fresh ledger ID. It runs identically over cached and
+// uncached frames.
 //
 // The distribution grid resolves lazily here: only requests that ask
 // (Distribution set, or any interval levels) trigger the Monte Carlo
-// transform, and the frame memoizes it for the rest of the tick. Outcomes
-// of predictions that never asked carry no grid, so quantile calibration
-// learns exclusively from distribution-valued traffic.
-func (s *Service) finishPrediction(core *predictionCore, req Request) Prediction {
+// transform, whose draws the size frame memoizes for the rest of the tick;
+// each such request reads its own grid off them. Outcomes of predictions
+// that never asked carry no grid, so quantile calibration learns
+// exclusively from distribution-valued traffic.
+func (s *Service) finishPrediction(sz *sizeFrame, req Request) Prediction {
+	k := structural.PhasePairs(req.Iterations)
+	raw := structural.Repeat{K: k, Rel: req.IterationRel}.Of(sz.phase)
 	levels := req.Levels
 	var distRaw []float64
 	if req.Distribution || len(levels) > 0 {
-		distRaw = core.dist(s)
+		distRaw = distGrid(s.phaseDraws(sz), k, raw)
 	}
 	// One hold of the tracker for both overlays: an Observe landing between
 	// two would give the value and the grid different calibration states.
-	cal, calQ := s.tracker.Overlay(core.raw, distRaw)
+	cal, calQ := s.tracker.Overlay(raw, distRaw)
 	scale := 1.0
-	if core.raw.Spread > 0 {
-		scale = cal.Spread / core.raw.Spread
+	if raw.Spread > 0 {
+		scale = cal.Spread / raw.Spread
 	}
 	var dist PredictionDist
 	if len(distRaw) == len(nws.DistLevels) {
@@ -961,7 +932,7 @@ func (s *Service) finishPrediction(core *predictionCore, req Request) Prediction
 			Levels:     nws.DistLevels,
 			Raw:        distRaw,
 			Calibrated: calQ,
-			Forecaster: core.size.tick.tag,
+			Forecaster: sz.tick.tag,
 		}
 		if len(levels) > 0 {
 			dist.Intervals = make([]Interval, len(levels))
@@ -978,19 +949,19 @@ func (s *Service) finishPrediction(core *predictionCore, req Request) Prediction
 		s.metrics.recordQuantileRequest()
 	}
 	s.ledgerMu.Lock()
-	id := s.issueLocked(core.raw, cal, distRaw)
+	id := s.issueLocked(raw, cal, distRaw)
 	s.ledgerMu.Unlock()
 	s.metrics.recordPredict()
 	return Prediction{
 		ID:               id,
 		Value:            cal,
-		Raw:              core.raw,
+		Raw:              raw,
 		CalibrationScale: scale,
-		Partition:        core.size.partition,
+		Partition:        sz.partition,
 		Time:             s.now,
-		Loads:            core.size.tick.reports,
-		Bandwidth:        core.size.bandwidth,
-		BWGaps:           core.size.bwGaps,
+		Loads:            sz.tick.reports,
+		Bandwidth:        sz.bandwidth,
+		BWGaps:           sz.bwGaps,
 		Dist:             dist,
 	}
 }
@@ -1023,8 +994,8 @@ func (s *Service) issueLocked(raw, calibrated stochastic.Value, rawQ []float64) 
 // drifted reports whether this outcome fired a regime reset; the state it
 // left is Accuracy's to read.
 func (s *Service) Observe(id uint64, actual float64) (drifted bool, err error) {
-	if actual <= 0 {
-		return false, fmt.Errorf("predict: non-positive actual runtime %g", actual)
+	if !(actual > 0) || math.IsInf(actual, 1) {
+		return false, fmt.Errorf("predict: actual runtime %g is not a positive finite number", actual)
 	}
 	s.clockMu.RLock()
 	defer s.clockMu.RUnlock()

@@ -327,11 +327,13 @@ func TestObserveLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Observe(pred2.ID, -3); err == nil {
-		t.Error("non-positive actual should fail")
+	for _, bad := range []float64{-3, 0, math.NaN(), math.Inf(1)} {
+		if _, err := svc.Observe(pred2.ID, bad); err == nil {
+			t.Errorf("actual %g should fail", bad)
+		}
 	}
-	if _, err := svc.Observe(pred2.ID, 0); err == nil {
-		t.Error("zero actual should fail")
+	if got := svc.Accuracy(); got.Observed != 1 || math.IsNaN(got.MeanSignedRelErr) || got.Scale != 1 {
+		t.Errorf("rejected actuals reached the calibrator: %+v", got)
 	}
 	// The rejected actuals must not have consumed the ID.
 	if _, err := svc.Observe(pred2.ID, pred2.Value.Mean); err != nil {

@@ -194,6 +194,40 @@ func TestCachedMatchesUncached(t *testing.T) {
 	}
 }
 
+// TestPinnedPartitionIsItsOwnSize: a request that pins a partition is
+// answered over that partition even when the tick already holds its grid
+// size's frame over another, and leaves that frame alone: asked in turn
+// with the unpinned request of the same size, every answer is what a
+// service without a cache gives.
+func TestPinnedPartitionIsItsOwnSize(t *testing.T) {
+	run := func(noCache bool) []string {
+		svc := shardService(t, 53, noCache)
+		req := predict.Request{N: 240, Iterations: 6, Levels: []float64{0.9}}
+		other := req
+		other.Strategy = sched.Conservative
+		part, err := svc.Partition(other)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if chosen, err := svc.Partition(req); err != nil || fmt.Sprint(chosen.Rows) == fmt.Sprint(part.Rows) {
+			t.Fatalf("the pinned partition %v is the one the scheduler chooses (%v): nothing to tell apart", part.Rows, err)
+		}
+		pinned := req
+		pinned.Partition = part
+		var got []string
+		for _, r := range []predict.Request{req, pinned, req, pinned} {
+			got = append(got, renderPrediction(svc.Predict(r)))
+		}
+		return got
+	}
+	cached, uncached := run(false), run(true)
+	for i := range cached {
+		if cached[i] != uncached[i] {
+			t.Fatalf("answer %d diverged:\ncached:   %s\nuncached: %s", i, cached[i], uncached[i])
+		}
+	}
+}
+
 // frameArchetypes are the platforms the randomised cached-vs-uncached
 // sequences run on, spec-built so a sequence can pass through a snapshot:
 // the bursty paper platform under sensor faults, a steady tenant on a
@@ -370,12 +404,13 @@ func counterValue(reg *obs.Registry, name, platform string) int64 {
 	return reg.NewCounterVec(name, "", "platform").With(platform).Value()
 }
 
-// TestFrameStorm: eight goroutines ask eight shapes of one grid size on a
-// fresh tick, all at once, all distribution-valued. The monitors are read
-// once, the partition chosen and the model evaluated once, the draws run
-// once, every shape is computed once — and everyone is answered what a
-// service without a cache answers. Then a tick whose size level fails (the
-// 65th bandwidth probe size) fails every shape of that size with one text.
+// TestFrameStorm: eight goroutines ask eight shapes of two grid sizes on a
+// fresh tick, all at once, all distribution-valued, so first touches race on
+// the tick's size table as well as on its reports. The monitors are read
+// once; each size's partition is chosen, its model evaluated and its draws
+// run once — two misses, six hits — and everyone is answered what a service
+// without a cache answers. Then a tick whose size level fails (the 65th
+// bandwidth probe size) fails every shape of that size with one text.
 func TestFrameStorm(t *testing.T) {
 	metrics := obs.NewRegistry()
 	build := func(metrics *obs.Registry) *predict.Service {
@@ -397,10 +432,12 @@ func TestFrameStorm(t *testing.T) {
 	}
 	svc, plain := build(metrics), build(nil)
 	name := svc.Name()
-	// The bandwidth monitor of the storm's grid size exists before the
+	// The bandwidth monitors of the storm's grid sizes exist before the
 	// storm, so the counted tick is an ordinary one.
-	if _, err := svc.Predict(predict.Request{N: 160, Iterations: 1}); err != nil {
-		t.Fatal(err)
+	for _, n := range []int{160, 161} {
+		if _, err := svc.Predict(predict.Request{N: n, Iterations: 1}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, s := range []*predict.Service{svc, plain} {
 		if err := s.AdvanceTo(130); err != nil {
@@ -421,7 +458,7 @@ func TestFrameStorm(t *testing.T) {
 		got   [workers]predict.Prediction
 	)
 	shape := func(w int) predict.Request {
-		return predict.Request{N: 160, Iterations: 5 + w/2, IterationRel: structural.Relation(w % 2), Levels: []float64{0.9}}
+		return predict.Request{N: 160 + w%2, Iterations: 5 + w/4, IterationRel: structural.Relation(w / 2 % 2), Levels: []float64{0.9}}
 	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -437,16 +474,16 @@ func TestFrameStorm(t *testing.T) {
 	}
 	close(start)
 	wg.Wait()
-	for stage, want := range map[string]uint64{"monitor_read": 1, "forecast": 1, "schedule": 1, "model_eval": 1, "dist_grid": 1, "predict": workers} {
+	for stage, want := range map[string]uint64{"monitor_read": 1, "forecast": 1, "schedule": 2, "model_eval": 2, "dist_grid": 2, "predict": workers} {
 		if n := stageCount(metrics, name, stage) - before[stage]; n != want {
 			t.Errorf("stage %s ran %d times in the storm, want %d", stage, n, want)
 		}
 	}
-	if n := counterValue(metrics, predict.MetricCacheMisses, name) - missesBefore; n != workers {
-		t.Errorf("%d misses for %d shapes", n, workers)
+	if n := counterValue(metrics, predict.MetricCacheMisses, name) - missesBefore; n != 2 {
+		t.Errorf("%d misses for 2 sizes", n)
 	}
-	if n := counterValue(metrics, predict.MetricCacheHits, name) - hitsBefore; n != 0 {
-		t.Errorf("%d hits among first touches", n)
+	if n := counterValue(metrics, predict.MetricCacheHits, name) - hitsBefore; n != workers-2 {
+		t.Errorf("%d hits for %d shapes of 2 sizes", n, workers)
 	}
 	for w := range got {
 		want, err := plain.Predict(shape(w))
@@ -461,7 +498,7 @@ func TestFrameStorm(t *testing.T) {
 
 	// Fill the platform's probe sizes, then ask shapes of one more size on a
 	// fresh tick: the size level's refusal is every shape's answer.
-	for n := 200; n < 200+predict.MaxProbeSizes-1; n++ { // 160 is the first
+	for n := 200; n < 200+predict.MaxProbeSizes-2; n++ { // 160 and 161 are the first
 		if _, err := svc.Predict(predict.Request{N: n, Iterations: 2}); err != nil {
 			t.Fatal(err)
 		}
