@@ -273,10 +273,9 @@ func (s *server) handleBatchPredict(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("batch of %d exceeds limit %d", len(items), MaxBatchSize))
 		return
 	}
-	// Translate the wire items, remembering which ones are well-formed;
-	// translation failures become positional errors, not a failed batch.
+	// Translate the wire items; translation failures become positional
+	// errors, not a failed batch.
 	reqs := make([]predict.Request, 0, len(items))
-	valid := make([]int, 0, len(items))
 	itemErrs := make([]error, len(items))
 	for i, pr := range items {
 		req, err := pr.ToRequest()
@@ -285,35 +284,31 @@ func (s *server) handleBatchPredict(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		reqs = append(reqs, req)
-		valid = append(valid, i)
 	}
-	preds, predErrs := s.reg.PredictBatch(reqs)
-	predFor := make([]*predict.Prediction, len(items))
-	for j, i := range valid {
-		if predErrs[j] != nil {
-			itemErrs[i] = predErrs[j]
-		} else {
-			predFor[i] = &preds[j]
-		}
-	}
+	preds := make([]predict.Prediction, len(reqs))
+	predErrs := make([]error, len(reqs))
+	svcs := make([]*predict.Service, len(reqs))
+	s.reg.PredictInto(reqs, preds, predErrs, svcs)
 	out := getBuf()
 	defer out.release()
 	out.b = append(out.b, `{"responses":[`...)
 	errCount := 0
+	j := -1 // reqs[j] is the translation of the last well-formed item
 	for i := range items {
 		if i > 0 {
 			out.b = append(out.b, ',')
 		}
-		if itemErrs[i] != nil {
+		err := itemErrs[i]
+		if err == nil {
+			j++
+			err = predErrs[j]
+		}
+		if err != nil {
 			errCount++
-			out.b = appendErrorObj(out.b, itemErrs[i].Error())
+			out.b = appendErrorObj(out.b, err.Error())
 			continue
 		}
-		name := items[i].Platform
-		if svc, err := s.reg.Lookup(name); err == nil {
-			name = svc.Name()
-		}
-		out.b = appendPrediction(out.b, name, predFor[i])
+		out.b = appendPrediction(out.b, svcs[j].Name(), &preds[j])
 	}
 	out.b = append(out.b, `],"errors":`...)
 	out.b = strconv.AppendInt(out.b, int64(errCount), 10)

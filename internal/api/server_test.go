@@ -259,8 +259,10 @@ func TestBatchPredict(t *testing.T) {
 		{Platform: "platform1", N: 100, Iterations: 4},
 		{Platform: "platform2", N: 100, Iterations: 4},
 		{Platform: "nope", N: 100, Iterations: 4},
-		{Platform: "platform1", N: 100, Iterations: 4}, // same shape: cache hit
-		{Platform: "platform1", N: 0, Iterations: 4},   // invalid: n must be positive
+		{Platform: "platform1", N: 100, Iterations: 4},                    // same shape: cache hit
+		{Platform: "platform1", N: 0, Iterations: 4},                      // invalid: n must be positive
+		{Platform: "platform2", N: 100, Iterations: 4, Strategy: "bogus"}, // fails translation
+		{Platform: "platform2", N: 100, Iterations: 4},
 	}})
 	resp, err := http.Post(ts.URL+"/predict/batch", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -274,16 +276,17 @@ func TestBatchPredict(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
 		t.Fatal(err)
 	}
-	if len(br.Responses) != 5 {
-		t.Fatalf("got %d responses, want 5", len(br.Responses))
+	if len(br.Responses) != 7 {
+		t.Fatalf("got %d responses, want 7", len(br.Responses))
 	}
-	if br.Errors != 2 {
-		t.Errorf("Errors=%d, want 2", br.Errors)
+	if br.Errors != 3 {
+		t.Errorf("Errors=%d, want 3", br.Errors)
 	}
-	for i, ok := range []bool{true, true, false, true, false} {
+	platforms := []string{"platform1", "platform2", "", "platform1", "", "", "platform2"}
+	for i, ok := range []bool{true, true, false, true, false, false, true} {
 		item := br.Responses[i]
-		if ok && (item.PredictResponse == nil || item.Error != "" || item.ID == 0) {
-			t.Errorf("item %d: want a prediction, got %+v", i, item)
+		if ok && (item.PredictResponse == nil || item.Error != "" || item.ID == 0 || item.Platform != platforms[i]) {
+			t.Errorf("item %d: want a prediction for %s, got %+v", i, platforms[i], item)
 		}
 		if !ok && (item.Error == "" || item.PredictResponse != nil) {
 			t.Errorf("item %d: want an error, got %+v", i, item)

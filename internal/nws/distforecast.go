@@ -17,7 +17,13 @@ import (
 // p = (1∓L)/2, and so the prediction pipeline can propagate execution-time
 // quantiles by evaluating the structural model at mirrored availability
 // quantiles. Callers must treat it as immutable.
-var DistLevels = []float64{0.025, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.975}
+var DistLevels = distLevels[:]
+
+var distLevels = [...]float64{0.025, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.975}
+
+// NumDistLevels is len(DistLevels) as a constant, the length of an array
+// that holds one grid.
+const NumDistLevels = len(distLevels)
 
 // DistLevelIndex returns the index of level p in DistLevels, or -1.
 func DistLevelIndex(p float64) int {

@@ -3,6 +3,7 @@ package predict
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -39,6 +40,18 @@ func randomQuantileGrid(rng *rand.Rand) []float64 {
 		grid[i] = v
 	}
 	return grid
+}
+
+// TestDistDesignIsShared: services of one machine count read one design,
+// equal to the one buildDistDesign tabulates for that count.
+func TestDistDesignIsShared(t *testing.T) {
+	a, b := simulatedService(t, 2, 1), simulatedService(t, 2, 7)
+	if a.design != b.design {
+		t.Error("two services of one machine count built two designs")
+	}
+	if !reflect.DeepEqual(a.design, buildDistDesign(len(a.machines))) {
+		t.Error("the shared design is not the one its machine count tabulates")
+	}
 }
 
 // TestDistDesignMatchesUniforms: the tabulated design is the uniform matrix

@@ -322,6 +322,15 @@ func (r *Registry) Predict(req Request) (Prediction, error) {
 func (r *Registry) PredictBatch(reqs []Request) ([]Prediction, []error) {
 	preds := make([]Prediction, len(reqs))
 	errs := make([]error, len(reqs))
+	r.PredictInto(reqs, preds, errs, nil)
+	return preds, errs
+}
+
+// PredictInto is PredictBatch writing its positional results into preds
+// and errs, each as long as reqs, and, when svcs is not nil, the service
+// that answered each request into svcs (nil where the lookup failed). It
+// looks up each platform the batch names once.
+func (r *Registry) PredictInto(reqs []Request, preds []Prediction, errs []error, svcs []*Service) {
 	byPlat := make(map[string][]int)
 	var order []string
 	for i, req := range reqs {
@@ -339,16 +348,13 @@ func (r *Registry) PredictBatch(reqs []Request) ([]Prediction, []error) {
 			}
 			continue
 		}
-		sub := make([]Request, len(idxs))
-		for j, i := range idxs {
-			sub[j] = reqs[i]
+		if svcs != nil {
+			for _, i := range idxs {
+				svcs[i] = svc
+			}
 		}
-		subPreds, subErrs := svc.PredictBatch(sub)
-		for j, i := range idxs {
-			preds[i], errs[i] = subPreds[j], subErrs[j]
-		}
+		svc.predictBatch(reqs, idxs, preds, errs)
 	}
-	return preds, errs
 }
 
 // Observe routes a measured runtime (virtual seconds) to the service that

@@ -49,11 +49,6 @@ type Config struct {
 	Injector *faults.Injector
 }
 
-// maxOutstanding bounds how many issued-but-unobserved predictions a
-// service remembers for the Observe path; beyond it the oldest are evicted
-// (a caller that never observes must not grow the service without bound).
-const maxOutstanding = 4096
-
 // bwMonitor is the bandwidth monitor of one probe size (bytes).
 type bwMonitor struct {
 	probe float64
@@ -124,33 +119,20 @@ type Service struct {
 	// design is the fixed Latin-hypercube sample the distribution transform
 	// evaluates the structural model over — one column per machine plus one
 	// for the bandwidth fraction — tabulated in the form the grid reads it.
-	// Fixed at construction so predictions stay a pure function of monitor
-	// state.
-	design distDesign
+	// Fixed for the machine count, and shared by every service of that
+	// count, so predictions stay a pure function of monitor state.
+	design *distDesign
 
 	// Online accuracy state: the per-platform tracker plus the ledger of
 	// issued-but-unobserved predictions the Observe path resolves against.
-	// The tracker locks internally; ledgerMu guards the ledger. IDs are
-	// issued in ascending order, so every live ID lies in (evicted, nextID]:
-	// evicted is the eviction cursor, the last ID bounded eviction passed.
+	// The tracker locks internally; ledgerMu guards the ledger.
 	tracker  *calib.Tracker
 	ledgerMu sync.Mutex
-	nextID   uint64
-	evicted  uint64
-	issued   map[uint64]issuedPrediction
+	ledger   ledger
 
 	// Telemetry (nil when the service was built without a metrics
 	// registry).
 	metrics *serviceMetrics
-}
-
-// issuedPrediction remembers what Observe needs about one answered request.
-type issuedPrediction struct {
-	raw, calibrated stochastic.Value
-	// rawQ is the uncalibrated quantile grid the prediction carried (its
-	// Dist.Raw; never mutated) — the quantile calibrator scores the
-	// realized quantile against it.
-	rawQ []float64
 }
 
 // newService builds the service the spec describes: one fault-injectable CPU
@@ -190,8 +172,7 @@ func newService(spec *PlatformSpec, metrics *obs.Registry) (*Service, error) {
 		history:  history,
 		tick:     newTickFrame(),
 		tracker:  tracker,
-		issued:   make(map[uint64]issuedPrediction),
-		design:   buildDistDesign(p),
+		design:   sharedDistDesign(p),
 	}
 	s.metrics = newServiceMetrics(metrics, s)
 	_, constant := cfg.Net.(load.Constant)
@@ -608,20 +589,18 @@ func (s *Service) Predict(req Request) (Prediction, error) {
 	return p, nil
 }
 
-// PredictBatch answers many requests in one shared-clock visit: every
-// request resolves against the same frozen tick, distinct grid sizes run
-// the pipeline once each, and repeated sizes are served from the tick
-// cache. Results and errors are positional; a failed request leaves a zero
-// Prediction and a non-nil error at its index without failing the rest.
-func (s *Service) PredictBatch(reqs []Request) ([]Prediction, []error) {
-	preds := make([]Prediction, len(reqs))
-	errs := make([]error, len(reqs))
+// predictBatch answers reqs[i] for every i in idxs in one shared-clock
+// visit, into preds[i] and errs[i]: every request resolves against the same
+// frozen tick, distinct grid sizes run the pipeline once each, and repeated
+// sizes are served from the tick cache. A failed request leaves a zero
+// Prediction and its error at its index without failing the rest.
+func (s *Service) predictBatch(reqs []Request, idxs []int, preds []Prediction, errs []error) {
 	s.clockMu.RLock()
 	defer s.clockMu.RUnlock()
-	s.metrics.recordBatch(len(reqs))
-	for i, req := range reqs {
+	s.metrics.recordBatch(len(idxs))
+	for _, i := range idxs {
 		call := s.metrics.startStage(stagePredict)
-		p, err := s.predictShared(req)
+		p, err := s.predictShared(reqs[i])
 		call.stop()
 		if err != nil {
 			s.metrics.recordError()
@@ -630,7 +609,6 @@ func (s *Service) PredictBatch(reqs []Request) ([]Prediction, []error) {
 		}
 		preds[i] = p
 	}
-	return preds, errs
 }
 
 // predictShared resolves one request under the shared clock lock: validate,
@@ -755,9 +733,23 @@ type distDesign struct {
 	bwZ []float64
 }
 
-func buildDistDesign(machines int) distDesign {
+// distDesigns holds the one read-only design of each machine count that
+// every service of that count shares (int → *distDesign).
+var distDesigns sync.Map
+
+// sharedDistDesign returns the design of a machine count, built on first
+// demand.
+func sharedDistDesign(machines int) *distDesign {
+	if d, ok := distDesigns.Load(machines); ok {
+		return d.(*distDesign)
+	}
+	d, _ := distDesigns.LoadOrStore(machines, buildDistDesign(machines))
+	return d.(*distDesign)
+}
+
+func buildDistDesign(machines int) *distDesign {
 	u := buildDistUniforms(machines + 1)
-	d := distDesign{
+	d := &distDesign{
 		machines: machines,
 		cells:    make([]nws.GridPos, 0, len(u)*machines),
 		bwZ:      make([]float64, len(u)),
@@ -948,8 +940,12 @@ func (s *Service) finishPrediction(sz *sizeFrame, req Request) Prediction {
 	if len(levels) > 0 {
 		s.metrics.recordQuantileRequest()
 	}
+	var rawQ *rawGrid
+	if distRaw != nil {
+		rawQ = (*rawGrid)(distRaw)
+	}
 	s.ledgerMu.Lock()
-	id := s.issueLocked(raw, cal, distRaw)
+	id := s.ledger.issue(raw, cal.Spread, rawQ)
 	s.ledgerMu.Unlock()
 	s.metrics.recordPredict()
 	return Prediction{
@@ -966,26 +962,6 @@ func (s *Service) finishPrediction(sz *sizeFrame, req Request) Prediction {
 	}
 }
 
-// issueLocked registers a freshly answered prediction in the Observe
-// ledger, evicting the oldest still-unobserved entry once maxOutstanding
-// predictions are truly outstanding: the first live ID above the eviction
-// cursor. The cursor only moves up, so each ID is passed over once in the
-// service's life. Callers hold ledgerMu.
-func (s *Service) issueLocked(raw, calibrated stochastic.Value, rawQ []float64) uint64 {
-	if len(s.issued) >= maxOutstanding {
-		for {
-			s.evicted++
-			if _, live := s.issued[s.evicted]; live {
-				delete(s.issued, s.evicted)
-				break
-			}
-		}
-	}
-	s.nextID++
-	s.issued[s.nextID] = issuedPrediction{raw: raw, calibrated: calibrated, rawQ: rawQ}
-	return s.nextID
-}
-
 // Observe closes the loop for one prediction: the measured runtime (in
 // virtual seconds, like the prediction it answers) is fed to the
 // platform's accuracy tracker, which updates capture statistics,
@@ -1000,20 +976,12 @@ func (s *Service) Observe(id uint64, actual float64) (drifted bool, err error) {
 	s.clockMu.RLock()
 	defer s.clockMu.RUnlock()
 	s.ledgerMu.Lock()
-	ip, ok := s.issued[id]
-	delete(s.issued, id)
+	e, ok := s.ledger.take(id)
 	s.ledgerMu.Unlock()
 	if !ok {
 		return false, fmt.Errorf("predict: prediction id %d was never issued by platform %q (or was already observed)", id, s.name)
 	}
-	_, drifted = s.tracker.Observe(calib.Outcome{
-		ID:           id,
-		Time:         s.now,
-		Raw:          ip.raw,
-		Calibrated:   ip.calibrated,
-		Actual:       actual,
-		RawQuantiles: ip.rawQ,
-	})
+	_, drifted = s.tracker.Observe(e.outcome(s.now, actual))
 	s.metrics.recordObserve(drifted)
 	return drifted, nil
 }
@@ -1025,7 +993,7 @@ func (s *Service) Observe(id uint64, actual float64) (drifted bool, err error) {
 // move.
 func (s *Service) Discard(id uint64) {
 	s.ledgerMu.Lock()
-	delete(s.issued, id)
+	s.ledger.take(id)
 	s.ledgerMu.Unlock()
 }
 
@@ -1043,7 +1011,7 @@ func (s *Service) DriftCount() int { return s.tracker.DriftCount() }
 func (s *Service) Outstanding() int {
 	s.ledgerMu.Lock()
 	defer s.ledgerMu.Unlock()
-	return len(s.issued)
+	return s.ledger.live
 }
 
 // Readout is one platform's monitors at one virtual time: GET /report's and

@@ -8,7 +8,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"slices"
 
 	"prodpred/internal/calib"
 	"prodpred/internal/nws"
@@ -331,22 +330,7 @@ func (s *Service) exportTo(e *snapEnc) {
 
 	// Prediction ledger: live entries in issue order, which is ID order.
 	s.ledgerMu.Lock()
-	e.u64(s.nextID)
-	live := make([]uint64, 0, len(s.issued))
-	for id := range s.issued {
-		live = append(live, id)
-	}
-	slices.Sort(live)
-	e.u32(uint32(len(live)))
-	for _, id := range live {
-		ip := s.issued[id]
-		e.u64(id)
-		e.f64(ip.raw.Mean)
-		e.f64(ip.raw.Spread)
-		e.f64(ip.calibrated.Mean)
-		e.f64(ip.calibrated.Spread)
-		e.f64s(ip.rawQ)
-	}
+	s.ledger.encode(e)
 	s.ledgerMu.Unlock()
 
 	encodeTrackerState(e, s.tracker.ExportState())
@@ -405,31 +389,10 @@ func (s *Service) importFrom(d *snapDec) error {
 		s.bw = append(s.bw, bwMonitor{probe: probe, mon: mon})
 	}
 
-	// The ledger's IDs are outside input: they must ascend within
-	// [1, nextID], or a later issue would overwrite a restored entry and
-	// the eviction cursor could run past every live ID.
 	s.ledgerMu.Lock()
 	defer s.ledgerMu.Unlock()
-	s.nextID = d.u64()
-	s.evicted = s.nextID
-	nLedger := d.count(8 + 4*8)
-	last := uint64(0)
-	for i := 0; i < nLedger && d.err == nil; i++ {
-		id := d.u64()
-		if d.err == nil && (id <= last || id > s.nextID) {
-			return fmt.Errorf("predict: snapshot ledger id %d does not ascend from %d within next id %d", id, last, s.nextID)
-		}
-		if i == 0 {
-			s.evicted = id - 1
-		}
-		last = id
-		ip := issuedPrediction{}
-		ip.raw.Mean = d.f64()
-		ip.raw.Spread = d.f64()
-		ip.calibrated.Mean = d.f64()
-		ip.calibrated.Spread = d.f64()
-		ip.rawQ = d.f64s()
-		s.issued[id] = ip
+	if err := s.ledger.decode(d); err != nil {
+		return err
 	}
 
 	ts := decodeTrackerState(d)

@@ -51,9 +51,10 @@ func TestReadSnapshotRefusesLedgerIDs(t *testing.T) {
 		svc := simulatedService(t, 1, 1)
 		v := stochastic.New(1, 0.1)
 		for _, id := range ids {
-			svc.issued[id] = issuedPrediction{raw: v, calibrated: v}
+			svc.ledger.slab = append(svc.ledger.slab, ledgerEntry{id: id, raw: v, calSpread: v.Spread})
+			svc.ledger.live++
 		}
-		svc.nextID = next
+		svc.ledger.next = next
 		reg := NewRegistry()
 		if err := reg.addLive(svc); err != nil {
 			t.Fatal(err)
@@ -95,12 +96,11 @@ func TestReadSnapshotRefusesLedgerIDs(t *testing.T) {
 	v := stochastic.New(1, 0.1)
 	svc.ledgerMu.Lock()
 	defer svc.ledgerMu.Unlock()
-	for len(svc.issued) < maxOutstanding {
-		svc.issueLocked(v, v, nil)
+	for svc.ledger.live < maxOutstanding {
+		svc.ledger.issue(v, v.Spread, nil)
 	}
-	last := svc.issueLocked(v, v, nil)
-	_, aLive := svc.issued[a]
-	_, bLive := svc.issued[b]
+	last := svc.ledger.issue(v, v.Spread, nil)
+	aLive, bLive := svc.ledger.isLive(a), svc.ledger.isLive(b)
 	if aLive || !bLive || last != next+maxOutstanding-1 {
 		t.Errorf("at the bound: id %d live %v, id %d live %v, last issued %d; want the oldest evicted and ids issued from %d", a, aLive, b, bLive, last, next+1)
 	}

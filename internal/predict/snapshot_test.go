@@ -474,6 +474,60 @@ func TestReadSnapshotRefusesOversizedImage(t *testing.T) {
 	}
 }
 
+// TestReadSnapshotRefusesWrappingNextID: IDs count up from an image's next
+// ID, so one at 2^64−1 would wrap the counter and reissue the IDs of
+// restored entries — the second prediction after the restore would land
+// on restored entry 1. An image whose next ID is 2^63 or more is refused,
+// naming it.
+func TestReadSnapshotRefusesWrappingNextID(t *testing.T) {
+	spec, err := predict.SimulatedSpec(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Warmup = 60
+	reg := predict.NewRegistry()
+	if err := reg.RegisterSpec(spec); err != nil {
+		t.Fatal(err)
+	}
+	svc, err := reg.Lookup(spec.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, err := svc.Predict(baseRequest()); err != nil || p.ID != 1 {
+		t.Fatalf("first prediction: id %d, %v", p.ID, err)
+	}
+	var snap bytes.Buffer
+	if err := reg.WriteSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	// The ledger section: next id 1, one entry, its id 1.
+	section := func(next uint64) []byte {
+		b := binary.LittleEndian.AppendUint64(nil, next)
+		b = binary.LittleEndian.AppendUint32(b, 1)
+		return binary.LittleEndian.AppendUint64(b, 1)
+	}
+	if n := bytes.Count(snap.Bytes(), section(1)); n != 1 {
+		t.Fatalf("the image holds the ledger section %d times, want once", n)
+	}
+	for _, next := range []uint64{math.MaxUint64, 1 << 63} {
+		img := bytes.Replace(snap.Bytes(), section(1), section(next), 1)
+		back, err := predict.ReadSnapshot(bytes.NewReader(img), predict.RegistryOptions{})
+		if err != nil {
+			if !strings.Contains(err.Error(), fmt.Sprint(next)) {
+				t.Errorf("next id %d: the error does not name it: %v", next, err)
+			}
+			continue
+		}
+		restored := back.Services()[0]
+		for i := 0; i < 2; i++ {
+			if _, err := restored.Predict(baseRequest()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		t.Errorf("next id %d restored; two predictions later %d are outstanding, want 3", next, restored.Outstanding())
+	}
+}
+
 // FuzzReadSnapshot throws bytes at the snapshot reader, seeded with the two
 // golden images. Whatever the bytes, ReadSnapshot must not panic; an image
 // it accepts must write back an image that reads and writes again to the

@@ -8,8 +8,9 @@
 # mixture quantile search against bisection, of the NWS battery's sorted
 # windows against sort.Float64s, of the quantile selection against the
 # sort, of the growing measurement ring against a plain slice, of
-# stochcalc's evaluator (finite or an error) and of the trace, scenario,
-# spec and snapshot readers, the bench/ module's vet + tests, the snapshot
+# stochcalc's evaluator (finite or an error), of the prediction ledger
+# against the map it replaced, and of the trace, scenario, spec and snapshot
+# readers, the bench/ module's vet + tests, the snapshot
 # drill over the real daemon binary, and a report-only line count
 # (scripts/loc.sh).
 # The SOR worker pool, the sharded Monte Carlo engine, and the
@@ -35,9 +36,11 @@ go test -race ./...
 # TestConcurrentObserve and TestDeterministicState (snapshot readers racing
 # Observe) among them, api's TestReportIsOneTick (pollers racing a clock
 # step), predict's TestBackgroundRefitReaders (reads racing the mixture
-# refits a step leaves to the background) and api's TestScrapeDuringFleetOps
-# (GET /metrics, whose gauges read their owners, racing fleet traffic).
-go test -race -cpu 1,4 -run 'Race|Stress|Storm|Coherence|Concurrent|AdvanceAll|FleetAdvance|Registry|Retired|ReportIsOneTick|DeterministicState|BackgroundRefit|ScrapeDuringFleetOps' \
+# refits a step leaves to the background) and TestConcurrentLedger (predicts,
+# observes, discards and snapshot writes on one service's ledger) and api's
+# TestScrapeDuringFleetOps (GET /metrics, whose gauges read their owners,
+# racing fleet traffic).
+go test -race -cpu 1,4 -run 'Race|Stress|Storm|Coherence|Concurrent|AdvanceAll|FleetAdvance|Registry|Retired|ReportIsOneTick|DeterministicState|BackgroundRefit|ConcurrentLedger|ScrapeDuringFleetOps' \
     ./internal/predict ./internal/fleetsched ./internal/api ./internal/calib
 # Bench smoke: every benchmark must still run for one iteration without
 # error (no measurement — regressions are caught by scripts/bench.sh).
@@ -81,6 +84,11 @@ go test -run '^$' -fuzz FuzzRing -fuzztime 5s ./internal/timeseries
 # And of argument vectors into stochcalc's evaluator: an error, or a finite
 # value — never an Inf or a NaN printed with exit status 0.
 go test -run '^$' -fuzz FuzzEval -fuzztime 5s ./cmd/stochcalc
+# And of operation sequences into the prediction ledger: after every issue,
+# observe, discard, burst past the bound and snapshot round trip, the live
+# count, the outcomes and the snapshot section of the map-and-cursor ledger
+# it replaced, and a slab no longer than twice its live entries.
+go test -run '^$' -fuzz FuzzLedger -fuzztime 5s ./internal/predict
 # And of bytes into the four readers behind every built service and trace:
 # trace files (never a panic; what is accepted writes and reads back bit for
 # bit), scenario files and spec files (never a panic; what is accepted
@@ -106,4 +114,4 @@ go test -cover ./internal/calib ./internal/predict | awk '{print "check.sh: cove
 # Go line count of the root module (report-only, no gate).
 scripts/loc.sh | awk '{print "check.sh: lines:", $0}'
 
-echo "check.sh: gofmt, vet, race-enabled tests, the concurrency tests at -cpu 1,4, bench smoke, loadgen round trip, POST-body, point- and value-evaluator, BIC-race, mixture-quantile, sorted-window, quantile-selection, ring (FuzzRing), stochcalc-evaluator, trace-reader (FuzzReadTrace), scenario-parser (FuzzParseScenario), spec-parser (FuzzParseSpecs) and snapshot-reader (FuzzReadSnapshot) fuzz, the bench/ module, and the snapshot round trip all clean"
+echo "check.sh: gofmt, vet, race-enabled tests, the concurrency tests at -cpu 1,4, bench smoke, loadgen round trip, POST-body, point- and value-evaluator, BIC-race, mixture-quantile, sorted-window, quantile-selection, ring (FuzzRing), stochcalc-evaluator, ledger (FuzzLedger), trace-reader (FuzzReadTrace), scenario-parser (FuzzParseScenario), spec-parser (FuzzParseSpecs) and snapshot-reader (FuzzReadSnapshot) fuzz, the bench/ module, and the snapshot round trip all clean"
