@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"prodpred/internal/predict"
@@ -31,7 +32,7 @@ func main() {
 		strategy   = flag.String("strategy", "mean", "partition strategy: mean | conservative | optimistic | balanced")
 	)
 	flag.Parse()
-	if err := run(*platformID, *n, *iters, *runs, *seed, *strategy); err != nil {
+	if err := run(os.Stdout, *platformID, *n, *iters, *runs, *seed, *strategy); err != nil {
 		fmt.Fprintln(os.Stderr, "sorpredict:", err)
 		os.Exit(1)
 	}
@@ -55,7 +56,7 @@ func applyStrategy(req *predict.Request, strategy string) error {
 	return nil
 }
 
-func run(platformID, n, iters, runs int, seed int64, strategy string) error {
+func run(w io.Writer, platformID, n, iters, runs int, seed int64, strategy string) error {
 	spec, err := predict.SimulatedSpec(platformID, seed)
 	if err != nil {
 		return err
@@ -66,7 +67,7 @@ func run(platformID, n, iters, runs int, seed int64, strategy string) error {
 		return err
 	}
 	plat := svc.Platform()
-	fmt.Printf("Platform %d (%s), %dx%d grid, %d iterations per run\n\n",
+	fmt.Fprintf(w, "Platform %d (%s), %dx%d grid, %d iterations per run\n\n",
 		platformID, plat.Name, n, n, iters)
 
 	req := predict.Request{N: n, Iterations: iters, MaxStrategy: stochastic.LargestMean}
@@ -78,30 +79,22 @@ func run(platformID, n, iters, runs int, seed int64, strategy string) error {
 		return err
 	}
 	req.Partition = part
-	fmt.Printf("Strip decomposition (%s strategy) from first NWS forecasts:\n", strategy)
-	fmt.Println(part.Render())
+	fmt.Fprintf(w, "Strip decomposition (%s strategy) from first NWS forecasts:\n", strategy)
+	fmt.Fprintln(w, part.Render())
 
 	backend, err := sor.NewSimBackend(svc.Env(), part, sor.IdentityMapping(plat.Size()))
 	if err != nil {
 		return err
 	}
-	g, err := sor.NewGrid(n)
-	if err != nil {
-		return err
-	}
-	g.SetBoundary(func(x, y float64) float64 { return x*x - y*y })
 
-	fmt.Printf("%-10s %-22s %-22s %-10s %s\n", "t(start)", "prediction", "interval", "actual", "verdict")
+	fmt.Fprintf(w, "%-10s %-22s %-22s %-10s %s\n", "t(start)", "prediction", "interval", "actual", "verdict")
 	captured := 0
 	for r := 0; r < runs; r++ {
-		if r > 0 {
-			g.Reset()
-		}
 		pred, err := svc.Predict(req)
 		if err != nil {
 			return err
 		}
-		res, err := backend.Run(g, sor.DefaultOmega, iters, pred.Time)
+		res, err := backend.Run(iters, pred.Time)
 		if err != nil {
 			return err
 		}
@@ -115,12 +108,12 @@ func run(platformID, n, iters, runs int, seed int64, strategy string) error {
 			verdict += " (degraded monitors)"
 		}
 		lo, hi := pred.Value.Interval()
-		fmt.Printf("%-10.0f %-22s [%7.2f,%7.2f]     %-10.2f %s\n",
+		fmt.Fprintf(w, "%-10.0f %-22s [%7.2f,%7.2f]     %-10.2f %s\n",
 			pred.Time, pred.Value.String(), lo, hi, res.ExecTime, verdict)
 		if err := svc.Advance(res.ExecTime + 30); err != nil {
 			return err
 		}
 	}
-	fmt.Printf("\nCaptured %d/%d runs inside the stochastic interval.\n", captured, runs)
+	fmt.Fprintf(w, "\nCaptured %d/%d runs inside the stochastic interval.\n", captured, runs)
 	return nil
 }

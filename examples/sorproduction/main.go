@@ -95,12 +95,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		g, err := prodpred.NewGrid(n)
-		if err != nil {
-			log.Fatal(err)
-		}
-		g.SetBoundary(func(x, y float64) float64 { return x*x - y*y })
-		res, err := backend.Run(g, sor.DefaultOmega, iters, t)
+		res, err := backend.Run(iters, t)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -152,17 +152,12 @@ func runAblationPartition(seed int64) (*Result, error) {
 		return nil, err
 	}
 
-	run := func(part *sor.Partition, n int) (float64, error) {
-		g, err := sor.NewGrid(n)
-		if err != nil {
-			return 0, err
-		}
-		g.SetBoundary(func(x, y float64) float64 { return x + y })
+	run := func(part *sor.Partition) (float64, error) {
 		b, err := sor.NewSimBackend(env, part, sor.IdentityMapping(plat.Size()))
 		if err != nil {
 			return 0, err
 		}
-		res, err := b.Run(g, sor.DefaultOmega, 20, 0)
+		res, err := b.Run(20, 0)
 		if err != nil {
 			return 0, err
 		}
@@ -181,11 +176,11 @@ func runAblationPartition(seed int64) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		tCap, err := run(capPart, n)
+		tCap, err := run(capPart)
 		if err != nil {
 			return nil, err
 		}
-		tBal, err := run(balPart, n)
+		tBal, err := run(balPart)
 		if err != nil {
 			return nil, err
 		}

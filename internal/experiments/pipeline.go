@@ -128,20 +128,11 @@ func runProductionSeries(cfg productionConfig) ([]runRecord, error) {
 	if err != nil {
 		return nil, err
 	}
-	// One grid for the whole series: Reset re-zeroes the interior while
-	// keeping the boundary, so every run still starts from the exact state
-	// a fresh allocation would, without an NxN allocation per run.
-	g, err := sor.NewGrid(cfg.n)
-	if err != nil {
-		return nil, err
-	}
-	g.SetBoundary(func(x, y float64) float64 { return x*x - y*y })
 
 	var recs []runRecord
 	prevExec := 0.0
 	for run := 0; run < cfg.runs; run++ {
 		if run > 0 {
-			g.Reset()
 			// Advance the clock only when the next run is about to start,
 			// so the monitors never sample past the final run's start.
 			if err := svc.Advance(prevExec + cfg.gap); err != nil {
@@ -152,7 +143,7 @@ func runProductionSeries(cfg productionConfig) ([]runRecord, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := backend.Run(g, sor.DefaultOmega, cfg.iters, pred.Time)
+		res, err := backend.Run(cfg.iters, pred.Time)
 		if err != nil {
 			return nil, err
 		}

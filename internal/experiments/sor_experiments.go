@@ -97,17 +97,12 @@ func runFig7(seed int64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, err := sor.NewGrid(n)
-	if err != nil {
-		return nil, err
-	}
-	g.SetBoundary(func(x, y float64) float64 { return x + y })
 	backend, err := sor.NewSimBackend(env, part, sor.IdentityMapping(plat.Size()))
 	if err != nil {
 		return nil, err
 	}
 	iters := 15
-	res, err := backend.Run(g, sor.DefaultOmega, iters, 0)
+	res, err := backend.Run(iters, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -285,16 +280,11 @@ func runDedicated(seed int64) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		g, err := sor.NewGrid(n)
-		if err != nil {
-			return nil, err
-		}
-		g.SetBoundary(func(x, y float64) float64 { return x + y })
 		backend, err := sor.NewSimBackend(env, part, cfg.MachineIdx)
 		if err != nil {
 			return nil, err
 		}
-		res, err := backend.Run(g, sor.DefaultOmega, cfg.Iterations, 0)
+		res, err := backend.Run(cfg.Iterations, 0)
 		if err != nil {
 			return nil, err
 		}

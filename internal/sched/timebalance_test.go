@@ -126,16 +126,11 @@ func TestTimeBalancedPartitionBeatsCapacityInSimulation(t *testing.T) {
 	n := 120
 
 	run := func(part *sor.Partition) float64 {
-		g, err := sor.NewGrid(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g.SetBoundary(func(x, y float64) float64 { return x + y })
 		b, err := sor.NewSimBackend(env, part, sor.IdentityMapping(4))
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := b.Run(g, sor.DefaultOmega, 20, 0)
+		res, err := b.Run(20, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

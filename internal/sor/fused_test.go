@@ -265,17 +265,19 @@ func TestLocalBackendResidualMatchesSequential(t *testing.T) {
 	// The pool's fused residual decomposition (black fused + interior red +
 	// edge-row red) must agree exactly with the sequential full pass, for
 	// strip counts that produce 1-row and multi-row strips.
-	for _, strips := range []int{1, 2, 4, 7} {
-		n := 17
+	for _, c := range []struct{ n, strips, iters int }{
+		{17, 1, 9}, {17, 2, 9}, {17, 4, 9}, {17, 7, 9}, {34, 4, 40},
+	} {
+		n := c.n
 		seq := laplaceProblem(t, n)
-		for it := 0; it < 9; it++ {
+		for it := 0; it < c.iters; it++ {
 			seq.SweepPhase(Red, 1, n-1, DefaultOmega)
 			seq.SweepPhase(Black, 1, n-1, DefaultOmega)
 		}
 		want := seq.Residual()
 
 		par := laplaceProblem(t, n)
-		pt, err := NewEqualPartition(n, strips)
+		pt, err := NewEqualPartition(n, c.strips)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,13 +285,13 @@ func TestLocalBackendResidualMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := b.Run(par, DefaultOmega, 9, 0)
+		res, err := b.Run(par, DefaultOmega, c.iters, 0)
 		b.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Residual != want {
-			t.Errorf("strips=%d: residual %g vs sequential %g", strips, res.Residual, want)
+			t.Errorf("n=%d strips=%d: residual %g vs sequential %g", n, c.strips, res.Residual, want)
 		}
 		sameU(t, "resid-run", seq, par)
 	}

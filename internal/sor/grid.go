@@ -4,17 +4,19 @@
 //
 // The numeric kernel is real — it solves the Poisson problem
 // ∇²u = f with Dirichlet boundaries and is verified against analytic
-// solutions — and two execution backends share it:
+// solutions — and two execution backends compute with it:
 //
 //   - LocalBackend runs the strips in parallel goroutines on the host
 //     (a genuine shared-memory parallel SOR), and
-//   - SimBackend replays the same computation against a simulated
-//     production platform (internal/simenv), charging virtual time for each
-//     red/black compute phase and each ghost-row exchange, including the
-//     loose-synchronization skew of Figure 7.
+//   - TCPBackend runs each strip in its own worker behind a TCP
+//     connection, exchanging ghost rows over the wire.
 //
-// Both backends produce bit-identical numeric results; they differ only in
-// where the time comes from.
+// Both produce bit-identical numeric results. A third backend only times:
+// SimBackend walks the same strips' red/black compute phases and ghost-row
+// exchanges against a simulated production platform (internal/simenv),
+// charging virtual time for each, including the loose-synchronization skew
+// of Figure 7. It needs no grid, since a run's time does not depend on the
+// values it computes.
 package sor
 
 import (

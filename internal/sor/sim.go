@@ -20,10 +20,9 @@ func (pt PhaseTimes) Total() float64 {
 	return pt.RedComp + pt.RedComm + pt.BlackComp + pt.BlackComm
 }
 
-// SimResult reports a simulated distributed run.
+// SimResult reports the timing of a simulated distributed run.
 type SimResult struct {
 	Iterations int
-	Residual   float64
 	// ExecTime is the virtual wall time from start to the last processor's
 	// completion.
 	ExecTime float64
@@ -39,16 +38,18 @@ type SimResult struct {
 	MaxSkew float64
 }
 
-// SimBackend executes the strip-decomposed SOR against a simulated
-// production platform. The numeric kernel runs for real on the grid; time
-// is charged against the environment's machines and network per phase:
+// SimBackend times the strip-decomposed SOR on a simulated production
+// platform. It touches no grid: the time of a run depends only on the
+// strips' sizes, the machines they run on and the environment's load, so
+// it walks the phases and charges each against the environment's machines
+// and network:
 //
 //	red compute -> ghost exchange -> black compute -> ghost exchange
 //
 // with loose synchronization: a processor proceeds once its own sends are
 // drained and the ghost rows it needs have arrived, so delays propagate to
 // neighbors only (the skew of Figure 7) rather than through a global
-// barrier.
+// barrier. LocalBackend and TCPBackend compute the numbers.
 type SimBackend struct {
 	env      *simenv.Env
 	part     *Partition
@@ -78,18 +79,9 @@ func NewSimBackend(env *simenv.Env, part *Partition, machines []int) (*SimBacken
 	return &SimBackend{env: env, part: part, machines: append([]int(nil), machines...)}, nil
 }
 
-// Run executes `iterations` red-black iterations starting at virtual time
-// start, performing the real numeric sweeps on g.
-func (b *SimBackend) Run(g *Grid, omega float64, iterations int, start float64) (SimResult, error) {
-	if g == nil {
-		return SimResult{}, errors.New("sor: nil grid")
-	}
-	if g.N != b.part.N {
-		return SimResult{}, fmt.Errorf("sor: grid size %d does not match partition %d", g.N, b.part.N)
-	}
-	if omega <= 0 || omega >= 2 {
-		return SimResult{}, fmt.Errorf("sor: omega %g outside (0,2)", omega)
-	}
+// Run walks `iterations` red-black iterations from virtual time start and
+// reports when each phase and iteration ends.
+func (b *SimBackend) Run(iterations int, start float64) (SimResult, error) {
 	if iterations <= 0 {
 		return SimResult{}, errors.New("sor: iterations must be positive")
 	}
@@ -101,15 +93,11 @@ func (b *SimBackend) Run(g *Grid, omega float64, iterations int, start float64) 
 	}
 	res := SimResult{Iterations: iterations}
 	ghost := b.part.GhostRowBytes()
+	compEnd := make([]float64, p)
 
 	for it := 0; it < iterations; it++ {
-		for _, phase := range []Phase{Red, Black} {
-			// Numeric half-sweep (sequential; identical results to the
-			// parallel backend because red/black halves are independent).
-			g.SweepPhase(phase, 1, g.N-1, omega)
-
+		for _, phase := range [...]Phase{Red, Black} {
 			// Compute phase: roughly half the strip's points per color.
-			compEnd := make([]float64, p)
 			var maxComp float64
 			for w := 0; w < p; w++ {
 				elems := float64(b.part.Elems(w)) / 2
@@ -143,8 +131,7 @@ func (b *SimBackend) Run(g *Grid, omega float64, iterations int, start float64) 
 				}
 				cursor := start
 				// Send to and receive from each neighbor, serially.
-				neighbors := []int{w - 1, w + 1}
-				for _, nb := range neighbors {
+				for _, nb := range [...]int{w - 1, w + 1} {
 					if nb < 0 || nb >= p {
 						continue
 					}
@@ -184,7 +171,6 @@ func (b *SimBackend) Run(g *Grid, omega float64, iterations int, start float64) 
 		res.IterationEnd = append(res.IterationEnd, last-start)
 	}
 	res.ExecTime = res.IterationEnd[len(res.IterationEnd)-1]
-	res.Residual = g.Residual()
 	return res, nil
 }
 

@@ -19,7 +19,7 @@ import (
 // analogue of the paper's implementation, which ran one process per
 // workstation over ethernet.
 //
-// Numeric results are bit-identical to the Local and Sim backends: within a
+// Numeric results are bit-identical to LocalBackend's: within a
 // color phase every update reads only opposite-color values, so the
 // distribution of rows cannot change the arithmetic.
 type TCPBackend struct {

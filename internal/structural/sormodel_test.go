@@ -98,16 +98,11 @@ func TestDedicatedPredictionWithinTwoPercent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := sor.NewGrid(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g.SetBoundary(func(x, y float64) float64 { return x + y })
 		sb, err := sor.NewSimBackend(env, cfg.Partition, cfg.MachineIdx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := sb.Run(g, sor.DefaultOmega, cfg.Iterations, 0)
+		res, err := sb.Run(cfg.Iterations, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,13 +152,11 @@ func TestStochasticPredictionCoversProductionRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, _ := sor.NewGrid(n)
-		g.SetBoundary(func(x, y float64) float64 { return x + y })
 		sb, err := sor.NewSimBackend(env, cfg.Partition, cfg.MachineIdx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := sb.Run(g, sor.DefaultOmega, cfg.Iterations, 0)
+		res, err := sb.Run(cfg.Iterations, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

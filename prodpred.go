@@ -236,7 +236,7 @@ type (
 	Grid = sor.Grid
 	// Partition is a strip decomposition.
 	Partition = sor.Partition
-	// SimResult reports a simulated distributed run.
+	// SimResult reports the timing of a simulated distributed run.
 	SimResult = sor.SimResult
 )
 

@@ -1,25 +1,27 @@
 #!/usr/bin/env bash
-# check.sh — the repo gate, and all of what CI runs: formatting, vet, the
-# race-clean test suite (every smoke and acceptance test is in it, once), the
-# concurrency tests of the serving core once more at one and at four
-# schedulers, a one-iteration bench smoke, the loadgen CLI round trip, a short
-# fuzz of the request decoder, of the point and value evaluators against the
-# model tree, of the raced BIC selection against the exhaustive one, of the
-# mixture quantile search against bisection, of the NWS battery's sorted
-# windows against sort.Float64s, of the quantile selection against the
-# sort, of the growing measurement ring against a plain slice, of
-# stochcalc's evaluator (finite or an error), of the prediction ledger
-# against the map it replaced, and of the trace, scenario, spec and snapshot
-# readers, the bench/ module's vet + tests, the snapshot
-# drill over the real daemon binary, and a report-only line count
-# (scripts/loc.sh).
+# check.sh — the repo gate, and all of what CI runs: formatting of the Go
+# files git tracks or would add, vet, the race-clean test suite (every smoke
+# and acceptance test is in it, once), the concurrency tests of the serving
+# core once more at one and at four schedulers, a one-iteration bench smoke,
+# the loadgen CLI round trip, a short fuzz of the request decoder, of the
+# point and value evaluators against the model tree, of the raced BIC
+# selection against the exhaustive one, of the mixture quantile search against
+# bisection, of the NWS battery's sorted windows against sort.Float64s, of the
+# quantile selection against the sort, of the growing measurement ring against
+# a plain slice, of stochcalc's evaluator (finite or an error), of the
+# prediction ledger against the map it replaced, and of the trace, scenario,
+# spec and snapshot readers, the bench/ module's vet + tests, one run of each
+# program under examples/, the snapshot drill over the real daemon binary, and
+# a report-only line count (scripts/loc.sh).
 # The SOR worker pool, the sharded Monte Carlo engine, and the
 # predict.Service prediction core are concurrent by design, so -race is not
 # optional here.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-unformatted=$(gofmt -l .)
+# The repository's own files only: a benchmark build leaves cgo-generated Go
+# files under .bench_build/ (ignored), which are not ours to format.
+unformatted=$(git ls-files -z --cached --others --exclude-standard -- '*.go' | xargs -0 gofmt -l)
 if [ -n "$unformatted" ]; then
     echo "check.sh: gofmt needed on:" >&2
     echo "$unformatted" >&2
@@ -104,6 +106,14 @@ go test -run '^$' -fuzz FuzzReadSnapshot -fuzztime 5s ./internal/predict
 # internal/ API change breaks bench/adapter.go silently.
 (cd bench && go vet ./... && go test ./...)
 
+# Every example must still run to completion: go vet only compiles them.
+for ex in examples/*/; do
+    if ! go run "./$ex" >/dev/null; then
+        echo "check.sh: example $ex failed" >&2
+        exit 1
+    fi
+done
+
 # Snapshot round-trip smoke over the real daemon binary: serve, snapshot,
 # kill, restore — the restored daemon must answer byte-identically to the
 # one that never stopped.
@@ -114,4 +124,4 @@ go test -cover ./internal/calib ./internal/predict | awk '{print "check.sh: cove
 # Go line count of the root module (report-only, no gate).
 scripts/loc.sh | awk '{print "check.sh: lines:", $0}'
 
-echo "check.sh: gofmt, vet, race-enabled tests, the concurrency tests at -cpu 1,4, bench smoke, loadgen round trip, POST-body, point- and value-evaluator, BIC-race, mixture-quantile, sorted-window, quantile-selection, ring (FuzzRing), stochcalc-evaluator, ledger (FuzzLedger), trace-reader (FuzzReadTrace), scenario-parser (FuzzParseScenario), spec-parser (FuzzParseSpecs) and snapshot-reader (FuzzReadSnapshot) fuzz, the bench/ module, and the snapshot round trip all clean"
+echo "check.sh: gofmt, vet, race-enabled tests, the concurrency tests at -cpu 1,4, bench smoke, loadgen round trip, POST-body, point- and value-evaluator, BIC-race, mixture-quantile, sorted-window, quantile-selection, ring (FuzzRing), stochcalc-evaluator, ledger (FuzzLedger), trace-reader (FuzzReadTrace), scenario-parser (FuzzParseScenario), spec-parser (FuzzParseSpecs) and snapshot-reader (FuzzReadSnapshot) fuzz, the bench/ module, the examples, and the snapshot round trip all clean"
