@@ -9,13 +9,17 @@ package prodpred
 
 import (
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
+	"prodpred/internal/api"
 	"prodpred/internal/calib"
 	"prodpred/internal/experiments"
 	"prodpred/internal/modal"
 	"prodpred/internal/nws"
+	"prodpred/internal/obs"
 	"prodpred/internal/predict"
 	"prodpred/internal/sor"
 	"prodpred/internal/stats"
@@ -254,8 +258,10 @@ func BenchmarkSORSolveTol(b *testing.B) {
 	g.SetBoundary(func(x, y float64) float64 { return x*x - y*y })
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Reset()
-		if _, err := g.Solve(sor.OptimalOmega(256), 1e-6, 10000); err != nil {
+		b.StopTimer()
+		run := g.Clone()
+		b.StartTimer()
+		if _, err := run.Solve(sor.OptimalOmega(256), 1e-6, 10000); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -674,10 +680,11 @@ func BenchmarkPredictLevelsMissSharedDraws(b *testing.B) {
 // tenants, live, warmed up for warmup seconds (fleet-ops: 120) plus stagger
 // seconds per tenant index mod 16 — one 5 s tick, as the workload staggers
 // them, so a sixteenth of them refit on any wave, not all on one — each asked
-// four grid sizes so its four bandwidth monitors exist.
-func waveFleet(b *testing.B, n int, stagger, warmup float64) *PredictRegistry {
+// four grid sizes so its four bandwidth monitors exist. Its pipeline metrics
+// go to metrics, when not nil.
+func waveFleet(b *testing.B, metrics *obs.Registry, n int, stagger, warmup float64) *PredictRegistry {
 	b.Helper()
-	reg := NewPredictRegistry()
+	reg := predict.NewRegistryWith(predict.RegistryOptions{Metrics: metrics})
 	for i, spec := range predict.FleetSpecs(n, 1) {
 		spec.Warmup = warmup + stagger*float64(i%16)
 		if err := reg.RegisterSpec(spec); err != nil {
@@ -708,7 +715,7 @@ func fleetWave(reg *PredictRegistry, dt float64) error {
 // two waves of a daemon drains them.
 func BenchmarkFleetAdvance(b *testing.B) {
 	b.Run("tenants=192", func(b *testing.B) {
-		reg := waveFleet(b, 192, 5, 120)
+		reg := waveFleet(b, nil, 192, 5, 120)
 		predict.WaitRefits()
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -743,7 +750,7 @@ func BenchmarkFleetRefitWave(b *testing.B) {
 		{"between-races", func(obs int) bool { return obs%16 == 0 && obs%64 != 0 }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			reg := waveFleet(b, 192, 0, 120)
+			reg := waveFleet(b, nil, 192, 0, 120)
 			obs := 24
 			var wave, drain time.Duration
 			predict.WaitRefits()
@@ -784,7 +791,7 @@ func BenchmarkServiceAdvanceTick(b *testing.B) {
 		warmup float64
 	}{{"warmup=120s", 120}, {"wrapped", 2600}} {
 		b.Run(c.name, func(b *testing.B) {
-			svc := waveFleet(b, 1, 5, c.warmup).Services()[0]
+			svc := waveFleet(b, nil, 1, 5, c.warmup).Services()[0]
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -794,4 +801,41 @@ func BenchmarkServiceAdvanceTick(b *testing.B) {
 			}
 		})
 	}
+}
+
+// discardResponse is a ResponseWriter that counts and drops the body: a
+// scraper that reads as fast as the handler writes.
+type discardResponse struct {
+	header http.Header
+	n      int
+}
+
+func (d *discardResponse) Header() http.Header { return d.header }
+func (d *discardResponse) WriteHeader(int)     {}
+func (d *discardResponse) Write(p []byte) (int, error) {
+	d.n += len(p)
+	return len(p), nil
+}
+
+// BenchmarkScrape times one GET /metrics through the daemon's handler on
+// fleet-ops' fleet: 192 tenants, each asked its four grid sizes, with the
+// HTTP and scheduler families beside theirs. B/op and allocs/op are the
+// scrape's own garbage; text-bytes is the size of the exposition.
+func BenchmarkScrape(b *testing.B) {
+	b.Run("tenants=192", func(b *testing.B) {
+		metrics := obs.NewRegistry()
+		h := api.NewHandler(waveFleet(b, metrics, 192, 5, 120), api.Options{Metrics: metrics})
+		predict.WaitRefits()
+		req := httptest.NewRequest("GET", "/metrics", nil)
+		w := &discardResponse{header: make(http.Header)}
+		h.ServeHTTP(w, req)
+		text := w.n
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			w.n = 0
+			h.ServeHTTP(w, req)
+		}
+		b.ReportMetric(float64(text), "text-bytes")
+	})
 }

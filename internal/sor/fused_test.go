@@ -202,34 +202,6 @@ func TestResidualPhasePartialRows(t *testing.T) {
 	}
 }
 
-func TestGridReset(t *testing.T) {
-	fresh := func() *Grid {
-		g, _ := NewGrid(12)
-		g.SetBoundary(func(x, y float64) float64 { return 1 + x - 2*y })
-		g.SetSource(func(x, y float64) float64 { return x + y })
-		return g
-	}
-	g := fresh()
-	g.SweepPhase(Red, 1, 11, 1.5)
-	g.SweepPhase(Black, 1, 11, 1.5)
-	g.Reset()
-	want := fresh()
-	sameU(t, "reset", want, g)
-	for i := range want.F {
-		if g.F[i] != want.F[i] {
-			t.Fatalf("Reset clobbered source at %d", i)
-		}
-	}
-	// A solve on a reset grid must match a solve on a fresh grid exactly.
-	if _, err := g.Solve(DefaultOmega, 1e-9, 10000); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := want.Solve(DefaultOmega, 1e-9, 10000); err != nil {
-		t.Fatal(err)
-	}
-	sameU(t, "reset-solve", want, g)
-}
-
 func TestLocalBackendReuseAndClose(t *testing.T) {
 	n := 33
 	pt, _ := NewEqualPartition(n, 3)

@@ -92,19 +92,6 @@ func (g *Grid) SetSource(fn func(x, y float64) float64) {
 	}
 }
 
-// Reset re-zeroes the interior of the grid, preserving the boundary ring
-// and the source term. A reset grid is indistinguishable from a freshly
-// allocated one with the same boundary and source, which lets callers reuse
-// one allocation across back-to-back solves instead of paying an NxN
-// allocation (and its first-touch page faults) per run.
-func (g *Grid) Reset() {
-	n := g.N
-	for i := 1; i < n-1; i++ {
-		base := i * n
-		clear(g.U[base+1 : base+n-1])
-	}
-}
-
 // Clone returns a deep copy of the grid.
 func (g *Grid) Clone() *Grid {
 	out := &Grid{N: g.N, H: g.H, U: append([]float64(nil), g.U...)}

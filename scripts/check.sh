@@ -9,8 +9,8 @@
 # bisection, of the NWS battery's sorted windows against sort.Float64s, of the
 # quantile selection against the sort, of the growing measurement ring against
 # a plain slice, of stochcalc's evaluator (finite or an error), of the
-# prediction ledger against the map it replaced, and of the trace, scenario,
-# spec and snapshot readers, the bench/ module's vet + tests, one run of each
+# prediction ledger against the map it replaced, of the metrics exposition's
+# label escaping, and of the trace, scenario, spec and snapshot readers, the bench/ module's vet + tests, one run of each
 # program under examples/, the snapshot drill over the real daemon binary, and
 # a report-only line count (scripts/loc.sh).
 # The SOR worker pool, the sharded Monte Carlo engine, and the
@@ -91,6 +91,10 @@ go test -run '^$' -fuzz FuzzEval -fuzztime 5s ./cmd/stochcalc
 # count, the outcomes and the snapshot section of the map-and-cursor ledger
 # it replaced, and a slab no longer than twice its live entries.
 go test -run '^$' -fuzz FuzzLedger -fuzztime 5s ./internal/predict
+# And of label values into GET /metrics: whatever bytes a tenant's name
+# holds, the scrape parses and the value reads back as that name, each run
+# of invalid UTF-8 as one U+FFFD.
+go test -run '^$' -fuzz FuzzLabelEscape -fuzztime 5s ./internal/obs
 # And of bytes into the four readers behind every built service and trace:
 # trace files (never a panic; what is accepted writes and reads back bit for
 # bit), scenario files and spec files (never a panic; what is accepted
@@ -124,4 +128,4 @@ go test -cover ./internal/calib ./internal/predict | awk '{print "check.sh: cove
 # Go line count of the root module (report-only, no gate).
 scripts/loc.sh | awk '{print "check.sh: lines:", $0}'
 
-echo "check.sh: gofmt, vet, race-enabled tests, the concurrency tests at -cpu 1,4, bench smoke, loadgen round trip, POST-body, point- and value-evaluator, BIC-race, mixture-quantile, sorted-window, quantile-selection, ring (FuzzRing), stochcalc-evaluator, ledger (FuzzLedger), trace-reader (FuzzReadTrace), scenario-parser (FuzzParseScenario), spec-parser (FuzzParseSpecs) and snapshot-reader (FuzzReadSnapshot) fuzz, the bench/ module, the examples, and the snapshot round trip all clean"
+echo "check.sh: gofmt, vet, race-enabled tests, the concurrency tests at -cpu 1,4, bench smoke, loadgen round trip, POST-body, point- and value-evaluator, BIC-race, mixture-quantile, sorted-window, quantile-selection, ring (FuzzRing), stochcalc-evaluator, ledger (FuzzLedger), label-escape (FuzzLabelEscape), trace-reader (FuzzReadTrace), scenario-parser (FuzzParseScenario), spec-parser (FuzzParseSpecs) and snapshot-reader (FuzzReadSnapshot) fuzz, the bench/ module, the examples, and the snapshot round trip all clean"
