@@ -173,7 +173,7 @@ func appendPrediction(b []byte, platform string, p *predict.Prediction) []byte {
 	b = appendFloat(b, p.Bandwidth.Spread)
 	b = append(b, `,"bw_gaps":`...)
 	b = appendGaps(b, p.BWGaps)
-	if len(p.Dist.Calibrated) > 0 { // omitempty: nil *DistJSON on the wire struct
+	if len(p.Dist.Calibrated) > 0 { // omitempty: a nil Dist on the wire struct
 		b = append(b, `,"dist":{"levels":`...)
 		b = appendFloats(b, p.Dist.Levels)
 		b = append(b, `,"raw":`...)

@@ -39,12 +39,14 @@ func refPredictResponse(platform string, p predict.Prediction) PredictResponse {
 		RawSpread: p.Raw.Spread, CalibrationScale: p.CalibrationScale,
 		Degraded: p.Degraded(),
 		BWMean:   p.Bandwidth.Mean, BWSpread: p.Bandwidth.Spread,
-		BWGaps: toGapsJSON(p.BWGaps),
+		BWGaps: p.BWGaps,
 	}
 	if p.Partition != nil {
 		pr.PartitionRows = p.Partition.Rows
 	}
-	pr.Dist = toDistJSON(p.Dist)
+	if len(p.Dist.Calibrated) > 0 {
+		pr.Dist = &p.Dist
+	}
 	return pr
 }
 

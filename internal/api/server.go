@@ -376,7 +376,7 @@ func (s *server) handleAccuracy(w http.ResponseWriter, r *http.Request) {
 			Platform:    svc.Name(),
 			Time:        svc.Now(),
 			Outstanding: svc.Outstanding(),
-			Accuracy:    toAccuracyJSON(svc.Accuracy()),
+			Accuracy:    svc.Accuracy(),
 		})
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -393,7 +393,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		hp := HealthPlatform{
 			Platform: svc.Name(),
 			Time:     ro.Time,
-			BWGaps:   toGapsJSON(ro.BWGaps),
+			BWGaps:   ro.BWGaps,
 		}
 		for _, rep := range ro.Reports {
 			if rep.Staleness > 0 {
@@ -401,7 +401,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 				resp.Status = "degraded"
 			}
 			hp.Machines = append(hp.Machines, HealthMachine{
-				Machine: rep.Machine, Staleness: rep.Staleness, Gaps: toGapsJSON(rep.Gaps),
+				Machine: rep.Machine, Staleness: rep.Staleness, Gaps: rep.Gaps,
 			})
 		}
 		resp.Platforms = append(resp.Platforms, hp)
@@ -499,10 +499,6 @@ func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("%d jobs exceeds limit %d", len(sr.Jobs), MaxScheduleJobs))
 		return
 	}
-	jobs := make([]fleetsched.JobSpec, len(sr.Jobs))
-	for i, j := range sr.Jobs {
-		jobs[i] = fleetsched.JobSpec{Name: j.Name, N: j.N, Iterations: j.Iterations, Deadline: j.Deadline}
-	}
 	policy, quantile := fleetsched.Policy(sr.Policy), sr.Quantile
 	if policy == "" {
 		policy = fleetsched.PolicyQuantile
@@ -510,34 +506,17 @@ func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	if quantile == 0 {
 		quantile = fleetsched.DefaultQuantile
 	}
-	pls, err := s.sched.SubmitWith(jobs, policy, quantile)
+	pls, err := s.sched.SubmitWith(sr.Jobs, policy, quantile)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	resp := ScheduleResponse{
+	writeJSON(w, http.StatusOK, ScheduleResponse{
 		Policy:     string(policy),
 		Quantile:   quantile,
-		Placements: make([]PlacementJSON, len(pls)),
-		Unplaced:   len(jobs) - len(pls),
-	}
-	for i, pl := range pls {
-		resp.Placements[i] = PlacementJSON{
-			JobID:         pl.JobID,
-			Name:          pl.Name,
-			Tenant:        pl.Tenant,
-			Policy:        string(pl.Policy),
-			Quantile:      pl.Quantile,
-			Score:         pl.Score,
-			PredictedMean: pl.PredictedMean,
-			PredictedExec: pl.PredictedExec,
-			PredictionID:  pl.PredictionID,
-			Time:          pl.Time,
-			Deadline:      pl.Deadline,
-			Skips:         pl.Skips,
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+		Placements: pls,
+		Unplaced:   len(sr.Jobs) - len(pls),
+	})
 }
 
 // handleScheduleStatus answers GET /schedule/status: fold the fleet's

@@ -20,6 +20,7 @@ import (
 	"testing"
 
 	"prodpred/internal/calib"
+	"prodpred/internal/fleetsched"
 	"prodpred/internal/obs"
 	"prodpred/internal/predict"
 )
@@ -358,7 +359,7 @@ func TestScheduleEndpoints(t *testing.T) {
 		return resp
 	}
 
-	body, _ := json.Marshal(ScheduleRequest{Jobs: []ScheduleJob{
+	body, _ := json.Marshal(ScheduleRequest{Jobs: []fleetsched.JobSpec{
 		{Name: "a", N: 120, Iterations: 4, Deadline: 1e6},
 		{Name: "b", N: 120, Iterations: 4},
 	}})
@@ -387,7 +388,7 @@ func TestScheduleEndpoints(t *testing.T) {
 
 	// Per-request policy override is echoed and applied to each placement.
 	body, _ = json.Marshal(ScheduleRequest{
-		Jobs:   []ScheduleJob{{Name: "c", N: 120, Iterations: 4}},
+		Jobs:   []fleetsched.JobSpec{{Name: "c", N: 120, Iterations: 4}},
 		Policy: "mean",
 	})
 	resp = post(body)
@@ -432,9 +433,9 @@ func TestScheduleEndpoints(t *testing.T) {
 			t.Errorf("body %q: status %d, want 400", bad, resp.StatusCode)
 		}
 	}
-	big := ScheduleRequest{Jobs: make([]ScheduleJob, MaxScheduleJobs+1)}
+	big := ScheduleRequest{Jobs: make([]fleetsched.JobSpec, MaxScheduleJobs+1)}
 	for i := range big.Jobs {
-		big.Jobs[i] = ScheduleJob{N: 100, Iterations: 1}
+		big.Jobs[i] = fleetsched.JobSpec{N: 100, Iterations: 1}
 	}
 	bigBody, _ := json.Marshal(big)
 	if resp := post(bigBody); resp.StatusCode != http.StatusBadRequest {
@@ -579,8 +580,8 @@ func TestConcurrentTrafficAcrossKillRestore(t *testing.T) {
 					}
 					if r%3 == 1 {
 						var sr ScheduleResponse
-						job := ScheduleJob{Name: fmt.Sprintf("w%d-r%d", w, r), N: 120, Iterations: 4}
-						if err := postOK(url+"/schedule", ScheduleRequest{Jobs: []ScheduleJob{job}}, &sr); err != nil || sr.Unplaced != 0 || len(sr.Placements) != 1 {
+						job := fleetsched.JobSpec{Name: fmt.Sprintf("w%d-r%d", w, r), N: 120, Iterations: 4}
+						if err := postOK(url+"/schedule", ScheduleRequest{Jobs: []fleetsched.JobSpec{job}}, &sr); err != nil || sr.Unplaced != 0 || len(sr.Placements) != 1 {
 							t.Errorf("worker %d: schedule: %v %+v", w, err, sr)
 							return
 						}
@@ -685,10 +686,10 @@ func TestSnapshotResponseIsStreamed(t *testing.T) {
 func TestRawResponsesStateTheirLength(t *testing.T) {
 	ts, _, _ := newStack(t, Options{})
 	var reqs []PredictRequest
-	var jobs []ScheduleJob
+	var jobs []fleetsched.JobSpec
 	for i := 0; i < 32; i++ {
 		reqs = append(reqs, PredictRequest{Platform: fmt.Sprintf("platform%d", 1+i%2), N: 100 + 10*i, Iterations: 4})
-		jobs = append(jobs, ScheduleJob{Name: fmt.Sprintf("job-%02d", i), N: 100 + 10*i, Iterations: 4})
+		jobs = append(jobs, fleetsched.JobSpec{Name: fmt.Sprintf("job-%02d", i), N: 100 + 10*i, Iterations: 4})
 	}
 	batch, _ := json.Marshal(BatchPredictRequest{Requests: reqs})
 	schedule, _ := json.Marshal(ScheduleRequest{Jobs: jobs})
@@ -900,11 +901,11 @@ func TestReportIsOneTick(t *testing.T) {
 		}
 		hp := health.Platforms[0]
 		ro = want[hp.Time]
-		if len(hp.Machines) != len(ro.Reports) || hp.BWGaps != toGapsJSON(ro.BWGaps) {
+		if len(hp.Machines) != len(ro.Reports) || hp.BWGaps != ro.BWGaps {
 			return 0, fmt.Errorf("GET /healthz at time %g: %+v; the twin's readout then is %+v", hp.Time, hp, ro)
 		}
 		for m, r := range ro.Reports {
-			if hm := hp.Machines[m]; hm.Staleness != r.Staleness || hm.Gaps != toGapsJSON(r.Gaps) {
+			if hm := hp.Machines[m]; hm.Staleness != r.Staleness || hm.Gaps != r.Gaps {
 				return 0, fmt.Errorf("GET /healthz at time %g: machine %d is %+v; the twin's report then is %+v", hp.Time, m, hm, r)
 			}
 		}

@@ -104,40 +104,53 @@ type Outcome struct {
 type DriftEvent struct {
 	// Time is the virtual time of the outcome that triggered detection, in
 	// virtual seconds.
-	Time float64
+	Time float64 `json:"time"`
 	// Seq is the 1-based count of outcomes observed when the event fired.
-	Seq int
+	Seq int `json:"seq"`
 	// Reason is "cusum" (sustained residual shift) or "mode-count"
 	// (residuals turned multi-modal).
-	Reason string
+	Reason string `json:"reason"`
 	// Stat is the detector statistic at the trigger: the CUSUM excursion,
 	// or the fitted mode count.
-	Stat float64
+	Stat float64 `json:"stat"`
 }
 
 // Snapshot is a consistent read of a Tracker's accuracy and calibration
-// state — the /accuracy payload.
+// state — the /accuracy payload, encoded as it stands: its fields are in
+// wire order.
 type Snapshot struct {
 	// Observed is the total number of outcomes ingested.
-	Observed int
+	Observed int `json:"observed"`
 	// WindowFill is the current rolling-window population.
-	WindowFill int
+	WindowFill int `json:"window_fill"`
 	// RawCapture / CalibratedCapture are capture rates over the rolling
 	// window for the raw and calibrated intervals.
-	RawCapture, CalibratedCapture float64
+	RawCapture        float64 `json:"raw_capture"`
+	CalibratedCapture float64 `json:"calibrated_capture"`
 	// CumRawCapture / CumCalibratedCapture are the same rates over every
 	// outcome ever observed.
-	CumRawCapture, CumCalibratedCapture float64
+	CumRawCapture        float64 `json:"cum_raw_capture"`
+	CumCalibratedCapture float64 `json:"cum_calibrated_capture"`
 	// MeanSignedRelErr is the windowed mean of (actual - mean)/actual —
 	// negative when the model over-predicts.
-	MeanSignedRelErr float64
+	MeanSignedRelErr float64 `json:"mean_signed_rel_err"`
 	// MeanAbsRelErr is the windowed mean of |actual - mean|/actual.
-	MeanAbsRelErr float64
+	MeanAbsRelErr float64 `json:"mean_abs_rel_err"`
 	// MeanRawWidth / MeanCalibratedWidth are windowed mean interval full
 	// widths (2 × spread), in virtual seconds.
-	MeanRawWidth, MeanCalibratedWidth float64
+	MeanRawWidth        float64 `json:"mean_raw_width"`
+	MeanCalibratedWidth float64 `json:"mean_calibrated_width"`
 	// Scale is the current half-width multiplier.
-	Scale float64
+	Scale float64 `json:"scale"`
+	// Target is the capture target, TargetCapture.
+	Target float64 `json:"target"`
+	// SinceReset counts outcomes since the last regime reset.
+	SinceReset int `json:"since_reset"`
+	// Drifts lists every detected regime change, oldest first.
+	Drifts []DriftEvent `json:"drifts,omitempty"`
+	// LastTime is the virtual time of the most recent outcome, in virtual
+	// seconds (0 before any).
+	LastTime float64 `json:"last_time"`
 	// QuantileLevels lists the central interval levels the per-quantile
 	// calibrator maintains; QuantileScaleLo/Hi are the current two-sided
 	// multipliers, parallel to it (1 until enough distribution-valued
@@ -145,25 +158,16 @@ type Snapshot struct {
 	// median recentering term, as a fraction of the predictive median (0
 	// when unbiased or without evidence): the calibrated grid's median is
 	// raw median × (1 + QuantileShift).
-	QuantileLevels  []float64
-	QuantileScaleLo []float64
-	QuantileScaleHi []float64
-	QuantileShift   float64
+	QuantileLevels  []float64 `json:"quantile_levels,omitempty"`
+	QuantileScaleLo []float64 `json:"quantile_scale_lo,omitempty"`
+	QuantileScaleHi []float64 `json:"quantile_scale_hi,omitempty"`
+	QuantileShift   float64   `json:"quantile_shift"`
 	// MeanPIT is the windowed mean realized quantile over
 	// distribution-valued outcomes — 0.5 when the predictive distribution
 	// is centered on the actuals. PITCount is how many windowed outcomes
 	// carried a grid.
-	MeanPIT  float64
-	PITCount int
-	// Target is the capture target, TargetCapture.
-	Target float64
-	// SinceReset counts outcomes since the last regime reset.
-	SinceReset int
-	// Drifts lists every detected regime change, oldest first.
-	Drifts []DriftEvent
-	// LastTime is the virtual time of the most recent outcome, in virtual
-	// seconds (0 before any).
-	LastTime float64
+	MeanPIT  float64 `json:"mean_pit"`
+	PITCount int     `json:"pit_count"`
 }
 
 // Tracker is the per-platform online accuracy tracker, interval

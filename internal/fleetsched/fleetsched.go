@@ -118,44 +118,44 @@ const MaxJobWork = 1 << 40
 // optional completion deadline in absolute virtual seconds (0 = none).
 type JobSpec struct {
 	// Name optionally labels the job in Status listings.
-	Name string
+	Name string `json:"name,omitempty"`
 	// N is the grid size (N x N); Iterations the SOR iteration count.
-	N          int
-	Iterations int
+	N          int `json:"n"`
+	Iterations int `json:"iterations"`
 	// Deadline is the absolute virtual-seconds completion deadline on the
 	// fleet's shared timeline; 0 means the job has none.
-	Deadline float64
+	Deadline float64 `json:"deadline,omitempty"`
 }
 
 // Placement reports where one submitted job landed.
 type Placement struct {
 	// JobID identifies the job in later Status listings.
-	JobID uint64
+	JobID uint64 `json:"job_id"`
 	// Name echoes JobSpec.Name.
-	Name string
+	Name string `json:"name,omitempty"`
 	// Tenant is the platform the job was committed to.
-	Tenant string
+	Tenant string `json:"tenant"`
 	// Policy and Quantile record the objective the decision used.
-	Policy   Policy
-	Quantile float64
+	Policy   Policy  `json:"policy"`
+	Quantile float64 `json:"quantile"`
 	// Score is the winning objective value: planned tenant backlog plus
 	// the policy's execution-time score, in virtual seconds.
-	Score float64
+	Score float64 `json:"score"`
 	// PredictedMean and PredictedExec are the winner's predicted mean and
 	// policy-scored execution time, in virtual seconds.
-	PredictedMean float64
-	PredictedExec float64
+	PredictedMean float64 `json:"predicted_mean"`
+	PredictedExec float64 `json:"predicted_exec"`
 	// PredictionID is the winning tenant's ledger ID for the placement
 	// prediction (the one Observe closes when the job completes).
-	PredictionID uint64
+	PredictionID uint64 `json:"prediction_id"`
 	// Time is the tenant's virtual clock at placement.
-	Time float64
+	Time float64 `json:"time"`
 	// Deadline echoes JobSpec.Deadline.
-	Deadline float64
+	Deadline float64 `json:"deadline,omitempty"`
 	// Skips counts tenants that could not be scored for this job (lookup
 	// or prediction failure) and were skipped instead of failing the
 	// round.
-	Skips int
+	Skips int `json:"skips,omitempty"`
 }
 
 // Job states reported by Status.

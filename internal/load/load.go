@@ -105,17 +105,12 @@ func (c *Sequence) At(t float64) float64 {
 	return c.vals[idx]
 }
 
-// SingleMode is availability that wanders within one mode: an AR(1)
-// process with the given mean and stationary standard deviation, clamped to
-// [0, 1]. Phi controls smoothness (0 = white noise, close to 1 = slow
-// wander like the paper's Figure 8 trace).
-type SingleMode struct {
-	c *Sequence
-}
-
-// NewSingleMode constructs a single-mode process. mean must lie in [0,1],
+// NewSingleMode returns availability that wanders within one mode: an
+// AR(1) process with the given mean and stationary standard deviation,
+// clamped to [0, 1]. phi controls smoothness (0 = white noise, close to 1 =
+// slow wander like the paper's Figure 8 trace). mean must lie in [0,1],
 // sigma > 0, and 0 <= phi < 1.
-func NewSingleMode(mean, sigma, phi, dt float64, seed int64) (*SingleMode, error) {
+func NewSingleMode(mean, sigma, phi, dt float64, seed int64) (*Sequence, error) {
 	if mean < 0 || mean > 1 {
 		return nil, fmt.Errorf("load: mean %g outside [0,1]", mean)
 	}
@@ -137,14 +132,8 @@ func NewSingleMode(mean, sigma, phi, dt float64, seed int64) (*SingleMode, error
 		}
 		return Clamp01(mean + phi*(prev-mean) + innov*rng.NormFloat64())
 	}
-	return &SingleMode{c: NewSequence(dt, gen)}, nil
+	return NewSequence(dt, gen), nil
 }
-
-// At implements Process.
-func (s *SingleMode) At(t float64) float64 { return s.c.At(t) }
-
-// Interval implements Process.
-func (s *SingleMode) Interval() float64 { return s.c.dt }
 
 // ModeSpec describes one mode of a Markov-modulated process.
 type ModeSpec struct {
@@ -152,20 +141,14 @@ type ModeSpec struct {
 	Sigma float64 `json:"sigma"` // within-mode std dev
 }
 
-// MarkovModal is availability that jumps between modes according to a
-// per-tick switching probability and mode-stationary weights, with AR(1)
-// wander inside the current mode. This reproduces the "multi-modal bursty"
-// load of the paper's Platform 2 (Figures 10-11): dwell periods in a mode
-// punctuated by abrupt jumps.
-type MarkovModal struct {
-	c     *Sequence
-	modes []ModeSpec
-}
-
-// NewMarkovModal constructs a bursty modal process. switchProb is the
-// per-tick probability of re-drawing the mode from weights; phi is the
-// within-mode AR(1) smoothness.
-func NewMarkovModal(modes []ModeSpec, weights []float64, switchProb, phi, dt float64, seed int64) (*MarkovModal, error) {
+// NewMarkovModal returns availability that jumps between modes according
+// to a per-tick switching probability and mode-stationary weights, with
+// AR(1) wander inside the current mode. This reproduces the "multi-modal
+// bursty" load of the paper's Platform 2 (Figures 10-11): dwell periods in
+// a mode punctuated by abrupt jumps. switchProb is the per-tick probability
+// of re-drawing the mode from weights; phi is the within-mode AR(1)
+// smoothness. The process keeps its own copy of modes.
+func NewMarkovModal(modes []ModeSpec, weights []float64, switchProb, phi, dt float64, seed int64) (*Sequence, error) {
 	if len(modes) == 0 {
 		return nil, errors.New("load: no modes")
 	}
@@ -213,32 +196,22 @@ func NewMarkovModal(modes []ModeSpec, weights []float64, switchProb, phi, dt flo
 		}
 		return len(norm) - 1
 	}
-	mm := &MarkovModal{modes: append([]ModeSpec(nil), modes...)}
+	modes = append([]ModeSpec(nil), modes...)
 	cur := -1
 	gen := func(i int, prev float64) float64 {
 		if i == 0 || rng.Float64() < switchProb {
 			cur = pick()
 			prev = math.NaN()
 		}
-		m := mm.modes[cur]
+		m := modes[cur]
 		if math.IsNaN(prev) {
 			return Clamp01(m.Mean + m.Sigma*rng.NormFloat64())
 		}
 		innov := m.Sigma * math.Sqrt(1-phi*phi)
 		return Clamp01(m.Mean + phi*(prev-m.Mean) + innov*rng.NormFloat64())
 	}
-	mm.c = NewSequence(dt, gen)
-	return mm, nil
+	return NewSequence(dt, gen), nil
 }
-
-// At implements Process.
-func (m *MarkovModal) At(t float64) float64 { return m.c.At(t) }
-
-// Interval implements Process.
-func (m *MarkovModal) Interval() float64 { return m.c.dt }
-
-// Modes returns the mode specifications.
-func (m *MarkovModal) Modes() []ModeSpec { return m.modes }
 
 // Trace wraps a recorded time series as a Process (last observation carried
 // forward), for replaying measured or exported load signals.
@@ -293,18 +266,13 @@ func NewUniformTrace(s *timeseries.Series, dt float64) (*Trace, error) {
 	return tr, nil
 }
 
-// UserSessions models availability driven by an M/M/infinity population of
-// competing users: users arrive at rate lambda per second, stay for
+// NewUserSessions returns availability driven by an M/M/infinity population
+// of competing users: users arrive at rate lambda per second, stay for
 // exponential sessions of mean 1/mu seconds, and the application receives a
 // 1/(1+n) share of the CPU when n users are active. This is the generative
 // story behind "machine B is much faster ... it has more users and
-// therefore a more dynamic load" (§1.2).
-type UserSessions struct {
-	c *Sequence
-}
-
-// NewUserSessions constructs the process; lambda and mu must be positive.
-func NewUserSessions(lambda, mu, dt float64, seed int64) (*UserSessions, error) {
+// therefore a more dynamic load" (§1.2). lambda and mu must be positive.
+func NewUserSessions(lambda, mu, dt float64, seed int64) (*Sequence, error) {
 	if !(lambda > 0) || !(mu > 0) {
 		return nil, errors.New("load: lambda and mu must be positive")
 	}
@@ -329,14 +297,8 @@ func NewUserSessions(lambda, mu, dt float64, seed int64) (*UserSessions, error) 
 		n = stay + Poisson(rng, lambda*dt)
 		return 1 / float64(1+n)
 	}
-	return &UserSessions{c: NewSequence(dt, gen)}, nil
+	return NewSequence(dt, gen), nil
 }
-
-// At implements Process.
-func (u *UserSessions) At(t float64) float64 { return u.c.At(t) }
-
-// Interval implements Process.
-func (u *UserSessions) Interval() float64 { return u.c.dt }
 
 // Poisson draws a Poisson(mean) variate by Knuth's method; mean values here
 // are small (a few arrivals per tick).

@@ -131,11 +131,11 @@ func TestMarkovModalValidation(t *testing.T) {
 	}
 }
 
-// modeOf classifies the process value at time t to the nearest mode mean —
-// the mode in force whenever the modes are a few sigma apart, since a switch
-// redraws the value from the new mode.
-func modeOf(p *MarkovModal, t float64) int {
-	v, modes, best := p.At(t), p.Modes(), 0
+// modeOf classifies the process value at time t to the nearest of the mode
+// means p was built from — the mode in force whenever the modes are a few
+// sigma apart, since a switch redraws the value from the new mode.
+func modeOf(p Process, modes []ModeSpec, t float64) int {
+	v, best := p.At(t), 0
 	for i, m := range modes {
 		if math.Abs(v-m.Mean) < math.Abs(v-modes[best].Mean) {
 			best = i
@@ -153,7 +153,7 @@ func TestMarkovModalOccupancyMatchesWeights(t *testing.T) {
 	n := 30000
 	inHigh := 0
 	for i := 0; i < n; i++ {
-		if modeOf(p, float64(i)) == 1 {
+		if modeOf(p, modes, float64(i)) == 1 {
 			inHigh++
 		}
 	}
@@ -168,11 +168,11 @@ func TestMarkovModalBurstyVsSlow(t *testing.T) {
 	w := []float64{0.5, 0.5}
 	bursty, _ := NewMarkovModal(modes, w, 0.3, 0.5, 1, 13)
 	slow, _ := NewMarkovModal(modes, w, 0.002, 0.5, 1, 13)
-	countTransitions := func(p *MarkovModal, n int) int {
+	countTransitions := func(p Process, n int) int {
 		tr := 0
-		prev := modeOf(p, 0)
+		prev := modeOf(p, modes, 0)
 		for i := 1; i < n; i++ {
-			cur := modeOf(p, float64(i))
+			cur := modeOf(p, modes, float64(i))
 			if cur != prev {
 				tr++
 			}
@@ -187,11 +187,18 @@ func TestMarkovModalBurstyVsSlow(t *testing.T) {
 	}
 }
 
+// TestMarkovModalModes: the process keeps its own copy of the mode table,
+// so a caller that reuses its slice afterwards does not change the draws.
 func TestMarkovModalModes(t *testing.T) {
-	modes := []ModeSpec{{Mean: 0.2, Sigma: 0.02}}
-	p, _ := NewMarkovModal(modes, []float64{1}, 0.1, 0.5, 1, 1)
-	if got := p.Modes(); len(got) != 1 || got[0] != modes[0] {
-		t.Errorf("Modes=%v", got)
+	modes := []ModeSpec{{Mean: 0.2, Sigma: 0.02}, {Mean: 0.8, Sigma: 0.02}}
+	w := []float64{0.5, 0.5}
+	p, _ := NewMarkovModal(modes, w, 0.1, 0.5, 1, 1)
+	modes[0], modes[1] = ModeSpec{Mean: 0.5, Sigma: 0.1}, ModeSpec{Mean: 0.5, Sigma: 0.1}
+	want, _ := NewMarkovModal([]ModeSpec{{Mean: 0.2, Sigma: 0.02}, {Mean: 0.8, Sigma: 0.02}}, w, 0.1, 0.5, 1, 1)
+	for i := 0; i < 200; i++ {
+		if got, exp := p.At(float64(i)), want.At(float64(i)); got != exp {
+			t.Fatalf("tick %d: %g, want %g: the process reads its caller's mode table", i, got, exp)
+		}
 	}
 }
 
@@ -278,13 +285,22 @@ func TestRecord(t *testing.T) {
 	}
 }
 
+// occupied counts the modes p visits over its first n ticks.
+func occupied(p Process, modes []ModeSpec, n int) int {
+	seen := map[int]bool{}
+	for i := 0; i < n; i++ {
+		seen[modeOf(p, modes, float64(i))] = true
+	}
+	return len(seen)
+}
+
 func TestPresetsConstructAndBehave(t *testing.T) {
 	p1, err := Platform1TriModal(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p1.Modes()) != 3 {
-		t.Errorf("platform1 modes=%d", len(p1.Modes()))
+	if occ := occupied(p1, platform1Modes, 5000); occ != len(platform1Modes) {
+		t.Errorf("platform1 visits %d of its %d modes", occ, len(platform1Modes))
 	}
 	center, err := Platform1CenterMode(2)
 	if err != nil {
@@ -298,8 +314,8 @@ func TestPresetsConstructAndBehave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p2.Modes()) != 4 {
-		t.Errorf("platform2 modes=%d", len(p2.Modes()))
+	if occ := occupied(p2, platform2Modes, 5000); occ != len(platform2Modes) {
+		t.Errorf("platform2 visits %d of its %d modes", occ, len(platform2Modes))
 	}
 	light, err := LightLoad(4)
 	if err != nil {
@@ -314,17 +330,17 @@ func TestPresetsConstructAndBehave(t *testing.T) {
 func TestPlatform2IsBurstier(t *testing.T) {
 	p1, _ := Platform1TriModal(5)
 	p2, _ := Platform2FourModeBursty(5)
-	trans := func(p *MarkovModal, n int) int {
-		tr, prev := 0, modeOf(p, 0)
+	trans := func(p Process, modes []ModeSpec, n int) int {
+		tr, prev := 0, modeOf(p, modes, 0)
 		for i := 1; i < n; i++ {
-			if cur := modeOf(p, float64(i)); cur != prev {
+			if cur := modeOf(p, modes, float64(i)); cur != prev {
 				tr++
 				prev = cur
 			}
 		}
 		return tr
 	}
-	if t1, t2 := trans(p1, 3000), trans(p2, 3000); t2 <= t1*5 {
+	if t1, t2 := trans(p1, platform1Modes, 3000), trans(p2, platform2Modes, 3000); t2 <= t1*5 {
 		t.Errorf("platform2 transitions %d should dwarf platform1 %d", t2, t1)
 	}
 }

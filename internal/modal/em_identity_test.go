@@ -30,7 +30,7 @@ func harvest(p load.Process, samples, stride int) [][]float64 {
 
 // liftedBursty is bench/spec.go's burstyLoad: platform2-bursty with its modes
 // lifted off the floor.
-func liftedBursty(seed int64) (*load.MarkovModal, error) {
+func liftedBursty(seed int64) (*load.Sequence, error) {
 	return load.NewMarkovModal(
 		[]load.ModeSpec{{Mean: 0.25, Sigma: 0.03}, {Mean: 0.45, Sigma: 0.04}, {Mean: 0.68, Sigma: 0.04}, {Mean: 0.90, Sigma: 0.03}},
 		[]float64{0.2, 0.3, 0.3, 0.2}, 0.08, 0.7, 1.0, seed)

@@ -38,9 +38,9 @@ func DistLevelIndex(p float64) int {
 // Component is one Gaussian component of a predictive distribution —
 // the portable summary the wire layer and snapshots carry.
 type Component struct {
-	Weight float64
-	Mean   float64
-	Sigma  float64
+	Weight float64 `json:"weight"`
+	Mean   float64 `json:"mean"`
+	Sigma  float64 `json:"sigma"`
 }
 
 // DistForecaster predicts the *distribution* of the next measurement, not

@@ -45,15 +45,15 @@ func StalenessFactor(stale float64) float64 { return 1 + DegradeRate*stale }
 // the robustness experiments. Missed is the total of scheduled samples that
 // produced no measurement (Dropped + Outage + TransientLost + SensorErrors).
 type GapStats struct {
-	Clean         int // samples recorded without incident
-	Recovered     int // samples recorded after one or more transient retries
-	Retries       int // transient retries performed (in virtual time)
-	Dropped       int // samples lost to drops
-	Outage        int // samples lost inside outage windows
-	TransientLost int // samples lost after exhausting retries
-	SensorErrors  int // samples lost to unclassified sensor errors
-	Missed        int // total scheduled samples not recorded
-	LongestGap    int // longest run of consecutive missed samples
+	Clean         int `json:"clean"`          // samples recorded without incident
+	Recovered     int `json:"recovered"`      // samples recorded after one or more transient retries
+	Retries       int `json:"retries"`        // transient retries performed (in virtual time)
+	Dropped       int `json:"dropped"`        // samples lost to drops
+	Outage        int `json:"outage"`         // samples lost inside outage windows
+	TransientLost int `json:"transient_lost"` // samples lost after exhausting retries
+	SensorErrors  int `json:"sensor_errors"`  // samples lost to unclassified sensor errors
+	Missed        int `json:"missed"`         // total scheduled samples not recorded
+	LongestGap    int `json:"longest_gap"`    // longest run of consecutive missed samples
 }
 
 // Recorded returns the number of samples that produced a measurement.

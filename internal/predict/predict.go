@@ -131,9 +131,10 @@ type MachineReport struct {
 // predictive distribution.
 type Interval struct {
 	// Level is the central interval level in (0,1) (e.g. 0.95).
-	Level float64
+	Level float64 `json:"level"`
 	// Lo and Hi are the interval endpoints in virtual seconds.
-	Lo, Hi float64
+	Lo float64 `json:"lo"`
+	Hi float64 `json:"hi"`
 }
 
 // PredictionDist is the distribution payload of a Prediction: the full
@@ -151,19 +152,19 @@ type Interval struct {
 // and applies its per-level two-sided conformal multipliers.
 type PredictionDist struct {
 	// Levels is the quantile grid, ascending (nws.DistLevels).
-	Levels []float64
+	Levels []float64 `json:"levels"`
 	// Raw are the uncalibrated execution-time quantiles at Levels,
 	// nondecreasing, in virtual seconds.
-	Raw []float64
+	Raw []float64 `json:"raw"`
 	// Calibrated are the per-level conformally calibrated quantiles at
 	// Levels, nondecreasing, in virtual seconds.
-	Calibrated []float64
+	Calibrated []float64 `json:"calibrated"`
 	// Forecaster is the dominant per-machine distribution-forecaster tag
 	// behind this prediction (ties break toward the lower machine index);
 	// per-machine tags are on Prediction.Loads.
-	Forecaster string
+	Forecaster string `json:"forecaster"`
 	// Intervals answers Request.Levels in order, read off Calibrated.
-	Intervals []Interval
+	Intervals []Interval `json:"intervals,omitempty"`
 }
 
 // Quantile interpolates the calibrated predictive distribution at p,

@@ -14,6 +14,8 @@ import (
 
 	"prodpred/internal/api"
 	"prodpred/internal/calib"
+	"prodpred/internal/fleetsched"
+	"prodpred/internal/nws"
 	"prodpred/internal/obs"
 	"prodpred/internal/predict"
 )
@@ -112,18 +114,22 @@ func TestReadmeLinksOperations(t *testing.T) {
 
 // TestPredictResponseExamplesUseWireKeys: every "key": shown in the JSON
 // response examples of OPERATIONS.md's POST /predict, POST /predict/batch,
-// POST /observe, GET /accuracy and GET /report sections is a JSON key of the
-// payload types that route answers with, so a key removed from the wire
+// POST /observe, GET /accuracy, GET /report, GET /healthz, POST /schedule
+// and GET /schedule/status sections is a JSON key of the payload types that
+// route answers with, so a key removed from the wire
 // cannot live on in the runbook; and every drift "reason" shown is one the
 // calibrator writes.
 func TestPredictResponseExamplesUseWireKeys(t *testing.T) {
-	predictTypes := []any{api.PredictResponse{}, api.GapsJSON{}, api.DistJSON{}, api.IntervalJSON{}}
+	predictTypes := []any{api.PredictResponse{}, nws.GapStats{}, predict.PredictionDist{}, predict.Interval{}}
 	wireTypes := map[string][]any{
-		"POST /predict":       predictTypes,
-		"POST /predict/batch": append([]any{api.BatchPredictResponse{}, api.BatchPredictItem{}}, predictTypes...),
-		"POST /observe":       {api.ObserveResponse{}},
-		"GET /accuracy":       {api.AccuracyResponse{}, api.AccuracyPlatform{}, api.AccuracyJSON{}, api.DriftJSON{}},
-		"GET /report":         {api.ReportResponse{}, api.LoadJSON{}, api.GapsJSON{}, api.ComponentJSON{}},
+		"POST /predict":        predictTypes,
+		"POST /predict/batch":  append([]any{api.BatchPredictResponse{}, api.BatchPredictItem{}}, predictTypes...),
+		"POST /observe":        {api.ObserveResponse{}},
+		"GET /accuracy":        {api.AccuracyResponse{}, api.AccuracyPlatform{}, calib.Snapshot{}, calib.DriftEvent{}},
+		"GET /report":          {api.ReportResponse{}, api.LoadJSON{}, nws.GapStats{}, nws.Component{}},
+		"GET /healthz":         {api.HealthResponse{}, api.HealthPlatform{}, api.HealthMachine{}, nws.GapStats{}},
+		"POST /schedule":       {api.ScheduleResponse{}, fleetsched.Placement{}},
+		"GET /schedule/status": {fleetsched.Status{}, fleetsched.TenantStatus{}, fleetsched.JobStatus{}},
 	}
 	ops := readRepoFile(t, "OPERATIONS.md")
 	jsonKey := regexp.MustCompile(`"([^"]*)"\s*:`)

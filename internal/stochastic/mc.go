@@ -10,31 +10,25 @@ import (
 	"sync/atomic"
 )
 
-// DefaultShards is the shard count an MC engine uses when none is set. It
-// is deliberately larger than any plausible worker count so shards stay
-// small enough to balance across workers.
-const DefaultShards = 64
+// mcShards is the fixed shard count. It is deliberately larger than any
+// plausible worker count so shards stay small enough to balance across
+// workers, and it is part of the deterministic identity: changing it
+// changes the sample streams.
+const mcShards = 64
 
 // MC is a deterministic, sharded Monte Carlo sampling engine: N draws are
-// split across a fixed number of shards, each shard drawing from its own
+// split across mcShards shards, each shard drawing from its own
 // rand.Source derived from (Seed, shard index), and shard results are
 // combined in shard order. Because the per-shard streams and the merge
-// order depend only on (Seed, Shards, N) — never on how many workers
-// happen to execute the shards — results are bit-reproducible for any Jobs
-// setting, including Jobs == 1.
+// order depend only on (Seed, N) — never on how many of the GOMAXPROCS
+// workers happen to execute the shards — results are bit-reproducible on
+// any number of cores, one included.
 //
 // This is what lets the experiment harness's Monte Carlo validation loops
 // (Table 2 cross-checks, group-Max ground truth, coverage sweeps) use every
 // core without giving up the "deterministic given its seed" contract.
 type MC struct {
 	Seed int64
-	// Jobs is the number of worker goroutines; <= 0 means GOMAXPROCS.
-	// Jobs does not affect results, only wall-clock time.
-	Jobs int
-	// Shards is the fixed shard count; <= 0 means DefaultShards. Unlike
-	// Jobs, Shards is part of the deterministic identity: changing it
-	// changes the sample streams.
-	Shards int
 }
 
 // splitmix64 is the SplitMix64 finalizer, used to spread (Seed, shard)
@@ -66,48 +60,29 @@ func (s *mcSource) Int63() int64 { return int64(s.Uint64() >> 1) }
 
 func (s *mcSource) Seed(seed int64) { s.state = uint64(seed) }
 
-func (mc MC) shards() int {
-	if mc.Shards <= 0 {
-		return DefaultShards
-	}
-	return mc.Shards
-}
-
-func (mc MC) jobs(shards int) int {
-	j := mc.Jobs
-	if j <= 0 {
-		j = runtime.GOMAXPROCS(0)
-	}
-	if j > shards {
-		j = shards
-	}
-	return j
-}
-
 // shardSeed derives the mcSource starting state for one shard.
 func (mc MC) shardSeed(shard int) int64 {
 	return int64(splitmix64(uint64(mc.Seed) + uint64(shard)*0x9e3779b97f4a7c15))
 }
 
-// run executes gen once per non-empty shard on the worker pool. Shard s
-// owns draws [s*n/shards, (s+1)*n/shards).
+// run executes gen once per non-empty shard on min(GOMAXPROCS, mcShards)
+// workers. Shard s owns draws [s*n/mcShards, (s+1)*n/mcShards).
 func (mc MC) run(n int, gen func(shard, lo, hi int, rng *rand.Rand)) error {
 	if n <= 0 {
 		return fmt.Errorf("stochastic: sample count %d must be positive", n)
 	}
-	shards := mc.shards()
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < mc.jobs(shards); w++ {
+	for w := 0; w < min(runtime.GOMAXPROCS(0), mcShards); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
 				s := int(next.Add(1) - 1)
-				if s >= shards {
+				if s >= mcShards {
 					return
 				}
-				lo, hi := s*n/shards, (s+1)*n/shards
+				lo, hi := s*n/mcShards, (s+1)*n/mcShards
 				if lo == hi {
 					continue
 				}
@@ -165,9 +140,9 @@ func (m mcMoments) value() Value {
 // Moments draws n samples of f and summarizes them as a stochastic value
 // (mean ± two sample standard deviations, as FromSample) without
 // materializing the sample. The per-shard moments are merged serially in
-// shard order, so the result is identical for every Jobs setting.
+// shard order, so the result is identical whatever the worker count.
 func (mc MC) Moments(n int, f func(*rand.Rand) float64) (Value, error) {
-	perShard := make([]mcMoments, mc.shards())
+	perShard := make([]mcMoments, mcShards)
 	err := mc.run(n, func(shard, lo, hi int, rng *rand.Rand) {
 		acc := mcMoments{}
 		for k := lo; k < hi; k++ {
@@ -189,7 +164,7 @@ func (mc MC) Moments(n int, f func(*rand.Rand) float64) (Value, error) {
 }
 
 // Samples draws n samples of f in parallel and returns them in shard order
-// — the same slice for every Jobs setting. Use this when a consumer needs
+// — the same slice whatever the worker count. Use this when a consumer needs
 // the raw draws (coverage counting, histograms, quantiles) rather than
 // moments.
 func (mc MC) Samples(n int, f func(*rand.Rand) float64) ([]float64, error) {

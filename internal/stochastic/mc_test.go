@@ -3,40 +3,54 @@ package stochastic
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
+// withProcs runs f with GOMAXPROCS set to procs, which is the worker count
+// an MC engine runs on, and restores the setting afterwards.
+func withProcs(procs int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
+}
+
 func TestMCMomentsIdenticalAcrossJobs(t *testing.T) {
 	f := func(rng *rand.Rand) float64 { return 3 + 0.5*rng.NormFloat64() }
-	base, err := MC{Seed: 42, Jobs: 1}.Moments(10000, f)
+	var base Value
+	var err error
+	withProcs(1, func() { base, err = MC{Seed: 42}.Moments(10000, f) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, jobs := range []int{2, 3, 8, 0} {
-		v, err := MC{Seed: 42, Jobs: jobs}.Moments(10000, f)
+	for _, procs := range []int{2, 3, 8} {
+		var v Value
+		withProcs(procs, func() { v, err = MC{Seed: 42}.Moments(10000, f) })
 		if err != nil {
 			t.Fatal(err)
 		}
 		if v != base {
-			t.Errorf("jobs=%d: %v differs from jobs=1 %v", jobs, v, base)
+			t.Errorf("GOMAXPROCS=%d: %v differs from GOMAXPROCS=1 %v", procs, v, base)
 		}
 	}
 }
 
 func TestMCSamplesIdenticalAcrossJobs(t *testing.T) {
 	f := func(rng *rand.Rand) float64 { return rng.Float64() }
-	base, err := MC{Seed: 7, Jobs: 1}.Samples(999, f) // not a multiple of the shard count
+	var base []float64
+	var err error
+	withProcs(1, func() { base, err = MC{Seed: 7}.Samples(999, f) }) // not a multiple of the shard count
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, jobs := range []int{2, 8} {
-		xs, err := MC{Seed: 7, Jobs: jobs}.Samples(999, f)
+	for _, procs := range []int{2, 8} {
+		var xs []float64
+		withProcs(procs, func() { xs, err = MC{Seed: 7}.Samples(999, f) })
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range xs {
 			if xs[i] != base[i] {
-				t.Fatalf("jobs=%d: sample %d is %g, jobs=1 gave %g", jobs, i, xs[i], base[i])
+				t.Fatalf("GOMAXPROCS=%d: sample %d is %g, GOMAXPROCS=1 gave %g", procs, i, xs[i], base[i])
 			}
 		}
 	}
@@ -45,7 +59,7 @@ func TestMCSamplesIdenticalAcrossJobs(t *testing.T) {
 func TestMCMomentsMatchSamples(t *testing.T) {
 	// The streaming moments must agree with FromSample over the identical
 	// draws to floating-point accuracy.
-	mc := MC{Seed: 11, Jobs: 4}
+	mc := MC{Seed: 11}
 	f := func(rng *rand.Rand) float64 { return 10 + 2*rng.NormFloat64() }
 	xs, err := mc.Samples(20000, f)
 	if err != nil {
@@ -75,13 +89,23 @@ func TestMCSeedAndShardsChangeStreams(t *testing.T) {
 	if a == b {
 		t.Error("different seeds produced identical moments")
 	}
-	c, _ := MC{Seed: 1, Shards: 16}.Moments(5000, f)
-	if a == c {
-		t.Error("different shard counts should produce different streams")
-	}
 	a2, _ := MC{Seed: 1}.Moments(5000, f)
 	if a != a2 {
 		t.Error("same configuration not reproducible")
+	}
+	// One draw per shard: draw s is the first of shard s's own stream, not
+	// the s-th draw of one stream shared across shards, and no two shards
+	// start alike.
+	xs, _ := MC{Seed: 1}.Samples(mcShards, f)
+	seen := map[float64]bool{}
+	for s, x := range xs {
+		if want := rand.New(&mcSource{state: uint64(MC{Seed: 1}.shardSeed(s))}).NormFloat64(); x != want {
+			t.Fatalf("draw %d is %g, want shard %d's first draw %g", s, x, s, want)
+		}
+		if seen[x] {
+			t.Fatalf("shard %d starts with %g, as an earlier shard does", s, x)
+		}
+		seen[x] = true
 	}
 }
 
@@ -89,14 +113,14 @@ func TestMCFewerSamplesThanShards(t *testing.T) {
 	// n < Shards leaves some shards empty; every draw must still happen
 	// exactly once and the merge must skip the empty shards.
 	f := func(rng *rand.Rand) float64 { return 1 }
-	v, err := MC{Seed: 3, Jobs: 8}.Moments(5, f)
+	v, err := MC{Seed: 3}.Moments(5, f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v.Mean != 1 || v.Spread != 0 {
 		t.Errorf("constant sample summarized as %v", v)
 	}
-	xs, err := MC{Seed: 3, Jobs: 8}.Samples(5, f)
+	xs, err := MC{Seed: 3}.Samples(5, f)
 	if err != nil || len(xs) != 5 {
 		t.Fatalf("Samples=%v err=%v", xs, err)
 	}

@@ -99,7 +99,7 @@ func (c Cohort) rateAt(t float64) float64 {
 // own active-user count (per-tick exponential departures, Poisson arrivals
 // at its possibly time-varying rate), and the application receives a
 // 1/(1+n) CPU share of the total n — the same generative story as
-// load.UserSessions, with population structure.
+// load.NewUserSessions, with population structure.
 func newCohorts(cohorts []Cohort, dt float64, seed int64) load.Process {
 	rng := rand.New(rand.NewSource(seed))
 	n := make([]int, len(cohorts))
