@@ -17,6 +17,7 @@ import (
 	"prodpred/internal/api"
 	"prodpred/internal/calib"
 	"prodpred/internal/experiments"
+	"prodpred/internal/load"
 	"prodpred/internal/modal"
 	"prodpred/internal/nws"
 	"prodpred/internal/obs"
@@ -432,6 +433,38 @@ func BenchmarkMonitorSample(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkSequenceReplay prices a load process's two paths: forward
+// generation, one tick per op, and the rare path, a read below the ticks
+// kept (load.Window behind the newest: nothing holds this process) that
+// rebuilds the generator and replays it from tick 0 to tick 2599, the small fleets' 2600 s warm-up (a
+// bandwidth monitor created late on such a tenant reads its first tick
+// that way). The replay case reports ns/tick beside ns/op.
+func BenchmarkSequenceReplay(b *testing.B) {
+	const ticks = 2600
+	b.Run("forward", func(b *testing.B) {
+		seq, err := load.EthernetContention(1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < b.N; i++ {
+			seq.At(float64(i))
+		}
+	})
+	b.Run("replay-2600", func(b *testing.B) {
+		seq, err := load.EthernetContention(1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			seq.At(ticks + load.Window) // tick ticks-1 falls out of the ring
+			b.StartTimer()
+			seq.At(ticks - 1)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*ticks), "ns/tick")
+	})
 }
 
 // BenchmarkFitBIC64 times one refit of the mixture competitor: the

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"prodpred/internal/load"
 	"prodpred/internal/obs"
 	"prodpred/internal/predict"
 	"prodpred/internal/workload"
@@ -174,6 +175,55 @@ func TestLifecycleCompletesAndObserves(t *testing.T) {
 		}
 	}
 	requireLedgersEmpty(t, reg)
+}
+
+// TestLongJobReplaysNothing runs jobs that take far longer than load.Window
+// ticks on a tenant two virtual hours old. The truth walk that times each
+// job reads its machines' load ahead of the clock; the monitors then sample
+// those ticks as the clock catches up, and must find them kept instead of
+// replaying the tenant's hours of load from tick 0.
+func TestLongJobReplaysNothing(t *testing.T) {
+	spec, err := predict.SimulatedSpec(2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := testRegistry(t, spec)
+	svc, err := reg.Lookup(spec.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for svc.Now() < 2*3600 {
+		advance(t, reg, 5)
+	}
+	// The first prediction at a grid size starts its bandwidth monitor from
+	// time zero, a replay of its own (OPERATIONS.md "Memory and age").
+	if _, err := svc.Predict(predict.Request{N: 2000, Iterations: 400}); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := load.Replays()
+	s := New(reg, Config{})
+	jobs := []JobSpec{{N: 2000, Iterations: 400}, {N: 2000, Iterations: 400}, {N: 2000, Iterations: 400}}
+	if _, err := s.Submit(jobs); err != nil {
+		t.Fatal(err)
+	}
+	for tick := 0; tick < 400 && s.Status().Completed < len(jobs); tick++ {
+		advance(t, reg, 25)
+		s.Sync()
+	}
+	st := s.Status()
+	if st.Completed != len(jobs) {
+		t.Fatalf("jobs did not complete: %+v", st)
+	}
+	longest := 0.0
+	for _, j := range st.Jobs {
+		longest = max(longest, j.Finish-j.Start)
+	}
+	if ticks := longest / svc.Env().CPULoad(0).Interval(); ticks <= load.Window {
+		t.Fatalf("longest job ran %g ticks, not past the %d-tick window", ticks, load.Window)
+	}
+	if after, _ := load.Replays(); after != before {
+		t.Errorf("running the jobs replayed load %d times from tick 0", after-before)
+	}
 }
 
 // requireLedgersEmpty: once every job has completed, no tenant still holds a

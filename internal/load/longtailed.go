@@ -27,11 +27,12 @@ func NewLongTailed(peak, dropMean, dropStd, dt float64, seed int64) (*Sequence, 
 	if !(dt > 0) {
 		return nil, errors.New("load: dt must be positive")
 	}
-	rng := rand.New(rand.NewSource(seed))
-	gen := func(i int, prev float64) float64 {
-		return Clamp01(peak - ln.Sample(rng))
-	}
-	return NewSequence(dt, gen), nil
+	return NewSequence(dt, func() func(int, float64) float64 {
+		rng := rand.New(rand.NewSource(seed))
+		return func(int, float64) float64 {
+			return Clamp01(peak - ln.Sample(rng))
+		}
+	}), nil
 }
 
 // NewCongested returns a two-regime availability process: most ticks see a
@@ -60,15 +61,16 @@ func NewCongested(peak float64, baseMean, baseStd, burstProb, burstMean, burstSt
 	if !(dt > 0) {
 		return nil, errors.New("load: dt must be positive")
 	}
-	rng := rand.New(rand.NewSource(seed))
-	gen := func(i int, prev float64) float64 {
-		d := base.Sample(rng)
-		if rng.Float64() < burstProb {
-			d = burst.Sample(rng)
+	return NewSequence(dt, func() func(int, float64) float64 {
+		rng := rand.New(rand.NewSource(seed))
+		return func(int, float64) float64 {
+			d := base.Sample(rng)
+			if rng.Float64() < burstProb {
+				d = burst.Sample(rng)
+			}
+			return Clamp01(peak - d)
 		}
-		return Clamp01(peak - d)
-	}
-	return NewSequence(dt, gen), nil
+	}), nil
 }
 
 // EthernetContention returns the bandwidth-availability process calibrated

@@ -9,7 +9,8 @@ import (
 
 // Pipeline metric family names, as exposed on GET /metrics. Every family is
 // labeled by platform (the stage histogram additionally by stage) except
-// MetricFleetAdvance, which the registry records once per wave. The full
+// MetricFleetAdvance, which the registry records once per wave, and the
+// process-wide load replay counters (load.Replays). The full
 // catalog lives in OPERATIONS.md, and internal/readmecheck fails the build
 // if a registered name is missing from it.
 const (
@@ -30,6 +31,8 @@ const (
 	MetricScenarioInfo     = "workload_scenario_info"
 	MetricFleetAdvance     = "predict_fleet_advance_seconds"
 	MetricMixtureRefits    = "predict_mixture_refits_total"
+	MetricLoadReplays      = "predict_load_replays_total"
+	MetricLoadReplayTicks  = "predict_load_replayed_ticks_total"
 )
 
 // BatchSizeBuckets are the upper bounds of the predict_batch_size

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"prodpred/internal/load"
 	"prodpred/internal/nws"
 	"prodpred/internal/obs"
 )
@@ -75,6 +76,12 @@ func NewRegistryWith(opts RegistryOptions) *Registry {
 	if opts.Metrics != nil {
 		r.waveSeconds = opts.Metrics.NewHistogram(MetricFleetAdvance,
 			"Wall-clock time of one fleet-wide clock step (Registry.AdvanceAll) in seconds.", nil)
+		opts.Metrics.NewCounterVec(MetricLoadReplays,
+			"Simulated load reads, process-wide, that fell behind their process's kept tail and replayed it from tick 0.").
+			Func(func() int64 { n, _ := load.Replays(); return n })
+		opts.Metrics.NewCounterVec(MetricLoadReplayTicks,
+			"Generated load ticks those replays discarded, each generated again when read again, process-wide.").
+			Func(func() int64 { _, n := load.Replays(); return n })
 	}
 	return r
 }

@@ -278,7 +278,11 @@ func (s *Service) AdvanceTo(t float64) error {
 // the service, so it takes no monitor lock: every monitor runs forward on the
 // calling goroutine, CPU monitors in machine order, then bandwidth monitors
 // in ascending probe size, and a fresh tick frame replaces the cache's so
-// no stale forecast survives the tick boundary. A no-op advance (t == now)
+// no stale forecast survives the tick boundary. Before the monitors run,
+// the environment's load processes are held at t (simenv.Env.Hold): the
+// ticks a truth walk generated ahead of the clock stay kept until the clock
+// passes them, and the monitors' own new ticks up to t are no look-ahead.
+// A no-op advance (t == now)
 // leaves the cache intact — monitor state cannot have changed. The first error in that
 // order ends the tick (none can occur today: Monitor.RunUntil's is documented
 // always nil).
@@ -296,6 +300,7 @@ func (s *Service) AdvanceTo(t float64) error {
 func (s *Service) advanceToLocked(t float64) ([]*nws.Refit, error) {
 	moved := t != s.now
 	s.now = t
+	s.env.Hold(t)
 	for _, mon := range s.cpu {
 		if err := mon.RunUntil(t); err != nil {
 			return nil, err
@@ -530,7 +535,11 @@ func (s *Service) tickReports() (*tickFrame, error) {
 // wait (DESIGN.md §5 "Locks the size of the traffic" prices it), once per
 // (tenant, grid size) per process lifetime. Monitors are pure functions of
 // virtual time, so a late-created monitor has exactly the history an
-// early-created one would.
+// early-created one would. Its catch-up starts at tick 0, which the link's
+// load process no longer keeps once the clock is past load.Window ticks, so
+// the first sample rebuilds that process from its seed and the catch-up
+// regenerates every tick up to now: one load replay, counted on /metrics
+// and priced by the tenant's age in OPERATIONS.md "Memory and age".
 func (s *Service) bwReport(n int) (stochastic.Value, nws.GapStats, error) {
 	probeBytes := float64(n-2) * 8
 	s.monMu.Lock()

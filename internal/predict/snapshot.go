@@ -344,6 +344,7 @@ func (s *Service) importFrom(d *snapDec) error {
 	s.clockMu.Lock()
 	defer s.clockMu.Unlock()
 	s.now = d.f64()
+	s.env.Hold(s.now)
 
 	nCPU := d.count(1)
 	if d.err == nil && nCPU != len(s.cpu) {

@@ -85,16 +85,16 @@ func TestOperationsDocumentsEveryMetric(t *testing.T) {
 			t.Errorf("OPERATIONS.md does not document stage %q", stage)
 		}
 	}
-	// The serving-cache, batch and fleet-step families must be both
-	// registered (the enumeration above would miss a family that silently
-	// stopped being registered) and documented.
+	// The serving-cache, batch, fleet-step and load-replay families must be
+	// both registered (the enumeration above would miss a family that
+	// silently stopped being registered) and documented.
 	registered := make(map[string]bool, len(names))
 	for _, name := range names {
 		registered[name] = true
 	}
 	for _, name := range []string{
 		predict.MetricCacheHits, predict.MetricCacheMisses, predict.MetricBatchSize,
-		predict.MetricFleetAdvance,
+		predict.MetricFleetAdvance, predict.MetricLoadReplays, predict.MetricLoadReplayTicks,
 	} {
 		if !registered[name] {
 			t.Errorf("serving stack no longer registers %q", name)

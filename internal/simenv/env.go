@@ -72,6 +72,15 @@ func NewDedicated(platform *cluster.Platform) (*Env, error) {
 // Platform returns the underlying platform.
 func (e *Env) Platform() *cluster.Platform { return e.platform }
 
+// Hold holds every load process of the environment at t (load.Hold): the
+// clock that drives its readers is at t.
+func (e *Env) Hold(t float64) {
+	for _, p := range e.cpu {
+		load.Hold(p, t)
+	}
+	load.Hold(e.net, t)
+}
+
 // CPULoad returns machine m's underlying load process — the trace
 // recorder samples it directly so a recording is exactly what the sensors
 // saw, unfloored.

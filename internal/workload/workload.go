@@ -101,30 +101,32 @@ func (c Cohort) rateAt(t float64) float64 {
 // 1/(1+n) CPU share of the total n — the same generative story as
 // load.NewUserSessions, with population structure.
 func newCohorts(cohorts []Cohort, dt float64, seed int64) load.Process {
-	rng := rand.New(rand.NewSource(seed))
-	n := make([]int, len(cohorts))
-	for i, c := range cohorts {
-		// Start cohorts with no ramp at their stationary mean to skip
-		// burn-in; ramped cohorts start empty.
-		if c.Start == 0 {
-			n[i] = int(c.Lambda / c.Mu)
-		}
-	}
-	return load.NewSequence(dt, func(tick int, _ float64) float64 {
-		t := float64(tick) * dt
-		total := 0
+	return load.NewSequence(dt, func() func(int, float64) float64 {
+		rng := rand.New(rand.NewSource(seed))
+		n := make([]int, len(cohorts))
 		for i, c := range cohorts {
-			pDepart := 1 - math.Exp(-c.Mu*dt)
-			stay := 0
-			for j := 0; j < n[i]; j++ {
-				if rng.Float64() >= pDepart {
-					stay++
-				}
+			// Start cohorts with no ramp at their stationary mean to skip
+			// burn-in; ramped cohorts start empty.
+			if c.Start == 0 {
+				n[i] = int(c.Lambda / c.Mu)
 			}
-			n[i] = stay + load.Poisson(rng, c.rateAt(t)*dt)
-			total += n[i]
 		}
-		return 1 / float64(1+total)
+		return func(tick int, _ float64) float64 {
+			t := float64(tick) * dt
+			total := 0
+			for i, c := range cohorts {
+				pDepart := 1 - math.Exp(-c.Mu*dt)
+				stay := 0
+				for j := 0; j < n[i]; j++ {
+					if rng.Float64() >= pDepart {
+						stay++
+					}
+				}
+				n[i] = stay + load.Poisson(rng, c.rateAt(t)*dt)
+				total += n[i]
+			}
+			return 1 / float64(1+total)
+		}
 	})
 }
 
@@ -135,11 +137,13 @@ func newCohorts(cohorts []Cohort, dt float64, seed int64) load.Process {
 // recurs every `repeat` seconds. The realized crowd is a fresh Poisson draw
 // around the envelope each tick; availability is the 1/(1+n) CPU share.
 func newFlashCrowd(users, crowd, onset, ramp, decay, repeat, dt float64, seed int64) load.Process {
-	rng := rand.New(rand.NewSource(seed))
-	return load.NewSequence(dt, func(tick int, _ float64) float64 {
-		t := float64(tick) * dt
-		n := load.Poisson(rng, flashEnvelope(t, crowd, onset, ramp, decay, repeat))
-		return 1 / (1 + users + float64(n))
+	return load.NewSequence(dt, func() func(int, float64) float64 {
+		rng := rand.New(rand.NewSource(seed))
+		return func(tick int, _ float64) float64 {
+			t := float64(tick) * dt
+			n := load.Poisson(rng, flashEnvelope(t, crowd, onset, ramp, decay, repeat))
+			return 1 / (1 + users + float64(n))
+		}
 	})
 }
 
@@ -191,6 +195,12 @@ func (s *sumProc) At(t float64) float64 {
 
 func (s *sumProc) Interval() float64 { return s.dt }
 
+func (s *sumProc) Hold(t float64) {
+	for _, c := range s.children {
+		load.Hold(c, t)
+	}
+}
+
 // modProc is the modulate combinator: the product of its children's
 // availabilities — independent contention sources each claim their share of
 // what the previous ones left.
@@ -208,6 +218,12 @@ func (m *modProc) At(t float64) float64 {
 }
 
 func (m *modProc) Interval() float64 { return m.dt }
+
+func (m *modProc) Hold(t float64) {
+	for _, c := range m.children {
+		load.Hold(c, t)
+	}
+}
 
 // clampProc bounds a child's availability to [lo, hi].
 type clampProc struct {
@@ -227,3 +243,5 @@ func (c *clampProc) At(t float64) float64 {
 }
 
 func (c *clampProc) Interval() float64 { return c.child.Interval() }
+
+func (c *clampProc) Hold(t float64) { load.Hold(c.child, t) }

@@ -41,9 +41,11 @@ go test -race ./...
 # refits a step leaves to the background) and TestConcurrentLedger (predicts,
 # observes, discards and snapshot writes on one service's ledger) and api's
 # TestScrapeDuringFleetOps (GET /metrics, whose gauges read their owners,
-# racing fleet traffic).
+# racing fleet traffic); and load's TestSequenceConcurrentReaders (readers
+# of one load process ahead of and far behind each other, so some rebuild
+# it from tick 0 while others read its ring).
 go test -race -cpu 1,4 -run 'Race|Stress|Storm|Coherence|Concurrent|AdvanceAll|FleetAdvance|Registry|Retired|ReportIsOneTick|DeterministicState|BackgroundRefit|ConcurrentLedger|ScrapeDuringFleetOps' \
-    ./internal/predict ./internal/fleetsched ./internal/api ./internal/calib
+    ./internal/predict ./internal/fleetsched ./internal/api ./internal/calib ./internal/load
 # Bench smoke: every benchmark must still run for one iteration without
 # error (no measurement — regressions are caught by scripts/bench.sh).
 go test -bench=. -benchtime=1x -run '^$' ./...
