@@ -17,7 +17,6 @@ import (
 	"os"
 
 	"prodpred/internal/predict"
-	"prodpred/internal/sched"
 	"prodpred/internal/sor"
 	"prodpred/internal/stochastic"
 )
@@ -38,24 +37,6 @@ func main() {
 	}
 }
 
-// applyStrategy maps the flag onto the request's partitioning knobs;
-// "balanced" selects the AppLeS-style time-balancing refinement.
-func applyStrategy(req *predict.Request, strategy string) error {
-	switch strategy {
-	case "mean":
-		req.Strategy = sched.MeanBalanced
-	case "conservative":
-		req.Strategy = sched.Conservative
-	case "optimistic":
-		req.Strategy = sched.Optimistic
-	case "balanced":
-		req.TimeBalanced = true
-	default:
-		return fmt.Errorf("unknown strategy %q", strategy)
-	}
-	return nil
-}
-
 func run(w io.Writer, platformID, n, iters, runs int, seed int64, strategy string) error {
 	spec, err := predict.SimulatedSpec(platformID, seed)
 	if err != nil {
@@ -71,7 +52,7 @@ func run(w io.Writer, platformID, n, iters, runs int, seed int64, strategy strin
 		platformID, plat.Name, n, n, iters)
 
 	req := predict.Request{N: n, Iterations: iters, MaxStrategy: stochastic.LargestMean}
-	if err := applyStrategy(&req, strategy); err != nil {
+	if err := req.SetStrategy(strategy); err != nil {
 		return err
 	}
 	part, err := svc.Partition(req)

@@ -2,6 +2,7 @@ package api
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -151,6 +152,39 @@ func BenchmarkServicePredictParallel(b *testing.B) {
 					}
 				}
 			})
+		})
+	}
+}
+
+// BenchmarkEncodePrediction prices the hand-written prediction encoder
+// against encoding/json alone: the same prediction, without a grid and
+// with two interval levels, encoded by appendPrediction into a pooled
+// buffer (hand) and by json.Marshal of its PredictResponse, built once
+// outside the timed loop (stdlib).
+func BenchmarkEncodePrediction(b *testing.B) {
+	svc := codecService(b, 13)
+	name := svc.Name()
+	for _, levels := range [][]float64{nil, {0.5, 0.9}} {
+		p, err := svc.Predict(predict.Request{N: 120, Iterations: 6, Levels: levels})
+		if err != nil {
+			b.Fatal(err)
+		}
+		resp := refPredictResponse(name, p)
+		b.Run(fmt.Sprintf("hand/levels=%d", len(levels)), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				out := getBuf()
+				out.b = appendPrediction(out.b, name, &p)
+				out.release()
+			}
+		})
+		b.Run(fmt.Sprintf("stdlib/levels=%d", len(levels)), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := json.Marshal(&resp); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

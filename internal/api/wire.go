@@ -7,7 +7,6 @@ import (
 	"prodpred/internal/fleetsched"
 	"prodpred/internal/nws"
 	"prodpred/internal/predict"
-	"prodpred/internal/sched"
 	"prodpred/internal/stochastic"
 	"prodpred/internal/structural"
 )
@@ -34,17 +33,8 @@ func (pr PredictRequest) ToRequest() (predict.Request, error) {
 		Iterations: pr.Iterations,
 		Levels:     pr.Levels,
 	}
-	switch pr.Strategy {
-	case "", "mean":
-		req.Strategy = sched.MeanBalanced
-	case "conservative":
-		req.Strategy = sched.Conservative
-	case "optimistic":
-		req.Strategy = sched.Optimistic
-	case "balanced":
-		req.TimeBalanced = true
-	default:
-		return req, fmt.Errorf("unknown strategy %q", pr.Strategy)
+	if err := req.SetStrategy(pr.Strategy); err != nil {
+		return req, err
 	}
 	switch pr.MaxStrategy {
 	case "", "mean":

@@ -367,6 +367,14 @@ func (t *Tracker) resetLocked() {
 	t.baseModes = 0
 }
 
+// ObservedCount returns how many outcomes have been ingested: what
+// Snapshot().Observed reads, without copying the state.
+func (t *Tracker) ObservedCount() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.observed
+}
+
 // DriftCount returns how many regime changes have been detected: what
 // len(Snapshot().Drifts) reads, without copying the state.
 func (t *Tracker) DriftCount() int {

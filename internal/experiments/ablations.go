@@ -102,18 +102,9 @@ func runAblationForecaster(seed int64) (*Result, error) {
 		}
 		vals := s.Values()
 		// Postmortem every forecaster over the trace.
-		battery := nws.DefaultBattery()
-		mix := nws.NewMix(battery)
-		single := make([]*nws.Mix, len(battery))
-		for i, f := range battery {
-			single[i] = nws.NewMix([]nws.Forecaster{f})
-		}
+		mix := nws.NewMix(nws.DefaultBattery())
 		for i := 1; i < len(vals); i++ {
-			hist := vals[:i]
-			mix.Update(hist, vals[i])
-			for _, m := range single {
-				m.Update(hist, vals[i])
-			}
+			mix.Update(vals[:i], vals[i])
 		}
 		// The mix's eventual choice has the min RMSE by construction;
 		// report the spread between best and worst single forecasters.

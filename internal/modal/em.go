@@ -486,10 +486,3 @@ func normalize(ws []float64) {
 		ws[i] /= tot
 	}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

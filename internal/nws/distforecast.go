@@ -594,7 +594,8 @@ func (t *Tournament) Scores() map[string]float64 {
 }
 
 // Wins reports how many scored rounds each competitor has led, in battery
-// order — the source of the tournament-wins metric.
+// order. It is not forecaster_tournament_wins_total: that counter counts
+// the load reports served per forecaster tag, fallback and prior included.
 func (t *Tournament) Wins() []int64 { return t.wins }
 
 // Names reports the competitor tags in battery order.

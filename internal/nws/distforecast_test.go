@@ -212,6 +212,21 @@ func TestRobustDistReportFallbackChain(t *testing.T) {
 	}
 }
 
+// TestNormalLoadDistQuantileBits: normalLoadDist's quantiles, which read
+// stats.NormalQuantile directly, are bit for bit the ones it made through
+// the unit-σ stochastic value (Value{Spread: 2}.Quantile) at every level.
+func TestNormalLoadDistQuantileBits(t *testing.T) {
+	for _, c := range []struct{ mean, sigma float64 }{{0, 1}, {0.5, 0.25}, {0.37, 0.013}, {1, 0}} {
+		ld := normalLoadDist(c.mean, c.sigma, PriorForecasterName)
+		for i, p := range DistLevels {
+			want := c.mean + c.sigma*stochastic.Value{Mean: 0, Spread: 2}.Quantile(p)
+			if math.Float64bits(ld.Quantiles[i]) != math.Float64bits(want) {
+				t.Errorf("mean %g sigma %g level %g: %v, want %v", c.mean, c.sigma, p, ld.Quantiles[i], want)
+			}
+		}
+	}
+}
+
 func TestRobustDistReportWidensWithStaleness(t *testing.T) {
 	stale := false
 	m, err := NewSensorMonitor(func(ts float64) (float64, error) {

@@ -3,6 +3,7 @@ package nws
 import (
 	"math"
 
+	"prodpred/internal/stats"
 	"prodpred/internal/stochastic"
 )
 
@@ -85,19 +86,13 @@ func (m *Monitor) widenedDist(qs []float64, comps []Component, name string) Load
 func normalLoadDist(mean, sigma float64, name string) LoadDist {
 	qs := make([]float64, len(DistLevels))
 	for i, p := range DistLevels {
-		qs[i] = mean + sigma*normalQuantileZ(p)
+		qs[i] = mean + sigma*stats.NormalQuantile(p)
 	}
 	return LoadDist{
 		Quantiles:  qs,
 		Components: []Component{{Weight: 1, Mean: mean, Sigma: sigma}},
 		Forecaster: name,
 	}
-}
-
-// normalQuantileZ is the standard normal quantile, via the stochastic
-// package's normal interpretation (Value{Spread: 2} has σ = 1).
-func normalQuantileZ(p float64) float64 {
-	return stochastic.Value{Mean: 0, Spread: 2}.Quantile(p)
 }
 
 // monotonize enforces a nondecreasing quantile curve in place (running

@@ -63,15 +63,13 @@ const (
 // serviceMetrics holds one platform's pre-resolved pushed series: the
 // counters of what this process did and the latency histograms. A nil
 // *serviceMetrics (no registry configured) makes every record call a cheap
-// no-op, so the pipeline is identical with telemetry off. The gauges are
-// not here: newServiceMetrics registers them as functions that read the
-// service itself at exposition.
+// no-op, so the pipeline is identical with telemetry off. The gauges and
+// the counters of state the service keeps anyway (predictions issued,
+// outcomes observed, drift events, missed sensor samples) are not here:
+// newServiceMetrics registers them as functions that read the service
+// itself at exposition, so they continue from a snapshot image's state.
 type serviceMetrics struct {
-	predictions  *obs.Counter
 	errors       *obs.Counter
-	observations *obs.Counter
-	drifts       *obs.Counter
-	gapSamples   *obs.Counter
 	cacheHits    *obs.Counter
 	cacheMisses  *obs.Counter
 	batchSize    *obs.Histogram
@@ -79,35 +77,27 @@ type serviceMetrics struct {
 	stages       [numStages]*obs.Histogram
 	refits       [3]*obs.Counter // by nws.RefitBy
 
-	// Tournament-win counters, pre-resolved per known forecaster tag.
-	// winsVec stays behind for tags outside the standard set; the map is
-	// read-only after construction, so concurrent record calls never race.
-	platform string
-	winsVec  *obs.CounterVec
-	wins     map[string]*obs.Counter
+	// Tournament-win counters, pre-resolved per forecaster tag a served
+	// load report can carry; the map is read-only after construction, so
+	// concurrent record calls never race.
+	wins map[string]*obs.Counter
 }
 
 // newServiceMetrics registers (or finds) the pipeline families on reg and
 // resolves s's series, eagerly, so every documented family and stage series
-// exists from the first scrape. The calibration scale, the ledger size and
-// the virtual clock are read from s when scraped, and the scenario info
-// series are constant: none of them is written after this.
+// exists from the first scrape. The predictions issued (the ledger's last
+// ID), outcomes observed and drift events (the tracker's), missed sensor
+// samples (the monitors'), calibration scale, ledger size and virtual clock
+// are read from s when scraped, and the scenario info series are constant:
+// none of them is written after this.
 func newServiceMetrics(reg *obs.Registry, s *Service) *serviceMetrics {
 	if reg == nil {
 		return nil
 	}
 	platform := s.name
 	m := &serviceMetrics{
-		predictions: reg.NewCounterVec(MetricPredictions,
-			"Predictions issued, by platform.", "platform").With(platform),
 		errors: reg.NewCounterVec(MetricPredictionErrors,
 			"Predict calls rejected with an error, by platform.", "platform").With(platform),
-		observations: reg.NewCounterVec(MetricObservations,
-			"Measured runtimes fed back via Observe, by platform.", "platform").With(platform),
-		drifts: reg.NewCounterVec(MetricDriftEvents,
-			"Load-regime drift events detected by the calibrator, by platform.", "platform").With(platform),
-		gapSamples: reg.NewCounterVec(MetricFaultGapSamples,
-			"Sensor samples lost to faults (drops, outages, exhausted transients), by platform.", "platform").With(platform),
 		cacheHits: reg.NewCounterVec(MetricCacheHits,
 			"Predictions whose grid size the tick-scoped forecast cache had already worked out, by platform.", "platform").With(platform),
 		cacheMisses: reg.NewCounterVec(MetricCacheMisses,
@@ -118,6 +108,18 @@ func newServiceMetrics(reg *obs.Registry, s *Service) *serviceMetrics {
 		quantileReqs: reg.NewCounterVec(MetricQuantileRequests,
 			"Predictions that requested calibrated quantile intervals, by platform.", "platform").With(platform),
 	}
+	reg.NewCounterVec(MetricPredictions,
+		"Predictions issued, by platform.", "platform").
+		Func(s.issued, platform)
+	reg.NewCounterVec(MetricObservations,
+		"Measured runtimes fed back via Observe, by platform.", "platform").
+		Func(func() int64 { return int64(s.tracker.ObservedCount()) }, platform)
+	reg.NewCounterVec(MetricDriftEvents,
+		"Load-regime drift events detected by the calibrator, by platform.", "platform").
+		Func(func() int64 { return int64(s.DriftCount()) }, platform)
+	reg.NewCounterVec(MetricFaultGapSamples,
+		"Sensor samples lost to faults (drops, outages, exhausted transients), by platform.", "platform").
+		Func(func() int64 { return int64(s.missedTotal()) }, platform)
 	reg.NewGaugeVec(MetricCalibrationScale,
 		"Current conformal half-width multiplier, by platform (1 = uncalibrated).", "platform").
 		Func(s.tracker.Scale, platform)
@@ -139,15 +141,14 @@ func newServiceMetrics(reg *obs.Registry, s *Service) *serviceMetrics {
 	for by := range m.refits {
 		m.refits[by] = rv.With(platform, nws.RefitBy(by).String())
 	}
-	m.platform = platform
-	m.winsVec = reg.NewCounterVec(MetricTournamentWins,
+	wv := reg.NewCounterVec(MetricTournamentWins,
 		"Machine-load distributions served per winning forecaster, by platform and forecaster.",
 		"platform", "forecaster")
 	m.wins = make(map[string]*obs.Counter)
 	tags := append(nws.DistForecasterNames(),
 		nws.FallbackForecasterName, nws.PriorForecasterName)
 	for _, tag := range tags {
-		m.wins[tag] = m.winsVec.With(platform, tag)
+		m.wins[tag] = wv.With(platform, tag)
 	}
 	// One constant-1 series per workload scenario the spec references: an
 	// info metric for fleet dashboards.
@@ -166,16 +167,11 @@ func newServiceMetrics(reg *obs.Registry, s *Service) *serviceMetrics {
 }
 
 // recordTournamentWin counts one machine-load distribution served by the
-// named forecaster. Unknown tags fall through to the vec's own lock.
+// named forecaster: a tournament competitor, the fallback or the prior.
 func (m *serviceMetrics) recordTournamentWin(name string) {
-	if m == nil {
-		return
+	if m != nil {
+		m.wins[name].Inc()
 	}
-	if c, ok := m.wins[name]; ok {
-		c.Inc()
-		return
-	}
-	m.winsVec.With(m.platform, name).Inc()
 }
 
 // recordRefit counts one mixture refit, by who ran it; safe from any
@@ -238,31 +234,5 @@ func (m *serviceMetrics) recordCacheMiss() {
 func (m *serviceMetrics) recordBatch(n int) {
 	if m != nil {
 		m.batchSize.Observe(float64(n))
-	}
-}
-
-// recordPredict counts one successful Predict call.
-func (m *serviceMetrics) recordPredict() {
-	if m != nil {
-		m.predictions.Inc()
-	}
-}
-
-// recordObserve counts one Observe call and, when it fired a regime reset,
-// one drift event.
-func (m *serviceMetrics) recordObserve(drifted bool) {
-	if m == nil {
-		return
-	}
-	m.observations.Inc()
-	if drifted {
-		m.drifts.Inc()
-	}
-}
-
-// recordGaps adds newly missed sensor samples to the fault-gap counter.
-func (m *serviceMetrics) recordGaps(missed int) {
-	if m != nil {
-		m.gapSamples.Add(int64(missed))
 	}
 }

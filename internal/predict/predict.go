@@ -35,6 +35,8 @@
 package predict
 
 import (
+	"fmt"
+
 	"prodpred/internal/nws"
 	"prodpred/internal/sched"
 	"prodpred/internal/sor"
@@ -96,6 +98,26 @@ type Request struct {
 	// requests that leave both Distribution and Levels unset keep the
 	// legacy two-number payload and never pay.
 	Distribution bool
+}
+
+// SetStrategy sets req's partitioning from its name on the wire and the
+// command line: "mean" (or "") for MeanBalanced, "conservative",
+// "optimistic", or "balanced" for the AppLeS-style time-balanced
+// refinement.
+func (req *Request) SetStrategy(name string) error {
+	switch name {
+	case "", "mean":
+		req.Strategy = sched.MeanBalanced
+	case "conservative":
+		req.Strategy = sched.Conservative
+	case "optimistic":
+		req.Strategy = sched.Optimistic
+	case "balanced":
+		req.TimeBalanced = true
+	default:
+		return fmt.Errorf("unknown strategy %q", name)
+	}
+	return nil
 }
 
 // MachineReport is one machine's contribution to a Prediction: the load

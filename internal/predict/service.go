@@ -91,19 +91,16 @@ type Service struct {
 	clockMu sync.RWMutex
 	now     float64
 
-	// monMu guards the monitors, the bandwidth list and lastMissed for
-	// holders of the shared clock lock. The tick cache makes that one read of
-	// the CPU monitors per tick and one of a bandwidth monitor per (tick, grid
-	// size), so there is nothing for a finer lock to keep apart.
+	// monMu guards the monitors and the bandwidth list for holders of the
+	// shared clock lock. The tick cache makes that one read of the CPU
+	// monitors per tick and one of a bandwidth monitor per (tick, grid size),
+	// so there is nothing for a finer lock to keep apart.
 	monMu sync.Mutex
 	cpu   []*nws.Monitor // one per machine
 	// bw holds the bandwidth monitors in ascending probe size — the order a
 	// tick and a snapshot walk them in — each built, caught up and inserted
 	// by the first request for its grid size.
 	bw []bwMonitor
-	// lastMissed is the missed-sample total already exported, so the
-	// fault-gap counter only ever advances by deltas.
-	lastMissed int
 
 	// tick is the tick cache (cache.go): all Predicts between two Advance
 	// calls share one read of the monitors, and those of one grid size one
@@ -174,7 +171,6 @@ func newService(spec *PlatformSpec, metrics *obs.Registry) (*Service, error) {
 		tracker:  tracker,
 		design:   sharedDistDesign(p),
 	}
-	s.metrics = newServiceMetrics(metrics, s)
 	_, constant := cfg.Net.(load.Constant)
 	s.netMon = !constant
 	if s.link, err = cfg.Platform.Link(0, 1); err != nil {
@@ -192,8 +188,12 @@ func newService(spec *PlatformSpec, metrics *obs.Registry) (*Service, error) {
 		if s.cpu[i], err = nws.NewSensorMonitor(sensor, nws.DefaultPeriod, history); err != nil {
 			return nil, err
 		}
-		if s.metrics != nil {
-			s.cpu[i].CountRefits(s.metrics.recordRefit)
+	}
+	// The function series read the monitors, so a scrape may only see the
+	// service once they all exist.
+	if s.metrics = newServiceMetrics(metrics, s); s.metrics != nil {
+		for _, mon := range s.cpu {
+			mon.CountRefits(s.metrics.recordRefit)
 		}
 	}
 	return s, nil
@@ -317,11 +317,6 @@ func (s *Service) advanceToLocked(t float64) ([]*nws.Refit, error) {
 			s.tick = newTickFrame()
 		}
 	}
-	if s.metrics != nil {
-		missed := s.missedTotal()
-		s.metrics.recordGaps(missed - s.lastMissed)
-		s.lastMissed = missed
-	}
 	var refits []*nws.Refit
 	for _, mon := range s.cpu {
 		if j := mon.TakeRefit(); j != nil {
@@ -360,9 +355,13 @@ func runRefits(refits []*nws.Refit) {
 // one is timed alone. No step may start refits while it waits.
 func WaitRefits() { refitsRunning.Wait() }
 
-// missedTotal sums the missed-sample counters of every monitor. Callers hold
-// the clock lock exclusively or monMu.
+// missedTotal sums the missed-sample counters of every monitor: what the
+// fault-gap counter reads.
 func (s *Service) missedTotal() int {
+	s.clockMu.RLock()
+	defer s.clockMu.RUnlock()
+	s.monMu.Lock()
+	defer s.monMu.Unlock()
 	missed := 0
 	for _, mon := range s.cpu {
 		missed += mon.Gaps().Missed
@@ -558,13 +557,6 @@ func (s *Service) bwReport(n int) (stochastic.Value, nws.GapStats, error) {
 			return stochastic.Value{}, nws.GapStats{}, err
 		}
 		s.bw = slices.Insert(s.bw, i, bwMonitor{probe: probeBytes, mon: mon})
-		if s.metrics != nil {
-			// A first-use bandwidth monitor may have accumulated gaps while
-			// catching up; fold them into the fault-gap counter.
-			missed := mon.Gaps().Missed
-			s.metrics.recordGaps(missed)
-			s.lastMissed += missed
-		}
 	}
 	mon := s.bw[i].mon
 	bw := mon.RobustReport(s.now, stochastic.New(s.link.DedBW/2, s.link.DedBW/2))
@@ -956,7 +948,6 @@ func (s *Service) finishPrediction(sz *sizeFrame, req Request) Prediction {
 	s.ledgerMu.Lock()
 	id := s.ledger.issue(raw, cal.Spread, rawQ)
 	s.ledgerMu.Unlock()
-	s.metrics.recordPredict()
 	return Prediction{
 		ID:               id,
 		Value:            cal,
@@ -991,7 +982,6 @@ func (s *Service) Observe(id uint64, actual float64) (drifted bool, err error) {
 		return false, fmt.Errorf("predict: prediction id %d was never issued by platform %q (or was already observed)", id, s.name)
 	}
 	_, drifted = s.tracker.Observe(e.outcome(s.now, actual))
-	s.metrics.recordObserve(drifted)
 	return drifted, nil
 }
 
@@ -1021,6 +1011,14 @@ func (s *Service) Outstanding() int {
 	s.ledgerMu.Lock()
 	defer s.ledgerMu.Unlock()
 	return s.ledger.live
+}
+
+// issued reports how many predictions the service has issued, a restored
+// image's included: the ledger's last ID.
+func (s *Service) issued() int64 {
+	s.ledgerMu.Lock()
+	defer s.ledgerMu.Unlock()
+	return int64(s.ledger.next)
 }
 
 // Readout is one platform's monitors at one virtual time: GET /report's and

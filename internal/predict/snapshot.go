@@ -400,14 +400,7 @@ func (s *Service) importFrom(d *snapDec) error {
 	if d.err != nil {
 		return d.err
 	}
-	if err := s.tracker.ImportState(ts); err != nil {
-		return err
-	}
-
-	// Seed the metrics delta baseline so the first post-restore advance
-	// exports only new gaps, not the whole historical total again.
-	s.lastMissed = s.missedTotal()
-	return nil
+	return s.tracker.ImportState(ts)
 }
 
 func encodeMonitorState(e *snapEnc, st nws.MonitorState) {

@@ -587,12 +587,35 @@ func gaugeLines(t *testing.T, metrics *obs.Registry, families ...string) []strin
 	return out
 }
 
+// counterLines is the sample line of each counter that reads a service's
+// own state — predictions issued, outcomes observed, drift events and
+// missed sensor samples — formatted from svc's state, in exposition order.
+func counterLines(svc *predict.Service, lastID uint64) []string {
+	missed := svc.BWGaps().Missed
+	for _, g := range svc.CPUGaps() {
+		missed += g.Missed
+	}
+	name := svc.Name()
+	return []string{
+		fmt.Sprintf(`%s{platform=%q} %d`, predict.MetricDriftEvents, name, svc.DriftCount()),
+		fmt.Sprintf(`%s{platform=%q} %d`, predict.MetricFaultGapSamples, name, missed),
+		fmt.Sprintf(`%s{platform=%q} %d`, predict.MetricObservations, name, svc.Accuracy().Observed),
+		fmt.Sprintf(`%s{platform=%q} %d`, predict.MetricPredictions, name, lastID),
+	}
+}
+
+// stateCounters are the families counterLines formats.
+var stateCounters = []string{predict.MetricDriftEvents, predict.MetricFaultGapSamples, predict.MetricObservations, predict.MetricPredictions}
+
 // TestRestoredMetricsReadTheState: a restored registry's GET /metrics
 // gauges read the restored services — clock, ledger size, calibration
-// scale and scenario info — exactly as the live registry's read the
+// scale and scenario info — and its counters of the services' own state
+// (predictions issued, outcomes observed, drift events, missed sensor
+// samples) continue from it, exactly as the live registry's read the
 // services it was snapshotted from, not the zeros a fresh series starts at.
 func TestRestoredMetricsReadTheState(t *testing.T) {
 	spec := predict.FleetSpecs(3, 5)[2] // a workload-scenario tenant
+	spec.Faults = []predict.FaultSpec{{Machine: 0, Drop: 0.1, Transient: 0.05}}
 	live := obs.NewRegistry()
 	reg := predict.NewRegistryWith(predict.RegistryOptions{Metrics: live})
 	if err := reg.RegisterSpec(spec); err != nil {
@@ -604,14 +627,21 @@ func TestRestoredMetricsReadTheState(t *testing.T) {
 	}
 	req := baseRequest()
 	req.Platform = spec.Name
-	for i := 0; i < 20; i++ {
+	var lastID uint64
+	for i := 0; i < 60; i++ {
 		p, err := svc.Predict(req)
 		if err != nil {
 			t.Fatal(err)
 		}
+		lastID = p.ID
 		if i%2 == 0 {
-			// Far outside the interval, so the scale leaves 1.
-			if _, err := svc.Observe(p.ID, 4*p.Value.Mean); err != nil {
+			// On the mean, then far outside the interval, so the drift
+			// detector fires and the scale leaves 1.
+			actual := p.Value.Mean
+			if i >= 20 {
+				actual *= 4
+			}
+			if _, err := svc.Observe(p.ID, actual); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -619,20 +649,24 @@ func TestRestoredMetricsReadTheState(t *testing.T) {
 	if err := svc.Advance(60); err != nil {
 		t.Fatal(err)
 	}
-	if svc.Outstanding() != 10 || svc.Accuracy().Scale == 1 || svc.Now() != spec.Warmup+60 {
+	if svc.Outstanding() != 30 || svc.Accuracy().Scale == 1 || svc.Now() != spec.Warmup+60 {
 		t.Fatalf("setup: outstanding %d, scale %g, clock %g", svc.Outstanding(), svc.Accuracy().Scale, svc.Now())
+	}
+	if svc.DriftCount() == 0 || svc.CPUGaps()[0].Missed == 0 {
+		t.Fatalf("setup: %d drift events, %d missed samples on machine 0", svc.DriftCount(), svc.CPUGaps()[0].Missed)
 	}
 	restored := obs.NewRegistry()
 	if _, err := predict.ReadSnapshot(bytes.NewReader(snapshotBytes(t, reg)), predict.RegistryOptions{Metrics: restored}); err != nil {
 		t.Fatal(err)
 	}
-	families := []string{predict.MetricVirtualTime, predict.MetricOutstanding, predict.MetricCalibrationScale, predict.MetricScenarioInfo}
-	want := []string{
+	families := append([]string{predict.MetricVirtualTime, predict.MetricOutstanding, predict.MetricCalibrationScale, predict.MetricScenarioInfo}, stateCounters...)
+	want := append([]string{
 		fmt.Sprintf(`%s{platform=%q} %g`, predict.MetricCalibrationScale, spec.Name, svc.Accuracy().Scale),
-		fmt.Sprintf(`%s{platform=%q} %g`, predict.MetricOutstanding, spec.Name, 10.0),
+		fmt.Sprintf(`%s{platform=%q} %g`, predict.MetricOutstanding, spec.Name, 30.0),
 		fmt.Sprintf(`%s{platform=%q} %g`, predict.MetricVirtualTime, spec.Name, spec.Warmup+60),
 		fmt.Sprintf(`%s{platform=%q,scenario=%q} 1`, predict.MetricScenarioInfo, spec.Name, spec.CPU[0].Scenario),
-	}
+	}, counterLines(svc, lastID)...)
+	slices.Sort(want)
 	if got := gaugeLines(t, live, families...); !slices.Equal(got, want) {
 		t.Errorf("live registry reads\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}

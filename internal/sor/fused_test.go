@@ -202,15 +202,14 @@ func TestResidualPhasePartialRows(t *testing.T) {
 	}
 }
 
-func TestLocalBackendReuseAndClose(t *testing.T) {
+func TestLocalBackendReuse(t *testing.T) {
 	n := 33
 	pt, _ := NewEqualPartition(n, 3)
 	b, err := NewLocalBackend(pt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two runs on the same persistent pool must both match the sequential
-	// kernel.
+	// Two runs on the same backend must both match the sequential kernel.
 	for run := 0; run < 2; run++ {
 		seq := laplaceProblem(t, n)
 		for it := 0; it < 20; it++ {
@@ -221,20 +220,12 @@ func TestLocalBackendReuseAndClose(t *testing.T) {
 		if _, err := b.Run(par, DefaultOmega, 20, 0); err != nil {
 			t.Fatal(err)
 		}
-		sameU(t, "pool-run", seq, par)
+		sameU(t, "reuse-run", seq, par)
 	}
-	b.Close()
-	b.Close() // idempotent
-	if _, err := b.Run(laplaceProblem(t, n), DefaultOmega, 1, 0); err == nil {
-		t.Error("Run after Close should fail")
-	}
-	// Close on a never-started backend is a no-op.
-	b2, _ := NewLocalBackend(pt)
-	b2.Close()
 }
 
 func TestLocalBackendResidualMatchesSequential(t *testing.T) {
-	// The pool's fused residual decomposition (black fused + interior red +
+	// The backend's fused residual decomposition (black fused + interior red +
 	// edge-row red) must agree exactly with the sequential full pass, for
 	// strip counts that produce 1-row and multi-row strips.
 	for _, c := range []struct{ n, strips, iters int }{
@@ -258,7 +249,6 @@ func TestLocalBackendResidualMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, err := b.Run(par, DefaultOmega, c.iters, 0)
-		b.Close()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -140,10 +140,6 @@ func colStart(i int, p Phase) int {
 // Red-black ordering makes the two half-sweeps independent within
 // themselves: every red point depends only on black neighbors and vice
 // versa, which is what allows the strip-parallel execution.
-//
-// The Laplace (F == nil) and Poisson source terms are dispatched once per
-// row rather than per point, and each row is walked through subslices so
-// the neighbor of one update is reused as an operand of the next.
 func (g *Grid) SweepPhase(p Phase, rowLo, rowHi int, omega float64) int {
 	rowLo, rowHi = g.clampRows(rowLo, rowHi)
 	n := g.N
@@ -152,31 +148,47 @@ func (g *Grid) SweepPhase(p Phase, rowLo, rowHi int, omega float64) int {
 	count := 0
 	for i := rowLo; i < rowHi; i++ {
 		base := i * n
-		above := u[base-n : base]
-		here := u[base : base+n]
-		below := u[base+n : base+2*n]
-		jStart := colStart(i, p)
-		left := here[jStart-1]
-		if g.F == nil {
-			for j := jStart; j < n-1; j += 2 {
-				right := here[j+1]
-				gs := 0.25 * (above[j] + below[j] + left + right)
-				here[j] += omega * (gs - here[j])
-				left = right
-			}
-		} else {
-			frow := g.F[base : base+n]
-			for j := jStart; j < n-1; j += 2 {
-				right := here[j+1]
-				sum := above[j] + below[j] + left + right
-				gs := 0.25 * (sum - h2*frow[j])
-				here[j] += omega * (gs - here[j])
-				left = right
-			}
+		var frow []float64
+		if g.F != nil {
+			frow = g.F[base : base+n]
 		}
-		count += (n - jStart) / 2
+		count += sweepRow(u[base-n:base], u[base:base+n], u[base+n:base+2*n], frow, colStart(i, p), h2, omega)
 	}
 	return count
+}
+
+// sweepRow applies the SOR point update to here[jStart], here[jStart+2], …
+// up to the last interior column, reading the rows above and below and the
+// row's source term frow (nil means Laplace); it returns the number of
+// points updated. It is the one point update of both the shared-memory
+// sweep (Grid.SweepPhase) and a TCP worker's slab sweep, which is why the
+// two backends compute bit-identical grids.
+//
+// The Laplace and Poisson source terms are dispatched once per row rather
+// than per point, and the row is walked so that the neighbor of one update
+// is reused as an operand of the next.
+func sweepRow(above, here, below, frow []float64, jStart int, h2, omega float64) int {
+	n := len(here)
+	above, below = above[:n], below[:n]
+	left := here[jStart-1]
+	if frow == nil {
+		for j := jStart; j < n-1; j += 2 {
+			right := here[j+1]
+			gs := 0.25 * (above[j] + below[j] + left + right)
+			here[j] += omega * (gs - here[j])
+			left = right
+		}
+	} else {
+		frow = frow[:n]
+		for j := jStart; j < n-1; j += 2 {
+			right := here[j+1]
+			sum := above[j] + below[j] + left + right
+			gs := 0.25 * (sum - h2*frow[j])
+			here[j] += omega * (gs - here[j])
+			left = right
+		}
+	}
+	return (n - jStart) / 2
 }
 
 // SweepPhaseResidual is SweepPhase fused with the residual of the points it

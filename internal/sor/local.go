@@ -15,59 +15,15 @@ type LocalResult struct {
 }
 
 // LocalBackend executes the strip-decomposed red-black SOR with one
-// long-lived goroutine per strip on the host machine — a real shared-memory
-// parallel SOR. Red and black half-sweeps are separated by barriers; within
-// a half-sweep the strips are independent because red points only read black
-// neighbors and vice versa, so workers may touch adjacent ghost rows
-// without racing.
-//
-// The worker pool is started lazily on the first Run and persists across
-// runs, so steady-state iteration cost is a channel round-trip per phase
-// rather than a goroutine spawn per strip per half-sweep. Call Close to
-// release the workers; a backend that is never closed parks P goroutines on
-// channel receives, which is harmless but untidy in long-lived processes.
+// goroutine per strip on the host machine — a real shared-memory parallel
+// SOR. Red and black half-sweeps are separated by barriers; within a
+// half-sweep the strips are independent because red points only read black
+// neighbors and vice versa, so strips may touch adjacent ghost rows without
+// racing. Each barrier interval starts one goroutine per strip and waits for
+// all of them, so a backend holds no goroutines between runs and needs no
+// closing; concurrent runs on distinct grids are safe.
 type LocalBackend struct {
 	part *Partition
-
-	mu      sync.Mutex // serializes Run/Close; guards the fields below
-	started bool
-	closed  bool
-	cmds    []chan poolCmd
-	replies chan poolReply
-
-	// Per-run state, written before each broadcast; the command-channel
-	// send/receive pair orders these writes before the workers' reads.
-	g     *Grid
-	omega float64
-}
-
-// poolOp selects what a worker does for one barrier interval.
-type poolOp uint8
-
-const (
-	// opSweep runs SweepPhase over the strip.
-	opSweep poolOp = iota
-	// opSweepResid runs SweepPhaseResidual over the strip and additionally
-	// computes the opposite color's residual over the strip's interior rows
-	// [lo+1, hi-1). It is only issued for the second half-sweep of an
-	// iteration: by then the opposite color is final everywhere, and points
-	// on interior rows have all their neighbors inside this strip, so no
-	// barrier is needed before reading them.
-	opSweepResid
-	// opResidEdges runs ResidualPhase of the given color over the strip's
-	// first and last rows — the rows whose neighbors live in adjacent
-	// strips and therefore must wait for the post-sweep barrier.
-	opResidEdges
-)
-
-type poolCmd struct {
-	op    poolOp
-	phase Phase
-}
-
-type poolReply struct {
-	count int
-	resid float64
 }
 
 // NewLocalBackend validates the partition and returns a backend.
@@ -81,79 +37,27 @@ func NewLocalBackend(part *Partition) (*LocalBackend, error) {
 	return &LocalBackend{part: part}, nil
 }
 
-// start launches the persistent strip workers. Caller holds b.mu.
-func (b *LocalBackend) start() {
-	p := b.part.P()
-	b.cmds = make([]chan poolCmd, p)
-	b.replies = make(chan poolReply, p)
-	for w := 0; w < p; w++ {
-		// Buffered by one so a barrier broadcast never blocks on a worker
-		// that has not reached its receive yet.
-		b.cmds[w] = make(chan poolCmd, 1)
+// barrier runs strip over every strip's rows [lo, hi), one goroutine each,
+// waits for all of them and returns the largest value they report. out
+// holds one slot per strip.
+func (b *LocalBackend) barrier(out []float64, strip func(lo, hi int) float64) float64 {
+	var wg sync.WaitGroup
+	wg.Add(len(out))
+	for w := range out {
 		lo, hi := b.part.Bounds(w)
-		go b.worker(b.cmds[w], lo, hi)
+		go func() {
+			defer wg.Done()
+			out[w] = strip(lo, hi)
+		}()
 	}
-	b.started = true
-}
-
-// worker executes barrier intervals for one strip until its command channel
-// is closed.
-func (b *LocalBackend) worker(cmds <-chan poolCmd, lo, hi int) {
-	for c := range cmds {
-		var rep poolReply
-		switch c.op {
-		case opSweep:
-			rep.count = b.g.SweepPhase(c.phase, lo, hi, b.omega)
-		case opSweepResid:
-			rep.count, rep.resid = b.g.SweepPhaseResidual(c.phase, lo, hi, b.omega)
-			opp := Red
-			if c.phase == Red {
-				opp = Black
-			}
-			if rr := b.g.ResidualPhase(opp, lo+1, hi-1); rr > rep.resid {
-				rep.resid = rr
-			}
-		case opResidEdges:
-			rep.resid = b.g.ResidualPhase(c.phase, lo, lo+1)
-			if hi-1 > lo {
-				if rr := b.g.ResidualPhase(c.phase, hi-1, hi); rr > rep.resid {
-					rep.resid = rr
-				}
-			}
-		}
-		b.replies <- rep
-	}
-}
-
-// barrier broadcasts one command to every worker and waits for all replies,
-// returning the max of the partial residuals. Caller holds b.mu.
-func (b *LocalBackend) barrier(c poolCmd) float64 {
-	p := b.part.P()
-	for w := 0; w < p; w++ {
-		b.cmds[w] <- c
-	}
+	wg.Wait()
 	worst := 0.0
-	for w := 0; w < p; w++ {
-		if rep := <-b.replies; rep.resid > worst {
-			worst = rep.resid
+	for _, r := range out {
+		if r > worst {
+			worst = r
 		}
 	}
 	return worst
-}
-
-// Close shuts down the worker pool. The backend must not be used afterwards.
-// Close is idempotent and safe on a backend that never ran.
-func (b *LocalBackend) Close() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		return
-	}
-	b.closed = true
-	for _, c := range b.cmds {
-		close(c)
-	}
-	b.cmds = nil
 }
 
 // Run performs iterations full red-black sweeps on g (or stops early when
@@ -171,31 +75,46 @@ func (b *LocalBackend) Run(g *Grid, omega float64, iterations int, tol float64) 
 	if iterations <= 0 {
 		return LocalResult{}, errors.New("sor: iterations must be positive")
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		return LocalResult{}, errors.New("sor: backend is closed")
+	red := func(lo, hi int) float64 { g.SweepPhase(Red, lo, hi, omega); return 0 }
+	black := func(lo, hi int) float64 { g.SweepPhase(Black, lo, hi, omega); return 0 }
+	// blackResid is the black half-sweep fused with its own residual and
+	// the red residual of the strip's interior rows [lo+1, hi-1): by then
+	// red is final everywhere, and those rows' neighbors all lie inside
+	// the strip, so no barrier is needed before reading them.
+	blackResid := func(lo, hi int) float64 {
+		_, r := g.SweepPhaseResidual(Black, lo, hi, omega)
+		if rr := g.ResidualPhase(Red, lo+1, hi-1); rr > r {
+			r = rr
+		}
+		return r
 	}
-	if !b.started {
-		b.start()
+	// redEdges is the red residual of the strip's first and last rows,
+	// whose neighbors live in adjacent strips and so must wait for the
+	// post-sweep barrier.
+	redEdges := func(lo, hi int) float64 {
+		r := g.ResidualPhase(Red, lo, lo+1)
+		if hi-1 > lo {
+			if rr := g.ResidualPhase(Red, hi-1, hi); rr > r {
+				r = rr
+			}
+		}
+		return r
 	}
+	out := make([]float64, b.part.P())
 	start := time.Now()
-	b.g, b.omega = g, omega
 	res := LocalResult{}
 	for it := 1; it <= iterations; it++ {
-		b.barrier(poolCmd{op: opSweep, phase: Red})
+		b.barrier(out, red)
 		res.Iterations = it
 		if tol <= 0 && it < iterations {
 			// No residual wanted this iteration: plain black half-sweep.
-			b.barrier(poolCmd{op: opSweep, phase: Black})
+			b.barrier(out, black)
 			continue
 		}
-		// Fuse the black residual (and the red residual of each strip's
-		// interior rows) into the black half-sweep; only the strips' edge
-		// rows need a post-barrier red pass. The max over all of it is
+		// The max over the fused black pass and the red edge rows is
 		// exactly what a full Residual pass would report.
-		r := b.barrier(poolCmd{op: opSweepResid, phase: Black})
-		if rr := b.barrier(poolCmd{op: opResidEdges, phase: Red}); rr > r {
+		r := b.barrier(out, blackResid)
+		if rr := b.barrier(out, redEdges); rr > r {
 			r = rr
 		}
 		res.Residual = r

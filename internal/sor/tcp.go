@@ -70,25 +70,18 @@ func (w *tcpWorker) rows() int { return w.hi - w.lo + 2 }
 // slabIndex maps an absolute grid row to a slab row.
 func (w *tcpWorker) slabIndex(absRow int) int { return absRow - (w.lo - 1) }
 
-// sweep runs one color phase over the worker's interior rows using exactly
-// the same per-point update as Grid.SweepPhase.
+// sweep runs one color phase over the worker's interior rows through the
+// same row update as Grid.SweepPhase.
 func (w *tcpWorker) sweep(p Phase, omega float64) {
 	n := w.n
 	h2 := w.h * w.h
 	for abs := w.lo; abs < w.hi; abs++ {
-		r := w.slabIndex(abs)
-		jStart := 1 + (abs+1+int(p))%2
-		row := r * n
-		for j := jStart; j < n-1; j += 2 {
-			idx := row + j
-			sum := w.slab[idx-n] + w.slab[idx+n] + w.slab[idx-1] + w.slab[idx+1]
-			var f float64
-			if w.fslab != nil {
-				f = w.fslab[idx]
-			}
-			gs := 0.25 * (sum - h2*f)
-			w.slab[idx] += omega * (gs - w.slab[idx])
+		row := w.slabIndex(abs) * n
+		var frow []float64
+		if w.fslab != nil {
+			frow = w.fslab[row : row+n]
 		}
+		sweepRow(w.slab[row-n:row], w.slab[row:row+n], w.slab[row+n:row+2*n], frow, colStart(abs, p), h2, omega)
 	}
 }
 

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # bench.sh — run the root benchmark suite (every table/figure reproduction
-# plus the kernel micro-benchmarks) and record the mean ns/op per benchmark
-# in a dated JSON summary, so the performance trajectory of the hot paths is
-# tracked in-repo across PRs.
+# plus the kernel micro-benchmarks) and record the mean ns/op, B/op and
+# allocs/op per benchmark in a dated JSON summary, so the performance
+# trajectory of the hot paths is tracked in-repo across PRs.
 #
 # Usage: scripts/bench.sh [extra go-test args...]
 #   COUNT=5 scripts/bench.sh            # more repetitions
@@ -24,19 +24,35 @@ trap 'rm -f "$raw"' EXIT
 
 go test -run '^$' -bench . -benchmem -count "$count" "$@" . | tee "$raw"
 
+# means UNIT prints each benchmark's mean in UNIT as a JSON object body,
+# sorted by name. A value is found by the unit after it, not by its column:
+# custom units (MB/s, *_rmse, ...) sit between ns/op and B/op.
+means() {
+    awk -v unit="$1" '$1 ~ /^Benchmark/ {
+            for (i = 3; i < NF; i += 2) {
+                if ($(i + 1) != unit) continue
+                name = $1; sub(/-[0-9]+$/, "", name)
+                sum[name] += $i; cnt[name]++
+            }
+         }
+         END { for (k in sum) printf "%s %.1f\n", k, sum[k] / cnt[k] }' "$raw" |
+        sort |
+        awk '{ printf "%s    \"%s\": %s", sep, $1, $2; sep = ",\n" } END { printf "\n" }'
+}
+
 {
     printf '{\n'
     printf '  "date": "%s",\n' "$day"
     printf '  "go": "%s",\n' "$(go env GOVERSION)"
     printf '  "count": %s,\n' "$count"
     printf '  "ns_per_op": {\n'
-    awk '$1 ~ /^Benchmark/ && $4 == "ns/op" {
-            name = $1; sub(/-[0-9]+$/, "", name)
-            sum[name] += $3; cnt[name]++
-         }
-         END { for (k in sum) printf "%s %.1f\n", k, sum[k] / cnt[k] }' "$raw" |
-        sort |
-        awk '{ printf "%s    \"%s\": %s", sep, $1, $2; sep = ",\n" } END { printf "\n" }'
+    means ns/op
+    printf '  },\n'
+    printf '  "bytes_per_op": {\n'
+    means B/op
+    printf '  },\n'
+    printf '  "allocs_per_op": {\n'
+    means allocs/op
     printf '  }\n'
     printf '}\n'
 } >"$out"

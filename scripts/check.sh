@@ -13,7 +13,7 @@
 # label escaping, and of the trace, scenario, spec and snapshot readers, the bench/ module's vet + tests, one run of each
 # program under examples/, the snapshot drill over the real daemon binary, and
 # a report-only line count (scripts/loc.sh).
-# The SOR worker pool, the sharded Monte Carlo engine, and the
+# The strip-parallel SOR backend, the sharded Monte Carlo engine, and the
 # predict.Service prediction core are concurrent by design, so -race is not
 # optional here.
 set -euo pipefail
