@@ -79,7 +79,8 @@ func (r *statusRecorder) Write(p []byte) (int, error) {
 //
 // The per-route series are resolved once at Wrap time and the per-status
 // counter series are cached after first use, so the steady-state request
-// path does no label-key formatting or registry map walks. PlatformFrom
+// path does no label-key formatting or registry map walks, and allocates
+// once: the status recorder. PlatformFrom
 // (which may peek at the request body) is only consulted when the access
 // log is enabled.
 func (m *HTTPMiddleware) Wrap(route string, next http.Handler) http.Handler {
@@ -90,13 +91,19 @@ func (m *HTTPMiddleware) Wrap(route string, next http.Handler) http.Handler {
 	if m.duration != nil {
 		duration = m.duration.With(route)
 	}
+	// The cache is keyed by the status code itself: its label text is
+	// formatted only on a miss, so a hit allocates nothing.
+	type statusKey struct {
+		method string
+		status int
+	}
 	var statusMu sync.RWMutex
-	statusCounters := make(map[[2]string]*Counter)
+	statusCounters := make(map[statusKey]*Counter)
 	counterFor := func(method string, status int) *Counter {
 		if m.requests == nil {
 			return nil
 		}
-		key := [2]string{method, itoa3(status)}
+		key := statusKey{method, status}
 		statusMu.RLock()
 		c, ok := statusCounters[key]
 		statusMu.RUnlock()
@@ -106,7 +113,7 @@ func (m *HTTPMiddleware) Wrap(route string, next http.Handler) http.Handler {
 		statusMu.Lock()
 		defer statusMu.Unlock()
 		if c, ok = statusCounters[key]; !ok {
-			c = m.requests.With(route, key[0], key[1])
+			c = m.requests.With(route, method, itoa3(status))
 			statusCounters[key] = c
 		}
 		return c

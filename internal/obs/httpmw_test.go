@@ -86,3 +86,16 @@ func TestItoa3(t *testing.T) {
 		}
 	}
 }
+
+// TestMiddlewareAllocs: once a route has served a status, a request through
+// the middleware allocates only its status recorder.
+func TestMiddlewareAllocs(t *testing.T) {
+	mw := NewHTTPMiddleware(NewRegistry())
+	h := mw.Wrap("GET /ok", http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
+	req := httptest.NewRequest("GET", "/ok", nil)
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, req)
+	if allocs := testing.AllocsPerRun(100, func() { h.ServeHTTP(w, req) }); allocs > 1 {
+		t.Errorf("a request allocates %.0f times, want <= 1", allocs)
+	}
+}

@@ -57,9 +57,29 @@ func TestTickAllocations(t *testing.T) {
 	}
 }
 
-// TestAdvanceAllWorkers: the pool is min(GOMAXPROCS, live) workers with
-// the caller as one of them, so a one-tenant fleet and a GOMAXPROCS(1)
-// wave start no goroutine at all.
+// behindMonitors counts the monitors of s that stand behind its clock: one
+// sample per nws.DefaultPeriod from t = 0 is due. The caller holds monMu or
+// knows nothing else runs on s.
+func behindMonitors(s *Service) int {
+	due := int(s.now/nws.DefaultPeriod) + 1
+	behind := 0
+	for _, mon := range s.cpu {
+		if mon.Gaps().Scheduled() != due {
+			behind++
+		}
+	}
+	for _, b := range s.bw {
+		if b.mon.Gaps().Scheduled() != due {
+			behind++
+		}
+	}
+	return behind
+}
+
+// TestAdvanceAllWorkers: a wave moves every clock on the caller and returns
+// without waiting for a monitor — it returns while a tenant's monitors are
+// held — and starts min(max(GOMAXPROCS−1, 1), live) catch-up workers, none
+// for an empty fleet, which leave every monitor at its clock once drained.
 func TestAdvanceAllWorkers(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	for _, tc := range []struct {
@@ -67,16 +87,30 @@ func TestAdvanceAllWorkers(t *testing.T) {
 		tenants, procs int
 		spawned        int64
 	}{
-		{"one tenant", 1, 4, 0},
-		{"GOMAXPROCS(1)", 6, 1, 0},
-		{"fewer tenants than processors", 3, 4, 2},
-		{"more tenants than processors", 6, 4, 3},
+		{"no tenant", 0, 4, 0},
+		{"one tenant", 1, 4, 1},
+		{"GOMAXPROCS(1)", 6, 1, 1},
+		{"fewer tenants than workers", 2, 4, 2},
+		{"more tenants than workers", 6, 4, 3},
 	} {
 		reg := liveFleet(t, tc.tenants, RegistryOptions{})
+		WaitRefits()
 		runtime.GOMAXPROCS(tc.procs)
+		var held *Service
+		if svcs := reg.Services(); len(svcs) > 0 {
+			held = svcs[0]
+			held.monMu.Lock()
+		}
 		services, times, err := reg.AdvanceAll(5)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if held != nil {
+			if got := behindMonitors(held); got != len(held.cpu)+len(held.bw) {
+				t.Errorf("%s: %d of %s's held monitors behind its clock after the wave, want all %d",
+					tc.name, got, held.Name(), len(held.cpu)+len(held.bw))
+			}
+			held.monMu.Unlock()
 		}
 		if got := reg.spawned.Load(); got != tc.spawned {
 			t.Errorf("%s: wave started %d goroutines, want %d", tc.name, got, tc.spawned)
@@ -86,13 +120,19 @@ func TestAdvanceAllWorkers(t *testing.T) {
 				t.Errorf("%s: %s at %g (reported %g) after one 5 s wave from 120", tc.name, svc.Name(), svc.Now(), times[i])
 			}
 		}
+		WaitRefits()
+		for _, svc := range services {
+			if got := behindMonitors(svc); got != 0 {
+				t.Errorf("%s: %s has %d monitors behind its clock after the drain", tc.name, svc.Name(), got)
+			}
+		}
 	}
 }
 
-// TestAdvanceAllAttemptsEveryTenant: a tenant whose step fails does not
-// leave the tenants after it a step behind, and the error names the first
-// failing tenant in roster order whichever worker reached it. No real step
-// can fail today — Advance refuses only a negative dt, which fails every
+// TestAdvanceAllAttemptsEveryTenant: a tenant whose clock move fails does
+// not leave the tenants after it a step behind, the error names the first
+// failing tenant in roster order, and the wave is observed once. No real
+// move can fail today — it refuses only a negative dt, which fails every
 // tenant alike and which the API's checkAdvance refuses before it gets
 // here — so the failing tenants are stubbed.
 func TestAdvanceAllAttemptsEveryTenant(t *testing.T) {
@@ -101,11 +141,11 @@ func TestAdvanceAllAttemptsEveryTenant(t *testing.T) {
 	reg := liveFleet(t, 12, RegistryOptions{Metrics: metrics})
 	boom := errors.New("sensor bus on fire")
 	failing := map[string]bool{"tenant-0007": true, "tenant-0003": true, "tenant-0011": true}
-	services, times, err := reg.advanceAll(5, func(s *Service, dt float64) (float64, []*nws.Refit, error) {
+	services, times, err := reg.advanceAll(5, func(s *Service, dt float64) (float64, error) {
 		if failing[s.Name()] {
-			return s.Now(), nil, boom
+			return s.Now(), boom
 		}
-		return s.step(dt)
+		return s.moveClock(dt)
 	})
 	if !errors.Is(err, boom) || !strings.Contains(err.Error(), `"tenant-0003"`) {
 		t.Errorf("error %v, want the stub's, naming tenant-0003", err)

@@ -3,7 +3,6 @@ package predict
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -11,7 +10,6 @@ import (
 	"time"
 
 	"prodpred/internal/load"
-	"prodpred/internal/nws"
 	"prodpred/internal/obs"
 )
 
@@ -34,11 +32,19 @@ type RegistryOptions struct {
 type Registry struct {
 	metrics *obs.Registry
 
-	// waveSeconds is the wall time of each AdvanceAll (nil without
-	// metrics); spawned counts the goroutines AdvanceAll has started, for
-	// the tests that pin when it starts none.
+	// waveSeconds is the wall time of each AdvanceAll's clock moves (nil
+	// without metrics); spawned counts the catch-up workers AdvanceAll has
+	// started, for the tests that pin how many.
 	waveSeconds *obs.Histogram
 	spawned     atomic.Int64
+
+	// behind is the catch-up queue: the tenants a wave moved the clock of,
+	// whose monitors a worker has not caught up yet, each at most once
+	// (Service.queued). workers counts the workers draining it, at most
+	// backgroundWorkers(). catchMu guards both.
+	catchMu sync.Mutex
+	behind  []*Service
+	workers int
 
 	// mu guards entries and roster. roster is every registration in name
 	// order — the order names, live services and snapshots are listed in —
@@ -255,59 +261,83 @@ func (r *Registry) Services() []*Service {
 
 // AdvanceAll steps the clock of every live tenant forward by dt virtual
 // seconds — the one definition of a fleet-wide tick. Tenants are
-// independent (each Service owns its monitors, clock and cache), so
-// min(GOMAXPROCS, live) workers pull them off a shared index in roster
-// (name) order and each tenant ticks under its own clock lock only: there
-// is no fleet lock, and requests to tenants not being ticked at that
-// instant are served throughout. Every tenant is attempted whatever the
-// others return. The result is the roster that was stepped, each tenant's
-// clock as its step left it, and the first error in roster order, wrapped
-// with its tenant's name. With one worker the caller runs the loop itself
-// and no goroutine is started for the wave. The mixture refits the wave
-// records start in the background once the whole wave is done: started
-// mid-wave, they would compete with the wave's own workers.
+// independent (each Service owns its monitors, clock and cache), so the
+// call only moves each clock, in roster (name) order on the calling
+// goroutine, each under its own clock lock: there is no fleet lock, and
+// requests to tenants other than the one being moved are served throughout.
+// Every tenant is attempted whatever the others return. The result is the
+// roster that was stepped, each tenant's clock as its step left it, and the
+// first error in roster order, wrapped with its tenant's name.
+//
+// The monitors catch up behind the answer: the wave queues its tenants, and
+// up to one worker per processor but one (at least one) takes each from the
+// queue, runs its monitors forward under the shared clock lock and runs the
+// mixture refits that fell due. A reader that comes first catches the
+// tenant up itself (Service.catchUpLocked), so nothing sees a monitor behind
+// its clock and every answer and image is the eager step's; WaitRefits
+// drains the workers. Waves that come faster than the workers drain grow
+// neither the queue (a tenant waits in it once) nor the workers.
 func (r *Registry) AdvanceAll(dt float64) ([]*Service, []float64, error) {
-	return r.advanceAll(dt, (*Service).step)
+	return r.advanceAll(dt, (*Service).moveClock)
 }
 
-// advanceAll is AdvanceAll over a given per-tenant step — the seam the
-// tests reach a failing tenant through, which no real step produces.
-func (r *Registry) advanceAll(dt float64, step func(*Service, float64) (float64, []*nws.Refit, error)) ([]*Service, []float64, error) {
+// advanceAll is AdvanceAll over a given per-tenant clock move — the seam the
+// tests reach a failing tenant through, which no real move produces.
+func (r *Registry) advanceAll(dt float64, move func(*Service, float64) (float64, error)) ([]*Service, []float64, error) {
 	start := time.Now()
 	services := r.Services()
 	times := make([]float64, len(services))
-	refits := make([][]*nws.Refit, len(services))
-	errs := make([]error, len(services))
-	var next atomic.Int64
-	work := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(services) {
-				return
-			}
-			times[i], refits[i], errs[i] = step(services[i], dt)
+	var first error
+	for i, svc := range services {
+		var err error
+		if times[i], err = move(svc, dt); err != nil && first == nil {
+			first = fmt.Errorf("predict: advancing platform %q: %w", svc.Name(), err)
 		}
 	}
-	// The caller is one of the workers.
-	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), len(services)); w > 1; w-- {
-		r.spawned.Add(1)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
 	r.waveSeconds.Observe(time.Since(start).Seconds())
-	runRefits(slices.Concat(refits...))
-	for i, err := range errs {
-		if err != nil {
-			return services, times, fmt.Errorf("predict: advancing platform %q: %w", services[i].Name(), err)
+	r.queueCatchUps(services)
+	return services, times, first
+}
+
+// queueCatchUps queues the services a wave moved and starts as many workers
+// as the queue can use, up to backgroundWorkers() running.
+func (r *Registry) queueCatchUps(services []*Service) {
+	r.catchMu.Lock()
+	for _, svc := range services {
+		if svc.queued.CompareAndSwap(false, true) {
+			r.behind = append(r.behind, svc)
 		}
 	}
-	return services, times, nil
+	start := max(min(backgroundWorkers()-r.workers, len(r.behind)), 0)
+	r.workers += start
+	refitsRunning.Add(start)
+	r.catchMu.Unlock()
+	r.spawned.Add(int64(start))
+	for ; start > 0; start-- {
+		go r.catchUpWorker()
+	}
+}
+
+// catchUpWorker catches queued tenants up until the queue is empty. A
+// tenant leaves the queue before it is caught up, so a wave that moves it
+// meanwhile queues it again rather than leave it behind.
+func (r *Registry) catchUpWorker() {
+	defer refitsRunning.Done()
+	for {
+		r.catchMu.Lock()
+		if len(r.behind) == 0 {
+			r.behind = nil
+			r.workers--
+			r.catchMu.Unlock()
+			return
+		}
+		svc := r.behind[0]
+		r.behind[0] = nil
+		r.behind = r.behind[1:]
+		svc.queued.Store(false)
+		r.catchMu.Unlock()
+		svc.catchUp()
+	}
 }
 
 // Predict routes the request to the service named by req.Platform.

@@ -64,10 +64,14 @@ type bwMonitor struct {
 // a pure function of virtual time.
 //
 // Locking: one lock per owner. clockMu orders everything against clock
-// movement — Advance holds it exclusively while it runs monitors forward and
-// invalidates the tick cache, and a snapshot export holds it exclusively for
-// a consistent cut; every reader (Predict, Readout, Observe, ...) holds it
-// shared, so all requests between two advances see one frozen monitor state.
+// movement — Advance holds it exclusively while it moves the clock, runs
+// monitors forward and invalidates the tick cache, and a snapshot export
+// holds it exclusively for a consistent cut; every reader (Predict, Readout,
+// Observe, ...) holds it shared, so all requests between two advances see
+// one frozen monitor state. A fleet-wide wave holds it exclusively only to
+// move the clock; the monitors then catch up under the shared lock and
+// monMu, on a background worker or on the first reader, whichever comes
+// first, and land where an eager step would have left them.
 // Under the shared clock lock, monMu serializes access to the
 // (non-thread-safe) monitors, and ledgerMu guards the Observe ledger; whoever
 // holds the clock lock exclusively is alone on the service and takes neither
@@ -112,6 +116,10 @@ type Service struct {
 	// gen counts the clock movements since the service was built, each of
 	// which replaced tick; guarded by clockMu.
 	gen uint64
+
+	// queued says the service waits in its registry's catch-up queue
+	// (Registry.AdvanceAll), so a wave queues it at most once.
+	queued atomic.Bool
 
 	// design is the fixed Latin-hypercube sample the distribution transform
 	// evaluates the structural model over — one column per machine plus one
@@ -237,28 +245,14 @@ func (s *Service) CacheGeneration() uint64 {
 // Advance moves the clock forward by dt virtual seconds, taking every
 // sensor measurement that falls due.
 func (s *Service) Advance(dt float64) error {
-	_, err := s.advance(dt)
-	return err
-}
-
-// advance is Advance that also returns the clock as the step left it, read
-// under the same hold of the clock lock.
-func (s *Service) advance(dt float64) (float64, error) {
-	now, refits, err := s.step(dt)
-	runRefits(refits)
-	return now, err
-}
-
-// step is advance that leaves the refits the step recorded unstarted and
-// returns them, for a caller with more stepping to do first.
-func (s *Service) step(dt float64) (float64, []*nws.Refit, error) {
 	if dt < 0 {
-		return s.Now(), nil, fmt.Errorf("predict: negative advance %g", dt)
+		return fmt.Errorf("predict: negative advance %g", dt)
 	}
 	s.clockMu.Lock()
-	defer s.clockMu.Unlock()
-	refits, err := s.advanceToLocked(s.now + dt)
-	return s.now, refits, err
+	refits := s.advanceToLocked(s.now + dt)
+	s.clockMu.Unlock()
+	runRefits(refits)
+	return nil
 }
 
 // AdvanceTo moves the clock to absolute virtual time t >= Now().
@@ -268,65 +262,111 @@ func (s *Service) AdvanceTo(t float64) error {
 		s.clockMu.Unlock()
 		return fmt.Errorf("predict: cannot advance backwards from %g to %g", now, t)
 	}
-	refits, err := s.advanceToLocked(t)
+	refits := s.advanceToLocked(t)
 	s.clockMu.Unlock()
 	runRefits(refits)
-	return err
+	return nil
 }
 
-// advanceToLocked moves the clock under the exclusive clock lock — alone on
-// the service, so it takes no monitor lock: every monitor runs forward on the
-// calling goroutine, CPU monitors in machine order, then bandwidth monitors
-// in ascending probe size, and a fresh tick frame replaces the cache's so
-// no stale forecast survives the tick boundary. Before the monitors run,
-// the environment's load processes are held at t (simenv.Env.Hold): the
-// ticks a truth walk generated ahead of the clock stay kept until the clock
-// passes them, and the monitors' own new ticks up to t are no look-ahead.
-// A no-op advance (t == now)
-// leaves the cache intact — monitor state cannot have changed. The first error in that
-// order ends the tick (none can occur today: Monitor.RunUntil's is documented
-// always nil).
-//
-// The order is for the reader, not the result: every monitor's evolution is
-// a pure function of its own sample stream (no cross-monitor state), so each
-// lands on the same bits whatever runs beside it. That is why the
-// parallelism lives one level up, in Registry.AdvanceAll, where the work
-// per goroutine is a tenant's whole tick instead of one monitor's few
-// microseconds of sampling.
-//
-// A mixture refit that falls due is only recorded here; the refits the step
-// leaves pending are returned for the caller to start (runRefits) once it
-// has released the clock lock.
-func (s *Service) advanceToLocked(t float64) ([]*nws.Refit, error) {
+// advanceToLocked is a whole clock step under the exclusive clock lock: the
+// clock moves to t (moveClockLocked), every monitor runs forward to it on
+// the calling goroutine (catchUpLocked), and the mixture refits that fell
+// due are returned for the caller to start (runRefits) once it has released
+// the clock lock. A tenant's own step does both halves because its caller
+// reads the tenant next; a fleet-wide wave moves every clock first and
+// leaves the catching up to the background (Registry.AdvanceAll).
+func (s *Service) advanceToLocked(t float64) []*nws.Refit {
+	s.moveClockLocked(t)
+	s.catchUpLocked()
+	return s.takeRefitsLocked()
+}
+
+// moveClock is the clock half of a step of dt: what a fleet-wide wave does
+// to each tenant before it returns. It returns the clock as it left it.
+func (s *Service) moveClock(dt float64) (float64, error) {
+	if dt < 0 {
+		return s.Now(), fmt.Errorf("predict: negative advance %g", dt)
+	}
+	s.clockMu.Lock()
+	defer s.clockMu.Unlock()
+	s.moveClockLocked(s.now + dt)
+	return s.now, nil
+}
+
+// moveClockLocked moves the clock to t under the exclusive clock lock
+// without running a monitor. The environment's load processes are held at t
+// (simenv.Env.Hold): the ticks a truth walk generated ahead of the clock stay
+// kept until the clock passes them, and the monitors' own new ticks up to t
+// are no look-ahead. A real move replaces the tick frame, so no forecast of
+// the old tick is served at the new one; a no-op move (t == now) leaves the
+// cache intact — monitor state cannot have changed.
+func (s *Service) moveClockLocked(t float64) {
 	moved := t != s.now
 	s.now = t
 	s.env.Hold(t)
-	for _, mon := range s.cpu {
-		if err := mon.RunUntil(t); err != nil {
-			return nil, err
-		}
-	}
-	for _, b := range s.bw {
-		if err := b.mon.RunUntil(t); err != nil {
-			return nil, err
-		}
-	}
 	if moved {
 		s.gen++
 		if s.tick != nil {
 			s.tick = newTickFrame()
 		}
 	}
+}
+
+// catchUpLocked runs every monitor forward to the clock, CPU monitors in
+// machine order, then bandwidth monitors in ascending probe size: normally
+// a no-op, since a step caught them up, but after a fleet-wide wave the
+// first of a tenant's readers and its background catch-up find them behind,
+// and whichever takes monMu first does the sampling. Nothing reads a
+// monitor without calling it first, so no reader sees a monitor behind its
+// clock. Callers hold the clock lock exclusively, or shared with monMu.
+//
+// The order is for the reader, not the result: every monitor's evolution is
+// a pure function of its own sample stream (no cross-monitor state), so each
+// lands on the same bits whenever it runs and whatever runs beside it.
+// A mixture refit that falls due is only recorded: it stays pending until
+// a step hands it out (TakeRefit) or the next round or read installs it.
+// Monitor.RunUntil's error is documented always nil (a failed sample is a
+// gap, not an error).
+func (s *Service) catchUpLocked() {
+	for _, mon := range s.cpu {
+		_ = mon.RunUntil(s.now)
+	}
+	for _, b := range s.bw {
+		_ = b.mon.RunUntil(s.now)
+	}
+}
+
+// takeRefitsLocked hands out the mixture refits the CPU monitors have left
+// pending and no one has taken yet (Monitor.TakeRefit). Callers hold the
+// locks catchUpLocked asks for.
+func (s *Service) takeRefitsLocked() []*nws.Refit {
 	var refits []*nws.Refit
 	for _, mon := range s.cpu {
 		if j := mon.TakeRefit(); j != nil {
 			refits = append(refits, j)
 		}
 	}
-	return refits, nil
+	return refits
 }
 
-// refitsRunning counts the goroutines runRefits has running.
+// catchUp is the background half of a fleet-wide step: it catches the
+// monitors up to the clock under the shared clock lock and monMu, then runs
+// the mixture refits that fell due (on this step or on a read's catch-up
+// before it) with no lock held.
+func (s *Service) catchUp() {
+	s.clockMu.RLock()
+	s.monMu.Lock()
+	s.catchUpLocked()
+	refits := s.takeRefitsLocked()
+	s.monMu.Unlock()
+	s.clockMu.RUnlock()
+	for _, j := range refits {
+		j.Run()
+	}
+}
+
+// refitsRunning counts the goroutines runRefits and the registries'
+// catch-up workers have running.
 var refitsRunning sync.WaitGroup
 
 // runRefits runs refits in the background, in order, on one goroutine per
@@ -339,7 +379,7 @@ func runRefits(refits []*nws.Refit) {
 		return
 	}
 	var next atomic.Int64
-	for w := min(max(runtime.GOMAXPROCS(0)-1, 1), len(refits)); w > 0; w-- {
+	for w := min(backgroundWorkers(), len(refits)); w > 0; w-- {
 		refitsRunning.Add(1)
 		go func() {
 			defer refitsRunning.Done()
@@ -350,9 +390,15 @@ func runRefits(refits []*nws.Refit) {
 	}
 }
 
-// WaitRefits blocks until every background refit started so far has run:
-// the drain a benchmark or test takes between clock steps so that the next
-// one is timed alone. No step may start refits while it waits.
+// backgroundWorkers is how many goroutines background work may take: one
+// per processor but one, and at least one.
+func backgroundWorkers() int { return max(runtime.GOMAXPROCS(0)-1, 1) }
+
+// WaitRefits blocks until every background refit and every catch-up a
+// fleet-wide wave left behind, started so far, has run: the drain a
+// benchmark or test takes between clock steps so that the next one is timed
+// alone, after which every tenant's monitors stand at its clock. No step may
+// start background work while it waits.
 func WaitRefits() { refitsRunning.Wait() }
 
 // missedTotal sums the missed-sample counters of every monitor: what the
@@ -362,6 +408,7 @@ func (s *Service) missedTotal() int {
 	defer s.clockMu.RUnlock()
 	s.monMu.Lock()
 	defer s.monMu.Unlock()
+	s.catchUpLocked()
 	missed := 0
 	for _, mon := range s.cpu {
 		missed += mon.Gaps().Missed
@@ -434,19 +481,15 @@ func validateRequest(req Request) error {
 // each value (the tournament winner's quantile grid). Callers hold the
 // shared clock lock; the read runs under monMu.
 // The two pipeline stages it spans are timed separately: monitor_read
-// (catching every monitor up to the current virtual time — normally a no-op,
-// since Advance already did) and forecast (producing the stochastic load
-// reports).
+// (catching every monitor up to the current virtual time — a no-op after a
+// tenant's own step, the sampling itself when a fleet-wide wave left the
+// tenant to the background and this read came first) and forecast
+// (producing the stochastic load reports).
 func (s *Service) readLoads() ([]stochastic.Value, []MachineReport, []nws.LoadDist, error) {
 	s.monMu.Lock()
 	defer s.monMu.Unlock()
 	read := s.metrics.startStage(stageMonitorRead)
-	for _, mon := range s.cpu {
-		if err := mon.RunUntil(s.now); err != nil {
-			read.stop()
-			return nil, nil, nil, err
-		}
-	}
+	s.catchUpLocked()
 	read.stop()
 	defer s.metrics.startStage(stageForecast).stop()
 	loads := make([]stochastic.Value, len(s.cpu))
@@ -528,7 +571,8 @@ func (s *Service) tickReports() (*tickFrame, error) {
 }
 
 // bwReport returns the bandwidth fraction forecast for n's ghost-row-sized
-// probe messages, under monMu. The first request for a probe size builds its
+// probe messages, under monMu. Its caller resolved the tick first, which
+// caught every monitor it holds up to the clock. The first request for a probe size builds its
 // monitor, catches it up to the clock and inserts it, all under that lock:
 // for the length of one catch-up the same tenant's other first-of-tick reads
 // wait (DESIGN.md §5 "Locks the size of the traffic" prices it), once per
@@ -1046,6 +1090,7 @@ func (s *Service) Readout() Readout {
 	if tick, err := s.tickReports(); err == nil {
 		r.Reports = tick.reports
 	}
+	// Resolving the tick caught every monitor up to the clock.
 	s.monMu.Lock()
 	r.BWGaps = s.bwGapsLocked()
 	s.monMu.Unlock()
@@ -1058,6 +1103,7 @@ func (s *Service) CPUGaps() []nws.GapStats {
 	defer s.clockMu.RUnlock()
 	s.monMu.Lock()
 	defer s.monMu.Unlock()
+	s.catchUpLocked()
 	gaps := make([]nws.GapStats, len(s.cpu))
 	for i, mon := range s.cpu {
 		gaps[i] = mon.Gaps()
@@ -1073,6 +1119,7 @@ func (s *Service) BWGaps() nws.GapStats {
 	defer s.clockMu.RUnlock()
 	s.monMu.Lock()
 	defer s.monMu.Unlock()
+	s.catchUpLocked()
 	return s.bwGapsLocked()
 }
 

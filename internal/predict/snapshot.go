@@ -304,10 +304,12 @@ func restoreService(spec *PlatformSpec, reg *Registry, d *snapDec) (*Service, er
 // exportTo writes the service's full dynamic state. It takes the clock
 // lock exclusively, so the image is a consistent cut: no Predict, Observe,
 // or Advance is in flight while the state is read, and the monitors need no
-// lock of their own.
+// lock of their own. Monitors a fleet-wide wave left behind are caught up
+// first, so the image is the one an eager step would have left.
 func (s *Service) exportTo(e *snapEnc) {
 	s.clockMu.Lock()
 	defer s.clockMu.Unlock()
+	s.catchUpLocked()
 
 	e.f64(s.now)
 
