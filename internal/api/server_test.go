@@ -444,12 +444,12 @@ func TestScheduleEndpoints(t *testing.T) {
 }
 
 // TestFleetAdvanceMatchesPerTenant: POST /advance without a platform steps
-// every live tenant — through the registry's worker pool — and answers the
+// every live tenant — one Registry.AdvanceAll wave — and answers the
 // JSON the per-tenant calls add up to: every live tenant, the same times.
-// A cold spec is nobody's to step and appears in neither. The 400 that
-// names the first failing tenant has no wire test: checkAdvance refuses the
-// only dt a real tenant refuses (a negative one) before any is asked, so
-// that path is pinned with a stubbed tenant in internal/predict.
+// A cold spec is nobody's to step and appears in neither. A fleet-wide
+// step can fail only on a negative dt, refused before any clock moves;
+// checkAdvance refuses it first on the wire, and internal/predict pins the
+// refusal itself.
 func TestFleetAdvanceMatchesPerTenant(t *testing.T) {
 	const live = 9
 	fleet := func() http.Handler {

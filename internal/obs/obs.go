@@ -207,20 +207,8 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	return s
 }
 
-// Quantile estimates the q-quantile (0 < q < 1) by interpolation within the
-// matching bucket. It returns 0 for an empty histogram.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.n == 0 {
-		return 0
-	}
-	return h.quantileLocked(q)
-}
-
+// quantileLocked estimates the q-quantile (0 < q < 1) of a non-empty
+// histogram by interpolation within the matching bucket. h.mu is held.
 func (h *Histogram) quantileLocked(q float64) float64 {
 	target := q * float64(h.n)
 	var cum float64

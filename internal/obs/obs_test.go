@@ -39,7 +39,7 @@ func TestNilSafety(t *testing.T) {
 	g.Set(1)
 	g.Add(1)
 	h.Observe(0.5)
-	if c.Value() != 0 || g.Value() != 0 || h.Quantile(0.5) != 0 {
+	if c.Value() != 0 || g.Value() != 0 || h.Snapshot().P50 != 0 {
 		t.Error("nil metrics must read as zero")
 	}
 	if s := h.Snapshot(); s.Count != 0 {
@@ -89,18 +89,17 @@ func TestHistogramQuantilesAgainstStats(t *testing.T) {
 		xs = append(xs, v)
 		h.Observe(v)
 	}
-	for _, q := range []float64{0.5, 0.95, 0.99} {
-		want, err := stats.Quantile(xs, q)
+	s := h.Snapshot()
+	for _, c := range []struct{ q, got float64 }{{0.5, s.P50}, {0.95, s.P95}, {0.99, s.P99}} {
+		want, err := stats.Quantile(xs, c.q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := h.Quantile(q)
 		// Bucket resolution around 1–2.5 ms: the 0.0025 bucket is 1.5 ms wide.
-		if math.Abs(got-want) > 0.0016 {
-			t.Errorf("q%.2f: histogram %.5f vs exact %.5f", q, got, want)
+		if math.Abs(c.got-want) > 0.0016 {
+			t.Errorf("q%.2f: histogram %.5f vs exact %.5f", c.q, c.got, want)
 		}
 	}
-	s := h.Snapshot()
 	if s.Count != 2000 {
 		t.Errorf("count=%d", s.Count)
 	}
@@ -116,7 +115,7 @@ func TestHistogramQuantilesAgainstStats(t *testing.T) {
 func TestHistogramOverflowBucket(t *testing.T) {
 	h := newHistogram([]float64{1, 2})
 	h.Observe(100) // lands in +Inf bucket
-	if q := h.Quantile(0.5); q != 2 {
+	if q := h.Snapshot().P50; q != 2 {
 		t.Errorf("overflow quantile=%g, want clamp to 2", q)
 	}
 }

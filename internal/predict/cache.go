@@ -65,15 +65,13 @@ type tickFrame struct {
 	sizesMu sync.RWMutex
 	sizes   map[sizeKey]*sizeFrame
 
-	// mu serializes the read: the first goroutine to need the reports takes
-	// them, the rest wait and share them — or the error.
-	mu      sync.Mutex
-	done    bool
-	err     error
-	loads   []stochastic.Value
-	reports []MachineReport
-	dists   []nws.LoadDist
-	tag     string // dominantForecaster(dists)
+	// readOnce runs the read: the first goroutine to need the reports takes
+	// them, the rest wait and share them.
+	readOnce sync.Once
+	loads    []stochastic.Value
+	reports  []MachineReport
+	dists    []nws.LoadDist
+	tag      string // dominantForecaster(dists)
 }
 
 func newTickFrame() *tickFrame {
@@ -117,7 +115,7 @@ func (t *tickFrame) size(req Request) *sizeFrame {
 type sizeFrame struct {
 	tick *tickFrame
 
-	// mu serializes the computation, as tickFrame.mu does one level up.
+	// mu serializes the computation; its error is memoized with the rest.
 	mu        sync.Mutex
 	done      bool
 	err       error

@@ -167,7 +167,7 @@ func TestDistGridMatchesTree(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, until := range []float64{0, 35, 600, 1805} {
-			if err := svc.AdvanceTo(until); err != nil {
+			if err := svc.Advance(until - svc.Now()); err != nil {
 				t.Fatal(err)
 			}
 			for _, shape := range shapes {

@@ -1,7 +1,6 @@
 package predict
 
 import (
-	"errors"
 	"runtime"
 	"sort"
 	"strings"
@@ -129,44 +128,41 @@ func TestAdvanceAllWorkers(t *testing.T) {
 	}
 }
 
-// TestAdvanceAllAttemptsEveryTenant: a tenant whose clock move fails does
-// not leave the tenants after it a step behind, the error names the first
-// failing tenant in roster order, and the wave is observed once. No real
-// move can fail today — it refuses only a negative dt, which fails every
-// tenant alike and which the API's checkAdvance refuses before it gets
-// here — so the failing tenants are stubbed.
-func TestAdvanceAllAttemptsEveryTenant(t *testing.T) {
+// TestAdvanceAllRefusesNegativeStep: a wave refuses a negative step before
+// it moves a clock, so a refused wave does nothing: no clock moves, no wave
+// is observed, no tenant is queued and no catch-up worker starts.
+func TestAdvanceAllRefusesNegativeStep(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	metrics := obs.NewRegistry()
 	reg := liveFleet(t, 12, RegistryOptions{Metrics: metrics})
-	boom := errors.New("sensor bus on fire")
-	failing := map[string]bool{"tenant-0007": true, "tenant-0003": true, "tenant-0011": true}
-	services, times, err := reg.advanceAll(5, func(s *Service, dt float64) (float64, error) {
-		if failing[s.Name()] {
-			return s.Now(), boom
-		}
-		return s.moveClock(dt)
-	})
-	if !errors.Is(err, boom) || !strings.Contains(err.Error(), `"tenant-0003"`) {
-		t.Errorf("error %v, want the stub's, naming tenant-0003", err)
+	WaitRefits()
+	waves := func() uint64 { return metrics.NewHistogram(MetricFleetAdvance, "", nil).Snapshot().Count }
+	spawned, observed := reg.spawned.Load(), waves()
+	services, times, err := reg.AdvanceAll(-1)
+	if err == nil || !strings.Contains(err.Error(), "negative advance") {
+		t.Errorf("error %v, want a negative-advance refusal", err)
 	}
-	if len(services) != 12 {
-		t.Fatalf("roster of %d, want 12", len(services))
+	if services != nil || times != nil {
+		t.Errorf("refused wave returned %d services and %d times, want none", len(services), len(times))
 	}
-	for i, svc := range services {
-		want := 125.0
-		if failing[svc.Name()] {
-			want = 120
+	for _, svc := range reg.Services() {
+		if svc.Now() != 120 {
+			t.Errorf("%s at %g after a refused wave, want 120", svc.Name(), svc.Now())
 		}
-		if svc.Now() != want || times[i] != want {
-			t.Errorf("%s at %g (reported %g), want %g", svc.Name(), svc.Now(), times[i], want)
+		if svc.queued.Load() {
+			t.Errorf("%s queued for catch-up by a refused wave", svc.Name())
 		}
 	}
-	if got := metrics.NewHistogram(MetricFleetAdvance, "", nil).Snapshot().Count; got != 1 {
-		t.Errorf("%s observed %d waves, want 1", MetricFleetAdvance, got)
+	reg.catchMu.Lock()
+	behind := len(reg.behind)
+	reg.catchMu.Unlock()
+	if behind != 0 {
+		t.Errorf("%d tenants in the catch-up queue after a refused wave, want 0", behind)
 	}
-
-	if _, _, err := reg.AdvanceAll(-1); err == nil || !strings.Contains(err.Error(), `"tenant-0000"`) {
-		t.Errorf("negative step: error %v, want one naming tenant-0000", err)
+	if got := reg.spawned.Load(); got != spawned {
+		t.Errorf("refused wave started %d catch-up workers, want 0", got-spawned)
+	}
+	if got := waves(); got != observed {
+		t.Errorf("%s observed %d waves for a refused one, want 0", MetricFleetAdvance, got-observed)
 	}
 }

@@ -209,7 +209,7 @@ func TestCoreValueMatchesTree(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, until := range []float64{0, 35, 600} {
-			if err := svc.AdvanceTo(until); err != nil {
+			if err := svc.Advance(until - svc.Now()); err != nil {
 				t.Fatal(err)
 			}
 			for _, shape := range []Request{{N: 400, Iterations: 10}, {N: 400, Iterations: 1 << 20, TimeBalanced: true}, {N: 37, Iterations: 3}} {

@@ -265,9 +265,9 @@ func (r *Registry) Services() []*Service {
 // call only moves each clock, in roster (name) order on the calling
 // goroutine, each under its own clock lock: there is no fleet lock, and
 // requests to tenants other than the one being moved are served throughout.
-// Every tenant is attempted whatever the others return. The result is the
-// roster that was stepped, each tenant's clock as its step left it, and the
-// first error in roster order, wrapped with its tenant's name.
+// The result is the roster that was stepped and each tenant's clock as its
+// step left it. A negative dt is refused before any clock moves: nothing
+// else can fail a move.
 //
 // The monitors catch up behind the answer: the wave queues its tenants, and
 // up to one worker per processor but one (at least one) takes each from the
@@ -278,25 +278,18 @@ func (r *Registry) Services() []*Service {
 // drains the workers. Waves that come faster than the workers drain grow
 // neither the queue (a tenant waits in it once) nor the workers.
 func (r *Registry) AdvanceAll(dt float64) ([]*Service, []float64, error) {
-	return r.advanceAll(dt, (*Service).moveClock)
-}
-
-// advanceAll is AdvanceAll over a given per-tenant clock move — the seam the
-// tests reach a failing tenant through, which no real move produces.
-func (r *Registry) advanceAll(dt float64, move func(*Service, float64) (float64, error)) ([]*Service, []float64, error) {
+	if dt < 0 {
+		return nil, nil, fmt.Errorf("predict: negative advance %g", dt)
+	}
 	start := time.Now()
 	services := r.Services()
 	times := make([]float64, len(services))
-	var first error
 	for i, svc := range services {
-		var err error
-		if times[i], err = move(svc, dt); err != nil && first == nil {
-			first = fmt.Errorf("predict: advancing platform %q: %w", svc.Name(), err)
-		}
+		times[i] = svc.moveClock(dt)
 	}
 	r.waveSeconds.Observe(time.Since(start).Seconds())
 	r.queueCatchUps(services)
-	return services, times, first
+	return services, times, nil
 }
 
 // queueCatchUps queues the services a wave moved and starts as many workers

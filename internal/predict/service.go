@@ -57,7 +57,7 @@ type bwMonitor struct {
 
 // Service is a long-lived, goroutine-safe prediction service over one
 // simulated production platform. It owns the platform's NWS monitors and a
-// shared virtual clock; Advance/AdvanceTo move time forward (taking all due
+// shared virtual clock; Advance moves time forward (taking all due
 // measurements), and Predict answers requests at the current time. All
 // methods may be called concurrently; results are deterministic for a
 // given seed and clock schedule because every sensor and fault decision is
@@ -243,54 +243,33 @@ func (s *Service) CacheGeneration() uint64 {
 }
 
 // Advance moves the clock forward by dt virtual seconds, taking every
-// sensor measurement that falls due.
+// sensor measurement that falls due: under the exclusive clock lock the
+// clock moves (moveClockLocked) and every monitor runs forward to it on the
+// calling goroutine (catchUpLocked); the mixture refits that fell due start
+// (runRefits) once the lock is released. A tenant's own step does both
+// halves because its caller reads the tenant next; a fleet-wide wave moves
+// every clock first and leaves the catching up to the background
+// (Registry.AdvanceAll).
 func (s *Service) Advance(dt float64) error {
 	if dt < 0 {
 		return fmt.Errorf("predict: negative advance %g", dt)
 	}
 	s.clockMu.Lock()
-	refits := s.advanceToLocked(s.now + dt)
-	s.clockMu.Unlock()
-	runRefits(refits)
-	return nil
-}
-
-// AdvanceTo moves the clock to absolute virtual time t >= Now().
-func (s *Service) AdvanceTo(t float64) error {
-	s.clockMu.Lock()
-	if now := s.now; t < now {
-		s.clockMu.Unlock()
-		return fmt.Errorf("predict: cannot advance backwards from %g to %g", now, t)
-	}
-	refits := s.advanceToLocked(t)
-	s.clockMu.Unlock()
-	runRefits(refits)
-	return nil
-}
-
-// advanceToLocked is a whole clock step under the exclusive clock lock: the
-// clock moves to t (moveClockLocked), every monitor runs forward to it on
-// the calling goroutine (catchUpLocked), and the mixture refits that fell
-// due are returned for the caller to start (runRefits) once it has released
-// the clock lock. A tenant's own step does both halves because its caller
-// reads the tenant next; a fleet-wide wave moves every clock first and
-// leaves the catching up to the background (Registry.AdvanceAll).
-func (s *Service) advanceToLocked(t float64) []*nws.Refit {
-	s.moveClockLocked(t)
+	s.moveClockLocked(s.now + dt)
 	s.catchUpLocked()
-	return s.takeRefitsLocked()
+	refits := s.takeRefitsLocked()
+	s.clockMu.Unlock()
+	runRefits(refits)
+	return nil
 }
 
-// moveClock is the clock half of a step of dt: what a fleet-wide wave does
-// to each tenant before it returns. It returns the clock as it left it.
-func (s *Service) moveClock(dt float64) (float64, error) {
-	if dt < 0 {
-		return s.Now(), fmt.Errorf("predict: negative advance %g", dt)
-	}
+// moveClock is the clock half of a step of dt >= 0: what a fleet-wide wave
+// does to each tenant before it returns. It returns the clock as it left it.
+func (s *Service) moveClock(dt float64) float64 {
 	s.clockMu.Lock()
 	defer s.clockMu.Unlock()
 	s.moveClockLocked(s.now + dt)
-	return s.now, nil
+	return s.now
 }
 
 // moveClockLocked moves the clock to t under the exclusive clock lock
@@ -485,7 +464,7 @@ func validateRequest(req Request) error {
 // tenant's own step, the sampling itself when a fleet-wide wave left the
 // tenant to the background and this read came first) and forecast
 // (producing the stochastic load reports).
-func (s *Service) readLoads() ([]stochastic.Value, []MachineReport, []nws.LoadDist, error) {
+func (s *Service) readLoads() ([]stochastic.Value, []MachineReport, []nws.LoadDist) {
 	s.monMu.Lock()
 	defer s.monMu.Unlock()
 	read := s.metrics.startStage(stageMonitorRead)
@@ -510,20 +489,17 @@ func (s *Service) readLoads() ([]stochastic.Value, []MachineReport, []nws.LoadDi
 		}
 		s.metrics.recordTournamentWin(dists[i].Forecaster)
 	}
-	return loads, reports, dists, nil
+	return loads, reports, dists
 }
 
 // resolveTick fills the tick level of a frame — readLoads, once — and
-// returns the error it memoizes. Callers hold the shared clock lock.
-func (s *Service) resolveTick(tick *tickFrame) error {
-	tick.mu.Lock()
-	defer tick.mu.Unlock()
-	if !tick.done {
-		tick.loads, tick.reports, tick.dists, tick.err = s.readLoads()
+// returns the frame. Callers hold the shared clock lock.
+func (s *Service) resolveTick(tick *tickFrame) *tickFrame {
+	tick.readOnce.Do(func() {
+		tick.loads, tick.reports, tick.dists = s.readLoads()
 		tick.tag = dominantForecaster(tick.dists)
-		tick.done = true
-	}
-	return tick.err
+	})
+	return tick
 }
 
 func (s *Service) choosePartition(req Request, loads []stochastic.Value) (*sor.Partition, error) {
@@ -547,11 +523,7 @@ func (s *Service) Partition(req Request) (*sor.Partition, error) {
 	if err := validateRequest(req); err != nil {
 		return nil, err
 	}
-	tick, err := s.tickReports()
-	if err != nil {
-		return nil, err
-	}
-	return s.choosePartition(req, tick.loads)
+	return s.choosePartition(req, s.resolveTick(s.frame()).loads)
 }
 
 // frame returns the tick frame a request reads: the cache's — the one every
@@ -562,12 +534,6 @@ func (s *Service) frame() *tickFrame {
 		return newTickFrame()
 	}
 	return s.tick
-}
-
-// tickReports returns the resolved frame of the current tick.
-func (s *Service) tickReports() (*tickFrame, error) {
-	tick := s.frame()
-	return tick, s.resolveTick(tick)
 }
 
 // bwReport returns the bandwidth fraction forecast for n's ghost-row-sized
@@ -692,11 +658,8 @@ func (s *Service) resolveSize(sz *sizeFrame, req Request) error {
 // strategies alone: the partition (chosen from the tick's load reports, or
 // pinned), the bandwidth forecast, and the model's value for one phase pair.
 func (s *Service) computeSize(sz *sizeFrame, req Request) error {
-	tick := sz.tick
-	err := s.resolveTick(tick)
-	if err != nil {
-		return err
-	}
+	tick := s.resolveTick(sz.tick)
+	var err error
 	sz.partition = req.Partition
 	if sz.partition == nil {
 		if sz.partition, err = s.choosePartition(req, tick.loads); err != nil {
@@ -1072,8 +1035,7 @@ type Readout struct {
 	Time float64
 	// Reports are the per-machine load reports (robust fallback chain) of
 	// the tick at Time — the slice every Prediction.Loads of that tick
-	// shares (callers must not mutate it); nil when the monitors cannot be
-	// read.
+	// shares (callers must not mutate it).
 	Reports []MachineReport
 	// BWGaps is what BWGaps returns at Time.
 	BWGaps nws.GapStats
@@ -1086,10 +1048,7 @@ type Readout struct {
 func (s *Service) Readout() Readout {
 	s.clockMu.RLock()
 	defer s.clockMu.RUnlock()
-	r := Readout{Time: s.now}
-	if tick, err := s.tickReports(); err == nil {
-		r.Reports = tick.reports
-	}
+	r := Readout{Time: s.now, Reports: s.resolveTick(s.frame()).reports}
 	// Resolving the tick caught every monitor up to the clock.
 	s.monMu.Lock()
 	r.BWGaps = s.bwGapsLocked()

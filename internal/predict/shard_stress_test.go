@@ -28,7 +28,7 @@ func shardService(t *testing.T, seed int64, noCache bool) *predict.Service {
 	if noCache {
 		predict.DropTickCache(svc)
 	}
-	if err := svc.AdvanceTo(100); err != nil {
+	if err := svc.Advance(100 - svc.Now()); err != nil {
 		t.Fatal(err)
 	}
 	return svc
@@ -425,7 +425,7 @@ func TestFrameStorm(t *testing.T) {
 		if metrics == nil {
 			predict.DropTickCache(svc)
 		}
-		if err := svc.AdvanceTo(100); err != nil {
+		if err := svc.Advance(100 - svc.Now()); err != nil {
 			t.Fatal(err)
 		}
 		return svc
@@ -440,7 +440,7 @@ func TestFrameStorm(t *testing.T) {
 		}
 	}
 	for _, s := range []*predict.Service{svc, plain} {
-		if err := s.AdvanceTo(130); err != nil {
+		if err := s.Advance(130 - s.Now()); err != nil {
 			t.Fatal(err)
 		}
 	}

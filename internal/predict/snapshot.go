@@ -346,6 +346,9 @@ func (s *Service) importFrom(d *snapDec) error {
 	s.clockMu.Lock()
 	defer s.clockMu.Unlock()
 	s.now = d.f64()
+	if d.err == nil && !(s.now >= 0 && s.now <= math.MaxFloat64) {
+		return fmt.Errorf("predict: snapshot clock %g is not a finite time >= 0", s.now)
+	}
 	s.env.Hold(s.now)
 
 	nCPU := d.count(1)
@@ -357,7 +360,7 @@ func (s *Service) importFrom(d *snapDec) error {
 		if d.err != nil {
 			break
 		}
-		if err := s.cpu[i].ImportState(st); err != nil {
+		if err := s.importMonitor(s.cpu[i], st); err != nil {
 			return err
 		}
 	}
@@ -386,7 +389,7 @@ func (s *Service) importFrom(d *snapDec) error {
 		}
 		// Bandwidth monitors carry no tournament: the section an older
 		// image holds for one is decoded above and dropped here.
-		if err := mon.ImportState(st); err != nil {
+		if err := s.importMonitor(mon, st); err != nil {
 			return err
 		}
 		s.bw = append(s.bw, bwMonitor{probe: probe, mon: mon})
@@ -403,6 +406,18 @@ func (s *Service) importFrom(d *snapDec) error {
 		return d.err
 	}
 	return s.tracker.ImportState(ts)
+}
+
+// importMonitor imports into mon a monitor state that stands at the image's
+// clock (s.now), and refuses any other. exportTo catches every monitor up
+// first, so its next sample falls in (clock, clock + period]; a state behind
+// the clock, or never started (which restarts at time 0), would make the
+// restored tenant's first step sample the whole distance under its lock.
+func (s *Service) importMonitor(mon *nws.Monitor, st nws.MonitorState) error {
+	if end := s.now + mon.Period(); !st.Started || !(st.NextT > s.now && st.NextT <= end) {
+		return fmt.Errorf("predict: snapshot monitor's next sample %g is not in (%g, %g]", st.NextT, s.now, end)
+	}
+	return mon.ImportState(st)
 }
 
 func encodeMonitorState(e *snapEnc, st nws.MonitorState) {

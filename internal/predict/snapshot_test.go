@@ -474,6 +474,74 @@ func TestReadSnapshotRefusesOversizedImage(t *testing.T) {
 	}
 }
 
+// TestReadSnapshotRefusesMovedClock: an image's monitors stand at its
+// clock — WriteSnapshot catches every one up first, so each next sample is
+// due within one period after the clock. An image whose clock was moved
+// (past its monitors, behind them, negative or not finite), or whose monitor
+// was moved off its clock, is refused: restored, the tenant's first step
+// would sample the whole distance, about 2·10^11 samples for a clock of
+// 10^12, under its clock lock.
+func TestReadSnapshotRefusesMovedClock(t *testing.T) {
+	spec, err := predict.SimulatedSpec(2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Warmup = 120
+	reg := predict.NewRegistry()
+	if err := reg.RegisterSpec(spec); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Predict(predict.Request{Platform: spec.Name, N: 400, Iterations: 10}); err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := reg.WriteSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	img := snap.Bytes()
+	specJSON, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f64 := func(v float64) []byte { return binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)) }
+	// The live flag follows the spec, the clock follows the flag, and the
+	// first CPU monitor's next sample follows the monitor count.
+	clock := bytes.Index(img, specJSON) + len(specJSON) + 1
+	if clock <= len(specJSON) || !bytes.Equal(img[clock:clock+8], f64(120)) || !bytes.Equal(img[clock+12:clock+20], f64(125)) {
+		t.Fatal("the image does not hold clock 120 and a first next sample at 125 where expected")
+	}
+	// The bandwidth monitor's next sample follows its probe size and built flag.
+	bw := bytes.Index(img, f64(float64(400-2)*8)) + 9
+	if bw <= 9 || !bytes.Equal(img[bw:bw+8], f64(125)) {
+		t.Fatal("the image does not hold the bandwidth monitor's next sample at 125 where expected")
+	}
+	patch := func(at int, v float64) []byte {
+		return slices.Concat(img[:at], f64(v), img[at+8:])
+	}
+	if _, err := predict.ReadSnapshot(bytes.NewReader(patch(clock, 122)), predict.RegistryOptions{}); err != nil {
+		t.Errorf("clock 122, next samples at 125: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		at   int
+		v    float64
+	}{
+		{"clock 1e12", clock, 1e12},
+		{"clock at the next sample", clock, 125},
+		{"clock a period behind", clock, 115},
+		{"negative clock", clock, -5},
+		{"infinite clock", clock, math.Inf(1)},
+		{"NaN clock", clock, math.NaN()},
+		{"CPU monitor behind", clock + 12, 0},
+		{"bandwidth monitor behind", bw, 5},
+		{"bandwidth monitor ahead", bw, 1e12},
+	} {
+		if _, err := predict.ReadSnapshot(bytes.NewReader(patch(tc.at, tc.v)), predict.RegistryOptions{}); err == nil {
+			t.Errorf("%s: image accepted", tc.name)
+		}
+	}
+}
+
 // TestReadSnapshotRefusesWrappingNextID: IDs count up from an image's next
 // ID, so one at 2^64−1 would wrap the counter and reissue the IDs of
 // restored entries — the second prediction after the restore would land

@@ -107,6 +107,11 @@ type OutageSpec struct {
 	End   float64 `json:"end"`
 }
 
+// MaxWarmup bounds a spec's warmup, in virtual seconds: one day. The
+// warm-up samples every monitor once a period, on the first request for the
+// tenant and under its build lock, so an unbounded one never answers.
+const MaxWarmup = 86400
+
 // Config materializes the spec into a service Config. It is side-effect
 // free and deterministic; errors name the offending field.
 func (ps *PlatformSpec) Config() (Config, error) {
@@ -116,8 +121,8 @@ func (ps *PlatformSpec) Config() (Config, error) {
 	if len(ps.Machines) < 2 {
 		return Config{}, fmt.Errorf("predict: spec %q has %d machines (a platform needs at least 2)", ps.Name, len(ps.Machines))
 	}
-	if ps.Warmup < 0 {
-		return Config{}, fmt.Errorf("predict: spec %q has negative warmup %g", ps.Name, ps.Warmup)
+	if !(ps.Warmup >= 0 && ps.Warmup <= MaxWarmup) {
+		return Config{}, fmt.Errorf("predict: spec %q warmup %g outside [0, %d]", ps.Name, ps.Warmup, MaxWarmup)
 	}
 	machines := make([]cluster.Machine, len(ps.Machines))
 	for i, m := range ps.Machines {
@@ -250,7 +255,7 @@ func NewServiceFromSpec(spec *PlatformSpec, metrics *obs.Registry) (*Service, er
 		return nil, err
 	}
 	if spec.Warmup > 0 {
-		if err := svc.AdvanceTo(spec.Warmup); err != nil {
+		if err := svc.Advance(spec.Warmup); err != nil {
 			return nil, err
 		}
 	}

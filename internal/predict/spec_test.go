@@ -3,6 +3,7 @@ package predict_test
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -37,6 +38,12 @@ func TestSpecValidation(t *testing.T) {
 			s.Faults = []predict.FaultSpec{{Machine: 5, Drop: 0.1}}
 		}},
 		{"negative warmup", func(s *predict.PlatformSpec) { s.Warmup = -1 }},
+		// A warm-up samples every monitor once a period before the first
+		// answer: one day at most.
+		{"warmup above a day", func(s *predict.PlatformSpec) { s.Warmup = 86401 }},
+		{"warmup 1e300", func(s *predict.PlatformSpec) { s.Warmup = 1e300 }},
+		{"infinite warmup", func(s *predict.PlatformSpec) { s.Warmup = math.Inf(1) }},
+		{"NaN warmup", func(s *predict.PlatformSpec) { s.Warmup = math.NaN() }},
 		{"bad link", func(s *predict.PlatformSpec) { s.Link = &predict.LinkSpec{DedBW: -1} }},
 		{"switch without boundary", func(s *predict.PlatformSpec) {
 			s.CPU = []workload.LoadSpec{{Kind: "switch", Children: []workload.LoadSpec{{Kind: "light"}, {Kind: "light"}}}}
@@ -80,6 +87,10 @@ func TestSpecValidation(t *testing.T) {
 	spec := valid()
 	if err := spec.Validate(); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
+	}
+	spec.Warmup = predict.MaxWarmup
+	if err := spec.Validate(); err != nil {
+		t.Fatalf("warmup at the ceiling rejected: %v", err)
 	}
 	// At the ceiling is still a load.
 	spec.CPU = []workload.LoadSpec{{Kind: "user-sessions", Lambda: workload.MaxUsers, Mu: 1},

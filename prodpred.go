@@ -397,8 +397,8 @@ type (
 var DefaultCPUPrior = predict.DefaultCPUPrior
 
 // NewPredictionService builds the prediction service the spec describes and
-// runs its warm-up. Advance or AdvanceTo moves its virtual clock (and all
-// monitors) further; Predict answers at the current time.
+// runs its warm-up. Advance moves its virtual clock (and all monitors)
+// further; Predict answers at the current time.
 func NewPredictionService(spec PlatformSpec) (*PredictionService, error) {
 	return predict.NewServiceFromSpec(&spec, nil)
 }

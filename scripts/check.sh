@@ -10,9 +10,10 @@
 # quantile selection against the sort, of the growing measurement ring against
 # a plain slice, of stochcalc's evaluator (finite or an error), of the
 # prediction ledger against the map it replaced, of the metrics exposition's
-# label escaping, and of the trace, scenario, spec and snapshot readers, the bench/ module's vet + tests, one run of each
-# program under examples/, the snapshot drill over the real daemon binary, and
-# a report-only line count (scripts/loc.sh).
+# label escaping, and of the trace, scenario, spec and snapshot readers, one
+# run of each program under examples/, the snapshot drill over the real daemon
+# binary, the bench/ module's vet + tests, and a report-only line count
+# (scripts/loc.sh).
 # The strip-parallel SOR backend, the sharded Monte Carlo engine, and the
 # predict.Service prediction core are concurrent by design, so -race is not
 # optional here.
@@ -111,11 +112,6 @@ go test -run '^$' -fuzz FuzzParseScenario -fuzztime 5s ./internal/workload
 go test -run '^$' -fuzz FuzzParseSpecs -fuzztime 5s ./internal/predict
 go test -run '^$' -fuzz FuzzReadSnapshot -fuzztime 5s ./internal/predict
 
-# The benchmark harness is its own module (bench/go.mod, replace prodpred
-# => ../), so ./... above does not see it: vet and test it here, or an
-# internal/ API change breaks bench/adapter.go silently.
-(cd bench && go vet ./... && go test ./...)
-
 # Every example must still run to completion: go vet only compiles them.
 for ex in examples/*/; do
     if ! go run "./$ex" >/dev/null; then
@@ -129,9 +125,17 @@ done
 # one that never stopped.
 scripts/snapshot_smoke.sh
 
+# The benchmark harness is its own module (bench/go.mod, replace prodpred
+# => ../), so ./... above does not see it: vet and test it here, or an
+# internal/ API change breaks bench/adapter.go silently. It runs after the
+# examples and the snapshot drill so that a failure here (its
+# TestTraceSpansNest is timing-sensitive on a loaded box) does not keep them
+# from running; it still fails the script.
+(cd bench && go vet ./... && go test ./...)
+
 # Coverage summary for the online-calibration layer (report-only, no gate).
 go test -cover ./internal/calib ./internal/predict | awk '{print "check.sh: coverage:", $0}'
 # Go line count of the root module (report-only, no gate).
 scripts/loc.sh | awk '{print "check.sh: lines:", $0}'
 
-echo "check.sh: gofmt, vet, race-enabled tests, the concurrency tests at -cpu 1,4, bench smoke, loadgen round trip, POST-body, point- and value-evaluator, BIC-race, mixture-quantile, sorted-window, quantile-selection, ring (FuzzRing), stochcalc-evaluator, ledger (FuzzLedger), label-escape (FuzzLabelEscape), trace-reader (FuzzReadTrace), scenario-parser (FuzzParseScenario), spec-parser (FuzzParseSpecs) and snapshot-reader (FuzzReadSnapshot) fuzz, the bench/ module, the examples, and the snapshot round trip all clean"
+echo "check.sh: gofmt, vet, race-enabled tests, the concurrency tests at -cpu 1,4, bench smoke, loadgen round trip, POST-body, point- and value-evaluator, BIC-race, mixture-quantile, sorted-window, quantile-selection, ring (FuzzRing), stochcalc-evaluator, ledger (FuzzLedger), label-escape (FuzzLabelEscape), trace-reader (FuzzReadTrace), scenario-parser (FuzzParseScenario), spec-parser (FuzzParseSpecs) and snapshot-reader (FuzzReadSnapshot) fuzz, the examples, the snapshot round trip, and the bench/ module all clean"
