@@ -40,15 +40,6 @@ func (m Machine) Validate() error {
 	return nil
 }
 
-// FitsInMemory reports whether an NxN float64 grid plus working copies fits
-// in this machine's share of memory when the grid is split across p
-// machines. The solver stores the grid once plus two ghost rows.
-func (m Machine) FitsInMemory(n, p int) bool {
-	rows := float64(n)/float64(p) + 2
-	bytes := rows * float64(n) * 8
-	return bytes <= m.MemoryMB*1e6*0.8 // leave 20% headroom for OS/code
-}
-
 // Link is a point-to-point channel between two machines. On a shared
 // ethernet every pair sees the same dedicated bandwidth.
 type Link struct {
@@ -113,28 +104,6 @@ func (p *Platform) Link(i, j int) (Link, error) {
 		return Link{}, errors.New("cluster: no self link")
 	}
 	return p.link, nil
-}
-
-// MachineIndex returns the index of the machine with the given name.
-func (p *Platform) MachineIndex(name string) (int, error) {
-	for i, m := range p.Machines {
-		if m.Name == name {
-			return i, nil
-		}
-	}
-	return 0, fmt.Errorf("cluster: no machine named %q", name)
-}
-
-// SlowestMachine returns the index of the machine with the lowest dedicated
-// rate (the paper tracks "the (consistently) slowest machine").
-func (p *Platform) SlowestMachine() int {
-	best := 0
-	for i, m := range p.Machines {
-		if m.ElemRate < p.Machines[best].ElemRate {
-			best = i
-		}
-	}
-	return best
 }
 
 // Circa-1997 machine catalog. ElemRate is element updates per second for

@@ -22,18 +22,6 @@ func TestMachineValidate(t *testing.T) {
 	}
 }
 
-func TestFitsInMemory(t *testing.T) {
-	m := Machine{Name: "m", ElemRate: 1, MemoryMB: 32}
-	// 1000x1000 split 4 ways: 252 rows * 1000 cols * 8 B = ~2 MB: fits.
-	if !m.FitsInMemory(1000, 4) {
-		t.Error("1000^2 /4 should fit in 32MB")
-	}
-	// 4000x4000 on one machine: 4002*4000*8 = ~128 MB: does not fit.
-	if m.FitsInMemory(4000, 1) {
-		t.Error("4000^2 should not fit in 32MB")
-	}
-}
-
 func TestLinkValidate(t *testing.T) {
 	if err := Ethernet10Mbit().Validate(); err != nil {
 		t.Errorf("ethernet link: %v", err)
@@ -82,24 +70,6 @@ func TestPlatformAccessors(t *testing.T) {
 	}
 	if _, err := p.Link(0, 9); err == nil {
 		t.Error("out of range should fail")
-	}
-	i, err := p.MachineIndex("sparc10")
-	if err != nil || i != 3 {
-		t.Errorf("MachineIndex=%d err=%v", i, err)
-	}
-	if _, err := p.MachineIndex("nope"); err == nil {
-		t.Error("unknown name should fail")
-	}
-}
-
-func TestSlowestMachine(t *testing.T) {
-	p1 := Platform1()
-	if got := p1.SlowestMachine(); p1.Machine(got).Name != "sparc2-a" {
-		t.Errorf("platform1 slowest=%s", p1.Machine(got).Name)
-	}
-	p2 := Platform2()
-	if got := p2.SlowestMachine(); p2.Machine(got).Name != "sparc5" {
-		t.Errorf("platform2 slowest=%s", p2.Machine(got).Name)
 	}
 }
 

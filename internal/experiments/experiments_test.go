@@ -264,6 +264,37 @@ func TestFig9StableAcrossSeeds(t *testing.T) {
 	}
 }
 
+// TestPaperClaimsAcrossSeeds: the paper's claims that hold beyond seed 1
+// hold at every seed 1–10. On the bursty Platform 2 (Figures 12–17) the
+// intervals capture 80–100 % of the runs and the interval's max error stays
+// below the point value's; Table 1's two machines keep their spread order.
+// The ~14 % max interval error is not among them: it reproduces only in
+// spread (EXPERIMENTS.md, "The paper's claims at seeds 1–10").
+func TestPaperClaimsAcrossSeeds(t *testing.T) {
+	for seed := int64(1); seed <= 10; seed++ {
+		for _, id := range []string{"fig12-13", "fig14-15", "fig16-17"} {
+			r := runExp(t, id, seed)
+			capture, _ := r.Metric("capture_frac")
+			interval, _ := r.Metric("max_interval_err")
+			point, _ := r.Metric("max_mean_err")
+			t.Logf("seed %d %s: capture %.3f, max interval err %.3f, max point err %.3f", seed, id, capture, interval, point)
+			if capture < 0.80 || capture > 1 {
+				t.Errorf("seed %d %s: capture %g outside [0.80, 1]", seed, id, capture)
+			}
+			if interval >= point {
+				t.Errorf("seed %d %s: max interval error %g not below max point error %g", seed, id, interval, point)
+			}
+		}
+		r := runExp(t, "table1", seed)
+		a, _ := r.Metric("relSpreadA")
+		b, _ := r.Metric("relSpreadB")
+		t.Logf("seed %d table1: relSpreadA %.4f, relSpreadB %.4f", seed, a, b)
+		if a >= b {
+			t.Errorf("seed %d table1: relative spread A %g not below B %g", seed, a, b)
+		}
+	}
+}
+
 func TestAblationSelfSchedShape(t *testing.T) {
 	r := runExp(t, "ablation-selfsched", 1)
 	moderate, _ := r.Metric("self-sched_chunk5")

@@ -246,22 +246,3 @@ func TestCPUSensorWrapsEnv(t *testing.T) {
 		t.Error("nil env should fail")
 	}
 }
-
-func TestTotalStats(t *testing.T) {
-	in := NewInjector(4)
-	for m := 0; m < 2; m++ {
-		if err := in.Set(m, Schedule{DropProb: 1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for m := 0; m < 2; m++ {
-		s := in.Sensor(m, constSensor(1))
-		for i := 0; i < 10; i++ {
-			_, _ = s(float64(i))
-		}
-	}
-	tot := in.TotalStats()
-	if tot.Drops != 20 || tot.Total() != 20 {
-		t.Errorf("TotalStats=%+v want 20 drops", tot)
-	}
-}

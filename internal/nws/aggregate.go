@@ -13,18 +13,18 @@ const blockLen = 32
 // window kept sorted.
 //
 // While the ring has not wrapped (pushes <= capacity), the whole-ring
-// forecasters are the sweep's own left-to-right pass, bit for bit. After, the
-// ring holds the samples of global index [s, n), and they are read in three
-// parts cut at the multiples of blockLen:
+// forecasters are their own Predicts' left-to-right passes, bit for bit.
+// After, the ring holds the samples of global index [s, n), and they are
+// read in three parts cut at the multiples of blockLen:
 //
 //   - the head, [s, next multiple of blockLen after s), folded from the ring
-//     on read as the sweep folds a history;
+//     on read as Predict folds a history;
 //   - every complete block after it, each folded once when it filled: its
 //     sum from +0, and per smoother the affine map x → rest^blockLen·x + b,
 //     b being the smoother's recurrence over the block from 0;
 //   - the tail, the block now filling, folded the same way so far.
 //
-// That is a different order of the sweep's additions (within a few ulps of
+// That is a different order of Predict's additions (within a few ulps of
 // it), and a pure function of the ring and the push count n, which
 // Stats.Recorded() carries: ImportState rebuilds it from the ring.
 type aggregate struct {
@@ -32,7 +32,7 @@ type aggregate struct {
 	capacity int // the ring's
 	n        int // samples pushed: the global index of the next one
 
-	// The sweep's pass, advanced while n <= capacity.
+	// Predict's pass, advanced while n <= capacity.
 	sum    float64
 	smooth []float64 // parallel to mix.smooth
 

@@ -150,7 +150,8 @@ func (f Forecast) Stochastic() stochastic.Value {
 //
 // Everything a Mix does with a history starts from the battery's predictions
 // of it (a sweep); the postmortem and the forecast are both read off them.
-// Update and Forecast sweep the history they are given, in one pass over it.
+// Update and Forecast sweep the history they are given, each forecaster's
+// Predict in turn.
 // A Monitor never re-reads its ring: it keeps an aggregate of it (RunningMean
 // and the ExpSmoothing chains folded over aligned blocks, the WindowMedian
 // windows kept sorted), reads the battery off that once per ring state and
@@ -161,9 +162,9 @@ type Mix struct {
 	sqErr       []float64
 	n           []int
 
-	// RunningMean and every ExpSmoothing walk the whole history; the sweep
-	// advances them together in one pass over it. fused marks their battery
-	// positions, means and smooth list them.
+	// RunningMean and every ExpSmoothing walk the whole history; a Monitor's
+	// aggregate advances them together, one sample per push. fused marks
+	// their battery positions, means and smooth list them.
 	fused  []bool
 	means  []int
 	smooth []smoother
@@ -176,12 +177,11 @@ type Mix struct {
 	sweeps  int   // battery passes run so far
 }
 
-// smoother is one ExpSmoothing chain of the shared pass.
+// smoother is one ExpSmoothing chain of the aggregate's shared pass.
 type smoother struct {
 	idx         int     // battery position
 	alpha, rest float64 // gain and 1-gain
 	pow         float64 // rest^blockLen, multiplied out in order
-	s           float64
 }
 
 // median is one WindowMedian of the battery.
@@ -240,44 +240,13 @@ func (m *Mix) newSweep() sweep {
 	return sweep{val: make([]float64, len(m.forecasters)), ok: make([]bool, len(m.forecasters))}
 }
 
-// sweep runs the battery over hist into out. Each prediction is exactly what
-// the forecaster's own Predict returns; the fused ones only share the loop.
+// sweep runs the battery over hist into out: each forecaster's own Predict.
 // It serves the exported history-taking methods, and is what a Monitor's
 // aggregate reads the same predictions as (bit for bit until its ring wraps).
 func (m *Mix) sweep(hist []float64, out *sweep) {
 	m.sweeps++
 	for i, f := range m.forecasters {
-		if !m.fused[i] {
-			out.val[i], out.ok[i] = f.Predict(hist)
-		}
-	}
-	if len(hist) == 0 {
-		for i, fused := range m.fused {
-			if fused {
-				out.val[i], out.ok[i] = 0, false
-			}
-		}
-		return
-	}
-	// 0 + hist[0], not hist[0]: RunningMean starts its sum at +0, and the
-	// two differ for a history that opens with -0.
-	var sum float64
-	sum += hist[0]
-	for c := range m.smooth {
-		m.smooth[c].s = hist[0]
-	}
-	for _, x := range hist[1:] {
-		sum += x
-		for c := range m.smooth {
-			sm := &m.smooth[c]
-			sm.s = sm.alpha*x + sm.rest*sm.s
-		}
-	}
-	for _, i := range m.means {
-		out.val[i], out.ok[i] = sum/float64(len(hist)), true
-	}
-	for _, sm := range m.smooth {
-		out.val[sm.idx], out.ok[sm.idx] = sm.s, true
+		out.val[i], out.ok[i] = f.Predict(hist)
 	}
 }
 

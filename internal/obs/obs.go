@@ -139,13 +139,14 @@ func (g *Gauge) Value() float64 {
 }
 
 // Histogram is a fixed-bucket latency histogram: observation counts over
-// explicit upper bounds (plus an implicit +Inf overflow bucket), a running
-// sum, and quantile snapshots by linear interpolation within buckets — the
-// standard Prometheus histogram shape, answerable in-process without a
-// query engine. internal/stats.Histogram is the offline sibling (linear
-// bins over a known range, for load-shape analysis); latency spans four
-// orders of magnitude, so exposition uses exponential bounds instead, and
-// exact quantiles over raw samples remain stats.Quantile's job.
+// explicit upper bounds (plus an implicit +Inf overflow bucket) and a
+// running sum — the standard Prometheus histogram shape. Quantiles are the
+// scraper's to estimate from the exposed buckets; in process a histogram
+// reads only its count and sum (Snapshot). internal/stats.Histogram is the
+// offline sibling (linear bins over a known range, for load-shape
+// analysis); latency spans four orders of magnitude, so exposition uses
+// exponential bounds instead, and exact quantiles over raw samples remain
+// stats.Quantile's job.
 //
 // All methods are safe for concurrent use and no-ops on a nil receiver.
 type Histogram struct {
@@ -175,67 +176,22 @@ func (h *Histogram) Observe(v float64) {
 	h.n++
 }
 
-// HistSnapshot is a consistent point-in-time read of a Histogram.
+// HistSnapshot is a consistent point-in-time read of a Histogram: the
+// total number of observations and their sum.
 type HistSnapshot struct {
-	// Count is the total number of observations; Sum their sum.
 	Count uint64
 	Sum   float64
-	// Mean is Sum/Count (0 when empty).
-	Mean float64
-	// P50, P95, P99 are quantile estimates by linear interpolation within
-	// the matching bucket; values in the +Inf overflow bucket clamp to the
-	// largest finite bound.
-	P50, P95, P99 float64
 }
 
-// Snapshot returns the histogram's count, sum, mean, and p50/p95/p99
-// estimates under one lock acquisition.
+// Snapshot returns the histogram's count and sum under one lock
+// acquisition.
 func (h *Histogram) Snapshot() HistSnapshot {
 	if h == nil {
 		return HistSnapshot{}
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	s := HistSnapshot{Count: h.n, Sum: h.sum}
-	if h.n == 0 {
-		return s
-	}
-	s.Mean = h.sum / float64(h.n)
-	s.P50 = h.quantileLocked(0.50)
-	s.P95 = h.quantileLocked(0.95)
-	s.P99 = h.quantileLocked(0.99)
-	return s
-}
-
-// quantileLocked estimates the q-quantile (0 < q < 1) of a non-empty
-// histogram by interpolation within the matching bucket. h.mu is held.
-func (h *Histogram) quantileLocked(q float64) float64 {
-	target := q * float64(h.n)
-	var cum float64
-	for i, c := range h.counts {
-		prev := cum
-		cum += float64(c)
-		if cum < target || c == 0 {
-			continue
-		}
-		if i == len(h.bounds) {
-			// Overflow bucket: no finite upper edge to interpolate toward.
-			if len(h.bounds) == 0 {
-				return 0
-			}
-			return h.bounds[len(h.bounds)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = h.bounds[i-1]
-		}
-		hi := h.bounds[i]
-		return lo + (hi-lo)*(target-prev)/float64(c)
-	}
-	if len(h.bounds) == 0 {
-		return 0
-	}
-	return h.bounds[len(h.bounds)-1]
+	return HistSnapshot{Count: h.n, Sum: h.sum}
 }
 
 // family is one named metric family: a type, a label schema, and a series

@@ -94,6 +94,7 @@ func TestAdvanceAllWorkers(t *testing.T) {
 	} {
 		reg := liveFleet(t, tc.tenants, RegistryOptions{})
 		WaitRefits()
+		spawned := background.spawned.Load()
 		runtime.GOMAXPROCS(tc.procs)
 		var held *Service
 		if svcs := reg.Services(); len(svcs) > 0 {
@@ -111,7 +112,7 @@ func TestAdvanceAllWorkers(t *testing.T) {
 			}
 			held.monMu.Unlock()
 		}
-		if got := reg.spawned.Load(); got != tc.spawned {
+		if got := background.spawned.Load() - spawned; got != tc.spawned {
 			t.Errorf("%s: wave started %d goroutines, want %d", tc.name, got, tc.spawned)
 		}
 		for i, svc := range services {
@@ -128,6 +129,51 @@ func TestAdvanceAllWorkers(t *testing.T) {
 	}
 }
 
+// TestBackgroundRefitQueueIsProcessWide: the catch-up workers are bounded
+// by backgroundWorkers() across the process, not per registry or per step.
+// Two registries' waves over tenants whose monitors are held, then a
+// standalone tenant's own step, start 3 workers in all at GOMAXPROCS(4)
+// (the standalone's monitors are free: a blocked worker holds its tenant's
+// clock lock shared, which a tenant of the waves could not step past). Once
+// released, the drain leaves every monitor at its clock.
+func TestBackgroundRefitQueueIsProcessWide(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	regs := []*Registry{liveFleet(t, 6, RegistryOptions{}), liveFleet(t, 6, RegistryOptions{})}
+	alone, err := NewServiceFromSpec(&FleetSpecs(1, 5)[0], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	WaitRefits()
+	spawned := background.spawned.Load()
+	var held []*Service
+	for _, reg := range regs {
+		for _, svc := range reg.Services() {
+			svc.monMu.Lock()
+			held = append(held, svc)
+		}
+	}
+	for _, reg := range regs {
+		if _, _, err := reg.AdvanceAll(5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := alone.Advance(5); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := background.spawned.Load()-spawned, int64(backgroundWorkers()); got != want {
+		t.Errorf("two waves and a step started %d catch-up workers, want %d", got, want)
+	}
+	for _, svc := range held {
+		svc.monMu.Unlock()
+	}
+	WaitRefits()
+	for _, svc := range append(held, alone) {
+		if got := behindMonitors(svc); got != 0 {
+			t.Errorf("%s has %d monitors behind its clock after the drain", svc.Name(), got)
+		}
+	}
+}
+
 // TestAdvanceAllRefusesNegativeStep: a wave refuses a negative step before
 // it moves a clock, so a refused wave does nothing: no clock moves, no wave
 // is observed, no tenant is queued and no catch-up worker starts.
@@ -137,7 +183,7 @@ func TestAdvanceAllRefusesNegativeStep(t *testing.T) {
 	reg := liveFleet(t, 12, RegistryOptions{Metrics: metrics})
 	WaitRefits()
 	waves := func() uint64 { return metrics.NewHistogram(MetricFleetAdvance, "", nil).Snapshot().Count }
-	spawned, observed := reg.spawned.Load(), waves()
+	spawned, observed := background.spawned.Load(), waves()
 	services, times, err := reg.AdvanceAll(-1)
 	if err == nil || !strings.Contains(err.Error(), "negative advance") {
 		t.Errorf("error %v, want a negative-advance refusal", err)
@@ -153,13 +199,13 @@ func TestAdvanceAllRefusesNegativeStep(t *testing.T) {
 			t.Errorf("%s queued for catch-up by a refused wave", svc.Name())
 		}
 	}
-	reg.catchMu.Lock()
-	behind := len(reg.behind)
-	reg.catchMu.Unlock()
+	background.mu.Lock()
+	behind := len(background.behind)
+	background.mu.Unlock()
 	if behind != 0 {
 		t.Errorf("%d tenants in the catch-up queue after a refused wave, want 0", behind)
 	}
-	if got := reg.spawned.Load(); got != spawned {
+	if got := background.spawned.Load(); got != spawned {
 		t.Errorf("refused wave started %d catch-up workers, want 0", got-spawned)
 	}
 	if got := waves(); got != observed {

@@ -33,18 +33,8 @@ type Registry struct {
 	metrics *obs.Registry
 
 	// waveSeconds is the wall time of each AdvanceAll's clock moves (nil
-	// without metrics); spawned counts the catch-up workers AdvanceAll has
-	// started, for the tests that pin how many.
+	// without metrics).
 	waveSeconds *obs.Histogram
-	spawned     atomic.Int64
-
-	// behind is the catch-up queue: the tenants a wave moved the clock of,
-	// whose monitors a worker has not caught up yet, each at most once
-	// (Service.queued). workers counts the workers draining it, at most
-	// backgroundWorkers(). catchMu guards both.
-	catchMu sync.Mutex
-	behind  []*Service
-	workers int
 
 	// mu guards entries and roster. roster is every registration in name
 	// order — the order names, live services and snapshots are listed in —
@@ -269,14 +259,14 @@ func (r *Registry) Services() []*Service {
 // step left it. A negative dt is refused before any clock moves: nothing
 // else can fail a move.
 //
-// The monitors catch up behind the answer: the wave queues its tenants, and
-// up to one worker per processor but one (at least one) takes each from the
-// queue, runs its monitors forward under the shared clock lock and runs the
-// mixture refits that fell due. A reader that comes first catches the
-// tenant up itself (Service.catchUpLocked), so nothing sees a monitor behind
-// its clock and every answer and image is the eager step's; WaitRefits
-// drains the workers. Waves that come faster than the workers drain grow
-// neither the queue (a tenant waits in it once) nor the workers.
+// The monitors catch up behind the answer: the wave queues its tenants on
+// the process's one background queue (queueCatchUps), whose workers run each
+// tenant's monitors forward under the shared clock lock and then the mixture
+// refits that fell due. A reader that comes first catches the tenant up
+// itself (Service.catchUpLocked), so nothing sees a monitor behind its clock
+// and every answer and image is the eager step's; WaitRefits drains the
+// workers. Waves that come faster than the workers drain grow neither the
+// queue (a tenant waits in it once) nor the workers.
 func (r *Registry) AdvanceAll(dt float64) ([]*Service, []float64, error) {
 	if dt < 0 {
 		return nil, nil, fmt.Errorf("predict: negative advance %g", dt)
@@ -288,49 +278,8 @@ func (r *Registry) AdvanceAll(dt float64) ([]*Service, []float64, error) {
 		times[i] = svc.moveClock(dt)
 	}
 	r.waveSeconds.Observe(time.Since(start).Seconds())
-	r.queueCatchUps(services)
+	queueCatchUps(services...)
 	return services, times, nil
-}
-
-// queueCatchUps queues the services a wave moved and starts as many workers
-// as the queue can use, up to backgroundWorkers() running.
-func (r *Registry) queueCatchUps(services []*Service) {
-	r.catchMu.Lock()
-	for _, svc := range services {
-		if svc.queued.CompareAndSwap(false, true) {
-			r.behind = append(r.behind, svc)
-		}
-	}
-	start := max(min(backgroundWorkers()-r.workers, len(r.behind)), 0)
-	r.workers += start
-	refitsRunning.Add(start)
-	r.catchMu.Unlock()
-	r.spawned.Add(int64(start))
-	for ; start > 0; start-- {
-		go r.catchUpWorker()
-	}
-}
-
-// catchUpWorker catches queued tenants up until the queue is empty. A
-// tenant leaves the queue before it is caught up, so a wave that moves it
-// meanwhile queues it again rather than leave it behind.
-func (r *Registry) catchUpWorker() {
-	defer refitsRunning.Done()
-	for {
-		r.catchMu.Lock()
-		if len(r.behind) == 0 {
-			r.behind = nil
-			r.workers--
-			r.catchMu.Unlock()
-			return
-		}
-		svc := r.behind[0]
-		r.behind[0] = nil
-		r.behind = r.behind[1:]
-		svc.queued.Store(false)
-		r.catchMu.Unlock()
-		svc.catchUp()
-	}
 }
 
 // Predict routes the request to the service named by req.Platform.

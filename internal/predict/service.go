@@ -117,8 +117,8 @@ type Service struct {
 	// which replaced tick; guarded by clockMu.
 	gen uint64
 
-	// queued says the service waits in its registry's catch-up queue
-	// (Registry.AdvanceAll), so a wave queues it at most once.
+	// queued says the service waits in the background catch-up queue
+	// (queueCatchUps), so a step queues it at most once.
 	queued atomic.Bool
 
 	// design is the fixed Latin-hypercube sample the distribution transform
@@ -245,11 +245,11 @@ func (s *Service) CacheGeneration() uint64 {
 // Advance moves the clock forward by dt virtual seconds, taking every
 // sensor measurement that falls due: under the exclusive clock lock the
 // clock moves (moveClockLocked) and every monitor runs forward to it on the
-// calling goroutine (catchUpLocked); the mixture refits that fell due start
-// (runRefits) once the lock is released. A tenant's own step does both
-// halves because its caller reads the tenant next; a fleet-wide wave moves
-// every clock first and leaves the catching up to the background
-// (Registry.AdvanceAll).
+// calling goroutine (catchUpLocked); the tenant then queues itself for the
+// background (queueCatchUps), which runs the mixture refits that fell due.
+// A tenant's own step samples on the caller because its caller reads the
+// tenant next; a fleet-wide wave moves every clock first and leaves the
+// sampling to the background too (Registry.AdvanceAll).
 func (s *Service) Advance(dt float64) error {
 	if dt < 0 {
 		return fmt.Errorf("predict: negative advance %g", dt)
@@ -257,9 +257,8 @@ func (s *Service) Advance(dt float64) error {
 	s.clockMu.Lock()
 	s.moveClockLocked(s.now + dt)
 	s.catchUpLocked()
-	refits := s.takeRefitsLocked()
 	s.clockMu.Unlock()
-	runRefits(refits)
+	queueCatchUps(s)
 	return nil
 }
 
@@ -303,7 +302,8 @@ func (s *Service) moveClockLocked(t float64) {
 // a pure function of its own sample stream (no cross-monitor state), so each
 // lands on the same bits whenever it runs and whatever runs beside it.
 // A mixture refit that falls due is only recorded: it stays pending until
-// a step hands it out (TakeRefit) or the next round or read installs it.
+// a background worker takes it (TakeRefit) or the next round or read
+// installs it.
 // Monitor.RunUntil's error is documented always nil (a failed sample is a
 // gap, not an error).
 func (s *Service) catchUpLocked() {
@@ -328,10 +328,10 @@ func (s *Service) takeRefitsLocked() []*nws.Refit {
 	return refits
 }
 
-// catchUp is the background half of a fleet-wide step: it catches the
-// monitors up to the clock under the shared clock lock and monMu, then runs
-// the mixture refits that fell due (on this step or on a read's catch-up
-// before it) with no lock held.
+// catchUp is the background half of a step: it catches the monitors up to
+// the clock under the shared clock lock and monMu (a no-op after a tenant's
+// own step), then runs the mixture refits that fell due (on a step or on a
+// read's catch-up before it) with no lock held.
 func (s *Service) catchUp() {
 	s.clockMu.RLock()
 	s.monMu.Lock()
@@ -344,28 +344,63 @@ func (s *Service) catchUp() {
 	}
 }
 
-// refitsRunning counts the goroutines runRefits and the registries'
-// catch-up workers have running.
-var refitsRunning sync.WaitGroup
+// background is the process's one catch-up queue, which every step feeds,
+// whichever registry it belongs to: behind holds the tenants a step moved
+// the clock of and no worker has caught up yet, each at most once
+// (Service.queued), and workers counts the goroutines draining it, at most
+// backgroundWorkers() — one processor is left to the requests, the one
+// waiting on the step first. A read that needs a refit first runs it itself
+// or waits for it, so nothing waits on the workers. running counts them for
+// WaitRefits; spawned counts every worker started, for the tests that pin
+// how many. mu guards behind and workers.
+var background struct {
+	mu      sync.Mutex
+	behind  []*Service
+	workers int
+	running sync.WaitGroup
+	spawned atomic.Int64
+}
 
-// runRefits runs refits in the background, in order, on one goroutine per
-// processor but one (at least one, at most one per refit): the core left
-// over answers the requests meanwhile, the one waiting on the step first.
-// A read that needs a refit first runs it itself or waits for it, so
-// nothing waits on these goroutines.
-func runRefits(refits []*nws.Refit) {
-	if len(refits) == 0 {
-		return
+// queueCatchUps queues the services a step moved and starts as many
+// workers as the queue can use, up to backgroundWorkers() running.
+func queueCatchUps(services ...*Service) {
+	b := &background
+	b.mu.Lock()
+	for _, svc := range services {
+		if svc.queued.CompareAndSwap(false, true) {
+			b.behind = append(b.behind, svc)
+		}
 	}
-	var next atomic.Int64
-	for w := min(backgroundWorkers(), len(refits)); w > 0; w-- {
-		refitsRunning.Add(1)
-		go func() {
-			defer refitsRunning.Done()
-			for i := next.Add(1) - 1; i < int64(len(refits)); i = next.Add(1) - 1 {
-				refits[i].Run()
-			}
-		}()
+	start := max(min(backgroundWorkers()-b.workers, len(b.behind)), 0)
+	b.workers += start
+	b.running.Add(start)
+	b.mu.Unlock()
+	b.spawned.Add(int64(start))
+	for ; start > 0; start-- {
+		go catchUpWorker()
+	}
+}
+
+// catchUpWorker catches queued tenants up until the queue is empty. A
+// tenant leaves the queue before it is caught up, so a step that moves it
+// meanwhile queues it again rather than leave it behind.
+func catchUpWorker() {
+	b := &background
+	defer b.running.Done()
+	for {
+		b.mu.Lock()
+		if len(b.behind) == 0 {
+			b.behind = nil
+			b.workers--
+			b.mu.Unlock()
+			return
+		}
+		svc := b.behind[0]
+		b.behind[0] = nil
+		b.behind = b.behind[1:]
+		svc.queued.Store(false)
+		b.mu.Unlock()
+		svc.catchUp()
 	}
 }
 
@@ -373,12 +408,12 @@ func runRefits(refits []*nws.Refit) {
 // per processor but one, and at least one.
 func backgroundWorkers() int { return max(runtime.GOMAXPROCS(0)-1, 1) }
 
-// WaitRefits blocks until every background refit and every catch-up a
-// fleet-wide wave left behind, started so far, has run: the drain a
-// benchmark or test takes between clock steps so that the next one is timed
-// alone, after which every tenant's monitors stand at its clock. No step may
-// start background work while it waits.
-func WaitRefits() { refitsRunning.Wait() }
+// WaitRefits blocks until every catch-up a step queued, and the refits it
+// runs, started so far, has run: the drain a benchmark or test takes between
+// clock steps so that the next one is timed alone, after which every
+// tenant's monitors stand at its clock. No step may start background work
+// while it waits.
+func WaitRefits() { background.running.Wait() }
 
 // missedTotal sums the missed-sample counters of every monitor: what the
 // fault-gap counter reads.

@@ -11,8 +11,14 @@ import (
 // betweenRaces reports whether a CPU monitor of svc holds a mixture fit
 // made by a warm refit on the round just taken: FitObs, the round count a
 // snapshot carries, at 16, 32 or 48 past a multiple of 64. The next refit of
-// that monitor is one a restore has to schedule from the image alone.
+// that monitor is one a restore has to schedule from the image alone. A
+// background worker may still be taking the tenant's refits after its own
+// step returned, so the monitors are read under the locks it takes.
 func betweenRaces(svc *Service) bool {
+	svc.clockMu.RLock()
+	defer svc.clockMu.RUnlock()
+	svc.monMu.Lock()
+	defer svc.monMu.Unlock()
 	for _, mon := range svc.cpu {
 		st := mon.Tournament().ExportState()
 		if len(st.FitModes) > 0 && st.FitObs%64 != 0 && st.FitObs%16 == 0 {

@@ -178,50 +178,3 @@ func integrate(start, amount, dt float64, rate func(float64) float64) (float64, 
 	}
 	return 0, errors.New("simenv: work did not complete (rate too low)")
 }
-
-// MeasureCPU samples machine m's raw availability every dt over
-// [t0, t1] — the primitive behind the NWS CPU sensor.
-func (e *Env) MeasureCPU(m int, t0, t1, dt float64) ([]float64, error) {
-	if m < 0 || m >= e.platform.Size() {
-		return nil, fmt.Errorf("simenv: machine %d out of range", m)
-	}
-	if !(dt > 0) || t1 < t0 {
-		return nil, errors.New("simenv: bad measurement range")
-	}
-	n := sampleSteps(t0, t1, dt)
-	out := make([]float64, 0, n+1)
-	for i := 0; i <= n; i++ {
-		out = append(out, e.RawCPUAvail(m, t0+float64(i)*dt))
-	}
-	return out, nil
-}
-
-// sampleSteps returns the number of dt steps from t0 to the last sample at
-// or before t1. Iterating on the step index instead of accumulating t += dt
-// keeps non-representable periods like 0.1 from drifting enough to skip or
-// duplicate the final sample on long ranges.
-func sampleSteps(t0, t1, dt float64) int {
-	return int(math.Floor((t1-t0)/dt + 1e-9))
-}
-
-// MeasureBandwidth probes the link between i and j every dt over [t0, t1],
-// returning achieved bandwidth in bytes/second for a probe of probeBytes —
-// the primitive behind the NWS network sensor and the data for Figure 3.
-func (e *Env) MeasureBandwidth(i, j int, probeBytes, t0, t1, dt float64) ([]float64, error) {
-	if !(dt > 0) || t1 < t0 {
-		return nil, errors.New("simenv: bad measurement range")
-	}
-	if !(probeBytes > 0) {
-		return nil, errors.New("simenv: probe size must be positive")
-	}
-	n := sampleSteps(t0, t1, dt)
-	out := make([]float64, 0, n+1)
-	for k := 0; k <= n; k++ {
-		dur, err := e.TransferDuration(i, j, probeBytes, t0+float64(k)*dt)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, probeBytes/dur)
-	}
-	return out, nil
-}

@@ -111,12 +111,6 @@ func (pt *Partition) Elems(p int) int {
 	return pt.Rows[p] * (pt.N - 2)
 }
 
-// TotalElems returns the total interior points across processors.
-func (pt *Partition) TotalElems() int {
-	m := pt.N - 2
-	return m * m
-}
-
 // GhostRowBytes returns the size in bytes of one exchanged ghost row
 // (N-2 interior float64 values).
 func (pt *Partition) GhostRowBytes() float64 {

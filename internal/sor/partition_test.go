@@ -94,9 +94,6 @@ func TestPartitionElems(t *testing.T) {
 	if pt.Elems(0) != 2*8 {
 		t.Errorf("Elems=%d", pt.Elems(0))
 	}
-	if pt.TotalElems() != 64 {
-		t.Errorf("TotalElems=%d", pt.TotalElems())
-	}
 	if pt.GhostRowBytes() != 64 {
 		t.Errorf("GhostRowBytes=%g", pt.GhostRowBytes())
 	}

@@ -33,16 +33,20 @@ go vet ./...
 go test -race ./...
 # That pass runs at the runner's one GOMAXPROCS. The serving core's locking
 # has two shapes that depend on it — Registry.AdvanceAll moves the clocks on
-# the caller and leaves the monitors' catch-up to GOMAXPROCS−1 background
-# workers (one at one scheduler, where they only run when the caller
-# yields), and the one-lock-per-owner paths only meet where goroutines
+# the caller and leaves the monitors' catch-up to one process-wide
+# background queue, which a tenant's own step also feeds with its refits,
+# drained by at most GOMAXPROCS−1 workers (one at one scheduler, where they
+# only run when the caller yields), and the one-lock-per-owner paths only
+# meet where goroutines
 # really interleave — so the concurrency tests (and only they) run again at
 # both, whatever the runner has; the calibrator's TestConcurrentObserve and
 # TestDeterministicState (snapshot readers racing Observe) among them,
 # api's TestReportIsOneTick (pollers racing a clock step), predict's
 # TestAdvanceAllCatchUpRace (every monitor reader racing waves whose
 # catch-up the background has not finished), TestBackgroundRefitReaders
-# (reads racing the mixture refits a step leaves to the background) and
+# (reads racing the mixture refits a step leaves to the background),
+# TestBackgroundRefitQueueIsProcessWide (two registries' waves and a
+# tenant's own step share the one worker bound) and
 # TestConcurrentLedger (predicts, observes, discards and snapshot writes on
 # one service's ledger) and api's
 # TestScrapeDuringFleetOps (GET /metrics, whose gauges read their owners,
