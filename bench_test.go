@@ -15,15 +15,13 @@ import (
 	"time"
 
 	"prodpred/internal/api"
-	"prodpred/internal/calib"
+	"prodpred/internal/dist"
 	"prodpred/internal/experiments"
 	"prodpred/internal/load"
 	"prodpred/internal/modal"
-	"prodpred/internal/nws"
 	"prodpred/internal/obs"
 	"prodpred/internal/predict"
 	"prodpred/internal/sor"
-	"prodpred/internal/stats"
 	"prodpred/internal/stochastic"
 )
 
@@ -532,7 +530,7 @@ func BenchmarkRefit64(b *testing.B) {
 }
 
 // BenchmarkMixtureQuantileGrid times the quantile grid the mixture competitor
-// tabulates on every refit and every restore: the nine DistLevels of a
+// tabulates on every refit and every restore: the nine grid levels of a
 // four-mode fit of BenchmarkFitBIC64's window.
 func BenchmarkMixtureQuantileGrid(b *testing.B) {
 	fit, err := modal.FitEM(fitWindow64(b, BurstyLoad), 4)
@@ -546,7 +544,7 @@ func BenchmarkMixtureQuantileGrid(b *testing.B) {
 	var sink float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, p := range nws.DistLevels {
+		for _, p := range dist.GridLevels {
 			sink += mx.Quantile(p)
 		}
 	}
@@ -573,10 +571,7 @@ func BenchmarkTrackerObserveQuantiles(b *testing.B) {
 			// A centered predictive distribution: every level has scores
 			// on both sides.
 			raw := stochastic.FromMeanSigma(100, 5)
-			grid := make([]float64, len(calib.QuantileGridLevels))
-			for j, p := range calib.QuantileGridLevels {
-				grid[j] = 100 + 5*stats.NormalQuantile(p)
-			}
+			grid := dist.NormalGrid(100, 5)
 			rng := rand.New(rand.NewSource(1))
 			outcomes := make([]CalibrationOutcome, 256)
 			for i := range outcomes {

@@ -12,12 +12,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"prodpred/internal/calib"
 	"prodpred/internal/fleetsched"
@@ -914,6 +914,9 @@ func TestReportIsOneTick(t *testing.T) {
 
 	var stepping atomic.Bool
 	stepping.Store(true)
+	// newest is the latest clock reading any poll has returned, as float
+	// bits (non-negative floats order as their bits do).
+	var newest atomic.Uint64
 	seen := make([]map[float64]bool, pollers)
 	var wg sync.WaitGroup
 	for p := range seen {
@@ -928,15 +931,27 @@ func TestReportIsOneTick(t *testing.T) {
 					return
 				}
 				seen[p][at] = true
+				for bits := math.Float64bits(at); ; {
+					old := newest.Load()
+					if old >= bits || newest.CompareAndSwap(old, bits) {
+						break
+					}
+				}
 			}
 		}()
 	}
+	// The stepper is paced: after each step it waits, up to a short bound,
+	// until a poll has read the new clock, so a busy machine that starves
+	// the pollers cannot let the steps run out before they race them.
 	for i := 0; i < steps && !t.Failed(); i++ {
 		if err := svc.Advance(5); err != nil {
 			t.Error(err)
 			break
 		}
-		runtime.Gosched()
+		now := math.Float64bits(svc.Now())
+		for deadline := time.Now().Add(50 * time.Millisecond); newest.Load() < now && time.Now().Before(deadline); {
+			time.Sleep(20 * time.Microsecond)
+		}
 	}
 	stepping.Store(false)
 	wg.Wait()

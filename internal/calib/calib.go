@@ -36,6 +36,7 @@ import (
 	"math"
 	"sync"
 
+	"prodpred/internal/dist"
 	"prodpred/internal/stats"
 	"prodpred/internal/stochastic"
 )
@@ -94,7 +95,7 @@ type Outcome struct {
 	// prediction.
 	Actual float64
 	// RawQuantiles, when present, are the uncalibrated predictive quantiles
-	// at QuantileGridLevels (distribution-valued predictions). They feed the
+	// at dist.GridLevels (distribution-valued predictions). They feed the
 	// per-level quantile calibrator and the realized-quantile (PIT) scorer;
 	// nil for legacy point-plus-spread outcomes.
 	RawQuantiles []float64
@@ -186,7 +187,7 @@ type Tracker struct {
 	// Per-regime state, cleared by resetLocked.
 	sinceReset int
 	scale      float64
-	qLo, qHi   []float64 // per-IntervalLevels quantile multipliers
+	qLo, qHi   []float64 // per-interval-level quantile multipliers
 	// qShift is the conformal median shift (fraction of median). Unlike
 	// the fields above it is full-window state: drift resets leave it in
 	// place because model bias outlives load regimes.
@@ -208,9 +209,9 @@ type Tracker struct {
 // New returns a fresh Tracker. The error is always nil (see Config).
 func New(Config) (*Tracker, error) {
 	t := &Tracker{scale: 1}
-	t.qLo = make([]float64, len(IntervalLevels))
-	t.qHi = make([]float64, len(IntervalLevels))
-	for i := range IntervalLevels {
+	t.qLo = make([]float64, len(dist.IntervalLevels))
+	t.qHi = make([]float64, len(dist.IntervalLevels))
+	for i := range dist.IntervalLevels {
 		t.qLo[i], t.qHi[i] = 1, 1
 	}
 	return t, nil
@@ -292,7 +293,7 @@ func (t *Tracker) recordLocked(o Outcome) *WindowRec {
 		// residual standardization.
 		r.Excluded = true
 	}
-	if len(o.RawQuantiles) == len(QuantileGridLevels) {
+	if len(o.RawQuantiles) == dist.NumLevels {
 		quantileRec(&r, o)
 	}
 
@@ -356,7 +357,7 @@ func (t *Tracker) resetLocked() {
 	// qShift deliberately survives: it tracks model bias, which is a
 	// property of the structural model vs the platform, not of the load
 	// regime that just changed (it recomputes from the full window).
-	for i := range IntervalLevels {
+	for i := range dist.IntervalLevels {
 		t.qLo[i], t.qHi[i] = 1, 1
 	}
 	t.baseN = 0
@@ -391,7 +392,7 @@ func (t *Tracker) Snapshot() Snapshot {
 		Observed:        t.observed,
 		WindowFill:      len(t.window),
 		Scale:           t.scale,
-		QuantileLevels:  append([]float64(nil), IntervalLevels...),
+		QuantileLevels:  append([]float64(nil), dist.IntervalLevels...),
 		QuantileScaleLo: append([]float64(nil), t.qLo...),
 		QuantileScaleHi: append([]float64(nil), t.qHi...),
 		QuantileShift:   t.qShift,

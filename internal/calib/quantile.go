@@ -40,34 +40,19 @@
 // Observe also scores each distribution-valued outcome's realized quantile
 // (the probability integral transform of the actual under the raw grid); a
 // windowed mean PIT near 0.5 indicates a centered predictive distribution.
+//
+// The grid itself is internal/dist's: grids arrive tabulated on
+// dist.GridLevels, the interval levels are dist.IntervalLevels, and the
+// monotone repair and the PIT inverse are dist.Monotone and dist.GridPIT,
+// so the calibrator reads a grid at the levels it was tabulated at.
 package calib
 
 import (
 	"math"
 
+	"prodpred/internal/dist"
 	"prodpred/internal/stats"
 )
-
-// IntervalLevels are the central interval levels the quantile calibrator
-// maintains two-sided multipliers for, ascending.
-var IntervalLevels = []float64{0.5, 0.8, 0.9, 0.95}
-
-// QuantileGridLevels is the symmetric quantile grid implied by
-// IntervalLevels — the lo/hi ends (1∓L)/2 of every level plus the median,
-// ascending. Raw quantile grids handed to Observe and Overlay
-// use this layout; it matches nws.DistLevels by construction.
-var QuantileGridLevels = buildGridLevels()
-
-func buildGridLevels() []float64 {
-	n := len(IntervalLevels)
-	g := make([]float64, 2*n+1)
-	for i, L := range IntervalLevels {
-		g[n-1-i] = (1 - L) / 2
-		g[n+1+i] = (1 + L) / 2
-	}
-	g[n] = 0.5
-	return g
-}
 
 // quantileRec fills r's median-relative calibration ingredients and
 // realized quantile from a distribution-valued outcome. A grid with a
@@ -75,12 +60,12 @@ func buildGridLevels() []float64 {
 // level is left out of quantile calibration entirely — there is no offset
 // to rescale.
 func quantileRec(r *WindowRec, o Outcome) {
-	n := len(IntervalLevels)
+	n := dist.MedianLevel
 	med := o.RawQuantiles[n]
 	if !(med > 0) {
 		return
 	}
-	for i := range IntervalLevels {
+	for i := range dist.IntervalLevels {
 		if !(med-o.RawQuantiles[n-1-i] > 0) || !(o.RawQuantiles[n+1+i]-med > 0) {
 			return
 		}
@@ -88,32 +73,12 @@ func quantileRec(r *WindowRec, o Outcome) {
 	r.Qok = true
 	r.QsLo = make([]float64, n)
 	r.QsHi = make([]float64, n)
-	for i := range IntervalLevels {
+	for i := range dist.IntervalLevels {
 		r.QsLo[i] = (med - o.RawQuantiles[n-1-i]) / med
 		r.QsHi[i] = (o.RawQuantiles[n+1+i] - med) / med
 	}
 	r.QRel = o.Actual / med
-	r.Pit = gridPIT(o.RawQuantiles, o.Actual)
-}
-
-// gridPIT inverts the raw quantile grid at actual: the realized quantile,
-// linearly interpolated between grid points and clamped to the grid's tail
-// levels outside it.
-func gridPIT(grid []float64, actual float64) float64 {
-	if actual <= grid[0] {
-		return QuantileGridLevels[0]
-	}
-	for i := 1; i < len(grid); i++ {
-		if actual <= grid[i] {
-			lo, hi := grid[i-1], grid[i]
-			pl, ph := QuantileGridLevels[i-1], QuantileGridLevels[i]
-			if hi <= lo {
-				return pl
-			}
-			return pl + (ph-pl)*(actual-lo)/(hi-lo)
-		}
-	}
-	return QuantileGridLevels[len(grid)-1]
+	r.Pit = dist.GridPIT(o.RawQuantiles, o.Actual)
 }
 
 // qShiftLimit bounds the conformal median shift: the calibrated median
@@ -138,7 +103,7 @@ const qShiftLimit = 0.5
 // finite-sample correction, clamped to [QScaleFloor, QScaleCeil]. Without
 // enough evidence the shift stays 0 and the multipliers stay 1.
 func (t *Tracker) rescaleQuantilesLocked() {
-	n := len(IntervalLevels)
+	n := len(dist.IntervalLevels)
 	t.qShift = 0
 	for i := 0; i < n; i++ {
 		t.qLo[i], t.qHi[i] = 1, 1
@@ -166,7 +131,7 @@ func (t *Tracker) rescaleQuantilesLocked() {
 		return
 	}
 	for side := 0; side < 2; side++ {
-		for i, L := range IntervalLevels {
+		for i, L := range dist.IntervalLevels {
 			scores := t.scratch[:0]
 			for j := range regime {
 				r := &regime[j]
@@ -194,16 +159,16 @@ func (t *Tracker) rescaleQuantilesLocked() {
 	}
 }
 
-// calibrateQuantilesLocked recenters a raw quantile grid
-// (QuantileGridLevels layout) by the conformal median shift, rescales the
-// side offsets with the current per-level multipliers, and appends the
-// calibrated, monotone grid to dst. A grid of unexpected length is appended
+// calibrateQuantilesLocked recenters a raw quantile grid (dist.GridLevels
+// layout) by the conformal median shift, rescales the side offsets with the
+// current per-level multipliers, and appends the calibrated, monotone grid
+// to dst. A grid of unexpected length is appended
 // unchanged. Overlay is its one caller.
 func (t *Tracker) calibrateQuantilesLocked(dst, raw []float64) []float64 {
-	n := len(IntervalLevels)
-	if len(raw) != 2*n+1 {
+	if len(raw) != dist.NumLevels {
 		return append(dst, raw...)
 	}
+	n := dist.MedianLevel
 	med := raw[n]
 	shifted := med * (1 + t.qShift)
 	start := len(dst)
@@ -214,11 +179,6 @@ func (t *Tracker) calibrateQuantilesLocked(dst, raw []float64) []float64 {
 	for i := 0; i < n; i++ {
 		dst = append(dst, shifted+t.qHi[i]*(raw[n+1+i]-med))
 	}
-	out := dst[start:]
-	for i := 1; i < len(out); i++ {
-		if out[i] < out[i-1] {
-			out[i] = out[i-1]
-		}
-	}
+	dist.Monotone(dst[start:])
 	return dst
 }

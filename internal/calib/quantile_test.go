@@ -4,28 +4,17 @@ import (
 	"math"
 	"testing"
 
+	"prodpred/internal/dist"
 	"prodpred/internal/stochastic"
 )
-
-func TestQuantileGridLevels(t *testing.T) {
-	want := []float64{0.025, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.975}
-	if len(QuantileGridLevels) != len(want) {
-		t.Fatalf("grid has %d levels, want %d", len(QuantileGridLevels), len(want))
-	}
-	for i, w := range want {
-		if math.Abs(QuantileGridLevels[i]-w) > 1e-12 {
-			t.Fatalf("grid[%d] = %g, want %g", i, QuantileGridLevels[i], w)
-		}
-	}
-}
 
 // gridAround tabulates a normal-ish grid centered on mean with the given
 // half-offsets per interval level.
 func gridAround(mean float64, off []float64) []float64 {
-	n := len(IntervalLevels)
+	n := len(dist.IntervalLevels)
 	g := make([]float64, 2*n+1)
 	g[n] = mean
-	for i := range IntervalLevels {
+	for i := range dist.IntervalLevels {
 		g[n-1-i] = mean - off[i]
 		g[n+1+i] = mean + off[i]
 	}
@@ -63,10 +52,10 @@ func TestQuantileScalesWidenUnderCoveredTails(t *testing.T) {
 		tr.Observe(distOutcome(uint64(i+1), 10, 10+d))
 	}
 	lo, hi := quantileScales(tr)
-	for i := range IntervalLevels {
+	for i := range dist.IntervalLevels {
 		if !(lo[i] > 1) || !(hi[i] > 1) {
 			t.Fatalf("level %g scales lo=%g hi=%g, want both > 1 (all %v / %v)",
-				IntervalLevels[i], lo[i], hi[i], lo, hi)
+				dist.IntervalLevels[i], lo[i], hi[i], lo, hi)
 		}
 	}
 	snap := tr.Snapshot()
@@ -90,9 +79,9 @@ func TestQuantileScalesTightenOverCoveredGrid(t *testing.T) {
 		tr.Observe(distOutcome(uint64(i+1), 10, 10+d))
 	}
 	lo, hi := quantileScales(tr)
-	for i := range IntervalLevels {
+	for i := range dist.IntervalLevels {
 		if !(lo[i] < 1) || !(hi[i] < 1) {
-			t.Fatalf("level %g scales lo=%g hi=%g, want both < 1", IntervalLevels[i], lo[i], hi[i])
+			t.Fatalf("level %g scales lo=%g hi=%g, want both < 1", dist.IntervalLevels[i], lo[i], hi[i])
 		}
 		if lo[i] < QScaleFloor || hi[i] < QScaleFloor {
 			t.Fatalf("scales %g/%g fell below floor %g", lo[i], hi[i], QScaleFloor)
@@ -112,9 +101,9 @@ func TestQuantileScalesAsymmetric(t *testing.T) {
 		tr.Observe(distOutcome(uint64(i+1), 10, 10+d))
 	}
 	lo, hi := quantileScales(tr)
-	for i := range IntervalLevels {
+	for i := range dist.IntervalLevels {
 		if !(hi[i] > lo[i]) {
-			t.Fatalf("level %g: hi %g not above lo %g under upper-tail misses", IntervalLevels[i], hi[i], lo[i])
+			t.Fatalf("level %g: hi %g not above lo %g under upper-tail misses", dist.IntervalLevels[i], hi[i], lo[i])
 		}
 	}
 }
@@ -133,7 +122,7 @@ func TestCalibrateQuantilesAppliesScalesAndStaysMonotone(t *testing.T) {
 	if len(cal) != len(raw) {
 		t.Fatalf("calibrated grid has %d points, want %d", len(cal), len(raw))
 	}
-	n := len(IntervalLevels)
+	n := len(dist.IntervalLevels)
 	if cal[n] != raw[n] {
 		t.Fatalf("median moved: %g -> %g", raw[n], cal[n])
 	}
@@ -162,23 +151,6 @@ func TestCalibrateQuantilesPassesThroughUnexpectedLength(t *testing.T) {
 	}
 }
 
-func TestGridPIT(t *testing.T) {
-	grid := gridAround(0, []float64{0.25, 0.4, 0.45, 0.475})
-	if p := gridPIT(grid, 0); math.Abs(p-0.5) > 1e-12 {
-		t.Fatalf("median PIT %g, want 0.5", p)
-	}
-	if p := gridPIT(grid, -10); p != QuantileGridLevels[0] {
-		t.Fatalf("below-grid PIT %g, want clamp to %g", p, QuantileGridLevels[0])
-	}
-	if p := gridPIT(grid, 10); p != QuantileGridLevels[len(grid)-1] {
-		t.Fatalf("above-grid PIT %g, want clamp to %g", p, QuantileGridLevels[len(grid)-1])
-	}
-	// Halfway between the median (0) and the 0.75 quantile (0.25).
-	if p := gridPIT(grid, 0.125); math.Abs(p-0.625) > 1e-12 {
-		t.Fatalf("interpolated PIT %g, want 0.625", p)
-	}
-}
-
 func TestQuantileStateRoundTrip(t *testing.T) {
 	tr := mustNew(t)
 	for i := 0; i < 40; i++ {
@@ -195,10 +167,10 @@ func TestQuantileStateRoundTrip(t *testing.T) {
 	}
 	lo1, hi1 := quantileScales(tr)
 	lo2, hi2 := quantileScales(tr2)
-	for i := range IntervalLevels {
+	for i := range dist.IntervalLevels {
 		if lo1[i] != lo2[i] || hi1[i] != hi2[i] {
 			t.Fatalf("restored scales differ at level %g: %g/%g vs %g/%g",
-				IntervalLevels[i], lo2[i], hi2[i], lo1[i], hi1[i])
+				dist.IntervalLevels[i], lo2[i], hi2[i], lo1[i], hi1[i])
 		}
 	}
 	// Further identical observations must keep the trackers in lockstep.
@@ -213,9 +185,9 @@ func TestQuantileStateRoundTrip(t *testing.T) {
 	}
 	lo1, hi1 = quantileScales(tr)
 	lo2, hi2 = quantileScales(tr2)
-	for i := range IntervalLevels {
+	for i := range dist.IntervalLevels {
 		if lo1[i] != lo2[i] || hi1[i] != hi2[i] {
-			t.Fatalf("post-restore divergence at level %g", IntervalLevels[i])
+			t.Fatalf("post-restore divergence at level %g", dist.IntervalLevels[i])
 		}
 	}
 }
@@ -237,7 +209,7 @@ func TestQuantileShiftRecentersBiasedGrid(t *testing.T) {
 	}
 	raw := gridAround(10, []float64{0.3, 0.55, 0.7, 0.85})
 	_, cal := tr.Overlay(stochastic.Value{}, raw)
-	n := len(IntervalLevels)
+	n := len(dist.IntervalLevels)
 	if !(cal[n] < 9.2) {
 		t.Fatalf("calibrated median %g, want recentered below 9.2", cal[n])
 	}
@@ -265,7 +237,7 @@ func TestDriftResetClearsQuantileScales(t *testing.T) {
 	tr.resetLocked()
 	tr.mu.Unlock()
 	lo, hi := quantileScales(tr)
-	for i := range IntervalLevels {
+	for i := range dist.IntervalLevels {
 		if lo[i] != 1 || hi[i] != 1 {
 			t.Fatalf("post-reset scales %v/%v, want all 1", lo, hi)
 		}

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"prodpred/internal/dist"
 	"prodpred/internal/modal"
 	"prodpred/internal/stats"
 	"prodpred/internal/stochastic"
@@ -58,7 +59,7 @@ func refRescale(t *Tracker) {
 }
 
 func refRescaleQuantiles(t *Tracker) {
-	n := len(IntervalLevels)
+	n := len(dist.IntervalLevels)
 	t.qShift = 0
 	for i := 0; i < n; i++ {
 		t.qLo[i], t.qHi[i] = 1, 1
@@ -83,7 +84,7 @@ func refRescaleQuantiles(t *Tracker) {
 		return
 	}
 	for side := 0; side < 2; side++ {
-		for i, L := range IntervalLevels {
+		for i, L := range dist.IntervalLevels {
 			var scores []float64
 			for _, r := range regime {
 				if !r.Qok {
@@ -196,7 +197,7 @@ func refOutcome(rng *rand.Rand, i int, z float64) Outcome {
 	case i%13 == 0:
 		grid = nil
 	case i%17 == 0:
-		grid[len(IntervalLevels)+2] = grid[len(IntervalLevels)]
+		grid[len(dist.IntervalLevels)+2] = grid[len(dist.IntervalLevels)]
 	}
 	return Outcome{ID: uint64(i + 1), Time: float64(i) * 5, Raw: raw, Calibrated: raw, Actual: actual, RawQuantiles: grid}
 }

@@ -1,6 +1,10 @@
 package calib
 
-import "fmt"
+import (
+	"fmt"
+
+	"prodpred/internal/dist"
+)
 
 // WindowRec is one windowed outcome in reduced form: what the tracker's
 // rolling window holds and what State carries across a snapshot.
@@ -24,8 +28,8 @@ type WindowRec struct {
 	// median so the calibrator can re-score them under any candidate
 	// recentering shift.
 	Qok  bool
-	QsLo []float64 // per-IntervalLevels (median - lo_L) / median
-	QsHi []float64 // per-IntervalLevels (hi_L - median) / median
+	QsLo []float64 // per interval level, (median - lo_L) / median
+	QsHi []float64 // per interval level, (hi_L - median) / median
 	QRel float64   // actual / median
 	Pit  float64   // realized quantile of actual under the raw grid
 }
@@ -107,7 +111,7 @@ func (t *Tracker) ImportState(st State) error {
 	t.window = make([]WindowRec, len(st.Window))
 	for i, r := range st.Window {
 		t.window[i] = r.clone()
-		t.window[i].Qok = r.Qok && len(r.QsLo) == len(IntervalLevels) && len(r.QsHi) == len(IntervalLevels)
+		t.window[i].Qok = r.Qok && len(r.QsLo) == len(dist.IntervalLevels) && len(r.QsHi) == len(dist.IntervalLevels)
 	}
 	t.drifts = append([]DriftEvent(nil), st.Drifts...)
 	t.observed = st.Observed

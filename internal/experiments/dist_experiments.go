@@ -82,7 +82,7 @@ func runFig12(seed int64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	hist, err := stats.NewHistogramAuto(runs, stats.FreedmanDiaconis)
+	hist, err := stats.NewHistogramAuto(runs)
 	if err != nil {
 		return nil, err
 	}

@@ -56,7 +56,7 @@ func runHostBench(seed int64) (*Result, error) {
 		return nil, err
 	}
 	cov := stats.Coverage(times, sv.Lo(), sv.Hi())
-	hist, err := stats.NewHistogramAuto(times, stats.FreedmanDiaconis)
+	hist, err := stats.NewHistogramAuto(times)
 	if err != nil {
 		return nil, err
 	}

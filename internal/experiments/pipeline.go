@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"prodpred/internal/calib"
-	"prodpred/internal/nws"
 	"prodpred/internal/predict"
 	"prodpred/internal/sched"
 	"prodpred/internal/sor"
@@ -18,8 +17,7 @@ import (
 // fault diagnostics — and, on observed series, the final calibration
 // state — after the series completes.
 type pipelineDiag struct {
-	CPUGaps     []nws.GapStats // per machine
-	BWGaps      nws.GapStats
+	Readout     predict.Readout // per-machine reports, with their gap counters
 	Calibration calib.Snapshot
 }
 
@@ -55,7 +53,7 @@ type runRecord struct {
 	Actual  float64          // simulated execution time
 	LoadsAt []float64        // raw availability per machine at run start
 	// Quantiles is the full calibrated predictive quantile grid
-	// (calib.QuantileGridLevels layout); QLo/QHi are its ends — the
+	// (dist.GridLevels layout); QLo/QHi are its ends — the
 	// central 95% interval of the distribution-valued prediction (grid
 	// levels 0.025 and 0.975). Forecaster is the dominant per-machine
 	// distribution-forecaster tag behind the prediction.
@@ -168,8 +166,7 @@ func runProductionSeries(cfg productionConfig) ([]runRecord, error) {
 		}
 	}
 	if cfg.diag != nil {
-		cfg.diag.CPUGaps = svc.CPUGaps()
-		cfg.diag.BWGaps = svc.BWGaps()
+		cfg.diag.Readout = svc.Readout()
 		cfg.diag.Calibration = svc.Accuracy()
 	}
 	return recs, nil

@@ -96,7 +96,8 @@ func runRobustFaults(seed int64) (*Result, error) {
 		}
 		meanSpread /= float64(len(recs))
 		var missed, dropped, outage, retries, longest int
-		for _, g := range diag.CPUGaps {
+		for _, r := range diag.Readout.Reports {
+			g := r.Gaps
 			missed += g.Missed
 			dropped += g.Dropped
 			outage += g.Outage

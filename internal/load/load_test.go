@@ -204,7 +204,7 @@ func TestMarkovModalModes(t *testing.T) {
 
 func TestTrace(t *testing.T) {
 	s, _ := timeseries.FromSlices([]float64{10, 20}, []float64{0.3, 1.7})
-	tr, err := NewTrace(s, 1)
+	tr, err := NewUniformTrace(s, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,16 +217,16 @@ func TestTrace(t *testing.T) {
 	if got := tr.At(25); got != 1 {
 		t.Errorf("At(25)=%g want clamped 1", got)
 	}
-	if tr.Interval() != 1 {
+	if tr.Interval() != 10 {
 		t.Errorf("Interval=%g", tr.Interval())
 	}
-	if _, err := NewTrace(timeseries.NewSeries(0), 1); err == nil {
+	if _, err := NewUniformTrace(timeseries.NewSeries(0), 1); err == nil {
 		t.Error("empty series should fail")
 	}
-	if _, err := NewTrace(s, 0); err == nil {
+	if _, err := NewUniformTrace(s, 0); err == nil {
 		t.Error("dt=0 should fail")
 	}
-	if _, err := NewTrace(nil, 1); err == nil {
+	if _, err := NewUniformTrace(nil, 1); err == nil {
 		t.Error("nil series should fail")
 	}
 }

@@ -41,9 +41,9 @@ func TestUniformTraceBoundaries(t *testing.T) {
 	}
 }
 
-// TestUniformTraceRejectsNonUniform is the contract NewUniformTrace adds
-// over NewTrace: any sample off the dt grid fails construction, with the
-// offending sample named, instead of silently replaying shifted values.
+// TestUniformTraceRejectsNonUniform: any sample off the dt grid fails
+// construction, with the offending sample named, instead of silently
+// replaying shifted values.
 func TestUniformTraceRejectsNonUniform(t *testing.T) {
 	s, err := timeseries.FromSlices([]float64{0, 1, 2.5, 3}, []float64{0.1, 0.2, 0.3, 0.4})
 	if err != nil {
@@ -55,11 +55,6 @@ func TestUniformTraceRejectsNonUniform(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "sample 2") {
 		t.Errorf("error %q does not name the offending sample", err)
-	}
-	// The lax constructor still accepts it — replay strictness must not
-	// break measured-trace imports.
-	if _, err := NewTrace(s, 1); err != nil {
-		t.Errorf("NewTrace rejected non-uniform series: %v", err)
 	}
 	// Wrong dt for an otherwise-uniform grid is the same failure.
 	u, err := timeseries.FromSlices([]float64{0, 1, 2, 3}, []float64{0.1, 0.2, 0.3, 0.4})

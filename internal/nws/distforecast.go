@@ -3,37 +3,12 @@ package nws
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"prodpred/internal/dist"
 	"prodpred/internal/modal"
 	"prodpred/internal/stochastic"
 )
-
-// DistLevels is the fixed quantile grid every distribution-valued forecast
-// is reported on. It is symmetric around the median so a central interval
-// at mass L ∈ {0.5, 0.8, 0.9, 0.95} reads directly off the grid at
-// p = (1∓L)/2, and so the prediction pipeline can propagate execution-time
-// quantiles by evaluating the structural model at mirrored availability
-// quantiles. Callers must treat it as immutable.
-var DistLevels = distLevels[:]
-
-var distLevels = [...]float64{0.025, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.975}
-
-// NumDistLevels is len(DistLevels) as a constant, the length of an array
-// that holds one grid.
-const NumDistLevels = len(distLevels)
-
-// DistLevelIndex returns the index of level p in DistLevels, or -1.
-func DistLevelIndex(p float64) int {
-	for i, l := range DistLevels {
-		if l == p {
-			return i
-		}
-	}
-	return -1
-}
 
 // Component is one Gaussian component of a predictive distribution —
 // the portable summary the wire layer and snapshots carry.
@@ -244,7 +219,7 @@ const MixtureForecasterName = "mixture-em"
 type mixtureDist struct {
 	obs     int         // postmortem rounds absorbed
 	modes   []Component // installed fit; nil before the first successful fit
-	qgrid   []float64   // quantiles of the installed fit at DistLevels
+	qgrid   []float64   // quantiles of the installed fit at dist.GridLevels
 	pending *Refit      // recorded by the last refit round, not yet installed
 	count   func(RefitBy)
 }
@@ -315,7 +290,7 @@ type Refit struct {
 	count  func(RefitBy)
 	taken  bool // handed out by Monitor.TakeRefit
 
-	// What the fit left: the modes and their DistLevels grid, both nil when
+	// What the fit left: the modes and their quantile grid, both nil when
 	// the window was degenerate.
 	modes []Component
 	qgrid []float64
@@ -362,15 +337,15 @@ func (j *Refit) fit() {
 	}
 }
 
-// quantileGrid tabulates a fitted mixture's quantiles at DistLevels; nil
-// when the components do not make a mixture.
+// quantileGrid tabulates a fitted mixture's quantiles at dist.GridLevels;
+// nil when the components do not make a mixture.
 func quantileGrid(modes []Component) []float64 {
 	mx, err := componentsMixture(modes)
 	if err != nil {
 		return nil
 	}
-	grid := make([]float64, len(DistLevels))
-	for i, p := range DistLevels {
+	grid := make([]float64, dist.NumLevels)
+	for i, p := range dist.GridLevels {
 		grid[i] = mx.Quantile(p)
 	}
 	return grid
@@ -397,7 +372,7 @@ func (f *mixtureDist) Quantiles(_ *Forecast, ps, out []float64) bool {
 		return false
 	}
 	for i, p := range ps {
-		out[i] = gridQuantile(f.qgrid, p)
+		out[i] = dist.GridQuantile(f.qgrid, p)
 	}
 	return true
 }
@@ -405,51 +380,6 @@ func (f *mixtureDist) Quantiles(_ *Forecast, ps, out []float64) bool {
 func (f *mixtureDist) Components(*Forecast) []Component {
 	f.settle(RefitReader)
 	return f.modes
-}
-
-// GridQuantile interpolates a quantile function tabulated on DistLevels at
-// probability p, extrapolating flat beyond the grid ends — the one-call
-// form consumers use to read arbitrary levels off a LoadDist or
-// distribution-valued prediction grid.
-func GridQuantile(grid []float64, p float64) float64 { return gridQuantile(grid, p) }
-
-// gridQuantile interpolates a quantile function tabulated on DistLevels,
-// extrapolating flat beyond the grid ends.
-func gridQuantile(grid []float64, p float64) float64 { return LocateLevel(p).Read(grid) }
-
-// GridPos is where a probability falls on DistLevels: everything
-// GridQuantile works out from p alone. A caller that reads many grids at
-// one fixed p locates it once and Reads each grid; the result is
-// GridQuantile's by construction.
-type GridPos struct {
-	lo   int     // the level read, or the lower end of the segment interpolated
-	frac float64 // 0 on a level or beyond the ends; else in (0,1) along lo → lo+1
-}
-
-// LocateLevel finds p on DistLevels.
-func LocateLevel(p float64) GridPos {
-	ls := DistLevels
-	if p <= ls[0] {
-		return GridPos{lo: 0}
-	}
-	last := len(ls) - 1
-	if p >= ls[last] {
-		return GridPos{lo: last}
-	}
-	i := sort.SearchFloat64s(ls, p)
-	if ls[i] == p {
-		return GridPos{lo: i}
-	}
-	return GridPos{lo: i - 1, frac: (p - ls[i-1]) / (ls[i] - ls[i-1])}
-}
-
-// Read interpolates a quantile function tabulated on DistLevels at the
-// located probability.
-func (g GridPos) Read(grid []float64) float64 {
-	if g.frac == 0 {
-		return grid[g.lo]
-	}
-	return grid[g.lo] + g.frac*(grid[g.lo+1]-grid[g.lo])
 }
 
 // Tournament policy knobs.
@@ -470,8 +400,12 @@ const (
 // ends the serving layer reports (50–95% central bands) rather than the
 // median: the tournament exists to pick the best *interval* shape, and a
 // median-heavy score would always hand the win to point trackers on
-// regime-switching series.
-var tournamentScoreLevels = []float64{0.025, 0.05, 0.25, 0.75, 0.95, 0.975}
+// regime-switching series. They are the grid's levels but the median and the
+// 0.8 interval's ends.
+var tournamentScoreLevels = []float64{
+	dist.GridLevels[0], dist.GridLevels[1], dist.GridLevels[3],
+	dist.GridLevels[5], dist.GridLevels[7], dist.GridLevels[8],
+}
 
 // Tournament runs competing distribution forecasters over one measurement
 // series, scores each postmortem by mean pinball (quantile) loss with

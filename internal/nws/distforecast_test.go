@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"prodpred/internal/dist"
 	"prodpred/internal/stochastic"
 )
 
@@ -70,14 +71,14 @@ func TestTournamentQuantilesMonotoneAndCalibratedShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qs := make([]float64, len(DistLevels))
-	if !winner.Quantiles(&point, DistLevels, qs) {
+	qs := make([]float64, dist.NumLevels)
+	if !winner.Quantiles(&point, dist.GridLevels, qs) {
 		t.Fatalf("winner %q cannot predict", name)
 	}
 	prev := math.Inf(-1)
 	for i, q := range qs {
 		if q < prev {
-			t.Fatalf("quantile curve not monotone at p=%g: %g < %g", DistLevels[i], q, prev)
+			t.Fatalf("quantile curve not monotone at p=%g: %g < %g", dist.GridLevels[i], q, prev)
 		}
 		prev = q
 	}
@@ -173,11 +174,11 @@ func TestRobustDistReportFallbackChain(t *testing.T) {
 	if ld.Forecaster != PriorForecasterName {
 		t.Fatalf("no-history report tagged %q, want %q", ld.Forecaster, PriorForecasterName)
 	}
-	if med := ld.Quantiles[DistLevelIndex(0.5)]; math.Abs(med-0.5) > 1e-9 {
+	if med := ld.Quantiles[dist.MedianLevel]; math.Abs(med-0.5) > 1e-9 {
 		t.Fatalf("prior median %g, want 0.5", med)
 	}
-	if len(ld.Quantiles) != len(DistLevels) {
-		t.Fatalf("report has %d quantiles, want %d", len(ld.Quantiles), len(DistLevels))
+	if len(ld.Quantiles) != dist.NumLevels {
+		t.Fatalf("report has %d quantiles, want %d", len(ld.Quantiles), dist.NumLevels)
 	}
 
 	// Short healthy history: the incumbent normal forecaster serves.
@@ -218,7 +219,7 @@ func TestRobustDistReportFallbackChain(t *testing.T) {
 func TestNormalLoadDistQuantileBits(t *testing.T) {
 	for _, c := range []struct{ mean, sigma float64 }{{0, 1}, {0.5, 0.25}, {0.37, 0.013}, {1, 0}} {
 		ld := normalLoadDist(c.mean, c.sigma, PriorForecasterName)
-		for i, p := range DistLevels {
+		for i, p := range dist.GridLevels {
 			want := c.mean + c.sigma*stochastic.Value{Mean: 0, Spread: 2}.Quantile(p)
 			if math.Float64bits(ld.Quantiles[i]) != math.Float64bits(want) {
 				t.Errorf("mean %g sigma %g level %g: %v, want %v", c.mean, c.sigma, p, ld.Quantiles[i], want)
@@ -251,25 +252,6 @@ func TestRobustDistReportWidensWithStaleness(t *testing.T) {
 	dw := degraded.Quantiles[len(degraded.Quantiles)-1] - degraded.Quantiles[0]
 	if !(dw > fw) {
 		t.Fatalf("stale band %g not wider than fresh %g", dw, fw)
-	}
-}
-
-func TestGridQuantileInterpolates(t *testing.T) {
-	grid := make([]float64, len(DistLevels))
-	for i, p := range DistLevels {
-		grid[i] = 10 * p // identity-ish curve
-	}
-	for _, p := range []float64{0.025, 0.3, 0.5, 0.61, 0.975} {
-		got := gridQuantile(grid, p)
-		if math.Abs(got-10*p) > 1e-9 {
-			t.Fatalf("gridQuantile(%g) = %g, want %g", p, got, 10*p)
-		}
-	}
-	if got := gridQuantile(grid, 0.001); got != grid[0] {
-		t.Fatalf("below-grid quantile %g, want clamp to %g", got, grid[0])
-	}
-	if got := gridQuantile(grid, 0.999); got != grid[len(grid)-1] {
-		t.Fatalf("above-grid quantile %g, want clamp to %g", got, grid[len(grid)-1])
 	}
 }
 

@@ -3,16 +3,17 @@ package nws
 import (
 	"math"
 
-	"prodpred/internal/stats"
+	"prodpred/internal/dist"
 	"prodpred/internal/stochastic"
 )
 
 // LoadDist is a distribution-valued monitor report: the tournament
-// winner's predictive quantiles on the DistLevels grid,
+// winner's predictive quantiles on the dist.GridLevels grid,
 // staleness-widened around the median exactly as RobustReport widens its
 // spread, plus the winner's mixture-component summary and tag.
 type LoadDist struct {
-	// Quantiles are the predictive quantiles at DistLevels, nondecreasing.
+	// Quantiles are the predictive quantiles at dist.GridLevels,
+	// nondecreasing.
 	Quantiles []float64
 	// Components summarize the predictive distribution as a Gaussian
 	// mixture; a single component for normal-shaped reports.
@@ -51,8 +52,8 @@ func (m *Monitor) RobustDistReport(t float64, prior stochastic.Value) LoadDist {
 			winner, _ = m.tour.Winner()
 		}
 		point, _ := m.forecast()
-		qs := make([]float64, len(DistLevels))
-		if winner.Quantiles(point, DistLevels, qs) {
+		qs := make([]float64, dist.NumLevels)
+		if winner.Quantiles(point, dist.GridLevels, qs) {
 			return m.widenedDist(qs, winner.Components(point), winner.Name())
 		}
 	}
@@ -60,15 +61,12 @@ func (m *Monitor) RobustDistReport(t float64, prior stochastic.Value) LoadDist {
 	return normalLoadDist(mean, sigma*m.DegradationFactor(), FallbackForecasterName)
 }
 
-// medianLevel indexes the median in DistLevels.
-var medianLevel = DistLevelIndex(0.5)
-
-// widenedDist takes a competitor's quantiles on the DistLevels grid, widens
+// widenedDist takes a competitor's quantiles on the grid, widens
 // them in place around the median by the staleness degradation factor, and
 // enforces monotonicity.
 func (m *Monitor) widenedDist(qs []float64, comps []Component, name string) LoadDist {
 	if w := m.DegradationFactor(); w != 1 {
-		med := qs[medianLevel]
+		med := qs[dist.MedianLevel]
 		for i := range qs {
 			qs[i] = med + w*(qs[i]-med)
 		}
@@ -78,30 +76,15 @@ func (m *Monitor) widenedDist(qs []float64, comps []Component, name string) Load
 		}
 		comps = widened
 	}
-	monotonize(qs)
+	dist.Monotone(qs)
 	return LoadDist{Quantiles: qs, Components: comps, Forecaster: name}
 }
 
 // normalLoadDist tabulates a normal's quantiles on the grid.
 func normalLoadDist(mean, sigma float64, name string) LoadDist {
-	qs := make([]float64, len(DistLevels))
-	for i, p := range DistLevels {
-		qs[i] = mean + sigma*stats.NormalQuantile(p)
-	}
 	return LoadDist{
-		Quantiles:  qs,
+		Quantiles:  dist.NormalGrid(mean, sigma),
 		Components: []Component{{Weight: 1, Mean: mean, Sigma: sigma}},
 		Forecaster: name,
-	}
-}
-
-// monotonize enforces a nondecreasing quantile curve in place (running
-// max) — numeric noise in widened or interpolated curves must never
-// surface an inverted interval.
-func monotonize(qs []float64) {
-	for i := 1; i < len(qs); i++ {
-		if qs[i] < qs[i-1] {
-			qs[i] = qs[i-1]
-		}
 	}
 }

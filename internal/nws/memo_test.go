@@ -190,12 +190,12 @@ func (r *recomputed) robustDistReport(prior stochastic.Value) LoadDist {
 	if r.feed.Staleness() <= staleLimit {
 		point := r.forecast(r.feed.History(), r.feed.Gaps().Recorded())
 		winner, name := r.tour.Winner()
-		qs, med := make([]float64, len(DistLevels)), make([]float64, 1)
+		qs, med := make([]float64, dist.NumLevels), make([]float64, 1)
 		quantiles := func(ps, out []float64) bool {
 			r.resort()
 			return winner.Quantiles(point, ps, out)
 		}
-		if quantiles(DistLevels, qs) && quantiles([]float64{0.5}, med) {
+		if quantiles(dist.GridLevels, qs) && quantiles([]float64{0.5}, med) {
 			r.resort()
 			comps := winner.Components(point)
 			if w := r.feed.DegradationFactor(); w != 1 {
@@ -208,7 +208,7 @@ func (r *recomputed) robustDistReport(prior stochastic.Value) LoadDist {
 				}
 				comps = widened
 			}
-			monotonize(qs)
+			dist.Monotone(qs)
 			return LoadDist{Quantiles: qs, Components: comps, Forecaster: name}
 		}
 	}
@@ -380,8 +380,8 @@ func TestEmpiricalSortsOncePerWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	read := func(f *empiricalDist) ([]float64, []Component) {
-		qs := make([]float64, len(DistLevels))
-		if !f.Quantiles(point, DistLevels, qs) {
+		qs := make([]float64, dist.NumLevels)
+		if !f.Quantiles(point, dist.GridLevels, qs) {
 			t.Fatal("no quantiles from a full window")
 		}
 		return qs, f.Components(point)
@@ -404,61 +404,6 @@ func TestEmpiricalSortsOncePerWindow(t *testing.T) {
 			mustSameBits(t, c.name+" quantiles", round, qs, wantQs)
 			mustSameBits(t, c.name+" components", round, comps, wantComps)
 			c.f.Observe(nil, point, 0.1*float64(round))
-		}
-	}
-}
-
-// TestLocateLevelReadsAsGridQuantile: reading a grid at a located level is
-// the interpolation gridQuantile did before the search and the read were
-// split, kept here as it was — on levels, between them, beyond the ends, and
-// over grids with ties, signed zeros and non-finite entries.
-func TestLocateLevelReadsAsGridQuantile(t *testing.T) {
-	reference := func(grid []float64, p float64) float64 {
-		ls := DistLevels
-		if p <= ls[0] {
-			return grid[0]
-		}
-		last := len(ls) - 1
-		if p >= ls[last] {
-			return grid[last]
-		}
-		i := sort.SearchFloat64s(ls, p)
-		if ls[i] == p {
-			return grid[i]
-		}
-		frac := (p - ls[i-1]) / (ls[i] - ls[i-1])
-		return grid[i-1] + frac*(grid[i]-grid[i-1])
-	}
-	ps := append([]float64{0, 1, -0.5, 1.5, 0.0249999, 0.9750001, math.Nextafter(0.5, 0), math.Nextafter(0.5, 1)}, DistLevels...)
-	for i := 0; i < 400; i++ {
-		ps = append(ps, hash01(uint64(i)))
-	}
-	negZero := math.Copysign(0, -1)
-	grids := [][]float64{
-		{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9},
-		{0.3, 0.3, 0.3, 0.3, 0.3, 0.3, 0.3, 0.3, 0.3},
-		{negZero, negZero, negZero, 0, 0, 0.25, 0.25, 1, 1},
-		{math.Inf(-1), -1, -1, 0, 0.5, 0.5, 2, math.Inf(1), math.Inf(1)},
-		{0.1, 0.2, math.NaN(), 0.4, 0.5, 0.6, 0.7, 0.8, 0.9},
-		{1e-320, 1e-310, 1e-300, 1e-200, 1, 1e200, 1e300, 1e308, math.MaxFloat64},
-	}
-	for g := 0; g < 200; g++ {
-		grid := make([]float64, len(DistLevels))
-		v := hash01(uint64(7*g)) - 0.3
-		for i := range grid {
-			if hash01(uint64(g*64+i)) > 0.25 { // a quarter of the steps are ties
-				v += 0.3 * hash01(uint64(g*64+32+i))
-			}
-			grid[i] = v
-		}
-		grids = append(grids, grid)
-	}
-	for _, grid := range grids {
-		for _, p := range ps {
-			got, want := LocateLevel(p).Read(grid), reference(grid, p)
-			if math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(GridQuantile(grid, p)) != math.Float64bits(want) {
-				t.Fatalf("grid %v at p=%v: located read %v, GridQuantile %v, reference %v", grid, p, got, GridQuantile(grid, p), want)
-			}
 		}
 	}
 }
@@ -576,10 +521,10 @@ func TestBandwidthMonitorHasNoTournament(t *testing.T) {
 	ld := bw.RobustDistReport(1000, prior)
 	n := dist.Normal{Mu: f.Value, Sigma: math.Max(f.RMSE, minConservativeRMSE)}
 	want := LoadDist{Forecaster: NormalForecasterName, Components: []Component{{Weight: 1, Mean: n.Mu, Sigma: n.Sigma}}}
-	for _, p := range DistLevels {
+	for _, p := range dist.GridLevels {
 		want.Quantiles = append(want.Quantiles, n.Quantile(p))
 	}
-	monotonize(want.Quantiles)
+	dist.Monotone(want.Quantiles)
 	mustSameBits(t, "bandwidth RobustDistReport", 200, ld, want)
 	if got := bw.RobustReport(1000, prior); got != f.Stochastic() {
 		t.Fatalf("RobustReport %+v, forecast %+v", got, f.Stochastic())

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"prodpred/internal/dist"
 	"prodpred/internal/modal"
 	"prodpred/internal/stochastic"
 )
@@ -55,8 +56,8 @@ func (f *eagerMixture) Observe(hist []float64, _ *Forecast, actual float64) {
 	if err != nil {
 		return
 	}
-	grid := make([]float64, len(DistLevels))
-	for i, p := range DistLevels {
+	grid := make([]float64, dist.NumLevels)
+	for i, p := range dist.GridLevels {
 		grid[i] = mx.Quantile(p)
 	}
 	f.modes, f.qgrid = modes, grid
@@ -67,7 +68,7 @@ func (f *eagerMixture) Quantiles(_ *Forecast, ps, out []float64) bool {
 		return false
 	}
 	for i, p := range ps {
-		out[i] = gridQuantile(f.qgrid, p)
+		out[i] = dist.GridQuantile(f.qgrid, p)
 	}
 	return true
 }

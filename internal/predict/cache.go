@@ -115,9 +115,9 @@ func (t *tickFrame) size(req Request) *sizeFrame {
 type sizeFrame struct {
 	tick *tickFrame
 
-	// mu serializes the computation; its error is memoized with the rest.
-	mu        sync.Mutex
-	done      bool
+	// once runs the computation: the first request of the size takes it,
+	// the rest wait and share it, its error memoized with the rest.
+	once      sync.Once
 	err       error
 	partition *sor.Partition
 	bandwidth stochastic.Value

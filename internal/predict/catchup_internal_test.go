@@ -44,8 +44,6 @@ func catchUpFleet(t *testing.T, n int, metrics *obs.Registry) *Registry {
 // catchUpView is what a reader can see of one tenant at one tick.
 type catchUpView struct {
 	Readout Readout
-	CPU     []nws.GapStats
-	BW      nws.GapStats
 	Pred    Prediction // ID zeroed
 }
 
@@ -66,7 +64,7 @@ func prediction(t *testing.T, s *Service, req Request) Prediction {
 }
 
 func viewOf(t *testing.T, s *Service) catchUpView {
-	return catchUpView{Readout: s.Readout(), CPU: s.CPUGaps(), BW: s.BWGaps(), Pred: prediction(t, s, catchUpReq)}
+	return catchUpView{Readout: s.Readout(), Pred: prediction(t, s, catchUpReq)}
 }
 
 // platformLines returns the lines of a /metrics scrape of reg's metrics
@@ -171,8 +169,6 @@ func TestAdvanceAllCatchUpRace(t *testing.T) {
 			for _, svc := range services {
 				name := svc.Name()
 				run(func() { seen(name, "readout", svc.Readout(), func(v catchUpView) any { return v.Readout }) })
-				run(func() { seen(name, "CPU gaps", svc.CPUGaps(), func(v catchUpView) any { return v.CPU }) })
-				run(func() { seen(name, "bandwidth gaps", svc.BWGaps(), func(v catchUpView) any { return v.BW }) })
 				run(func() {
 					seen(name, "prediction", prediction(t, svc, catchUpReq), func(v catchUpView) any { return v.Pred })
 				})
@@ -249,20 +245,6 @@ func TestAdvanceAllCatchUpRace(t *testing.T) {
 					for _, p := range pairs {
 						if g, w := p[0].Readout(), p[1].Readout(); !reflect.DeepEqual(g, w) {
 							t.Fatalf("round %d %s: readout %+v, want %+v", round, p[1].Name(), g, w)
-						}
-					}
-				},
-				func() {
-					for _, p := range pairs {
-						if g, w := p[0].CPUGaps(), p[1].CPUGaps(); !reflect.DeepEqual(g, w) {
-							t.Fatalf("round %d %s: CPU gaps %+v, want %+v", round, p[1].Name(), g, w)
-						}
-					}
-				},
-				func() {
-					for _, p := range pairs {
-						if g, w := p[0].BWGaps(), p[1].BWGaps(); g != w {
-							t.Fatalf("round %d %s: bandwidth gaps %+v, want %+v", round, p[1].Name(), g, w)
 						}
 					}
 				},

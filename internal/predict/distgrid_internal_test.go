@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"prodpred/internal/dist"
 	"prodpred/internal/nws"
 	"prodpred/internal/obs"
 	"prodpred/internal/sor"
@@ -27,11 +28,11 @@ func sameFloats(a, b []float64) bool {
 	return true
 }
 
-// randomQuantileGrid draws a nondecreasing DistLevels grid around the
+// randomQuantileGrid draws a nondecreasing quantile grid around the
 // availability range, a third of its steps ties, some of it below the
 // minAvailPoint floor.
 func randomQuantileGrid(rng *rand.Rand) []float64 {
-	grid := make([]float64, len(nws.DistLevels))
+	grid := make([]float64, dist.NumLevels)
 	v := 1.6*rng.Float64() - 0.4
 	for i := range grid {
 		if rng.Intn(3) > 0 {
@@ -56,7 +57,7 @@ func TestDistDesignIsShared(t *testing.T) {
 
 // TestDistDesignMatchesUniforms: the tabulated design is the uniform matrix
 // read the long way — for every (draw, machine) the located read is
-// nws.GridQuantile at that uniform, and for every draw the bandwidth
+// dist.GridQuantile at that uniform, and for every draw the bandwidth
 // fraction is Value.Quantile at its uniform, bit for bit, before and after
 // the availability floor.
 func TestDistDesignMatchesUniforms(t *testing.T) {
@@ -76,7 +77,7 @@ func TestDistDesignMatchesUniforms(t *testing.T) {
 			for i := range u {
 				d.loads(i, dists, loads)
 				for m, grid := range dists {
-					want := nws.GridQuantile(grid.Quantiles, u[i][m])
+					want := dist.GridQuantile(grid.Quantiles, u[i][m])
 					if got := d.cells[i*machines+m].Read(grid.Quantiles); math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("%d machines, draw %d, machine %d, grid %v: tabled read %v, GridQuantile %v", machines, i, m, grid.Quantiles, got, want)
 					}
@@ -105,6 +106,17 @@ func TestDistDesignMatchesUniforms(t *testing.T) {
 	}
 }
 
+// valueGrid is the degraded grid as it was read before the grid had one
+// owner: the raw value's own quantile at every level. The served fallback,
+// dist.NormalGrid, is held to it bit for bit.
+func valueGrid(v stochastic.Value) []float64 {
+	grid := make([]float64, dist.NumLevels)
+	for i, p := range dist.GridLevels {
+		grid[i] = v.Quantile(p)
+	}
+	return grid
+}
+
 // treeDistGrid is the distribution transform as it was before the point
 // evaluator, the design tables and the shared phase draws: the expression
 // tree evaluated at every draw, each draw inverted from the uniform matrix
@@ -113,7 +125,7 @@ func TestDistDesignMatchesUniforms(t *testing.T) {
 func treeDistGrid(s *Service, model *structural.SORConfig, dists []nws.LoadDist, bwFrac, raw stochastic.Value) []float64 {
 	tree, err := model.Build()
 	if err != nil {
-		return normalDistGrid(raw)
+		return valueGrid(raw)
 	}
 	u := buildDistUniforms(len(dists) + 1)
 	params := structural.Params{structural.BWAvailParam: stochastic.Point(1)}
@@ -125,21 +137,21 @@ func treeDistGrid(s *Service, model *structural.SORConfig, dists []nws.LoadDist,
 			params[structural.BWAvailParam] = stochastic.Point(math.Max(bw, minAvailPoint))
 		}
 		for m := range dists {
-			q := nws.GridQuantile(dists[m].Quantiles, row[m])
+			q := dist.GridQuantile(dists[m].Quantiles, row[m])
 			params[structural.LoadParam(m)] = stochastic.Point(math.Max(q, minAvailPoint))
 		}
 		v, err := tree.Eval(params)
 		if err != nil {
-			return normalDistGrid(raw)
+			return valueGrid(raw)
 		}
 		times[i] = v.Mean
 	}
 	sort.Float64s(times)
-	grid := make([]float64, len(nws.DistLevels))
-	for i, p := range nws.DistLevels {
+	grid := make([]float64, dist.NumLevels)
+	for i, p := range dist.GridLevels {
 		grid[i] = stats.QuantileSorted(times, p)
 	}
-	monotonizeGrid(grid)
+	dist.Monotone(grid)
 	return grid
 }
 
@@ -182,7 +194,7 @@ func TestDistGridMatchesTree(t *testing.T) {
 						if !sameFloats(got, want) {
 							t.Fatalf("%s at %g, %+v:\ngrid %v\ntree %v", spec.Name, until, req, got, want)
 						}
-						if sameFloats(got, normalDistGrid(p.Raw)) {
+						if sameFloats(got, valueGrid(p.Raw)) {
 							t.Fatalf("%s at %g, %+v: the grid degraded to the normal one", spec.Name, until, req)
 						}
 						grids++
@@ -193,7 +205,7 @@ func TestDistGridMatchesTree(t *testing.T) {
 						// refused draw — here by an evaluator of one strip
 						// fewer than the platform has machines.
 						k := structural.PhasePairs(req.Iterations)
-						if got := distGrid(svc.drawPhases(refusingEvaluator(t, model), dists, bandwidth), k, p.Raw); !sameFloats(got, normalDistGrid(p.Raw)) {
+						if got := distGrid(svc.drawPhases(refusingEvaluator(t, model), dists, bandwidth), k, p.Raw); !sameFloats(got, valueGrid(p.Raw)) {
 							t.Fatalf("%s: refused draws served %v, want the raw value's normal grid", spec.Name, got)
 						}
 					}

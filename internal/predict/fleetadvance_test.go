@@ -172,12 +172,13 @@ func TestAdvanceAllMatchesSequential(t *testing.T) {
 
 			for _, svc := range pool.Services() {
 				due := int(svc.Now()/5) + 1 // one sample per 5 s period from t = 0
-				for m, g := range svc.CPUGaps() {
-					if g.Scheduled() != due {
+				r := svc.Readout()
+				for m, rep := range r.Reports {
+					if g := rep.Gaps; g.Scheduled() != due {
 						t.Errorf("%s machine %d: %d samples scheduled at t=%g, want %d", svc.Name(), m, g.Scheduled(), svc.Now(), due)
 					}
 				}
-				if got, want := svc.BWGaps().Scheduled(), len(waveSizes)*due; got != want {
+				if got, want := r.BWGaps.Scheduled(), len(waveSizes)*due; got != want {
 					t.Errorf("%s: bandwidth monitors scheduled %d samples at t=%g, want %d", svc.Name(), got, svc.Now(), want)
 				}
 			}

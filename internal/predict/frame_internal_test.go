@@ -6,7 +6,7 @@ import (
 	"sort"
 	"testing"
 
-	"prodpred/internal/nws"
+	"prodpred/internal/dist"
 	"prodpred/internal/obs"
 	"prodpred/internal/stats"
 	"prodpred/internal/stochastic"
@@ -16,22 +16,22 @@ import (
 // perRunDistGrid is the reading half of the distribution transform as it
 // was when every shape drew for itself: the run's own times — k times each
 // phase, which is the tree's time (TestSORPointTimeIsKTimesPhase) — in draw
-// order, sorted, read at DistLevels, monotonized. It is the reference the
+// order, sorted, read at the grid levels, monotonized. It is the reference the
 // grid read off a size's shared, already sorted draws is held to.
 func perRunDistGrid(phases []float64, k float64, raw stochastic.Value) []float64 {
 	if phases == nil {
-		return normalDistGrid(raw)
+		return valueGrid(raw)
 	}
 	times := make([]float64, len(phases))
 	for i, ph := range phases {
 		times[i] = k * ph
 	}
 	sort.Float64s(times)
-	grid := make([]float64, len(nws.DistLevels))
-	for i, p := range nws.DistLevels {
+	grid := make([]float64, dist.NumLevels)
+	for i, p := range dist.GridLevels {
 		grid[i] = stats.QuantileSorted(times, p)
 	}
-	monotonizeGrid(grid)
+	dist.Monotone(grid)
 	return grid
 }
 
@@ -72,12 +72,12 @@ func TestSharedDrawsGridMatchesPerRunGrid(t *testing.T) {
 			got, want := distGrid(sorted, k, raw), perRunDistGrid(phases, k, raw)
 			for i := range want {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
-					t.Fatalf("trial %d, %d iterations, level %g: shared draws read %v, the run's own %v\nphases %v", trial, its, nws.DistLevels[i], got[i], want[i], phases)
+					t.Fatalf("trial %d, %d iterations, level %g: shared draws read %v, the run's own %v\nphases %v", trial, its, dist.GridLevels[i], got[i], want[i], phases)
 				}
 			}
 		}
 	}
-	if got, want := distGrid(nil, 14, raw), perRunDistGrid(nil, 14, raw); !sameFloats(got, want) || !sameFloats(got, normalDistGrid(raw)) {
+	if got, want := distGrid(nil, 14, raw), perRunDistGrid(nil, 14, raw); !sameFloats(got, want) || !sameFloats(got, valueGrid(raw)) {
 		t.Fatalf("without draws: %v, per run %v", got, want)
 	}
 }
@@ -175,7 +175,7 @@ func TestLevelsMissReusesTheSizesDraws(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(p.Dist.Raw) != len(nws.DistLevels) || len(p.Dist.Intervals) != 2 {
+		if len(p.Dist.Raw) != dist.NumLevels || len(p.Dist.Intervals) != 2 {
 			t.Fatalf("%d iterations: no distribution served: %+v", its, p.Dist)
 		}
 	}

@@ -7,7 +7,7 @@ import (
 	"slices"
 
 	"prodpred/internal/calib"
-	"prodpred/internal/nws"
+	"prodpred/internal/dist"
 	"prodpred/internal/stochastic"
 )
 
@@ -16,8 +16,8 @@ import (
 // (a caller that never observes must not grow the service without bound).
 const maxOutstanding = 4096
 
-// rawGrid is one prediction's uncalibrated quantile grid, on DistLevels.
-type rawGrid = [nws.NumDistLevels]float64
+// rawGrid is one prediction's uncalibrated quantile grid, on dist.GridLevels.
+type rawGrid = [dist.NumLevels]float64
 
 // ledgerEntry is what Observe and a snapshot need of one issued
 // prediction, in 48 bytes. The calibration overlay never moves the mean
@@ -161,7 +161,7 @@ const maxImageNextID = 1<<63 - 1
 // section is outside input: its IDs must ascend within [1, next id], or a
 // later issue would overwrite a restored entry; its next id must leave room
 // to count up; and each entry must be one this daemon writes — a
-// calibrated mean equal to the raw one, a grid of DistLevels or none.
+// calibrated mean equal to the raw one, a grid of dist.GridLevels or none.
 func (l *ledger) decode(d *snapDec) error {
 	l.next = d.u64()
 	if d.err == nil && l.next > maxImageNextID {
@@ -190,10 +190,10 @@ func (l *ledger) decode(d *snapDec) error {
 		}
 		switch len(q) {
 		case 0:
-		case nws.NumDistLevels:
+		case dist.NumLevels:
 			e.rawQ = (*rawGrid)(q)
 		default:
-			return fmt.Errorf("predict: snapshot ledger id %d has a grid of %d levels, want 0 or %d", id, len(q), nws.NumDistLevels)
+			return fmt.Errorf("predict: snapshot ledger id %d has a grid of %d levels, want 0 or %d", id, len(q), dist.NumLevels)
 		}
 		l.slab = append(l.slab, e)
 		l.live++

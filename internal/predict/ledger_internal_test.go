@@ -11,7 +11,7 @@ import (
 	"testing"
 
 	"prodpred/internal/calib"
-	"prodpred/internal/nws"
+	"prodpred/internal/dist"
 	"prodpred/internal/stochastic"
 )
 
@@ -198,7 +198,7 @@ func (p *ledgerPair) issue(rng *rand.Rand, grid bool) {
 	var q []float64
 	var g *rawGrid
 	if grid {
-		q = make([]float64, nws.NumDistLevels)
+		q = make([]float64, dist.NumLevels)
 		for i := range q {
 			q[i] = raw.Mean + float64(i) + rng.Float64()
 		}
@@ -384,7 +384,7 @@ func FuzzLedger(f *testing.F) {
 
 // TestLedgerRefusesForeignEntries: a snapshot's ledger entries must be ones
 // this daemon writes — a calibrated mean bit-equal to the raw one, a grid
-// of DistLevels or none — and its next ID must leave room to count up.
+// of dist.GridLevels or none — and its next ID must leave room to count up.
 func TestLedgerRefusesForeignEntries(t *testing.T) {
 	entry := func(next uint64, calMean float64, grid []float64) []byte {
 		var e snapEnc
@@ -404,7 +404,7 @@ func TestLedgerRefusesForeignEntries(t *testing.T) {
 		ok   bool
 	}{
 		{"scalar", entry(5, 2, nil), true},
-		{"grid", entry(5, 2, make([]float64, nws.NumDistLevels)), true},
+		{"grid", entry(5, 2, make([]float64, dist.NumLevels)), true},
 		{"moved mean", entry(5, 2.5, nil), false},
 		{"short grid", entry(5, 2, make([]float64, 3)), false},
 		{"next id 2^63", entry(1<<63, 2, nil), false},

@@ -130,8 +130,8 @@ func TestCountersReadTheirOwners(t *testing.T) {
 			t.Fatalf("step %d (%s): /metrics reads\n%s\nwant\n%s", step, what, strings.Join(got, "\n"), strings.Join(want, "\n"))
 		}
 	}
-	if driftsCalled == 0 || svc.CPUGaps()[0].Missed == 0 || observed == 0 {
+	if missed := svc.Readout().Reports[0].Gaps.Missed; driftsCalled == 0 || missed == 0 || observed == 0 {
 		t.Fatalf("the run never exercised the counters: %d drifts, %d missed on machine 0, %d observed",
-			driftsCalled, svc.CPUGaps()[0].Missed, observed)
+			driftsCalled, missed, observed)
 	}
 }

@@ -37,6 +37,7 @@ package predict
 import (
 	"fmt"
 
+	"prodpred/internal/dist"
 	"prodpred/internal/nws"
 	"prodpred/internal/sched"
 	"prodpred/internal/sor"
@@ -173,7 +174,7 @@ type Interval struct {
 // Raw off them. Calibrated recenters the grid by the tracker's conformal median shift
 // and applies its per-level two-sided conformal multipliers.
 type PredictionDist struct {
-	// Levels is the quantile grid, ascending (nws.DistLevels).
+	// Levels is the quantile grid, ascending (dist.GridLevels).
 	Levels []float64 `json:"levels"`
 	// Raw are the uncalibrated execution-time quantiles at Levels,
 	// nondecreasing, in virtual seconds.
@@ -193,10 +194,10 @@ type PredictionDist struct {
 // clamping outside the grid. It returns false before the distribution
 // pipeline has produced a grid (zero-valued Dist).
 func (d PredictionDist) Quantile(p float64) (float64, bool) {
-	if len(d.Calibrated) != len(nws.DistLevels) {
+	if len(d.Calibrated) != dist.NumLevels {
 		return 0, false
 	}
-	return nws.GridQuantile(d.Calibrated, p), true
+	return dist.GridQuantile(d.Calibrated, p), true
 }
 
 // Prediction is the answer to one Request.

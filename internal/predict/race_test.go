@@ -83,8 +83,8 @@ func TestConcurrentPredictDeterministic(t *testing.T) {
 	// The outage window (150-260) sits inside the advanced range
 	// (100..322), so the fault machinery demonstrably fired.
 	missed := 0
-	for _, g := range svcA.CPUGaps() {
-		missed += g.Missed
+	for _, rep := range svcA.Readout().Reports {
+		missed += rep.Gaps.Missed
 	}
 	if missed == 0 {
 		t.Error("stress run injected no measurement gaps")
@@ -145,8 +145,6 @@ func TestConcurrentMixedOps(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
 			svc.Readout()
-			svc.CPUGaps()
-			svc.BWGaps()
 		}
 	}()
 	wg.Add(1)
@@ -215,14 +213,15 @@ func TestConcurrentMixedOps(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+	r := svc.Readout()
 	total := 0
-	for _, g := range svc.CPUGaps() {
-		total += g.Missed
+	for _, rep := range r.Reports {
+		total += rep.Gaps.Missed
 	}
 	if total == 0 {
 		t.Error("stress run injected no measurement gaps")
 	}
-	if svc.BWGaps().Clean == 0 {
+	if r.BWGaps.Clean == 0 {
 		t.Error("stress run built no bandwidth monitor")
 	}
 }

@@ -12,6 +12,7 @@ import (
 
 	"prodpred/internal/calib"
 	"prodpred/internal/cluster"
+	"prodpred/internal/dist"
 	"prodpred/internal/faults"
 	"prodpred/internal/load"
 	"prodpred/internal/nws"
@@ -675,17 +676,18 @@ func (s *Service) predictShared(req Request) (Prediction, error) {
 }
 
 // resolveSize fills the size level of a frame, once, and returns the error
-// it memoizes. Filling it is a cache miss, finding it filled a hit.
+// it memoizes. Filling it is a cache miss; finding it filled, or waiting
+// while another request fills it, a hit.
 func (s *Service) resolveSize(sz *sizeFrame, req Request) error {
-	sz.mu.Lock()
-	defer sz.mu.Unlock()
-	if sz.done {
+	hit := true
+	sz.once.Do(func() {
+		hit = false
+		s.metrics.recordCacheMiss()
+		sz.err = s.computeSize(sz, req)
+	})
+	if hit {
 		s.metrics.recordCacheHit()
-		return sz.err
 	}
-	s.metrics.recordCacheMiss()
-	sz.err = s.computeSize(sz, req)
-	sz.done = true
 	return sz.err
 }
 
@@ -766,12 +768,12 @@ func buildDistUniforms(dims int) [][]float64 {
 
 // distDesign is the sample matrix of buildDistUniforms with everything that
 // depends only on the uniforms worked out once: a draw reads a machine's
-// load off its forecast's DistLevels grid at a located position, and the
+// load off its forecast's quantile grid at a located position, and the
 // bandwidth fraction off its normal at a tabulated z-score.
 type distDesign struct {
 	machines int
 	// cells[i*machines+m] is where draw i reads machine m's quantile grid.
-	cells []nws.GridPos
+	cells []dist.GridPos
 	// bwZ[i] is the standard normal quantile of draw i's bandwidth uniform.
 	bwZ []float64
 }
@@ -794,12 +796,12 @@ func buildDistDesign(machines int) *distDesign {
 	u := buildDistUniforms(machines + 1)
 	d := &distDesign{
 		machines: machines,
-		cells:    make([]nws.GridPos, 0, len(u)*machines),
+		cells:    make([]dist.GridPos, 0, len(u)*machines),
 		bwZ:      make([]float64, len(u)),
 	}
 	for i, row := range u {
 		for _, p := range row[:machines] {
-			d.cells = append(d.cells, nws.LocateLevel(p))
+			d.cells = append(d.cells, dist.LocateLevel(p))
 		}
 		d.bwZ[i] = stats.NormalQuantile(row[machines])
 	}
@@ -807,7 +809,7 @@ func buildDistDesign(machines int) *distDesign {
 }
 
 // loads fills out with draw i's availability of every machine: what
-// nws.GridQuantile(dists[m].Quantiles, u[i][m]) returns, floored.
+// dist.GridQuantile(dists[m].Quantiles, u[i][m]) returns, floored.
 func (d *distDesign) loads(i int, dists []nws.LoadDist, out []float64) {
 	for m, c := range d.cells[i*d.machines : (i+1)*d.machines] {
 		out[m] = math.Max(c.Read(dists[m].Quantiles), minAvailPoint)
@@ -870,7 +872,7 @@ func (s *Service) drawPhases(eval *structural.SORPoint, dists []nws.LoadDist, bw
 
 // distGrid is the reading half of the distribution transform: the raw
 // execution-time quantile grid of a run of k phase pairs, the empirical
-// DistLevels quantiles of k times each sorted phase draw. Multiplying by a
+// dist.GridLevels quantiles of k times each sorted phase draw. Multiplying by a
 // positive k and rounding are both monotone, so the scaled draws are the
 // sorted execution times of that run — what sorting the run's own times over
 // the same draws gives, NaNs first either way — and one pass of draws serves
@@ -878,41 +880,18 @@ func (s *Service) drawPhases(eval *structural.SORPoint, dists []nws.LoadDist, bw
 // normal quantiles.
 func distGrid(draws []float64, k float64, raw stochastic.Value) []float64 {
 	if draws == nil {
-		return normalDistGrid(raw)
+		return dist.NormalGrid(raw.Mean, raw.Sigma())
 	}
 	var times [distSamples]float64
 	for i, d := range draws {
 		times[i] = k * d
 	}
-	grid := make([]float64, len(nws.DistLevels))
-	for i, p := range nws.DistLevels {
+	grid := make([]float64, dist.NumLevels)
+	for i, p := range dist.GridLevels {
 		grid[i] = stats.QuantileSorted(times[:], p)
 	}
-	monotonizeGrid(grid)
+	dist.Monotone(grid)
 	return grid
-}
-
-// normalDistGrid tabulates a stochastic value's own (normal) quantiles on
-// the DistLevels grid — the degraded form when the point-quantile transform
-// cannot run.
-func normalDistGrid(v stochastic.Value) []float64 {
-	grid := make([]float64, len(nws.DistLevels))
-	for i, p := range nws.DistLevels {
-		grid[i] = v.Quantile(p)
-	}
-	return grid
-}
-
-// monotonizeGrid enforces a nondecreasing quantile curve in place.
-// Empirical quantiles of the Monte Carlo sample are monotone by
-// construction; this guards the invariant outright against ties and
-// fallback paths.
-func monotonizeGrid(grid []float64) {
-	for i := 1; i < len(grid); i++ {
-		if grid[i] < grid[i-1] {
-			grid[i] = grid[i-1]
-		}
-	}
 }
 
 // dominantForecaster returns the most common per-machine forecaster tag,
@@ -961,21 +940,21 @@ func (s *Service) finishPrediction(sz *sizeFrame, req Request) Prediction {
 	if raw.Spread > 0 {
 		scale = cal.Spread / raw.Spread
 	}
-	var dist PredictionDist
-	if len(distRaw) == len(nws.DistLevels) {
-		dist = PredictionDist{
-			Levels:     nws.DistLevels,
+	var pd PredictionDist
+	if len(distRaw) == dist.NumLevels {
+		pd = PredictionDist{
+			Levels:     dist.GridLevels,
 			Raw:        distRaw,
 			Calibrated: calQ,
 			Forecaster: sz.tick.tag,
 		}
 		if len(levels) > 0 {
-			dist.Intervals = make([]Interval, len(levels))
+			pd.Intervals = make([]Interval, len(levels))
 			for i, l := range levels {
-				dist.Intervals[i] = Interval{
+				pd.Intervals[i] = Interval{
 					Level: l,
-					Lo:    nws.GridQuantile(calQ, (1-l)/2),
-					Hi:    nws.GridQuantile(calQ, (1+l)/2),
+					Lo:    dist.GridQuantile(calQ, (1-l)/2),
+					Hi:    dist.GridQuantile(calQ, (1+l)/2),
 				}
 			}
 		}
@@ -1000,7 +979,7 @@ func (s *Service) finishPrediction(sz *sizeFrame, req Request) Prediction {
 		Loads:            sz.tick.reports,
 		Bandwidth:        sz.bandwidth,
 		BWGaps:           sz.bwGaps,
-		Dist:             dist,
+		Dist:             pd,
 	}
 }
 
@@ -1072,7 +1051,9 @@ type Readout struct {
 	// the tick at Time — the slice every Prediction.Loads of that tick
 	// shares (callers must not mutate it).
 	Reports []MachineReport
-	// BWGaps is what BWGaps returns at Time.
+	// BWGaps is the bandwidth monitors' gap counters at Time, summed
+	// across probe sizes (LongestGap is the max); zero when the network is
+	// contention-free or no prediction has consulted bandwidth yet.
 	BWGaps nws.GapStats
 }
 
@@ -1091,33 +1072,10 @@ func (s *Service) Readout() Readout {
 	return r
 }
 
-// CPUGaps returns each CPU monitor's per-fault-class gap counters.
-func (s *Service) CPUGaps() []nws.GapStats {
-	s.clockMu.RLock()
-	defer s.clockMu.RUnlock()
-	s.monMu.Lock()
-	defer s.monMu.Unlock()
-	s.catchUpLocked()
-	gaps := make([]nws.GapStats, len(s.cpu))
-	for i, mon := range s.cpu {
-		gaps[i] = mon.Gaps()
-	}
-	return gaps
-}
-
-// BWGaps returns the bandwidth monitors' gap counters, summed across probe
-// sizes (LongestGap is the max). It is zero when the network is
-// contention-free or no prediction has consulted bandwidth yet.
-func (s *Service) BWGaps() nws.GapStats {
-	s.clockMu.RLock()
-	defer s.clockMu.RUnlock()
-	s.monMu.Lock()
-	defer s.monMu.Unlock()
-	s.catchUpLocked()
-	return s.bwGapsLocked()
-}
-
-// bwGapsLocked is BWGaps for a caller holding the clock lock and monMu.
+// bwGapsLocked sums the bandwidth monitors' gap counters across probe sizes
+// (LongestGap is the max): zero when the network is contention-free or no
+// prediction has consulted bandwidth yet. The caller holds the clock lock
+// and monMu.
 func (s *Service) bwGapsLocked() nws.GapStats {
 	var total nws.GapStats
 	for _, b := range s.bw {

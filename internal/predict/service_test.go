@@ -186,8 +186,8 @@ func TestDedicatedNetworkSkipsBandwidth(t *testing.T) {
 	if pred.BWGaps != (predict.Prediction{}).BWGaps {
 		t.Errorf("constant network BWGaps=%+v, want zero", pred.BWGaps)
 	}
-	if svc.BWGaps() != (predict.Prediction{}).BWGaps {
-		t.Errorf("service BWGaps=%+v, want zero", svc.BWGaps())
+	if r := svc.Readout(); r.BWGaps != (predict.Prediction{}).BWGaps {
+		t.Errorf("readout BWGaps=%+v, want zero", r.BWGaps)
 	}
 }
 
@@ -200,15 +200,8 @@ func TestReportsAndGaps(t *testing.T) {
 	if reports[0].Gaps.Dropped == 0 {
 		t.Error("machine 0 should have dropped samples")
 	}
-	gaps := svc.CPUGaps()
-	if len(gaps) != len(reports) {
-		t.Fatalf("gaps=%d", len(gaps))
-	}
-	if gaps[0].Dropped != reports[0].Gaps.Dropped {
-		t.Errorf("gap views disagree: %d vs %d", gaps[0].Dropped, reports[0].Gaps.Dropped)
-	}
-	if gaps[1].Dropped != 0 {
-		t.Errorf("machine 1 has no schedule but dropped %d", gaps[1].Dropped)
+	if reports[1].Gaps.Dropped != 0 {
+		t.Errorf("machine 1 has no schedule but dropped %d", reports[1].Gaps.Dropped)
 	}
 	// The reports are the tick's one read: what a same-tick prediction
 	// carries, whether the tick cache holds the read or each call repeats it.
@@ -222,9 +215,9 @@ func TestReportsAndGaps(t *testing.T) {
 		if !reflect.DeepEqual(r.Reports, p.Loads) {
 			t.Errorf("cache off=%v: Readout().Reports = %+v, the same tick's Prediction.Loads = %+v", noCache, r.Reports, p.Loads)
 		}
-		if r.Time != p.Time || r.BWGaps != svc.BWGaps() {
-			t.Errorf("cache off=%v: Readout() at %g with bandwidth gaps %+v; the prediction's time is %g, BWGaps() %+v",
-				noCache, r.Time, r.BWGaps, p.Time, svc.BWGaps())
+		if r.Time != p.Time || r.BWGaps != p.BWGaps {
+			t.Errorf("cache off=%v: Readout() at %g with bandwidth gaps %+v; the prediction's time is %g, its bandwidth gaps %+v",
+				noCache, r.Time, r.BWGaps, p.Time, p.BWGaps)
 		}
 	}
 }

@@ -659,9 +659,10 @@ func gaugeLines(t *testing.T, metrics *obs.Registry, families ...string) []strin
 // own state — predictions issued, outcomes observed, drift events and
 // missed sensor samples — formatted from svc's state, in exposition order.
 func counterLines(svc *predict.Service, lastID uint64) []string {
-	missed := svc.BWGaps().Missed
-	for _, g := range svc.CPUGaps() {
-		missed += g.Missed
+	r := svc.Readout()
+	missed := r.BWGaps.Missed
+	for _, rep := range r.Reports {
+		missed += rep.Gaps.Missed
 	}
 	name := svc.Name()
 	return []string{
@@ -720,8 +721,8 @@ func TestRestoredMetricsReadTheState(t *testing.T) {
 	if svc.Outstanding() != 30 || svc.Accuracy().Scale == 1 || svc.Now() != spec.Warmup+60 {
 		t.Fatalf("setup: outstanding %d, scale %g, clock %g", svc.Outstanding(), svc.Accuracy().Scale, svc.Now())
 	}
-	if svc.DriftCount() == 0 || svc.CPUGaps()[0].Missed == 0 {
-		t.Fatalf("setup: %d drift events, %d missed samples on machine 0", svc.DriftCount(), svc.CPUGaps()[0].Missed)
+	if missed := svc.Readout().Reports[0].Gaps.Missed; svc.DriftCount() == 0 || missed == 0 {
+		t.Fatalf("setup: %d drift events, %d missed samples on machine 0", svc.DriftCount(), missed)
 	}
 	restored := obs.NewRegistry()
 	if _, err := predict.ReadSnapshot(bytes.NewReader(snapshotBytes(t, reg)), predict.RegistryOptions{Metrics: restored}); err != nil {

@@ -15,18 +15,6 @@ type Histogram struct {
 	N      int // total observations binned
 }
 
-// BinRule selects an automatic bin-count rule for NewHistogramAuto.
-type BinRule int
-
-const (
-	// Sturges uses ceil(log2 n) + 1 bins.
-	Sturges BinRule = iota
-	// Scott uses bin width 3.49*sigma*n^(-1/3).
-	Scott
-	// FreedmanDiaconis uses bin width 2*IQR*n^(-1/3).
-	FreedmanDiaconis
-)
-
 // NewHistogram bins xs into bins equal-width bins spanning [lo, hi]. Values
 // outside the range are clamped into the first or last bin, matching how the
 // paper's load histograms treat occasional out-of-range spikes.
@@ -53,9 +41,10 @@ func NewHistogram(xs []float64, lo, hi float64, bins int) (*Histogram, error) {
 	return h, nil
 }
 
-// NewHistogramAuto bins xs using the given automatic rule over the sample's
-// own range. It returns an error for an empty sample.
-func NewHistogramAuto(xs []float64, rule BinRule) (*Histogram, error) {
+// NewHistogramAuto bins xs over the sample's own range with the
+// Freedman–Diaconis bin width 2*IQR*n^(-1/3). It returns an error for an
+// empty sample.
+func NewHistogramAuto(xs []float64) (*Histogram, error) {
 	if len(xs) == 0 {
 		return nil, ErrEmpty
 	}
@@ -66,21 +55,9 @@ func NewHistogramAuto(xs []float64, rule BinRule) (*Histogram, error) {
 		return NewHistogram(xs, lo, hi, 1)
 	}
 	n := float64(len(xs))
-	var bins int
-	switch rule {
-	case Sturges:
-		bins = int(math.Ceil(math.Log2(n))) + 1
-	case Scott:
-		w := 3.49 * StdDev(xs) * math.Pow(n, -1.0/3.0)
-		bins = widthToBins(lo, hi, w)
-	case FreedmanDiaconis:
-		q25, _ := Quantile(xs, 0.25)
-		q75, _ := Quantile(xs, 0.75)
-		w := 2 * (q75 - q25) * math.Pow(n, -1.0/3.0)
-		bins = widthToBins(lo, hi, w)
-	default:
-		return nil, fmt.Errorf("stats: unknown bin rule %d", rule)
-	}
+	q25, _ := Quantile(xs, 0.25)
+	q75, _ := Quantile(xs, 0.75)
+	bins := widthToBins(lo, hi, 2*(q75-q25)*math.Pow(n, -1.0/3.0))
 	if bins < 1 {
 		bins = 1
 	}

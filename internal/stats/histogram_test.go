@@ -71,26 +71,21 @@ func TestHistogramAutoRules(t *testing.T) {
 	for i := range xs {
 		xs[i] = rng.NormFloat64()
 	}
-	for _, rule := range []BinRule{Sturges, Scott, FreedmanDiaconis} {
-		h, err := NewHistogramAuto(xs, rule)
-		if err != nil {
-			t.Fatalf("rule %d: %v", rule, err)
-		}
-		if bins := len(h.Counts); bins < 2 || bins > 200 {
-			t.Errorf("rule %d produced %d bins", rule, bins)
-		}
-		if h.N != len(xs) {
-			t.Errorf("rule %d binned %d of %d", rule, h.N, len(xs))
-		}
+	h, err := NewHistogramAuto(xs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := NewHistogramAuto(nil, Sturges); err != ErrEmpty {
+	if bins := len(h.Counts); bins < 2 || bins > 200 {
+		t.Errorf("Freedman–Diaconis produced %d bins", bins)
+	}
+	if h.N != len(xs) {
+		t.Errorf("binned %d of %d", h.N, len(xs))
+	}
+	if _, err := NewHistogramAuto(nil); err != ErrEmpty {
 		t.Errorf("empty err=%v", err)
 	}
-	if _, err := NewHistogramAuto(xs, BinRule(99)); err == nil {
-		t.Error("unknown rule should error")
-	}
 	// Degenerate single-value sample gets one bin.
-	h, err := NewHistogramAuto([]float64{7, 7, 7}, Scott)
+	h, err = NewHistogramAuto([]float64{7, 7, 7})
 	if err != nil || len(h.Counts) != 1 || h.N != 3 {
 		t.Errorf("degenerate: %+v err=%v", h, err)
 	}
